@@ -6,22 +6,17 @@ are identical, and reports the speedup as a ``BENCH`` JSON point::
 
     BENCH {"bench": "campaign", "circuit": "fig4", "speedup": ..., ...}
 
-A second point benchmarks the *batched* Sherman–Morrison precompute
-(multi-RHS ``deviation_batch``) against the historical per-fault loop of
-the same factorized engine, on a campaign harness built around the
-registry ``rc_ladder`` at 512 sections::
-
-    BENCH {"bench": "campaign-batch", "circuit": "rc-ladder-512", ...}
+The module also provides :func:`_ladder_campaign_harness`, the
+512-section RC-ladder campaign workload the cache and resilience
+benchmarks share.
 
 Modes:
 
-* full (default)  — ``faults_per_element = 20``, best-of-3 timing, and
-  hard gates: the factorized engine must be at least ``--min-speedup``
-  (default 5×) faster than the reference engine, and the batched path at
-  least ``--min-batch-speedup`` (default 3×) faster than the loop;
-* ``--smoke``     — small population and ladder, single timing pass, no
-  speed gates (CI runners are noisy); the outcome-equality checks still
-  apply.
+* full (default)  — ``faults_per_element = 20``, best-of-3 timing, and a
+  hard gate: the factorized engine must be at least ``--min-speedup``
+  (default 5×) faster than the reference engine;
+* ``--smoke``     — small population, single timing pass, no speed gate
+  (CI runners are noisy); the outcome-equality check still applies.
 
 Exit status is non-zero when any enabled check fails, so the script
 doubles as a CI gate next to ``python -m repro bench-smoke``.
@@ -181,25 +176,8 @@ def main(argv=None) -> int:
         help="fail unless factorized is at least this much faster",
     )
     parser.add_argument(
-        "--batch-sections", type=int, default=512,
-        help="rc_ladder size for the batched-vs-looped comparison",
-    )
-    parser.add_argument(
-        "--batch-faults-per-element", type=int, default=2,
-        help="population density for the batched-vs-looped comparison",
-    )
-    parser.add_argument(
-        "--min-batch-speedup", type=float, default=3.0,
-        help="fail unless the batched engine beats the per-fault loop "
-        "by at least this factor",
-    )
-    parser.add_argument(
-        "--skip-batch", action="store_true",
-        help="skip the batched-vs-looped ladder comparison",
-    )
-    parser.add_argument(
         "--smoke", action="store_true",
-        help="small population and ladder, one timing pass, no speed gates",
+        help="small population, one timing pass, no speed gate",
     )
     parser.add_argument("--json", metavar="PATH", default=None)
     args = parser.parse_args(argv)
@@ -259,80 +237,18 @@ def main(argv=None) -> int:
             f"speedup {speedup:.1f}x below the {args.min_speedup:.1f}x gate"
         )
 
-    batch_point = None
-    if not args.skip_batch:
-        sections = 64 if args.smoke else args.batch_sections
-        mixed_ladder, ladder_report = _ladder_campaign_harness(sections)
-
-        def batch_config(batch: bool) -> CampaignConfig:
-            return CampaignConfig(
-                faults_per_element=args.batch_faults_per_element,
-                seed=args.seed,
-                batch=batch,
-            )
-
-        # Warm both paths (imports, symbolic analysis, LU caches).
-        warm = batch_config(True).replace(faults_per_element=1)
-        run_campaign(mixed_ladder, ladder_report, config=warm)
-        run_campaign(
-            mixed_ladder, ladder_report, config=warm.replace(batch=False)
-        )
-        t_looped, looped = _time_engine(
-            mixed_ladder, ladder_report, batch_config(False), repeats
-        )
-        t_batched, batched = _time_engine(
-            mixed_ladder, ladder_report, batch_config(True), repeats
-        )
-        batch_identical = batched.outcomes == looped.outcomes
-        batch_speedup = (
-            t_looped / t_batched if t_batched > 0 else float("inf")
-        )
-        batch_point = {
-            "bench": "campaign-batch",
-            "circuit": f"rc-ladder-{sections}",
-            "faults_per_element": args.batch_faults_per_element,
-            "seed": args.seed,
-            "n_faults": batched.n_injected,
-            "looped_s": round(t_looped, 6),
-            "batched_s": round(t_batched, 6),
-            "speedup": round(batch_speedup, 2),
-            "identical_outcomes": batch_identical,
-            "detection_rate": round(batched.detection_rate(), 4),
-            "multi_rhs_columns": batched.diagnostics["multi_rhs_columns"],
-            "smoke": args.smoke,
-        }
-        print("BENCH " + json.dumps(batch_point, sort_keys=True))
-        if not batch_identical:
-            failures.append(
-                "batched and looped engines disagreed on the outcome list"
-            )
-        if batched.n_injected == 0:
-            failures.append("batched campaign injected no faults")
-        if not args.smoke and batch_speedup < args.min_batch_speedup:
-            failures.append(
-                f"batch speedup {batch_speedup:.1f}x below the "
-                f"{args.min_batch_speedup:.1f}x gate"
-            )
-
     if args.json:
-        document = point if batch_point is None else [point, batch_point]
         Path(args.json).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n"
+            json.dumps(point, indent=2, sort_keys=True) + "\n"
         )
 
     for failure in failures:
         print(f"bench_campaign: FAIL — {failure}", file=sys.stderr)
     if not failures:
-        summary = (
+        print(
             f"bench_campaign: ok — {reference.n_injected} faults, "
             f"{speedup:.1f}x vs reference"
         )
-        if batch_point is not None:
-            summary += (
-                f"; batch {batch_point['n_faults']} faults, "
-                f"{batch_point['speedup']:.1f}x vs loop"
-            )
-        print(summary)
     return 1 if failures else 0
 
 

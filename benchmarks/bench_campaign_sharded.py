@@ -2,7 +2,7 @@
 
 Runs one seeded fault-injection campaign unsharded and again split
 across worker processes (:mod:`repro.core.sharding`), checks the merged
-outcome lists are byte-identical, exercises a checkpoint/resume round
+outcome lists are byte-identical, exercises a cache resume round
 trip, and reports the wall-clock speedup as a ``BENCH`` JSON point::
 
     BENCH {"bench": "campaign_sharded", "circuit": ..., "speedup": ...}
@@ -20,7 +20,7 @@ Modes:
   single-process — below process-pool granularity (measure it with
   ``--circuit fig4``).
 * ``--smoke``     — fig4, small population, factorized engine, a shard
-  count that does not divide the fault count, plus a checkpoint/resume
+  count that does not divide the fault count, plus a cache resume
   round trip; agreement checks only, no timing gate (CI runners are
   noisy).
 
@@ -65,18 +65,26 @@ def _time_campaign(mixed, report, config: CampaignConfig, repeats: int):
 
 
 def _resume_round_trip(mixed, report, config: CampaignConfig) -> bool:
-    """Checkpoint a run, drop one shard, resume: merged result equal?"""
-    with tempfile.TemporaryDirectory() as directory:
-        from repro.core.sharding import checkpoint_path
+    """Cache a run, delete one shard's entry, resume: only that shard
+    re-executes and the merged result is equal?"""
+    from repro.core.cache import ResultCache
+    from repro.core.sharding import SHARD_NAMESPACE
 
-        checkpointed = config.replace(checkpoint_dir=directory)
-        first = run_campaign(mixed, report, config=checkpointed)
-        checkpoint_path(directory, 0, config.shards).unlink()
-        resumed = run_campaign(mixed, report, config=checkpointed)
-        expected = set(range(config.shards)) - {0}
+    with tempfile.TemporaryDirectory() as directory:
+        cached = config.replace(cache_dir=directory)
+        first = run_campaign(mixed, report, config=cached)
+        cache = ResultCache(directory)
+        [shard0] = [
+            fp
+            for fp in cache.fingerprints(SHARD_NAMESPACE)
+            if cache.get_artifact(SHARD_NAMESPACE, fp).payload["shard_index"]
+            == 0
+        ]
+        cache.path_for(SHARD_NAMESPACE, shard0).unlink()
+        resumed = run_campaign(mixed, report, config=cached)
         return (
             _outcome_key(first) == _outcome_key(resumed)
-            and set(resumed.diagnostics["resumed_shards"]) == expected
+            and resumed.diagnostics["shards_executed"] == 1
         )
 
 
@@ -165,7 +173,7 @@ def main(argv=None) -> int:
     if not identical:
         failures.append("sharded and unsharded outcome lists disagree")
     if not resume_ok:
-        failures.append("checkpoint/resume did not reproduce the merged run")
+        failures.append("cache resume did not reproduce the merged run")
     if sharded.n_injected == 0:
         failures.append("campaign injected no faults")
     if gate_enabled and speedup < args.min_speedup:

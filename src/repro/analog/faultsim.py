@@ -180,8 +180,9 @@ def step_order(steps: Sequence, element: str) -> list[int]:
 
     The step generated *for* the deviated element is overwhelmingly the
     one that detects it, so trying it first makes the early exit fire on
-    the first iteration for almost every fault.  Both engines use this
-    order, keeping their outcome lists (including ``detecting_target``)
+    the first iteration for almost every fault.  The reference engine
+    walks this order and the factorized engine streams the same one,
+    keeping their outcome lists (including ``detecting_target``)
     identical.
     """
     own = [i for i, step in enumerate(steps) if step.element == element]
@@ -214,10 +215,8 @@ class CampaignEngine:
     backend the engine's analog solves go through; ``factor_cache_size``
     bounds the engine's factorization LRU; ``digital_engine`` selects
     the digital-response evaluator (the compiled levelized circuit or
-    the reference interpreter); ``batch`` enables the batched
-    Sherman–Morrison gain precompute inside the factorized engine
-    (identical outcomes either way — the knob exists for benchmarking
-    and bisection).  After :meth:`run` returns,
+    the reference interpreter); ``cache_dir`` roots the on-disk
+    LU-factor cache.  After :meth:`run` returns,
     :attr:`last_diagnostics` describes what actually ran (backend name,
     cache hit/miss counters, multi-RHS solve counters) — use
     :func:`get_engine` to obtain a fresh instance per campaign so
@@ -239,7 +238,6 @@ class CampaignEngine:
         backend: str = "auto",
         factor_cache_size: int | None = None,
         digital_engine: str = "compiled",
-        batch: bool = True,
         cache_dir: str | None = None,
     ) -> list[InjectionOutcome]:
         raise NotImplementedError
@@ -264,11 +262,10 @@ class ReferenceEngine(CampaignEngine):
         backend: str = "auto",
         factor_cache_size: int | None = None,
         digital_engine: str = "compiled",
-        batch: bool = True,
         cache_dir: str | None = None,
     ) -> list[InjectionOutcome]:
-        # The oracle deliberately ignores the backend, digital-engine,
-        # batch and cache selectors: its whole point is the unoptimized
+        # The oracle deliberately ignores the backend, digital-engine
+        # and cache selectors: its whole point is the unoptimized
         # re-solve and re-interpret path the fast engine is checked
         # against.
         self.last_diagnostics = {
@@ -342,17 +339,14 @@ class FactorizedEngine(CampaignEngine):
     ``step_order`` early-exit semantics of the per-fault path, but runs
     almost entirely on memo hits; only a fault that survives its own
     steps pays further (lazily computed, memoized) per-fault updates on
-    the remaining steps.  ``batch=False`` restores the historical
-    loop-only execution — same outcome list, useful for benchmarking
-    the batch win and for bisection.
+    the remaining steps.
 
-    Cost model per fault, looped: one memoized Sherman–Morrison update
-    (two triangular solves) for the own-element step — versus the
-    reference engine's full matrix assembly and dense solve per
-    (fault, step) pair, twice (good and faulty circuit).  Batched, the
-    per-direction triangular solves collapse into one multi-RHS call
-    per frequency and the update scalars vectorize across the whole
-    population, removing the per-fault Python/solver round trips.
+    Cost model: the reference engine pays a full matrix assembly and
+    dense solve per (fault, step) pair, twice (good and faulty
+    circuit).  Here the own-step updates' per-direction triangular
+    solves collapse into one multi-RHS call per frequency and the
+    update scalars vectorize across the whole population, with no
+    per-fault Python/solver round trips.
     """
 
     name = "factorized"
@@ -366,7 +360,6 @@ class FactorizedEngine(CampaignEngine):
         backend: str = "auto",
         factor_cache_size: int | None = None,
         digital_engine: str = "compiled",
-        batch: bool = True,
         cache_dir: str | None = None,
     ) -> list[InjectionOutcome]:
         if not faults:
@@ -376,7 +369,6 @@ class FactorizedEngine(CampaignEngine):
             self.last_diagnostics = {
                 "engine": self.name,
                 "digital_engine": digital_engine,
-                "batch": batch,
                 "batched_gains": 0,
                 "backend": None,
                 "hits": 0,
@@ -454,28 +446,18 @@ class FactorizedEngine(CampaignEngine):
             own_steps: dict[str, list[int]] = {}
             for index, step in enumerate(steps):
                 own_steps.setdefault(step.element, []).append(index)
-            if batch:
-                # Lazy step order: the early-exit prefix (the fault's
-                # own steps) comes from one grouping pass; the tail is
-                # streamed only for faults that survive it.  At ladder
-                # scale the historical eager per-element step_order
-                # materialization is quadratic in the step count and
-                # dominates the whole campaign.
-                def order_of(element):
-                    yield from own_steps.get(element, ())
-                    for index, step in enumerate(steps):
-                        if step.element != element:
-                            yield index
-            else:
-                # Historical execution, kept bit-for-bit for
-                # benchmarking and bisection: eager per-element orders.
-                orders = {
-                    element: step_order(steps, element)
-                    for element in {fault.element for fault in faults}
-                }
 
-                def order_of(element):
-                    return orders[element]
+            def order_of(element):
+                # step_order, streamed: the early-exit prefix (the
+                # fault's own steps) comes from one grouping pass; the
+                # tail is generated only for faults that survive it.
+                # Materializing step_order per element is quadratic in
+                # the step count and dominates ladder-scale campaigns.
+                yield from own_steps.get(element, ())
+                for index, step in enumerate(steps):
+                    if step.element != element:
+                        yield index
+
             # Memoization across faults and steps.  The memos are shared
             # by every worker thread, so all access is lock-guarded and
             # first-write-wins (``setdefault``): every thread observes
@@ -492,28 +474,25 @@ class FactorizedEngine(CampaignEngine):
             # the walk below starts with the memo already hot.  Runs
             # before any thread fan-out, so the memo needs no lock yet.
             batched_gains = 0
-            if batch:
-                pending: dict[float, dict[tuple[str, float], None]] = {}
-                for fault in faults:
-                    for idx in own_steps.get(fault.element, ()):
-                        step = steps[idx]
-                        pending.setdefault(step.stimulus.frequency_hz, {})[
-                            (fault.element, fault.deviation)
-                        ] = None
-                for frequency, keyed in pending.items():
-                    pairs = list(keyed)
-                    values = factorized[frequency].deviation_batch(
-                        pairs, output
+            pending: dict[float, dict[tuple[str, float], None]] = {}
+            for fault in faults:
+                for idx in own_steps.get(fault.element, ()):
+                    step = steps[idx]
+                    pending.setdefault(step.stimulus.frequency_hz, {})[
+                        (fault.element, fault.deviation)
+                    ] = None
+            for frequency, keyed in pending.items():
+                pairs = list(keyed)
+                values = factorized[frequency].deviation_batch(pairs, output)
+                for (element, deviation), value in zip(pairs, values):
+                    # Lock-free by construction: this precompute runs
+                    # before the executor below exists, so no other
+                    # thread can touch the memo yet.
+                    # repro-lint: disable=LCK003
+                    gain_memo[(element, deviation, frequency)] = abs(
+                        complex(value)
                     )
-                    for (element, deviation), value in zip(pairs, values):
-                        # Lock-free by construction: this precompute
-                        # runs before the executor below exists, so no
-                        # other thread can touch the memo yet.
-                        # repro-lint: disable=LCK003
-                        gain_memo[(element, deviation, frequency)] = abs(
-                            complex(value)
-                        )
-                    batched_gains += len(pairs)
+                batched_gains += len(pairs)
 
             def fault_gain(fault: FaultSpec, frequency: float) -> float:
                 gain_key = (fault.element, fault.deviation, frequency)
@@ -552,47 +531,24 @@ class FactorizedEngine(CampaignEngine):
                         hit = detect_memo.setdefault(detect_key, computed)
                 return hit
 
-            if batch:
-
-                def evaluate(fault: FaultSpec) -> tuple[bool, str | None]:
-                    # A fault's converted code depends only on the
-                    # stimulus, never on the step, so one small
-                    # per-fault memo collapses the undetected-fault
-                    # tail walk to dict lookups.
-                    codes: dict[tuple[float, float], tuple[int, ...]] = {}
-                    for index in order_of(fault.element):
-                        stimulus = steps[index].stimulus
-                        code_key = (
-                            stimulus.frequency_hz,
-                            stimulus.amplitude,
-                        )
-                        code = codes.get(code_key)
-                        if code is None:
-                            gain = fault_gain(fault, stimulus.frequency_hz)
-                            code = _convert(
-                                thresholds, stimulus.amplitude * gain
-                            )
-                            codes[code_key] = code
-                        if code == good_codes[index]:
-                            continue  # conversion masks the fault here
-                        if detect(index, code):
-                            return True, steps[index].element
-                    return False, None
-
-            else:
-
-                def evaluate(fault: FaultSpec) -> tuple[bool, str | None]:
-                    # Historical per-step walk, kept bit-for-bit for
-                    # benchmarking and bisection under ``batch=False``.
-                    for index in order_of(fault.element):
-                        stimulus = steps[index].stimulus
+            def evaluate(fault: FaultSpec) -> tuple[bool, str | None]:
+                # A fault's converted code depends only on the stimulus,
+                # never on the step, so one small per-fault memo
+                # collapses the undetected-fault tail walk to lookups.
+                codes: dict[tuple[float, float], tuple[int, ...]] = {}
+                for index in order_of(fault.element):
+                    stimulus = steps[index].stimulus
+                    code_key = (stimulus.frequency_hz, stimulus.amplitude)
+                    code = codes.get(code_key)
+                    if code is None:
                         gain = fault_gain(fault, stimulus.frequency_hz)
                         code = _convert(thresholds, stimulus.amplitude * gain)
-                        if code == good_codes[index]:
-                            continue  # conversion masks the fault here
-                        if detect(index, code):
-                            return True, steps[index].element
-                    return False, None
+                        codes[code_key] = code
+                    if code == good_codes[index]:
+                        continue  # conversion masks the fault here
+                    if detect(index, code):
+                        return True, steps[index].element
+                return False, None
 
             if max_workers is not None and max_workers > 1 and len(faults) > 1:
                 workers = min(max_workers, len(faults))
@@ -613,7 +569,6 @@ class FactorizedEngine(CampaignEngine):
         self.last_diagnostics = {
             "engine": self.name,
             "digital_engine": digital_engine,
-            "batch": batch,
             "batched_gains": batched_gains,
             **solver.cache_stats(),
             **solve_stats,

@@ -348,13 +348,13 @@ class Artifact:
         seconds: float = 0.0,
         meta: dict | None = None,
     ) -> "Artifact":
-        """Wrap one completed campaign shard as a resumable checkpoint.
+        """Wrap one completed campaign shard as a shard cache entry.
 
         The payload is a ``campaign`` document plus the shard's identity
-        (index / total) and the campaign fingerprint
-        (:func:`repro.core.sharding.campaign_fingerprint`) that
+        (index / total) and the fingerprint the entry is keyed by
+        (:func:`repro.core.sharding.shard_fingerprint`), which
         :func:`repro.core.sharding.run_sharded_campaign` checks before
-        trusting the checkpoint on resume.
+        trusting the entry on resume.
         """
         payload = _campaign_document(result)
         payload.update(

@@ -7,8 +7,6 @@ equivalent:
 
 * ``reference`` vs ``factorized`` — the oracle re-solve against the
   LU + Sherman–Morrison fast path;
-* batched vs looped — the multi-RHS gain precompute against the
-  historical per-fault loop;
 * ``dense`` vs ``sparse`` — the two linear-system backends;
 * ``compiled`` vs ``reference`` digital — the levelized evaluator
   against the dict-walking interpreter;
@@ -48,7 +46,6 @@ AUDIT_NAMESPACE = "audit"
 #: the engine pairings audited, as ``(name, left variant, right variant)``.
 AUDIT_PAIRS = (
     ("reference-vs-factorized", "reference", "factorized"),
-    ("batched-vs-looped", "factorized", "factorized-looped"),
     ("dense-vs-sparse", "dense", "sparse"),
     ("compiled-vs-reference-digital", "factorized", "digital-reference"),
 )
@@ -57,7 +54,6 @@ AUDIT_PAIRS = (
 _VARIANTS = {
     "factorized": {"engine": "factorized"},
     "reference": {"engine": "reference"},
-    "factorized-looped": {"engine": "factorized", "batch": False},
     "dense": {"engine": "factorized", "backend": "dense"},
     "sparse": {"engine": "factorized", "backend": "sparse"},
     "digital-reference": {
@@ -149,10 +145,13 @@ def resolve_target(target: str, store: str | None = None) -> Artifact:
                 "auditing a fingerprint needs --store pointing at the "
                 "service root"
             )
-        from ..service.store import ArtifactStore
+        from ..core.cache import ResultCache
+        from ..service.jobs import STORE_NAMESPACE
 
-        artifact = ArtifactStore(store).get(target)
-        if artifact is None or artifact.kind != "report":
+        artifact = ResultCache(store).get_artifact(
+            STORE_NAMESPACE, target, kind="report"
+        )
+        if artifact is None:
             raise ConfigError(
                 f"no report artifact stored under {target!r}"
             )
@@ -170,28 +169,24 @@ def _load_report(path: Path) -> Artifact | None:
 
 
 def _configs_from(artifact: Artifact):
-    """Rebuild the typed configs a report artifact was produced with."""
+    """Rebuild the typed configs a report artifact was produced with.
+
+    A recorded config this version cannot rebuild raises
+    :class:`ConfigError`: auditing the defaults instead would replay a
+    different campaign than the one recorded.
+    """
     configs = artifact.meta.get("configs") or {}
-
-    def build(cls, document):
-        try:
-            return cls(**document) if document else cls()
-        except (TypeError, ConfigError):
-            # A document from a newer/older schema: fall back to the
-            # defaults rather than refusing to audit at all.
-            return cls()
-
-    generator = build(GeneratorConfig, configs.get("generator"))
-    campaign = build(CampaignConfig, _tupled(configs.get("campaign")))
-    atpg = build(AtpgConfig, configs.get("atpg"))
-    return generator, campaign, atpg
-
-
-def _tupled(document):
-    if document and isinstance(document.get("severity_range"), list):
-        document = dict(document)
-        document["severity_range"] = tuple(document["severity_range"])
-    return document
+    try:
+        return (
+            GeneratorConfig().replace(**(configs.get("generator") or {})),
+            CampaignConfig.from_document(configs.get("campaign") or {}),
+            AtpgConfig().replace(**(configs.get("atpg") or {})),
+        )
+    except TypeError as error:
+        raise ConfigError(
+            f"report artifact records configs this version cannot load: "
+            f"{error}"
+        ) from None
 
 
 def _normalize(campaign: CampaignConfig) -> CampaignConfig:
@@ -201,7 +196,6 @@ def _normalize(campaign: CampaignConfig) -> CampaignConfig:
         shards=1,
         shard_workers=None,
         max_workers=None,
-        checkpoint_dir=None,
         cache_dir=None,
         chaos=None,
     )
@@ -262,7 +256,7 @@ def run_audit(
             "n_outcomes": len(document.get("outcomes", [])),
             "config": {
                 key: getattr(config, key)
-                for key in ("engine", "backend", "digital_engine", "batch")
+                for key in ("engine", "backend", "digital_engine")
             },
         }
     for pair, left, right in AUDIT_PAIRS:

@@ -110,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU bound on retained LU factorizations",
     )
     p_camp.add_argument(
-        "--no-batch", dest="batch", action="store_const", const=False,
-        default=None,
-        help="disable the multi-RHS batched Sherman-Morrison precompute "
-        "(per-fault loop; identical outcomes, slower)",
-    )
-    p_camp.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="split the seeded fault population into N deterministic "
         "shards executed in worker processes (outcomes identical to "
@@ -128,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--resume-from", metavar="DIR", default=None,
-        help="shard checkpoint directory: completed shards persist "
-        "here and a re-run resumes from them instead of restarting",
+        help="alias for --cache-dir: completed shards are cached here "
+        "and a re-run resumes from them instead of restarting",
     )
     p_camp.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -445,8 +439,18 @@ def _cmd_generate(wb: Workbench, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign(wb: Workbench, args: argparse.Namespace) -> int:
-    campaign = CampaignConfig().with_overrides(
+def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
+    cache_dir = args.cache_dir
+    if args.resume_from is not None:
+        if cache_dir is not None and (
+            os.path.abspath(cache_dir) != os.path.abspath(args.resume_from)
+        ):
+            raise ConfigError(
+                "--resume-from is an alias for --cache-dir; got two "
+                f"directories ({args.resume_from!r} and {cache_dir!r})"
+            )
+        cache_dir = args.resume_from
+    return CampaignConfig().with_overrides(
         faults_per_element=args.faults_per_element,
         severity_range=None if args.severity is None else tuple(args.severity),
         seed=args.seed,
@@ -455,19 +459,20 @@ def _cmd_campaign(wb: Workbench, args: argparse.Namespace) -> int:
         backend=args.backend,
         factor_cache_size=args.factor_cache_size,
         digital_engine=args.digital_engine,
-        batch=args.batch,
         shards=args.shards,
         shard_workers=args.shard_workers,
-        checkpoint_dir=args.resume_from,
-        cache_dir=args.cache_dir,
+        cache_dir=cache_dir,
         shard_attempts=args.shard_attempts,
         shard_timeout=args.shard_timeout,
         quarantine=args.quarantine,
         chaos=args.chaos,
     )
+
+
+def _cmd_campaign(wb: Workbench, args: argparse.Namespace) -> int:
     result = wb.campaign(
         args.circuit,
-        campaign=campaign,
+        campaign=_campaign_config(args),
         generator=_generator_config(args),
         atpg=_atpg_config(args),
     )

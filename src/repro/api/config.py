@@ -40,6 +40,10 @@ SIM_BACKENDS = ("auto", "dense", "sparse")
 #: path; ``"reference"`` the whole-circuit oracle interpreter.
 DIGITAL_ENGINES = ("compiled", "reference")
 
+#: :class:`CampaignConfig` fields earlier releases recorded in job files
+#: and report metadata; :meth:`CampaignConfig.from_document` drops them.
+RETIRED_CAMPAIGN_FIELDS = frozenset({"batch", "checkpoint_dir"})
+
 
 class ConfigError(ValueError):
     """A configuration value is out of range or inconsistent."""
@@ -152,8 +156,7 @@ class CampaignConfig(_Replaceable):
             ``max_workers`` here when unset).
         backend: linear-system backend for the campaign's analog solves
             — ``"auto"`` (sparse at/above the node-count threshold,
-            dense below), ``"dense"`` or ``"sparse"``.  Sessions inject
-            their own ``backend`` here when left at ``"auto"``.
+            dense below), ``"dense"`` or ``"sparse"``.
         factor_cache_size: LRU bound on retained LU factorizations in
             the campaign's solver (one per distinct stimulus
             frequency × deviation state).
@@ -162,12 +165,6 @@ class CampaignConfig(_Replaceable):
             evaluation, the default) or ``"reference"`` (the classic
             dict-walking interpreter).  The ``"reference"`` *campaign*
             engine always uses the interpreter: it is the oracle.
-        batch: precompute the whole population's own-step gains with
-            one multi-RHS Sherman–Morrison batch solve per stimulus
-            frequency before the detection walk (the default).
-            ``False`` restores the historical per-fault loop.  Purely
-            an execution strategy: outcomes are identical either way,
-            so the flag is excluded from campaign fingerprints.
         shards: split the seeded fault population into this many
             deterministic, contiguous index slices executed in worker
             *processes* (:mod:`repro.core.sharding`); ``1`` (the
@@ -177,29 +174,24 @@ class CampaignConfig(_Replaceable):
             pending shard, capped by the CPU count).  Distinct from
             ``max_workers``, which is the *thread* fan-out over faults
             inside each shard's engine.
-        checkpoint_dir: when set, each completed shard persists a
-            versioned ``campaign-shard`` artifact in this directory and
-            a re-run resumes from every checkpoint whose fingerprint
-            still matches, instead of re-executing it.
         cache_dir: root of a content-addressed
-            :class:`repro.core.cache.ResultCache`.  When set, each
-            completed shard is published under its content fingerprint
+            :class:`repro.core.cache.ResultCache`, the one place shard
+            results persist.  When set, each completed shard is
+            published under its content fingerprint
             (:func:`repro.core.sharding.shard_fingerprint`) and any
-            shard whose fingerprint is already cached — from this
-            campaign, an earlier run, or a different sharding of the
-            same work — is served from the cache instead of being
-            re-executed.  Unlike ``checkpoint_dir`` (one flat file per
-            shard index of one campaign) the cache dedups across
-            campaigns, so editing one element re-runs only the shards
-            whose fault slices actually changed.
+            shard whose fingerprint is already cached — from an
+            interrupted run of this campaign, an earlier run, or a
+            different sharding of the same work — is served from the
+            cache instead of being re-executed, so editing one element
+            re-runs only the shards whose fault slices changed.
         shard_attempts: total execution attempts each shard gets (first
             try included) before it is quarantined; ``1`` disables
             retries.  Retry backoff is deterministic (seeded from
             ``seed``), so a re-run retries on the identical schedule.
         shard_timeout: per-shard deadline in seconds (``None`` = no
             deadline).  A shard past its deadline has its worker killed
-            and the attempt counts as a failure; completed shards keep
-            their checkpoints.
+            and the attempt counts as a failure; completed shards stay
+            cached.
         retry_backoff: base backoff before a shard's second attempt, in
             seconds (exponential growth, deterministic seeded jitter).
         quarantine: after ``shard_attempts`` failures, drop the shard
@@ -230,10 +222,8 @@ class CampaignConfig(_Replaceable):
     backend: str = "auto"
     factor_cache_size: int = 64
     digital_engine: str = "compiled"
-    batch: bool = True
     shards: int = 1
     shard_workers: int | None = None
-    checkpoint_dir: str | None = None
     cache_dir: str | None = None
     shard_attempts: int = 2
     shard_timeout: float | None = None
@@ -280,10 +270,6 @@ class CampaignConfig(_Replaceable):
             f"{self.digital_engine!r}",
         )
         _require(
-            isinstance(self.batch, bool),
-            f"batch must be a bool, got {self.batch!r}",
-        )
-        _require(
             self.shards >= 1,
             f"shards must be >= 1, got {self.shards!r}",
         )
@@ -320,6 +306,24 @@ class CampaignConfig(_Replaceable):
             self.chaos is None or isinstance(self.chaos, str),
             f"chaos must be None or a JSON string, got {self.chaos!r}",
         )
+
+    @classmethod
+    def from_document(cls, document: dict) -> "CampaignConfig":
+        """Rebuild a config from its :meth:`as_dict` JSON form.
+
+        JSON stores ``severity_range`` as a list; it comes back as a
+        tuple.  The :data:`RETIRED_CAMPAIGN_FIELDS`, which job files and
+        report metadata of earlier releases still carry, are dropped;
+        any other unknown field raises :class:`ConfigError`.
+        """
+        changes = {
+            name: value
+            for name, value in document.items()
+            if name not in RETIRED_CAMPAIGN_FIELDS
+        }
+        if isinstance(changes.get("severity_range"), list):
+            changes["severity_range"] = tuple(changes["severity_range"])
+        return cls().replace(**changes)
 
 
 @dataclass(frozen=True)
@@ -368,39 +372,18 @@ class SessionConfig(_Replaceable):
         campaign: fault-injection campaign settings.
         atpg: digital ATPG settings.
         max_workers: worker threads for ``run_batch`` (``None`` = one
-            per batch entry, capped by the interpreter's CPU count).
-        backend: session-wide linear-system backend; injected into the
-            campaign config when that is left at ``"auto"``.
-        digital_engine: session-wide digital fault-simulation engine;
-            injected into the atpg and campaign configs when those are
-            left at the ``"compiled"`` default.
-        shards: session-wide campaign shard count; injected into the
-            campaign config when that is left at ``1``.
+            per batch entry, capped by the interpreter's CPU count),
+            also injected into the campaign config when that leaves
+            ``max_workers`` unset.
     """
 
     generator: GeneratorConfig = GeneratorConfig()
     campaign: CampaignConfig = CampaignConfig()
     atpg: AtpgConfig = AtpgConfig()
     max_workers: int | None = None
-    backend: str = "auto"
-    digital_engine: str = "compiled"
-    shards: int = 1
 
     def __post_init__(self) -> None:
         _require(
             self.max_workers is None or self.max_workers >= 1,
             f"max_workers must be None or >= 1, got {self.max_workers!r}",
-        )
-        _require(
-            self.shards >= 1,
-            f"shards must be >= 1, got {self.shards!r}",
-        )
-        _require(
-            self.backend in SIM_BACKENDS,
-            f"backend must be one of {SIM_BACKENDS}, got {self.backend!r}",
-        )
-        _require(
-            self.digital_engine in DIGITAL_ENGINES,
-            f"digital_engine must be one of {DIGITAL_ENGINES}, got "
-            f"{self.digital_engine!r}",
         )

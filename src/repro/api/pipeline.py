@@ -307,7 +307,7 @@ class Pipeline:
             )
             if name == "campaign" and ctx.campaign is not None:
                 # A sharded campaign reports one informational sub-row
-                # per shard (resumed shards cost ~0s: checkpoint reuse).
+                # per shard (resumed shards cost ~0s: served from cache).
                 for row in (ctx.campaign.diagnostics or {}).get(
                     "shard_rows", []
                 ):

@@ -223,23 +223,6 @@ class TestSession:
             # The campaign's factorized engine fans out over faults with
             # the same worker budget the session uses for run_batch.
             campaign = campaign.replace(max_workers=self.config.max_workers)
-        if campaign.backend == "auto" and self.config.backend != "auto":
-            # Session-wide backend choice flows into the campaign stage
-            # unless the campaign config pinned one explicitly.
-            campaign = campaign.replace(backend=self.config.backend)
-        if campaign.shards == 1 and self.config.shards != 1:
-            # Session-wide shard count flows into the campaign stage
-            # unless the campaign config pinned one explicitly.
-            campaign = campaign.replace(shards=self.config.shards)
-        if self.config.digital_engine != "compiled":
-            # Session-wide digital-engine choice flows into the atpg and
-            # campaign stages unless those configs pinned one already.
-            if atpg.engine == "compiled":
-                atpg = atpg.replace(engine=self.config.digital_engine)
-            if campaign.digital_engine == "compiled":
-                campaign = campaign.replace(
-                    digital_engine=self.config.digital_engine
-                )
         pipeline = Pipeline(stages)
         if pooled:
             self._checkout_bdd(mixed, atpg.ordering)

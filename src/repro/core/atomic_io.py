@@ -1,8 +1,8 @@
 """Atomic, torn-write-tolerant artifact persistence.
 
-Shard checkpoints (:mod:`repro.core.sharding`) and the content-addressed
-artifact store (:mod:`repro.service.store`) share one durability
-contract:
+The result cache (:mod:`repro.core.cache`), the shard failure records
+(:mod:`repro.core.sharding`) and the service's job files share one
+durability contract:
 
 * **Writes are atomic.**  The document lands in a same-directory
   temporary file first and is moved into place with :func:`os.replace`,
@@ -13,7 +13,7 @@ contract:
   of crashing on state it does not own.
 
 The helpers live in :mod:`repro.core` (not the service layer) because
-checkpointing predates the service and must not depend on it.
+the campaign executor persists results without depending on it.
 """
 
 from __future__ import annotations

@@ -18,11 +18,10 @@ the shared substrate those layers now sit on:
   ``<root>/<namespace>/<fp[:2]>/<fp>.json|.bin``.  Writes are atomic and
   first-write-wins (a fingerprint names the *work*, and identical work
   yields identical results), reads never trust the disk (torn, foreign
-  or corrupt entries are a miss, never an error), and ``gc`` honours the
-  same put-vs-sweep race rules the service store hardened in PR 9.  The
-  ``objects`` namespace of a service store root *is* a ResultCache
-  namespace: :class:`repro.service.store.ArtifactStore` is a thin
-  wrapper over this class with an unchanged on-disk layout.
+  or corrupt entries are a miss, never an error), and ``gc`` never
+  removes an entry a concurrent ``put`` just wrote.  A service root is
+  a ResultCache root: finished job artifacts live in its ``objects``
+  namespace.
 
 Namespaces in use (see ``docs/caching.md`` for the full map):
 ``objects`` (service artifact store), ``campaign-shard`` (shard results,
@@ -201,8 +200,7 @@ class ResultCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        #: injectable clock for gc liveness decisions (tests, and the
-        #: service store's own monkeypatchable ``_now`` indirection).
+        #: injectable clock for gc liveness decisions (tests pin it).
         self._clock = now if now is not None else _now
         self._hits = 0
         self._misses = 0
@@ -373,16 +371,13 @@ class ResultCache:
         keep: Iterable[str] | None = None,
         max_bytes: int | None = None,
         namespace: str | None = None,
-        entries: Iterable[str] | None = None,
     ) -> list[tuple[str, str]]:
         """Sweep the cache; returns ``(namespace, fingerprint)`` removed.
 
         Two independent policies compose:
 
         * ``keep`` — drop every entry of ``namespace`` (required with
-          ``keep``) whose fingerprint is not in the set.  ``entries``
-          optionally overrides the candidate listing (the service store
-          passes its own ``fingerprints()`` so tests can interpose).
+          ``keep``) whose fingerprint is not in the set.
         * ``max_bytes`` — evict oldest-mtime entries (LRU by the mtimes
           ``put`` freshens) until the total entry size fits the bound.
 
@@ -402,12 +397,7 @@ class ResultCache:
                         "keep-based cache gc requires a namespace"
                     )
                 keep_set = {check_fingerprint(fp) for fp in keep}
-                names = (
-                    list(entries)
-                    if entries is not None
-                    else self.fingerprints(namespace)
-                )
-                for fingerprint in names:
+                for fingerprint in self.fingerprints(namespace):
                     if fingerprint in keep_set:
                         continue
                     dropped = False

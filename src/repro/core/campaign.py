@@ -17,12 +17,12 @@ factorizations and Sherman–Morrison rank-one updates; the
 and serves as the oracle the differential test suite checks the fast
 engine against.  Both produce identical seeded outcome lists.
 
-With ``config.shards > 1`` (or a ``checkpoint_dir``), execution is
+With ``config.shards > 1`` (or a ``cache_dir``), execution is
 delegated to :mod:`repro.core.sharding`: the fault population — still
 drawn exactly once from ``random.Random(config.seed)`` — is partitioned
-by index across worker processes, each completed shard may persist a
-resumable checkpoint artifact, and the merged result is byte-identical
-to the single-process run.
+by index across worker processes, each completed shard may be cached
+for resume, and the merged result is byte-identical to the
+single-process run.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ def run_campaign(
     )
     if (
         config.shards > 1
-        or config.checkpoint_dir is not None
         # The result cache publishes and resumes per-shard artifacts,
         # so a cached campaign always runs through the sharded driver
         # (a single shard is fine — it still dedups across re-runs).
@@ -119,7 +118,6 @@ def run_campaign(
         backend=config.backend,
         factor_cache_size=config.factor_cache_size,
         digital_engine=config.digital_engine,
-        batch=config.batch,
     )
     return CampaignResult(
         outcomes=outcomes, diagnostics=engine_instance.last_diagnostics

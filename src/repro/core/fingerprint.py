@@ -1,12 +1,13 @@
 """The one canonical digest behind every fingerprint in the repository.
 
-Three layers grew their own copy of the same idea — checkpoint
+Three layers grew their own copy of the same idea — campaign
 fingerprints (:func:`repro.core.sharding.campaign_fingerprint`), service
 dedup keys (:meth:`repro.service.jobs.JobSpec.fingerprint`) and the
-content-addressed store (:func:`repro.service.store.fingerprint_of`).
-All three canonicalized a JSON document and hashed it, and all three had
-to keep doing it *byte-identically* or checkpoints, dedup and stored
-artifacts would silently stop matching across layers.  This module is
+content-addressed store keys (re-exported as
+:func:`repro.service.fingerprint_of`).  All three canonicalized a JSON
+document and hashed it, and all three had to keep doing it
+*byte-identically* or cached shards, dedup and stored artifacts would
+silently stop matching across layers.  This module is
 the single implementation they now share; the CCH008 lint rule keeps
 new digest call sites from growing elsewhere.
 

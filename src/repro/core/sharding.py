@@ -1,4 +1,4 @@
-"""Deterministic sharded campaign execution with checkpoint/resume.
+"""Deterministic sharded campaign execution, resumable through the cache.
 
 A fault-injection campaign is embarrassingly parallel *across faults*:
 every :class:`~repro.analog.faultsim.InjectionOutcome` depends only on
@@ -28,16 +28,16 @@ dataclasses come back).  Where ``fork`` is unavailable — or only a
 single shard needs work — shards execute in-process, in shard order,
 with identical results.
 
-Checkpoint / resume
--------------------
-With :attr:`~repro.api.config.CampaignConfig.checkpoint_dir` set, every
-completed shard is persisted as a versioned ``campaign-shard``
-:class:`~repro.api.artifact.Artifact` (written atomically: temp file +
-rename).  A re-run with the same directory loads each checkpoint, checks
-its fingerprint — a digest over the circuit name, the drawn fault
-population and the outcome-relevant config fields — and only executes
-the shards that are missing or stale.  An interrupted campaign therefore
-resumes from its finished shards instead of restarting.
+Resume
+------
+With :attr:`~repro.api.config.CampaignConfig.cache_dir` set, every
+completed shard is published to a :class:`repro.core.cache.ResultCache`
+under :data:`SHARD_NAMESPACE` as a versioned ``campaign-shard``
+:class:`~repro.api.artifact.Artifact`, keyed by :func:`shard_fingerprint`
+— a digest of the circuit, the program steps, the outcome-relevant
+config fields and the shard's own fault slice.  A re-run looks each
+shard up by that key and executes only the misses, so an interrupted
+campaign resumes from its finished shards instead of restarting.
 
 Resilience
 ----------
@@ -47,15 +47,16 @@ execution attempts, retried under a deterministic seeded backoff
 identical schedules).  A shard that exhausts its budget is
 **quarantined**: the campaign completes with
 :attr:`~repro.analog.faultsim.CampaignResult.partial` set, a
-failed-shard manifest, and a durable ``failure`` artifact next to the
-checkpoints — merged outcomes on the finished shards stay byte-identical
+failed-shard manifest, and (with a cache) a durable ``failure`` artifact
+under ``<cache_dir>/failures/`` — merged outcomes on the finished shards
+stay byte-identical
 to a clean run.  Set ``quarantine=False`` to abort instead
 (:class:`ShardExecutionError`).  Worker-process loss
 (``BrokenProcessPool`` — a crashed or OOM-killed worker) costs the
 in-flight shards one attempt each and **degrades** the rest of the
 campaign to in-process execution rather than failing it.  With
 ``shard_timeout`` set, a hung shard's workers are killed at the deadline
-(completed shards keep their checkpoints) and the shard is retried
+(completed shards stay cached) and the shard is retried
 in-process.  ``heartbeat_interval`` streams :class:`ShardHeartbeat`
 liveness events through ``progress`` while shards execute; retry
 decisions stream as :class:`ShardRetry`.  The chaos harness
@@ -99,7 +100,6 @@ __all__ = [
     "shard_bounds",
     "campaign_fingerprint",
     "shard_fingerprint",
-    "checkpoint_path",
     "failure_path",
     "run_sharded_campaign",
 ]
@@ -112,7 +112,7 @@ SHARD_NAMESPACE = "campaign-shard"
 #: campaign fingerprints (and the service layer's dedup key, which
 #: mirrors this contract): each changes how the work is split, cached,
 #: persisted or *recovered* — never which outcomes it produces — so
-#: respecting them in the key would invalidate checkpoints and defeat
+#: respecting them in the key would invalidate cached shards and defeat
 #: dedup on re-runs that only retune the fan-out or the failure
 #: handling.  Every other field MUST be read by
 #: :func:`campaign_fingerprint`; the FPR002 lint rule
@@ -123,9 +123,7 @@ FINGERPRINT_EXCLUDED_FIELDS = frozenset(
         "max_workers",      # thread fan-out inside an engine
         "shards",           # process partitioning of the population
         "shard_workers",    # process fan-out over shards
-        "checkpoint_dir",   # where results persist, not what they are
         "factor_cache_size",  # LRU bound on retained LUs (pure perf)
-        "batch",            # multi-RHS solve strategy, bit-identical
         "shard_attempts",   # how failures are retried, not outcomes
         "shard_timeout",    # when hung workers are killed
         "retry_backoff",    # how long retries wait, pure scheduling
@@ -133,9 +131,8 @@ FINGERPRINT_EXCLUDED_FIELDS = frozenset(
         "heartbeat_interval",  # liveness reporting cadence
         "chaos",            # injected faults perturb execution, not
                             # the outcomes of any run that completes
-        "cache_dir",        # where shard results are cached, not what
-                            # they are (the checkpoint_dir of the
-                            # content-addressed result cache)
+        "cache_dir",        # where shard results persist, not what
+                            # they are
     }
 )
 
@@ -195,12 +192,10 @@ def campaign_fingerprint(
     deviation, severity — the floats verbatim), the test-program steps
     the faults run against (stimulus and digital vector per step — a
     regenerated program must never be scored with another program's
-    checkpoints) and every config field that can influence an outcome.
-    Shard counts, worker counts, the checkpoint directory, the ``batch``
-    execution-strategy flag and the resilience knobs are deliberately
-    *excluded*: outcomes are independent of how the work is split,
-    batched or recovered, so checkpoints stay valid across re-runs that
-    only change the fan-out or the failure handling.
+    results) and every config field that can influence an outcome.
+    Shard counts, worker counts, the cache directory and the resilience
+    knobs are deliberately *excluded*: outcomes are independent of how
+    the work is split, persisted or recovered.
     """
     document = {
         "circuit": circuit_name,
@@ -247,24 +242,19 @@ def shard_fingerprint(
     return fingerprint_of(document)
 
 
-def checkpoint_path(directory: str | Path, index: int, shards: int) -> Path:
-    """Where shard ``index`` of ``shards`` persists its checkpoint."""
-    return Path(directory) / f"shard-{index:04d}-of-{shards:04d}.json"
-
-
-def failure_path(directory: str | Path, index: int, shards: int) -> Path:
-    """Where shard ``index``'s quarantine evidence persists."""
-    return Path(directory) / f"shard-{index:04d}-of-{shards:04d}.failure.json"
+def failure_path(cache_dir: str | Path, fingerprint: str) -> Path:
+    """Where a quarantined shard's evidence persists: under the cache
+    root's ``failures/``, named by the shard's :func:`shard_fingerprint`
+    (the service keeps job evidence in the same place under its root)."""
+    return Path(cache_dir) / "failures" / f"{fingerprint}.json"
 
 
 @dataclass
 class ShardRun:
-    """One shard's execution record (fresh, checkpoint- or cache-resumed).
+    """One shard's execution record, fresh or served from the cache.
 
     ``resumed`` is True whenever the shard was *not* executed by this
-    run; ``from_cache`` further distinguishes a content-addressed
-    :class:`~repro.core.cache.ResultCache` hit from a legacy flat
-    checkpoint file.
+    run.
     """
 
     index: int
@@ -272,7 +262,6 @@ class ShardRun:
     seconds: float
     resumed: bool = False
     diagnostics: dict | None = None
-    from_cache: bool = False
 
 
 @dataclass(frozen=True)
@@ -373,7 +362,6 @@ def _execute_shard(context: _ShardContext, index: int) -> ShardRun:
         backend=config.backend,
         factor_cache_size=config.factor_cache_size,
         digital_engine=config.digital_engine,
-        batch=config.batch,
         cache_dir=config.cache_dir,
     )
     return ShardRun(
@@ -436,49 +424,18 @@ def _execute_shard_forked(index: int, attempt: int) -> ShardRun | _ShardFailure:
 
 
 # ----------------------------------------------------------------------
-# checkpoint persistence
+# shard persistence: the result cache
 # ----------------------------------------------------------------------
-def _write_checkpoint(
-    directory: str | Path,
-    run: ShardRun,
-    shards: int,
-    fingerprint: str,
-    circuit_name: str,
-    plan: "ChaosPlan | None" = None,
-) -> Path:
-    """Persist one completed shard atomically (temp file + rename)."""
-    from .atomic_io import write_artifact_atomic
-
-    artifact = _shard_artifact(run, shards, fingerprint, circuit_name)
-    if plan is not None:
-        event = plan.event_for("checkpoint", run.index)
-        if event is not None and event.action == "torn":
-            # Simulate dying mid-write to the final path: leave half the
-            # document behind and abort.  Resume must treat the torn
-            # file as missing and re-execute exactly this shard.
-            from ..devtools.chaos import ChaosError
-
-            text = artifact.to_json()
-            path = checkpoint_path(directory, run.index, shards)
-            path.write_text(text[: len(text) // 2], encoding="utf-8")
-            raise ChaosError(
-                f"chaos[checkpoint:{run.index}]: torn checkpoint write"
-            )
-    return write_artifact_atomic(
-        checkpoint_path(directory, run.index, shards), artifact
-    )
-
-
 def _write_failure(
-    directory: str | Path, record: FailureRecord, index: int, shards: int
+    cache_dir: str | Path, record: FailureRecord, fingerprint: str
 ) -> Path:
     """Persist a quarantined shard's evidence as a ``failure`` artifact."""
     from ..api.artifact import Artifact
     from .atomic_io import write_artifact_atomic
 
-    return write_artifact_atomic(
-        failure_path(directory, index, shards), Artifact.from_failure(record)
-    )
+    path = failure_path(cache_dir, fingerprint)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return write_artifact_atomic(path, Artifact.from_failure(record))
 
 
 def _shard_artifact(run: ShardRun, shards: int, fingerprint: str, circuit_name: str):
@@ -498,13 +455,32 @@ def _shard_artifact(run: ShardRun, shards: int, fingerprint: str, circuit_name: 
     )
 
 
-def _cache_shard(cache, fingerprint: str, run: ShardRun, shards: int, circuit_name: str) -> None:
+def _cache_shard(
+    cache,
+    fingerprint: str,
+    run: ShardRun,
+    shards: int,
+    circuit_name: str,
+    plan: "ChaosPlan | None" = None,
+) -> None:
     """Publish one completed shard into the content-addressed cache."""
-    cache.put_artifact(
-        SHARD_NAMESPACE,
-        fingerprint,
-        _shard_artifact(run, shards, fingerprint, circuit_name),
-    )
+    artifact = _shard_artifact(run, shards, fingerprint, circuit_name)
+    if plan is not None:
+        event = plan.event_for("checkpoint", run.index)
+        if event is not None and event.action == "torn":
+            # Simulate dying mid-write to the entry's final path: leave
+            # half the document behind and abort.  Resume must read the
+            # torn entry as a miss and re-execute exactly this shard.
+            from ..devtools.chaos import ChaosError
+
+            text = artifact.to_json()
+            path = cache.path_for(SHARD_NAMESPACE, fingerprint)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text[: len(text) // 2], encoding="utf-8")
+            raise ChaosError(
+                f"chaos[checkpoint:{run.index}]: torn shard cache entry"
+            )
+    cache.put_artifact(SHARD_NAMESPACE, fingerprint, artifact)
 
 
 def _load_cached_shard(cache, fingerprint: str, index: int) -> ShardRun | None:
@@ -523,34 +499,6 @@ def _load_cached_shard(cache, fingerprint: str, index: int) -> ShardRun | None:
     payload = artifact.payload
     if payload.get("fingerprint") != fingerprint:
         return None  # foreign or hand-edited entry: a miss, not an error
-    return ShardRun(
-        index=index,
-        outcomes=artifact.campaign().outcomes,
-        seconds=float(payload.get("seconds", 0.0)),
-        resumed=True,
-        diagnostics=artifact.meta.get("diagnostics") or None,
-        from_cache=True,
-    )
-
-
-def _load_checkpoint(
-    directory: str | Path, index: int, shards: int, fingerprint: str
-) -> ShardRun | None:
-    """A shard's checkpoint, or ``None`` if missing, torn or stale."""
-    from .atomic_io import read_artifact
-
-    artifact = read_artifact(
-        checkpoint_path(directory, index, shards), kind="campaign-shard"
-    )
-    if artifact is None:
-        return None
-    payload = artifact.payload
-    if (
-        payload.get("shard_index") != index
-        or payload.get("n_shards") != shards
-        or payload.get("fingerprint") != fingerprint
-    ):
-        return None  # stale: another population/config wrote it
     return ShardRun(
         index=index,
         outcomes=artifact.campaign().outcomes,
@@ -582,9 +530,9 @@ def run_sharded_campaign(
     ``random.Random(config.seed)`` (see :func:`repro.analog.faultsim.
     draw_faults`); this function never draws.  Outcomes are merged in
     fault order, so the returned result equals the unsharded run of the
-    same population exactly.  With ``config.checkpoint_dir`` set,
-    completed shards persist as ``campaign-shard`` artifacts and valid
-    checkpoints are reused instead of re-executed.
+    same population exactly.  With ``config.cache_dir`` set, completed
+    shards are cached as ``campaign-shard`` artifacts and cached shards
+    are served instead of re-executed.
 
     Failed shard attempts are retried under the config's deterministic
     backoff; shards that exhaust ``config.shard_attempts`` are
@@ -595,13 +543,13 @@ def run_sharded_campaign(
     failing the campaign.
 
     ``progress``, when given, is called in the parent with each
-    completed (or checkpoint-resumed) :class:`ShardRun` the moment it
+    completed (or cache-served) :class:`ShardRun` the moment it
     lands — the streaming hook the service layer's job events ride on —
     and additionally with :class:`ShardRetry` per failed attempt and
     :class:`ShardHeartbeat` liveness ticks when
     ``config.heartbeat_interval`` is set.  An exception raised by the
-    callback aborts the campaign (completed shards keep their
-    checkpoints), which is how a job cancellation interrupts a run
+    callback aborts the campaign (completed shards stay cached), which
+    is how a job cancellation interrupts a run
     between shards.
     """
     shards = config.shards
@@ -632,25 +580,8 @@ def run_sharded_campaign(
     began = time.monotonic()
     last_beat = began
 
-    directory = config.checkpoint_dir
-    if directory is not None:
-        Path(directory).mkdir(parents=True, exist_ok=True)
-        for index in range(shards):
-            loaded = _load_checkpoint(directory, index, shards, fingerprint)
-            if loaded is not None:
-                runs[index] = loaded
-                if cache is not None:
-                    # Migrate legacy flat checkpoints into the content
-                    # cache (first write wins, re-publishing is free).
-                    _cache_shard(
-                        cache, shard_fps[index], loaded, shards, mixed.name
-                    )
-                if progress is not None:
-                    progress(loaded)
     if cache is not None:
         for index in range(shards):
-            if index in runs:
-                continue
             loaded = _load_cached_shard(cache, shard_fps[index], index)
             if loaded is not None:
                 runs[index] = loaded
@@ -674,18 +605,15 @@ def run_sharded_campaign(
 
     def record(run: ShardRun) -> None:
         runs[run.index] = run
-        if directory is not None:
-            _write_checkpoint(
-                directory, run, shards, fingerprint, mixed.name, plan
-            )
+        if cache is not None:
+            shard_fp = shard_fps[run.index]
+            _cache_shard(cache, shard_fp, run, shards, mixed.name, plan)
             # A shard that eventually succeeded clears any quarantine
             # evidence a previous run of this campaign left behind.
-            failure_path(directory, run.index, shards).unlink(missing_ok=True)
-        if cache is not None:
-            _cache_shard(cache, shard_fps[run.index], run, shards, mixed.name)
+            failure_path(config.cache_dir, shard_fp).unlink(missing_ok=True)
         if progress is not None:
-            # Called after the checkpoint is durable: a callback that
-            # aborts the campaign never loses the shard it saw land.
+            # Called after the shard is cached: a callback that aborts
+            # the campaign never loses the shard it saw land.
             progress(run)
 
     def beat(running: Sequence[int]) -> None:
@@ -740,8 +668,10 @@ def run_sharded_campaign(
             detail={"kind": failure.kind, "start": start, "stop": stop},
         )
         quarantined[failure.index] = evidence
-        if directory is not None:
-            _write_failure(directory, evidence, failure.index, shards)
+        if cache is not None:
+            _write_failure(
+                config.cache_dir, evidence, shard_fps[failure.index]
+            )
         if not config.quarantine:
             raise ShardExecutionError(
                 f"shard {failure.index} failed after {failure.attempt} "
@@ -935,8 +865,8 @@ def run_sharded_campaign(
         run_serial(pending)
 
     if plan is not None:
-        # The merge chaos site: dying here means every checkpoint is
-        # already durable, so a resumed run re-executes nothing.
+        # The merge chaos site: dying here means every finished shard
+        # is already cached, so a resumed run re-executes nothing.
         plan.fire("merge", "merge", in_process=True)
 
     completed = [index for index in range(shards) if index in runs]
@@ -957,13 +887,14 @@ def run_sharded_campaign(
     ]
 
     # Engine diagnostics from the first shard that has any — freshly
-    # executed shards first, then checkpoint-carried ones, so even a
+    # executed shards first, then cache-carried ones, so even a
     # fully-resumed campaign reports its backend/engines.
     ordered = [runs[i] for i in completed]
     engine_diagnostics = next(
         (r.diagnostics for r in ordered if not r.resumed and r.diagnostics),
         None,
     ) or next((r.diagnostics for r in ordered if r.diagnostics), {})
+    resumed = sorted(index for index, run in runs.items() if run.resumed)
     diagnostics = {
         **engine_diagnostics,
         "engine": config.engine,
@@ -972,12 +903,10 @@ def run_sharded_campaign(
         "shard_workers": workers if use_processes else 1,
         "process_pool": use_processes,
         "fingerprint": fingerprint,
-        "resumed_shards": sorted(
-            index for index, run in runs.items() if run.resumed
-        ),
-        "shards_from_cache": sorted(
-            index for index, run in runs.items() if run.from_cache
-        ),
+        "resumed_shards": resumed,
+        # The same indices: every shard this run did not execute was
+        # served by the cache.  Both names have readers.
+        "shards_from_cache": list(resumed),
         "shards_executed": sum(
             1 for run in runs.values() if not run.resumed
         ),

@@ -17,7 +17,7 @@ Sites and the actions they honour::
     site          key                     actions
     ----          ---                     -------
     shard         shard index             raise | kill | delay
-    checkpoint    shard index             torn
+    checkpoint    shard index             torn (the shard cache entry)
     merge         "merge"                 raise
     job           circuit name (or *)     raise
     http          "METHOD /path" (or *)   raise

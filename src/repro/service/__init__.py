@@ -1,17 +1,17 @@
 """repro.service — campaign-as-a-service over the workbench.
 
 The multi-client layer the ROADMAP's "millions of users" goal asks for,
-composed from the pieces earlier PRs built (versioned artifacts,
-content fingerprints, sharded execution, checkpoint/resume):
+composed from the repository's existing pieces (versioned artifacts,
+content fingerprints, sharded execution, the result cache):
 
-* :mod:`repro.service.store`  — content-addressed artifact store:
-  fingerprint → :class:`repro.api.Artifact`, atomic writes,
-  torn-entry-tolerant reads, duplicate work served instead of re-run;
 * :mod:`repro.service.jobs`   — the :class:`JobSpec`/:class:`Job` state
   machine (``queued → running → done|failed|cancelled``), a durable
-  :class:`JobQueue` that survives restarts, and the bounded
-  :class:`Scheduler` driving the sharded campaign executor with
-  streaming per-shard progress events;
+  :class:`JobQueue` that survives restarts and keeps finished artifacts
+  in the :data:`STORE_NAMESPACE` namespace of a
+  :class:`repro.core.cache.ResultCache` rooted at the service root
+  (fingerprint → artifact, so duplicate work is served instead of
+  re-run), and the bounded :class:`Scheduler` driving the sharded
+  campaign executor with streaming per-shard progress events;
 * :mod:`repro.service.http`   — the stdlib HTTP/JSON API mirroring the
   CLI verbs (``POST /jobs``, ``GET /jobs/{id}``, ``…/events``,
   ``GET /artifacts/{fp}``, ``GET /circuits``);
@@ -30,8 +30,10 @@ Quickstart::
     job, deduplicated = scheduler.submit(JobSpec(circuit="fig4"))
 """
 
+from ..core.fingerprint import fingerprint_of
 from .jobs import (
     JOB_STATES,
+    STORE_NAMESPACE,
     TERMINAL_STATES,
     Job,
     JobQueue,
@@ -39,17 +41,16 @@ from .jobs import (
     JobStateError,
     Scheduler,
 )
-from .store import ArtifactStore, fingerprint_of
 
 __all__ = [
     "JOB_STATES",
+    "STORE_NAMESPACE",
     "TERMINAL_STATES",
     "Job",
     "JobQueue",
     "JobSpec",
     "JobStateError",
     "Scheduler",
-    "ArtifactStore",
     "fingerprint_of",
     "ServiceClient",
     "ServiceError",

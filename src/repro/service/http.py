@@ -38,7 +38,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.config import ConfigError, UnknownNameError
-from .jobs import Job, JobQueue, JobSpec, Scheduler
+from .jobs import STORE_NAMESPACE, Job, JobQueue, JobSpec, Scheduler
 
 __all__ = ["ServiceServer", "make_server", "serve"]
 
@@ -186,7 +186,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             {
                 "ok": True,
                 "scheduler": scheduler.stats(),
-                "store_entries": len(scheduler.queue.store),
+                "store_entries": len(
+                    scheduler.queue.store.fingerprints(STORE_NAMESPACE)
+                ),
                 "jobs": len(scheduler.queue.jobs()),
             },
         )
@@ -252,8 +254,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _get_artifact(self, fingerprint: str, query) -> None:
         store = self.server.scheduler.queue.store
-        path = store.path_for(fingerprint)  # validates the digest shape
-        if not store.has(fingerprint):
+        # path_for validates the digest shape.
+        path = store.path_for(STORE_NAMESPACE, fingerprint)
+        if not store.has_artifact(STORE_NAMESPACE, fingerprint):
             raise UnknownNameError(f"no artifact stored for {fingerprint!r}")
         # Serve the stored bytes verbatim: re-encoding could perturb the
         # byte-identity contract between served and computed artifacts.

@@ -11,8 +11,9 @@ A **job** is one submission of campaign work — a :class:`JobSpec`
 
 and persisted as a ``job`` :class:`repro.api.Artifact` after every
 mutation, so a restarted queue resumes exactly where the dead process
-stopped (``running``/``retrying`` jobs re-queue; their shard checkpoints
-make the re-run cheap).  Recovery is **capped**: a job that keeps being
+stopped (``running``/``retrying`` jobs re-queue; with a ``cache_dir``
+their cached shards make the re-run cheap).  Recovery is **capped**: a
+job that keeps being
 found mid-flight after restarts — a poison job that crashes the
 process — ends ``failed`` with a durable ``failure`` artifact instead of
 looping through recovery forever.  Illegal transitions raise
@@ -60,11 +61,12 @@ from ..api.config import (
     GeneratorConfig,
 )
 from ..core.atomic_io import read_artifact, write_artifact_atomic
+from ..core.cache import ResultCache
 from ..core.fingerprint import fingerprint_of
 from ..core.resilience import FailureRecord, RetryPolicy
-from .store import ArtifactStore
 
 __all__ = [
+    "STORE_NAMESPACE",
     "JOB_STATES",
     "TERMINAL_STATES",
     "JobStateError",
@@ -79,6 +81,12 @@ JOB_STATES = ("queued", "running", "retrying", "done", "failed", "cancelled")
 
 #: states a job never leaves.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+#: the :class:`~repro.core.cache.ResultCache` namespace the service's
+#: store occupies under the service root: finished job artifacts at
+#: ``<root>/objects/<fp[:2]>/<fp>.json``, keyed by
+#: :meth:`JobSpec.fingerprint`.
+STORE_NAMESPACE = "objects"
 
 #: state -> states it may legally move to.  ``retrying`` is the backoff
 #: parking state between failed attempts: back to ``running`` when the
@@ -157,6 +165,9 @@ class JobSpec:
         Missing config sections (or fields) take their defaults; unknown
         sections or fields raise :class:`repro.api.ConfigError` — a
         malformed HTTP submission must fail loudly, not half-apply.
+        Campaign fields retired since a document was written are dropped
+        (:meth:`repro.api.CampaignConfig.from_document`), so job files
+        of earlier releases keep loading.
         """
         if not isinstance(document, dict):
             raise ConfigError(
@@ -181,12 +192,9 @@ class JobSpec:
                 )
             return dict(value)
 
-        campaign = section("campaign")
-        if isinstance(campaign.get("severity_range"), list):
-            campaign["severity_range"] = tuple(campaign["severity_range"])
         return cls(
             circuit=circuit,
-            campaign=CampaignConfig().replace(**campaign),
+            campaign=CampaignConfig.from_document(section("campaign")),
             generator=GeneratorConfig().replace(**section("generator")),
             atpg=AtpgConfig().replace(**section("atpg")),
         )
@@ -195,7 +203,7 @@ class JobSpec:
         """Content key of this spec's *outcome-relevant* identity.
 
         Mirrors :func:`repro.core.sharding.campaign_fingerprint`'s
-        exclusion contract: shard/worker/cache/checkpoint knobs change
+        exclusion contract: shard/worker/cache knobs change
         how the work is split, never what it produces, so respecting
         them in the key would defeat deduplication.
         """
@@ -293,8 +301,9 @@ class JobQueue:
     """Durable job registry over one service root directory.
 
     Layout: ``<root>/jobs/<job-id>.json`` (``job`` artifacts, atomic
-    writes) next to the :class:`~repro.service.store.ArtifactStore`
-    at ``<root>/objects/``.  Construction reloads every persisted job
+    writes) next to :attr:`store`, a :class:`~repro.core.cache.ResultCache`
+    rooted at ``<root>`` whose :data:`STORE_NAMESPACE` holds finished
+    artifacts.  Construction reloads every persisted job
     and **recovers**: jobs found ``running``/``retrying`` (their process
     died) move back to ``queued`` so a scheduler can re-execute them —
     up to ``recovery_policy.max_attempts`` times.  A job still
@@ -310,7 +319,7 @@ class JobQueue:
         recovery_policy: RetryPolicy | None = None,
     ):
         self.root = Path(root)
-        self.store = ArtifactStore(self.root)
+        self.store = ResultCache(self.root)
         self.recovery_policy = (
             recovery_policy
             if recovery_policy is not None
@@ -363,8 +372,8 @@ class JobQueue:
                 continue
             self._jobs[job.id] = job
             if job.state in ("running", "retrying"):
-                # The process executing it died; its shard checkpoints
-                # (if any) survive, so re-queueing is cheap.  But only
+                # The process executing it died; its cached shards (if
+                # any) survive, so re-queueing is cheap.  But only
                 # up to the recovery cap: a job found mid-flight restart
                 # after restart is the thing *causing* the crashes.
                 job.recoveries += 1
@@ -535,7 +544,7 @@ class JobQueue:
                 return active, True
             self._sequence += 1
             job_id = f"j{self._sequence:06d}-{fingerprint[:8]}"
-            if self.store.has(fingerprint):
+            if self.store.has_artifact(STORE_NAMESPACE, fingerprint):
                 job = Job(
                     id=job_id,
                     spec=spec,
@@ -725,7 +734,7 @@ class Scheduler:
             attempt += 1
             try:
                 store = queue.store
-                cached = store.get(job.fingerprint)
+                cached = store.get_artifact(STORE_NAMESPACE, job.fingerprint)
                 if cached is not None:
                     # Another process filled the store since submission.
                     with self._lock:
@@ -738,7 +747,7 @@ class Scheduler:
                 with self._lock:
                     self.executions += 1
                 artifact = self._execute(job, attempt)
-                store.put(job.fingerprint, artifact)
+                store.put_artifact(STORE_NAMESPACE, job.fingerprint, artifact)
                 queue.transition(
                     job_id, "done",
                     artifact=job.fingerprint, attempts=attempt,

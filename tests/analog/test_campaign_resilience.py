@@ -2,7 +2,8 @@
 
 The contract under test (``repro.core.sharding`` + ``repro.devtools.
 chaos``): a campaign disturbed by injected faults — a shard exception,
-a killed worker, a hung shard, a torn checkpoint, a crash at merge —
+a killed worker, a hung shard, a torn shard cache entry, a crash at
+merge —
 either *recovers* to a result byte-identical to the undisturbed run, or
 *quarantines* the failing shard into an honest partial result whose
 completed shards are still byte-identical to their undisturbed
@@ -10,19 +11,24 @@ counterparts.  Chaos plans are pure functions of (site, key, attempt),
 so every scenario here is deterministic.
 """
 
+import random
+
 import pytest
 
+from repro.analog.faultsim import draw_faults
 from repro.api import Artifact, CampaignConfig, Workbench
 from repro.core import run_campaign
+from repro.core.cache import ResultCache
 from repro.core.sharding import (
+    SHARD_NAMESPACE,
     ShardExecutionError,
     ShardHeartbeat,
     ShardRetry,
     ShardRun,
     campaign_fingerprint,
-    checkpoint_path,
     failure_path,
     shard_bounds,
+    shard_fingerprint,
 )
 from repro.devtools.chaos import ChaosError, ChaosEvent, ChaosPlan
 
@@ -36,6 +42,22 @@ def _outcome_key(result):
 
 def _config(**overrides):
     return CampaignConfig(faults_per_element=4, seed=11).replace(**overrides)
+
+
+def _shard_fps(prepared, config) -> list[str]:
+    """Each shard's cache key, in shard order."""
+    mixed, report = prepared
+    testable = [t for t in report.analog_tests if t.testable]
+    faults = draw_faults(
+        testable,
+        config.faults_per_element,
+        config.severity_range,
+        random.Random(config.seed),
+    )
+    return [
+        shard_fingerprint(mixed.name, config, faults[start:stop], testable)
+        for start, stop in shard_bounds(len(faults), config.shards)
+    ]
 
 
 def _chaos(*events) -> str:
@@ -192,7 +214,7 @@ class TestQuarantine:
             shards=3,
             shard_workers=1,
             retry_backoff=0.0,
-            checkpoint_dir=str(tmp_path),
+            cache_dir=str(tmp_path),
             chaos=_chaos(
                 ChaosEvent(site="shard", key="1", attempts=(1, 2)),
             ),
@@ -216,8 +238,13 @@ class TestQuarantine:
         assert "PARTIAL" in result.summary()
         missing = bounds[1][1] - bounds[1][0]
         assert f"{missing} fault(s) not executed" in result.summary()
-        # Durable evidence: a failure artifact next to the checkpoints.
-        evidence = Artifact.load(failure_path(tmp_path, 1, 3))
+        # Durable evidence: a failure artifact under the cache root's
+        # failures/, named by the quarantined shard's cache key.
+        shard_fp = _shard_fps(prepared, config)[1]
+        assert list((tmp_path / "failures").iterdir()) == [
+            failure_path(tmp_path, shard_fp)
+        ]
+        evidence = Artifact.load(failure_path(tmp_path, shard_fp))
         assert evidence.kind == "failure"
         record = evidence.failure()
         assert record.phase == "shard"
@@ -232,12 +259,14 @@ class TestQuarantine:
             shards=3,
             shard_workers=1,
             retry_backoff=0.0,
-            checkpoint_dir=str(tmp_path),
+            cache_dir=str(tmp_path),
             chaos=_chaos(
                 ChaosEvent(site="shard", key="1", attempts=(1, 2)),
             ),
         )
         run_campaign(mixed, report, config=broken)
+        evidence = failure_path(tmp_path, _shard_fps(prepared, broken)[1])
+        assert evidence.exists()
         healed = run_campaign(
             mixed, report, config=broken.replace(chaos=None)
         )
@@ -245,7 +274,7 @@ class TestQuarantine:
         assert healed.diagnostics["resumed_shards"] == [0, 2]
         assert _outcome_key(healed) == _outcome_key(baseline)
         # Success clears the quarantine evidence.
-        assert not failure_path(tmp_path, 1, 3).exists()
+        assert not evidence.exists()
 
     def test_partial_artifact_round_trips(self, prepared):
         mixed, report = prepared
@@ -295,40 +324,45 @@ class TestCrashResume:
     def test_torn_checkpoint_write_resumes_cleanly(
         self, prepared, baseline, tmp_path
     ):
-        """Dying mid-checkpoint-write leaves a torn file; the resumed run
-        re-executes exactly that shard and matches the baseline."""
+        """Dying mid-write of a shard's cache entry leaves a torn file;
+        the resumed run re-executes exactly that shard and matches the
+        baseline."""
         mixed, report = prepared
         config = _config(
             shards=3,
             shard_workers=1,
-            checkpoint_dir=str(tmp_path),
+            cache_dir=str(tmp_path),
             chaos=_chaos(
                 ChaosEvent(site="checkpoint", key="1", action="torn"),
             ),
         )
         with pytest.raises(ChaosError):
             run_campaign(mixed, report, config=config)
-        # Shard 0's checkpoint is durable; shard 1's is half a document.
-        assert checkpoint_path(tmp_path, 0, 3).exists()
-        torn = checkpoint_path(tmp_path, 1, 3).read_text()
+        # Shard 0's entry is durable; shard 1's is half a document.
+        cache = ResultCache(tmp_path)
+        fps = _shard_fps(prepared, config)
+        assert cache.has_artifact(SHARD_NAMESPACE, fps[0])
+        torn = cache.path_for(SHARD_NAMESPACE, fps[1]).read_text()
         assert torn  # the torn write really happened...
+        assert not cache.has_artifact(SHARD_NAMESPACE, fps[1])
         resumed = run_campaign(
             mixed, report, config=config.replace(chaos=None)
         )
         # ...but reads as missing: only shard 0 is resumed.
         assert resumed.diagnostics["resumed_shards"] == [0]
+        assert resumed.diagnostics["shards_executed"] == 2
         assert _outcome_key(resumed) == _outcome_key(baseline)
 
     def test_crash_at_merge_resumes_everything_from_checkpoints(
         self, prepared, baseline, tmp_path
     ):
-        """Dying at merge time loses nothing: every shard checkpoint is
-        already durable, so the re-run executes zero shards."""
+        """Dying at merge time loses nothing: every shard is already
+        cached, so the re-run executes zero shards."""
         mixed, report = prepared
         config = _config(
             shards=3,
             shard_workers=1,
-            checkpoint_dir=str(tmp_path),
+            cache_dir=str(tmp_path),
             chaos=_chaos(ChaosEvent(site="merge", key="merge")),
         )
         with pytest.raises(ChaosError):
@@ -337,6 +371,7 @@ class TestCrashResume:
             mixed, report, config=config.replace(chaos=None)
         )
         assert resumed.diagnostics["resumed_shards"] == [0, 1, 2]
+        assert resumed.diagnostics["shards_executed"] == 0
         assert _outcome_key(resumed) == _outcome_key(baseline)
 
 
@@ -372,10 +407,6 @@ class TestHeartbeats:
 class TestFingerprintExclusion:
     def test_resilience_knobs_never_invalidate_checkpoints(self, prepared):
         """Retuning failure handling must not re-key the campaign."""
-        import random
-
-        from repro.analog.faultsim import draw_faults
-
         mixed, report = prepared
         testable = [t for t in report.analog_tests if t.testable]
         faults = draw_faults(testable, 4, (0.5, 3.0), random.Random(11))

@@ -1,29 +1,36 @@
-"""Sharded campaign execution: determinism, checkpoint/resume, fan-out.
+"""Sharded campaign execution: determinism, cache resume, fan-out.
 
 The contract under test (``repro.core.sharding``): for one seed, the
 campaign's ``InjectionOutcome`` list is *identical* — element by
 element, byte by byte once serialized — whatever the thread fan-out
 (``max_workers``), the shard count (``shards``, including counts that do
 not divide the fault population) or the process fan-out
-(``shard_workers``), and a run resumed from shard checkpoints merges to
-the same result as an uninterrupted one.
+(``shard_workers``), and a run resumed from cached shards merges to the
+same result as an uninterrupted one.
 """
 
 import json
+import random
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.analog.faultsim import draw_faults
 from repro.api import Artifact, CampaignConfig, ConfigError, Workbench
 from repro.core import run_campaign, shard_bounds
+from repro.core.cache import ResultCache
 from repro.core.sharding import (
-    _execute_shard,
-    _ShardContext,
-    _write_checkpoint,
+    SHARD_NAMESPACE,
+    ShardRun,
     campaign_fingerprint,
-    checkpoint_path,
+    shard_fingerprint,
 )
-from repro.analog.faultsim import draw_faults
-import random
+
+#: shard cache entries written by the release that still carried flat
+#: checkpoint files (fig4, ``faults_per_element=1``, ``seed=3``, two
+#: shards): the cache key contract says they must keep serving.
+LEGACY_SHARD_CACHE = Path(__file__).parent / "goldens" / "legacy_shard_cache"
 
 
 def _outcome_key(result):
@@ -50,6 +57,26 @@ def baseline(prepared):
 
 def _config(**overrides):
     return CampaignConfig(faults_per_element=4, seed=11).replace(**overrides)
+
+
+def _shard_paths(prepared, config):
+    """Each shard's entry in ``config.cache_dir``, in shard order."""
+    mixed, report = prepared
+    testable = [t for t in report.analog_tests if t.testable]
+    faults = draw_faults(
+        testable,
+        config.faults_per_element,
+        config.severity_range,
+        random.Random(config.seed),
+    )
+    cache = ResultCache(config.cache_dir)
+    return [
+        cache.path_for(
+            SHARD_NAMESPACE,
+            shard_fingerprint(mixed.name, config, faults[start:stop], testable),
+        )
+        for start, stop in shard_bounds(len(faults), config.shards)
+    ]
 
 
 class TestShardBounds:
@@ -142,15 +169,18 @@ class TestDeterminism:
 
 
 class TestCheckpointResume:
+    """Resume is a cache lookup: each finished shard is a ``cache_dir``
+    entry, and a re-run executes only the shards without a readable one."""
+
     def test_checkpoints_written_and_loadable(
         self, prepared, baseline, tmp_path
     ):
         mixed, report = prepared
-        config = _config(shards=3, checkpoint_dir=str(tmp_path))
+        config = _config(shards=3, cache_dir=str(tmp_path))
         result = run_campaign(mixed, report, config=config)
         assert _outcome_key(result) == _outcome_key(baseline)
-        for index in range(3):
-            artifact = Artifact.load(checkpoint_path(tmp_path, index, 3))
+        for index, path in enumerate(_shard_paths(prepared, config)):
+            artifact = Artifact.load(path)
             assert artifact.kind == "campaign-shard"
             assert artifact.payload["shard_index"] == index
             assert artifact.payload["n_shards"] == 3
@@ -159,47 +189,50 @@ class TestCheckpointResume:
     def test_interrupted_run_resumes_from_finished_shards(
         self, prepared, baseline, tmp_path
     ):
-        """Simulate a kill: only shard 1 finished, then a fresh run."""
+        """Kill the run after its first shard lands, then re-run."""
         mixed, report = prepared
-        config = _config(shards=3, checkpoint_dir=str(tmp_path))
-        testable = [t for t in report.analog_tests if t.testable]
-        faults = draw_faults(
-            testable,
-            config.faults_per_element,
-            config.severity_range,
-            random.Random(config.seed),
-        )
-        bounds = shard_bounds(len(faults), config.shards)
-        fingerprint = campaign_fingerprint(mixed.name, config, faults, testable)
-        context = _ShardContext(mixed, testable, faults, bounds, config)
-        partial = _execute_shard(context, 1)
-        _write_checkpoint(tmp_path, partial, 3, fingerprint, mixed.name)
+        config = _config(shards=3, shard_workers=1, cache_dir=str(tmp_path))
 
+        class Killed(Exception):
+            pass
+
+        def kill_after_first_shard(event):
+            if isinstance(event, ShardRun):
+                raise Killed
+
+        with pytest.raises(Killed):
+            run_campaign(
+                mixed, report, config=config, progress=kill_after_first_shard
+            )
         resumed = run_campaign(mixed, report, config=config)
-        assert resumed.diagnostics["resumed_shards"] == [1]
+        assert resumed.diagnostics["resumed_shards"] == [0]
+        assert resumed.diagnostics["shards_executed"] == 2
         assert _outcome_key(resumed) == _outcome_key(baseline)
 
     def test_deleted_checkpoint_is_recomputed(
         self, prepared, baseline, tmp_path
     ):
         mixed, report = prepared
-        config = _config(shards=3, checkpoint_dir=str(tmp_path))
+        config = _config(shards=3, cache_dir=str(tmp_path))
         run_campaign(mixed, report, config=config)
-        checkpoint_path(tmp_path, 1, 3).unlink()
+        paths = _shard_paths(prepared, config)
+        paths[1].unlink()
         resumed = run_campaign(mixed, report, config=config)
         assert resumed.diagnostics["resumed_shards"] == [0, 2]
+        assert resumed.diagnostics["shards_executed"] == 1
         assert _outcome_key(resumed) == _outcome_key(baseline)
-        assert checkpoint_path(tmp_path, 1, 3).exists()  # re-persisted
+        assert paths[1].exists()  # re-persisted
 
     def test_stale_checkpoints_are_ignored(self, prepared, tmp_path):
-        """A different seed invalidates every checkpoint fingerprint."""
+        """A different seed draws other faults: no entry matches."""
         mixed, report = prepared
-        config = _config(shards=2, checkpoint_dir=str(tmp_path))
+        config = _config(shards=2, cache_dir=str(tmp_path))
         run_campaign(mixed, report, config=config)
         other = run_campaign(mixed, report, config=config.replace(seed=99))
         assert other.diagnostics["resumed_shards"] == []
+        assert other.diagnostics["shards_executed"] == 2
         fresh = run_campaign(
-            mixed, report, config=config.replace(seed=99, checkpoint_dir=None)
+            mixed, report, config=config.replace(seed=99, cache_dir=None)
         )
         assert _outcome_key(other) == _outcome_key(fresh)
 
@@ -210,9 +243,9 @@ class TestCheckpointResume:
         self, prepared, baseline, tmp_path, content
     ):
         mixed, report = prepared
-        config = _config(shards=2, checkpoint_dir=str(tmp_path))
+        config = _config(shards=2, cache_dir=str(tmp_path))
         run_campaign(mixed, report, config=config)
-        checkpoint_path(tmp_path, 0, 2).write_text(content)
+        _shard_paths(prepared, config)[0].write_text(content)
         resumed = run_campaign(mixed, report, config=config)
         assert resumed.diagnostics["resumed_shards"] == [1]
         assert _outcome_key(resumed) == _outcome_key(baseline)
@@ -221,11 +254,12 @@ class TestCheckpointResume:
         self, prepared, tmp_path
     ):
         mixed, report = prepared
-        config = _config(shards=2, checkpoint_dir=str(tmp_path))
+        config = _config(shards=2, cache_dir=str(tmp_path))
         first = run_campaign(mixed, report, config=config)
         resumed = run_campaign(mixed, report, config=config)
         assert resumed.diagnostics["resumed_shards"] == [0, 1]
-        # The checkpoint carries the engine diagnostics forward.
+        assert resumed.diagnostics["shards_executed"] == 0
+        # The cache entry carries the engine diagnostics forward.
         assert resumed.diagnostics["backend"] == first.diagnostics["backend"]
         assert (
             resumed.diagnostics["digital_engine"]
@@ -234,11 +268,10 @@ class TestCheckpointResume:
 
     def test_checkpoint_json_is_strict(self, prepared, tmp_path):
         mixed, report = prepared
-        config = _config(shards=2, checkpoint_dir=str(tmp_path))
+        config = _config(shards=2, cache_dir=str(tmp_path))
         run_campaign(mixed, report, config=config)
-        for index in range(2):
-            text = checkpoint_path(tmp_path, index, 2).read_text()
-            json.loads(text)  # no Infinity/NaN literals
+        for path in _shard_paths(prepared, config):
+            json.loads(path.read_text())  # no Infinity/NaN literals
 
 
 class TestFingerprint:
@@ -254,7 +287,7 @@ class TestFingerprint:
             {"shards": 7},
             {"shard_workers": 3},
             {"max_workers": 5},
-            {"checkpoint_dir": "/elsewhere"},
+            {"cache_dir": "/elsewhere"},
         ):
             assert (
                 campaign_fingerprint(mixed.name, _config(**overrides), faults)
@@ -279,6 +312,24 @@ class TestFingerprint:
             campaign_fingerprint(mixed.name, _config(), faults[:-1], testable)
             != base
         )
+
+    def test_digests_match_the_recorded_release(self, prepared):
+        """Cache identity is a contract: these keys name entries already
+        on disk in existing cache directories."""
+        mixed, report = prepared
+        testable = [t for t in report.analog_tests if t.testable]
+        faults = draw_faults(testable, 4, (0.5, 3.0), random.Random(11))
+        assert campaign_fingerprint(mixed.name, _config(), faults, testable) == (
+            "1d12325cc8ca5b6c31fadd744b98dd40a34db058557a98e681536683fdea492c"
+        )
+        assert [
+            shard_fingerprint(mixed.name, _config(), faults[start:stop], testable)
+            for start, stop in shard_bounds(len(faults), 3)
+        ] == [
+            "89eb87a4f5aaac6880f3f46ae7cd1b944b6b5228d97fe666334f1c34a416b899",
+            "a601b18d157293ca7782d7f5a6417cba847e16b10f92e2b7a078acd30401164d",
+            "24e6422b7abecf3923574cfec76319bccd22c0e18f8ed5973d092c57e149e6cc",
+        ]
 
     def test_changed_program_steps_do_invalidate(self, prepared):
         """A regenerated test program must never reuse old checkpoints."""
@@ -369,8 +420,8 @@ class TestContentCacheResume:
             config=_config(shards=4, shard_workers=1, cache_dir=str(tmp_path)),
         )
         assert cold.diagnostics["shards_executed"] == 4
-        # Different worker counts and the batch strategy flag are
-        # excluded from the shard fingerprint: full cache service.
+        # Different worker counts are excluded from the shard
+        # fingerprint: full cache service.
         warm = run_campaign(
             mixed,
             report,
@@ -378,48 +429,45 @@ class TestContentCacheResume:
                 shards=4,
                 shard_workers=2,
                 max_workers=3,
-                batch=False,
                 cache_dir=str(tmp_path),
             ),
         )
         assert warm.diagnostics["shards_executed"] == 0
         assert _outcome_key(warm) == _outcome_key(cold)
 
-    def test_checkpoint_resume_seeds_the_cache(self, prepared, tmp_path):
+    def test_legacy_cache_dir_is_served(self, prepared, tmp_path):
+        """A cache directory written before checkpoint files were retired
+        resumes completely: the shard keys did not move."""
         mixed, report = prepared
-        checkpoints = tmp_path / "checkpoints"
-        cache = tmp_path / "cache"
-        # Legacy flat-checkpoint run, no cache.
-        run_campaign(
-            mixed,
-            report,
-            config=_config(shards=3, checkpoint_dir=str(checkpoints)),
+        shutil.copytree(LEGACY_SHARD_CACHE, tmp_path / "cache")
+        config = CampaignConfig(
+            faults_per_element=1, seed=3, shards=2, cache_dir=str(tmp_path / "cache")
         )
-        # Same campaign with both: checkpoints satisfy the shards and
-        # migrate into the content cache...
-        migrating = run_campaign(
-            mixed,
-            report,
-            config=_config(
-                shards=3,
-                checkpoint_dir=str(checkpoints),
-                cache_dir=str(cache),
-            ),
+        served = run_campaign(mixed, report, config=config)
+        assert served.diagnostics["shards_executed"] == 0
+        assert served.diagnostics["shards_from_cache"] == [0, 1]
+        fresh = run_campaign(mixed, report, config=config.replace(cache_dir=None))
+        assert Artifact.from_campaign(served).to_json() == (
+            Artifact.from_campaign(fresh).to_json()
         )
-        assert migrating.diagnostics["shards_executed"] == 0
-        assert migrating.diagnostics["shards_from_cache"] == []
-        # ...so a cache-only run (checkpoints gone) is fully served.
-        cached = run_campaign(
-            mixed, report, config=_config(shards=3, cache_dir=str(cache))
+
+    def test_flat_checkpoint_files_are_ignored(self, prepared, tmp_path):
+        """Old ``shard-NNNN-of-NNNN.json`` files are neither read nor
+        migrated: a directory holding only those runs every shard."""
+        mixed, report = prepared
+        entry = next(LEGACY_SHARD_CACHE.rglob("*.json"))
+        flat = tmp_path / "shard-0000-of-0002.json"
+        flat.write_text(entry.read_text())
+        config = CampaignConfig(
+            faults_per_element=1, seed=3, shards=2, cache_dir=str(tmp_path)
         )
-        assert cached.diagnostics["shards_executed"] == 0
-        assert cached.diagnostics["shards_from_cache"] == [0, 1, 2]
+        result = run_campaign(mixed, report, config=config)
+        assert result.diagnostics["shards_executed"] == 2
+        assert flat.read_text() == entry.read_text()  # left untouched
 
     def test_shard_fingerprint_keys_the_slice_not_the_layout(
         self, prepared
     ):
-        from repro.core.sharding import shard_fingerprint
-
         mixed, testable, faults = self._population(prepared)
         piece = faults[:8]
         base = shard_fingerprint(mixed.name, _config(), piece, testable)
@@ -429,7 +477,6 @@ class TestContentCacheResume:
             {"faults_per_element": 7},
             {"severity_range": (0.1, 9.0)},
             {"shards": 5, "shard_workers": 2},
-            {"batch": False},
             {"cache_dir": "/elsewhere"},
         ):
             assert (
@@ -461,12 +508,11 @@ class TestConfigSurface:
             CampaignConfig(max_workers=0)
 
     def test_session_injects_shards(self, prepared):
+        """The session's campaign config carries the shard count."""
         from repro.api import SessionConfig, TestSession
 
         session = TestSession(
-            config=SessionConfig(
-                campaign=_config(), shards=2
-            )
+            config=SessionConfig(campaign=_config(shards=2))
         )
         result = session.run(
             "fig4",
@@ -483,10 +529,12 @@ class TestConfigSurface:
         from repro.api import SessionConfig, TestSession
 
         session = TestSession(
-            config=SessionConfig(campaign=_config(shards=3), shards=2)
+            config=SessionConfig(campaign=_config(shards=2))
         )
         result = session.run(
-            "fig4", stages=("sensitivity", "stimulus", "campaign")
+            "fig4",
+            stages=("sensitivity", "stimulus", "campaign"),
+            campaign=_config(shards=3),
         )
         assert result.campaign.diagnostics["shards"] == 3
 

@@ -62,36 +62,6 @@ class TestEngineEquivalence:
         assert fast.n_injected > 0
         assert _outcome_key(fast) == _outcome_key(oracle)
 
-    def test_fig4_batched_matches_looped_and_oracle(self, session):
-        # The tentpole bar: the batched engine is byte-identical to the
-        # historical per-fault loop *and* the re-solve oracle.
-        mixed, report = _prepared(session, "fig4")
-        for seed in (11, 2024, 7):
-            config = CampaignConfig(faults_per_element=8, seed=seed)
-            batched = run_campaign(mixed, report, config=config)
-            looped = run_campaign(
-                mixed, report, config=config.replace(batch=False)
-            )
-            oracle = run_campaign(
-                mixed, report, config=config.replace(engine="reference")
-            )
-            assert batched.outcomes == looped.outcomes
-            assert _outcome_key(batched) == _outcome_key(oracle)
-
-    def test_example3_batched_matches_looped_and_oracle(self, session):
-        mixed, report = _prepared(session, "example3-c432")
-        config = CampaignConfig(faults_per_element=3, seed=5)
-        batched = run_campaign(mixed, report, config=config)
-        looped = run_campaign(
-            mixed, report, config=config.replace(batch=False)
-        )
-        oracle = run_campaign(
-            mixed, report, config=config.replace(engine="reference")
-        )
-        assert batched.n_injected > 0
-        assert batched.outcomes == looped.outcomes
-        assert _outcome_key(batched) == _outcome_key(oracle)
-
     def test_threaded_factorized_matches_serial(self, session):
         mixed, report = _prepared(session, "fig4")
         config = CampaignConfig(faults_per_element=8, seed=13)

@@ -234,7 +234,6 @@ class TestEmptyPopulationDiagnostics:
         assert set(diagnostics) == {
             "engine",
             "digital_engine",
-            "batch",
             "batched_gains",
             "backend",
             "hits",
@@ -248,12 +247,10 @@ class TestEmptyPopulationDiagnostics:
         assert diagnostics["engine"] == "factorized"
         assert diagnostics["digital_engine"] == "reference"
         assert diagnostics["backend"] is None
-        assert diagnostics["batch"] is True
 
     def test_empty_population_respects_cache_size_override(self):
         from repro.analog.faultsim import FactorizedEngine
 
         engine = FactorizedEngine()
-        engine.run(object(), [], [], factor_cache_size=7, batch=False)
+        engine.run(object(), [], [], factor_cache_size=7)
         assert engine.last_diagnostics["max_size"] == 7
-        assert engine.last_diagnostics["batch"] is False

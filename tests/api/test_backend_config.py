@@ -26,16 +26,21 @@ class TestCampaignConfigBackend:
             CampaignConfig(factor_cache_size=0)
 
     def test_session_backend_validated(self):
+        # The backend is a campaign setting only: a session-wide copy
+        # that silently lost to any explicit campaign value is gone.
+        with pytest.raises(TypeError, match="backend"):
+            SessionConfig(backend="sparse")
         with pytest.raises(ConfigError, match="backend"):
-            SessionConfig(backend="gpu")
+            SessionConfig(campaign=CampaignConfig(backend="gpu"))
 
 
 class TestSessionInjection:
     def test_session_backend_flows_into_campaign_stage(self):
         session = Workbench().session(
             config=SessionConfig(
-                backend="sparse",
-                campaign=CampaignConfig(faults_per_element=1, seed=5),
+                campaign=CampaignConfig(
+                    faults_per_element=1, seed=5, backend="sparse"
+                ),
             )
         )
         result = session.run(
@@ -50,7 +55,7 @@ class TestSessionInjection:
 
     def test_explicit_campaign_backend_wins_over_session(self):
         session = Workbench().session(
-            config=SessionConfig(backend="sparse")
+            config=SessionConfig(campaign=CampaignConfig(backend="sparse"))
         )
         result = session.run(
             "fig4",
@@ -101,12 +106,14 @@ class TestCliBackendFlag:
 
 class TestDigitalEngineInjection:
     def test_session_digital_engine_flows_into_stages(self):
-        from repro.api import SessionConfig
+        from repro.api import AtpgConfig
 
         session = Workbench().session(
             config=SessionConfig(
-                digital_engine="reference",
-                campaign=CampaignConfig(faults_per_element=1, seed=5),
+                atpg=AtpgConfig(engine="reference"),
+                campaign=CampaignConfig(
+                    faults_per_element=1, seed=5, digital_engine="reference"
+                ),
             )
         )
         result = session.run(

@@ -1,8 +1,16 @@
 """The ``python -m repro`` CLI, driven in-process."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.api.cli import main
+
+#: a fig4 report artifact (``faults_per_element=1``, ``seed=3``) recorded
+#: by the release whose campaign configs still carried ``batch`` and
+#: ``checkpoint_dir``.
+LEGACY_REPORT = Path(__file__).parent / "goldens" / "legacy_fig4_report.json"
 
 
 class TestList:
@@ -79,6 +87,36 @@ class TestCampaignCacheDirFlag:
         # Default stays None so the config dataclass owns the default.
         bare = build_parser().parse_args(["campaign", "fig4"])
         assert bare.cache_dir is None
+
+    def test_resume_from_is_an_alias_for_cache_dir(self):
+        from repro.api.cli import _campaign_config, build_parser
+
+        def config(*flags):
+            args = build_parser().parse_args(["campaign", "fig4", *flags])
+            return _campaign_config(args)
+
+        assert config("--resume-from", "/tmp/cc") == config(
+            "--cache-dir", "/tmp/cc"
+        )
+        assert config("--resume-from", "/tmp/cc").cache_dir == "/tmp/cc"
+        # Naming the same directory twice is fine.
+        assert config(
+            "--resume-from", "/tmp/cc", "--cache-dir", "/tmp/cc/"
+        ) == config("--cache-dir", "/tmp/cc")
+
+    def test_resume_from_and_a_different_cache_dir_exit_2(self, capsys):
+        code = main(
+            ["campaign", "fig4", "--resume-from", "/tmp/a",
+             "--cache-dir", "/tmp/b"]
+        )
+        assert code == 2
+        assert "--resume-from" in capsys.readouterr().err
+
+    def test_no_batch_flag_is_gone(self, capsys):
+        from repro.api.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "fig4", "--no-batch"])
 
 
 class TestCacheVerb:
@@ -167,8 +205,30 @@ class TestAuditVerb:
         assert any(name.startswith("replay-") for name in manifest)
         document = json.loads(summary.read_text())
         assert document["ok"] is True
-        assert len(document["comparisons"]) == 4
+        assert len(document["comparisons"]) == 3
 
     def test_unresolvable_target_is_a_clean_error(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_legacy_report_audits_its_recorded_campaign(self, tmp_path):
+        """Retired config fields in a recorded report are dropped, not a
+        reason to replay the default campaign instead."""
+        from repro.api import Artifact
+        from repro.api.audit import run_audit
+
+        artifact = Artifact.load(LEGACY_REPORT)
+        recorded = artifact.meta["configs"]["campaign"]
+        assert {"batch", "checkpoint_dir"} <= set(recorded)
+        audit = run_audit(artifact)
+        assert audit.recorded_match is True
+        assert audit.ok
+        assert audit.n_faults == len(artifact.payload["campaign"]["outcomes"])
+
+    def test_unknown_recorded_config_field_exits_2(self, tmp_path, capsys):
+        document = json.loads(LEGACY_REPORT.read_text())
+        document["meta"]["configs"]["campaign"]["warp_factor"] = 9
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(document))
+        assert main(["audit", str(path)]) == 2
+        assert "warp_factor" in capsys.readouterr().err

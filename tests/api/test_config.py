@@ -1,5 +1,7 @@
 """Typed config validation: constructors reject out-of-range values."""
 
+import json
+
 import pytest
 
 from repro.api import (
@@ -63,6 +65,20 @@ class TestCampaignConfig:
         with pytest.raises(ConfigError):
             CampaignConfig(severity_range=rng)
 
+    def test_from_document_round_trips_json(self):
+        config = CampaignConfig(seed=9, severity_range=(0.25, 4.0), shards=3)
+        document = json.loads(json.dumps(config.as_dict()))
+        assert isinstance(document["severity_range"], list)
+        assert CampaignConfig.from_document(document) == config
+
+    def test_from_document_drops_only_retired_fields(self):
+        document = CampaignConfig(seed=9).as_dict()
+        document.update(batch=False, checkpoint_dir="/tmp/ck")
+        assert CampaignConfig.from_document(document) == CampaignConfig(seed=9)
+        document["warp_factor"] = 9
+        with pytest.raises(ConfigError, match="warp_factor"):
+            CampaignConfig.from_document(document)
+
 
 class TestAtpgConfig:
     def test_ordering_validated(self):
@@ -96,8 +112,11 @@ class TestDigitalEngineKnobs:
         assert CampaignConfig().digital_engine == "compiled"
 
     def test_session_digital_engine_validated(self):
-        with pytest.raises(ConfigError, match="digital_engine"):
-            SessionConfig(digital_engine="quantum")
+        # Each stage config owns its engine; the session has no copy.
+        with pytest.raises(TypeError, match="digital_engine"):
+            SessionConfig(digital_engine="reference")
+        with pytest.raises(ConfigError, match="engine"):
+            SessionConfig(atpg=AtpgConfig(engine="quantum"))
 
     def test_names_mirror_simulate_module(self):
         from repro.api.config import DIGITAL_ENGINES

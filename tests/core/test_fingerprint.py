@@ -48,7 +48,7 @@ class TestCrossImplementationEquality:
     """The three pre-unification digests still hash identically."""
 
     def test_store_fingerprint_is_fingerprint_of(self):
-        from repro.service.store import fingerprint_of as store_fp
+        from repro.service import fingerprint_of as store_fp
 
         document = {"kind": "campaign", "seed": 7}
         assert store_fp(document) == fingerprint_of(document)

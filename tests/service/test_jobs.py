@@ -5,19 +5,27 @@ scheduler, no HTTP, no real campaigns — so the state machine's contract
 is tested in isolation (and in milliseconds).
 """
 
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.api import Artifact, CampaignConfig, ConfigError, GeneratorConfig
 from repro.service import (
     JOB_STATES,
+    STORE_NAMESPACE,
     TERMINAL_STATES,
     Job,
     JobQueue,
     JobSpec,
     JobStateError,
 )
+
+#: a service root written by the release whose campaign configs still
+#: carried ``batch`` and ``checkpoint_dir``: one queued job file and one
+#: stored artifact.
+LEGACY_ROOT = Path(__file__).parent / "goldens" / "legacy_root"
 
 
 def _spec(**campaign) -> JobSpec:
@@ -54,8 +62,25 @@ class TestJobSpec:
         assert base.fingerprint() != _spec(faults_per_element=3).fingerprint()
         assert base.fingerprint() != _spec(engine="reference").fingerprint()
 
+    def test_fingerprint_matches_the_recorded_release(self):
+        """Dedup keys name artifacts already stored in service roots."""
+        assert JobSpec(circuit="fig4").fingerprint() == (
+            "5fd91acf099f3b5c1a17825c96821cd324df863b7d6b0487df56fe0249e2a683"
+        )
+        assert _spec(faults_per_element=2, seed=5).fingerprint() == (
+            "2f86303e7dd930c02d6b71a48d517a16e8572273facaf6f03cb551b4f30dd57f"
+        )
+
+    def test_from_document_drops_retired_campaign_fields(self):
+        document = _spec().to_document()
+        document["campaign"].update(batch=False, checkpoint_dir="/tmp/ck")
+        assert JobSpec.from_document(document) == _spec()
+        document["campaign"]["warp_factor"] = 9
+        with pytest.raises(ConfigError, match="warp_factor"):
+            JobSpec.from_document(document)
+
     def test_fingerprint_excludes_fanout_knobs(self):
-        """Shard/worker/cache/checkpoint knobs never change outcomes —
+        """Shard/worker/cache knobs never change outcomes —
         so they must not defeat deduplication."""
         base = _spec()
         assert base.fingerprint() == _spec(shards=7).fingerprint()
@@ -64,7 +89,7 @@ class TestJobSpec:
         assert base.fingerprint() == _spec(factor_cache_size=3).fingerprint()
         assert (
             base.fingerprint()
-            == _spec(checkpoint_dir="/tmp/elsewhere").fingerprint()
+            == _spec(cache_dir="/tmp/elsewhere").fingerprint()
         )
 
 
@@ -175,7 +200,7 @@ class TestDeduplication:
         queue = JobQueue(tmp_path)
         spec = _spec()
         artifact = Artifact(kind="campaign", circuit="fig4", payload={"outcomes": []})
-        queue.store.put(spec.fingerprint(), artifact)
+        queue.store.put_artifact(STORE_NAMESPACE, spec.fingerprint(), artifact)
         job, deduplicated = queue.submit(spec)
         assert deduplicated
         assert job.state == "done"
@@ -213,6 +238,21 @@ class TestDurability:
         assert states[running.id] == "queued"
         kinds = [e["kind"] for e in reloaded.get(running.id).events]
         assert kinds[-1] == "recovered"
+
+    def test_job_recorded_by_the_earlier_release_reloads(self, tmp_path):
+        """A queued job whose spec still carries ``batch`` and
+        ``checkpoint_dir`` survives a restart as the same job."""
+        shutil.copytree(LEGACY_ROOT, tmp_path / "root")
+        queue = JobQueue(tmp_path / "root")
+        job = queue.get("j000001-e2ca0491")
+        assert job.state == "queued"
+        assert job.spec == JobSpec(
+            circuit="fig4",
+            campaign=CampaignConfig(faults_per_element=1, seed=3, shards=2),
+        )
+        assert job.fingerprint == job.spec.fingerprint() == (
+            "e2ca04916cd02b98047c67f3507514ee058f0253eb15f634f7139f1c6c2749a6"
+        )
 
     def test_restart_never_reissues_job_ids(self, tmp_path):
         queue = JobQueue(tmp_path)

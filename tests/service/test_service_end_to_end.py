@@ -19,7 +19,7 @@ from repro.api import Artifact, CampaignConfig
 from repro.api.cli import main
 from repro.api.session import Workbench
 from repro.core import run_campaign
-from repro.service import ServiceClient, ServiceError
+from repro.service import STORE_NAMESPACE, ServiceClient, ServiceError
 from repro.service.http import make_server
 
 #: the one campaign every test shares — small, seeded, sharded.
@@ -79,7 +79,7 @@ class TestRoundTrip:
         self, service, client, done_job
     ):
         stored = service.scheduler.queue.store.path_for(
-            done_job["artifact"]
+            STORE_NAMESPACE, done_job["artifact"]
         ).read_text()
         assert client.artifact_text(done_job["artifact"]) == stored
 

@@ -17,7 +17,14 @@ from repro.api import Artifact, CampaignConfig, ConfigError
 from repro.core.atomic_io import read_artifact
 from repro.core.resilience import RetryPolicy
 from repro.devtools.chaos import ChaosEvent, ChaosPlan
-from repro.service import JobQueue, JobSpec, Scheduler, ServiceClient, ServiceError
+from repro.service import (
+    STORE_NAMESPACE,
+    JobQueue,
+    JobSpec,
+    Scheduler,
+    ServiceClient,
+    ServiceError,
+)
 from repro.service.http import ServiceServer, make_server
 
 
@@ -133,7 +140,7 @@ class TestJobRetry:
         assert "partial" in _kinds(finished)
         assert "quarantined" in finished.error
         # The store never saw the partial result.
-        assert not queue.store.has(job.fingerprint)
+        assert not queue.store.has_artifact(STORE_NAMESPACE, job.fingerprint)
 
 
 class TestPoisonJobRecovery:
@@ -274,7 +281,12 @@ class TestHttpChaosAndDeadlines:
                 b"Content-Length: 100\r\n\r\n"
                 b'{"circuit"'  # ...and never the rest
             )
-            response = sock.recv(4096).decode("utf-8", "replace")
+            # The status line and the body may arrive in separate
+            # segments: read until the server closes the connection.
+            chunks = []
+            while chunk := sock.recv(4096):
+                chunks.append(chunk)
+            response = b"".join(chunks).decode("utf-8", "replace")
         assert "408" in response.splitlines()[0]
         assert "timed out" in response
 
@@ -320,6 +332,6 @@ class TestEventStreamShapes:
         assert retry_event["reason"] == "exception"
         assert retry_event["next_attempt"] == 2
         # The recovered run stored a complete artifact.
-        assert queue.store.has(job.fingerprint)
-        artifact = queue.store.get(job.fingerprint)
+        assert queue.store.has_artifact(STORE_NAMESPACE, job.fingerprint)
+        artifact = queue.store.get_artifact(STORE_NAMESPACE, job.fingerprint)
         assert Artifact.from_json(artifact.to_json()).campaign().outcomes

@@ -1,4 +1,9 @@
-"""The content-addressed artifact store: dedup, atomicity, torn files."""
+"""The service's content-addressed store: dedup, atomicity, torn files.
+
+The store is the :data:`repro.service.STORE_NAMESPACE` namespace of a
+:class:`repro.core.cache.ResultCache` rooted at the service root, laid
+out as ``<root>/objects/<fp[:2]>/<fp>.json``.
+"""
 
 import json
 import os
@@ -7,7 +12,10 @@ import time
 import pytest
 
 from repro.api import Artifact, ConfigError
-from repro.service import ArtifactStore, fingerprint_of
+from repro.core.cache import ResultCache
+from repro.service import STORE_NAMESPACE, fingerprint_of
+
+NS = STORE_NAMESPACE
 
 
 def _artifact(tag: str) -> Artifact:
@@ -18,12 +26,16 @@ def _fp(tag: str) -> str:
     return fingerprint_of({"tag": tag})
 
 
-def _backdate(store: ArtifactStore, seconds: float = 60.0) -> None:
+def _backdate(store: ResultCache, seconds: float = 60.0) -> None:
     """Age every object file so gc sees it as predating the sweep."""
     past = time.time() - seconds
     for path in store.root.rglob("*"):
         if path.is_file():
             os.utime(path, (past, past))
+
+
+def _gc(store: ResultCache, keep) -> list[str]:
+    return sorted(fp for _, fp in store.gc(keep=keep, namespace=NS))
 
 
 class TestFingerprint:
@@ -39,113 +51,109 @@ class TestFingerprint:
 
 class TestStore:
     def test_round_trip(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         fp = _fp("one")
-        assert not store.has(fp)
-        assert store.get(fp) is None
-        store.put(fp, _artifact("one"))
-        assert store.has(fp)
-        assert fp in store
-        assert store.get(fp).payload["name"] == "one"
-        assert store.fingerprints() == [fp]
-        assert len(store) == 1
+        assert not store.has_artifact(NS, fp)
+        assert store.get_artifact(NS, fp) is None
+        path = store.put_artifact(NS, fp, _artifact("one"))
+        # The layout every service root on disk already uses.
+        assert path == tmp_path / "objects" / fp[:2] / f"{fp}.json"
+        assert store.has_artifact(NS, fp)
+        assert store.get_artifact(NS, fp).payload["name"] == "one"
+        assert store.fingerprints(NS) == [fp]
 
     def test_first_write_wins(self, tmp_path):
         """A fingerprint names the work: re-putting never clobbers."""
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         fp = _fp("x")
-        store.put(fp, _artifact("original"))
-        store.put(fp, _artifact("imposter"))
-        assert store.get(fp).payload["name"] == "original"
+        store.put_artifact(NS, fp, _artifact("original"))
+        store.put_artifact(NS, fp, _artifact("imposter"))
+        assert store.get_artifact(NS, fp).payload["name"] == "original"
 
     def test_torn_entry_reads_as_miss_and_is_replaceable(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         fp = _fp("torn")
-        path = store.path_for(fp)
+        path = store.path_for(NS, fp)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"artifact_version": 1, "kind": "exper')  # torn write
-        assert store.get(fp) is None
-        assert not store.has(fp)
-        store.put(fp, _artifact("healed"))  # torn entries may be replaced
-        assert store.get(fp).payload["name"] == "healed"
+        assert store.get_artifact(NS, fp) is None
+        assert not store.has_artifact(NS, fp)
+        store.put_artifact(NS, fp, _artifact("healed"))  # torn entries may be replaced
+        assert store.get_artifact(NS, fp).payload["name"] == "healed"
 
     def test_foreign_json_reads_as_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         fp = _fp("foreign")
-        path = store.path_for(fp)
+        path = store.path_for(NS, fp)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps({"not": "an artifact"}))
-        assert store.get(fp) is None
+        assert store.get_artifact(NS, fp) is None
 
     def test_bad_fingerprints_rejected(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         for bad in ("", "deadbeef", "../../etc/passwd", "Z" * 64, 42, None):
             with pytest.raises(ConfigError):
-                store.path_for(bad)
+                store.path_for(NS, bad)
 
     def test_gc_keeps_only_the_named_set(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         fps = [_fp(tag) for tag in ("a", "b", "c")]
         for fp, tag in zip(fps, ("a", "b", "c")):
-            store.put(fp, _artifact(tag))
-        stray = store.path_for(fps[0]).with_suffix(".tmp")
+            store.put_artifact(NS, fp, _artifact(tag))
+        stray = store.path_for(NS, fps[0]).with_suffix(".tmp")
         stray.write_text("killed writer leftovers")
         _backdate(store)  # everything predates the sweep
-        removed = store.gc(keep=[fps[1]])
+        removed = _gc(store, keep=[fps[1]])
         assert removed == sorted([fps[0], fps[2]])
-        assert store.fingerprints() == [fps[1]]
+        assert store.fingerprints(NS) == [fps[1]]
         assert not stray.exists()
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.put(_fp("clean"), _artifact("clean"))
+        store = ResultCache(tmp_path)
+        store.put_artifact(NS, _fp("clean"), _artifact("clean"))
         assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestGcPutRace:
     """gc must never delete what a concurrent put just wrote."""
 
-    def test_entry_written_during_sweep_is_spared(self, tmp_path, monkeypatch):
+    def test_entry_written_during_sweep_is_spared(self, tmp_path):
         """A put landing after the sweep started survives the sweep.
 
         Simulated by pinning the sweep's start time into the past: every
         entry then looks newer than the sweep, exactly as a racing put's
         would.
         """
-        import repro.service.store as store_module
-
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path, now=lambda: time.time() - 60.0)
         fp = _fp("fresh")
-        store.put(fp, _artifact("fresh"))
-        monkeypatch.setattr(store_module, "_now", lambda: time.time() - 60.0)
-        removed = store.gc(keep=[])
-        assert removed == []
-        assert store.has(fp)
+        store.put_artifact(NS, fp, _artifact("fresh"))
+        assert _gc(store, keep=[]) == []
+        assert store.has_artifact(NS, fp)
 
     def test_put_freshens_mtime_of_existing_entry(self, tmp_path):
         """Re-putting marks the entry live so a racing gc skips it."""
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         fp = _fp("touched")
-        store.put(fp, _artifact("touched"))
+        store.put_artifact(NS, fp, _artifact("touched"))
         _backdate(store)
-        aged = store.path_for(fp).stat().st_mtime
-        store.put(fp, _artifact("touched"))
-        assert store.path_for(fp).stat().st_mtime > aged
+        aged = store.path_for(NS, fp).stat().st_mtime
+        store.put_artifact(NS, fp, _artifact("touched"))
+        assert store.path_for(NS, fp).stat().st_mtime > aged
 
     def test_fresh_tmp_is_left_for_its_writer(self, tmp_path):
         """A young *.tmp is an in-flight atomic write, not a stray."""
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         fp = _fp("inflight")
-        store.put(fp, _artifact("inflight"))
+        store.put_artifact(NS, fp, _artifact("inflight"))
         _backdate(store)
-        tmp = store.path_for(fp).with_suffix(".tmp")
+        tmp = store.path_for(NS, fp).with_suffix(".tmp")
         tmp.write_text("mid-write")  # fresh: inside TMP_GRACE
-        store.gc(keep=[fp])
+        _gc(store, keep=[fp])
         assert tmp.exists()
 
     def test_entry_vanishing_mid_sweep_is_tolerated(self, tmp_path, monkeypatch):
         """Another sweeper unlinking first is a skip, not an error."""
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         ghost = _fp("ghost")
-        monkeypatch.setattr(store, "fingerprints", lambda: [ghost])
-        assert store.gc(keep=[]) == []
+        monkeypatch.setattr(store, "fingerprints", lambda namespace: [ghost])
+        assert _gc(store, keep=[]) == []
