@@ -15,6 +15,7 @@ from .deviation import (
 )
 from .selection import (
     TestSetSelection,
+    coverage_document,
     coverage_graph,
     select_parameters_greedy,
     select_parameters_maxcoverage,
@@ -61,6 +62,7 @@ __all__ = [
     "deviation_matrix",
     "UNTESTABLE",
     "TestSetSelection",
+    "coverage_document",
     "coverage_graph",
     "select_parameters_greedy",
     "select_parameters_maxcoverage",

@@ -23,6 +23,13 @@ adversary's total masking budget.  Three adversary models are provided
   declaring a fault masked when any corner lands inside the box *or* the
   corner values straddle zero (an interior point then masks exactly);
 * ``"none"`` — optimistic bound: fault-free elements stay at nominal.
+
+Every bisection step re-measures the parameter at a *deviation state*
+(the faulted element plus, for ``"corners"``, the adversary's corner).
+The state is an argument of :meth:`PerformanceParameter.measure`, laid
+over the circuit's own deviations for that one measurement: the circuit
+is never mutated, and each measurement compiles its own
+:class:`~repro.spice.AcModel` (see :mod:`repro.spice.measure`).
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "deviation_matrix",
     "DeviationMatrix",
     "UNTESTABLE",
+    "json_float",
 ]
 
 #: Sentinel element deviation meaning "no deviation up to the search bound
@@ -72,12 +80,16 @@ def _relative_shift(
     nominal: float,
     state: dict[str, float],
 ) -> float | None:
-    """``(T(state) − T_nom)/T_nom``; None when T is unmeasurable (gross)."""
-    with circuit.with_deviations(state):
-        try:
-            value = parameter.measure(circuit)
-        except AnalogError:
-            return None
+    """``(T(state) − T_nom)/T_nom``; None when T is unmeasurable (gross).
+
+    An invalid state (unknown element, deviation ≤ −100 %) raises; only
+    a failed measurement means "unmeasurable".
+    """
+    state = circuit.deviation_state(state)
+    try:
+        value = parameter.measure(circuit, state)
+    except AnalogError:
+        return None
     return (value - nominal) / abs(nominal)
 
 
@@ -260,6 +272,34 @@ class DeviationMatrix:
     def row(self, parameter: str) -> list[float]:
         """E.D.% values of one parameter across all elements."""
         return [self.deviation_percent(parameter, e) for e in self.elements]
+
+    def to_document(self) -> dict:
+        """The E.D. matrix as JSON: ``{parameter: {element: cell}}``.
+
+        A cell is the deviation and its direction.  Floats stay exact
+        (``repr`` round trip); an UNTESTABLE deviation is the string
+        ``"inf"`` (see :func:`json_float`).
+        """
+        return {
+            "parameters": list(self.parameters),
+            "elements": list(self.elements),
+            "cells": {
+                parameter: {
+                    element: {
+                        "deviation": json_float(result.deviation),
+                        "direction": result.direction,
+                    }
+                    for element in self.elements
+                    for result in (self.results[(parameter, element)],)
+                }
+                for parameter in self.parameters
+            },
+        }
+
+
+def json_float(value: float) -> float | str:
+    """A float as strict JSON: finite values as-is, ±inf/nan by ``repr``."""
+    return value if math.isfinite(value) else repr(value)
 
 
 def deviation_matrix(

@@ -58,30 +58,33 @@ class PerformanceParameter:
     f_low: float = 1.0
     f_high: float = 1.0e7
 
-    def measure(self, circuit: AnalogCircuit) -> float:
-        """Measure the parameter on the circuit's current deviation state."""
+    def measure(
+        self,
+        circuit: AnalogCircuit,
+        deviations: dict[str, float] | None = None,
+    ) -> float:
+        """Measure the parameter at a deviation state.
+
+        ``deviations`` (element → relative deviation) is laid over the
+        circuit's own deviations for this measurement only; the circuit
+        is read, never written.
+        """
+        window = (self.f_low, self.f_high)
+        args = (circuit, self.source, self.output)
         if self.kind is ParameterKind.DC_GAIN:
-            return dc_gain(circuit, self.source, self.output)
+            return dc_gain(*args, deviations)
         if self.kind is ParameterKind.AC_GAIN:
             if self.frequency_hz is None:
                 raise ValueError(f"parameter {self.name}: AC gain needs a frequency")
-            return gain_at(circuit, self.source, self.output, self.frequency_hz)
+            return gain_at(*args, self.frequency_hz, deviations)
         if self.kind is ParameterKind.PEAK_GAIN:
-            return peak_gain(
-                circuit, self.source, self.output, self.f_low, self.f_high
-            )[1]
+            return peak_gain(*args, *window, deviations=deviations)[1]
         if self.kind is ParameterKind.CENTER_FREQUENCY:
-            return center_frequency(
-                circuit, self.source, self.output, self.f_low, self.f_high
-            )
+            return center_frequency(*args, *window, deviations=deviations)
         if self.kind is ParameterKind.CUTOFF_LOW:
-            return cutoff_low(
-                circuit, self.source, self.output, self.f_low, self.f_high
-            )
+            return cutoff_low(*args, *window, deviations=deviations)
         if self.kind is ParameterKind.CUTOFF_HIGH:
-            return cutoff_high(
-                circuit, self.source, self.output, self.f_low, self.f_high
-            )
+            return cutoff_high(*args, *window, deviations=deviations)
         raise ValueError(f"unknown parameter kind {self.kind}")
 
 

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .deviation import DeviationMatrix
+from .deviation import DeviationMatrix, json_float
 
 __all__ = [
     "TestSetSelection",
+    "coverage_document",
     "coverage_graph",
     "select_parameters_greedy",
     "select_parameters_mincover",
@@ -61,6 +62,22 @@ class TestSetSelection:
     def complete(self) -> bool:
         """True when every element is testable through the selection."""
         return not self.uncovered
+
+    def to_document(self) -> dict:
+        """The selection as JSON (exact floats, ``"inf"`` for untestable)."""
+        return {
+            "parameters": list(self.parameters),
+            "element_coverage": coverage_document(self.element_coverage),
+            "uncovered": list(self.uncovered),
+        }
+
+
+def coverage_document(coverage: dict[str, tuple[str, float]]) -> dict:
+    """``element -> (parameter, E.D.%)`` as ``{element: [parameter, ed]}``."""
+    return {
+        element: [parameter, json_float(ed)]
+        for element, (parameter, ed) in coverage.items()
+    }
 
 
 def coverage_graph(

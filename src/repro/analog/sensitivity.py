@@ -38,10 +38,8 @@ def sensitivity(
     if nominal == 0:
         return 0.0
     base = circuit.deviations().get(element, 0.0)
-    with circuit.with_deviations({element: base + rel_step}):
-        upper = parameter.measure(circuit)
-    with circuit.with_deviations({element: base - rel_step}):
-        lower = parameter.measure(circuit)
+    upper = parameter.measure(circuit, {element: base + rel_step})
+    lower = parameter.measure(circuit, {element: base - rel_step})
     return (upper - lower) / (2.0 * rel_step * nominal)
 
 

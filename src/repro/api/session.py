@@ -118,8 +118,18 @@ class ExperimentRun:
     seconds: float
 
     def to_artifact(self) -> Artifact:
-        """The rendering as an ``experiment`` artifact."""
-        return Artifact.from_experiment(self.name, self.rendered, self.seconds)
+        """The rendering as an ``experiment`` artifact.
+
+        Experiments whose result has a ``to_document()`` also carry every
+        reproduced number, exactly, under ``payload["document"]``.
+        """
+        artifact = Artifact.from_experiment(
+            self.name, self.rendered, self.seconds
+        )
+        to_document = getattr(self.result, "to_document", None)
+        if to_document is not None:
+            artifact.payload["document"] = to_document()
+        return artifact
 
 
 class TestSession:

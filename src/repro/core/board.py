@@ -94,8 +94,7 @@ class StateVariableBoard:
         state = dict(self.realization)
         for element, deviation in (extra_deviations or {}).items():
             state[element] = state.get(element, 0.0) + deviation
-        with self.circuit.with_deviations(state):
-            value = parameter.measure(self.circuit)
+        value = parameter.measure(self.circuit, state)
         noise = self._noise_rng.gauss(0.0, self.measurement_noise)
         return value * (1.0 + noise)
 
@@ -114,10 +113,9 @@ class StateVariableBoard:
         state = dict(self.realization)
         for element, deviation in (extra_deviations or {}).items():
             state[element] = state.get(element, 0.0) + deviation
-        with self.circuit.with_deviations(state):
-            level = probe_amplitude * gain_at(
-                self.circuit, SV_SOURCE, "V3", probe_frequency_hz
-            )
+        level = probe_amplitude * gain_at(
+            self.circuit, SV_SOURCE, "V3", probe_frequency_hz, state
+        )
         code = self.adc.convert(level)
         assignment = {"CIN": 0}
         for bit in range(4):

@@ -54,6 +54,14 @@ class Example1Result:
             f"element coverage: {coverage}"
         )
 
+    def to_document(self) -> dict:
+        """Every reproduced number as JSON (the golden's content)."""
+        return {
+            "experiment": "example1",
+            "matrix": self.matrix.to_document(),
+            "selection": self.selection.to_document(),
+        }
+
 
 def run(adversary: str = "sensitivity") -> Example1Result:
     """Compute the Example 1 matrix and test-set selection."""

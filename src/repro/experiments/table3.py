@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from ..analog import (
     DeviationMatrix,
+    coverage_document,
     deviation_matrix,
     select_parameters_maxcoverage,
 )
@@ -51,6 +52,15 @@ class Table3Result:
                 "(case 1 = alone, case 2 = inside the mixed circuit)"
             ),
         )
+
+    def to_document(self) -> dict:
+        """Every reproduced number as JSON (the golden's content)."""
+        return {
+            "experiment": "table3",
+            "matrix": self.matrix.to_document(),
+            "case1": coverage_document(self.case1),
+            "case2": coverage_document(self.case2),
+        }
 
     @property
     def n_same_accuracy(self) -> int:

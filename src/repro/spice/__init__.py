@@ -37,6 +37,7 @@ from .backends import (
     resolve_backend,
 )
 from .mna import FactorizedMna, MnaSolver, Solution
+from .acmodel import AcModel
 from .ac import FrequencyResponse, UnitSource, log_frequencies, sweep, transfer
 from .measure import (
     bandwidth,
@@ -83,6 +84,7 @@ __all__ = [
     "MnaSolver",
     "FactorizedMna",
     "Solution",
+    "AcModel",
     "FrequencyResponse",
     "UnitSource",
     "transfer",

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acmodel import AcModel
 from .backends import LinearSystemBackend
 from .mna import MnaSolver
 from .netlist import AnalogCircuit, AnalogError
@@ -73,7 +74,10 @@ class UnitSource:
 
     With the source at 1 V the output phasor *is* the transfer value,
     for the AC (``ac``) and DC (``dc``) systems alike.  Restores the
-    original levels on exit, even when a solve fails mid-flight.
+    original levels on exit, even when a solve fails mid-flight.  It
+    mutates the source, so a circuit inside this scope must not be
+    shared across threads; :func:`transfer` and every measurement use
+    :class:`~repro.spice.acmodel.AcModel` instead, which never mutates.
     """
 
     def __init__(self, circuit: AnalogCircuit, source_name: str):
@@ -101,12 +105,14 @@ def transfer(
 ) -> complex:
     """Voltage transfer ``v(output)/v(source)`` at one frequency.
 
-    The source's AC amplitude is temporarily forced to 1 V so the output
-    phasor *is* the transfer value; the original amplitude is restored.
+    Evaluated by a compiled :class:`~repro.spice.acmodel.AcModel`, which
+    drives the source at unit amplitude inside its own right-hand side:
+    the circuit is only read, so concurrent calls on one circuit are
+    safe.
     """
-    with UnitSource(circuit, source_name):
-        solution = MnaSolver(circuit, backend=backend).solve(frequency_hz)
-        return solution.voltage(output_node)
+    return AcModel(circuit, source_name, output_node, backend=backend).transfer(
+        frequency_hz
+    )
 
 
 def sweep(

@@ -139,25 +139,45 @@ class AnalogCircuit:
             raise AnalogError(f"component {name!r} carries no value")
         return component.value  # type: ignore[attr-defined]
 
-    def effective_value(self, name: str) -> float:
-        """Nominal × (1 + deviation)."""
-        return self.nominal_value(name) * (1.0 + self._deviations.get(name, 0.0))
+    def effective_value(
+        self, name: str, state: dict[str, float] | None = None
+    ) -> float:
+        """Nominal × (1 + deviation), under ``state`` when given (a full
+        deviation state, e.g. from :meth:`deviation_state`) or else under
+        the circuit's own deviations."""
+        deviations = self._deviations if state is None else state
+        return self.nominal_value(name) * (1.0 + deviations.get(name, 0.0))
 
     def set_deviation(self, name: str, deviation: float) -> None:
         """Set the relative deviation of one element (0.05 = +5 %)."""
-        self.component(name)  # validate existence
-        if deviation <= -1.0:
-            raise AnalogError(
-                f"deviation {deviation} would make {name!r} non-positive"
-            )
-        if deviation == 0.0:
-            self._deviations.pop(name, None)
-        else:
-            self._deviations[name] = deviation
+        self._deviations = self.deviation_state({name: deviation})
 
     def deviations(self) -> dict[str, float]:
         """Currently applied deviations (copy)."""
         return dict(self._deviations)
+
+    def deviation_state(
+        self, overrides: dict[str, float] | None = None
+    ) -> dict[str, float]:
+        """The deviations ``with_deviations(overrides)`` would apply.
+
+        The circuit's own deviations with ``overrides`` laid over them,
+        validated (unknown element, deviation ≤ −100 %) — but returned
+        as a new dict instead of written to the circuit, so measurements
+        can take a deviation state as an argument and stay thread-safe.
+        """
+        state = dict(self._deviations)
+        for name, deviation in (overrides or {}).items():
+            self.component(name)  # validate existence
+            if deviation <= -1.0:
+                raise AnalogError(
+                    f"deviation {deviation} would make {name!r} non-positive"
+                )
+            if deviation == 0.0:
+                state.pop(name, None)
+            else:
+                state[name] = deviation
+        return state
 
     def clear_deviations(self) -> None:
         """Reset every element to nominal."""

@@ -59,3 +59,63 @@ class TestStandardSets:
         p = standard_filter_parameters("Vin", "out")[0]
         with pytest.raises(AttributeError):
             p.name = "other"
+
+
+class TestConcurrentMeasurement:
+    """Measurement reads the circuit and never writes it, so threads can
+    share one circuit object (``TestSession.run_batch`` fans out on
+    threads).  The former mutate-and-restore path raced on the source
+    amplitude and the deviation dict."""
+
+    THREADS = 8
+
+    def test_threads_measuring_one_fig4_circuit(self):
+        import threading
+
+        from repro.circuits import fig4_mixed_circuit
+
+        mixed = fig4_mixed_circuit()
+        circuit = mixed.analog
+        parameters = mixed.parameters
+        elements = circuit.element_names()
+        states = [
+            {
+                elements[i % len(elements)]: 0.02 * (i + 1),
+                elements[(i + 3) % len(elements)]: -0.015 * (i + 1),
+            }
+            for i in range(self.THREADS)
+        ]
+        expected = [
+            [parameter.measure(circuit, state) for parameter in parameters]
+            for state in states
+        ]
+        source = circuit.component(mixed.analog_source)
+        before = (circuit.deviations(), source.ac, source.dc)
+
+        results: list = [None] * self.THREADS
+        errors: list = []
+        barrier = threading.Barrier(self.THREADS)
+
+        def work(index: int) -> None:
+            try:
+                barrier.wait()
+                for _ in range(3):
+                    results[index] = [
+                        parameter.measure(circuit, states[index])
+                        for parameter in parameters
+                    ]
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(i,))
+            for i in range(self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert results == expected
+        assert (circuit.deviations(), source.ac, source.dc) == before
+        assert len({tuple(row) for row in expected}) == self.THREADS

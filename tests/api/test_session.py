@@ -158,6 +158,18 @@ class TestWorkbenchFacade:
         assert run.rendered
         assert run.seconds >= 0
         assert run.to_artifact().kind == "experiment"
+        assert "document" not in run.to_artifact().payload
+
+    def test_experiment_artifact_carries_the_document(self):
+        from repro.api.session import ExperimentRun
+
+        class Result:
+            def to_document(self):
+                return {"experiment": "x", "value": 0.1}
+
+        artifact = ExperimentRun("x", Result(), "table", 0.5).to_artifact()
+        assert artifact.payload["document"] == {"experiment": "x", "value": 0.1}
+        assert artifact.payload["rendered"] == "table"
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError, match="unknown experiment"):

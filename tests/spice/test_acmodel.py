@@ -1,0 +1,359 @@
+"""Differential tests: the compiled AC model against the scalar MNA path.
+
+The oracle is the historical measurement path, kept here test-local: a
+fresh :class:`MnaSolver` per frequency, the circuit's deviations applied
+with ``with_deviations`` and the source driven at 1 V by ``UnitSource``.
+Every comparison is ``==`` — the compiled model must reproduce it bit for
+bit, not approximately.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq, minimize_scalar
+
+from repro.analog import ParameterKind
+from repro.api.registry import default_registry
+from repro.circuits import (
+    bandpass_filter,
+    bandpass_parameters,
+    chebyshev_filter,
+    chebyshev_parameters,
+    state_variable_filter,
+    state_variable_parameters,
+)
+from repro.spice import (
+    VCCS,
+    AcModel,
+    AnalogCircuit,
+    AnalogError,
+    MnaSolver,
+    Resistor,
+    UnitSource,
+    VoltageSource,
+    peak_gain,
+    resolve_backend,
+)
+
+REGISTRY = default_registry()
+
+
+def _analog_block(name):
+    """(circuit, source) of a registry analog circuit or mixed block."""
+    spec = REGISTRY.get(name)
+    built = spec.build()
+    if spec.kind == "mixed":
+        return built.analog, built.analog_source
+    source = next(c for c in built.sources() if isinstance(c, VoltageSource))
+    return built, source.name
+
+
+def _dense(name) -> bool:
+    circuit, _ = _analog_block(name)
+    return resolve_backend("auto", n_nodes=len(circuit.nodes())).name == "dense"
+
+
+#: every registry analog circuit on the dense backend, plus the analog
+#: blocks of the fig4 and Example 3 mixed circuits.
+DENSE_CIRCUITS = [
+    name
+    for name in REGISTRY.names("analog") + ["fig4", "example3-c432"]
+    if _dense(name)
+]
+
+
+def all_device_circuit() -> AnalogCircuit:
+    """Every component type, including both s-nonlinear ones."""
+    c = AnalogCircuit("all-devices")
+    c.vsource("V1", "in", "0", dc=0.3, ac=0.7)
+    c.isource("I1", "0", "a", dc=1e-4, ac=2e-4)
+    c.resistor("R1", "in", "a", 1_000.0)
+    c.capacitor("C1", "a", "0", 47e-9)
+    c.capacitor("C2", "a", "b", 10e-9)
+    c.inductor("L1", "b", "c", 10e-3)
+    c.resistor("R2", "c", "0", 2_200.0)
+    c.finite_opamp("A1", "c", "d", "e", gain=1.0e5, gbw=2.0e6)
+    c.resistor("R3", "d", "0", 1_000.0)
+    c.resistor("R4", "e", "d", 4_700.0)
+    c.capacitor("C3", "e", "d", 1e-9)
+    c.vcvs("E1", "f", "0", "e", "0", 0.5)
+    c.add(VCCS("G1", "g", "0", "f", "0", 1e-3))
+    c.resistor("R5", "g", "0", 1_000.0)
+    c.opamp("A2", "0", "h", "k")
+    c.resistor("R6", "g", "h", 1_000.0)
+    c.resistor("R7", "h", "k", 3_300.0)
+    return c
+
+
+# ----------------------------------------------------------------------
+# The scalar oracle (the pre-compiled-model measurement path)
+# ----------------------------------------------------------------------
+def oracle_transfer(circuit, source, output, frequency_hz, state=None):
+    with circuit.with_deviations(state or {}), UnitSource(circuit, source):
+        return MnaSolver(circuit).solve(frequency_hz).voltage(output)
+
+
+def oracle_gain(circuit, source, output, frequency_hz, state=None):
+    return abs(oracle_transfer(circuit, source, output, frequency_hz, state))
+
+
+def oracle_peak(circuit, source, output, f_low, f_high, state, coarse_points=120):
+    def gain(f):
+        return oracle_gain(circuit, source, output, f, state)
+
+    log_low, log_high = math.log10(f_low), math.log10(f_high)
+    best_log_f, best_mag = log_low, -1.0
+    for index in range(coarse_points):
+        log_f = log_low + (log_high - log_low) * index / (coarse_points - 1)
+        magnitude = gain(10.0**log_f)
+        if magnitude > best_mag:
+            best_mag, best_log_f = magnitude, log_f
+    step = (log_high - log_low) / (coarse_points - 1)
+    result = minimize_scalar(
+        lambda lf: -gain(10.0**lf),
+        bounds=(max(log_low, best_log_f - 2 * step), min(log_high, best_log_f + 2 * step)),
+        method="bounded",
+        options={"xatol": 1e-7},
+    )
+    f_peak = 10.0**result.x
+    return f_peak, gain(f_peak)
+
+
+def oracle_cutoff(circuit, source, output, f_low, f_high, state, high_side):
+    f_peak, peak = oracle_peak(circuit, source, output, f_low, f_high, state)
+    target = peak / math.sqrt(2.0)
+    end = f_high if high_side else f_low
+    if oracle_gain(circuit, source, output, end, state) >= target:
+        raise AnalogError("no crossing")
+    a, b = (f_peak, f_high) if high_side else (f_low, f_peak)
+    return 10.0 ** brentq(
+        lambda lf: oracle_gain(circuit, source, output, 10.0**lf, state) - target,
+        math.log10(a),
+        math.log10(b),
+        xtol=1e-9,
+    )
+
+
+def oracle_measure(parameter, circuit, state):
+    args = (circuit, parameter.source, parameter.output)
+    window = (parameter.f_low, parameter.f_high)
+    kind = parameter.kind
+    if kind is ParameterKind.DC_GAIN:
+        return oracle_gain(*args, 0.0, state)
+    if kind is ParameterKind.AC_GAIN:
+        return oracle_gain(*args, parameter.frequency_hz, state)
+    if kind is ParameterKind.PEAK_GAIN:
+        return oracle_peak(*args, *window, state)[1]
+    if kind is ParameterKind.CENTER_FREQUENCY:
+        return oracle_peak(*args, *window, state)[0]
+    return oracle_cutoff(
+        *args, *window, state, high_side=kind is ParameterKind.CUTOFF_HIGH
+    )
+
+
+def random_state(circuit, seed, spread=0.3):
+    rng = np.random.default_rng(seed)
+    return {
+        name: float(rng.uniform(-spread, spread))
+        for name in circuit.element_names()
+        if rng.random() < 0.6
+    }
+
+
+FREQUENCIES = [0.0, 1.0, 37.5, 1_000.0, 2_512.3, 1.0e5, 9.9e6]
+
+
+# ----------------------------------------------------------------------
+# H(f) == MnaSolver, bit for bit
+# ----------------------------------------------------------------------
+class TestTransferMatchesMnaSolver:
+    def test_registry_covers_the_finite_opamp_board(self):
+        assert "state-variable" in DENSE_CIRCUITS
+        assert "bandpass" in DENSE_CIRCUITS and "fig4" in DENSE_CIRCUITS
+
+    @pytest.mark.parametrize("name", DENSE_CIRCUITS)
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_every_node_every_frequency(self, name, seed):
+        circuit, source = _analog_block(name)
+        state = {} if seed is None else random_state(circuit, seed)
+        grid = FREQUENCIES + [float(f) for f in np.logspace(0, 7, 9)]
+        grid += [np.float64(1234.5)]  # scipy searches pass numpy scalars
+        for output in circuit.nodes():
+            model = AcModel(circuit, source, output, state)
+            expected = [
+                oracle_transfer(circuit, source, output, f, state) for f in grid
+            ]
+            assert [model.transfer(f) for f in grid] == expected
+            assert model.transfers(grid) == expected
+            nonzero = [f for f in grid if f]
+            assert model.transfers(nonzero) == expected[1:]
+
+    @pytest.mark.parametrize("seed", [None, 3, 4])
+    def test_all_device_types(self, seed):
+        circuit = all_device_circuit()
+        state = {} if seed is None else random_state(circuit, seed)
+        for output in circuit.nodes():
+            model = AcModel(circuit, "V1", output, state)
+            expected = [
+                oracle_transfer(circuit, "V1", output, f, state)
+                for f in FREQUENCIES
+            ]
+            assert [model.transfer(f) for f in FREQUENCIES] == expected
+            assert model.transfers(FREQUENCIES[1:]) == expected[1:]
+
+    def test_chunked_stack_equals_unchunked(self, monkeypatch):
+        circuit = bandpass_filter()
+        grid = [float(f) for f in np.logspace(1, 6, 50)]
+        whole = AcModel(circuit, "Vin", "V1").transfers(grid)
+        monkeypatch.setattr("repro.spice.acmodel.STACK_ENTRIES", 1)
+        assert AcModel(circuit, "Vin", "V1").transfers(grid) == whole
+
+    def test_ground_output_and_errors(self):
+        circuit = bandpass_filter()
+        assert AcModel(circuit, "Vin", "0").transfers([0.0, 10.0]) == [0j, 0j]
+        with pytest.raises(AnalogError, match="no node named"):
+            AcModel(circuit, "Vin", "nowhere")
+        with pytest.raises(AnalogError, match="not a voltage source"):
+            AcModel(circuit, "R1", "V1")
+        with pytest.raises(AnalogError, match="no component named"):
+            AcModel(circuit, "Vin", "V1", {"NOPE": 0.1})
+        with pytest.raises(AnalogError, match="non-positive"):
+            AcModel(circuit, "Vin", "V1", {"R1": -1.0})
+
+    def test_compiling_never_writes_the_circuit(self):
+        circuit = state_variable_filter()
+        circuit.set_deviation("R1", 0.2)
+        source = circuit.component("Vin")
+        before = (circuit.deviations(), source.ac, source.dc)
+        AcModel(circuit, "Vin", "V1", {"R1": 0.4, "C1": -0.1}).transfers(
+            [0.0, 100.0, 1e4]
+        )
+        assert (circuit.deviations(), source.ac, source.dc) == before
+
+
+# ----------------------------------------------------------------------
+# Every measurement kind == the old scalar loops
+# ----------------------------------------------------------------------
+PARAMETER_SETS = [
+    ("bandpass", bandpass_filter, bandpass_parameters),
+    ("chebyshev", chebyshev_filter, chebyshev_parameters),
+    ("state-variable", state_variable_filter, state_variable_parameters),
+]
+
+
+class TestMeasureMatchesScalarLoops:
+    @pytest.mark.parametrize(
+        "build,parameters", [entry[1:] for entry in PARAMETER_SETS],
+        ids=[entry[0] for entry in PARAMETER_SETS],
+    )
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_each_kind(self, build, parameters, seed):
+        circuit = build()
+        state = {} if seed is None else random_state(circuit, seed, spread=0.1)
+        for parameter in parameters():
+            assert parameter.measure(circuit, state) == oracle_measure(
+                parameter, circuit, state
+            ), parameter.name
+
+    def test_every_kind_is_covered(self):
+        kinds = {
+            parameter.kind
+            for _name, _build, parameters in PARAMETER_SETS
+            for parameter in parameters()
+        }
+        assert kinds == set(ParameterKind)
+
+    def test_state_argument_layers_over_circuit_deviations(self):
+        circuit = bandpass_filter()
+        parameter = bandpass_parameters()[0]
+        circuit.set_deviation("Rd", 0.1)
+        layered = parameter.measure(circuit, {"Rg": -0.05})
+        assert layered == oracle_measure(parameter, circuit, {"Rg": -0.05})
+        assert circuit.deviations() == {"Rd": 0.1}
+
+
+# ----------------------------------------------------------------------
+# Errors: window validation and singular stacks
+# ----------------------------------------------------------------------
+def singular_circuit() -> AnalogCircuit:
+    """Two ideal sources in parallel: singular at every frequency."""
+    c = AnalogCircuit("parallel-sources")
+    c.vsource("V1", "in", "0", ac=1.0)
+    c.vsource("V2", "in", "0", ac=1.0)
+    c.resistor("R1", "in", "out", 1_000.0)
+    c.resistor("R2", "out", "0", 1_000.0)
+    return c
+
+
+class TestErrors:
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_coarse_points_below_two(self, points):
+        with pytest.raises(AnalogError, match="coarse_points >= 2"):
+            peak_gain(bandpass_filter(), "Vin", "V1", 10.0, 1e5, points)
+
+    def test_two_coarse_points_work(self):
+        f_peak, gain = peak_gain(bandpass_filter(), "Vin", "V1", 50.0, 2e5, 2)
+        assert f_peak > 0 and gain > 0
+
+    def test_singular_stack_raises_the_scalar_error(self):
+        circuit = singular_circuit()
+        with pytest.raises(AnalogError) as scalar:
+            oracle_peak(circuit, "V1", "out", 10.0, 1e5, {})
+        with pytest.raises(AnalogError) as stacked:
+            peak_gain(circuit, "V1", "out", 10.0, 1e5)
+        assert str(stacked.value) == str(scalar.value)
+        assert str(stacked.value).startswith(
+            "singular MNA system for 'parallel-sources' at 10.0 Hz"
+        )
+
+
+# ----------------------------------------------------------------------
+# Sparse path (>= SPARSE_AUTO_THRESHOLD nodes)
+# ----------------------------------------------------------------------
+@pytest.mark.slow
+class TestSparseLadder:
+    def test_rc_ladder_256_matches_oracle(self):
+        circuit, source = _analog_block("rc-ladder-256")
+        assert not _dense("rc-ladder-256")
+        output = circuit.nodes()[-1]
+        state = random_state(circuit, 7, spread=0.05)
+        model = AcModel(circuit, source, output, state)
+        grid = [0.0, 10.0, 1_000.0, 2.5e4, 1e6]
+        expected = [oracle_transfer(circuit, source, output, f, state) for f in grid]
+        assert model.transfers(grid) == expected
+        assert peak_gain(
+            circuit, source, output, 1.0, 1e6, deviations=state
+        ) == oracle_peak(circuit, source, output, 1.0, 1e6, state)
+
+
+class TestNonDenseBackend:
+    """The per-frequency triplet path, forced on a small circuit."""
+
+    @pytest.mark.parametrize("seed", [None, 6])
+    def test_sparse_all_device_types(self, seed):
+        circuit = all_device_circuit()
+        state = {} if seed is None else random_state(circuit, seed)
+        for output in circuit.nodes():
+            model = AcModel(circuit, "V1", output, state, backend="sparse")
+            expected = []
+            for f in FREQUENCIES:
+                with circuit.with_deviations(state), UnitSource(circuit, "V1"):
+                    solver = MnaSolver(circuit, backend="sparse")
+                    expected.append(solver.solve(f).voltage(output))
+            assert model.transfers(FREQUENCIES) == expected
+
+    def test_frequency_dependent_stamp_pattern_is_rejected(self):
+        class Switching(Resistor):
+            def stamp(self, ctx, s, value):
+                if abs(s) < 1e3:
+                    super().stamp(ctx, s, value)
+
+        circuit = AnalogCircuit("switching")
+        circuit.vsource("V1", "in", "0")
+        circuit.resistor("R1", "in", "out", 1_000.0)
+        circuit.add(Switching("R2", "out", "0", 1_000.0))
+        model = AcModel(circuit, "V1", "out")
+        assert model.transfer(1.0) == oracle_transfer(circuit, "V1", "out", 1.0)
+        with pytest.raises(AnalogError, match="changes with frequency"):
+            model.transfer(1.0e6)
