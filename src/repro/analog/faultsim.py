@@ -11,8 +11,10 @@ fault population and one detection semantics:
   Good-circuit codes are hoisted out of the fault loop (they are fault
   independent), but nothing else is cached.
 * ``factorized`` — the fast path: per-frequency LU factorizations of
-  the *good* circuit are built once (:meth:`repro.spice.MnaSolver.
-  factorized`), every faulty response is a Sherman–Morrison rank-one update
+  the *good* circuit are built once and kept by the engine
+  (:meth:`repro.spice.MnaSolver.factorized`, with the source driven at
+  unit amplitude inside the assembly, so the circuit is only read),
+  every faulty response is a Sherman–Morrison rank-one update
   against that factorization, faulty gains are memoized per
   ``(element, deviation, frequency)``, digital fault propagation is
   memoized per ``(step, faulty code)``, and the program step that
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 from ..digital.compiled import CompiledCircuit
 from ..digital.simulate import simulate
-from ..spice import AnalogError, MnaSolver, UnitSource
+from ..spice import AnalogError, MnaSolver
 
 __all__ = [
     "InjectionOutcome",
@@ -74,7 +76,7 @@ class CampaignResult:
 
     outcomes: list[InjectionOutcome] = field(default_factory=list)
     #: engine/backend diagnostics of the run that produced the outcomes
-    #: (cache hit/miss counters etc.); ``None`` for deserialized
+    #: (backend, factorizations built etc.); ``None`` for deserialized
     #: results.  Excluded from artifact documents *and* from equality —
     #: two campaigns with identical outcomes compare equal regardless
     #: of which engine/backend produced them.
@@ -190,10 +192,6 @@ def step_order(steps: Sequence, element: str) -> list[int]:
     return own + rest
 
 
-#: unit-amplitude source scope, shared with :mod:`repro.spice.ac`.
-_UnitSource = UnitSource
-
-
 def _convert(thresholds: tuple[float, ...], v_in: float) -> tuple[int, ...]:
     """Thermometer code against hoisted ladder thresholds.
 
@@ -212,15 +210,13 @@ class CampaignEngine:
     fault, in fault order.
 
     ``backend`` names the :mod:`repro.spice.backends` linear-system
-    backend the engine's analog solves go through; ``factor_cache_size``
-    bounds the engine's factorization LRU; ``digital_engine`` selects
-    the digital-response evaluator (the compiled levelized circuit or
-    the reference interpreter); ``cache_dir`` roots the on-disk
-    LU-factor cache.  After :meth:`run` returns,
-    :attr:`last_diagnostics` describes what actually ran (backend name,
-    cache hit/miss counters, multi-RHS solve counters) — use
-    :func:`get_engine` to obtain a fresh instance per campaign so
-    concurrent campaigns never share it.
+    backend the engine's analog solves go through; ``digital_engine``
+    selects the digital-response evaluator (the compiled levelized
+    circuit or the reference interpreter).  Engines only read ``mixed``.
+    After :meth:`run` returns, :attr:`last_diagnostics` describes what
+    actually ran (backend name, factorizations built, multi-RHS solve
+    counters) — use :func:`get_engine` to obtain a fresh instance per
+    campaign so concurrent campaigns never share it.
     """
 
     name = "abstract"
@@ -236,9 +232,7 @@ class CampaignEngine:
         faults: Sequence[FaultSpec],
         max_workers: int | None = None,
         backend: str = "auto",
-        factor_cache_size: int | None = None,
         digital_engine: str = "compiled",
-        cache_dir: str | None = None,
     ) -> list[InjectionOutcome]:
         raise NotImplementedError
 
@@ -260,12 +254,10 @@ class ReferenceEngine(CampaignEngine):
         faults: Sequence[FaultSpec],
         max_workers: int | None = None,
         backend: str = "auto",
-        factor_cache_size: int | None = None,
         digital_engine: str = "compiled",
-        cache_dir: str | None = None,
     ) -> list[InjectionOutcome]:
-        # The oracle deliberately ignores the backend, digital-engine
-        # and cache selectors: its whole point is the unoptimized
+        # The oracle deliberately ignores the backend and digital-engine
+        # selectors: its whole point is the unoptimized
         # re-solve and re-interpret path the fast engine is checked
         # against.
         self.last_diagnostics = {
@@ -358,9 +350,7 @@ class FactorizedEngine(CampaignEngine):
         faults: Sequence[FaultSpec],
         max_workers: int | None = None,
         backend: str = "auto",
-        factor_cache_size: int | None = None,
         digital_engine: str = "compiled",
-        cache_dir: str | None = None,
     ) -> list[InjectionOutcome]:
         if not faults:
             # Emit the full diagnostics shape even with nothing to do:
@@ -371,14 +361,7 @@ class FactorizedEngine(CampaignEngine):
                 "digital_engine": digital_engine,
                 "batched_gains": 0,
                 "backend": None,
-                "hits": 0,
-                "misses": 0,
-                "size": 0,
-                "max_size": (
-                    factor_cache_size
-                    if factor_cache_size is not None
-                    else MnaSolver.FACTOR_CACHE_MAX
-                ),
+                "factorizations": 0,
                 "solve_calls": 0,
                 "multi_rhs_solves": 0,
                 "multi_rhs_columns": 0,
@@ -399,165 +382,156 @@ class FactorizedEngine(CampaignEngine):
             def respond(assignment: dict) -> tuple[int, ...]:
                 response = simulate(mixed.digital, assignment)
                 return tuple(response[o] for o in digital_outputs)
-        with _UnitSource(circuit, mixed.analog_source):
-            solver = MnaSolver(
-                circuit,
-                backend=backend,
-                factor_cache_size=factor_cache_size,
+        # The source is driven at unit amplitude inside the assembly,
+        # so the good-circuit output phasor is the transfer value and
+        # the shared circuit is only read.
+        solver = MnaSolver(circuit, backend=backend, source=mixed.analog_source)
+        # One LU per distinct stimulus frequency, shared by every
+        # fault; built serially before any fan-out.
+        factorized = {}
+        good_gain = {}
+        for step in steps:
+            frequency = step.stimulus.frequency_hz
+            if frequency not in factorized:
+                system = solver.factorized(frequency)
+                factorized[frequency] = system
+                good_gain[frequency] = abs(system.solution().voltage(output))
+        # Good codes and good digital responses, hoisted per step.
+        # The response depends only on (vector, code), so steps that
+        # share both share one digital simulation.
+        good_codes: list[tuple[int, ...]] = []
+        good_words: list[tuple[int, ...]] = []
+        word_memo: dict[tuple, tuple[int, ...]] = {}
+        for step in steps:
+            stimulus = step.stimulus
+            code = _convert(
+                thresholds,
+                stimulus.amplitude * good_gain[stimulus.frequency_hz],
             )
-            if cache_dir is not None:
-                # On-disk L2 under the per-solver LRU: dense LUs cached
-                # by any earlier run (or a sibling shard process) of the
-                # identical system are reloaded instead of refactored.
-                from ..core.cache import ResultCache
+            good_codes.append(code)
+            word_key = (tuple(step.vector.items()), code)
+            word = word_memo.get(word_key)
+            if word is None:
+                assignment = dict(step.vector)
+                for line, bit in zip(converter_lines, code):
+                    assignment[line] = bit
+                word = word_memo.setdefault(word_key, respond(assignment))
+            good_words.append(word)
+        own_steps: dict[str, list[int]] = {}
+        for index, step in enumerate(steps):
+            own_steps.setdefault(step.element, []).append(index)
 
-                solver.attach_l2(ResultCache(cache_dir))
-            # One LU per distinct stimulus frequency, shared by every
-            # fault; built serially before any fan-out.
-            factorized = {}
-            good_gain = {}
-            for step in steps:
-                frequency = step.stimulus.frequency_hz
-                if frequency not in factorized:
-                    system = solver.factorized(frequency)
-                    factorized[frequency] = system
-                    good_gain[frequency] = abs(system.solution().voltage(output))
-            # Good codes and good digital responses, hoisted per step.
-            # The response depends only on (vector, code), so steps that
-            # share both share one digital simulation.
-            good_codes: list[tuple[int, ...]] = []
-            good_words: list[tuple[int, ...]] = []
-            word_memo: dict[tuple, tuple[int, ...]] = {}
-            for step in steps:
-                stimulus = step.stimulus
-                code = _convert(
-                    thresholds,
-                    stimulus.amplitude * good_gain[stimulus.frequency_hz],
-                )
-                good_codes.append(code)
-                word_key = (tuple(step.vector.items()), code)
-                word = word_memo.get(word_key)
-                if word is None:
-                    assignment = dict(step.vector)
-                    for line, bit in zip(converter_lines, code):
-                        assignment[line] = bit
-                    word = word_memo.setdefault(word_key, respond(assignment))
-                good_words.append(word)
-            own_steps: dict[str, list[int]] = {}
+        def order_of(element):
+            # step_order, streamed: the early-exit prefix (the
+            # fault's own steps) comes from one grouping pass; the
+            # tail is generated only for faults that survive it.
+            # Materializing step_order per element is quadratic in
+            # the step count and dominates ladder-scale campaigns.
+            yield from own_steps.get(element, ())
             for index, step in enumerate(steps):
-                own_steps.setdefault(step.element, []).append(index)
+                if step.element != element:
+                    yield index
 
-            def order_of(element):
-                # step_order, streamed: the early-exit prefix (the
-                # fault's own steps) comes from one grouping pass; the
-                # tail is generated only for faults that survive it.
-                # Materializing step_order per element is quadratic in
-                # the step count and dominates ladder-scale campaigns.
-                yield from own_steps.get(element, ())
-                for index, step in enumerate(steps):
-                    if step.element != element:
-                        yield index
+        # Memoization across faults and steps.  The memos are shared
+        # by every worker thread, so all access is lock-guarded and
+        # first-write-wins (``setdefault``): every thread observes
+        # one canonical value per key, making the threaded path
+        # deterministic by construction rather than by relying on
+        # the GIL making plain-dict races benign.
+        memo_lock = threading.Lock()
+        gain_memo: dict[tuple[str, float, float], float] = {}
+        detect_memo: dict[tuple, bool] = {}
 
-            # Memoization across faults and steps.  The memos are shared
-            # by every worker thread, so all access is lock-guarded and
-            # first-write-wins (``setdefault``): every thread observes
-            # one canonical value per key, making the threaded path
-            # deterministic by construction rather than by relying on
-            # the GIL making plain-dict races benign.
-            memo_lock = threading.Lock()
-            gain_memo: dict[tuple[str, float, float], float] = {}
-            detect_memo: dict[tuple, bool] = {}
+        # Batch-then-walk: precompute every fault's own-step gains
+        # — the gains the early exit almost always decides on — as
+        # one deviation_batch per distinct stimulus frequency, so
+        # the walk below starts with the memo already hot.  Runs
+        # before any thread fan-out, so the memo needs no lock yet.
+        batched_gains = 0
+        pending: dict[float, dict[tuple[str, float], None]] = {}
+        for fault in faults:
+            for idx in own_steps.get(fault.element, ()):
+                step = steps[idx]
+                pending.setdefault(step.stimulus.frequency_hz, {})[
+                    (fault.element, fault.deviation)
+                ] = None
+        for frequency, keyed in pending.items():
+            pairs = list(keyed)
+            values = factorized[frequency].deviation_batch(pairs, output)
+            for (element, deviation), value in zip(pairs, values):
+                # Lock-free by construction: this precompute runs
+                # before the executor below exists, so no other
+                # thread can touch the memo yet.
+                # repro-lint: disable=LCK003
+                gain_memo[(element, deviation, frequency)] = abs(
+                    complex(value)
+                )
+            batched_gains += len(pairs)
 
-            # Batch-then-walk: precompute every fault's own-step gains
-            # — the gains the early exit almost always decides on — as
-            # one deviation_batch per distinct stimulus frequency, so
-            # the walk below starts with the memo already hot.  Runs
-            # before any thread fan-out, so the memo needs no lock yet.
-            batched_gains = 0
-            pending: dict[float, dict[tuple[str, float], None]] = {}
-            for fault in faults:
-                for idx in own_steps.get(fault.element, ()):
-                    step = steps[idx]
-                    pending.setdefault(step.stimulus.frequency_hz, {})[
-                        (fault.element, fault.deviation)
-                    ] = None
-            for frequency, keyed in pending.items():
-                pairs = list(keyed)
-                values = factorized[frequency].deviation_batch(pairs, output)
-                for (element, deviation), value in zip(pairs, values):
-                    # Lock-free by construction: this precompute runs
-                    # before the executor below exists, so no other
-                    # thread can touch the memo yet.
-                    # repro-lint: disable=LCK003
-                    gain_memo[(element, deviation, frequency)] = abs(
-                        complex(value)
+        def fault_gain(fault: FaultSpec, frequency: float) -> float:
+            gain_key = (fault.element, fault.deviation, frequency)
+            with memo_lock:
+                gain = gain_memo.get(gain_key)
+            if gain is None:
+                # Compute outside the lock (the solve dominates),
+                # then publish; a concurrent first writer wins.
+                computed = abs(
+                    factorized[frequency].deviated_voltage(
+                        fault.element, fault.deviation, output
                     )
-                batched_gains += len(pairs)
-
-            def fault_gain(fault: FaultSpec, frequency: float) -> float:
-                gain_key = (fault.element, fault.deviation, frequency)
-                with memo_lock:
-                    gain = gain_memo.get(gain_key)
-                if gain is None:
-                    # Compute outside the lock (the solve dominates),
-                    # then publish; a concurrent first writer wins.
-                    computed = abs(
-                        factorized[frequency].deviated_voltage(
-                            fault.element, fault.deviation, output
-                        )
-                    )
-                    with memo_lock:
-                        gain = gain_memo.setdefault(gain_key, computed)
-                return gain
-
-            def detect(index: int, code: tuple[int, ...]) -> bool:
-                # Whether a faulty code is told apart from the good word
-                # depends only on (vector, code, good word) — steps that
-                # agree on all three share one digital simulation.
-                step = steps[index]
-                detect_key = (
-                    tuple(step.vector.items()),
-                    code,
-                    good_words[index],
                 )
                 with memo_lock:
-                    hit = detect_memo.get(detect_key)
-                if hit is None:
-                    assignment = dict(step.vector)
-                    for line, bit in zip(converter_lines, code):
-                        assignment[line] = bit
-                    computed = respond(assignment) != good_words[index]
-                    with memo_lock:
-                        hit = detect_memo.setdefault(detect_key, computed)
-                return hit
+                    gain = gain_memo.setdefault(gain_key, computed)
+            return gain
 
-            def evaluate(fault: FaultSpec) -> tuple[bool, str | None]:
-                # A fault's converted code depends only on the stimulus,
-                # never on the step, so one small per-fault memo
-                # collapses the undetected-fault tail walk to lookups.
-                codes: dict[tuple[float, float], tuple[int, ...]] = {}
-                for index in order_of(fault.element):
-                    stimulus = steps[index].stimulus
-                    code_key = (stimulus.frequency_hz, stimulus.amplitude)
-                    code = codes.get(code_key)
-                    if code is None:
-                        gain = fault_gain(fault, stimulus.frequency_hz)
-                        code = _convert(thresholds, stimulus.amplitude * gain)
-                        codes[code_key] = code
-                    if code == good_codes[index]:
-                        continue  # conversion masks the fault here
-                    if detect(index, code):
-                        return True, steps[index].element
-                return False, None
+        def detect(index: int, code: tuple[int, ...]) -> bool:
+            # Whether a faulty code is told apart from the good word
+            # depends only on (vector, code, good word) — steps that
+            # agree on all three share one digital simulation.
+            step = steps[index]
+            detect_key = (
+                tuple(step.vector.items()),
+                code,
+                good_words[index],
+            )
+            with memo_lock:
+                hit = detect_memo.get(detect_key)
+            if hit is None:
+                assignment = dict(step.vector)
+                for line, bit in zip(converter_lines, code):
+                    assignment[line] = bit
+                computed = respond(assignment) != good_words[index]
+                with memo_lock:
+                    hit = detect_memo.setdefault(detect_key, computed)
+            return hit
 
-            if max_workers is not None and max_workers > 1 and len(faults) > 1:
-                workers = min(max_workers, len(faults))
-                with ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-faultsim"
-                ) as pool:
-                    verdicts = list(pool.map(evaluate, faults))
-            else:
-                verdicts = [evaluate(fault) for fault in faults]
+        def evaluate(fault: FaultSpec) -> tuple[bool, str | None]:
+            # A fault's converted code depends only on the stimulus,
+            # never on the step, so one small per-fault memo
+            # collapses the undetected-fault tail walk to lookups.
+            codes: dict[tuple[float, float], tuple[int, ...]] = {}
+            for index in order_of(fault.element):
+                stimulus = steps[index].stimulus
+                code_key = (stimulus.frequency_hz, stimulus.amplitude)
+                code = codes.get(code_key)
+                if code is None:
+                    gain = fault_gain(fault, stimulus.frequency_hz)
+                    code = _convert(thresholds, stimulus.amplitude * gain)
+                    codes[code_key] = code
+                if code == good_codes[index]:
+                    continue  # conversion masks the fault here
+                if detect(index, code):
+                    return True, steps[index].element
+            return False, None
+
+        if max_workers is not None and max_workers > 1 and len(faults) > 1:
+            workers = min(max_workers, len(faults))
+            with ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="repro-faultsim"
+            ) as pool:
+                verdicts = list(pool.map(evaluate, faults))
+        else:
+            verdicts = [evaluate(fault) for fault in faults]
         solve_stats = {
             "solve_calls": 0,
             "multi_rhs_solves": 0,
@@ -570,7 +544,8 @@ class FactorizedEngine(CampaignEngine):
             "engine": self.name,
             "digital_engine": digital_engine,
             "batched_gains": batched_gains,
-            **solver.cache_stats(),
+            "backend": solver.backend.name,
+            "factorizations": len(factorized),
             **solve_stats,
         }
         return [

@@ -106,10 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="thread fan-out over faults (factorized engine)",
     )
     p_camp.add_argument(
-        "--factor-cache-size", type=int, default=None, metavar="N",
-        help="LRU bound on retained LU factorizations",
-    )
-    p_camp.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="split the seeded fault population into N deterministic "
         "shards executed in worker processes (outcomes identical to "
@@ -129,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", metavar="DIR", default=None,
         help="content-addressed result cache: shard outcomes are keyed "
         "by their fingerprint, so re-runs (even of edited campaigns) "
-        "recompute only invalidated shards; also backs the on-disk "
-        "LU-factor cache",
+        "recompute only invalidated shards",
     )
     p_camp.add_argument(
         "--shard-attempts", type=int, default=None, metavar="N",
@@ -457,7 +452,6 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         engine=args.engine,
         max_workers=args.campaign_workers,
         backend=args.backend,
-        factor_cache_size=args.factor_cache_size,
         digital_engine=args.digital_engine,
         shards=args.shards,
         shard_workers=args.shard_workers,

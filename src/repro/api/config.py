@@ -42,7 +42,9 @@ DIGITAL_ENGINES = ("compiled", "reference")
 
 #: :class:`CampaignConfig` fields earlier releases recorded in job files
 #: and report metadata; :meth:`CampaignConfig.from_document` drops them.
-RETIRED_CAMPAIGN_FIELDS = frozenset({"batch", "checkpoint_dir"})
+RETIRED_CAMPAIGN_FIELDS = frozenset(
+    {"batch", "checkpoint_dir", "factor_cache_size"}
+)
 
 
 class ConfigError(ValueError):
@@ -157,9 +159,6 @@ class CampaignConfig(_Replaceable):
         backend: linear-system backend for the campaign's analog solves
             — ``"auto"`` (sparse at/above the node-count threshold,
             dense below), ``"dense"`` or ``"sparse"``.
-        factor_cache_size: LRU bound on retained LU factorizations in
-            the campaign's solver (one per distinct stimulus
-            frequency × deviation state).
         digital_engine: digital-response evaluator inside the fast
             campaign engine — ``"compiled"`` (levelized single-pattern
             evaluation, the default) or ``"reference"`` (the classic
@@ -220,7 +219,6 @@ class CampaignConfig(_Replaceable):
     engine: str = "factorized"
     max_workers: int | None = None
     backend: str = "auto"
-    factor_cache_size: int = 64
     digital_engine: str = "compiled"
     shards: int = 1
     shard_workers: int | None = None
@@ -258,11 +256,6 @@ class CampaignConfig(_Replaceable):
         _require(
             self.backend in SIM_BACKENDS,
             f"backend must be one of {SIM_BACKENDS}, got {self.backend!r}",
-        )
-        _require(
-            self.factor_cache_size >= 1,
-            "factor_cache_size must be >= 1, got "
-            f"{self.factor_cache_size!r}",
         )
         _require(
             self.digital_engine in DIGITAL_ENGINES,

@@ -71,9 +71,8 @@ class BddManager:
             raise BddError(
                 f"ite_cache_size must be None or >= 1, got {ite_cache_size!r}"
             )
-        # ``ite_cache_size`` bounds the memo table (LRU eviction, like
-        # the analog solver's ``factor_cache_size``); ``None`` keeps the
-        # historical unbounded behaviour.  An OrderedDict only when
+        # ``ite_cache_size`` bounds the memo table (LRU eviction);
+        # ``None`` keeps the historical unbounded behaviour.  An OrderedDict only when
         # bounded — recency bookkeeping costs on the hot path otherwise.
         self._ite_cache_size = ite_cache_size
         self._ite_cache: dict[tuple[int, int, int], int] = (
@@ -595,8 +594,7 @@ class BddManager:
     def cache_stats(self) -> dict:
         """Unique-table and ite-cache hit/miss counters and sizes.
 
-        The BDD counterpart of the analog solver's ``cache_stats`` —
-        surfaced through ATPG diagnostics so regressions in memoization
+        Surfaced through ATPG diagnostics so regressions in memoization
         behaviour are observable rather than just slow.
         """
         return {

@@ -1,17 +1,13 @@
 """Fingerprint-keyed result caching: one incremental-computation layer.
 
 Campaigns are pure functions of ``(circuit, population, program,
-config)`` — the repo proved that five separate times with five separate
-memoizers (the compiled-BDD pool, per-solver LU caches, compiled-circuit
-tables, shard checkpoints, the service artifact store).  This module is
-the shared substrate those layers now sit on:
+config)``.  This module is the shared substrate the memoizing layers
+(the compiled-circuit pool, shard results, the service artifact store,
+audit replays) sit on:
 
 * :class:`L1Cache` — a thread-safe, LRU-bounded in-memory mapping with
-  hit/miss counters.  The semantics are exactly those the
-  :class:`repro.spice.MnaSolver` factorization cache pioneered (pop →
-  count → re-insert as most recent → evict oldest while over bound), so
-  swapping the hand-rolled dicts for it changes no eviction order and no
-  counter value.
+  hit/miss counters (pop → count → re-insert as most recent → evict
+  oldest while over bound).
 
 * :class:`ResultCache` — a content-addressed on-disk cache:
   ``namespace + fingerprint → Artifact or binary blob``, laid out as
@@ -25,10 +21,10 @@ the shared substrate those layers now sit on:
 
 Namespaces in use (see ``docs/caching.md`` for the full map):
 ``objects`` (service artifact store), ``campaign-shard`` (shard results,
-keyed by :func:`repro.core.sharding.shard_fingerprint`), ``lu-factor``
-(serialized dense LU factorizations — the on-disk L2 under the
-:class:`~repro.spice.MnaSolver` L1), and ``audit`` (replayed engine
-outcomes of the parity pack).
+keyed by :func:`repro.core.sharding.shard_fingerprint`) and ``audit``
+(replayed engine outcomes of the parity pack).  Dense LU
+factorizations are not cached: their owner (the campaign engine keeps
+one per stimulus frequency) refactors faster than a disk read.
 """
 
 from __future__ import annotations
@@ -104,12 +100,9 @@ class L1Cache:
     """Thread-safe LRU mapping with hit/miss counters.
 
     ``max_size=None`` makes it an unbounded memo (first-write-wins via
-    :meth:`setdefault` — the engine-memo contract).  With a bound, the
-    semantics replicate the historical :class:`repro.spice.MnaSolver`
-    factorization cache exactly: a hit re-inserts the entry as most
-    recent, a put evicts the least recently used entries while over the
-    bound — so the refactor onto this class preserves eviction order
-    and counter values bit for bit.
+    :meth:`setdefault` — the engine-memo contract).  With a bound, a
+    hit re-inserts the entry as most recent and a put evicts the least
+    recently used entries while over the bound.
     """
 
     def __init__(self, max_size: int | None = None):

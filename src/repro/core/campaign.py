@@ -72,7 +72,7 @@ def run_campaign(
     response evaluator inside the fast engine (``"compiled"``
     levelized circuit or the ``"reference"`` interpreter).  The
     returned result's ``diagnostics`` records which backend/engines
-    actually ran and the factorization-cache hit/miss counters.
+    actually ran and how many LU factorizations it built.
 
     ``progress`` (sharded runs only) is forwarded to
     :func:`repro.core.sharding.run_sharded_campaign`: it receives each
@@ -116,7 +116,6 @@ def run_campaign(
         faults,
         max_workers=config.max_workers,
         backend=config.backend,
-        factor_cache_size=config.factor_cache_size,
         digital_engine=config.digital_engine,
     )
     return CampaignResult(

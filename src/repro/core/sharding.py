@@ -123,7 +123,6 @@ FINGERPRINT_EXCLUDED_FIELDS = frozenset(
         "max_workers",      # thread fan-out inside an engine
         "shards",           # process partitioning of the population
         "shard_workers",    # process fan-out over shards
-        "factor_cache_size",  # LRU bound on retained LUs (pure perf)
         "shard_attempts",   # how failures are retried, not outcomes
         "shard_timeout",    # when hung workers are killed
         "retry_backoff",    # how long retries wait, pure scheduling
@@ -360,9 +359,7 @@ def _execute_shard(context: _ShardContext, index: int) -> ShardRun:
         list(context.faults[start:stop]),
         max_workers=config.max_workers,
         backend=config.backend,
-        factor_cache_size=config.factor_cache_size,
         digital_engine=config.digital_engine,
-        cache_dir=config.cache_dir,
     )
     return ShardRun(
         index=index,

@@ -38,7 +38,7 @@ from .backends import (
 )
 from .mna import FactorizedMna, MnaSolver, Solution
 from .acmodel import AcModel
-from .ac import FrequencyResponse, UnitSource, log_frequencies, sweep, transfer
+from .ac import FrequencyResponse, log_frequencies, sweep, transfer
 from .measure import (
     bandwidth,
     center_frequency,
@@ -86,7 +86,6 @@ __all__ = [
     "Solution",
     "AcModel",
     "FrequencyResponse",
-    "UnitSource",
     "transfer",
     "sweep",
     "log_frequencies",

@@ -10,13 +10,10 @@ import numpy as np
 
 from .acmodel import AcModel
 from .backends import LinearSystemBackend
-from .mna import MnaSolver
 from .netlist import AnalogCircuit, AnalogError
-from .components import VoltageSource
 
 __all__ = [
     "FrequencyResponse",
-    "UnitSource",
     "transfer",
     "sweep",
     "log_frequencies",
@@ -69,33 +66,6 @@ class FrequencyResponse:
         return self.transfer_values[index]
 
 
-class UnitSource:
-    """Temporarily drive a voltage source at unit amplitude.
-
-    With the source at 1 V the output phasor *is* the transfer value,
-    for the AC (``ac``) and DC (``dc``) systems alike.  Restores the
-    original levels on exit, even when a solve fails mid-flight.  It
-    mutates the source, so a circuit inside this scope must not be
-    shared across threads; :func:`transfer` and every measurement use
-    :class:`~repro.spice.acmodel.AcModel` instead, which never mutates.
-    """
-
-    def __init__(self, circuit: AnalogCircuit, source_name: str):
-        source = circuit.component(source_name)
-        if not isinstance(source, VoltageSource):
-            raise AnalogError(f"{source_name!r} is not a voltage source")
-        self._source = source
-        self._saved: tuple[float, float] | None = None
-
-    def __enter__(self) -> VoltageSource:
-        self._saved = (self._source.ac, self._source.dc)
-        self._source.ac, self._source.dc = 1.0, 1.0
-        return self._source
-
-    def __exit__(self, *exc_info) -> None:
-        self._source.ac, self._source.dc = self._saved
-
-
 def transfer(
     circuit: AnalogCircuit,
     source_name: str,
@@ -124,17 +94,17 @@ def sweep(
 ) -> FrequencyResponse:
     """Sample the transfer function over a frequency list.
 
-    One solver serves the whole sweep, so repeated frequencies reuse
-    the factorization cache and the sparse backend reuses its symbolic
-    pattern across the grid.
+    Shorthand for the :class:`~repro.spice.analysis.AcSweep` transfer
+    request of :func:`~repro.spice.analysis.analyze`; an empty list
+    raises :class:`AnalogError`.
     """
-    with UnitSource(circuit, source_name):
-        solver = MnaSolver(circuit, backend=backend)
-        values = [
-            solver.factorized(f).solution().voltage(output_node)
-            for f in frequencies_hz
-        ]
-    return FrequencyResponse(list(frequencies_hz), values)
+    # Imported here: repro.spice.analysis builds on this module.
+    from .analysis import AcSweep, analyze
+
+    request = AcSweep(
+        tuple(frequencies_hz), source=source_name, output=output_node
+    )
+    return analyze(circuit, request, backend).response
 
 
 def log_frequencies(

@@ -24,9 +24,11 @@ large enough for ``resolve_backend("auto")`` to pick the sparse backend
 are evaluated per frequency through that backend instead of a dense
 stack.
 
-Results are bit-identical to ``MnaSolver(circuit).solve(f)`` with the
-source at 1 V: each matrix position accumulates its entries in the same
-order as :meth:`~repro.spice.backends.AssembledSystem.to_dense`, and
+Results are bit-identical to ``MnaSolver(circuit, source=...).solve(f)``:
+both stamp the same unit-driven component list
+(:func:`~repro.spice.mna.unit_driven`), each matrix position
+accumulates its entries in the same order as
+:meth:`~repro.spice.backends.AssembledSystem.to_dense`, and
 ``s = 2j·π·f`` is formed exactly as :class:`MnaSolver` forms it.  The
 pre-accumulation is exact because complex addition is componentwise:
 constant entries carry a ``+0.0`` imaginary part and capacitor entries a
@@ -60,7 +62,7 @@ from .components import (
     StampContext,
     VoltageSource,
 )
-from .mna import MnaSolver
+from .mna import MnaSolver, unit_driven
 from .netlist import GROUND, AnalogCircuit, AnalogError
 
 __all__ = ["AcModel", "STACK_ENTRIES"]
@@ -95,25 +97,18 @@ def _kind(component) -> int:
 
 class _Recorder(SystemAssembler):
     """A :class:`SystemAssembler` that remembers which component (by
-    position in the netlist) emitted each matrix and RHS entry."""
+    position in the netlist) emitted each matrix entry."""
 
     def __init__(self, node_index: dict[str, int]):
         super().__init__(node_index, dtype=complex)
         self.owner = -1
         self.owners: list[int] = []
-        self.rhs_owners: list[int] = []
 
     def add(self, row: int | None, col: int | None, value: complex) -> None:
         if row is None or col is None:
             return
         self.entries.append((row, col, value))
         self.owners.append(self.owner)
-
-    def rhs(self, row: int | None, value: complex) -> None:
-        if row is None:
-            return
-        self.rhs_entries.append((row, value))
-        self.rhs_owners.append(self.owner)
 
 
 class _DynamicStamps(StampContext):
@@ -166,15 +161,8 @@ class AcModel:
         deviations: dict[str, float] | None = None,
         backend: str | LinearSystemBackend = "auto",
     ):
-        source_component = circuit.component(source)
-        if not isinstance(source_component, VoltageSource):
-            raise AnalogError(f"{source!r} is not a voltage source")
+        self._components = unit_driven(circuit, source)
         self.circuit = circuit
-        self._source_owner = next(
-            owner
-            for owner, component in enumerate(circuit.components)
-            if component is source_component
-        )
         self._state = circuit.deviation_state(deviations)
         self._node_index = {
             node: index for index, node in enumerate(circuit.nodes())
@@ -202,7 +190,7 @@ class AcModel:
         """Stamp every component once at ``s``; ``_S_LINEAR`` components
         are stamped at ``s = 1``, which records their coefficients."""
         recorder = _Recorder(self._node_index)
-        for owner, component in enumerate(self.circuit.components):
+        for owner, component in enumerate(self._components):
             recorder.owner = owner
             at = 1.0 if kinds[owner] == _S_LINEAR else s
             component.stamp(recorder, at, self._value(component))
@@ -210,22 +198,13 @@ class AcModel:
             raise AnalogError(f"circuit {self.circuit.name!r} is empty")
         return recorder
 
-    def _unit_rhs(self, recorder: _Recorder) -> np.ndarray:
-        """The recorded RHS with the measured source driven at 1 V."""
-        rhs = np.zeros(recorder.size, dtype=complex)
-        for (row, value), owner in zip(
-            recorder.rhs_entries, recorder.rhs_owners
-        ):
-            rhs[row] += 1.0 if owner == self._source_owner else value
-        return rhs
-
     def _compile_ac(self) -> None:
-        components = self.circuit.components
+        components = self._components
         kinds = [_kind(component) for component in components]
         recorder = self._record(_AC_PROBE, kinds)
         size = self._size = recorder.size
         self._branch_rows = recorder.branch_rows
-        self._rhs = self._unit_rhs(recorder)
+        self._rhs = recorder.finish().rhs
         # (kind, flat position, payload) in stamping order, GMIN last —
         # the order SystemAssembler.finish() lays the entries out in.
         program = [
@@ -333,11 +312,8 @@ class AcModel:
 
     def _dc_system(self) -> AssembledSystem:
         if self._dc is None:
-            kinds = [_CONSTANT] * len(self.circuit.components)
-            recorder = self._record(0.0, kinds)
-            system = recorder.finish(gmin=MnaSolver.GMIN)
-            system.rhs = self._unit_rhs(recorder)
-            self._dc = system
+            kinds = [_CONSTANT] * len(self._components)
+            self._dc = self._record(0.0, kinds).finish(gmin=MnaSolver.GMIN)
         return self._dc
 
     def _singular(self, frequency_hz, exc: Exception) -> AnalogError:

@@ -24,9 +24,11 @@ Instead of picking among :class:`~repro.spice.MnaSolver`,
     print(wave.waveform("out")[-1])
 
 Every result carries an :class:`AnalysisDiagnostics` describing which
-backend actually ran, the system size, and the factorization-cache
-hit/miss counters — the observability hook the campaign and pipeline
-layers surface upward.
+backend actually ran, the system size and how many systems were
+factored — the observability hook the campaign and pipeline layers
+surface upward.  A transfer sweep drives its source at unit amplitude
+inside the assembly (``MnaSolver(circuit, source=...)``), so analyses
+only read the circuit.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ac import FrequencyResponse, UnitSource, log_frequencies
+from .ac import FrequencyResponse, log_frequencies
 from .backends import LinearSystemBackend
 from .mna import MnaSolver, Solution
 from .netlist import AnalogCircuit, AnalogError
@@ -129,14 +131,12 @@ class TransientRun:
 # ----------------------------------------------------------------------
 @dataclass
 class AnalysisDiagnostics:
-    """What actually ran: backend, system size, cache behaviour."""
+    """What actually ran: backend, system size, systems factored."""
 
     backend: str
     n_nodes: int
     n_unknowns: int
     factorizations: int
-    cache_hits: int
-    cache_misses: int
     elapsed_s: float
 
     def as_dict(self) -> dict:
@@ -146,8 +146,6 @@ class AnalysisDiagnostics:
             "n_nodes": self.n_nodes,
             "n_unknowns": self.n_unknowns,
             "factorizations": self.factorizations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "elapsed_s": round(self.elapsed_s, 6),
         }
 
@@ -221,68 +219,40 @@ class TransientRunResult:
 # The front door
 # ----------------------------------------------------------------------
 def _solver_diagnostics(
-    solver: MnaSolver, size: int, elapsed: float
+    solver: MnaSolver, size: int, factorizations: int, elapsed: float
 ) -> AnalysisDiagnostics:
-    stats = solver.cache_stats()
     return AnalysisDiagnostics(
-        backend=stats["backend"],
+        backend=solver.backend.name,
         n_nodes=len(solver._node_index),
         n_unknowns=size,
-        factorizations=stats["misses"],
-        cache_hits=stats["hits"],
-        cache_misses=stats["misses"],
+        factorizations=factorizations,
         elapsed_s=elapsed,
     )
 
 
 def _analyze_dc(
-    circuit: AnalogCircuit,
-    request: DcOp,
-    backend,
-    factor_cache_size,
-    start: float,
+    circuit: AnalogCircuit, request: DcOp, backend, start: float
 ) -> DcResult:
-    solver = MnaSolver(
-        circuit, backend=backend, factor_cache_size=factor_cache_size
-    )
+    solver = MnaSolver(circuit, backend=backend)
     factorized = solver.factorized(0.0)
     return DcResult(
         solution=factorized.solution(),
         diagnostics=_solver_diagnostics(
-            solver, factorized._size, time.perf_counter() - start
+            solver, factorized._size, 1, time.perf_counter() - start
         ),
     )
 
 
 def _analyze_ac(
-    circuit: AnalogCircuit,
-    request: AcSweep,
-    backend,
-    factor_cache_size,
-    start: float,
+    circuit: AnalogCircuit, request: AcSweep, backend, start: float
 ) -> AcResult:
-    solver = MnaSolver(
-        circuit, backend=backend, factor_cache_size=factor_cache_size
-    )
+    solver = MnaSolver(circuit, backend=backend, source=request.source)
     size = 0
-
-    def _solve_grid() -> list[Solution]:
-        # Keep only the Solution per frequency — holding every
-        # FactorizedMna for the sweep would defeat the LRU bound on
-        # retained factorizations for long grids.
-        nonlocal size
-        solutions = []
-        for frequency in request.frequencies_hz:
-            factorized = solver.factorized(frequency)
-            size = factorized._size
-            solutions.append(factorized.solution())
-        return solutions
-
-    if request.source is not None:
-        with UnitSource(circuit, request.source):
-            solutions = _solve_grid()
-    else:
-        solutions = _solve_grid()
+    solutions = []
+    for frequency in request.frequencies_hz:
+        factorized = solver.factorized(frequency)
+        size = factorized._size
+        solutions.append(factorized.solution())
     response = None
     if request.source is not None:
         response = FrequencyResponse(
@@ -294,17 +264,13 @@ def _analyze_ac(
         solutions=solutions,
         response=response,
         diagnostics=_solver_diagnostics(
-            solver, size, time.perf_counter() - start
+            solver, size, len(solutions), time.perf_counter() - start
         ),
     )
 
 
 def _analyze_transient(
-    circuit: AnalogCircuit,
-    request: TransientRun,
-    backend,
-    factor_cache_size,
-    start: float,
+    circuit: AnalogCircuit, request: TransientRun, backend, start: float
 ) -> TransientRunResult:
     solver = TransientSolver(circuit, backend=backend)
     waveforms = solver.run(
@@ -321,8 +287,6 @@ def _analyze_transient(
             n_nodes=stats["n_nodes"],
             n_unknowns=stats["size"],
             factorizations=1,
-            cache_hits=0,
-            cache_misses=1,
             elapsed_s=time.perf_counter() - start,
         ),
     )
@@ -332,7 +296,6 @@ def analyze(
     circuit: AnalogCircuit,
     request: "DcOp | AcSweep | TransientRun",
     backend: str | LinearSystemBackend = "auto",
-    factor_cache_size: int | None = None,
 ):
     """Run one analysis request against a circuit and return its result.
 
@@ -345,9 +308,6 @@ def analyze(
             node-count threshold, dense below), ``"dense"``,
             ``"sparse"``, or a
             :class:`~repro.spice.backends.LinearSystemBackend` instance.
-        factor_cache_size: LRU bound for retained factorizations
-            (DC/AC requests; the default is
-            :attr:`~repro.spice.MnaSolver.FACTOR_CACHE_MAX`).
 
     Returns:
         :class:`DcResult`, :class:`AcResult` or
@@ -357,13 +317,11 @@ def analyze(
     """
     start = time.perf_counter()
     if isinstance(request, DcOp):
-        return _analyze_dc(circuit, request, backend, factor_cache_size, start)
+        return _analyze_dc(circuit, request, backend, start)
     if isinstance(request, AcSweep):
-        return _analyze_ac(circuit, request, backend, factor_cache_size, start)
+        return _analyze_ac(circuit, request, backend, start)
     if isinstance(request, TransientRun):
-        return _analyze_transient(
-            circuit, request, backend, factor_cache_size, start
-        )
+        return _analyze_transient(circuit, request, backend, start)
     raise AnalogError(
         f"unknown analysis request {type(request).__name__!r}; expected "
         "DcOp, AcSweep or TransientRun"

@@ -44,9 +44,6 @@ backend; callers (``MnaSolver``, ``TransientSolver``) wrap it into an
 
 from __future__ import annotations
 
-import io
-import zipfile
-
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import csc_matrix
@@ -403,37 +400,6 @@ class _DenseFactorization(LinearFactorization):
             return np.linalg.solve(matrix, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
-
-    def to_blob(self) -> bytes:
-        """Serialize matrix + LU + pivots for the on-disk L2 cache."""
-        buffer = io.BytesIO()
-        np.savez(
-            buffer, matrix=self._matrix, lu=self._lu[0], piv=self._lu[1]
-        )
-        return buffer.getvalue()
-
-    @classmethod
-    def from_blob(cls, blob: bytes) -> "_DenseFactorization | None":
-        """Rebuild a factorization from :meth:`to_blob` output.
-
-        Returns ``None`` on any undecodable payload — the cache-read
-        contract: stale or foreign bytes are a miss, never an error.
-        The LU cost is skipped entirely; ``__init__`` is bypassed.
-        """
-        try:
-            with np.load(io.BytesIO(blob)) as data:
-                matrix = data["matrix"]
-                lu = data["lu"]
-                piv = data["piv"]
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            return None
-        if matrix.ndim != 2 or lu.shape != matrix.shape:
-            return None
-        instance = cls.__new__(cls)
-        LinearFactorization.__init__(instance)
-        instance._matrix = matrix
-        instance._lu = (lu, piv)
-        return instance
 
 
 class DenseBackend(LinearSystemBackend):

@@ -25,8 +25,11 @@ LU factorization of the assembled matrix.  The factorization serves
   single multi-RHS backend call, and the Sherman–Morrison scalars
   evaluated as vectorized numpy expressions over the batch.
 
-:meth:`MnaSolver.solve_batch` reuses one factorization per distinct
-(frequency, deviation-state) pair across a whole batch of solves.
+The solver caches no factorization: each :meth:`MnaSolver.factorized`
+call assembles and factors the circuit as it is at that moment, and the
+caller owns the result.  With ``MnaSolver(circuit, source=name)`` every
+assembly drives that voltage source at unit amplitude, so the solution
+*is* the transfer function and the circuit is only read.
 """
 
 from __future__ import annotations
@@ -43,13 +46,12 @@ from .backends import (
     LinearSystemBackend,
     SingularSystemError,
     SystemAssembler,
-    _DenseFactorization,
     resolve_backend,
 )
-from .components import StampContext
+from .components import StampContext, VoltageSource
 from .netlist import GROUND, AnalogCircuit, AnalogError
 
-__all__ = ["MnaSolver", "FactorizedMna", "Solution"]
+__all__ = ["MnaSolver", "FactorizedMna", "Solution", "unit_driven"]
 
 
 class Solution:
@@ -100,6 +102,24 @@ class Solution:
         return list(self._voltages)
 
 
+def unit_driven(circuit: AnalogCircuit, source: str | None) -> list:
+    """The circuit's components, with voltage source ``source`` driven at
+    unit amplitude.
+
+    The source is replaced by a copy with ``ac = dc = 1``, so the output
+    phasor of the assembled system *is* the transfer value, for the AC
+    and DC systems alike.  The circuit itself is only read, never
+    written.  ``source=None`` returns the components as built.
+    """
+    if source is None:
+        return circuit.components
+    driven = circuit.component(source)
+    if not isinstance(driven, VoltageSource):
+        raise AnalogError(f"{source!r} is not a voltage source")
+    unit = dataclasses.replace(driven, ac=1.0, dc=1.0)
+    return [unit if c is driven else c for c in circuit.components]
+
+
 class MnaSolver:
     """Assemble-and-solve wrapper around one :class:`AnalogCircuit`.
 
@@ -108,9 +128,9 @@ class MnaSolver:
     ``"auto"`` (sparse at/above
     :data:`repro.spice.backends.SPARSE_AUTO_THRESHOLD` nodes); a
     ready-made :class:`repro.spice.backends.LinearSystemBackend`
-    instance is accepted too.  ``factor_cache_size`` bounds the
-    per-solver LRU of retained factorizations (default
-    :attr:`FACTOR_CACHE_MAX`).
+    instance is accepted too.  With ``source`` set, every assembly
+    drives that voltage source at unit amplitude (:func:`unit_driven`)
+    without touching the circuit.
     """
 
     #: conductance added from every node to ground; keeps matrices
@@ -122,37 +142,19 @@ class MnaSolver:
         self,
         circuit: AnalogCircuit,
         backend: str | LinearSystemBackend = "auto",
-        factor_cache_size: int | None = None,
+        source: str | None = None,
     ):
+        unit_driven(circuit, source)  # validates the source name
         self.circuit = circuit
+        self.source = source
         self._node_index = {
             node: index for index, node in enumerate(circuit.nodes())
         }
         self.backend = resolve_backend(backend, n_nodes=len(self._node_index))
-        if factor_cache_size is None:
-            factor_cache_size = self.FACTOR_CACHE_MAX
-        if factor_cache_size < 1:
-            raise AnalogError(
-                f"factor_cache_size must be >= 1, got {factor_cache_size!r}"
-            )
-        self.factor_cache_size = factor_cache_size
-        # Imported lazily: repro.core's package init pulls in the
-        # analog stack, which imports this module — a module-level
-        # import of repro.core.cache here would be a cycle.
-        from ..core.cache import L1Cache
-
-        #: L1 of live factorizations — in-memory, LRU-bounded, with the
-        #: historical eviction order and hit/miss counters.
-        self._factorizations = L1Cache(max_size=factor_cache_size)
         #: caller-owned symbolic-pattern cache the sparse backend reuses
         #: across frequencies and deviation states (same topology ⇒ same
         #: sparsity structure).
         self._patterns: dict[bytes, object] = {}
-        #: optional on-disk L2 of serialized dense LUs (:meth:`attach_l2`).
-        self._l2 = None
-        self._l2_namespace = "lu-factor"
-        self._l2_hits = 0
-        self._l2_misses = 0
 
     def _assemble(
         self, frequency_hz: float
@@ -160,7 +162,7 @@ class MnaSolver:
         """Assemble the MNA system at one frequency (COO triplet form)."""
         s = 2j * math.pi * frequency_hz if frequency_hz else 0.0
         assembler = SystemAssembler(self._node_index, dtype=complex)
-        for component in self.circuit.components:
+        for component in unit_driven(self.circuit, self.source):
             value = (
                 self.circuit.effective_value(component.name)
                 if component.has_value
@@ -200,129 +202,15 @@ class MnaSolver:
         """Convenience alias for ``solve(0.0)``."""
         return self.solve(0.0)
 
-    # ------------------------------------------------------------------
-    # Factorization reuse
-    # ------------------------------------------------------------------
-    def _factorization_key(self, frequency_hz: float) -> tuple:
-        # The assembled matrix depends on the frequency and on the
-        # circuit's current deviation state; key on both so a cached
-        # factorization is never served for a different system.
-        return (
-            frequency_hz,
-            tuple(sorted(self.circuit.deviations().items())),
-        )
-
-    #: default bound on retained factorizations; beyond this the least-
-    #: recently-used one is dropped (a deviation sweep would otherwise
-    #: grow one matrix + LU per swept value, unbounded).  Per-solver
-    #: override: the ``factor_cache_size`` constructor argument.
-    FACTOR_CACHE_MAX = 64
-
     def factorized(self, frequency_hz: float) -> "FactorizedMna":
-        """An LU factorization of the system at one frequency, cached.
+        """A fresh LU factorization of the system at one frequency.
 
-        The factorization is keyed on ``(frequency, deviation state)``;
-        repeated calls under the same circuit state return the same
-        object, so sweeps and campaigns pay assembly + LU exactly once
-        per distinct system.  The cache holds at most
-        :attr:`factor_cache_size` systems (LRU); hits and misses are
-        reported by :meth:`cache_stats`.
+        Assembled from the circuit as it is now (element values and
+        deviation state).  The solver keeps no factorization: a caller
+        that reuses one holds on to it, as the campaign engine does
+        with one per stimulus frequency.
         """
-        key = self._factorization_key(frequency_hz)
-        cached = self._factorizations.get(key)
-        if cached is None:
-            cached = self._build_factorization(frequency_hz)
-            self._factorizations.put(key, cached)
-        return cached
-
-    def attach_l2(self, cache, namespace: str = "lu-factor") -> None:
-        """Back the in-memory factorization LRU with an on-disk L2.
-
-        ``cache`` is a :class:`repro.core.cache.ResultCache`: dense
-        factorizations the L1 has evicted (or never computed) are
-        re-loaded from serialized LU blobs keyed by the full system
-        content — circuit structure and values, deviation state,
-        frequency, gmin, backend — so a factorization cached by any
-        process with the same system is a valid hit here.  Sparse
-        factorizations hold SuperLU handles that cannot be serialized,
-        so the sparse backend stays L1-only.
-        """
-        self._l2 = cache
-        self._l2_namespace = namespace
-
-    def _l2_fingerprint(self, frequency_hz: float) -> str:
-        # Everything the assembled matrix depends on; two solvers with
-        # equal fingerprints factorize the identical system.
-        from ..core.fingerprint import fingerprint_of
-
-        return fingerprint_of(
-            {
-                "kind": "lu-factor",
-                "backend": self.backend.name,
-                "gmin": self.GMIN,
-                "frequency_hz": frequency_hz,
-                "nodes": self.circuit.nodes(),
-                "components": [
-                    [type(component).__name__, dataclasses.asdict(component)]
-                    for component in self.circuit.components
-                ],
-                "deviations": sorted(self.circuit.deviations().items()),
-            }
-        )
-
-    def _build_factorization(self, frequency_hz: float) -> "FactorizedMna":
-        """Construct (or L2-load) the factorization for one L1 miss."""
-        if self._l2 is None or self.backend.name != "dense":
-            return FactorizedMna(self, frequency_hz)
-        fingerprint = self._l2_fingerprint(frequency_hz)
-        blob = self._l2.get_bytes(self._l2_namespace, fingerprint)
-        if blob is not None:
-            factorization = _DenseFactorization.from_blob(blob)
-            if factorization is not None:
-                self._l2_hits += 1
-                return FactorizedMna(
-                    self, frequency_hz, factorization=factorization
-                )
-        self._l2_misses += 1
-        factorized = FactorizedMna(self, frequency_hz)
-        if isinstance(factorized._factorization, _DenseFactorization):
-            self._l2.put_bytes(
-                self._l2_namespace,
-                fingerprint,
-                factorized._factorization.to_blob(),
-            )
-        return factorized
-
-    def solve_batch(self, frequencies_hz) -> list[Solution]:
-        """Solve at many frequencies, reusing one LU per distinct system.
-
-        Equivalent to ``[solver.solve(f) for f in frequencies_hz]`` but
-        repeated frequencies hit the factorization cache instead of
-        re-assembling and re-factoring.
-        """
-        return [self.factorized(f).solution() for f in frequencies_hz]
-
-    def cache_stats(self) -> dict:
-        """Factorization-cache diagnostics for this solver.
-
-        ``hits``/``misses`` count :meth:`factorized` lookups; ``size``/
-        ``max_size`` describe the LRU; ``backend`` names the linear-
-        system backend serving the factorizations.  With an on-disk L2
-        attached (:meth:`attach_l2`), ``l2_hits``/``l2_misses`` count
-        how the L1's misses resolved against it.
-        """
-        stats = {
-            "backend": self.backend.name,
-            **self._factorizations.stats(),
-        }
-        if self._l2 is not None:
-            stats["l2_hits"] = self._l2_hits
-            stats["l2_misses"] = self._l2_misses
-        return stats
-
-    def clear_factorizations(self) -> None:
-        """Drop every cached factorization (e.g. after editing values)."""
-        self._factorizations.clear()
+        return FactorizedMna(self, frequency_hz)
 
 
 class _DeltaAssembler(StampContext):
@@ -378,7 +266,7 @@ class FactorizedMna:
 
     Captures the circuit state (frequency, element values, deviations) at
     construction time; later mutations of the circuit are *not* seen by
-    this object — ask :meth:`MnaSolver.factorized` again instead.
+    this object — ask :meth:`MnaSolver.factorized` for a new one instead.
     """
 
     #: singular values below ``RANK_TOL · σ₁`` are treated as zero when
@@ -394,12 +282,7 @@ class FactorizedMna:
     #: but perfectly conditioned updates.
     DENOM_RTOL = 1e-12
 
-    def __init__(
-        self,
-        solver: MnaSolver,
-        frequency_hz: float,
-        factorization=None,
-    ):
+    def __init__(self, solver: MnaSolver, frequency_hz: float):
         self.solver = solver
         self.frequency_hz = frequency_hz
         system, assembler, s = solver._assemble(frequency_hz)
@@ -407,19 +290,15 @@ class FactorizedMna:
         self._s = s
         self._branch_rows = assembler.branch_rows
         self._size = system.size
-        if factorization is None:
-            try:
-                factorization = solver.backend.factorize(
-                    system, solver._patterns
-                )
-            except SingularSystemError as exc:
-                raise AnalogError(
-                    f"singular MNA system for {solver.circuit.name!r} at "
-                    f"{frequency_hz} Hz: {exc}"
-                ) from exc
-        # else: an L2-deserialized factorization of this exact system
-        # (the content fingerprint guarantees it) skips the LU cost.
-        self._factorization = factorization
+        try:
+            self._factorization = solver.backend.factorize(
+                system, solver._patterns
+            )
+        except SingularSystemError as exc:
+            raise AnalogError(
+                f"singular MNA system for {solver.circuit.name!r} at "
+                f"{frequency_hz} Hz: {exc}"
+            ) from exc
         self._base = self._factorization.solve(system.rhs)
         self._base_solution = solver._solution(
             self._base, self._branch_rows, frequency_hz
@@ -450,7 +329,7 @@ class FactorizedMna:
         return self._base_solution
 
     def solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A·x = rhs`` against the cached factorization."""
+        """Solve ``A·x = rhs`` against the stored factorization."""
         return self._factorization.solve(rhs)
 
     # ------------------------------------------------------------------

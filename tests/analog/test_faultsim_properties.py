@@ -8,14 +8,15 @@ load-bearing invariants of the fast campaign engine:
   full re-assembled dense solve of the deviated circuit;
 * ``with_deviations`` always restores nominal element values — on clean
   exits, on solver failures inside the scope, and on failures while the
-  deviations are still being applied.
+  deviations are still being applied;
+* a factorization is built from the circuit as it is when asked for,
+  and driving the source at unit amplitude never writes the circuit.
 """
 
 import random
 
 import pytest
 
-from repro.analog.faultsim import _UnitSource
 from repro.spice import AnalogCircuit, AnalogError, MnaSolver
 
 
@@ -76,33 +77,44 @@ class TestRankOneUpdateProperty:
                         full.voltage(node), rel=1e-9, abs=1e-9
                     )
 
-    def test_solve_batch_matches_individual_solves(self):
+    def test_factorized_matches_solve(self):
         rng = random.Random(7)
         circuit, _ = random_ladder(rng, stages=3)
         solver = MnaSolver(circuit)
-        frequencies = [0.0, 1e3, 1e3, 5e4, 1e3]
-        batch = solver.solve_batch(frequencies)
-        for frequency, solution in zip(frequencies, batch):
+        for frequency in [0.0, 1e3, 1e3, 5e4, 1e3]:
+            solution = solver.factorized(frequency).solution()
             fresh = MnaSolver(circuit).solve(frequency)
             for node in fresh.nodes():
                 assert solution.voltage(node) == pytest.approx(
                     fresh.voltage(node), rel=1e-12, abs=1e-12
                 )
 
-    def test_factorization_cache_tracks_deviation_state(self):
-        # A cached LU must never be served for a different circuit
-        # state: deviating an element re-keys the factorization.
+    def test_factorized_sees_state_edits(self):
+        # A reused solver must never serve an LU of an earlier circuit
+        # state: neither after a nominal value is edited (which a cache
+        # keyed on the deviation state missed) nor after a deviation.
+        from repro.api import Workbench
+
+        circuit = Workbench().session().circuit("fig4").analog
+        solver = MnaSolver(circuit, source="Vin")
+        nominal = solver.factorized(1e3).solution()
+        circuit.component("Rg").value *= 2.0
+        edited = solver.factorized(1e3).solution()
+        fresh = MnaSolver(circuit, source="Vin").factorized(1e3).solution()
+        assert edited._voltages == fresh._voltages
+        assert edited._voltages != nominal._voltages
+
         rng = random.Random(3)
-        circuit, output = random_ladder(rng, stages=3)
-        solver = MnaSolver(circuit)
-        nominal = solver.factorized(1e3).solution().voltage(output)
-        circuit.set_deviation("Rs0", 0.5)
+        ladder, output = random_ladder(rng, stages=3)
+        solver = MnaSolver(ladder)
+        before = solver.factorized(1e3).solution().voltage(output)
+        ladder.set_deviation("Rs0", 0.5)
         deviated = solver.factorized(1e3).solution().voltage(output)
-        fresh = MnaSolver(circuit).solve(1e3).voltage(output)
-        circuit.clear_deviations()
+        fresh = MnaSolver(ladder).solve(1e3).voltage(output)
+        ladder.clear_deviations()
         assert deviated == pytest.approx(fresh, rel=1e-12)
-        assert deviated != nominal
-        assert solver.factorized(1e3).solution().voltage(output) == nominal
+        assert deviated != before
+        assert solver.factorized(1e3).solution().voltage(output) == before
 
     def test_zero_deviation_returns_baseline(self):
         rng = random.Random(5)
@@ -169,16 +181,19 @@ class TestDeviationScopeRestoration:
 
     def test_unit_source_restores_on_failure(self):
         # The factorized engine drives the source at unit amplitude for
-        # its whole run; a mid-campaign failure must restore the levels.
+        # its whole run.  The drive is a stamped copy of the source, so
+        # the levels are never written — a failing solve included.
         rng = random.Random(23)
         circuit, _ = random_ladder(rng, stages=2)
+        circuit.vsource("Vshort", "n1", "n1")  # a singular system
         source = circuit.component("Vin")
         source.ac, source.dc = 0.7, 2.5
-        with pytest.raises(AnalogError):
-            with _UnitSource(circuit, "Vin"):
-                assert (source.ac, source.dc) == (1.0, 1.0)
-                raise AnalogError("solver failed")
+        solver = MnaSolver(circuit, source="Vin")
+        with pytest.raises(AnalogError, match="singular"):
+            solver.factorized(1e3)
         assert (source.ac, source.dc) == (0.7, 2.5)
+        with pytest.raises(AnalogError, match="not a voltage source"):
+            MnaSolver(circuit, source="Rs0")
 
 
 class TestDrawFaultsClampedSeverity:
@@ -236,10 +251,7 @@ class TestEmptyPopulationDiagnostics:
             "digital_engine",
             "batched_gains",
             "backend",
-            "hits",
-            "misses",
-            "size",
-            "max_size",
+            "factorizations",
             "solve_calls",
             "multi_rhs_solves",
             "multi_rhs_columns",
@@ -247,10 +259,4 @@ class TestEmptyPopulationDiagnostics:
         assert diagnostics["engine"] == "factorized"
         assert diagnostics["digital_engine"] == "reference"
         assert diagnostics["backend"] is None
-
-    def test_empty_population_respects_cache_size_override(self):
-        from repro.analog.faultsim import FactorizedEngine
-
-        engine = FactorizedEngine()
-        engine.run(object(), [], [], factor_cache_size=7)
-        assert engine.last_diagnostics["max_size"] == 7
+        assert diagnostics["factorizations"] == 0

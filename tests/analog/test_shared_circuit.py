@@ -1,0 +1,108 @@
+"""Campaigns and sweeps only read the circuit they measure.
+
+The factorized campaign engine, :func:`repro.spice.sweep` and
+``analyze(AcSweep(source=...))`` drive the measured source at unit
+amplitude by stamping a copy of it (``MnaSolver(circuit, source=...)``).
+The shared :class:`~repro.spice.VoltageSource` is never written, so one
+circuit object can serve concurrent campaigns.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from repro.api import CampaignConfig, Workbench
+from repro.core import run_campaign
+from repro.spice import AcSweep, VoltageSource, analyze, sweep
+
+
+@pytest.fixture(scope="module")
+def prepared():
+    session = Workbench().session()
+    mixed = session.circuit("fig4")
+    report = session.run(mixed, stages=("sensitivity", "stimulus")).report
+    return mixed, report
+
+
+def _outcomes(result):
+    return [
+        (o.element, o.deviation, o.severity, o.detected, o.detecting_target)
+        for o in result.outcomes
+    ]
+
+
+class TestSourceNeverWritten:
+    def test_no_level_write_during_campaign_sweep_and_analyze(
+        self, prepared, monkeypatch
+    ):
+        mixed, report = prepared
+        circuit = mixed.analog
+        source = circuit.component(mixed.analog_source)
+        writes = []
+        original = VoltageSource.__setattr__
+
+        def spy(self, name, value):
+            if self is source and name in ("ac", "dc"):
+                writes.append((name, value))
+            original(self, name, value)
+
+        monkeypatch.setattr(VoltageSource, "__setattr__", spy)
+        result = run_campaign(
+            mixed,
+            report,
+            config=CampaignConfig(
+                faults_per_element=2, seed=7, engine="factorized"
+            ),
+        )
+        assert result.n_injected > 0
+        sweep(circuit, source.name, mixed.analog_output, [0.0, 1e3, 1e4])
+        analyze(
+            circuit,
+            AcSweep(
+                (0.0, 1e3), source=source.name, output=mixed.analog_output
+            ),
+        )
+        assert writes == []
+
+
+class TestThreadedCampaigns:
+    def test_two_threads_share_one_circuit(self, prepared):
+        mixed, report = prepared
+        source = mixed.analog.component(mixed.analog_source)
+        levels = (source.ac, source.dc)
+        configs = [
+            CampaignConfig(faults_per_element=4, seed=seed) for seed in (3, 4)
+        ]
+        expected = [
+            _outcomes(run_campaign(mixed, report, config=config))
+            for config in configs
+        ]
+        results = [None, None]
+        errors = []
+        barrier = threading.Barrier(2, timeout=60)
+
+        def work(index):
+            try:
+                barrier.wait()
+                for _ in range(3):
+                    results[index] = _outcomes(
+                        run_campaign(mixed, report, config=configs[index])
+                    )
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert results == expected
+        assert (source.ac, source.dc) == levels

@@ -15,15 +15,21 @@ class TestCampaignConfigBackend:
     def test_defaults(self):
         config = CampaignConfig()
         assert config.backend == "auto"
-        assert config.factor_cache_size == 64
+        assert "factor_cache_size" not in config.as_dict()
 
     def test_backend_validated(self):
         with pytest.raises(ConfigError, match="backend"):
             CampaignConfig(backend="gpu")
 
-    def test_factor_cache_size_validated(self):
-        with pytest.raises(ConfigError, match="factor_cache_size"):
-            CampaignConfig(factor_cache_size=0)
+    def test_factor_cache_size_is_retired(self):
+        # The solver keeps no LU cache, so there is nothing to bound:
+        # documents of earlier releases still load, new code cannot
+        # set the knob.
+        with pytest.raises(TypeError, match="factor_cache_size"):
+            CampaignConfig(factor_cache_size=8)
+        document = CampaignConfig(seed=5).as_dict()
+        document["factor_cache_size"] = 64
+        assert CampaignConfig.from_document(document) == CampaignConfig(seed=5)
 
     def test_session_backend_validated(self):
         # The backend is a campaign setting only: a session-wide copy
@@ -91,11 +97,13 @@ class TestCliBackendFlag:
         )
         assert args.backend == "dense"
 
-    def test_campaign_accepts_factor_cache_size(self):
-        args = build_parser().parse_args(
-            ["campaign", "fig4", "--factor-cache-size", "8"]
-        )
-        assert args.factor_cache_size == 8
+    def test_campaign_rejects_factor_cache_size(self, capsys):
+        from repro.api.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "fig4", "--factor-cache-size", "8"])
+        assert exit_info.value.code == 2
+        assert "--factor-cache-size" in capsys.readouterr().err
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):

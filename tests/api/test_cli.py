@@ -219,7 +219,9 @@ class TestAuditVerb:
 
         artifact = Artifact.load(LEGACY_REPORT)
         recorded = artifact.meta["configs"]["campaign"]
-        assert {"batch", "checkpoint_dir"} <= set(recorded)
+        assert {"batch", "checkpoint_dir", "factor_cache_size"} <= set(
+            recorded
+        )
         audit = run_audit(artifact)
         assert audit.recorded_match is True
         assert audit.ok

@@ -73,7 +73,9 @@ class TestJobSpec:
 
     def test_from_document_drops_retired_campaign_fields(self):
         document = _spec().to_document()
-        document["campaign"].update(batch=False, checkpoint_dir="/tmp/ck")
+        document["campaign"].update(
+            batch=False, checkpoint_dir="/tmp/ck", factor_cache_size=8
+        )
         assert JobSpec.from_document(document) == _spec()
         document["campaign"]["warp_factor"] = 9
         with pytest.raises(ConfigError, match="warp_factor"):
@@ -86,7 +88,6 @@ class TestJobSpec:
         assert base.fingerprint() == _spec(shards=7).fingerprint()
         assert base.fingerprint() == _spec(shard_workers=2).fingerprint()
         assert base.fingerprint() == _spec(max_workers=5).fingerprint()
-        assert base.fingerprint() == _spec(factor_cache_size=3).fingerprint()
         assert (
             base.fingerprint()
             == _spec(cache_dir="/tmp/elsewhere").fingerprint()

@@ -2,12 +2,15 @@
 
 The oracle is the historical measurement path, kept here test-local: a
 fresh :class:`MnaSolver` per frequency, the circuit's deviations applied
-with ``with_deviations`` and the source driven at 1 V by ``UnitSource``.
-Every comparison is ``==`` — the compiled model must reproduce it bit for
-bit, not approximately.
+with ``with_deviations`` and the source driven at 1 V by writing its
+``ac``/``dc`` levels (:func:`mutating_unit_source`, the scope the library
+used to ship).  Every comparison is ``==`` — the compiled model, and the
+non-mutating ``MnaSolver(circuit, source=...)``, must reproduce it bit
+for bit, not approximately.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,7 +33,6 @@ from repro.spice import (
     AnalogError,
     MnaSolver,
     Resistor,
-    UnitSource,
     VoltageSource,
     peak_gain,
     resolve_backend,
@@ -89,9 +91,29 @@ def all_device_circuit() -> AnalogCircuit:
 # ----------------------------------------------------------------------
 # The scalar oracle (the pre-compiled-model measurement path)
 # ----------------------------------------------------------------------
+@contextmanager
+def mutating_unit_source(circuit, source_name):
+    """Drive a voltage source at 1 V by writing its levels, restoring
+    them on exit — the old way of measuring a transfer function."""
+    source = circuit.component(source_name)
+    assert isinstance(source, VoltageSource)
+    saved = (source.ac, source.dc)
+    source.ac, source.dc = 1.0, 1.0
+    try:
+        yield source
+    finally:
+        source.ac, source.dc = saved
+
+
+def oracle_solution(circuit, source, frequency_hz, state=None, backend="auto"):
+    with circuit.with_deviations(state or {}), mutating_unit_source(
+        circuit, source
+    ):
+        return MnaSolver(circuit, backend=backend).solve(frequency_hz)
+
+
 def oracle_transfer(circuit, source, output, frequency_hz, state=None):
-    with circuit.with_deviations(state or {}), UnitSource(circuit, source):
-        return MnaSolver(circuit).solve(frequency_hz).voltage(output)
+    return oracle_solution(circuit, source, frequency_hz, state).voltage(output)
 
 
 def oracle_gain(circuit, source, output, frequency_hz, state=None):
@@ -221,6 +243,27 @@ class TestTransferMatchesMnaSolver:
         with pytest.raises(AnalogError, match="non-positive"):
             AcModel(circuit, "Vin", "V1", {"R1": -1.0})
 
+    @pytest.mark.parametrize("name", DENSE_CIRCUITS + ["all-devices"])
+    @pytest.mark.parametrize("seed", [None, 8])
+    def test_unit_driven_solver_equals_mutating_oracle(self, name, seed):
+        # MnaSolver(source=...) stamps a unit-driven copy of the source
+        # instead of writing it: the whole solution (every node voltage
+        # and branch current) is unchanged, at DC and at AC alike.
+        if name == "all-devices":
+            circuit, source = all_device_circuit(), "V1"
+        else:
+            circuit, source = _analog_block(name)
+        state = {} if seed is None else random_state(circuit, seed)
+        levels = (circuit.component(source).ac, circuit.component(source).dc)
+        for f in FREQUENCIES:
+            expected = oracle_solution(circuit, source, f, state)
+            with circuit.with_deviations(state):
+                ours = MnaSolver(circuit, source=source).solve(f)
+            assert ours._voltages == expected._voltages
+            assert ours._branch_currents == expected._branch_currents
+        source_component = circuit.component(source)
+        assert (source_component.ac, source_component.dc) == levels
+
     def test_compiling_never_writes_the_circuit(self):
         circuit = state_variable_filter()
         circuit.set_deviation("R1", 0.2)
@@ -336,11 +379,12 @@ class TestNonDenseBackend:
         state = {} if seed is None else random_state(circuit, seed)
         for output in circuit.nodes():
             model = AcModel(circuit, "V1", output, state, backend="sparse")
-            expected = []
-            for f in FREQUENCIES:
-                with circuit.with_deviations(state), UnitSource(circuit, "V1"):
-                    solver = MnaSolver(circuit, backend="sparse")
-                    expected.append(solver.solve(f).voltage(output))
+            expected = [
+                oracle_solution(
+                    circuit, "V1", f, state, backend="sparse"
+                ).voltage(output)
+                for f in FREQUENCIES
+            ]
             assert model.transfers(FREQUENCIES) == expected
 
     def test_frequency_dependent_stamp_pattern_is_rejected(self):

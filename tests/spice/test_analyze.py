@@ -45,7 +45,7 @@ class TestDcOp:
         diag = result.diagnostics
         assert diag.backend == "sparse"
         assert diag.n_nodes == 2 and diag.n_unknowns == 3
-        assert diag.cache_misses == 1 and diag.elapsed_s >= 0.0
+        assert diag.factorizations == 1 and diag.elapsed_s >= 0.0
 
     def test_auto_is_dense_for_small_circuits(self):
         assert analyze(divider(), DcOp()).diagnostics.backend == "dense"
@@ -81,13 +81,19 @@ class TestAcSweepRequest:
         assert request.frequencies_hz[0] == pytest.approx(10.0)
         assert request.frequencies_hz[-1] == pytest.approx(1.0e4)
 
-    def test_repeated_frequencies_hit_the_cache(self):
+    def test_repeated_frequencies_are_each_factored(self):
+        # No solver-held LU cache: every requested frequency is its own
+        # system, and repeats give equal solutions.
         result = analyze(
             divider(),
             AcSweep((100.0, 100.0, 200.0), source="V1", output="mid"),
         )
-        assert result.diagnostics.cache_hits == 1
-        assert result.diagnostics.cache_misses == 2
+        assert result.diagnostics.factorizations == 3
+        first, repeat, _ = result.response.transfer_values
+        assert first == repeat
+        assert set(result.diagnostics.as_dict()) == {
+            "backend", "n_nodes", "n_unknowns", "factorizations", "elapsed_s",
+        }
 
     def test_validation(self):
         with pytest.raises(AnalogError, match="at least one"):
@@ -100,8 +106,21 @@ class TestAcSweepRequest:
     def test_unit_source_is_restored(self):
         circuit = divider()
         source = circuit.component("V1")
-        analyze(circuit, AcSweep((100.0,), source="V1", output="mid"))
-        assert source.ac == 1.0 and source.dc == 10.0
+        source.ac = 0.25
+        result = analyze(
+            circuit, AcSweep((0.0, 100.0), source="V1", output="mid")
+        )
+        assert result.response.magnitudes() == pytest.approx([0.75, 0.75])
+        assert source.ac == 0.25 and source.dc == 10.0
+
+    def test_sweep_is_the_transfer_request(self):
+        circuit = bandpass_filter()
+        frequencies = [0.0, 1.0e3, 2.5e3]
+        assert sweep(circuit, "Vin", "V1", frequencies) == analyze(
+            circuit, AcSweep(frequencies, source="Vin", output="V1")
+        ).response
+        with pytest.raises(AnalogError, match="at least one"):
+            sweep(circuit, "Vin", "V1", [])
 
 
 class TestTransientRequest:
@@ -149,13 +168,3 @@ class TestFrontDoorErrors:
         with pytest.raises(AnalogError, match="outside the swept range"):
             response.at(1.0)
         assert response.at(99.0) == 0.5 + 0j
-
-    def test_factor_cache_size_threads_through(self):
-        result = analyze(
-            divider(),
-            AcSweep(
-                (1.0e2, 2.0e2, 3.0e2), source="V1", output="mid"
-            ),
-            factor_cache_size=2,
-        )
-        assert result.diagnostics.cache_misses == 3

@@ -135,4 +135,4 @@ class TestCampaignBackendEquality:
             ),
         )
         assert result.diagnostics["backend"] == "sparse"
-        assert result.diagnostics["misses"] >= 1
+        assert result.diagnostics["factorizations"] >= 1

@@ -200,28 +200,17 @@ class TestSolveMany:
 
 
 class TestFactorizationCache:
-    def test_hit_miss_counters(self):
+    """The solver caches no factorization; its only cache is the sparse
+    backend's symbolic pattern, which no value edit can make stale."""
+
+    def test_factorized_builds_a_fresh_system_each_call(self):
         circuit = bandpass_filter()
         solver = MnaSolver(circuit)
-        solver.factorized(1.0e3)
-        solver.factorized(1.0e3)
-        solver.factorized(2.0e3)
-        stats = solver.cache_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 2
-        assert stats["size"] == 2
-        assert stats["backend"] == "dense"
-
-    def test_cache_size_is_configurable(self):
-        circuit = bandpass_filter()
-        solver = MnaSolver(circuit, factor_cache_size=2)
-        for frequency in (1.0e3, 2.0e3, 3.0e3, 4.0e3):
-            solver.factorized(frequency)
-        assert solver.cache_stats()["size"] == 2
-        assert solver.cache_stats()["max_size"] == 2
-
-    def test_bad_cache_size_rejected(self):
-        with pytest.raises(AnalogError, match="factor_cache_size"):
-            MnaSolver(bandpass_filter(), factor_cache_size=0)
+        first = solver.factorized(1.0e3)
+        second = solver.factorized(1.0e3)
+        assert first is not second
+        assert first.solution().voltage("V1") == second.solution().voltage("V1")
+        assert first.backend_name == "dense"
 
     def test_sparse_pattern_cache_shared_across_frequencies(self):
         circuit = rc_ladder(16)
