@@ -25,6 +25,35 @@ from ..core import format_table
 __all__ = ["Table4Row", "Table4Result", "run"]
 
 
+def _bits(vector: dict[str, int], inputs: list[str]) -> str:
+    """A test vector as a bit string in primary-input declaration order."""
+    return "".join(str(vector[name]) for name in inputs)
+
+
+def _atpg_document(run: AtpgRun, inputs: list[str]) -> dict:
+    """Every reproduced number of one ATPG case (CPU time excluded).
+
+    Each fault is one ``"fault | status | vector | observing outputs"``
+    line, so a golden diff names exactly the faults that moved.
+    """
+    return {
+        "n_untestable": run.n_untestable,
+        "n_vectors": run.n_vectors,
+        "vectors": [_bits(v, inputs) for v in run.vectors],
+        "faults": [
+            " | ".join(
+                (
+                    str(r.fault),
+                    r.status.value,
+                    "-" if r.vector is None else _bits(r.vector, inputs),
+                    " ".join(r.observing_outputs) or "-",
+                )
+            )
+            for r in run.results
+        ],
+    }
+
+
 @dataclass
 class Table4Row:
     """One benchmark circuit's line of Table 4."""
@@ -35,6 +64,22 @@ class Table4Row:
     n_faults: int
     without: AtpgRun
     with_constraints: AtpgRun
+    #: primary inputs in declaration order: the bit order of the
+    #: document's vector strings.
+    inputs: list[str]
+
+    def to_document(self) -> dict:
+        """The row's reproduced columns plus every per-fault outcome."""
+        return {
+            "circuit": self.circuit,
+            "n_inputs": self.n_inputs,
+            "n_outputs": self.n_outputs,
+            "n_faults": self.n_faults,
+            "without": _atpg_document(self.without, self.inputs),
+            "with_constraints": _atpg_document(
+                self.with_constraints, self.inputs
+            ),
+        }
 
 
 @dataclass
@@ -42,6 +87,20 @@ class Table4Result:
     """All Table 4 rows."""
 
     rows: list[Table4Row]
+
+    def to_document(self) -> dict:
+        """Every reproduced number as JSON (the golden's content).
+
+        Per row: #PI, #PO, collapsed faults, and for both cases
+        ``#Untest``, ``#vect``, the compacted vectors and every fault's
+        ``[fault, status, vector, observing outputs]``.  The CPU columns
+        are wall-clock measurements, not reproduced numbers, and are
+        left out.
+        """
+        return {
+            "experiment": "table4",
+            "rows": [row.to_document() for row in self.rows],
+        }
 
     def render(self) -> str:
         headers = [
@@ -93,6 +152,7 @@ def run(
                 n_faults=without.n_faults,
                 without=without,
                 with_constraints=with_constraints,
+                inputs=list(digital.inputs),
             )
         )
     return Table4Result(rows)

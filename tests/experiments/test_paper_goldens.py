@@ -1,16 +1,20 @@
-"""Paper goldens: every number Example 1 and Table 3 reproduce, pinned.
+"""Paper goldens: every number Example 1, Table 3 and Table 4 reproduce, pinned.
 
 Each golden under ``tests/experiments/goldens/`` is the canonical JSON
 (sorted keys, ``repr`` floats, untestable deviations as ``"inf"``) of an
 experiment's ``to_document()``: the full worst-case-deviation matrix
 (deviation and direction per cell), the selected analog test set, and
-for Table 3 the case-1/case-2 coverage columns.  The tests
-regenerate both experiments and require byte-identical files, so a
-refactor of the measurement hot path cannot quietly move a paper number.
+for Table 3 the case-1/case-2 coverage columns.  Table 4's golden holds
+every row's #PI/#PO/collapsed-fault/#Untest/#vect columns (CPU columns
+excluded), the compacted vectors and each fault's status, vector and
+observing outputs.  The tests regenerate the experiments and require
+byte-identical files, so a refactor of a hot path cannot quietly move a
+paper number.  Tier-1 regenerates Example 1, Table 3 and the c499/c1908
+rows of Table 4; the full five-row Table 4 check is marked ``slow``.
 
 Regenerate (after an *intentional* change of reproduced numbers) with::
 
-    PYTHONPATH=src python tests/experiments/test_paper_goldens.py
+    PYTHONPATH=src python tests/experiments/test_paper_goldens.py [NAME ...]
 
 Check ``experiment`` artifacts written by the CLI against the goldens
 (prints a unified diff and exits 1 on any difference)::
@@ -34,7 +38,11 @@ import pytest
 from repro.experiments.runner import EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_EXPERIMENTS = ("example1", "table3")
+GOLDEN_EXPERIMENTS = ("example1", "table3", "table4")
+#: goldens holding a worst-case-deviation matrix.
+MATRIX_GOLDENS = ("example1", "table3")
+#: Table 4 rows regenerated by tier-1 (the full table runs under ``slow``).
+TIER1_TABLE4_ROWS = ("c499", "c1908")
 
 
 def render(document: dict) -> str:
@@ -51,12 +59,28 @@ def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
 
-@pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
+@pytest.mark.parametrize(
+    "name",
+    [
+        *MATRIX_GOLDENS,
+        pytest.param("table4", marks=pytest.mark.slow),
+    ],
+)
 def test_reproduction_matches_golden_byte_for_byte(name):
     assert regenerate(name) == golden_path(name).read_text()
 
 
-@pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
+@pytest.mark.parametrize("circuit", TIER1_TABLE4_ROWS)
+def test_table4_row_matches_golden(circuit):
+    golden_rows = {
+        row["circuit"]: row
+        for row in json.loads(golden_path("table4").read_text())["rows"]
+    }
+    row = EXPERIMENTS["table4"].run((circuit,)).rows[0]
+    assert render(row.to_document()) == render(golden_rows[circuit])
+
+
+@pytest.mark.parametrize("name", MATRIX_GOLDENS)
 def test_golden_is_strict_json_with_tagged_infinities(name):
     document = json.loads(golden_path(name).read_text())
     assert document["experiment"] == name
@@ -95,6 +119,6 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--check"]:
         sys.exit(_check(sys.argv[2:]))
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for experiment in GOLDEN_EXPERIMENTS:
+    for experiment in sys.argv[1:] or GOLDEN_EXPERIMENTS:
         golden_path(experiment).write_text(regenerate(experiment))
         print(f"wrote {golden_path(experiment)}")
