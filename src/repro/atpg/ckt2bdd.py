@@ -3,9 +3,10 @@
 This is the front half of BDD_FTEST ([10] in the paper): every line of the
 digital circuit gets a BDD over the primary inputs, with the fan-in
 variable-ordering heuristic keeping sizes tractable.  For fault insertion
-the compiler can re-derive the downstream cone of any line with a fresh
-*cut variable* ``w`` spliced in at the fault site — the algebraic analogue
-of the D-frontier.
+the compiler re-derives the downstream cone of any line with an arbitrary
+function spliced in at the fault site: a constant (the two cofactors the
+Boolean difference needs) or a fresh *cut variable* ``w`` — the algebraic
+analogue of the D-frontier.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ class CircuitBdd:
     """BDD view of a combinational circuit.
 
     On construction, every signal's function over the primary inputs is
-    built once and cached.  :meth:`functions_with_cut` then produces output
-    functions with a chosen line replaced by a free cut variable, reusing
-    the cached functions for everything outside the cut's fan-out cone.
+    built once and cached, and the netlist's topological order and fan-out
+    map are snapshotted with its fingerprint, so every later query reads
+    the netlist *as compiled*.  :meth:`functions_with_line` then produces
+    output functions with a chosen line replaced by any node, reusing the
+    cached functions for everything outside the line's fan-out cone.
 
     Args:
         circuit: the netlist to compile.
@@ -84,6 +87,9 @@ class CircuitBdd:
         #: time: if the circuit mutates later, the pool sees the digest
         #: of what the BDDs actually describe.
         self.fingerprint = circuit.fingerprint()
+        self._topo = circuit.topological_order()
+        self._position = {signal: i for i, signal in enumerate(self._topo)}
+        self._fanout = circuit.fanout_map()
         if ordering == "fanin":
             order = fanin_order(
                 circuit.outputs, circuit.fanin_view(), circuit.inputs
@@ -100,7 +106,7 @@ class CircuitBdd:
         self.functions: dict[str, int] = {}
         for name in circuit.inputs:
             self.functions[name] = self.mgr.var(name)
-        for signal in circuit.topological_order():
+        for signal in self._topo:
             gate = circuit.gates[signal]
             operands = [self.functions[src] for src in gate.fanins]
             self.functions[signal] = build_gate(self.mgr, gate.gate_type, operands)
@@ -116,7 +122,7 @@ class CircuitBdd:
 
     def fanout_cone(self, line: str) -> set[str]:
         """Signals in the transitive fan-out of ``line`` (excluding it)."""
-        fanout = self.circuit.fanout_map()
+        fanout = self._fanout
         cone: set[str] = set()
         stack = [line]
         while stack:
@@ -134,15 +140,50 @@ class CircuitBdd:
             return self.mgr.add_variable(key)
         return self.mgr.var(key)
 
+    def functions_with_line(
+        self, line: str, pin_site: tuple[str, int] | None, node: int
+    ) -> dict[str, int]:
+        """Output functions with the fault site replaced by ``node``.
+
+        ``pin_site`` of ``(gate, pin)`` replaces only that branch (a
+        fan-out branch fault); ``None`` replaces the stem.  Only the
+        site's fan-out cone is rebuilt, in topological order; every other
+        signal keeps its cached good function.  Returns a map from each
+        primary output to its BDD.
+        """
+        functions = self.functions
+        gates = self.circuit.gates
+        mgr = self.mgr
+        if pin_site is None:
+            local = {line: node}
+            cone = self.fanout_cone(line)
+        else:
+            gate_name, pin = pin_site
+            gate = gates[gate_name]
+            operands = [functions[src] for src in gate.fanins]
+            operands[pin] = node
+            local = {gate_name: build_gate(mgr, gate.gate_type, operands)}
+            cone = self.fanout_cone(gate_name)
+        for signal in sorted(cone, key=self._position.__getitem__):
+            gate = gates[signal]
+            operands = [
+                local[src] if src in local else functions[src]
+                for src in gate.fanins
+            ]
+            local[signal] = build_gate(mgr, gate.gate_type, operands)
+        return {
+            out: local[out] if out in local else functions[out]
+            for out in self.circuit.outputs
+        }
+
     def functions_with_cut(
         self, line: str, pin_site: tuple[str, int] | None = None
     ) -> tuple[int, dict[str, int]]:
         """Output functions with the fault site replaced by a cut variable.
 
-        ``pin_site`` of ``(gate, pin)`` cuts only that branch (a fan-out
-        branch fault); ``None`` cuts the stem.  Returns ``(w, outputs)``
-        where ``w`` is the cut variable node and ``outputs`` maps each
-        primary output to its BDD over PIs ∪ {w}.
+        Returns ``(w, outputs)`` where ``w`` is the cut variable node and
+        ``outputs`` maps each primary output to its BDD over PIs ∪ {w}
+        (see :meth:`functions_with_line` for ``pin_site``).
 
         The cut variable is appended at the *end* of the variable order —
         the same choice the paper makes for the composite value ``D``
@@ -151,43 +192,7 @@ class CircuitBdd:
         untouched.
         """
         w = self.cut_variable(line, pin_site)
-        if pin_site is None:
-            cone = self.fanout_cone(line)
-        else:
-            cone = {pin_site[0]} | self.fanout_cone(pin_site[0])
-        local: dict[str, int] = {}
-
-        def value_of(signal: str, for_gate: str | None, pin: int | None) -> int:
-            if pin_site is None:
-                if signal == line:
-                    return w
-            else:
-                if (
-                    signal == line
-                    and for_gate == pin_site[0]
-                    and pin == pin_site[1]
-                ):
-                    return w
-            if signal in local:
-                return local[signal]
-            return self.functions[signal]
-
-        for signal in self.circuit.topological_order():
-            if signal not in cone:
-                continue
-            gate = self.circuit.gates[signal]
-            operands = [
-                value_of(src, signal, pin) for pin, src in enumerate(gate.fanins)
-            ]
-            local[signal] = build_gate(self.mgr, gate.gate_type, operands)
-
-        outputs: dict[str, int] = {}
-        for out in self.circuit.outputs:
-            if out == line and pin_site is None:
-                outputs[out] = w
-            else:
-                outputs[out] = local.get(out, self.functions[out])
-        return w, outputs
+        return w, self.functions_with_line(line, pin_site, w)
 
     def substituted_outputs(self, substitutions: dict[str, int]) -> dict[str, int]:
         """Output functions with some primary inputs replaced by BDDs.
@@ -199,7 +204,7 @@ class CircuitBdd:
         values: dict[str, int] = {}
         for name in self.circuit.inputs:
             values[name] = substitutions.get(name, self.mgr.var(name))
-        for signal in self.circuit.topological_order():
+        for signal in self._topo:
             gate = self.circuit.gates[signal]
             operands = [values[src] for src in gate.fanins]
             values[signal] = build_gate(self.mgr, gate.gate_type, operands)

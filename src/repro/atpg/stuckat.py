@@ -8,7 +8,10 @@ complete set of test vectors as the Boolean product
 * ``f_l^(v̄)`` — *activation*: assignments driving line ``l`` to the
   complement of the stuck value,
 * ``∂PO_o/∂l`` — *propagation*: the Boolean difference of output ``o``
-  with respect to the line (computed on the cut-variable form),
+  with respect to the line, ``f_o|l=0 ⊕ f_o|l=1``, from two rebuilds of
+  the line's fan-out cone with the constants spliced in at the site —
+  the same function as cofactoring the paper's cut variable away,
+  without the cut variable,
 * ``Fc`` — the *constraint function*: assignments the analog/conversion
   blocks can actually produce on the converter-driven inputs (``1`` when
   the digital block is tested stand-alone).
@@ -123,18 +126,26 @@ class StuckAtGenerator:
         return self.mgr.not_(line_function)
 
     def propagation_function(self, fault: Fault) -> tuple[int, dict[str, int]]:
-        """``Σ_o ∂PO_o/∂l`` plus the per-output Boolean differences."""
+        """``Σ_o ∂PO_o/∂l`` plus the per-output Boolean differences.
+
+        ``∂PO_o/∂l = PO_o|l=0 ⊕ PO_o|l=1``: the two cofactors are the
+        output functions with ``FALSE`` and ``TRUE`` spliced in at the
+        fault site, so no cut variable is created and none has to be
+        cofactored away.
+        """
         cache_key = (fault.line, fault.gate, fault.pin)
         cached = self._propagation_cache.get(cache_key)
         if cached is not None:
             return cached
         pin_site = None if fault.is_stem else (fault.gate, fault.pin)
-        w, outputs = self.cbdd.functions_with_cut(fault.line, pin_site)
-        w_name = self.mgr.top_var(w)
+        low = self.cbdd.functions_with_line(fault.line, pin_site, FALSE)
+        high = self.cbdd.functions_with_line(fault.line, pin_site, TRUE)
         per_output: dict[str, int] = {}
         union = FALSE
-        for out, function in outputs.items():
-            diff = self.mgr.boolean_difference(function, w_name)
+        for out, f0 in low.items():
+            f1 = high[out]
+            # Outside the site's cone both cofactors are the good function.
+            diff = FALSE if f0 == f1 else self.mgr.xor(f0, f1)
             per_output[out] = diff
             union = self.mgr.or_(union, diff)
         self._propagation_cache[cache_key] = (union, per_output)
@@ -183,10 +194,12 @@ class StuckAtGenerator:
                     f"{fault}, but the {self.engine!r} fault simulator "
                     "does not see a detection"
                 )
+        # ``full_vector`` satisfies ``s`` by construction, so evaluating
+        # ``diff · s`` there is evaluating ``diff``.
         observing = tuple(
             out
             for out, diff in per_output.items()
-            if self.mgr.evaluate(self.mgr.and_(diff, s), full_vector)
+            if self.mgr.evaluate(diff, full_vector)
         )
         size = None
         if self.count_vectors:

@@ -22,7 +22,6 @@ for ISCAS85-class circuits with a fan-in variable ordering.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 __all__ = ["BddManager", "FALSE", "TRUE", "BddError"]
@@ -56,28 +55,14 @@ class BddManager:
         assert mgr.evaluate(f, {"a": 1, "b": 0}) == 1
     """
 
-    def __init__(
-        self,
-        variables: Iterable[object] = (),
-        ite_cache_size: int | None = None,
-    ):
+    def __init__(self, variables: Iterable[object] = ()):
         # Parallel arrays for node storage: level, low child, high child.
         # Slots 0 and 1 are the terminals (their children are themselves).
         self._level = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
         self._lo = [0, 1]
         self._hi = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        if ite_cache_size is not None and ite_cache_size < 1:
-            raise BddError(
-                f"ite_cache_size must be None or >= 1, got {ite_cache_size!r}"
-            )
-        # ``ite_cache_size`` bounds the memo table (LRU eviction);
-        # ``None`` keeps the historical unbounded behaviour.  An OrderedDict only when
-        # bounded — recency bookkeeping costs on the hot path otherwise.
-        self._ite_cache_size = ite_cache_size
-        self._ite_cache: dict[tuple[int, int, int], int] = (
-            OrderedDict() if ite_cache_size is not None else {}
-        )
+        self._ite_cache: dict[tuple[int, int, int], int] = {}
         self._unique_hits = 0
         self._unique_misses = 0
         self._ite_hits = 0
@@ -195,84 +180,107 @@ class BddManager:
             return g
         if g == TRUE and h == FALSE:
             return f
-        key = (f, g, h)
-        cached = self._ite_cache.get(key)
+        cached = self._ite_cache.get((f, g, h))
         if cached is not None:
             # Hit bookkeeping only: a miss here is re-probed (and then
             # counted, exactly once) by the root frame of _ite_rec.
             self._ite_hits += 1
-            if self._ite_cache_size is not None:
-                self._ite_cache.move_to_end(key)
             return cached
         return self._ite_rec(f, g, h)
 
-    def _cache_get(self, key: tuple[int, int, int]) -> int | None:
-        cached = self._ite_cache.get(key)
-        if cached is None:
-            self._ite_misses += 1
-            return None
-        self._ite_hits += 1
-        if self._ite_cache_size is not None:
-            self._ite_cache.move_to_end(key)
-        return cached
-
-    def _cache_put(self, key: tuple[int, int, int], node: int) -> None:
-        self._ite_cache[key] = node
-        if (
-            self._ite_cache_size is not None
-            and len(self._ite_cache) > self._ite_cache_size
-        ):
-            self._ite_cache.popitem(last=False)
-
     def _ite_rec(self, f: int, g: int, h: int) -> int:
-        # Iterative depth-first evaluation with an explicit stack to avoid
-        # Python recursion limits on deep BDDs (ISCAS circuits can produce
-        # BDDs thousands of levels deep only if the order is bad, but the
-        # stack also protects pathological user inputs).
-        stack: list[tuple] = [("call", f, g, h)]
+        # Iterative depth-first Shannon expansion with an explicit stack,
+        # so BDD depth is not bounded by Python's recursion limit.  A
+        # call frame is the 3-tuple ``(f, g, h)``, which doubles as its
+        # memo key; a combine frame is the 2-tuple ``(level, key)`` that
+        # interns the node from the two child results.  The low child is
+        # expanded (and memoized) before the high one, and node creation
+        # is post-order, so node numbering is deterministic.  Counters
+        # accumulate in locals and are flushed once.
+        levels = self._level
+        los = self._lo
+        his = self._hi
+        unique = self._unique
+        cache = self._ite_cache
+        unique_get = unique.get
+        cache_get = cache.get
+        ite_hits = ite_misses = unique_hits = unique_misses = 0
+        stack: list[tuple] = [(f, g, h)]
+        push = stack.append
+        pop = stack.pop
         results: list[int] = []
-        while stack:
-            frame = stack.pop()
-            if frame[0] == "call":
-                _, cf, cg, ch = frame
-                if cf == TRUE:
-                    results.append(cg)
-                    continue
-                if cf == FALSE:
-                    results.append(ch)
-                    continue
-                if cg == ch:
-                    results.append(cg)
-                    continue
-                if cg == TRUE and ch == FALSE:
-                    results.append(cf)
-                    continue
-                ckey = (cf, cg, ch)
-                cached = self._cache_get(ckey)
-                if cached is not None:
-                    results.append(cached)
-                    continue
-                level = min(self._level[cf], self._level[cg], self._level[ch])
-                f0, f1 = self._cofactor_pair(cf, level)
-                g0, g1 = self._cofactor_pair(cg, level)
-                h0, h1 = self._cofactor_pair(ch, level)
-                stack.append(("combine", level, ckey))
-                stack.append(("call", f1, g1, h1))
-                stack.append(("call", f0, g0, h0))
-            else:
-                _, level, ckey = frame
-                hi = results.pop()
-                lo = results.pop()
-                node = self._node(level, lo, hi)
-                self._cache_put(ckey, node)
-                results.append(node)
+        emit = results.append
+        take = results.pop
+        try:
+            while stack:
+                frame = pop()
+                if len(frame) == 3:
+                    cf, cg, ch = frame
+                    if cf == TRUE:
+                        emit(cg)
+                        continue
+                    if cf == FALSE or cg == ch:
+                        emit(ch)
+                        continue
+                    if cg == TRUE and ch == FALSE:
+                        emit(cf)
+                        continue
+                    cached = cache_get(frame)
+                    if cached is not None:
+                        ite_hits += 1
+                        emit(cached)
+                        continue
+                    ite_misses += 1
+                    lf = levels[cf]
+                    lg = levels[cg]
+                    lh = levels[ch]
+                    top = lf if lf < lg else lg
+                    if lh < top:
+                        top = lh
+                    if lf == top:
+                        f0 = los[cf]
+                        f1 = his[cf]
+                    else:
+                        f0 = f1 = cf
+                    if lg == top:
+                        g0 = los[cg]
+                        g1 = his[cg]
+                    else:
+                        g0 = g1 = cg
+                    if lh == top:
+                        h0 = los[ch]
+                        h1 = his[ch]
+                    else:
+                        h0 = h1 = ch
+                    push((top, frame))
+                    push((f1, g1, h1))
+                    push((f0, g0, h0))
+                else:
+                    top, key = frame
+                    hi = take()
+                    lo = take()
+                    if lo == hi:  # redundant test
+                        node = lo
+                    else:
+                        ukey = (top, lo, hi)
+                        node = unique_get(ukey)
+                        if node is None:
+                            unique_misses += 1
+                            node = len(levels)
+                            levels.append(top)
+                            los.append(lo)
+                            his.append(hi)
+                            unique[ukey] = node
+                        else:
+                            unique_hits += 1
+                    cache[key] = node
+                    emit(node)
+        finally:
+            self._ite_hits += ite_hits
+            self._ite_misses += ite_misses
+            self._unique_hits += unique_hits
+            self._unique_misses += unique_misses
         return results[-1]
-
-    def _cofactor_pair(self, f: int, level: int) -> tuple[int, int]:
-        """Return ``(f|level=0, f|level=1)`` assuming level <= top of f."""
-        if self._level[f] == level:
-            return self._lo[f], self._hi[f]
-        return f, f
 
     # ------------------------------------------------------------------
     # Boolean connectives
@@ -602,7 +610,6 @@ class BddManager:
             "unique_hits": self._unique_hits,
             "unique_misses": self._unique_misses,
             "ite_size": len(self._ite_cache),
-            "ite_bound": self._ite_cache_size,
             "ite_hits": self._ite_hits,
             "ite_misses": self._ite_misses,
         }

@@ -145,7 +145,7 @@ class Circuit:
 
     def topological_order(self) -> list[str]:
         """Gate outputs in dependency order; raises on cycles/missing drivers."""
-        if not hasattr(self, "_topo_cache") or self._topo_dirty():
+        if self._topo_dirty():
             self._topo = self._compute_topo()
             self._topo_count = len(self.gates)
         return list(self._topo)

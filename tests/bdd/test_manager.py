@@ -212,7 +212,7 @@ class TestOperationCache:
     def test_cache_stats_counters_move(self):
         mgr = BddManager(["a", "b", "c"])
         stats = mgr.cache_stats()
-        assert stats["ite_hits"] == 0 and stats["ite_bound"] is None
+        assert stats["ite_hits"] == 0
         f = mgr.and_(mgr.var("a"), mgr.var("b"))
         # One non-trivial ite was computed: exactly one miss, no
         # double-count from the pre-probe in ite().
@@ -225,25 +225,44 @@ class TestOperationCache:
         assert after["nodes"] == len(mgr)
         assert mgr.evaluate(f, {"a": 1, "b": 1}) == 1
 
-    def test_bounded_cache_evicts_but_stays_correct(self):
-        mgr = BddManager([f"x{i}" for i in range(10)], ite_cache_size=4)
-        acc = TRUE
-        for i in range(10):
-            acc = mgr.and_(acc, mgr.var(f"x{i}"))
-        stats = mgr.cache_stats()
-        assert stats["ite_bound"] == 4
-        assert stats["ite_size"] <= 4
-        assignment = {f"x{i}": 1 for i in range(10)}
-        assert mgr.evaluate(acc, assignment) == 1
-        assignment["x3"] = 0
-        assert mgr.evaluate(acc, assignment) == 0
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(BddError):
-            BddManager(ite_cache_size=0)
-
     def test_clear_operation_cache_resets_size(self):
-        mgr = BddManager(["a", "b"], ite_cache_size=8)
+        mgr = BddManager(["a", "b"])
         mgr.and_(mgr.var("a"), mgr.var("b"))
         mgr.clear_operation_cache()
         assert mgr.cache_stats()["ite_size"] == 0
+
+    @pytest.mark.parametrize(
+        ("ordering", "expected"),
+        [
+            (
+                "fanin",
+                {
+                    "nodes": 423,
+                    "unique_hits": 24,
+                    "unique_misses": 421,
+                    "ite_size": 418,
+                    "ite_hits": 308,
+                    "ite_misses": 418,
+                },
+            ),
+            (
+                "declaration",
+                {
+                    "nodes": 704,
+                    "unique_hits": 24,
+                    "unique_misses": 702,
+                    "ite_size": 699,
+                    "ite_hits": 480,
+                    "ite_misses": 699,
+                },
+            ),
+        ],
+    )
+    def test_ripple_adder_graph_and_counters_pinned(self, ordering, expected):
+        """The ite kernel builds exactly this graph with exactly this traffic."""
+        from repro.atpg import CircuitBdd
+        from repro.digital import ripple_adder
+
+        cbdd = CircuitBdd(ripple_adder(8), ordering=ordering)
+        assert cbdd.total_nodes() == expected["nodes"]
+        assert cbdd.mgr.cache_stats() == expected

@@ -102,6 +102,21 @@ class TestStructure:
         assert signals[:2] == ["a", "b"]
         assert set(signals) == {"a", "b", "g1", "g2"}
 
+    def test_topo_cached_between_calls(self, monkeypatch):
+        c = small_circuit()
+        calls = []
+        compute = Circuit._compute_topo
+
+        def counting(self):
+            calls.append(self)
+            return compute(self)
+
+        monkeypatch.setattr(Circuit, "_compute_topo", counting)
+        first = c.topological_order()
+        second = c.topological_order()
+        assert first == second
+        assert len(calls) == 1
+
     def test_topo_cache_invalidated_on_growth(self):
         c = small_circuit()
         first = c.topological_order()
