@@ -59,8 +59,8 @@ class CircuitBdd:
 
     On construction, every signal's function over the primary inputs is
     built once and cached, and the netlist's topological order and fan-out
-    map are snapshotted with its fingerprint, so every later query reads
-    the netlist *as compiled*.  :meth:`functions_with_line` then produces
+    map are snapshotted with its fingerprint, so fault cones are walked
+    over the netlist *as compiled*.  :meth:`functions_with_line` then produces
     output functions with a chosen line replaced by any node, reusing the
     cached functions for everything outside the line's fan-out cone.
 
