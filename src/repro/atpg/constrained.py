@@ -88,6 +88,34 @@ class AtpgRun:
             in (TestStatus.UNTESTABLE, TestStatus.CONSTRAINED_UNTESTABLE)
         ]
 
+    def to_document(self, inputs: Sequence[str]) -> dict:
+        """Every reproduced number of the run (CPU time excluded).
+
+        Vectors are bit strings in ``inputs`` order.  Each fault is one
+        ``"fault | status | vector | observing outputs"`` line, so a
+        golden diff names exactly the faults that moved.
+        """
+
+        def bits(vector: Mapping[str, int]) -> str:
+            return "".join(str(vector[name]) for name in inputs)
+
+        return {
+            "n_untestable": self.n_untestable,
+            "n_vectors": self.n_vectors,
+            "vectors": [bits(v) for v in self.vectors],
+            "faults": [
+                " | ".join(
+                    (
+                        str(r.fault),
+                        r.status.value,
+                        "-" if r.vector is None else bits(r.vector),
+                        " ".join(r.observing_outputs) or "-",
+                    )
+                )
+                for r in self.results
+            ],
+        }
+
 
 def constraint_builder_from_terms(
     terms: Iterable[Mapping[str, int]],

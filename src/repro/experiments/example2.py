@@ -25,6 +25,18 @@ class Example2Result:
 
     unconstrained: AtpgRun
     constrained: AtpgRun
+    #: primary inputs in declaration order: the bit order of the
+    #: document's vector strings.
+    inputs: list[str]
+
+    def to_document(self) -> dict:
+        """Both runs' reproduced columns plus every per-fault outcome."""
+        return {
+            "experiment": "example2",
+            "n_faults": self.unconstrained.n_faults,
+            "unconstrained": self.unconstrained.to_document(self.inputs),
+            "constrained": self.constrained.to_document(self.inputs),
+        }
 
     def render(self) -> str:
         headers = [
@@ -65,7 +77,7 @@ def run() -> Example2Result:
         circuit, faults=faults,
         constraint=pair_exclusion_constraint("l0", "l2"),
     )
-    return Example2Result(unconstrained, constrained)
+    return Example2Result(unconstrained, constrained, list(circuit.inputs))
 
 
 if __name__ == "__main__":

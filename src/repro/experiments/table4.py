@@ -25,35 +25,6 @@ from ..core import format_table
 __all__ = ["Table4Row", "Table4Result", "run"]
 
 
-def _bits(vector: dict[str, int], inputs: list[str]) -> str:
-    """A test vector as a bit string in primary-input declaration order."""
-    return "".join(str(vector[name]) for name in inputs)
-
-
-def _atpg_document(run: AtpgRun, inputs: list[str]) -> dict:
-    """Every reproduced number of one ATPG case (CPU time excluded).
-
-    Each fault is one ``"fault | status | vector | observing outputs"``
-    line, so a golden diff names exactly the faults that moved.
-    """
-    return {
-        "n_untestable": run.n_untestable,
-        "n_vectors": run.n_vectors,
-        "vectors": [_bits(v, inputs) for v in run.vectors],
-        "faults": [
-            " | ".join(
-                (
-                    str(r.fault),
-                    r.status.value,
-                    "-" if r.vector is None else _bits(r.vector, inputs),
-                    " ".join(r.observing_outputs) or "-",
-                )
-            )
-            for r in run.results
-        ],
-    }
-
-
 @dataclass
 class Table4Row:
     """One benchmark circuit's line of Table 4."""
@@ -75,9 +46,9 @@ class Table4Row:
             "n_inputs": self.n_inputs,
             "n_outputs": self.n_outputs,
             "n_faults": self.n_faults,
-            "without": _atpg_document(self.without, self.inputs),
-            "with_constraints": _atpg_document(
-                self.with_constraints, self.inputs
+            "without": self.without.to_document(self.inputs),
+            "with_constraints": self.with_constraints.to_document(
+                self.inputs
             ),
         }
 

@@ -1,4 +1,4 @@
-"""Paper goldens: every number Example 1, Table 3 and Table 4 reproduce, pinned.
+"""Paper goldens: every number Example 1/2, Table 3 and Table 4 reproduce, pinned.
 
 Each golden under ``tests/experiments/goldens/`` is the canonical JSON
 (sorted keys, ``repr`` floats, untestable deviations as ``"inf"``) of an
@@ -7,10 +7,12 @@ experiment's ``to_document()``: the full worst-case-deviation matrix
 for Table 3 the case-1/case-2 coverage columns.  Table 4's golden holds
 every row's #PI/#PO/collapsed-fault/#Untest/#vect columns (CPU columns
 excluded), the compacted vectors and each fault's status, vector and
-observing outputs.  The tests regenerate the experiments and require
-byte-identical files, so a refactor of a hot path cannot quietly move a
-paper number.  Tier-1 regenerates Example 1, Table 3 and the c499/c1908
-rows of Table 4; the full five-row Table 4 check is marked ``slow``.
+observing outputs; Example 2's holds the same per-fault lines for the
+Figure 3 circuit without and with ``Fc = l0 + l2``.  The tests
+regenerate the experiments and require byte-identical files, so a
+refactor of a hot path cannot quietly move a paper number.  Tier-1
+regenerates Example 1/2, Table 3 and the c499/c1908 rows of Table 4;
+the full five-row Table 4 check is marked ``slow``.
 
 Regenerate (after an *intentional* change of reproduced numbers) with::
 
@@ -38,7 +40,7 @@ import pytest
 from repro.experiments.runner import EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_EXPERIMENTS = ("example1", "table3", "table4")
+GOLDEN_EXPERIMENTS = ("example1", "example2", "table3", "table4")
 #: goldens holding a worst-case-deviation matrix.
 MATRIX_GOLDENS = ("example1", "table3")
 #: Table 4 rows regenerated by tier-1 (the full table runs under ``slow``).
@@ -63,6 +65,7 @@ def golden_path(name: str) -> Path:
     "name",
     [
         *MATRIX_GOLDENS,
+        "example2",
         pytest.param("table4", marks=pytest.mark.slow),
     ],
 )
@@ -78,6 +81,26 @@ def test_table4_row_matches_golden(circuit):
     }
     row = EXPERIMENTS["table4"].run((circuit,)).rows[0]
     assert render(row.to_document()) == render(golden_rows[circuit])
+
+
+def _fault_lines(case: dict) -> dict[str, str]:
+    """``fault -> status`` from an ATPG case's per-fault lines."""
+    return dict(line.split(" | ")[:2] for line in case["faults"])
+
+
+def test_example2_golden_holds_the_paper_claims():
+    """Section 2.2.1: 2 of the 18 Fig. 3 faults die under ``Fc = l0 + l2``."""
+    document = json.loads(golden_path("example2").read_text())
+    alone = _fault_lines(document["unconstrained"])
+    constrained = _fault_lines(document["constrained"])
+    assert document["n_faults"] == len(alone) == len(constrained) == 18
+    assert document["unconstrained"]["n_untestable"] == 0
+    assert set(alone.values()) == {"detected"}
+    killed = {
+        fault for fault, status in constrained.items() if status != "detected"
+    }
+    assert killed == {"l3 s-a-0", "l5 s-a-0"}
+    assert document["constrained"]["n_untestable"] == 2
 
 
 @pytest.mark.parametrize("name", MATRIX_GOLDENS)
