@@ -335,34 +335,44 @@ class BddManager:
         if value not in (0, 1):
             raise BddError(f"restriction value must be 0 or 1, got {value!r}")
         level = self.level_of(name)
+        levels = self._level
+        los = self._lo
+        his = self._hi
         cache: dict[int, int] = {}
-
-        def walk(node: int) -> int:
-            if self._level[node] > level:
-                return node
-            hit = cache.get(node)
-            if hit is not None:
-                return hit
-            if self._level[node] == level:
-                result = self._hi[node] if value else self._lo[node]
+        # Iterative depth-first walk with an explicit stack, so BDD depth
+        # is not bounded by Python's recursion limit.  An ``int`` frame
+        # visits a node; a 1-tuple ``(node,)`` interns its rebuilt copy
+        # from the two child results.  The low child is finished before
+        # the high one and nodes are created post-order, so numbering is
+        # deterministic.
+        stack: list = [f]
+        results: list[int] = []
+        while stack:
+            frame = stack.pop()
+            if type(frame) is int:
+                node_level = levels[frame]
+                if node_level > level:
+                    results.append(frame)
+                    continue
+                hit = cache.get(frame)
+                if hit is not None:
+                    results.append(hit)
+                elif node_level == level:
+                    result = his[frame] if value else los[frame]
+                    cache[frame] = result
+                    results.append(result)
+                else:
+                    stack.append((frame,))
+                    stack.append(his[frame])
+                    stack.append(los[frame])
             else:
-                result = self._node(
-                    self._level[node], walk(self._lo[node]), walk(self._hi[node])
-                )
-            cache[node] = result
-            return result
-
-        return self._walk_iterative(f, level, walk)
-
-    def _walk_iterative(self, f: int, stop_level: int, recursive_walk) -> int:
-        # Small helper: for shallow BDDs plain recursion is fine, but we
-        # guard against deep chains by bounding with sys recursion via an
-        # explicit check.  In practice recursive_walk handles memoization.
-        import sys
-
-        if sys.getrecursionlimit() < 10_000:
-            sys.setrecursionlimit(10_000)
-        return recursive_walk(f)
+                node = frame[0]
+                hi = results.pop()
+                lo = results.pop()
+                result = self._node(levels[node], lo, hi)
+                cache[node] = result
+                results.append(result)
+        return results[-1]
 
     def cofactors(self, f: int, name: object) -> tuple[int, int]:
         """Return the pair ``(f|name=0, f|name=1)``."""

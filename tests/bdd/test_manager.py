@@ -1,5 +1,7 @@
 """Unit tests for the ROBDD manager."""
 
+import sys
+
 import pytest
 
 from repro.bdd import FALSE, TRUE, BddError, BddManager
@@ -103,6 +105,66 @@ class TestStructuralOps:
     def test_restrict_bad_value(self, mgr):
         with pytest.raises(BddError):
             mgr.restrict(mgr.var("a"), "a", 2)
+
+    def test_restrict_chain_deeper_than_old_recursion_cap(self):
+        depth = 12_000
+        names = [f"x{i}" for i in range(depth)]
+        mgr = BddManager(names)
+
+        def chain(skip=None):
+            node = TRUE
+            for name in reversed(names):
+                if name != skip:
+                    node = mgr.and_(mgr.var(name), node)
+            return node
+
+        f = chain()
+        limit = sys.getrecursionlimit()
+        assert mgr.restrict(f, "x6000", 1) == chain(skip="x6000")
+        assert mgr.restrict(f, "x6000", 0) == FALSE
+        assert mgr.restrict(f, names[-1], 1) == chain(skip=names[-1])
+        assert sys.getrecursionlimit() == limit
+
+    def test_cofactoring_leaves_recursion_limit_alone(self, mgr):
+        limit = sys.getrecursionlimit()
+        f = mgr.xor(mgr.var("a"), mgr.and_(mgr.var("b"), mgr.var("c")))
+        mgr.restrict(f, "b", 1)
+        mgr.cofactors(f, "c")
+        mgr.boolean_difference(f, "a")
+        assert sys.getrecursionlimit() == limit
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    def test_restrict_numbers_nodes_like_the_recursive_walk(self, name):
+        """Nodes are created post-order, low child first."""
+
+        def build(mgr):
+            a, b, c, d = (mgr.var(v) for v in "abcd")
+            return mgr.or_(
+                mgr.and_(a, mgr.xor(b, d)), mgr.and_(mgr.not_(c), mgr.xor(a, d))
+            )
+
+        def recursive_restrict(mgr, f, level, value, cache):
+            if mgr._level[f] > level:
+                return f
+            if f not in cache:
+                if mgr._level[f] == level:
+                    cache[f] = mgr._hi[f] if value else mgr._lo[f]
+                else:
+                    lo = recursive_restrict(mgr, mgr._lo[f], level, value, cache)
+                    hi = recursive_restrict(mgr, mgr._hi[f], level, value, cache)
+                    cache[f] = mgr._node(mgr._level[f], lo, hi)
+            return cache[f]
+
+        for value in (0, 1):
+            ours = BddManager(["a", "b", "c", "d"])
+            reference = BddManager(["a", "b", "c", "d"])
+            result = ours.restrict(build(ours), name, value)
+            f = build(reference)
+            expected = recursive_restrict(
+                reference, f, reference.level_of(name), value, {}
+            )
+            assert result == expected
+            assert ours.cache_stats() == reference.cache_stats()
 
     def test_cofactors(self, mgr):
         f = mgr.or_(mgr.var("a"), mgr.var("b"))
