@@ -90,6 +90,7 @@ class CircuitBdd:
         self._topo = circuit.topological_order()
         self._position = {signal: i for i, signal in enumerate(self._topo)}
         self._fanout = circuit.fanout_map()
+        self._outputs = frozenset(circuit.outputs)
         if ordering == "fanin":
             order = fanin_order(
                 circuit.outputs, circuit.fanin_view(), circuit.inputs
@@ -132,6 +133,39 @@ class CircuitBdd:
                     cone.add(gate)
                     stack.append(gate)
         return cone
+
+    def sole_successor(
+        self, line: str, pin_site: tuple[str, int] | None = None
+    ) -> tuple[str, int] | None:
+        """The one gate input pin every path from the fault site runs through.
+
+        A fan-out branch ``pin_site`` is its own sole successor; a stem
+        has one when it is not a primary output and feeds exactly one
+        gate input pin.  ``None`` otherwise: the site is a fan-out stem,
+        a primary output or dangling.
+        """
+        if pin_site is not None:
+            return pin_site
+        pins = self._fanout.get(line, ())
+        if len(pins) == 1 and line not in self._outputs:
+            return pins[0]
+        return None
+
+    def local_difference(self, gate_name: str, pin: int) -> int:
+        """``g|pin=0 ⊕ g|pin=1`` over the gate's good fan-in functions.
+
+        Where it is 1, flipping input ``pin`` flips the output of
+        ``gate_name``: the local factor of the chain rule
+        ``∂PO/∂l = ∂g/∂l · ∂PO/∂g`` for a site whose sole successor is
+        ``(gate_name, pin)``.
+        """
+        gate = self.circuit.gates[gate_name]
+        operands = [self.functions[src] for src in gate.fanins]
+        operands[pin] = FALSE
+        low = build_gate(self.mgr, gate.gate_type, operands)
+        operands[pin] = TRUE
+        high = build_gate(self.mgr, gate.gate_type, operands)
+        return self.mgr.xor(low, high)
 
     def cut_variable(self, line: str, pin_site: tuple[str, int] | None = None) -> int:
         """The cut variable for a fault site (created on first use, last in order)."""

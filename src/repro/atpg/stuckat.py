@@ -8,10 +8,13 @@ complete set of test vectors as the Boolean product
 * ``f_l^(v̄)`` — *activation*: assignments driving line ``l`` to the
   complement of the stuck value,
 * ``∂PO_o/∂l`` — *propagation*: the Boolean difference of output ``o``
-  with respect to the line, ``f_o|l=0 ⊕ f_o|l=1``, from two rebuilds of
-  the line's fan-out cone with the constants spliced in at the site —
-  the same function as cofactoring the paper's cut variable away,
-  without the cut variable,
+  with respect to the line, ``f_o|l=0 ⊕ f_o|l=1``.  At fan-out stems
+  and primary outputs it comes from two rebuilds of the line's fan-out
+  cone with the constants spliced in at the site — the same function as
+  cofactoring the paper's cut variable away, without the cut variable.
+  Every other site reaches the outputs through one gate input pin
+  ``(g, p)`` only, and the chain rule ``∂PO_o/∂l = ∂g/∂l · ∂PO_o/∂g``
+  holds exactly there, so it costs one local difference and one product,
 * ``Fc`` — the *constraint function*: assignments the analog/conversion
   blocks can actually produce on the converter-driven inputs (``1`` when
   the digital block is tested stand-alone).
@@ -37,6 +40,15 @@ __all__ = [
     "StuckAtGenerator",
     "SimulationCheckError",
 ]
+
+
+#: A fault site: ``(line, None)`` for a stem, ``(line, (gate, pin))`` for
+#: a fan-out branch — the arguments of the ``CircuitBdd`` cone methods.
+_Site = tuple[str, tuple[str, int] | None]
+
+
+def _site(fault: Fault) -> _Site:
+    return (fault.line, None if fault.is_stem else (fault.gate, fault.pin))
 
 
 class SimulationCheckError(AssertionError):
@@ -112,9 +124,15 @@ class StuckAtGenerator:
         self.simulation_checks = 0
         self._n_inputs = len(cbdd.circuit.inputs)
         # Propagation is polarity-independent, so s-a-0/s-a-1 on the same
-        # site share one Boolean-difference computation.
+        # site share it.  Per site: the union ``Σ_o ∂PO_o/∂l`` and the
+        # nonzero per-output differences of the stem that closes its
+        # sole-successor chain (see _site_propagation).
+        self._sites: dict[_Site, tuple[int, dict[str, int]]] = {}
+        #: per site: ``Σ_o ∂PO_o/∂l · Fc``.
+        self._constrained_union: dict[_Site, int] = {}
+        #: per site: :meth:`propagation_function`'s result.
         self._propagation_cache: dict[
-            tuple[str, str | None, int | None], tuple[int, dict[str, int]]
+            _Site, tuple[int, dict[str, int]]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -128,35 +146,76 @@ class StuckAtGenerator:
     def propagation_function(self, fault: Fault) -> tuple[int, dict[str, int]]:
         """``Σ_o ∂PO_o/∂l`` plus the per-output Boolean differences.
 
-        ``∂PO_o/∂l = PO_o|l=0 ⊕ PO_o|l=1``: the two cofactors are the
-        output functions with ``FALSE`` and ``TRUE`` spliced in at the
-        fault site, so no cut variable is created and none has to be
-        cofactored away.
+        ``∂PO_o/∂l = PO_o|l=0 ⊕ PO_o|l=1`` for every primary output, in
+        output order.  :meth:`generate` never needs the per-output
+        products of a chained site, so they are built only here.
         """
-        cache_key = (fault.line, fault.gate, fault.pin)
-        cached = self._propagation_cache.get(cache_key)
+        site = _site(fault)
+        cached = self._propagation_cache.get(site)
         if cached is not None:
             return cached
-        pin_site = None if fault.is_stem else (fault.gate, fault.pin)
-        low = self.cbdd.functions_with_line(fault.line, pin_site, FALSE)
-        high = self.cbdd.functions_with_line(fault.line, pin_site, TRUE)
-        per_output: dict[str, int] = {}
-        union = FALSE
+        union, differences = self._site_propagation(site)
+        # The chain's local factors, down to the stem owning ``differences``.
+        gain = TRUE
+        link = site
+        while (successor := self.cbdd.sole_successor(*link)) is not None:
+            gain = self.mgr.and_(gain, self.cbdd.local_difference(*successor))
+            link = (successor[0], None)
+        per_output = {
+            out: self.mgr.and_(gain, differences.get(out, FALSE))
+            for out in self.cbdd.circuit.outputs
+        }
+        self._propagation_cache[site] = (union, per_output)
+        return self._propagation_cache[site]
+
+    def _site_propagation(self, site: _Site) -> tuple[int, dict[str, int]]:
+        """``(Σ_o ∂PO_o/∂l, {o: ∂PO_o/∂stem ≠ 0})`` for one fault site.
+
+        A site whose sole successor is ``(g, p)`` gets
+        ``∂g/∂l · Σ_o ∂PO_o/∂g`` from ``g``'s stem; the chain is walked
+        down to the first site already known or a fan-out stem, which
+        rebuilds its cone.  Every site on the chain shares that stem's
+        per-output differences: on a vector where the chain's local
+        factors are all 1 — any vector of ``S`` — they are the site's own.
+        """
+        cache = self._sites
+        chain: list[tuple[_Site, tuple[str, int]]] = []
+        current = site
+        while current not in cache:
+            successor = self.cbdd.sole_successor(*current)
+            if successor is None:
+                cache[current] = self._stem_propagation(current[0])
+                break
+            chain.append((current, successor))
+            current = (successor[0], None)
+        union, differences = cache[current]
+        for link, (gate, pin) in reversed(chain):
+            union = self.mgr.and_(self.cbdd.local_difference(gate, pin), union)
+            cache[link] = (union, differences)
+        return cache[site]
+
+    def _stem_propagation(self, line: str) -> tuple[int, dict[str, int]]:
+        """Rebuild the stem's fan-out cone with each constant spliced in."""
+        mgr = self.mgr
+        low = self.cbdd.functions_with_line(line, None, FALSE)
+        high = self.cbdd.functions_with_line(line, None, TRUE)
+        differences: dict[str, int] = {}
         for out, f0 in low.items():
             f1 = high[out]
             # Outside the site's cone both cofactors are the good function.
-            diff = FALSE if f0 == f1 else self.mgr.xor(f0, f1)
-            per_output[out] = diff
-            union = self.mgr.or_(union, diff)
-        self._propagation_cache[cache_key] = (union, per_output)
-        return self._propagation_cache[cache_key]
+            if f0 != f1:
+                differences[out] = mgr.xor(f0, f1)
+        # OR is associative and commutative and the result canonical:
+        # smallest first only keeps the intermediate sums small.
+        union = mgr.or_(*sorted(differences.values(), key=mgr.size))
+        return union, differences
 
     def test_set(self, fault: Fault, constrained: bool = True) -> int:
         """The complete test-vector set ``S`` as a BDD node."""
         activation = self.activation_function(fault)
         if activation == FALSE:
             return FALSE
-        propagation, _ = self.propagation_function(fault)
+        propagation, _ = self._site_propagation(_site(fault))
         s = self.mgr.and_(activation, propagation)
         if constrained:
             s = self.mgr.and_(s, self.constraint)
@@ -173,12 +232,17 @@ class StuckAtGenerator:
         activation = self.activation_function(fault)
         if activation == FALSE:
             return TestResult(fault, TestStatus.UNTESTABLE)
-        propagation, per_output = self.propagation_function(fault)
-        unconstrained = self.mgr.and_(activation, propagation)
-        if unconstrained == FALSE:
-            return TestResult(fault, TestStatus.UNTESTABLE)
-        s = self.mgr.and_(unconstrained, self.constraint)
+        site = _site(fault)
+        propagation, differences = self._site_propagation(site)
+        # ``Σ_o ∂PO_o/∂l · Fc`` is shared by both polarities of the site.
+        constrained = self._constrained_union.get(site)
+        if constrained is None:
+            constrained = self.mgr.and_(propagation, self.constraint)
+            self._constrained_union[site] = constrained
+        s = self.mgr.and_(activation, constrained)
         if s == FALSE:
+            if self.mgr.and_(activation, propagation) == FALSE:
+                return TestResult(fault, TestStatus.UNTESTABLE)
             return TestResult(fault, TestStatus.CONSTRAINED_UNTESTABLE)
         vector = minimize_path(self.mgr, s)
         assert vector is not None
@@ -194,11 +258,12 @@ class StuckAtGenerator:
                     f"{fault}, but the {self.engine!r} fault simulator "
                     "does not see a detection"
                 )
-        # ``full_vector`` satisfies ``s`` by construction, so evaluating
-        # ``diff · s`` there is evaluating ``diff``.
+        # ``full_vector`` satisfies ``s``, so every local factor of the
+        # site's chain is 1 there and ``∂PO_o/∂l`` evaluates like the
+        # closing stem's ``∂PO_o/∂stem``.
         observing = tuple(
             out
-            for out, diff in per_output.items()
+            for out, diff in differences.items()
             if self.mgr.evaluate(diff, full_vector)
         )
         size = None

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.atpg import CircuitBdd
+from repro.bdd.manager import TRUE
 from repro.digital import ripple_adder, simulate
 from repro.digital.library import fig3_circuit
 
@@ -105,3 +106,24 @@ class TestCutFunctions:
     def test_total_nodes_positive(self):
         cbdd = CircuitBdd(fig3_circuit())
         assert cbdd.total_nodes() > 4
+
+
+class TestChainRuleAccessors:
+    def test_sole_successor(self):
+        cbdd = CircuitBdd(fig3_circuit())
+        assert cbdd.sole_successor("l3") == ("l5", 0)  # l3 feeds l5 only
+        assert cbdd.sole_successor("l4") == ("Vo1", 1)
+        assert cbdd.sole_successor("l1") is None  # fan-out stem
+        assert cbdd.sole_successor("Vo1") is None  # primary output
+        # A fan-out branch is its own sole successor.
+        assert cbdd.sole_successor("l1", ("l6", 0)) == ("l6", 0)
+
+    def test_local_difference(self):
+        cbdd = CircuitBdd(fig3_circuit())
+        mgr = cbdd.mgr
+        # l5 = AND(l3, l1): l3 is observed at l5 exactly when l1 = 1.
+        assert cbdd.local_difference("l5", 0) == mgr.var("l1")
+        # l6 = XOR(l1, l2): every input is always observed.
+        assert cbdd.local_difference("l6", 1) == TRUE
+        # l3 = NOR(l0, l2): l0 is observed when l2 = 0.
+        assert cbdd.local_difference("l3", 0) == mgr.nvar("l2")

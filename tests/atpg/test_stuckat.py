@@ -351,3 +351,49 @@ class TestGenerateMatchesCutVariableOracle:
             assert run.n_detected > 0
             # Every DETECTED vector was replayed; a miss would have raised.
             assert run.diagnostics["simulation_checks"] == run.n_detected
+
+
+class TestChainRule:
+    """Only fan-out stems and primary outputs rebuild their fault cones."""
+
+    def test_cones_are_rebuilt_only_at_stems_without_a_sole_successor(self):
+        from repro.circuits import benchmark_digital
+
+        circuit = benchmark_digital("c432")
+        cbdd = CircuitBdd(circuit)
+        rebuilt = []
+        rebuild = cbdd.functions_with_line
+
+        def spy(line, pin_site, node):
+            rebuilt.append((line, pin_site))
+            return rebuild(line, pin_site, node)
+
+        cbdd.functions_with_line = spy
+        generator = StuckAtGenerator(cbdd)
+        faults = collapse_faults(circuit, fault_universe(circuit))
+        for fault in faults:
+            generator.generate(fault)
+        sites = set(rebuilt)
+        assert len(rebuilt) == 2 * len(sites)  # once per site, both constants
+        assert all(
+            pin_site is None and cbdd.sole_successor(line) is None
+            for line, pin_site in sites
+        )
+        assert len(sites) < len({(f.line, f.gate, f.pin) for f in faults}) / 3
+
+    def test_long_single_fanout_chain(self):
+        """The chain walk is iterative: depth is not bounded by recursion."""
+        c = Circuit("chain")
+        c.add_input("a")
+        c.add_input("b")
+        previous = "a"
+        for i in range(3000):
+            c.add_gate(f"n{i}", "NOT", (previous,))
+            previous = f"n{i}"
+        c.and_("out", previous, "b")
+        c.add_output("out")
+        generator = StuckAtGenerator(CircuitBdd(c))
+        result = generator.generate(stem_fault("a", 0))
+        assert result.status is TestStatus.DETECTED
+        assert result.vector == {"a": 1, "b": 1}
+        assert result.observing_outputs == ("out",)
