@@ -3,4 +3,4 @@ wheels and the ``wheel`` package is unavailable offline, so ``pip install -e .``
 falls back to this file (``setup.py develop``)."""
 from setuptools import setup
 
-setup()
+setup(install_requires=["numpy", "scipy"])

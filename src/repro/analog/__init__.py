@@ -16,17 +16,9 @@ from .deviation import (
 from .selection import (
     TestSetSelection,
     coverage_document,
-    coverage_graph,
     select_parameters_greedy,
     select_parameters_maxcoverage,
     select_parameters_mincover,
-)
-from .graphmodel import (
-    MatchingCertificate,
-    assignment_by_flow,
-    circuit_graph,
-    elements_between,
-    matching_certificate,
 )
 from .faults import (
     AnalogFault,
@@ -63,15 +55,9 @@ __all__ = [
     "UNTESTABLE",
     "TestSetSelection",
     "coverage_document",
-    "coverage_graph",
     "select_parameters_greedy",
     "select_parameters_maxcoverage",
     "select_parameters_mincover",
-    "circuit_graph",
-    "elements_between",
-    "MatchingCertificate",
-    "matching_certificate",
-    "assignment_by_flow",
     "AnalogFault",
     "AnalogFaultKind",
     "parametric",

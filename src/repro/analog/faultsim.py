@@ -22,9 +22,10 @@ fault population and one detection semantics:
   is *batch, then walk*: the whole population's own-step gains are
   precomputed up front (:meth:`repro.spice.FactorizedMna.
   deviation_batch` — one multi-RHS backend solve per distinct stimulus
-  frequency, vectorized update scalars), and the detection walk then
-  runs almost entirely on memo hits.  Optionally fans out over faults
-  with a thread pool.
+  frequency, vectorized update scalars), and the serial detection walk
+  then runs almost entirely on memo hits.  A fault that survives its
+  own steps gets its remaining gains from the same kernel, one
+  batch-of-one call each.
 
 Both engines walk the program steps in the same order (the faulted
 element's own step first), so — floating-point coincidences at a
@@ -35,9 +36,7 @@ the same seed.  The differential test suite holds them to that.
 from __future__ import annotations
 
 import random
-import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..digital.compiled import CompiledCircuit
@@ -230,7 +229,6 @@ class CampaignEngine:
         mixed,
         steps: Sequence,
         faults: Sequence[FaultSpec],
-        max_workers: int | None = None,
         backend: str = "auto",
         digital_engine: str = "compiled",
     ) -> list[InjectionOutcome]:
@@ -252,7 +250,6 @@ class ReferenceEngine(CampaignEngine):
         mixed,
         steps: Sequence,
         faults: Sequence[FaultSpec],
-        max_workers: int | None = None,
         backend: str = "auto",
         digital_engine: str = "compiled",
     ) -> list[InjectionOutcome]:
@@ -327,11 +324,12 @@ class FactorizedEngine(CampaignEngine):
     decides on — are computed up front by
     :meth:`repro.spice.FactorizedMna.deviation_batch`, one multi-RHS
     backend solve per distinct stimulus frequency, and published into
-    the gain memo.  The detection walk that follows keeps the exact
-    ``step_order`` early-exit semantics of the per-fault path, but runs
-    almost entirely on memo hits; only a fault that survives its own
-    steps pays further (lazily computed, memoized) per-fault updates on
-    the remaining steps.
+    the gain memo.  The serial detection walk that follows keeps the
+    exact ``step_order`` early-exit semantics, but runs almost entirely
+    on memo hits; only a fault that survives its own steps pays further
+    (lazily computed, memoized) batch-of-one updates on the remaining
+    steps.  Every gain therefore comes from the one Sherman–Morrison
+    kernel, :meth:`~repro.spice.FactorizedMna.deviation_batch`.
 
     Cost model: the reference engine pays a full matrix assembly and
     dense solve per (fault, step) pair, twice (good and faulty
@@ -348,7 +346,6 @@ class FactorizedEngine(CampaignEngine):
         mixed,
         steps: Sequence,
         faults: Sequence[FaultSpec],
-        max_workers: int | None = None,
         backend: str = "auto",
         digital_engine: str = "compiled",
     ) -> list[InjectionOutcome]:
@@ -387,7 +384,7 @@ class FactorizedEngine(CampaignEngine):
         # the shared circuit is only read.
         solver = MnaSolver(circuit, backend=backend, source=mixed.analog_source)
         # One LU per distinct stimulus frequency, shared by every
-        # fault; built serially before any fan-out.
+        # fault.
         factorized = {}
         good_gain = {}
         for step in steps:
@@ -415,7 +412,7 @@ class FactorizedEngine(CampaignEngine):
                 assignment = dict(step.vector)
                 for line, bit in zip(converter_lines, code):
                     assignment[line] = bit
-                word = word_memo.setdefault(word_key, respond(assignment))
+                word = word_memo[word_key] = respond(assignment)
             good_words.append(word)
         own_steps: dict[str, list[int]] = {}
         for index, step in enumerate(steps):
@@ -432,21 +429,14 @@ class FactorizedEngine(CampaignEngine):
                 if step.element != element:
                     yield index
 
-        # Memoization across faults and steps.  The memos are shared
-        # by every worker thread, so all access is lock-guarded and
-        # first-write-wins (``setdefault``): every thread observes
-        # one canonical value per key, making the threaded path
-        # deterministic by construction rather than by relying on
-        # the GIL making plain-dict races benign.
-        memo_lock = threading.Lock()
+        # Memoization across faults and steps.
         gain_memo: dict[tuple[str, float, float], float] = {}
         detect_memo: dict[tuple, bool] = {}
 
         # Batch-then-walk: precompute every fault's own-step gains
         # — the gains the early exit almost always decides on — as
         # one deviation_batch per distinct stimulus frequency, so
-        # the walk below starts with the memo already hot.  Runs
-        # before any thread fan-out, so the memo needs no lock yet.
+        # the walk below starts with the memo already hot.
         batched_gains = 0
         pending: dict[float, dict[tuple[str, float], None]] = {}
         for fault in faults:
@@ -459,10 +449,6 @@ class FactorizedEngine(CampaignEngine):
             pairs = list(keyed)
             values = factorized[frequency].deviation_batch(pairs, output)
             for (element, deviation), value in zip(pairs, values):
-                # Lock-free by construction: this precompute runs
-                # before the executor below exists, so no other
-                # thread can touch the memo yet.
-                # repro-lint: disable=LCK003
                 gain_memo[(element, deviation, frequency)] = abs(
                     complex(value)
                 )
@@ -470,18 +456,13 @@ class FactorizedEngine(CampaignEngine):
 
         def fault_gain(fault: FaultSpec, frequency: float) -> float:
             gain_key = (fault.element, fault.deviation, frequency)
-            with memo_lock:
-                gain = gain_memo.get(gain_key)
+            gain = gain_memo.get(gain_key)
             if gain is None:
-                # Compute outside the lock (the solve dominates),
-                # then publish; a concurrent first writer wins.
-                computed = abs(
-                    factorized[frequency].deviated_voltage(
-                        fault.element, fault.deviation, output
-                    )
-                )
-                with memo_lock:
-                    gain = gain_memo.setdefault(gain_key, computed)
+                # A tail gain: the fault survived its own steps.
+                value = factorized[frequency].deviation_batch(
+                    [(fault.element, fault.deviation)], output
+                )[0]
+                gain = gain_memo[gain_key] = abs(complex(value))
             return gain
 
         def detect(index: int, code: tuple[int, ...]) -> bool:
@@ -494,15 +475,14 @@ class FactorizedEngine(CampaignEngine):
                 code,
                 good_words[index],
             )
-            with memo_lock:
-                hit = detect_memo.get(detect_key)
+            hit = detect_memo.get(detect_key)
             if hit is None:
                 assignment = dict(step.vector)
                 for line, bit in zip(converter_lines, code):
                     assignment[line] = bit
-                computed = respond(assignment) != good_words[index]
-                with memo_lock:
-                    hit = detect_memo.setdefault(detect_key, computed)
+                hit = detect_memo[detect_key] = (
+                    respond(assignment) != good_words[index]
+                )
             return hit
 
         def evaluate(fault: FaultSpec) -> tuple[bool, str | None]:
@@ -524,14 +504,7 @@ class FactorizedEngine(CampaignEngine):
                     return True, steps[index].element
             return False, None
 
-        if max_workers is not None and max_workers > 1 and len(faults) > 1:
-            workers = min(max_workers, len(faults))
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-faultsim"
-            ) as pool:
-                verdicts = list(pool.map(evaluate, faults))
-        else:
-            verdicts = [evaluate(fault) for fault in faults]
+        verdicts = [evaluate(fault) for fault in faults]
         solve_stats = {
             "solve_calls": 0,
             "multi_rhs_solves": 0,

@@ -23,14 +23,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .deviation import DeviationMatrix, json_float
 
 __all__ = [
     "TestSetSelection",
     "coverage_document",
-    "coverage_graph",
     "select_parameters_greedy",
     "select_parameters_mincover",
     "select_parameters_maxcoverage",
@@ -78,28 +75,6 @@ def coverage_document(coverage: dict[str, tuple[str, float]]) -> dict:
         element: [parameter, json_float(ed)]
         for element, (parameter, ed) in coverage.items()
     }
-
-
-def coverage_graph(
-    matrix: DeviationMatrix, max_ed_percent: float = math.inf
-) -> nx.Graph:
-    """Bipartite graph: parameter — element edges weighted by E.D.%.
-
-    Edges exist only where the E.D. is finite and below
-    ``max_ed_percent``; node attribute ``side`` is ``"parameter"`` or
-    ``"element"``.
-    """
-    graph = nx.Graph()
-    for parameter in matrix.parameters:
-        graph.add_node(("P", parameter), side="parameter")
-    for element in matrix.elements:
-        graph.add_node(("E", element), side="element")
-    for parameter in matrix.parameters:
-        for element in matrix.elements:
-            ed = matrix.deviation_percent(parameter, element)
-            if math.isfinite(ed) and ed <= max_ed_percent:
-                graph.add_edge(("P", parameter), ("E", element), ed=ed)
-    return graph
 
 
 def _coverage_through(

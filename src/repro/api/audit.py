@@ -195,7 +195,6 @@ def _normalize(campaign: CampaignConfig) -> CampaignConfig:
     return campaign.replace(
         shards=1,
         shard_workers=None,
-        max_workers=None,
         cache_dir=None,
         chaos=None,
     )

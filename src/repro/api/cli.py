@@ -102,10 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-simulation engine (default: factorized)",
     )
     p_camp.add_argument(
-        "--campaign-workers", type=int, default=None, metavar="N",
-        help="thread fan-out over faults (factorized engine)",
-    )
-    p_camp.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="split the seeded fault population into N deterministic "
         "shards executed in worker processes (outcomes identical to "
@@ -450,7 +446,6 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         severity_range=None if args.severity is None else tuple(args.severity),
         seed=args.seed,
         engine=args.engine,
-        max_workers=args.campaign_workers,
         backend=args.backend,
         digital_engine=args.digital_engine,
         shards=args.shards,

@@ -43,7 +43,7 @@ DIGITAL_ENGINES = ("compiled", "reference")
 #: :class:`CampaignConfig` fields earlier releases recorded in job files
 #: and report metadata; :meth:`CampaignConfig.from_document` drops them.
 RETIRED_CAMPAIGN_FIELDS = frozenset(
-    {"batch", "checkpoint_dir", "factor_cache_size"}
+    {"batch", "checkpoint_dir", "factor_cache_size", "max_workers"}
 )
 
 
@@ -152,10 +152,8 @@ class CampaignConfig(_Replaceable):
             LU reuse + Sherman–Morrison rank-one updates, the default)
             or ``"reference"`` (full re-solve per fault, the oracle the
             differential tests check the fast engine against).  Both
-            produce identical seeded outcome lists.
-        max_workers: thread fan-out over faults inside the factorized
-            engine (``None`` = serial; sessions inject their own
-            ``max_workers`` here when unset).
+            produce the same seeded outcome lists, barring a gain that
+            lands on a comparator threshold to within rounding.
         backend: linear-system backend for the campaign's analog solves
             — ``"auto"`` (sparse at/above the node-count threshold,
             dense below), ``"dense"`` or ``"sparse"``.
@@ -170,9 +168,8 @@ class CampaignConfig(_Replaceable):
             default) keeps the classic single-process run.  Any shard
             count yields outcomes byte-identical to the unsharded run.
         shard_workers: process fan-out over shards (``None`` = one per
-            pending shard, capped by the CPU count).  Distinct from
-            ``max_workers``, which is the *thread* fan-out over faults
-            inside each shard's engine.
+            pending shard, capped by the CPU count).  Each shard's
+            engine runs its faults serially.
         cache_dir: root of a content-addressed
             :class:`repro.core.cache.ResultCache`, the one place shard
             results persist.  When set, each completed shard is
@@ -217,7 +214,6 @@ class CampaignConfig(_Replaceable):
     severity_range: tuple[float, float] = (0.5, 3.0)
     seed: int = 2024
     engine: str = "factorized"
-    max_workers: int | None = None
     backend: str = "auto"
     digital_engine: str = "compiled"
     shards: int = 1
@@ -248,10 +244,6 @@ class CampaignConfig(_Replaceable):
         _require(
             self.engine in CAMPAIGN_ENGINES,
             f"engine must be one of {CAMPAIGN_ENGINES}, got {self.engine!r}",
-        )
-        _require(
-            self.max_workers is None or self.max_workers >= 1,
-            f"max_workers must be None or >= 1, got {self.max_workers!r}",
         )
         _require(
             self.backend in SIM_BACKENDS,
@@ -365,9 +357,9 @@ class SessionConfig(_Replaceable):
         campaign: fault-injection campaign settings.
         atpg: digital ATPG settings.
         max_workers: worker threads for ``run_batch`` (``None`` = one
-            per batch entry, capped by the interpreter's CPU count),
-            also injected into the campaign config when that leaves
-            ``max_workers`` unset.
+            per batch entry, capped by the interpreter's CPU count).
+            Each thread drives its own circuit; a campaign inside it
+            runs serially.
     """
 
     generator: GeneratorConfig = GeneratorConfig()

@@ -229,10 +229,6 @@ class TestSession:
         generator = generator or self.config.generator
         campaign = campaign or self.config.campaign
         atpg = atpg or self.config.atpg
-        if campaign.max_workers is None and self.config.max_workers is not None:
-            # The campaign's factorized engine fans out over faults with
-            # the same worker budget the session uses for run_batch.
-            campaign = campaign.replace(max_workers=self.config.max_workers)
         pipeline = Pipeline(stages)
         if pooled:
             self._checkout_bdd(mixed, atpg.ordering)

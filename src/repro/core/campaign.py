@@ -15,7 +15,8 @@ engine.  ``engine="factorized"`` (the default) reuses per-frequency LU
 factorizations and Sherman–Morrison rank-one updates; the
 ``"reference"`` engine re-assembles and re-solves every faulty system
 and serves as the oracle the differential test suite checks the fast
-engine against.  Both produce identical seeded outcome lists.
+engine against.  Both produce the same seeded outcome lists, barring a
+gain that lands on a comparator threshold to within rounding.
 
 With ``config.shards > 1`` (or a ``cache_dir``), execution is
 delegated to :mod:`repro.core.sharding`: the fault population — still
@@ -45,27 +46,21 @@ __all__ = ["InjectionOutcome", "CampaignResult", "run_campaign"]
 def run_campaign(
     mixed: MixedSignalCircuit,
     report: MixedTestReport,
-    faults_per_element: int | None = None,
-    severity_range: tuple[float, float] | None = None,
-    seed: int | None = None,
-    engine: str | None = None,
-    backend: str | None = None,
-    digital_engine: str | None = None,
     config: CampaignConfig | None = None,
     progress=None,
 ) -> CampaignResult:
     """Inject seeded analog faults and execute the emitted program.
 
-    For each analog element with a test recipe, ``faults_per_element``
-    deviations are drawn with severities (multiples of the element's
-    computed E.D.) uniform in ``severity_range``, both directions.  Every
-    program step is tried against every fault — any step may catch it —
-    with the step targeting the faulted element tried first.
+    For each analog element with a test recipe,
+    ``config.faults_per_element`` deviations are drawn with severities
+    (multiples of the element's computed E.D.) uniform in
+    ``config.severity_range``, both directions.  Every program step is
+    tried against every fault — any step may catch it — with the step
+    targeting the faulted element tried first.
 
-    The canonical configuration is a typed
-    :class:`repro.api.CampaignConfig`; the loose keyword arguments are
-    the legacy surface (explicit values override the config).  The
-    ``engine`` selects the :mod:`repro.analog.faultsim` implementation
+    ``config`` (a :class:`repro.api.CampaignConfig`, default-constructed
+    when ``None``) is the one configuration surface.  Its ``engine``
+    selects the :mod:`repro.analog.faultsim` implementation
     (``"factorized"`` fast path or the ``"reference"`` oracle);
     ``backend`` the :mod:`repro.spice.backends` linear-system backend
     the engine's analog solves run on; ``digital_engine`` the digital
@@ -79,14 +74,8 @@ def run_campaign(
     completed :class:`~repro.core.sharding.ShardRun` as it lands, which
     is how the service layer streams per-shard job events.
     """
-    config = (config if config is not None else CampaignConfig()).with_overrides(
-        faults_per_element=faults_per_element,
-        severity_range=severity_range,
-        seed=seed,
-        engine=engine,
-        backend=backend,
-        digital_engine=digital_engine,
-    )
+    if config is None:
+        config = CampaignConfig()
     rng = random.Random(config.seed)
     testable = [t for t in report.analog_tests if t.testable]
     faults = draw_faults(
@@ -114,7 +103,6 @@ def run_campaign(
         mixed,
         testable,
         faults,
-        max_workers=config.max_workers,
         backend=config.backend,
         digital_engine=config.digital_engine,
     )

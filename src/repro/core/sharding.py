@@ -120,7 +120,6 @@ SHARD_NAMESPACE = "campaign-shard"
 #: config knob cannot silently leak into or out of dedup identity.
 FINGERPRINT_EXCLUDED_FIELDS = frozenset(
     {
-        "max_workers",      # thread fan-out inside an engine
         "shards",           # process partitioning of the population
         "shard_workers",    # process fan-out over shards
         "shard_attempts",   # how failures are retried, not outcomes
@@ -357,7 +356,6 @@ def _execute_shard(context: _ShardContext, index: int) -> ShardRun:
         context.mixed,
         context.steps,
         list(context.faults[start:stop]),
-        max_workers=config.max_workers,
         backend=config.backend,
         digital_engine=config.digital_engine,
     )

@@ -13,17 +13,16 @@ all fault-injection campaigns that perturb one element at a time —
 LU factorization of the assembled matrix.  The factorization serves
 
 * plain re-solves at no assembly cost (:meth:`FactorizedMna.solution`),
-* :meth:`FactorizedMna.solve_deviation`: the solution of the circuit
-  with a *single element deviated*, via a Sherman–Morrison rank-one
-  update (a one-element deviation perturbs only that element's stamp,
-  which for every value-carrying component is a rank-one patch of the
-  matrix), falling back to a dense solve of the patched matrix whenever
-  the perturbation is not rank one or the update is ill-conditioned,
-* :meth:`FactorizedMna.deviation_batch`: the campaign-scale form of the
-  same update — a whole population of ``(element, deviation)`` faults
-  classified in one pass, every distinct update direction solved in a
-  single multi-RHS backend call, and the Sherman–Morrison scalars
-  evaluated as vectorized numpy expressions over the batch.
+* :meth:`FactorizedMna.deviation_batch`: the observed-node voltage of
+  the circuit with a *single element deviated*, for a whole batch of
+  ``(element, deviation)`` faults at once, via Sherman–Morrison
+  rank-one updates (a one-element deviation perturbs only that
+  element's stamp, which for every value-carrying component is a
+  rank-one patch of the matrix).  Every distinct update direction is
+  solved in a single multi-RHS backend call and the update scalars are
+  evaluated as vectorized numpy expressions over the batch; a
+  perturbation that is not rank one, or an ill-conditioned update,
+  falls back to a dense solve of the patched matrix.
 
 The solver caches no factorization: each :meth:`MnaSolver.factorized`
 call assembles and factors the circuit as it is at that moment, and the
@@ -37,7 +36,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-import threading
 
 import numpy as np
 
@@ -218,7 +216,7 @@ class _DeltaAssembler(StampContext):
 
     Shares the node map and the branch rows of the original assembly, so
     the collected entries address the factorized matrix directly.  Used
-    by :meth:`FactorizedMna.solve_deviation` with ``sign = -1`` for the
+    by :meth:`FactorizedMna.deviation_batch` with ``sign = -1`` for the
     baseline stamp and ``sign = +1`` for the deviated stamp.
     """
 
@@ -312,10 +310,7 @@ class FactorizedMna:
         # y = A⁻¹·u per value-independent update direction u — computing
         # it is the only triangular solve a rank-one update needs, and
         # every deviation of the same element reuses the same direction.
-        # The campaign engine calls deviated_voltage from worker
-        # threads, so access is lock-guarded, first-write-wins.
         self._ys: dict[tuple, np.ndarray] = {}
-        self._ys_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -327,10 +322,6 @@ class FactorizedMna:
         """The baseline (as-assembled) solution — two triangular solves
         already paid; this is a constant-time accessor."""
         return self._base_solution
-
-    def solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A·x = rhs`` against the stored factorization."""
-        return self._factorization.solve(rhs)
 
     # ------------------------------------------------------------------
     def _stamp_delta(
@@ -452,107 +443,6 @@ class FactorizedMna:
             list(v_right[0, :]),
         )
 
-    def _deviation_update(
-        self, element: str, deviation: float
-    ) -> tuple[np.ndarray, complex] | dict | None:
-        """The Sherman–Morrison terms for one deviated element.
-
-        Returns ``(y, scale)`` such that the deviated solution is
-        ``x₀ − y·scale``; ``None`` when the deviated system equals the
-        baseline; or the raw delta-entry dict when the update must go
-        through a dense patched solve (non-rank-one or ill-conditioned).
-        """
-        delta = self._stamp_delta(element, deviation)
-        if delta is None:
-            return None
-        entries, rhs_touched = delta
-        if rhs_touched:
-            # The component re-stamped the RHS; a matrix-only update
-            # cannot represent that.  (Unreachable for built-in
-            # components — sources carry no value.)
-            raise AnalogError(
-                f"component {element!r} stamps the right-hand side; "
-                "cannot patch the factorized system"
-            )
-        factors = self._factor_delta(entries)
-        if factors is None:
-            factors = self._factor_delta_svd(entries)
-            if factors is None:
-                return entries  # genuinely rank ≥ 2: dense fallback
-        u_key, u_rows, u_vals, w_cols, w_vals = factors
-        if u_key is not None:
-            with self._ys_lock:
-                y = self._ys.get(u_key)
-        else:
-            y = None
-        if y is None:
-            u = np.zeros(self._size, dtype=complex)
-            u[u_rows] = u_vals
-            y = self._factorization.solve(u)
-            if u_key is not None:
-                with self._ys_lock:
-                    y = self._ys.setdefault(u_key, y)
-        w_dot_y = sum(w * y[c] for c, w in zip(w_cols, w_vals))
-        denominator = 1.0 + w_dot_y
-        if abs(denominator) < self.DENOM_RTOL * max(1.0, abs(w_dot_y)):
-            # The update drives the system (near-)singular *relative to
-            # its own scale*: catastrophic cancellation would shred the
-            # fast branch, so take the dense path (which raises a clean
-            # AnalogError if the system truly is singular).
-            return entries
-        w_dot_x = sum(w * self._base[c] for c, w in zip(w_cols, w_vals))
-        return y, w_dot_x / denominator
-
-    def solve_deviation(self, element: str, deviation: float) -> Solution:
-        """Solution with one element deviated, via Sherman–Morrison.
-
-        ``deviation`` is relative to the element's *nominal* value (the
-        :meth:`repro.spice.AnalogCircuit.set_deviation` convention).  A
-        single-element deviation perturbs only that element's stamp —
-        ``ΔA = u·wᵀ`` for every value-carrying component — so
-
-            (A + u·wᵀ)⁻¹·b  =  x₀ − y · (wᵀ·x₀) / (1 + wᵀ·y)
-
-        with ``x₀ = A⁻¹·b`` already cached and ``y = A⁻¹·u`` cached per
-        update direction (one triangular solve the first time an element
-        is deviated at this frequency, scalar work afterwards).
-        Perturbations that are not rank one (no current component type
-        produces any) and ill-conditioned updates fall back to a dense
-        solve of the patched matrix.  The circuit is never mutated.
-        """
-        update = self._deviation_update(element, deviation)
-        if update is None:
-            return self._base_solution
-        if isinstance(update, dict):
-            vector = self._patched_solve(update)
-        else:
-            y, scale = update
-            vector = self._base - y * scale
-        return self.solver._solution(
-            vector, self._branch_rows, self.frequency_hz
-        )
-
-    def deviated_voltage(
-        self, element: str, deviation: float, node: str
-    ) -> complex:
-        """One node's voltage with one element deviated — the campaign
-        hot path.  Same update as :meth:`solve_deviation`, but only the
-        observed entry of the solution vector is formed: after the per-
-        element triangular solve is cached this is O(1) per fault."""
-        if node == GROUND:
-            return 0.0 + 0.0j
-        try:
-            index = self.solver._node_index[node]
-        except KeyError:
-            raise AnalogError(f"no node named {node!r} in solution") from None
-        update = self._deviation_update(element, deviation)
-        if update is None:
-            return complex(self._base[index])
-        if isinstance(update, dict):
-            return complex(self._patched_solve(update)[index])
-        y, scale = update
-        return complex(self._base[index] - y[index] * scale)
-
     def solve_stats(self) -> dict:
         """Solve-counter diagnostics of the underlying factorization.
 
@@ -566,30 +456,36 @@ class FactorizedMna:
     def deviation_batch(self, faults, node: str) -> np.ndarray:
         """Observed-node voltages for a whole batch of deviations.
 
-        ``faults`` is a sequence of ``(element, deviation)`` pairs;
-        entry ``i`` of the returned complex array equals
-        ``deviated_voltage(element_i, deviation_i, node)`` — the same
-        Sherman–Morrison update, executed as array-level linear algebra
-        over the full batch:
+        ``faults`` is a sequence of ``(element, deviation)`` pairs, each
+        ``deviation`` relative to the element's *nominal* value (the
+        :meth:`repro.spice.AnalogCircuit.set_deviation` convention);
+        entry ``i`` of the returned complex array is ``node``'s voltage
+        with element ``i`` alone deviated.  Since ``ΔA = u·wᵀ``,
 
-        1. every fault's stamp delta is factored ``ΔA = u·wᵀ`` exactly
-           as the per-fault path does;
+            (A + u·wᵀ)⁻¹·b  =  x₀ − y · (wᵀ·x₀) / (1 + wᵀ·y)
+
+        with ``x₀ = A⁻¹·b`` already solved and ``y = A⁻¹·u``, executed
+        as array-level linear algebra over the full batch:
+
+        1. every fault's stamp delta is factored ``ΔA = u·wᵀ``;
         2. every *distinct* update direction ``u`` not already in the
            per-direction ``y = A⁻¹u`` cache becomes one column of a
            single matrix handed to one
            :meth:`~repro.spice.backends.LinearFactorization.solve_many`
-           call (fixed directions feed the cache, so a later per-fault
-           walk reuses the batch's triangular solves);
+           call (fixed directions feed the cache, so later batches at
+           this frequency reuse the triangular solves);
         3. denominators ``1 + wᵀy``, scales ``wᵀx₀ / (1 + wᵀy)`` and
            the observed-node voltages are formed as vectorized numpy
-           expressions over the batch, with the same term order as the
-           scalar path so both produce the same floating-point values.
+           expressions over the batch.
 
-        Only genuinely rank-≥2 deltas and updates failing the relative
+        A gain can differ in the last ulp with the batch it is computed
+        in; the reference against which the kernel is tested is a fresh
+        :class:`MnaSolver` solve of the deviated circuit.  Only
+        genuinely rank-≥2 deltas and updates failing the relative
         conditioning test (:data:`DENOM_RTOL`) drop out of the batch,
-        through the same per-fault dense patched solve the scalar path
-        uses.  Deviations whose stamp equals the baseline return the
-        baseline voltage, mirroring :meth:`deviated_voltage`.
+        through a per-fault dense patched solve.  Deviations whose
+        stamp equals the baseline return the baseline voltage.  The
+        circuit is never mutated.
         """
         if node == GROUND:
             return np.zeros(len(faults), dtype=complex)
@@ -647,11 +543,9 @@ class FactorizedMna:
                 column_of[ident] = position
                 columns.append((u_rows, u_vals))
                 column_cache_keys.append(u_key)
-                if u_key is not None:
-                    with self._ys_lock:
-                        column_ys.append(self._ys.get(u_key))
-                else:
-                    column_ys.append(None)
+                column_ys.append(
+                    None if u_key is None else self._ys.get(u_key)
+                )
             slot = len(sm_fault)
             sm_fault.append(i)
             sm_column.append(position)
@@ -668,29 +562,21 @@ class FactorizedMna:
         # — no per-column densify/copy/re-stack round trips.
         missing = [j for j, y in enumerate(column_ys) if y is None]
         solved = None
-        solved_is_canonical = False
         if missing:
             block = np.zeros((self._size, len(missing)), dtype=complex)
             for k, j in enumerate(missing):
                 u_rows, u_vals = columns[j]
                 block[u_rows, k] = u_vals
             solved = np.asfortranarray(self._factorization.solve_many(block))
-            solved_is_canonical = len(missing) == len(column_ys)
             for k, j in enumerate(missing):
-                y = view = solved[:, k]
+                column_ys[j] = solved[:, k]
                 key = column_cache_keys[j]
                 if key is not None:
-                    with self._ys_lock:
-                        y = self._ys.setdefault(key, view)
-                if y is not view:
-                    # Another thread seeded this direction first; its
-                    # array is canonical, so the block no longer is.
-                    solved_is_canonical = False
-                column_ys[j] = y
+                    self._ys[key] = column_ys[j]
 
         # --- vectorized Sherman–Morrison over the whole batch ---------
         if sm_fault:
-            if solved_is_canonical:
+            if len(missing) == len(column_ys):
                 ys = solved  # every direction is a fresh solve column
             else:
                 ys = np.empty(
@@ -703,9 +589,8 @@ class FactorizedMna:
             slots = np.asarray(w_slot, dtype=np.intp)
             cols = np.asarray(w_col, dtype=np.intp)
             vals = np.asarray(w_val, dtype=complex)
-            # np.add.at accumulates in entry order — the same term
-            # order as the scalar path's sum(), so the results agree
-            # bit for bit, not merely to rounding.
+            # np.add.at accumulates each fault's wᵀ terms in entry
+            # order.
             terms_y = vals * ys[cols, column_of_slot[slots]]
             terms_x = vals * self._base[cols]
             w_dot_y = np.zeros(len(sm_fault), dtype=complex)

@@ -2,11 +2,10 @@
 
 The contract under test (``repro.core.sharding``): for one seed, the
 campaign's ``InjectionOutcome`` list is *identical* — element by
-element, byte by byte once serialized — whatever the thread fan-out
-(``max_workers``), the shard count (``shards``, including counts that do
-not divide the fault population) or the process fan-out
-(``shard_workers``), and a run resumed from cached shards merges to the
-same result as an uninterrupted one.
+element, byte by byte once serialized — whatever the shard count
+(``shards``, including counts that do not divide the fault population)
+or the process fan-out (``shard_workers``), and a run resumed from
+cached shards merges to the same result as an uninterrupted one.
 """
 
 import json
@@ -104,14 +103,6 @@ class TestShardBounds:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_thread_fanout_identical(self, prepared, baseline, workers):
-        mixed, report = prepared
-        result = run_campaign(
-            mixed, report, config=_config(max_workers=workers)
-        )
-        assert _outcome_key(result) == _outcome_key(baseline)
-
     @pytest.mark.parametrize("shards", [1, 2, 5])
     def test_shard_counts_identical(self, prepared, baseline, shards):
         # fig4 draws 32 faults: 5 deliberately does not divide it.
@@ -124,24 +115,14 @@ class TestDeterminism:
                 baseline.outcomes
             )
 
-    def test_process_pool_identical(self, prepared, baseline):
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_process_pool_identical(self, prepared, baseline, shards):
         mixed, report = prepared
         result = run_campaign(
-            mixed, report, config=_config(shards=4, shard_workers=4)
+            mixed, report, config=_config(shards=shards, shard_workers=shards)
         )
         assert _outcome_key(result) == _outcome_key(baseline)
         assert result.diagnostics["process_pool"] is True
-
-    def test_processes_with_in_shard_threads_identical(
-        self, prepared, baseline
-    ):
-        mixed, report = prepared
-        result = run_campaign(
-            mixed,
-            report,
-            config=_config(shards=2, shard_workers=2, max_workers=2),
-        )
-        assert _outcome_key(result) == _outcome_key(baseline)
 
     def test_multithreaded_caller_falls_back_in_process(
         self, prepared, baseline
@@ -286,7 +267,6 @@ class TestFingerprint:
         for overrides in (
             {"shards": 7},
             {"shard_workers": 3},
-            {"max_workers": 5},
             {"cache_dir": "/elsewhere"},
         ):
             assert (
@@ -428,7 +408,6 @@ class TestContentCacheResume:
             config=_config(
                 shards=4,
                 shard_workers=2,
-                max_workers=3,
                 cache_dir=str(tmp_path),
             ),
         )
@@ -504,8 +483,6 @@ class TestConfigSurface:
             CampaignConfig(shards=0)
         with pytest.raises(ConfigError):
             CampaignConfig(shard_workers=0)
-        with pytest.raises(ConfigError):
-            CampaignConfig(max_workers=0)
 
     def test_session_injects_shards(self, prepared):
         """The session's campaign config carries the shard count."""

@@ -69,11 +69,13 @@ class TestRankOneUpdateProperty:
                 element = rng.choice(elements)
                 deviation = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.9)
                 factorized = solver.factorized(frequency)
-                fast = factorized.solve_deviation(element, deviation)
                 with circuit.with_deviations({element: deviation}):
                     full = MnaSolver(circuit).solve(frequency)
                 for node in full.nodes():
-                    assert fast.voltage(node) == pytest.approx(
+                    fast = factorized.deviation_batch(
+                        [(element, deviation)], node
+                    )[0]
+                    assert fast == pytest.approx(
                         full.voltage(node), rel=1e-9, abs=1e-9
                     )
 
@@ -120,9 +122,9 @@ class TestRankOneUpdateProperty:
         rng = random.Random(5)
         circuit, output = random_ladder(rng, stages=2)
         factorized = MnaSolver(circuit).factorized(1e3)
-        assert factorized.solve_deviation(
-            "Rs0", 0.0
-        ).voltage(output) == factorized.solution().voltage(output)
+        assert factorized.deviation_batch(
+            [("Rs0", 0.0)], output
+        )[0] == factorized.solution().voltage(output)
 
 
 class TestDeviationScopeRestoration:

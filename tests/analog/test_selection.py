@@ -6,7 +6,6 @@ import pytest
 
 from repro.analog import (
     DeviationMatrix,
-    coverage_graph,
     select_parameters_greedy,
     select_parameters_maxcoverage,
     select_parameters_mincover,
@@ -95,22 +94,3 @@ class TestMinCover:
         table = {f"P{i}": {"a": 10.0} for i in range(21)}
         with pytest.raises(ValueError):
             select_parameters_mincover(make_matrix(table))
-
-
-class TestGraph:
-    def test_bipartite_structure(self):
-        graph = coverage_graph(PAPER_LIKE)
-        parameter_nodes = [
-            n for n, d in graph.nodes(data=True) if d["side"] == "parameter"
-        ]
-        element_nodes = [
-            n for n, d in graph.nodes(data=True) if d["side"] == "element"
-        ]
-        assert len(parameter_nodes) == 3
-        assert len(element_nodes) == 8
-        assert graph.has_edge(("P", "A1"), ("E", "Rd"))
-        assert not graph.has_edge(("P", "A1"), ("E", "R1"))
-
-    def test_threshold_prunes_edges(self):
-        graph = coverage_graph(PAPER_LIKE, max_ed_percent=50.0)
-        assert not graph.has_edge(("P", "A2"), ("E", "Rg"))

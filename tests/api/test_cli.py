@@ -1,6 +1,9 @@
 """The ``python -m repro`` CLI, driven in-process."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,28 @@ class TestList:
         assert "fig4" in out
         assert "example3-c432" in out
         assert "table1" in out
+
+    def test_runs_without_networkx(self):
+        """numpy and scipy are the only runtime dependencies: a clean
+        interpreter that cannot import networkx still runs the CLI."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import runpy, sys\n"
+            "sys.modules['networkx'] = None\n"
+            "sys.argv = ['repro', 'list']\n"
+            "runpy.run_module('repro', run_name='__main__')\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "fig4" in completed.stdout
 
     def test_kind_filter(self, capsys):
         assert main(["list", "--kind", "digital"]) == 0
@@ -117,6 +142,12 @@ class TestCampaignCacheDirFlag:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "fig4", "--no-batch"])
+
+    def test_campaign_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "fig4", "--campaign-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--campaign-workers" in capsys.readouterr().err
 
 
 class TestCacheVerb:
@@ -219,9 +250,9 @@ class TestAuditVerb:
 
         artifact = Artifact.load(LEGACY_REPORT)
         recorded = artifact.meta["configs"]["campaign"]
-        assert {"batch", "checkpoint_dir", "factor_cache_size"} <= set(
-            recorded
-        )
+        assert {
+            "batch", "checkpoint_dir", "factor_cache_size", "max_workers"
+        } <= set(recorded)
         audit = run_audit(artifact)
         assert audit.recorded_match is True
         assert audit.ok

@@ -73,11 +73,17 @@ class TestCampaignConfig:
 
     def test_from_document_drops_only_retired_fields(self):
         document = CampaignConfig(seed=9).as_dict()
-        document.update(batch=False, checkpoint_dir="/tmp/ck")
+        document.update(batch=False, checkpoint_dir="/tmp/ck", max_workers=4)
         assert CampaignConfig.from_document(document) == CampaignConfig(seed=9)
         document["warp_factor"] = 9
         with pytest.raises(ConfigError, match="warp_factor"):
             CampaignConfig.from_document(document)
+
+    def test_max_workers_is_not_a_field(self):
+        with pytest.raises(TypeError, match="max_workers"):
+            CampaignConfig(max_workers=2)
+        with pytest.raises(ConfigError, match="max_workers"):
+            CampaignConfig().replace(max_workers=2)
 
 
 class TestAtpgConfig:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CampaignConfig
 from repro.circuits import fig4_mixed_circuit
 from repro.core import MixedSignalTestGenerator, run_campaign
 
@@ -10,10 +11,9 @@ from repro.core import MixedSignalTestGenerator, run_campaign
 def campaign():
     mixed = fig4_mixed_circuit()
     report = MixedSignalTestGenerator(mixed).run(include_digital=False)
-    result = run_campaign(
-        mixed, report, faults_per_element=4, seed=7
+    return run_campaign(
+        mixed, report, config=CampaignConfig(faults_per_element=4, seed=7)
     )
-    return result
 
 
 class TestCampaign:
@@ -43,8 +43,9 @@ class TestCampaign:
     def test_deterministic(self):
         mixed = fig4_mixed_circuit()
         report = MixedSignalTestGenerator(mixed).run(include_digital=False)
-        a = run_campaign(mixed, report, faults_per_element=2, seed=3)
-        b = run_campaign(mixed, report, faults_per_element=2, seed=3)
+        config = CampaignConfig(faults_per_element=2, seed=3)
+        a = run_campaign(mixed, report, config=config)
+        b = run_campaign(mixed, report, config=config)
         assert [o.deviation for o in a.outcomes] == [
             o.deviation for o in b.outcomes
         ]
@@ -61,8 +62,6 @@ class TestBatchedExecution:
         return mixed, report
 
     def test_batched_outcomes_identical_to_reference(self, prepared):
-        from repro.api.config import CampaignConfig
-
         mixed, report = prepared
         config = CampaignConfig(faults_per_element=4, seed=7)
         batched = run_campaign(mixed, report, config=config)
@@ -72,8 +71,6 @@ class TestBatchedExecution:
         assert batched.outcomes == oracle.outcomes
 
     def test_diagnostics_report_batch_traffic(self, prepared):
-        from repro.api.config import CampaignConfig
-
         mixed, report = prepared
         config = CampaignConfig(faults_per_element=4, seed=7)
         batched = run_campaign(mixed, report, config=config)
@@ -81,8 +78,6 @@ class TestBatchedExecution:
         assert batched.diagnostics["multi_rhs_solves"] >= 1
 
     def test_sharded_batched_matches_unsharded(self, prepared):
-        from repro.api.config import CampaignConfig
-
         mixed, report = prepared
         config = CampaignConfig(faults_per_element=3, seed=9)
         unsharded = run_campaign(mixed, report, config=config)

@@ -87,7 +87,6 @@ class TestJobSpec:
         base = _spec()
         assert base.fingerprint() == _spec(shards=7).fingerprint()
         assert base.fingerprint() == _spec(shard_workers=2).fingerprint()
-        assert base.fingerprint() == _spec(max_workers=5).fingerprint()
         assert (
             base.fingerprint()
             == _spec(cache_dir="/tmp/elsewhere").fingerprint()

@@ -109,7 +109,7 @@ class TestDeduplication:
         # Different fan-out knobs, different alias — same work.
         again = client.submit(
             "fig4-mixed",
-            campaign={**CAMPAIGN.as_dict(), "shards": 5, "max_workers": 3},
+            campaign={**CAMPAIGN.as_dict(), "shards": 5, "shard_workers": 3},
         )
         assert again["deduplicated"]
         assert again["fingerprint"] == done_job["fingerprint"]
