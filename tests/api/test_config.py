@@ -11,6 +11,7 @@ from repro.api import (
     GeneratorConfig,
     SessionConfig,
 )
+from repro.api.config import RETIRED_CAMPAIGN_FIELDS
 
 
 class TestGeneratorConfig:
@@ -84,6 +85,16 @@ class TestCampaignConfig:
             CampaignConfig(max_workers=2)
         with pytest.raises(ConfigError, match="max_workers"):
             CampaignConfig().replace(max_workers=2)
+
+    @pytest.mark.parametrize("field", sorted(RETIRED_CAMPAIGN_FIELDS))
+    def test_each_retired_field_loads_alone(self, field):
+        # A document of an earlier release may carry any one of them.
+        document = CampaignConfig(seed=9).as_dict()
+        assert field not in document
+        document[field] = 2
+        assert CampaignConfig.from_document(document) == CampaignConfig(seed=9)
+        with pytest.raises(ConfigError, match=field):
+            CampaignConfig().replace(**{field: 2})
 
 
 class TestAtpgConfig:
