@@ -4,6 +4,7 @@ Reverse-order fault-simulation compaction must preserve coverage while
 shrinking the deterministic vector set substantially.
 """
 
+from repro.api import AtpgConfig
 from repro.atpg import run_atpg
 from repro.digital import (
     collapse_faults,
@@ -18,8 +19,12 @@ def test_compaction_ablation(benchmark, record_table):
     faults = collapse_faults(circuit, fault_universe(circuit))
 
     def run_both():
-        compacted = run_atpg(circuit, faults=faults, compact=True)
-        raw = run_atpg(circuit, faults=faults, compact=False)
+        compacted = run_atpg(
+            circuit, faults=faults, config=AtpgConfig(compact=True)
+        )
+        raw = run_atpg(
+            circuit, faults=faults, config=AtpgConfig(compact=False)
+        )
         return compacted, raw
 
     compacted, raw = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -296,6 +296,44 @@ class DeviationMatrix:
             },
         }
 
+    def to_cache_document(self) -> dict:
+        """Exact JSON form holding every :class:`DeviationResult` field.
+
+        Unlike :meth:`to_document` (the goldens' shape), this keeps the
+        masking budget too, so :meth:`from_cache_document` restores an
+        equal matrix.  Floats round-trip by ``repr``; ±inf goes through
+        :func:`json_float`.
+        """
+        return {
+            "parameters": list(self.parameters),
+            "elements": list(self.elements),
+            "results": [
+                [
+                    result.parameter,
+                    result.element,
+                    json_float(result.deviation),
+                    result.direction,
+                    json_float(result.masking_budget),
+                ]
+                for result in self.results.values()
+            ],
+        }
+
+    @classmethod
+    def from_cache_document(cls, document: dict) -> "DeviationMatrix":
+        """Rebuild a matrix from :meth:`to_cache_document`."""
+        results = {}
+        for parameter, element, deviation, direction, budget in document[
+            "results"
+        ]:
+            results[(parameter, element)] = DeviationResult(
+                parameter, element, float(deviation), int(direction),
+                float(budget),
+            )
+        return cls(
+            list(document["parameters"]), list(document["elements"]), results
+        )
+
 
 def json_float(value: float) -> float | str:
     """A float as strict JSON: finite values as-is, ±inf/nan by ``repr``."""

@@ -114,14 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--resume-from", metavar="DIR", default=None,
-        help="alias for --cache-dir: completed shards are cached here "
-        "and a re-run resumes from them instead of restarting",
+        help="alias for --cache-dir: generation stages and completed "
+        "shards are cached here and a re-run resumes from them instead "
+        "of restarting",
     )
     p_camp.add_argument(
         "--cache-dir", metavar="DIR", default=None,
-        help="content-addressed result cache: shard outcomes are keyed "
-        "by their fingerprint, so re-runs (even of edited campaigns) "
-        "recompute only invalidated shards",
+        help="content-addressed result cache: generation stages and "
+        "shard results persist here, keyed by their content, so an "
+        "identical re-run is a lookup and an edited campaign recomputes "
+        "only the shards it invalidated",
     )
     p_camp.add_argument(
         "--shard-attempts", type=int, default=None, metavar="N",

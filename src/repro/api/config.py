@@ -81,8 +81,7 @@ class _Replaceable:
     def with_overrides(self, **overrides):
         """A copy with the non-``None`` keywords applied.
 
-        The legacy-shim merge used by the classic call surfaces: loose
-        keyword arguments that were passed explicitly (not ``None``)
+        The CLI's merge: flags the user actually passed (not ``None``)
         win over the config's values.
         """
         changes = {
@@ -171,15 +170,21 @@ class CampaignConfig(_Replaceable):
             pending shard, capped by the CPU count).  Each shard's
             engine runs its faults serially.
         cache_dir: root of a content-addressed
-            :class:`repro.core.cache.ResultCache`, the one place shard
-            results persist.  When set, each completed shard is
-            published under its content fingerprint
-            (:func:`repro.core.sharding.shard_fingerprint`) and any
+            :class:`repro.core.cache.ResultCache`, the run's one cache
+            root: generation stages and shard results persist here.
+            When set, :class:`repro.api.Pipeline` keeps the outputs of
+            the generation stages (sensitivity, deviation, stimulus,
+            conversion, atpg) as one ``pipeline-stage`` entry keyed by
+            the circuit's content and the configs, and serves them all
+            from it on a re-run; each completed shard is published under
+            its content fingerprint
+            (:func:`repro.core.sharding.shard_fingerprint`), and any
             shard whose fingerprint is already cached — from an
             interrupted run of this campaign, an earlier run, or a
             different sharding of the same work — is served from the
-            cache instead of being re-executed, so editing one element
-            re-runs only the shards whose fault slices changed.
+            cache instead of being re-executed.  Editing one element
+            recomputes the generation stages and only the shards whose
+            fault slices changed.
         shard_attempts: total execution attempts each shard gets (first
             try included) before it is quarantined; ``1`` disables
             retries.  Retry backoff is deterministic (seeded from

@@ -26,10 +26,21 @@ Stage semantics:
     :attr:`repro.api.CampaignConfig.engine` — the factorized
     LU/Sherman–Morrison fast path by default, the full-solve
     ``reference`` oracle on request.
+
+With :attr:`repro.api.CampaignConfig.cache_dir` set, the generation
+stages (all but ``campaign``, which caches its own shards) share one
+entry in the ``pipeline-stage`` namespace of that
+:class:`repro.core.cache.ResultCache`: the report and deviation matrix
+they produce, keyed by the circuit's content, both configs, the
+generation stages run and :data:`_GENERATION_VERSION`.  A warm re-run
+serves every generation stage from it for a few digests and one lookup;
+any edit recomputes them all.  Without a ``cache_dir`` no digest is
+computed and nothing touches the disk.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -44,12 +55,20 @@ from ..core import (
     MixedTestReport,
     run_campaign,
 )
+from ..core.cache import ResultCache
+from ..core.fingerprint import (
+    analog_fingerprint,
+    fingerprint_of,
+    netlist_fingerprint,
+)
+from .artifact import Artifact, _report_document, _report_from_document
 from .config import AtpgConfig, CampaignConfig, ConfigError, GeneratorConfig
 
 __all__ = [
     "STAGE_ORDER",
     "DEFAULT_STAGES",
     "FULL_STAGES",
+    "STAGE_NAMESPACE",
     "StageTiming",
     "PipelineContext",
     "PipelineOutcome",
@@ -75,6 +94,14 @@ FULL_STAGES = STAGE_ORDER
 #: stages that cannot run unless another stage ran before them.
 _REQUIRES = {"campaign": "stimulus"}
 
+#: result-cache namespace the generation outputs persist under.
+STAGE_NAMESPACE = "pipeline-stage"
+
+#: output-schema salt of the generation entry, part of its key.  Bump it
+#: in any change that intentionally changes a generation stage's output,
+#: so caches written before the change are never served after it.
+_GENERATION_VERSION = 1
+
 
 @dataclass
 class StageTiming:
@@ -87,13 +114,15 @@ class StageTiming:
     stages; per-shard campaign rows carry ``parent="campaign"`` and are
     informational — they are excluded from the summed total (their
     wall-clock overlaps the parent stage's, and shards run
-    concurrently).
+    concurrently).  ``cached`` marks a generation stage served from the
+    ``pipeline-stage`` cache instead of computed.
     """
 
     stage: str
     seconds: float
     backend: str | None = None
     parent: str | None = None
+    cached: bool = False
 
 
 @dataclass
@@ -185,6 +214,83 @@ _STAGES = {
 }
 
 
+def _parameter_document(parameter) -> dict:
+    return {**dataclasses.asdict(parameter), "kind": parameter.kind.value}
+
+
+class _GenerationEntry:
+    """The one ``pipeline-stage`` entry holding a run's generation outputs.
+
+    Built only when the run has a ``cache_dir``.  The key digests the
+    circuit as it is now (never a memo that an in-place edit could leave
+    stale), both configs and the generation stages the run executes.
+    """
+
+    def __init__(self, root: str, ctx: PipelineContext, stages: list[str]):
+        self.cache = ResultCache(root)
+        mixed = ctx.mixed
+        self.key = fingerprint_of(
+            {
+                "kind": STAGE_NAMESPACE,
+                "version": _GENERATION_VERSION,
+                "stages": stages,
+                "circuit": {
+                    "name": mixed.name,
+                    "analog": analog_fingerprint(mixed.analog),
+                    "source": mixed.analog_source,
+                    "output": mixed.analog_output,
+                    "adc": dataclasses.asdict(mixed.adc),
+                    "digital": netlist_fingerprint(mixed.digital),
+                    "converter_lines": list(mixed.converter_lines),
+                    "parameters": [
+                        _parameter_document(p) for p in mixed.parameters
+                    ],
+                },
+                "generator": ctx.generator_config.as_dict(),
+                "atpg": ctx.atpg_config.as_dict(),
+            }
+        )
+
+    def load(self, ctx: PipelineContext) -> bool:
+        """Restore the report and deviations; returns whether it could."""
+        artifact = self.cache.get_artifact(STAGE_NAMESPACE, self.key)
+        if artifact is None:
+            return False
+        try:
+            document = artifact.payload["document"]
+            if artifact.kind != "cache-entry" or document["key"] != self.key:
+                raise ValueError("entry stored under a foreign key")
+            report = _report_from_document(document["report"])
+            deviations = document["deviations"]
+            if deviations is not None:
+                deviations = DeviationMatrix.from_cache_document(deviations)
+        except (KeyError, TypeError, ValueError, AttributeError):
+            # A foreign or misshapen entry is a miss.  Drop it, because
+            # a put keeps any readable entry and would never repair it.
+            self.cache.path_for(STAGE_NAMESPACE, self.key).unlink(
+                missing_ok=True
+            )
+            return False
+        ctx.report = report
+        ctx.deviations = deviations
+        return True
+
+    def store(self, ctx: PipelineContext) -> None:
+        deviations = ctx.deviations
+        document = {
+            "key": self.key,
+            "report": _report_document(ctx.report),
+            "deviations": None
+            if deviations is None
+            else deviations.to_cache_document(),
+        }
+        self.cache.put_artifact(
+            STAGE_NAMESPACE,
+            self.key,
+            Artifact.from_cache_entry(STAGE_NAMESPACE, document),
+        )
+
+
 @dataclass
 class PipelineOutcome:
     """Everything one pipeline run produced."""
@@ -214,6 +320,8 @@ class PipelineOutcome:
         lines = [f"== pipeline timing: {self.circuit_name} =="]
         for timing in self.timings:
             suffix = f"  [{timing.backend}]" if timing.backend else ""
+            if timing.cached:
+                suffix += "  [cached]"
             indent = "    " if timing.parent is not None else "  "
             lines.append(
                 f"{indent}{timing.stage:12s} {timing.seconds:8.3f}s{suffix}"
@@ -275,7 +383,6 @@ class Pipeline:
             report=MixedTestReport(mixed.name),
         )
         timings: list[StageTiming] = []
-        executed: list[str] = []
         lint_diagnostics = None
         if preflight:
             from ..devtools.lint import lint_circuit
@@ -290,20 +397,40 @@ class Pipeline:
                 "circuits_checked": lint_report.circuits_checked,
                 "details": [f.as_dict() for f in lint_report.findings],
             }
-        for name in self.stages:
-            if name == "atpg" and not generator.include_digital:
-                continue  # the config vetoes the digital stage
+        # The config vetoes the digital stage.
+        runnable = [
+            name for name in self.stages
+            if name != "atpg" or generator.include_digital
+        ]
+        generation = [name for name in runnable if name != "campaign"]
+        cache_dir = ctx.campaign_config.cache_dir
+        entry = (
+            _GenerationEntry(cache_dir, ctx, generation)
+            if cache_dir is not None and generation
+            else None
+        )
+        served = False
+        for name in runnable:
             start = time.perf_counter()
-            _STAGES[name](ctx)
+            if entry is not None and name == generation[0]:
+                served = entry.load(ctx)
+            cached = served and name != "campaign"
+            if not cached:
+                _STAGES[name](ctx)
+            if entry is not None and not served and name == generation[-1]:
+                entry.store(ctx)
             backend = None
             if name == "campaign" and ctx.campaign is not None:
                 backend = (ctx.campaign.diagnostics or {}).get("backend")
-            elif name == "atpg" and ctx.report.digital_run is not None:
-                backend = (ctx.report.digital_run.diagnostics or {}).get(
+            elif name == "atpg":
+                # None for a run decoded from the cache.
+                backend = (ctx.report.digital_diagnostics or {}).get(
                     "digital_engine"
                 )
             timings.append(
-                StageTiming(name, time.perf_counter() - start, backend)
+                StageTiming(
+                    name, time.perf_counter() - start, backend, cached=cached
+                )
             )
             if name == "campaign" and ctx.campaign is not None:
                 # A sharded campaign reports one informational sub-row
@@ -321,10 +448,9 @@ class Pipeline:
                             parent="campaign",
                         )
                     )
-            executed.append(name)
         return PipelineOutcome(
             circuit_name=mixed.name,
-            stages=tuple(executed),
+            stages=tuple(runnable),
             report=ctx.report,
             campaign=ctx.campaign,
             deviations=ctx.deviations,

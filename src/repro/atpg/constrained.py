@@ -133,9 +133,6 @@ def run_atpg(
     circuit: Circuit,
     faults: Sequence[Fault] | None = None,
     constraint: Callable[[BddManager], int] | None = None,
-    ordering: str | None = None,
-    compact: bool | None = None,
-    collapse: bool | None = None,
     config: AtpgConfig | None = None,
     cbdd: CircuitBdd | None = None,
 ) -> AtpgRun:
@@ -149,28 +146,20 @@ def run_atpg(
         constraint: callable producing the ``Fc`` BDD on the engine's
             manager; ``None`` runs the unconstrained case.  Ignored when
             ``config.constrained`` is ``False``.
-        ordering: BDD variable ordering heuristic.
-        compact: reverse-order fault-simulation compaction of the vectors.
-        collapse: when ``faults`` is None, equivalence-collapse the
-            default universe first.
-        config: typed configuration (:class:`repro.api.AtpgConfig`), the
-            canonical surface; the loose keyword arguments above are the
-            legacy shim and, when given explicitly, override it.
+        config: typed configuration (:class:`repro.api.AtpgConfig`):
+            BDD variable ordering, vector compaction, fault collapsing
+            (when ``faults`` is None), the digital engine and the
+            simulation cross-check.
         cbdd: an already-compiled circuit BDD for ``circuit`` to reuse
-            (the workbench's shared-manager path); ``ordering`` is then
-            ignored and compilation time is not re-paid.
+            (the workbench's shared-manager path); ``config.ordering``
+            is then ignored and compilation time is not re-paid.
 
     Returns:
         an :class:`AtpgRun` with per-fault results, vectors and CPU time.
     """
-    config = (config if config is not None else AtpgConfig()).with_overrides(
-        ordering=ordering,
-        compact=compact,
-        collapse=collapse,
-    )
+    config = config if config is not None else AtpgConfig()
     if not config.constrained:
         constraint = None  # the config force-disables the analog constraints
-    compact = config.compact
     if faults is None:
         universe = fault_universe(circuit, include_branches=True)
         faults = (
@@ -198,7 +187,7 @@ def run_atpg(
             seen.add(key)
             unique.append(vector)
     faultsim_stats: dict | None = None
-    if compact and unique:
+    if config.compact and unique:
         detected = [r.fault for r in results if r.status is TestStatus.DETECTED]
         if config.engine == "compiled":
             # The engine object keeps the single-pass compaction

@@ -13,15 +13,11 @@ from .manager import FALSE, TRUE, BddManager
 __all__ = ["to_dot", "to_text"]
 
 
-def to_dot(mgr: BddManager, f: int, name: str = "bdd") -> str:
-    """Render the BDD rooted at ``f`` as a Graphviz digraph string.
-
-    Low (0) edges are dashed, high (1) edges solid, matching textbook and
-    paper figures.
-    """
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    lines.append('  node0 [label="0", shape=box];')
-    lines.append('  node1 [label="1", shape=box];')
+def _depth_first(mgr: BddManager, f: int) -> list[int]:
+    """Internal nodes under ``f`` in depth-first preorder (low edge
+    first).  A node's position in this list is its label, so equal
+    functions get equal labels whatever the manager's history."""
+    order: list[int] = []
     seen: set[int] = set()
     stack = [f]
     while stack:
@@ -29,12 +25,32 @@ def to_dot(mgr: BddManager, f: int, name: str = "bdd") -> str:
         if node in seen or node in (FALSE, TRUE):
             continue
         seen.add(node)
-        var, lo, hi = mgr.node_info(node)
-        lines.append(f'  node{node} [label="{var}", shape=circle];')
-        lines.append(f"  node{node} -> node{lo} [style=dashed];")
-        lines.append(f"  node{node} -> node{hi} [style=solid];")
-        stack.append(lo)
+        order.append(node)
+        _var, lo, hi = mgr.node_info(node)
         stack.append(hi)
+        stack.append(lo)
+    return order
+
+
+def to_dot(mgr: BddManager, f: int, name: str = "bdd") -> str:
+    """Render the BDD rooted at ``f`` as a Graphviz digraph string.
+
+    Low (0) edges are dashed, high (1) edges solid, matching textbook and
+    paper figures.  Internal nodes are ``n0, n1, …`` in depth-first
+    order from the root; the terminals are ``node0`` and ``node1``.
+    """
+    order = _depth_first(mgr, f)
+    labels = {FALSE: "node0", TRUE: "node1"}
+    labels.update({node: f"n{index}" for index, node in enumerate(order)})
+    lines = [f"digraph {name} {{", "  rankdir=TB;"]
+    lines.append('  node0 [label="0", shape=box];')
+    lines.append('  node1 [label="1", shape=box];')
+    for node in order:
+        var, lo, hi = mgr.node_info(node)
+        label = labels[node]
+        lines.append(f'  {label} [label="{var}", shape=circle];')
+        lines.append(f"  {label} -> {labels[lo]} [style=dashed];")
+        lines.append(f"  {label} -> {labels[hi]} [style=solid];")
     lines.append("}")
     return "\n".join(lines)
 
@@ -42,29 +58,28 @@ def to_dot(mgr: BddManager, f: int, name: str = "bdd") -> str:
 def to_text(mgr: BddManager, f: int) -> str:
     """Deterministic multi-line rendering: one ``id: var ? hi : lo`` per node.
 
-    Nodes are listed in a stable depth-first order so two structurally equal
-    BDDs always print identically.
+    Nodes are labelled ``n0, n1, …`` in depth-first order from the root
+    (low edge first) and listed children before parents, so two
+    structurally equal BDDs always print identically, in any manager.
     """
     if f == FALSE:
         return "const 0"
     if f == TRUE:
         return "const 1"
+    order = _depth_first(mgr, f)
+    labels = {FALSE: "0", TRUE: "1"}
+    labels.update({node: f"n{index}" for index, node in enumerate(order)})
     lines: list[str] = []
-    seen: set[int] = set()
+    emitted: set[int] = set()
 
-    def walk(node: int) -> str:
-        if node == FALSE:
-            return "0"
-        if node == TRUE:
-            return "1"
-        label = f"n{node}"
-        if node not in seen:
-            seen.add(node)
-            var, lo, hi = mgr.node_info(node)
-            lo_label = walk(lo)
-            hi_label = walk(hi)
-            lines.append(f"{label}: {var} ? {hi_label} : {lo_label}")
-        return label
+    def emit(node: int) -> None:
+        if node in (FALSE, TRUE) or node in emitted:
+            return
+        emitted.add(node)
+        var, lo, hi = mgr.node_info(node)
+        emit(lo)
+        emit(hi)
+        lines.append(f"{labels[node]}: {var} ? {labels[hi]} : {labels[lo]}")
 
-    root = walk(f)
-    return "\n".join(lines + [f"root {root}"])
+    emit(f)
+    return "\n".join(lines + [f"root {labels[f]}"])

@@ -21,8 +21,10 @@ audit replays) sit on:
 
 Namespaces in use (see ``docs/caching.md`` for the full map):
 ``objects`` (service artifact store), ``campaign-shard`` (shard results,
-keyed by :func:`repro.core.sharding.shard_fingerprint`) and ``audit``
-(replayed engine outcomes of the parity pack).  Dense LU
+keyed by :func:`repro.core.sharding.shard_fingerprint`),
+``pipeline-stage`` (generation-stage outputs, see
+:mod:`repro.api.pipeline`) and ``audit`` (replayed engine outcomes of
+the parity pack).  Dense LU
 factorizations are not cached: their owner (the campaign engine keeps
 one per stimulus frequency) refactors faster than a disk read.
 """

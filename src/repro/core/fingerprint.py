@@ -22,6 +22,7 @@ bit for bit, so every fingerprint ever written remains valid.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -31,6 +32,7 @@ __all__ = [
     "sha256_bytes",
     "sha256_text",
     "netlist_fingerprint",
+    "analog_fingerprint",
 ]
 
 
@@ -72,7 +74,10 @@ def netlist_fingerprint(circuit) -> str:
     under: the interface-plus-size tuples they used before could collide
     across structurally different blocks, a digest cannot (modulo
     sha256).  Prefer :meth:`repro.digital.Circuit.fingerprint`, which
-    caches the digest on the instance.
+    caches the digest on the instance — unless the netlist may have
+    been edited in place with its gate, input and output counts
+    unchanged: that memo's staleness key would then serve the old
+    digest, so cache keys that must follow edits call this function.
     """
     return fingerprint_of(
         {
@@ -84,5 +89,28 @@ def netlist_fingerprint(circuit) -> str:
                 [gate.output, gate.gate_type.name, list(gate.fanins)]
                 for gate in circuit.gates.values()
             ],
+        }
+    )
+
+
+def analog_fingerprint(circuit) -> str:
+    """Content digest of an analog block.
+
+    Covers every component of a :class:`repro.spice.AnalogCircuit` in
+    insertion order — its type and all of its dataclass fields (name,
+    nodes, value and any model parameters) — plus the circuit's
+    currently applied element deviations.  Computed from the content on
+    every call (no memo), so an in-place edit of any value always moves
+    the digest.
+    """
+    return fingerprint_of(
+        {
+            "kind": "analog",
+            "name": circuit.name,
+            "components": [
+                [type(component).__name__, dataclasses.asdict(component)]
+                for component in circuit.components
+            ],
+            "deviations": circuit.deviations(),
         }
     )

@@ -50,18 +50,8 @@ _FAULT_MARGIN = 1.25
 class MixedSignalTestGenerator:
     """End-to-end test generation for a :class:`MixedSignalCircuit`.
 
-    The canonical configuration is a typed
-    :class:`repro.api.GeneratorConfig`; the loose keyword arguments are
-    the legacy surface and keep working (explicit values override the
-    config).
-
     Args:
         mixed: the circuit under test.
-        tolerance: parameter tolerance box (paper: 5 %).
-        element_tolerance: fault-free element tolerance (paper: 5 %).
-        comparator_budget: how many comparators to try per (parameter,
-            bound) before giving up — "all the possibilities" in the
-            paper; lower it to trade coverage for speed on wide ladders.
         matrix: optional precomputed worst-case deviation matrix; when
             given, parameters are tried per element in ascending-E.D.
             order (tightest measurement first — the paper's "the
@@ -69,24 +59,20 @@ class MixedSignalTestGenerator:
             E.D. values are reused rather than recomputed.  This is what
             makes case 2 test elements with *the same accuracy* as
             case 1 (Table 3's claim).
-        config: typed configuration bundle; the new-style equivalent of
-            the keyword arguments above.
+        config: typed configuration (:class:`repro.api.GeneratorConfig`):
+            the parameter tolerance box and fault-free element tolerance
+            (paper: 5 % each), and the comparator budget — how many
+            comparators to try per (parameter, bound) before giving up,
+            "all the possibilities" in the paper.
     """
 
     def __init__(
         self,
         mixed: MixedSignalCircuit,
-        tolerance: float | None = None,
-        element_tolerance: float | None = None,
-        comparator_budget: int | None = None,
         matrix: DeviationMatrix | None = None,
         config: GeneratorConfig | None = None,
     ):
-        config = (config if config is not None else GeneratorConfig()).with_overrides(
-            tolerance=tolerance,
-            element_tolerance=element_tolerance,
-            comparator_budget=comparator_budget,
-        )
+        config = config if config is not None else GeneratorConfig()
         self.mixed = mixed
         self.config = config
         self.tolerance = config.tolerance

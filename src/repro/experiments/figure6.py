@@ -28,6 +28,21 @@ class Figure6Result:
     vector: dict[str, int] | None
     observing_output: str | None
 
+    def to_document(self) -> dict:
+        """Every output BDD (text and DOT) and the propagation verdict.
+
+        Node labels are depth-first positions, so the document is a
+        function of the BDDs, not of the manager that built them.
+        """
+        return {
+            "experiment": "figure6",
+            "texts": dict(self.texts),
+            "dots": dict(self.dots),
+            "observable_outputs": list(self.observable_outputs),
+            "vector": None if self.vector is None else dict(self.vector),
+            "observing_output": self.observing_output,
+        }
+
     def render(self) -> str:
         lines = ["Figure 6: output OBDDs with l0 = D, l2 = D̄"]
         for output, text in self.texts.items():

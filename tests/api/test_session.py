@@ -158,7 +158,7 @@ class TestWorkbenchFacade:
         assert run.rendered
         assert run.seconds >= 0
         assert run.to_artifact().kind == "experiment"
-        assert "document" not in run.to_artifact().payload
+        assert run.to_artifact().payload["document"] == run.result.to_document()
 
     def test_experiment_artifact_carries_the_document(self):
         from repro.api.session import ExperimentRun
@@ -170,6 +170,8 @@ class TestWorkbenchFacade:
         artifact = ExperimentRun("x", Result(), "table", 0.5).to_artifact()
         assert artifact.payload["document"] == {"experiment": "x", "value": 0.1}
         assert artifact.payload["rendered"] == "table"
+        plain = ExperimentRun("y", object(), "table", 0.5).to_artifact()
+        assert "document" not in plain.payload
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError, match="unknown experiment"):

@@ -1,5 +1,6 @@
 """Tests for whole-circuit constrained ATPG runs."""
 
+from repro.api import AtpgConfig
 from repro.atpg import (
     TestStatus,
     constraint_builder_from_terms,
@@ -30,8 +31,8 @@ class TestRunAtpg:
 
     def test_compaction_reduces_vectors(self):
         circuit = ripple_adder(3)
-        compacted = run_atpg(circuit, compact=True)
-        raw = run_atpg(circuit, compact=False)
+        compacted = run_atpg(circuit, config=AtpgConfig(compact=True))
+        raw = run_atpg(circuit, config=AtpgConfig(compact=False))
         assert compacted.n_vectors <= raw.n_vectors
 
     def test_cpu_time_recorded(self):

@@ -38,3 +38,27 @@ def test_text_mentions_variables():
     text = to_text(mgr, mgr.xor(mgr.var("x"), mgr.var("y")))
     assert "x ?" in text
     assert "root" in text
+
+
+def test_labels_do_not_depend_on_manager_history():
+    fresh = BddManager(["x", "y", "z"])
+    used = BddManager(["x", "y", "z"])
+    used.or_(used.var("y"), used.var("z"))  # unrelated node, shifts ids
+    f_fresh = fresh.and_(fresh.var("x"), fresh.var("y"))
+    f_used = used.and_(used.var("x"), used.var("y"))
+    assert f_fresh != f_used  # the raw manager ids differ ...
+    assert to_text(fresh, f_fresh) == to_text(used, f_used)  # ... labels not
+    assert to_dot(fresh, f_fresh) == to_dot(used, f_used)
+    assert to_text(fresh, f_fresh) == "n1: y ? 1 : 0\nn0: x ? n1 : 0\nroot n0"
+
+
+def test_labels_follow_depth_first_order_low_edge_first():
+    mgr = BddManager(["x", "y", "z"])
+    x, y, z = (mgr.var(v) for v in "xyz")
+    f = mgr.or_(mgr.and_(x, y), mgr.and_(mgr.not_(x), z))
+    lines = to_text(mgr, f).splitlines()
+    assert lines[-1] == "root n0"
+    assert "n0: x ? n2 : n1" in lines  # low child z-node first, then y
+    dot = to_dot(mgr, f)
+    assert dot.index('n0 [label="x"') < dot.index('n1 [label="z"')
+    assert dot.index('n1 [label="z"') < dot.index('n2 [label="y"')

@@ -10,6 +10,7 @@ import hashlib
 import json
 
 from repro.core.fingerprint import (
+    analog_fingerprint,
     canonical_json,
     fingerprint_of,
     netlist_fingerprint,
@@ -18,6 +19,7 @@ from repro.core.fingerprint import (
 )
 from repro.digital.netlist import Circuit
 from repro.digital.gates import GateType
+from repro.spice import AnalogCircuit
 
 
 class TestCanonicalForm:
@@ -129,3 +131,39 @@ class TestNetlistFingerprint:
         circuit.add_gate("z", GateType.NOT, ["y"])
         circuit.add_output("z")
         assert circuit.fingerprint() != digest  # staleness key trips
+
+
+class TestAnalogFingerprint:
+    def _circuit(self):
+        c = AnalogCircuit("rc")
+        c.vsource("Vin", "in", "0", ac=1.0)
+        c.resistor("R1", "in", "out", 1e3)
+        c.capacitor("C1", "out", "0", 1e-9)
+        return c
+
+    def test_equal_blocks_share_a_digest(self):
+        assert analog_fingerprint(self._circuit()) == analog_fingerprint(
+            self._circuit()
+        )
+
+    def test_every_kind_of_edit_moves_the_digest(self):
+        base = analog_fingerprint(self._circuit())
+        value = self._circuit()
+        value.component("R1").value = 1.1e3  # in place, no count change
+        node = self._circuit()
+        node.component("C1").n2 = "in"
+        deviated = self._circuit()
+        deviated.set_deviation("C1", 0.05)
+        source = self._circuit()
+        source.component("Vin").ac = 2.0
+        digests = {
+            analog_fingerprint(c) for c in (value, node, deviated, source)
+        }
+        assert base not in digests and len(digests) == 4
+
+    def test_clearing_deviations_restores_the_digest(self):
+        circuit = self._circuit()
+        base = analog_fingerprint(circuit)
+        with circuit.with_deviations({"R1": 0.1}):
+            assert analog_fingerprint(circuit) != base
+        assert analog_fingerprint(circuit) == base

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import GeneratorConfig
 from repro.circuits import fig4_mixed_circuit
 from repro.core import (
     AnalogTestStatus,
@@ -106,7 +107,9 @@ class TestFullFlow:
 class TestGeneratorOptions:
     def test_comparator_budget_respected(self):
         mixed = fig4_mixed_circuit()
-        generator = MixedSignalTestGenerator(mixed, comparator_budget=1)
+        generator = MixedSignalTestGenerator(
+            mixed, config=GeneratorConfig(comparator_budget=1)
+        )
         test = generator.analog_element_test("Rg")
         # With only the middle comparator allowed, the recipe must use it.
         assert test.comparator_index in (None, 1)

@@ -1,4 +1,4 @@
-"""Paper goldens: every number Example 1/2, Table 3 and Table 4 reproduce, pinned.
+"""Paper goldens: every number Example 1/2, Table 3/4 and Figure 6 reproduce, pinned.
 
 Each golden under ``tests/experiments/goldens/`` is the canonical JSON
 (sorted keys, ``repr`` floats, untestable deviations as ``"inf"``) of an
@@ -8,10 +8,12 @@ for Table 3 the case-1/case-2 coverage columns.  Table 4's golden holds
 every row's #PI/#PO/collapsed-fault/#Untest/#vect columns (CPU columns
 excluded), the compacted vectors and each fault's status, vector and
 observing outputs; Example 2's holds the same per-fault lines for the
-Figure 3 circuit without and with ``Fc = l0 + l2``.  The tests
+Figure 3 circuit without and with ``Fc = l0 + l2``; Figure 6's holds
+the output OBDDs (text and DOT, nodes labelled in depth-first order)
+and the propagation verdict.  The tests
 regenerate the experiments and require byte-identical files, so a
 refactor of a hot path cannot quietly move a paper number.  Tier-1
-regenerates Example 1/2, Table 3 and the c499/c1908 rows of Table 4;
+regenerates Example 1/2, Table 3, Figure 6 and the c499/c1908 rows of Table 4;
 the full five-row Table 4 check is marked ``slow``.
 
 Regenerate (after an *intentional* change of reproduced numbers) with::
@@ -40,7 +42,7 @@ import pytest
 from repro.experiments.runner import EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_EXPERIMENTS = ("example1", "example2", "table3", "table4")
+GOLDEN_EXPERIMENTS = ("example1", "example2", "table3", "table4", "figure6")
 #: goldens holding a worst-case-deviation matrix.
 MATRIX_GOLDENS = ("example1", "table3")
 #: Table 4 rows regenerated by tier-1 (the full table runs under ``slow``).
@@ -66,6 +68,7 @@ def golden_path(name: str) -> Path:
     [
         *MATRIX_GOLDENS,
         "example2",
+        "figure6",
         pytest.param("table4", marks=pytest.mark.slow),
     ],
 )
@@ -101,6 +104,20 @@ def test_example2_golden_holds_the_paper_claims():
     }
     assert killed == {"l3 s-a-0", "l5 s-a-0"}
     assert document["constrained"]["n_untestable"] == 2
+
+
+def test_figure6_golden_holds_the_paper_claims():
+    """With l0 = D and l2 = D̄ the fault reaches Vo2, sensitized by l1 = 1."""
+    document = json.loads(golden_path("figure6").read_text())
+    assert "Vo2" in document["observable_outputs"]
+    assert document["vector"] is not None
+    assert document["vector"]["l1"] == 1
+    assert 'label="D"' in document["dots"]["Vo2"]
+    assert any(
+        line.split(": ")[1].startswith("D ?")
+        for line in document["texts"]["Vo2"].splitlines()
+        if ": " in line
+    )
 
 
 @pytest.mark.parametrize("name", MATRIX_GOLDENS)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.api import AtpgConfig
 from repro.atpg import TestStatus, run_atpg
 from repro.digital import (
     SynthSpec,
@@ -31,7 +32,9 @@ class TestAtpgAgainstExhaustiveSimulation:
         )
         circuit = synthesize(spec)
         faults = fault_universe(circuit, include_branches=False)
-        run = run_atpg(circuit, faults=faults, compact=False)
+        run = run_atpg(
+            circuit, faults=faults, config=AtpgConfig(compact=False)
+        )
 
         all_patterns = [
             dict(zip(circuit.inputs, bits))
@@ -65,7 +68,7 @@ class TestConstraintSoundness:
             circuit,
             faults=faults,
             constraint=constraint_for_lines(lines),
-            compact=False,
+            config=AtpgConfig(compact=False),
         )
         free = [name for name in circuit.inputs if name not in lines]
         allowed_patterns = []
