@@ -40,9 +40,10 @@ The same flows are scriptable from the shell::
     python -m repro experiment table1
     python -m repro bench-smoke
 
-The classic object layer (:class:`MixedSignalTestGenerator` and
-friends) remains available underneath and keeps its legacy keyword
-surface.
+The object layer underneath (:class:`MixedSignalTestGenerator`'s
+per-element recipes and comparator observability, ``run_campaign``,
+``run_atpg``) takes the same typed configs as ``config=``; the whole
+flow is :class:`repro.api.Pipeline`.
 """
 
 from .core import (

@@ -373,7 +373,7 @@ class FactorizedEngine(CampaignEngine):
             # Levelized single-pattern evaluation: no per-call
             # topological re-walk or per-signal dict for the (step,
             # faulty code) response memo below.
-            compiled = CompiledCircuit.compile(mixed.digital)
+            compiled = CompiledCircuit(mixed.digital)
             respond = compiled.evaluate_outputs
         else:
             def respond(assignment: dict) -> tuple[int, ...]:

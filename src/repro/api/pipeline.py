@@ -85,7 +85,9 @@ STAGE_ORDER = (
     "campaign",
 )
 
-#: what ``MixedSignalTestGenerator.run()`` historically computed.
+#: the paper's generation flow: recipes, comparator observability and
+#: conversion coverage, and the digital ATPG runs (no deviation matrix,
+#: no campaign).
 DEFAULT_STAGES = ("sensitivity", "stimulus", "conversion", "atpg")
 
 #: everything, including the deviation matrix and the scoring campaign.

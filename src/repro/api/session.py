@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from ..atpg import CircuitBdd
 from ..core import MixedSignalCircuit, TestProgram, program_from_report
+from ..core.fingerprint import netlist_fingerprint
 from .artifact import Artifact
 from .config import (
     AtpgConfig,
@@ -170,11 +171,10 @@ class TestSession:
 
     # -- BDD pool: exclusive checkout / check-in ------------------------
     def _checkout_bdd(self, mixed: MixedSignalCircuit, ordering: str) -> None:
-        # Keyed by the netlist *content digest* — the interface/size
-        # tuple this pool used before could collide across structurally
-        # different blocks sharing a name; a digest cannot, and it also
-        # pools across distinct instances of the same netlist.
-        digest = mixed.digital.fingerprint()
+        # Keyed by the netlist's content digest, computed now: it pools
+        # across instances of the same netlist, and an edited netlist
+        # never checks out a BDD of its old content.
+        digest = netlist_fingerprint(mixed.digital)
         # The generator stages compile with the default heuristic while
         # the ATPG stage may use another; check out both slots.
         for slot in dict.fromkeys(("fanin", ordering)):
@@ -213,7 +213,8 @@ class TestSession:
         """Run one circuit (by registry name or instance) through a pipeline.
 
         Per-call configs override the session's; ``stages`` defaults to
-        the classic generator flow (no deviation matrix, no campaign).
+        :data:`~repro.api.pipeline.DEFAULT_STAGES` (no deviation matrix,
+        no campaign).
 
         Registry-name runs flow through the session's compiled-BDD pool.
         A caller-provided instance runs outside the pool: the caller may

@@ -15,6 +15,7 @@ from collections.abc import Sequence
 
 from ..bdd import BddManager, fanin_order, declaration_order
 from ..bdd.manager import FALSE, TRUE
+from ..core.fingerprint import netlist_fingerprint
 from ..digital.gates import GateType
 from ..digital.netlist import Circuit
 
@@ -86,7 +87,7 @@ class CircuitBdd:
         #: pools file this object under.  Captured now, not at check-in
         #: time: if the circuit mutates later, the pool sees the digest
         #: of what the BDDs actually describe.
-        self.fingerprint = circuit.fingerprint()
+        self.fingerprint = netlist_fingerprint(circuit)
         self._topo = circuit.topological_order()
         self._position = {signal: i for i, signal in enumerate(self._topo)}
         self._fanout = circuit.fanout_map()

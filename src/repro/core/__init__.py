@@ -7,7 +7,7 @@ from .coverage import AnalogElementTest, AnalogTestStatus, MixedTestReport
 from .generator import MixedSignalTestGenerator
 from .board import StateVariableBoard, Table8Row
 from .campaign import CampaignResult, InjectionOutcome, run_campaign
-from .resilience import Deadline, FailureRecord, RetryPolicy
+from .resilience import FailureRecord, RetryPolicy
 from .sharding import (
     ShardExecutionError,
     ShardHeartbeat,
@@ -48,7 +48,6 @@ __all__ = [
     "ShardExecutionError",
     "ShardHeartbeat",
     "ShardRetry",
-    "Deadline",
     "FailureRecord",
     "RetryPolicy",
     "format_table",

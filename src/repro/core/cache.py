@@ -1,23 +1,16 @@
-"""Fingerprint-keyed result caching: one incremental-computation layer.
+"""Fingerprint-keyed result caching on disk.
 
-Campaigns are pure functions of ``(circuit, population, program,
-config)``.  This module is the shared substrate the memoizing layers
-(the compiled-circuit pool, shard results, the service artifact store,
-audit replays) sit on:
-
-* :class:`L1Cache` — a thread-safe, LRU-bounded in-memory mapping with
-  hit/miss counters (pop → count → re-insert as most recent → evict
-  oldest while over bound).
-
-* :class:`ResultCache` — a content-addressed on-disk cache:
-  ``namespace + fingerprint → Artifact or binary blob``, laid out as
-  ``<root>/<namespace>/<fp[:2]>/<fp>.json|.bin``.  Writes are atomic and
-  first-write-wins (a fingerprint names the *work*, and identical work
-  yields identical results), reads never trust the disk (torn, foreign
-  or corrupt entries are a miss, never an error), and ``gc`` never
-  removes an entry a concurrent ``put`` just wrote.  A service root is
-  a ResultCache root: finished job artifacts live in its ``objects``
-  namespace.
+Campaigns and generation runs are pure functions of their circuit
+content and configs.  :class:`ResultCache` is the one store their
+persisted results share (shard results, generation outputs, the service
+artifact store, audit replays): a content-addressed on-disk cache,
+``namespace + fingerprint → Artifact or binary blob``, laid out as
+``<root>/<namespace>/<fp[:2]>/<fp>.json|.bin``.  Writes are atomic and
+first-write-wins (a fingerprint names the *work*, and identical work
+yields identical results), reads never trust the disk (torn, foreign or
+corrupt entries are a miss, never an error), and ``gc`` never removes an
+entry a concurrent ``put`` just wrote.  A service root is a ResultCache
+root: finished job artifacts live in its ``objects`` namespace.
 
 Namespaces in use (see ``docs/caching.md`` for the full map):
 ``objects`` (service artifact store), ``campaign-shard`` (shard results,
@@ -26,7 +19,9 @@ keyed by :func:`repro.core.sharding.shard_fingerprint`),
 :mod:`repro.api.pipeline`) and ``audit`` (replayed engine outcomes of
 the parity pack).  Dense LU
 factorizations are not cached: their owner (the campaign engine keeps
-one per stimulus frequency) refactors faster than a disk read.
+one per stimulus frequency) refactors faster than a disk read, and
+compiled digital forms (:class:`repro.digital.CompiledCircuit`, the
+BDDs) are built from the netlist by whoever uses them.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ from .atomic_io import (
 )
 from .fingerprint import sha256_bytes
 
-__all__ = ["L1Cache", "ResultCache", "check_fingerprint"]
+__all__ = ["ResultCache", "check_fingerprint"]
 
 #: a cache key is a full sha256 hex digest — nothing else.  Validating
 #: the shape up front keeps lookups free of path games.
@@ -96,83 +91,6 @@ def _now() -> float:
     or a fingerprint.  Module-level so tests monkeypatch it.
     """
     return time.time()  # repro-lint: disable=DET001 — mtime liveness only
-
-
-class L1Cache:
-    """Thread-safe LRU mapping with hit/miss counters.
-
-    ``max_size=None`` makes it an unbounded memo (first-write-wins via
-    :meth:`setdefault` — the engine-memo contract).  With a bound, a
-    hit re-inserts the entry as most recent and a put evicts the least
-    recently used entries while over the bound.
-    """
-
-    def __init__(self, max_size: int | None = None):
-        if max_size is not None and max_size < 1:
-            raise ValueError(f"max_size must be >= 1 or None, got {max_size!r}")
-        self.max_size = max_size
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    def get(self, key, default=None):
-        """The cached value (refreshed as most recent), or ``default``."""
-        with self._lock:
-            try:
-                value = self._entries.pop(key)
-            except KeyError:
-                self._misses += 1
-                return default
-            self._entries[key] = value  # re-insert = most recently used
-            self._hits += 1
-            return value
-
-    def _evict_locked(self) -> None:
-        if self.max_size is not None:
-            while len(self._entries) > self.max_size:
-                self._entries.pop(next(iter(self._entries)))
-
-    def put(self, key, value):
-        """Insert ``value`` as most recent, evicting over the bound."""
-        with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = value
-            self._evict_locked()
-        return value
-
-    def setdefault(self, key, value):
-        """First write wins: the stored value, inserting ``value`` if
-        absent — the deterministic-memo contract engine threads rely on
-        (whoever computes first defines the entry; everyone else adopts
-        it)."""
-        with self._lock:
-            if key in self._entries:
-                return self._entries[key]
-            self._entries[key] = value
-            self._evict_locked()
-            return value
-
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        # Membership probes do not count as lookups or refresh recency.
-        return key in self._entries
-
-    def stats(self) -> dict:
-        """``hits``/``misses`` lookup counters plus occupancy."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._entries),
-            "max_size": self.max_size,
-        }
 
 
 class ResultCache:

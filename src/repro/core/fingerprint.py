@@ -69,15 +69,9 @@ def netlist_fingerprint(circuit) -> str:
     :class:`repro.digital.Circuit` — name, primary inputs and outputs in
     declaration order, and every gate (output line, type, fan-in lines in
     pin order) — so two instances share a digest exactly when they are
-    the same netlist.  This is the key compiled artifacts (BDDs,
-    :class:`repro.digital.compiled.CompiledCircuit` tables) are cached
-    under: the interface-plus-size tuples they used before could collide
-    across structurally different blocks, a digest cannot (modulo
-    sha256).  Prefer :meth:`repro.digital.Circuit.fingerprint`, which
-    caches the digest on the instance — unless the netlist may have
-    been edited in place with its gate, input and output counts
-    unchanged: that memo's staleness key would then serve the old
-    digest, so cache keys that must follow edits call this function.
+    the same netlist.  Computed from the content on every call (no
+    memo), so any in-place edit moves the digest; the session BDD pool
+    and the generation cache key on it.
     """
     return fingerprint_of(
         {

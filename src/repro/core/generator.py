@@ -13,9 +13,10 @@ Section 2.3 closes with the automation recipe this class implements:
     studied without success, any deviation in this element cannot be
     seen at any primary output of the mixed circuit."
 
-Plus the two companion analyses: per-comparator composite-value
-observability (Table 5) and the digital block's constrained ATPG run
-(Table 4).
+Plus the companion analysis, per-comparator composite-value
+observability (Table 5).  The whole flow, with the conversion-block
+coverage and the digital block's constrained ATPG run (Table 4), is
+:class:`repro.api.Pipeline`.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from ..analog import (
     worst_case_deviation,
 )
 from ..api.config import GeneratorConfig
-from ..atpg import CompositeValue, propagate_composite, run_atpg
-from ..conversion import constrained_ladder_coverage
+from ..atpg import CompositeValue, propagate_composite
 from .activation import activate
-from .coverage import AnalogElementTest, AnalogTestStatus, MixedTestReport
+from .coverage import AnalogElementTest, AnalogTestStatus
 from .mixed_circuit import MixedSignalCircuit
 from .stimulus import Bound, choose_stimulus
 
@@ -196,12 +196,15 @@ class MixedSignalTestGenerator:
         ]
 
     # ------------------------------------------------------------------
-    def comparator_observability(self) -> list[bool]:
+    def comparator_observability(
+        self, composite: CompositeValue = CompositeValue.D
+    ) -> list[bool]:
         """Can a composite value on comparator *i* reach a primary output?
 
-        The Table 5 question.  Comparator *i* is given ``D``; the other
-        converter lines take the thermometer-consistent constants
-        (ones below, zeros above).
+        The Table 5 question.  Comparator *i* is given ``composite``
+        (``D``: the fault drops its output; ``D̄``: the fault raises it);
+        the other converter lines take the thermometer-consistent
+        constants (ones below, zeros above).
         """
         cbdd = self.mixed.compiled_digital()
         lines = self.mixed.converter_lines
@@ -212,48 +215,9 @@ class MixedSignalTestGenerator:
                 if j < index:
                     pinned[line] = CompositeValue.ONE
                 elif j == index:
-                    pinned[line] = CompositeValue.D
+                    pinned[line] = composite
                 else:
                     pinned[line] = CompositeValue.ZERO
             propagation = propagate_composite(cbdd, pinned)
             observable.append(propagation.vector is not None)
         return observable
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        include_digital: bool | None = None,
-        include_unconstrained: bool | None = None,
-    ) -> MixedTestReport:
-        """Run the whole flow and return the consolidated report.
-
-        The flags default to the generator's config
-        (``include_digital``/``include_unconstrained``).
-        """
-        if include_digital is None:
-            include_digital = self.config.include_digital
-        if include_unconstrained is None:
-            include_unconstrained = self.config.include_unconstrained
-        report = MixedTestReport(self.mixed.name)
-        for element in self.mixed.analog.element_names():
-            report.analog_tests.append(self.analog_element_test(element))
-        report.comparator_observability = self.comparator_observability()
-        mask = report.comparator_observability
-        report.conversion_coverage = constrained_ladder_coverage(
-            self.mixed.adc,
-            lambda i: mask[i],
-            tolerance=self.tolerance,
-            element_tolerance=self.element_tolerance,
-        )
-        if include_digital:
-            cbdd = self.mixed.compiled_digital()
-            report.digital_run = run_atpg(
-                self.mixed.digital,
-                constraint=self.mixed.constraint_builder(),
-                cbdd=cbdd,
-            )
-            if include_unconstrained:
-                report.digital_run_unconstrained = run_atpg(
-                    self.mixed.digital, cbdd=cbdd
-                )
-        return report

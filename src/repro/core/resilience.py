@@ -1,4 +1,4 @@
-"""Resilience primitives: retry policies, deadlines, failure records.
+"""Resilience primitives: retry policies and failure records.
 
 The campaign executor (:mod:`repro.core.sharding`) and the service
 layer (:mod:`repro.service.jobs`) share one failure-handling
@@ -11,11 +11,6 @@ vocabulary, defined here:
     ``(seed, key, attempt)``, never of wall-clock or ambient RNG state,
     so two runs of the same campaign retry on identical schedules
     (the DET001 determinism contract extends to failure handling).
-
-:class:`Deadline`
-    A monotonic-clock budget for one unit of work.  Built on
-    ``time.monotonic()`` — intervals are diagnostics, not outcome
-    identity, so deadlines never perturb results.
 
 :class:`FailureRecord`
     The durable evidence a failure leaves behind: exception text,
@@ -31,18 +26,11 @@ without cycles.
 from __future__ import annotations
 
 import random
-import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..api.config import ConfigError
 
-__all__ = [
-    "RetryPolicy",
-    "Deadline",
-    "FailureRecord",
-    "call_with_retry",
-]
+__all__ = ["RetryPolicy", "FailureRecord"]
 
 
 @dataclass(frozen=True)
@@ -114,35 +102,6 @@ class RetryPolicy:
         ]
 
 
-class Deadline:
-    """A monotonic time budget (``None`` seconds = unbounded).
-
-    Intervals come from ``time.monotonic()``: they inform *whether* work
-    gets killed, never *what* it computes, so deadlines are outside the
-    determinism contract the same way engine timings are.
-    """
-
-    def __init__(self, seconds: float | None):
-        if seconds is not None and seconds <= 0.0:
-            raise ConfigError(f"deadline must be > 0 seconds, got {seconds!r}")
-        self.seconds = seconds
-        self._start = time.monotonic()
-
-    def elapsed(self) -> float:
-        """Seconds since the deadline started."""
-        return time.monotonic() - self._start
-
-    def remaining(self) -> float | None:
-        """Seconds left (``None`` = unbounded; never negative)."""
-        if self.seconds is None:
-            return None
-        return max(0.0, self.seconds - self.elapsed())
-
-    def expired(self) -> bool:
-        """Whether the budget is spent."""
-        return self.seconds is not None and self.elapsed() > self.seconds
-
-
 @dataclass(frozen=True)
 class FailureRecord:
     """Durable evidence of one exhausted-or-fatal failure.
@@ -208,29 +167,3 @@ class FailureRecord:
             detail=dict(detail or {}),
         )
 
-
-def call_with_retry(
-    fn: Callable[[int], object],
-    policy: RetryPolicy,
-    key: object,
-    retryable: Callable[[BaseException], bool] | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> object:
-    """Run ``fn(attempt)`` under ``policy``; the shared retry loop.
-
-    ``fn`` receives the 1-based attempt number.  ``retryable`` filters
-    which exceptions are worth retrying (default: every ``Exception``);
-    a non-retryable exception, or the final failed attempt's exception,
-    propagates to the caller unchanged.
-    """
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return fn(attempt)
-        except Exception as error:
-            if retryable is not None and not retryable(error):
-                raise
-            if not policy.should_retry(attempt):
-                raise
-            sleep(policy.delay(key, attempt))

@@ -9,8 +9,9 @@ is the fast path behind the same public signatures:
   :class:`repro.digital.Circuit` once into integer-indexed arrays
   (inputs first, then gate outputs in topological order), so simulation
   is index arithmetic over flat lists instead of name-keyed dict walks.
-  Compilation is cached on the circuit instance (invalidated when gates
-  are added), mirroring the ``topological_order`` cache.
+  Each consumer builds its own table from the netlist's content (a
+  fraction of a millisecond on the ISCAS-85 blocks), so an edited
+  circuit never serves a stale one.
 
 * **Multi-word pattern batches** — signal values are numpy ``uint64``
   word vectors: bit *i* of word *w* is the value under pattern
@@ -43,7 +44,6 @@ skips, fault drops) in the style of
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -193,47 +193,19 @@ def _eval_words(op: int, vals: list, mask: np.ndarray):
     return mask.copy()  # CONST1
 
 
-#: bound on the digest-keyed pool of shared compiled tables; generous —
-#: a whole benchmark sweep touches a few dozen distinct netlists.
-_COMPILE_POOL_MAX = 256
-
-_compile_pool = None
-_compile_pool_lock = threading.Lock()
-
-
-def _shared_compile_pool():
-    """The module-wide digest-keyed pool of compiled tables.
-
-    Built lazily: :mod:`repro.core`'s package init reaches this module
-    through the analog stack, so a module-level import of
-    :mod:`repro.core.cache` here would be a cycle.
-    """
-    global _compile_pool
-    with _compile_pool_lock:
-        if _compile_pool is None:
-            from ..core.cache import L1Cache
-
-            _compile_pool = L1Cache(max_size=_COMPILE_POOL_MAX)
-        return _compile_pool
-
-
 class CompiledCircuit:
     """A :class:`Circuit` levelized once into flat index arrays.
 
     Signals are indexed primary inputs first, then gate outputs in
     topological order — so ascending index order *is* dependency order
-    and a sorted cone is already schedulable.  Use
-    :meth:`CompiledCircuit.compile` (cached) rather than the
-    constructor.
+    and a sorted cone is already schedulable.  Built from the netlist's
+    content at construction and never refreshed: build a new one after
+    editing the circuit.
     """
 
     def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        # Interface snapshot: compiled tables are shared across Circuit
-        # instances with equal content digests, so consumers must read
-        # the interface from the compile-time snapshot, never through
-        # ``self.circuit`` (which names whichever instance compiled
-        # first and may be mutated later).
+        # Interface snapshot: the circuit may be edited later, so the
+        # compiled form keeps no reference to it.
         self.name = circuit.name
         self.inputs: list[str] = list(circuit.inputs)
         order = circuit.topological_order()
@@ -262,37 +234,6 @@ class CompiledCircuit:
                 readers[source].append(gate_index)
         self.readers: list[tuple[int, ...]] = [tuple(r) for r in readers]
         self._cones: dict[int, tuple[int, ...]] = {}
-
-    @classmethod
-    def compile(cls, circuit: Circuit) -> "CompiledCircuit":
-        """The compiled form of ``circuit``, cached and shared.
-
-        Two caches compose.  The per-instance fast path keeps the
-        historical staleness test: the compiled form bakes in the input
-        count and the output list as well as the gate array, so — unlike
-        the pure ``topological_order`` cache — the key covers all three
-        and any interface change recompiles.  On an instance miss, a
-        module-wide pool keyed by the netlist *content digest*
-        (:meth:`repro.digital.Circuit.fingerprint`) serves the compile:
-        every Circuit instance carrying the same netlist — copies,
-        re-parses, fork survivors — shares one levelized table instead
-        of each paying the compile.
-        """
-        staleness_key = (
-            len(circuit.gates),
-            len(circuit.inputs),
-            tuple(circuit.outputs),
-        )
-        cached = getattr(circuit, "_compiled", None)
-        if cached is not None and cached[0] == staleness_key:
-            return cached[1]
-        pool = _shared_compile_pool()
-        digest = circuit.fingerprint()
-        compiled = pool.get(digest)
-        if compiled is None:
-            compiled = pool.setdefault(digest, cls(circuit))
-        circuit._compiled = (staleness_key, compiled)
-        return compiled
 
     # ------------------------------------------------------------------
     # Fan-out cones
@@ -516,7 +457,7 @@ class CompiledFaultSimulator:
     ) -> None:
         if word_size < 1:
             raise ValueError(f"word_size must be >= 1, got {word_size!r}")
-        self.compiled = CompiledCircuit.compile(circuit)
+        self.compiled = CompiledCircuit(circuit)
         self.word_size = word_size
         self.last_diagnostics: FaultSimDiagnostics | None = None
 

@@ -214,28 +214,6 @@ class Circuit:
             "lines": len(self.inputs) + len(self.gates),
         }
 
-    def fingerprint(self) -> str:
-        """Structural content digest of this netlist (sha256 hex).
-
-        The key compiled artifacts (BDD pools, levelized gate tables)
-        are cached under: equal digests mean the same name, interface
-        and gate network, so a cached compile is valid for any instance
-        sharing the digest.  Cached on the instance and invalidated when
-        gates, inputs or outputs are added — the same staleness test the
-        compiled-circuit cache uses.
-        """
-        key = (len(self.gates), len(self.inputs), tuple(self.outputs))
-        cached = getattr(self, "_fingerprint_cache", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        # Imported lazily: keeps the netlist importable without the core
-        # package (and avoids import-order knots during package init).
-        from ..core.fingerprint import netlist_fingerprint
-
-        digest = netlist_fingerprint(self)
-        self._fingerprint_cache = (key, digest)
-        return digest
-
     # ------------------------------------------------------------------
     # Functional evaluation
     # ------------------------------------------------------------------

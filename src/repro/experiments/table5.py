@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..atpg import CompositeValue, propagate_composite
+from ..atpg import CompositeValue
 from ..circuits import TABLE4_CIRCUITS, example3_mixed_circuit
-from ..core import format_table
+from ..core import MixedSignalTestGenerator, format_table
 
 __all__ = ["Table5Row", "Table5Result", "run"]
 
@@ -62,23 +62,22 @@ class Table5Result:
             title="Table 5: propagation of faulty parameters through comparators",
         )
 
-
-def _observability(mixed, composite: CompositeValue) -> list[bool]:
-    cbdd = mixed.compiled_digital()
-    lines = mixed.converter_lines
-    flags: list[bool] = []
-    for index in range(len(lines)):
-        pinned = {}
-        for j, line in enumerate(lines):
-            if j < index:
-                pinned[line] = CompositeValue.ONE
-            elif j == index:
-                pinned[line] = composite
-            else:
-                pinned[line] = CompositeValue.ZERO
-        result = propagate_composite(cbdd, pinned)
-        flags.append(result.vector is not None)
-    return flags
+    def to_document(self) -> dict:
+        """Every reproduced number as JSON (the CPU column excluded)."""
+        return {
+            "experiment": "table5",
+            "rows": [
+                {
+                    "circuit": row.circuit,
+                    "n_inputs": row.n_inputs,
+                    "n_converter_lines": row.n_converter_lines,
+                    "blocked_d": row.blocked_d,
+                    "blocked_dbar": row.blocked_dbar,
+                    "observability_d": list(row.observability_d),
+                }
+                for row in self.rows
+            ],
+        }
 
 
 def run(
@@ -89,9 +88,10 @@ def run(
     rows: list[Table5Row] = []
     for name in circuits:
         mixed = example3_mixed_circuit(name, bench_dir=bench_dir)
+        generator = MixedSignalTestGenerator(mixed)
         start = time.perf_counter()
-        obs_d = _observability(mixed, CompositeValue.D)
-        obs_dbar = _observability(mixed, CompositeValue.D_BAR)
+        obs_d = generator.comparator_observability(CompositeValue.D)
+        obs_dbar = generator.comparator_observability(CompositeValue.D_BAR)
         elapsed = time.perf_counter() - start
         rows.append(
             Table5Row(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..analog.deviation import json_float
 from ..circuits import example3_mixed_circuit
 from ..conversion import LadderCoverage, constrained_ladder_coverage
 from ..core import MixedSignalTestGenerator, format_table
@@ -41,6 +42,20 @@ class Table7Result:
                 )
             )
         return "\n\n".join(sections)
+
+    def to_document(self) -> dict:
+        """Every reproduced number as JSON (dashed cells as ``"inf"``)."""
+        return {
+            "experiment": "table7",
+            "coverages": {
+                name: {
+                    "taps": list(coverage.taps),
+                    "elements": list(coverage.elements),
+                    "ed_percent": [json_float(ed) for ed in coverage.ed_percent],
+                }
+                for name, coverage in self.coverages.items()
+            },
+        }
 
 
 def run(

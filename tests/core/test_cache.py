@@ -1,4 +1,4 @@
-"""The unified result cache: L1 memo semantics and the on-disk L2."""
+"""The on-disk result cache."""
 
 import os
 import time
@@ -7,7 +7,7 @@ import pytest
 
 from repro.api.artifact import Artifact
 from repro.api.config import ConfigError
-from repro.core.cache import L1Cache, ResultCache, check_fingerprint
+from repro.core.cache import ResultCache, check_fingerprint
 from repro.core.fingerprint import fingerprint_of
 
 
@@ -17,46 +17,6 @@ def fp(n: int) -> str:
 
 def entry(n: int) -> Artifact:
     return Artifact.from_cache_entry("unit-test", {"n": n})
-
-
-# ----------------------------------------------------------------------
-class TestL1Cache:
-    def test_get_put_and_counters(self):
-        cache = L1Cache(max_size=4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.stats() == {
-            "hits": 1, "misses": 1, "size": 1, "max_size": 4,
-        }
-
-    def test_lru_eviction_order(self):
-        cache = L1Cache(max_size=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh: "b" is now least recent
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_setdefault_first_write_wins(self):
-        cache = L1Cache()
-        assert cache.setdefault("k", "first") == "first"
-        assert cache.setdefault("k", "second") == "first"
-
-    def test_unbounded_and_clear(self):
-        cache = L1Cache()
-        for n in range(100):
-            cache.put(n, n)
-        assert len(cache) == 100
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats()["hits"] == 0  # counters survive, not reset
-
-    def test_bad_bound_rejected(self):
-        with pytest.raises(ValueError):
-            L1Cache(max_size=0)
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,20 @@
 
 import pytest
 
-from repro.api import CampaignConfig
+from repro.api import CampaignConfig, GeneratorConfig, Pipeline
 from repro.circuits import fig4_mixed_circuit
-from repro.core import MixedSignalTestGenerator, run_campaign
+from repro.core import run_campaign
+
+
+def _report(mixed):
+    config = GeneratorConfig(include_digital=False)
+    return Pipeline().run(mixed, generator=config).report
 
 
 @pytest.fixture(scope="module")
 def campaign():
     mixed = fig4_mixed_circuit()
-    report = MixedSignalTestGenerator(mixed).run(include_digital=False)
+    report = _report(mixed)
     return run_campaign(
         mixed, report, config=CampaignConfig(faults_per_element=4, seed=7)
     )
@@ -42,7 +47,7 @@ class TestCampaign:
 
     def test_deterministic(self):
         mixed = fig4_mixed_circuit()
-        report = MixedSignalTestGenerator(mixed).run(include_digital=False)
+        report = _report(mixed)
         config = CampaignConfig(faults_per_element=2, seed=3)
         a = run_campaign(mixed, report, config=config)
         b = run_campaign(mixed, report, config=config)
@@ -58,7 +63,7 @@ class TestBatchedExecution:
     @pytest.fixture(scope="class")
     def prepared(self):
         mixed = fig4_mixed_circuit()
-        report = MixedSignalTestGenerator(mixed).run(include_digital=False)
+        report = _report(mixed)
         return mixed, report
 
     def test_batched_outcomes_identical_to_reference(self, prepared):

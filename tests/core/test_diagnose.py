@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import GeneratorConfig, Pipeline
 from repro.circuits import fig4_mixed_circuit
 from repro.core import MixedSignalTestGenerator, build_dictionary, diagnose
 
@@ -9,9 +10,9 @@ from repro.core import MixedSignalTestGenerator, build_dictionary, diagnose
 @pytest.fixture(scope="module")
 def setup():
     mixed = fig4_mixed_circuit()
-    generator = MixedSignalTestGenerator(mixed)
-    report = generator.run(include_digital=False)
-    return generator, report
+    config = GeneratorConfig(include_digital=False)
+    report = Pipeline().run(mixed, generator=config).report
+    return MixedSignalTestGenerator(mixed), report
 
 
 class TestDictionary:

@@ -123,15 +123,6 @@ class TestNetlistFingerprint:
             changed
         )
 
-    def test_circuit_method_caches_and_matches(self):
-        circuit = self._circuit()
-        digest = circuit.fingerprint()
-        assert digest == netlist_fingerprint(circuit)
-        assert circuit.fingerprint() == digest  # cached path
-        circuit.add_gate("z", GateType.NOT, ["y"])
-        circuit.add_output("z")
-        assert circuit.fingerprint() != digest  # staleness key trips
-
 
 class TestAnalogFingerprint:
     def _circuit(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import GeneratorConfig
+from repro.api import GeneratorConfig, Pipeline
 from repro.circuits import fig4_mixed_circuit
 from repro.core import (
     AnalogTestStatus,
@@ -14,18 +14,18 @@ from repro.digital import simulate
 @pytest.fixture(scope="module")
 def report():
     mixed = fig4_mixed_circuit()
-    generator = MixedSignalTestGenerator(mixed)
-    return mixed, generator, generator.run(include_unconstrained=True)
+    config = GeneratorConfig(include_unconstrained=True)
+    return mixed, Pipeline().run(mixed, generator=config).report
 
 
 class TestFullFlow:
     def test_all_analog_elements_testable(self, report):
-        _mixed, _gen, result = report
+        _mixed, result = report
         assert result.analog_coverage == 1.0
         assert result.n_analog_testable == 8
 
     def test_recipes_complete(self, report):
-        _mixed, _gen, result = report
+        _mixed, result = report
         for test in result.analog_tests:
             assert test.status is AnalogTestStatus.TESTABLE
             assert test.stimulus is not None
@@ -38,7 +38,7 @@ class TestFullFlow:
         # to good and faulty analog blocks, push the codes through the
         # digital circuit with the emitted vector, and the observed
         # output must differ.
-        mixed, _gen, result = report
+        mixed, result = report
         for test in result.analog_tests:
             frequency = test.stimulus.frequency_hz
             amplitude = test.stimulus.amplitude
@@ -72,18 +72,18 @@ class TestFullFlow:
             assert detected_any, f"recipe for {test.element} fails end-to-end"
 
     def test_program_steps(self, report):
-        _mixed, _gen, result = report
+        _mixed, result = report
         steps = result.program()
         assert len(steps) == 8
         assert all("E.D." in step.target for step in steps)
 
     def test_comparator_observability(self, report):
-        _mixed, _gen, result = report
+        _mixed, result = report
         assert result.comparator_observability == [True, True]
         assert result.n_blocked_comparators == 0
 
     def test_digital_runs_attached(self, report):
-        _mixed, _gen, result = report
+        _mixed, result = report
         assert result.digital_run is not None
         assert result.digital_run.constrained
         assert result.digital_run_unconstrained is not None
@@ -93,13 +93,13 @@ class TestFullFlow:
         )
 
     def test_summary_mentions_everything(self, report):
-        _mixed, _gen, result = report
+        _mixed, result = report
         text = result.summary()
         assert "8/8 elements testable" in text
         assert "digital (constrained)" in text
 
     def test_conversion_coverage_attached(self, report):
-        _mixed, _gen, result = report
+        _mixed, result = report
         assert result.conversion_coverage is not None
         assert len(result.conversion_coverage.ed_percent) == 2
 
@@ -124,7 +124,7 @@ class TestGeneratorOptions:
 
 class TestGradeDigital:
     def test_compacted_vectors_cover_the_detected_universe(self, report):
-        mixed, _gen, result = report
+        mixed, result = report
         run = result.digital_run
         # Grade against exactly the faults the ATPG proved detectable
         # (under Fc the full universe includes untestable faults).
@@ -146,6 +146,6 @@ class TestGradeDigital:
             MixedTestReport("empty").grade_digital(None)
 
     def test_diagnostics_exposed_and_none_when_decoded(self, report):
-        _mixed, _gen, result = report
+        _mixed, result = report
         assert result.digital_diagnostics is not None
         assert result.digital_diagnostics["digital_engine"] == "compiled"

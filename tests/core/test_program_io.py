@@ -62,11 +62,10 @@ class TestRoundTrip:
 
 class TestFromReport:
     def test_extracts_generator_output(self):
+        from repro.api import Pipeline
         from repro.circuits import fig4_mixed_circuit
-        from repro.core import MixedSignalTestGenerator
 
-        mixed = fig4_mixed_circuit()
-        report = MixedSignalTestGenerator(mixed).run()
+        report = Pipeline().run(fig4_mixed_circuit()).report
         program = program_from_report(report)
         assert program.circuit_name == "fig4-mixed"
         assert len(program.analog_steps) == 8

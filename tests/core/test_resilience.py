@@ -1,16 +1,9 @@
-"""Resilience primitives: retry policies, deadlines, failure records."""
-
-import time
+"""Resilience primitives: retry policies and failure records."""
 
 import pytest
 
 from repro.api import Artifact, ConfigError
-from repro.core.resilience import (
-    Deadline,
-    FailureRecord,
-    RetryPolicy,
-    call_with_retry,
-)
+from repro.core.resilience import FailureRecord, RetryPolicy
 
 
 class TestRetryPolicy:
@@ -60,26 +53,6 @@ class TestRetryPolicy:
             RetryPolicy().delay("k", 0)
 
 
-class TestDeadline:
-    def test_unbounded(self):
-        deadline = Deadline(None)
-        assert deadline.remaining() is None
-        assert not deadline.expired()
-
-    def test_expiry(self):
-        deadline = Deadline(0.01)
-        time.sleep(0.03)
-        assert deadline.expired()
-        assert deadline.remaining() == 0.0
-        assert deadline.elapsed() >= 0.01
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            Deadline(0.0)
-        with pytest.raises(ConfigError):
-            Deadline(-1.0)
-
-
 class TestFailureRecord:
     def test_document_round_trip(self):
         record = FailureRecord(
@@ -106,47 +79,3 @@ class TestFailureRecord:
         assert reloaded.failure() == record
         assert reloaded.to_json() == artifact.to_json()
 
-
-class TestCallWithRetry:
-    def test_succeeds_after_transient_failures(self):
-        calls = []
-
-        def flaky(attempt):
-            calls.append(attempt)
-            if attempt < 3:
-                raise ValueError(f"attempt {attempt}")
-            return "ok"
-
-        slept = []
-        result = call_with_retry(
-            flaky, RetryPolicy(max_attempts=3), "k", sleep=slept.append
-        )
-        assert result == "ok"
-        assert calls == [1, 2, 3]
-        assert len(slept) == 2
-
-    def test_final_failure_propagates(self):
-        def always(attempt):
-            raise ValueError("always")
-
-        with pytest.raises(ValueError):
-            call_with_retry(
-                always, RetryPolicy(max_attempts=2), "k", sleep=lambda s: None
-            )
-
-    def test_non_retryable_raises_immediately(self):
-        calls = []
-
-        def fatal(attempt):
-            calls.append(attempt)
-            raise KeyError("fatal")
-
-        with pytest.raises(KeyError):
-            call_with_retry(
-                fatal,
-                RetryPolicy(max_attempts=5),
-                "k",
-                retryable=lambda e: not isinstance(e, KeyError),
-                sleep=lambda s: None,
-            )
-        assert calls == [1]

@@ -31,6 +31,8 @@ from repro.digital import (
 )
 from repro.digital.compiled import CompiledFaultSimulator, pack_patterns
 from repro.digital.faults import Fault, collapse_faults
+from repro.digital.gates import GateType
+from repro.digital.netlist import Gate
 from repro.digital.synth import SynthSpec, synthesize
 
 #: every digital circuit in the registry; the big ones are slow-marked.
@@ -110,7 +112,7 @@ class TestRegistryDifferential:
 
     def test_single_pattern_outputs_match_interpreter(self, name):
         circuit = _build(name)
-        compiled = CompiledCircuit.compile(circuit)
+        compiled = CompiledCircuit(circuit)
         rng = random.Random(37)
         for _ in range(8):
             assignment = {n: rng.randint(0, 1) for n in circuit.inputs}
@@ -219,25 +221,40 @@ class TestCompiledEdgeCases:
         assert document["engine"] == "compiled"
         assert document["word_size"] == 256
 
-    def test_compilation_cache_invalidates_on_growth(self):
+    def test_compiled_form_follows_growth(self):
         circuit = _build("fig3")
-        first = CompiledCircuit.compile(circuit)
-        assert CompiledCircuit.compile(circuit) is first
         grown = circuit.copy()
         grown.not_("extra", circuit.inputs[0])
-        assert CompiledCircuit.compile(grown) is not first
+        grown.add_output("extra")
+        faults = fault_universe(grown)
+        patterns = _patterns(grown, 16, seed=8)
+        assert fault_simulate(
+            grown, patterns, faults, engine="compiled"
+        ) == fault_simulate(grown, patterns, faults, engine="reference")
 
-    def test_compilation_cache_invalidates_on_interface_change(self):
-        # The compiled form bakes in the output list: marking a new
-        # output must recompile, and detection through the new output
-        # must match the reference interpreter.
+    def test_compiled_form_follows_interface_change(self):
+        # The compiled form bakes in the output list: detection through
+        # a newly marked output must match the reference interpreter.
         circuit = _build("fig3")
-        first = CompiledCircuit.compile(circuit)
+        patterns = _patterns(circuit, 16, seed=6)
+        fault_simulate(circuit, patterns, [], engine="compiled")
         gate = circuit.topological_order()[0]
         circuit.add_output(gate)
-        assert CompiledCircuit.compile(circuit) is not first
         faults = [stem_fault(gate, 0), stem_fault(gate, 1)]
-        patterns = _patterns(circuit, 16, seed=6)
+        assert fault_simulate(
+            circuit, patterns, faults, engine="compiled"
+        ) == fault_simulate(circuit, patterns, faults, engine="reference")
+
+    def test_compiled_form_follows_same_count_gate_edit(self):
+        # Replacing a gate in place keeps the gate, input and output
+        # counts, so only a compiled form built from the netlist's
+        # content sees the new logic.
+        circuit = _build("fig3")
+        faults = fault_universe(circuit)
+        patterns = _patterns(circuit, 16, seed=9)
+        fault_simulate(circuit, patterns, faults, engine="compiled")
+        old = circuit.gates["l3"]
+        circuit.gates["l3"] = Gate("l3", GateType.AND, old.fanins)
         assert fault_simulate(
             circuit, patterns, faults, engine="compiled"
         ) == fault_simulate(circuit, patterns, faults, engine="reference")

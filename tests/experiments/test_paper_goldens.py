@@ -1,4 +1,4 @@
-"""Paper goldens: every number Example 1/2, Table 3/4 and Figure 6 reproduce, pinned.
+"""Paper goldens: every number Example 1/2, Tables 3/4/5/7 and Figure 6 reproduce, pinned.
 
 Each golden under ``tests/experiments/goldens/`` is the canonical JSON
 (sorted keys, ``repr`` floats, untestable deviations as ``"inf"``) of an
@@ -10,10 +10,13 @@ excluded), the compacted vectors and each fault's status, vector and
 observing outputs; Example 2's holds the same per-fault lines for the
 Figure 3 circuit without and with ``Fc = l0 + l2``; Figure 6's holds
 the output OBDDs (text and DOT, nodes labelled in depth-first order)
-and the propagation verdict.  The tests
+and the propagation verdict.  Table 5's holds each circuit's blocked-comparator
+counts for ``D`` and ``D̄`` and the per-comparator ``D`` observability (CPU
+column excluded); Table 7's holds each digital block's case-2 ladder
+coverage (taps, merged elements, E.D. per tap).  The tests
 regenerate the experiments and require byte-identical files, so a
 refactor of a hot path cannot quietly move a paper number.  Tier-1
-regenerates Example 1/2, Table 3, Figure 6 and the c499/c1908 rows of Table 4;
+regenerates Example 1/2, Tables 3/5/7, Figure 6 and the c499/c1908 rows of Table 4;
 the full five-row Table 4 check is marked ``slow``.
 
 Regenerate (after an *intentional* change of reproduced numbers) with::
@@ -39,10 +42,13 @@ if __name__ == "__main__":  # allow running straight from a checkout
 
 import pytest
 
+from repro.circuits import TABLE4_CIRCUITS
 from repro.experiments.runner import EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_EXPERIMENTS = ("example1", "example2", "table3", "table4", "figure6")
+GOLDEN_EXPERIMENTS = (
+    "example1", "example2", "table3", "table4", "table5", "table7", "figure6",
+)
 #: goldens holding a worst-case-deviation matrix.
 MATRIX_GOLDENS = ("example1", "table3")
 #: Table 4 rows regenerated by tier-1 (the full table runs under ``slow``).
@@ -68,6 +74,8 @@ def golden_path(name: str) -> Path:
     [
         *MATRIX_GOLDENS,
         "example2",
+        "table5",
+        "table7",
         "figure6",
         pytest.param("table4", marks=pytest.mark.slow),
     ],
@@ -118,6 +126,32 @@ def test_figure6_golden_holds_the_paper_claims():
         for line in document["texts"]["Vo2"].splitlines()
         if ": " in line
     )
+
+
+def test_table5_golden_holds_the_paper_claims():
+    """Only a minority of the 15 comparators block D or D̄ (paper: 0–4)."""
+    rows = json.loads(golden_path("table5").read_text())["rows"]
+    assert [row["circuit"] for row in rows] == list(TABLE4_CIRCUITS)
+    for row in rows:
+        assert row["n_converter_lines"] == 15
+        assert len(row["observability_d"]) == 15
+        assert row["blocked_d"] == row["observability_d"].count(False)
+        # Most comparators must be usable, else the method is moot.
+        assert row["blocked_d"] <= 7
+        assert row["blocked_dbar"] <= 7
+
+
+def test_table7_golden_holds_the_paper_claims():
+    """Case 2 is never tighter than Table 6's direct access at any tap."""
+    coverages = json.loads(golden_path("table7").read_text())["coverages"]
+    assert set(coverages) == {"c432", "c499", "c1355"}
+    direct = EXPERIMENTS["table6"].run().coverage
+    for coverage in coverages.values():
+        assert coverage["taps"] == direct.taps
+        assert len(coverage["ed_percent"]) == 15
+        for tap_index, ed in enumerate(coverage["ed_percent"]):
+            if ed != "inf":
+                assert ed >= direct.ed_percent[tap_index] - 1e-6
 
 
 @pytest.mark.parametrize("name", MATRIX_GOLDENS)
