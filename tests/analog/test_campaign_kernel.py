@@ -8,13 +8,16 @@ halves on every mixed registry circuit against the independent oracles:
 
 * every value the engine reads from the kernel equals a fresh
   :class:`~repro.spice.MnaSolver` solve of the deviated circuit to 1e-9;
-* the seeded outcomes equal the ``reference`` engine's.
+* the seeded outcomes equal the ``reference`` engine's, also after an
+  in-place edit of the digital block.
 """
 
 import pytest
 
 from repro.api import CampaignConfig, Workbench, default_registry
 from repro.core import run_campaign
+from repro.digital.gates import GateType
+from repro.digital.netlist import Gate
 from repro.spice import FactorizedMna, MnaSolver
 
 #: |kernel − fresh solve| bound, as in the deviation_batch suite.
@@ -113,3 +116,24 @@ class TestReferenceParity:
             )
             assert fast.n_injected > 0
             assert _outcome_key(fast) == _outcome_key(oracle)
+
+    def test_outcomes_follow_same_count_digital_edit(self, session):
+        # The engine builds its compiled digital table from the netlist
+        # it is given: after an in-place gate edit (gate, input and
+        # output counts unchanged) it must not serve the old logic.
+        mixed = session.circuit("fig4")
+        report = session.run(mixed, stages=("sensitivity", "stimulus")).report
+        config = CampaignConfig(faults_per_element=2, seed=3)
+        before = run_campaign(
+            mixed, report, config=config.replace(engine="factorized")
+        )
+        old = mixed.digital.gates["Vo2"]
+        mixed.digital.gates["Vo2"] = Gate("Vo2", GateType.OR, old.fanins)
+        fast = run_campaign(
+            mixed, report, config=config.replace(engine="factorized")
+        )
+        oracle = run_campaign(
+            mixed, report, config=config.replace(engine="reference")
+        )
+        assert _outcome_key(fast) == _outcome_key(oracle)
+        assert _outcome_key(fast) != _outcome_key(before)

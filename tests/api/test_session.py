@@ -9,6 +9,29 @@ from repro.api import (
     TestSession,
     Workbench,
 )
+from repro.api.registry import CircuitRegistry
+from repro.circuits import fig4_mixed_circuit
+from repro.core.fingerprint import netlist_fingerprint
+from repro.digital.gates import GateType
+from repro.digital.netlist import Gate
+
+
+def _fig4_with_edited_outputs():
+    """fig4 with both output gates retyped in place (counts unchanged)."""
+    mixed = fig4_mixed_circuit()
+    for name, gate_type in (("Vo1", GateType.AND), ("Vo2", GateType.OR)):
+        old = mixed.digital.gates[name]
+        mixed.digital.gates[name] = Gate(name, gate_type, old.fanins)
+    return mixed
+
+
+@pytest.fixture
+def pool_registry():
+    registry = CircuitRegistry()
+    registry.register("fig4", fig4_mixed_circuit, kind="mixed")
+    registry.register("fig4-twin", fig4_mixed_circuit, kind="mixed")
+    registry.register("fig4-edited", _fig4_with_edited_outputs, kind="mixed")
+    return registry
 
 
 class TestPipelineValidation:
@@ -92,6 +115,27 @@ class TestBddPool:
         assert stats["bdd_pool_hits"] == 1
         assert stats["bdd_pool_misses"] == 1
         assert stats["bdd_pool_size"] == 1
+
+    def test_pool_is_keyed_by_netlist_content(self, pool_registry):
+        # Two registry names with one netlist share a pooled BDD; an
+        # edited netlist with the same counts gets its own.
+        session = TestSession(registry=pool_registry)
+        for name in ("fig4", "fig4-twin", "fig4-edited"):
+            session.run(name, stages=("conversion",))
+        stats = session.stats()
+        assert stats["bdd_pool_hits"] == 1
+        assert stats["bdd_pool_misses"] == 2
+        assert set(session._bdd_pool) == {
+            (netlist_fingerprint(fig4_mixed_circuit().digital), "fanin"),
+            (netlist_fingerprint(_fig4_with_edited_outputs().digital), "fanin"),
+        }
+
+    def test_edited_netlist_is_analysed_with_its_own_bdd(self, pool_registry):
+        session = TestSession(registry=pool_registry)
+        plain = session.run("fig4", stages=("conversion",)).report
+        edited = session.run("fig4-edited", stages=("conversion",)).report
+        assert plain.comparator_observability == [True, True]
+        assert edited.comparator_observability == [True, False]
 
 
 class TestRunBatch:

@@ -7,8 +7,11 @@ import pytest
 
 from repro.atpg import CircuitBdd
 from repro.bdd.manager import TRUE
+from repro.core.fingerprint import netlist_fingerprint
 from repro.digital import ripple_adder, simulate
+from repro.digital.gates import GateType
 from repro.digital.library import fig3_circuit
+from repro.digital.netlist import Gate
 
 
 class TestCompilation:
@@ -47,6 +50,20 @@ class TestCompilation:
         cbdd = CircuitBdd(fig3_circuit(), manager=mgr)
         assert cbdd.mgr is mgr
         assert mgr.has_variable("l0")
+
+    def test_fingerprint_is_the_content_digest_at_build(self):
+        # BDD pools file a CircuitBdd under this digest, so it must name
+        # the netlist the BDDs were built from, even after an edit.
+        circuit = fig3_circuit()
+        cbdd = CircuitBdd(circuit)
+        built = netlist_fingerprint(circuit)
+        assert cbdd.fingerprint == built
+        assert CircuitBdd(fig3_circuit()).fingerprint == built
+        old = circuit.gates["l3"]
+        circuit.gates["l3"] = Gate("l3", GateType.AND, old.fanins)
+        assert netlist_fingerprint(circuit) != built
+        assert cbdd.fingerprint == built
+        assert CircuitBdd(circuit).fingerprint == netlist_fingerprint(circuit)
 
 
 class TestFanoutCone:

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.api import GeneratorConfig, Pipeline
+from repro.atpg import CompositeValue
 from repro.circuits import fig4_mixed_circuit
 from repro.core import (
     AnalogTestStatus,
     MixedSignalTestGenerator,
 )
 from repro.digital import simulate
+from repro.digital.gates import GateType
+from repro.digital.netlist import Gate
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +105,28 @@ class TestFullFlow:
         _mixed, result = report
         assert result.conversion_coverage is not None
         assert len(result.conversion_coverage.ed_percent) == 2
+
+
+class TestComparatorObservability:
+    @pytest.mark.parametrize(
+        "composite", [CompositeValue.D, CompositeValue.D_BAR]
+    )
+    def test_either_fault_side_reads_the_netlist(self, composite):
+        # With Vo1 an AND and Vo2 an OR, comparator 2 (line l2) sees
+        # l0 = 1 below it: l3 = NOR(l0, l2) is held at 0 and
+        # Vo2 = OR(l6, l0) at 1, so its fault is blocked on either
+        # side, while comparator 1 (line l0) still reaches the outputs.
+        mixed = fig4_mixed_circuit()
+        assert MixedSignalTestGenerator(mixed).comparator_observability(
+            composite
+        ) == [True, True]
+        edited = fig4_mixed_circuit()
+        for name, gate_type in (("Vo1", GateType.AND), ("Vo2", GateType.OR)):
+            old = edited.digital.gates[name]
+            edited.digital.gates[name] = Gate(name, gate_type, old.fanins)
+        assert MixedSignalTestGenerator(edited).comparator_observability(
+            composite
+        ) == [True, False]
 
 
 class TestGeneratorOptions:

@@ -258,3 +258,104 @@ class TestCompiledEdgeCases:
         assert fault_simulate(
             circuit, patterns, faults, engine="compiled"
         ) == fault_simulate(circuit, patterns, faults, engine="reference")
+
+    @pytest.mark.parametrize("name", _FAST)
+    def test_compiled_forms_follow_gate_type_swaps(self, name):
+        # Swap the type of every fifth gate in place (the counts stay):
+        # every compiled consumer — detection, compaction and plain
+        # evaluation — must see the edited logic.
+        circuit = _build(name)
+        faults = collapse_faults(circuit, fault_universe(circuit))
+        patterns = _patterns(circuit, 64, seed=12)
+        fault_simulate(circuit, patterns, faults, engine="compiled")
+        before = [
+            tuple(simulate(circuit, p)[o] for o in circuit.outputs)
+            for p in patterns
+        ]
+        assert _swap_gate_types(circuit, every=5) > 0
+        after = [
+            tuple(simulate(circuit, p)[o] for o in circuit.outputs)
+            for p in patterns
+        ]
+        assert after != before
+        assert fault_simulate(
+            circuit, patterns, faults, engine="compiled"
+        ) == fault_simulate(circuit, patterns, faults, engine="reference")
+        vectors = patterns[:32]
+        assert compact_vectors(
+            circuit, vectors, faults, engine="compiled"
+        ) == compact_vectors(circuit, vectors, faults, engine="reference")
+        compiled = CompiledCircuit(circuit)
+        assert [compiled.evaluate_outputs(p) for p in patterns] == after
+
+    def test_compiled_form_follows_fanin_rewire(self):
+        # Rewire one fan-in of a gate to another primary input: gate,
+        # fan-in, input and output counts are all unchanged.
+        circuit = _build("fig3")
+        faults = fault_universe(circuit)
+        patterns = _patterns(circuit, 16, seed=13)
+        fault_simulate(circuit, patterns, faults, engine="compiled")
+        old = circuit.gates["l3"]
+        spare = next(i for i in circuit.inputs if i not in old.fanins)
+        circuit.gates["l3"] = Gate(
+            "l3", old.gate_type, (spare,) + old.fanins[1:]
+        )
+        faults = fault_universe(circuit)
+        assert fault_simulate(
+            circuit, patterns, faults, engine="compiled"
+        ) == fault_simulate(circuit, patterns, faults, engine="reference")
+
+    def test_compiled_form_follows_output_replacement(self):
+        # Observe an internal line in place of a primary output: the
+        # output count is unchanged, the observed logic is not.
+        circuit = _build("fig3")
+        faults = fault_universe(circuit)
+        patterns = _patterns(circuit, 16, seed=14)
+        fault_simulate(circuit, patterns, faults, engine="compiled")
+        internal = next(
+            g for g in circuit.topological_order()
+            if g not in circuit.outputs
+        )
+        circuit.outputs[0] = internal
+        assert fault_simulate(
+            circuit, patterns, faults, engine="compiled"
+        ) == fault_simulate(circuit, patterns, faults, engine="reference")
+
+    def test_compiled_form_is_a_snapshot_of_its_build(self):
+        # A compiled table keeps no reference to its circuit: editing
+        # the netlist afterwards leaves the table's logic as built.
+        circuit = _build("fig3")
+        patterns = _patterns(circuit, 16, seed=15)
+        original = circuit.copy()
+        compiled = CompiledCircuit(circuit)
+        assert _swap_gate_types(circuit, every=1) > 0
+        for pattern in patterns:
+            good = simulate(original, pattern)
+            assert compiled.evaluate_outputs(pattern) == tuple(
+                good[o] for o in original.outputs
+            )
+
+
+#: non-complementary type swaps: each changes which faults a pattern
+#: detects, not only the polarity of a line.
+_TYPE_SWAPS = {
+    GateType.AND: GateType.OR,
+    GateType.OR: GateType.AND,
+    GateType.NAND: GateType.NOR,
+    GateType.NOR: GateType.NAND,
+    GateType.XOR: GateType.AND,
+    GateType.XNOR: GateType.OR,
+}
+
+
+def _swap_gate_types(circuit, every):
+    """Swap the type of every ``every``-th swappable gate in place."""
+    swappable = [
+        gate for gate in circuit.gates.values()
+        if gate.gate_type in _TYPE_SWAPS
+    ]
+    for gate in swappable[::every]:
+        circuit.gates[gate.output] = Gate(
+            gate.output, _TYPE_SWAPS[gate.gate_type], gate.fanins
+        )
+    return len(swappable[::every])
