@@ -49,6 +49,26 @@ class Table1Result:
             ),
         )
 
+    def to_document(self) -> dict:
+        """Every (parameter, bound) row as JSON, floats exact."""
+        return {
+            "experiment": "table1",
+            "vref": self.vref,
+            "rows": [
+                {
+                    "parameter": choice.parameter,
+                    "kind": choice.kind.value,
+                    "bound": choice.bound.value,
+                    "amplitude": choice.stimulus.amplitude,
+                    "frequency_hz": choice.stimulus.frequency_hz,
+                    "good_value": choice.good_value,
+                    "faulty_value": choice.faulty_value,
+                    "composite": choice.composite.value,
+                }
+                for choice in self.choices
+            ],
+        }
+
 
 def run(vref: float = 1.0, x: float = 0.05) -> Table1Result:
     """Build the stimulus table for every band-pass parameter and bound."""

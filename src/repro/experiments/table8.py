@@ -55,6 +55,24 @@ class Table8Result:
             f"{n_digital}/{len(self.rows)} faults visible digitally"
         )
 
+    def to_document(self) -> dict:
+        """Every row's CD and MPD (percent, floats exact) as JSON."""
+        return {
+            "experiment": "table8",
+            "board_seed": self.board_seed,
+            "rows": [
+                {
+                    "parameter": row.parameter,
+                    "component": row.component,
+                    "cd_percent": row.cd_percent,
+                    "mpd_percent": row.mpd_percent,
+                    "out_of_box": row.out_of_box,
+                    "detected_digitally": row.detected_digitally,
+                }
+                for row in self.rows
+            ],
+        }
+
 
 def run(seed: int = 1995) -> Table8Result:
     """Simulate the board and regenerate Table 8."""

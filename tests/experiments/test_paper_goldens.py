@@ -1,4 +1,4 @@
-"""Paper goldens: every number Example 1/2, Tables 3/4/5/7 and Figure 6 reproduce, pinned.
+"""Paper goldens: every number Example 1/2, Tables 1/3/4/5/7/8 and Figure 6 reproduce, pinned.
 
 Each golden under ``tests/experiments/goldens/`` is the canonical JSON
 (sorted keys, ``repr`` floats, untestable deviations as ``"inf"``) of an
@@ -13,10 +13,13 @@ the output OBDDs (text and DOT, nodes labelled in depth-first order)
 and the propagation verdict.  Table 5's holds each circuit's blocked-comparator
 counts for ``D`` and ``D̄`` and the per-comparator ``D`` observability (CPU
 column excluded); Table 7's holds each digital block's case-2 ladder
-coverage (taps, merged elements, E.D. per tap).  The tests
+coverage (taps, merged elements, E.D. per tap).  Table 1's holds the
+stimulus ``(A, f)``, comparator values and composite value of every
+(parameter, bound) row; Table 8's holds each board row's CD and MPD and
+its out-of-box and digital-visibility verdicts.  The tests
 regenerate the experiments and require byte-identical files, so a
 refactor of a hot path cannot quietly move a paper number.  Tier-1
-regenerates Example 1/2, Tables 3/5/7, Figure 6 and the c499/c1908 rows of Table 4;
+regenerates Example 1/2, Tables 1/3/5/7/8, Figure 6 and the c499/c1908 rows of Table 4;
 the full five-row Table 4 check is marked ``slow``.
 
 Regenerate (after an *intentional* change of reproduced numbers) with::
@@ -47,7 +50,8 @@ from repro.experiments.runner import EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_EXPERIMENTS = (
-    "example1", "example2", "table3", "table4", "table5", "table7", "figure6",
+    "example1", "example2", "table1", "table3", "table4", "table5", "table7",
+    "table8", "figure6",
 )
 #: goldens holding a worst-case-deviation matrix.
 MATRIX_GOLDENS = ("example1", "table3")
@@ -74,8 +78,10 @@ def golden_path(name: str) -> Path:
     [
         *MATRIX_GOLDENS,
         "example2",
+        "table1",
         "table5",
         "table7",
+        "table8",
         "figure6",
         pytest.param("table4", marks=pytest.mark.slow),
     ],
@@ -152,6 +158,33 @@ def test_table7_golden_holds_the_paper_claims():
         for tap_index, ed in enumerate(coverage["ed_percent"]):
             if ed != "inf":
                 assert ed >= direct.ed_percent[tap_index] - 1e-6
+
+
+def test_table1_golden_holds_the_paper_claims():
+    """Upper-bound tests read D̄, lower-bound tests D, for every parameter."""
+    document = json.loads(golden_path("table1").read_text())
+    rows = document["rows"]
+    assert len(rows) == 10  # 5 parameters x 2 bounds
+    for row in rows:
+        # good 0 / faulty 1 past the upper bound, good 1 / faulty 0 below
+        assert row["composite"] == ("Dbar" if row["bound"] == ">" else "D")
+        assert row["amplitude"] > 0
+    # The AC-gain stimulus sits at the parameter's own frequency.
+    a2 = [row for row in rows if row["parameter"] == "A2"]
+    assert a2 and all(row["frequency_hz"] == 10_000.0 for row in a2)
+    # The center-frequency stimulus sits near the nominal f0 = 2.5 kHz.
+    f0 = [row for row in rows if row["parameter"] == "f0"]
+    assert f0 and all(2300 < row["frequency_hz"] < 2700 for row in f0)
+
+
+def test_table8_golden_holds_the_paper_claims():
+    """Every injected CD leaves the ±5 % box; most faults reach the outputs."""
+    rows = json.loads(golden_path("table8").read_text())["rows"]
+    assert len(rows) >= 8  # most of the 12 components covered
+    for row in rows:
+        assert row["out_of_box"] and row["mpd_percent"] > 5.0
+    digital = [row for row in rows if row["detected_digitally"]]
+    assert len(digital) >= int(0.7 * len(rows))
 
 
 @pytest.mark.parametrize("name", MATRIX_GOLDENS)
