@@ -28,8 +28,11 @@ Every bisection step re-measures the parameter at a *deviation state*
 (the faulted element plus, for ``"corners"``, the adversary's corner).
 The state is an argument of :meth:`PerformanceParameter.measure`, laid
 over the circuit's own deviations for that one measurement: the circuit
-is never mutated, and each measurement compiles its own
-:class:`~repro.spice.AcModel` (see :mod:`repro.spice.measure`).
+is never mutated.  A deviation matrix measures every state on one
+:class:`~repro.spice.MeasurementScope`: the circuit is compiled once,
+each state is a stamp delta on that model, and each distinct state's
+peak search is shared by every parameter that needs it (see
+:mod:`repro.spice.measure`).
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..spice import AnalogCircuit, AnalogError
+from ..spice import AnalogCircuit, AnalogError, MeasurementScope
 from .parameters import PerformanceParameter
-from .sensitivity import SensitivityMatrix, sensitivity_matrix
+from .sensitivity import SensitivityMatrix, sensitivity, sensitivity_matrix
 
 __all__ = [
     "DeviationResult",
@@ -79,6 +82,7 @@ def _relative_shift(
     parameter: PerformanceParameter,
     nominal: float,
     state: dict[str, float],
+    scope: MeasurementScope,
 ) -> float | None:
     """``(T(state) − T_nom)/T_nom``; None when T is unmeasurable (gross).
 
@@ -87,7 +91,7 @@ def _relative_shift(
     """
     state = circuit.deviation_state(state)
     try:
-        value = parameter.measure(circuit, state)
+        value = parameter.measure(circuit, state, scope=scope)
     except AnalogError:
         return None
     return (value - nominal) / abs(nominal)
@@ -101,9 +105,12 @@ def _detectable_budget(
     deviation: float,
     budget: float,
     tolerance: float,
+    scope: MeasurementScope,
 ) -> bool:
     """First-order test: fault effect must exceed box + masking budget."""
-    shift = _relative_shift(circuit, parameter, nominal, {element: deviation})
+    shift = _relative_shift(
+        circuit, parameter, nominal, {element: deviation}, scope
+    )
     if shift is None:
         return True  # parameter vanished: grossly out of spec
     return abs(shift) > tolerance + budget
@@ -117,13 +124,14 @@ def _detectable_corners(
     deviation: float,
     corners: Sequence[dict[str, float]],
     tolerance: float,
+    scope: MeasurementScope,
 ) -> bool:
     """Exact-corner test with interior-masking detection."""
     saw_positive = saw_negative = False
     for corner in corners:
         state = dict(corner)
         state[element] = deviation
-        shift = _relative_shift(circuit, parameter, nominal, state)
+        shift = _relative_shift(circuit, parameter, nominal, state, scope)
         if shift is None:
             continue  # this corner is grossly detectable
         if abs(shift) <= tolerance:
@@ -149,6 +157,7 @@ def worst_case_deviation(
     sensitivities: SensitivityMatrix | None = None,
     max_deviation: float = 8.0,
     resolution: float = 1e-3,
+    scope: MeasurementScope | None = None,
 ) -> DeviationResult:
     """Minimum guaranteed-detectable deviation of ``element`` via ``parameter``.
 
@@ -161,6 +170,9 @@ def worst_case_deviation(
         max_deviation: search ceiling (8 = 800 %); beyond it the pair is
             declared UNTESTABLE — the paper's dashed cells.
         resolution: bisection absolute tolerance on the deviation.
+        scope: the caller's measurement scope (a deviation matrix passes
+            its own); without one the search measures on a scope of its
+            own.
 
     Returns:
         the minimum over the two fault directions; negative-direction
@@ -169,8 +181,10 @@ def worst_case_deviation(
     """
     if adversary not in _ADVERSARIES:
         raise ValueError(f"adversary must be one of {_ADVERSARIES}")
+    if scope is None:
+        scope = MeasurementScope(circuit)
     others = [e for e in circuit.element_names() if e != element]
-    nominal = parameter.measure(circuit)
+    nominal = parameter.measure(circuit, scope=scope)
     if nominal == 0:
         raise AnalogError(
             f"parameter {parameter.name} is zero at nominal; cannot form "
@@ -180,7 +194,7 @@ def worst_case_deviation(
     if adversary == "sensitivity":
         if sensitivities is None:
             sensitivities = sensitivity_matrix(
-                circuit, [parameter], others + [element]
+                circuit, [parameter], others + [element], scope=scope
             )
         budget = 0.0
         for other in others:
@@ -189,9 +203,9 @@ def worst_case_deviation(
             else:
                 # The caller's matrix was computed over a subset; fill
                 # the missing fault-free elements on the fly.
-                from .sensitivity import sensitivity
-
-                s = sensitivity(circuit, parameter, other, nominal=nominal)
+                s = sensitivity(
+                    circuit, parameter, other, nominal=nominal, scope=scope
+                )
             budget += abs(s) * element_tolerance
     else:
         budget = 0.0
@@ -214,11 +228,11 @@ def worst_case_deviation(
         if adversary == "corners":
             return _detectable_corners(
                 circuit, parameter, nominal, element, deviation,
-                corners, tolerance,
+                corners, tolerance, scope,
             )
         return _detectable_budget(
             circuit, parameter, nominal, element, deviation,
-            budget, tolerance,
+            budget, tolerance, scope,
         )
 
     best = DeviationResult(parameter.name, element, UNTESTABLE, +1, budget)
@@ -359,13 +373,18 @@ def deviation_matrix(
     depend on R1...R4, C1, C2 at all).
 
     An already-computed ``sensitivities`` matrix covering the requested
-    parameters and elements can be passed to skip recomputing it.
+    parameters and elements can be passed to skip recomputing it.  Every
+    measurement of the matrix runs on one
+    :class:`~repro.spice.MeasurementScope`, which dies with the call.
     """
     if elements is None:
         elements = circuit.element_names()
     elements = list(elements)
+    scope = MeasurementScope(circuit)
     if sensitivities is None:
-        sensitivities = sensitivity_matrix(circuit, parameters, elements)
+        sensitivities = sensitivity_matrix(
+            circuit, parameters, elements, scope=scope
+        )
     results: dict[tuple[str, str], DeviationResult] = {}
     for parameter in parameters:
         for element in elements:
@@ -383,6 +402,7 @@ def deviation_matrix(
                 adversary=adversary,
                 sensitivities=sensitivities,
                 max_deviation=max_deviation,
+                scope=scope,
             )
     return DeviationMatrix(
         [p.name for p in parameters], elements, results

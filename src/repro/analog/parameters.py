@@ -6,6 +6,11 @@ paper's analog test method (section 2.1) chooses, per element, the
 parameter whose deviation best exposes an element deviation; and its
 Table 1 chooses the analog stimulus per the *kind* of the targeted
 parameter, so each parameter records its kind explicitly.
+
+A parameter is measured on a :class:`~repro.spice.MeasurementScope`:
+the caller that measures many deviation states passes one scope, so
+the circuit is compiled once and every parameter of a state shares that
+state's peak search; without one, each call is a scope of its own.
 """
 
 from __future__ import annotations
@@ -13,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..spice import (
-    AnalogCircuit,
-    center_frequency,
-    cutoff_high,
-    cutoff_low,
-    dc_gain,
-    gain_at,
-    peak_gain,
-)
+from ..spice import AnalogCircuit, MeasurementScope
 
 __all__ = ["ParameterKind", "PerformanceParameter", "standard_filter_parameters"]
 
@@ -62,29 +59,39 @@ class PerformanceParameter:
         self,
         circuit: AnalogCircuit,
         deviations: dict[str, float] | None = None,
+        *,
+        scope: MeasurementScope | None = None,
     ) -> float:
         """Measure the parameter at a deviation state.
 
         ``deviations`` (element → relative deviation) is laid over the
         circuit's own deviations for this measurement only; the circuit
-        is read, never written.
+        is read, never written.  ``scope`` (a scope of ``circuit``)
+        shares compiled models, peaks and values with the caller's other
+        measurements.
         """
+        if scope is None:
+            scope = MeasurementScope(circuit)
+        elif scope.circuit is not circuit:
+            raise ValueError(
+                f"parameter {self.name}: the scope measures another circuit"
+            )
         window = (self.f_low, self.f_high)
-        args = (circuit, self.source, self.output)
+        args = (self.source, self.output)
         if self.kind is ParameterKind.DC_GAIN:
-            return dc_gain(*args, deviations)
+            return scope.dc_gain(*args, deviations)
         if self.kind is ParameterKind.AC_GAIN:
             if self.frequency_hz is None:
                 raise ValueError(f"parameter {self.name}: AC gain needs a frequency")
-            return gain_at(*args, self.frequency_hz, deviations)
+            return scope.gain_at(*args, self.frequency_hz, deviations)
         if self.kind is ParameterKind.PEAK_GAIN:
-            return peak_gain(*args, *window, deviations=deviations)[1]
+            return scope.peak_gain(*args, *window, deviations=deviations)[1]
         if self.kind is ParameterKind.CENTER_FREQUENCY:
-            return center_frequency(*args, *window, deviations=deviations)
+            return scope.center_frequency(*args, *window, deviations=deviations)
         if self.kind is ParameterKind.CUTOFF_LOW:
-            return cutoff_low(*args, *window, deviations=deviations)
+            return scope.cutoff_low(*args, *window, deviations=deviations)
         if self.kind is ParameterKind.CUTOFF_HIGH:
-            return cutoff_high(*args, *window, deviations=deviations)
+            return scope.cutoff_high(*args, *window, deviations=deviations)
         raise ValueError(f"unknown parameter kind {self.kind}")
 
 

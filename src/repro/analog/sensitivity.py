@@ -5,6 +5,11 @@ finite differences on the MNA response.  They drive two things in the
 reproduction: the adversarial corner choice of the worst-case deviation
 solver and the "most sensitive parameter first" ordering of the mixed
 test generator (section 2.3's automation procedure).
+
+A matrix measures every parameter at the nominal state and at ±step per
+element; it runs all of them on one
+:class:`~repro.spice.MeasurementScope`, so the circuit is compiled once
+and each state's peak search is shared by the parameters that need it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spice import AnalogCircuit
+from ..spice import AnalogCircuit, MeasurementScope
 from .parameters import PerformanceParameter
 
 __all__ = ["sensitivity", "SensitivityMatrix", "sensitivity_matrix"]
@@ -26,20 +31,24 @@ def sensitivity(
     element: str,
     rel_step: float = 0.01,
     nominal: float | None = None,
+    scope: MeasurementScope | None = None,
 ) -> float:
     """Normalized sensitivity of ``parameter`` to ``element``.
 
     Central difference at ±``rel_step`` relative deviation; ``nominal``
     (the parameter value at the current state) may be passed to save one
-    measurement when the caller already has it.
+    measurement when the caller already has it, and ``scope`` to share
+    the caller's measurements.
     """
+    if scope is None:
+        scope = MeasurementScope(circuit)
     if nominal is None:
-        nominal = parameter.measure(circuit)
+        nominal = parameter.measure(circuit, scope=scope)
     if nominal == 0:
         return 0.0
     base = circuit.deviations().get(element, 0.0)
-    upper = parameter.measure(circuit, {element: base + rel_step})
-    lower = parameter.measure(circuit, {element: base - rel_step})
+    upper = parameter.measure(circuit, {element: base + rel_step}, scope=scope)
+    lower = parameter.measure(circuit, {element: base - rel_step}, scope=scope)
     return (upper - lower) / (2.0 * rel_step * nominal)
 
 
@@ -89,16 +98,24 @@ def sensitivity_matrix(
     parameters: Sequence[PerformanceParameter],
     elements: Sequence[str] | None = None,
     rel_step: float = 0.01,
+    scope: MeasurementScope | None = None,
 ) -> SensitivityMatrix:
-    """Compute the full normalized-sensitivity matrix."""
+    """Compute the full normalized-sensitivity matrix.
+
+    ``scope`` shares the caller's measurements (a deviation matrix
+    passes its own); without one the matrix measures on a scope of its
+    own.
+    """
     if elements is None:
         elements = circuit.element_names()
     elements = list(elements)
+    if scope is None:
+        scope = MeasurementScope(circuit)
     values = np.zeros((len(parameters), len(elements)))
     for i, parameter in enumerate(parameters):
-        nominal = parameter.measure(circuit)
+        nominal = parameter.measure(circuit, scope=scope)
         for j, element in enumerate(elements):
             values[i, j] = sensitivity(
-                circuit, parameter, element, rel_step, nominal=nominal
+                circuit, parameter, element, rel_step, nominal, scope
             )
     return SensitivityMatrix(list(parameters), elements, values)

@@ -34,6 +34,7 @@ from ..analog import (
     worst_case_deviation,
 )
 from ..api.config import GeneratorConfig
+from ..spice import MeasurementScope
 from ..atpg import CompositeValue, propagate_composite
 from .activation import activate
 from .coverage import AnalogElementTest, AnalogTestStatus
@@ -114,8 +115,16 @@ class MixedSignalTestGenerator:
         return [matrix.parameters[i] for i in order]
 
     # ------------------------------------------------------------------
-    def analog_element_test(self, element: str) -> AnalogElementTest:
-        """Generate the full recipe for one analog element."""
+    def analog_element_test(
+        self, element: str, scope: MeasurementScope | None = None
+    ) -> AnalogElementTest:
+        """Generate the full recipe for one analog element.
+
+        ``scope`` shares measurements with the caller's other elements
+        (see :meth:`analog_tests`).
+        """
+        if scope is None:
+            scope = MeasurementScope(self.mixed.analog)
         cbdd = self.mixed.compiled_digital()
         best_failure = AnalogTestStatus.UNTESTABLE_MEASUREMENT
         for parameter in self._parameters_by_sensitivity(element):
@@ -131,6 +140,7 @@ class MixedSignalTestGenerator:
                     tolerance=self.tolerance,
                     element_tolerance=self.element_tolerance,
                     sensitivities=self.sensitivities,
+                    scope=scope,
                 )
             if math.isinf(result.deviation):
                 continue
@@ -140,7 +150,7 @@ class MixedSignalTestGenerator:
             injected = max(injected, -0.95)
             fault = parametric(element, injected)
             recipe = self._activate_and_propagate(
-                parameter, fault, cbdd, result.deviation
+                parameter, fault, cbdd, result.deviation, scope
             )
             if recipe is not None:
                 return recipe
@@ -148,7 +158,8 @@ class MixedSignalTestGenerator:
         return AnalogElementTest(element, best_failure)
 
     def _activate_and_propagate(
-        self, parameter, fault: AnalogFault, cbdd, ed: float
+        self, parameter, fault: AnalogFault, cbdd, ed: float,
+        scope: MeasurementScope,
     ) -> AnalogElementTest | None:
         """Try every (bound, comparator) case for one parameter."""
         n = self.mixed.adc.n_comparators
@@ -162,7 +173,7 @@ class MixedSignalTestGenerator:
                 try:
                     choice = choose_stimulus(
                         self.mixed.analog, parameter, bound, vref,
-                        x=self.tolerance,
+                        x=self.tolerance, scope=scope,
                     )
                 except (ValueError, ArithmeticError):
                     continue
@@ -189,9 +200,14 @@ class MixedSignalTestGenerator:
         return None
 
     def analog_tests(self) -> list[AnalogElementTest]:
-        """Test recipes for every analog element (the analog-only flow)."""
+        """Test recipes for every analog element (the analog-only flow).
+
+        All elements measure on one scope, so the nominal peak and gains
+        behind every stimulus choice are measured once.
+        """
+        scope = MeasurementScope(self.mixed.analog)
         return [
-            self.analog_element_test(element)
+            self.analog_element_test(element, scope)
             for element in self.mixed.analog.element_names()
         ]
 

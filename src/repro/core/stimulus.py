@@ -22,6 +22,10 @@ digital line:
 The exchange rate ``y`` is not guessed: it is *measured* on the model by
 re-measuring the gain with the circuit detuned (paper: "a deviation of
 x[%] in the frequency causes a deviation of y[%] in the gain").
+
+Every measurement goes through a :class:`~repro.spice.MeasurementScope`;
+the generator passes one for all of its stimulus choices, so the
+nominal peak and gains are measured once rather than per comparator.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from enum import Enum
 
 from ..analog import ParameterKind, PerformanceParameter
 from ..atpg import AnalogStimulus, CompositeValue
-from ..spice import AnalogCircuit, gain_at
+from ..spice import AnalogCircuit, MeasurementScope
 
 __all__ = ["Bound", "StimulusChoice", "choose_stimulus", "gain_exchange_rate"]
 
@@ -70,6 +74,7 @@ def gain_exchange_rate(
     circuit: AnalogCircuit,
     parameter: PerformanceParameter,
     x: float,
+    scope: MeasurementScope | None = None,
 ) -> float:
     """Measured ``y``: relative gain change at ``f`` for an ``x`` shift of ``f``.
 
@@ -78,22 +83,25 @@ def gain_exchange_rate(
     model: evaluate the gain at ``f·(1±x)`` and take the larger relative
     change — no small-signal approximation needed.
     """
-    frequency = _test_frequency(circuit, parameter)
-    nominal = gain_at(circuit, parameter.source, parameter.output, frequency)
+    if scope is None:
+        scope = MeasurementScope(circuit)
+    frequency = _test_frequency(circuit, parameter, scope)
+    nominal = scope.gain_at(parameter.source, parameter.output, frequency)
     if nominal == 0:
         raise ValueError(f"zero gain at {frequency} Hz; cannot form y")
     shifts = []
     for sign in (+1.0, -1.0):
-        shifted = gain_at(
-            circuit, parameter.source, parameter.output,
-            frequency * (1.0 + sign * x),
+        shifted = scope.gain_at(
+            parameter.source, parameter.output, frequency * (1.0 + sign * x)
         )
         shifts.append(abs(shifted - nominal) / nominal)
     return max(shifts)
 
 
 def _test_frequency(
-    circuit: AnalogCircuit, parameter: PerformanceParameter
+    circuit: AnalogCircuit,
+    parameter: PerformanceParameter,
+    scope: MeasurementScope,
 ) -> float:
     """The stimulus frequency for each parameter kind (Table 1's ``f``)."""
     if parameter.kind is ParameterKind.DC_GAIN:
@@ -102,15 +110,13 @@ def _test_frequency(
         assert parameter.frequency_hz is not None
         return parameter.frequency_hz
     if parameter.kind in (ParameterKind.PEAK_GAIN, ParameterKind.CENTER_FREQUENCY):
-        from ..spice import peak_gain
-
-        return peak_gain(
-            circuit, parameter.source, parameter.output,
+        return scope.peak_gain(
+            parameter.source, parameter.output,
             parameter.f_low, parameter.f_high,
         )[0]
     # Cut-off parameters: stimulate at the parameter's nominal value
     # (the paper applies the nominal cut-off frequency).
-    return parameter.measure(circuit)
+    return parameter.measure(circuit, scope=scope)
 
 
 def choose_stimulus(
@@ -119,6 +125,7 @@ def choose_stimulus(
     bound: Bound,
     vref: float,
     x: float = 0.05,
+    scope: MeasurementScope | None = None,
 ) -> StimulusChoice:
     """Build the Table 1 stimulus for one (parameter, bound) pair.
 
@@ -128,6 +135,8 @@ def choose_stimulus(
         bound: which tolerance-box edge the vector checks.
         vref: threshold voltage of the observing comparator.
         x: the parameter tolerance (paper: 5 %).
+        scope: the caller's measurement scope, shared across its
+            choices; without one the choice measures on its own.
 
     Returns:
         the stimulus and expected good/faulty comparator values.
@@ -138,18 +147,15 @@ def choose_stimulus(
     giving ``D`` for one and ``D̄`` for the other exactly as in the
     paper's Table 1.
     """
-    frequency = _test_frequency(circuit, parameter)
+    if scope is None:
+        scope = MeasurementScope(circuit)
+    frequency = _test_frequency(circuit, parameter, scope)
+    reference_gain = scope.gain_at(parameter.source, parameter.output, frequency)
     if parameter.kind in (ParameterKind.DC_GAIN, ParameterKind.AC_GAIN,
                           ParameterKind.PEAK_GAIN):
-        reference_gain = gain_at(
-            circuit, parameter.source, parameter.output, frequency
-        )
         margin = x
     else:
-        reference_gain = gain_at(
-            circuit, parameter.source, parameter.output, frequency
-        )
-        margin = gain_exchange_rate(circuit, parameter, x)
+        margin = gain_exchange_rate(circuit, parameter, x, scope)
     if reference_gain <= 0:
         raise ValueError(
             f"parameter {parameter.name}: non-positive gain at the "

@@ -40,6 +40,7 @@ from .mna import FactorizedMna, MnaSolver, Solution
 from .acmodel import AcModel
 from .ac import FrequencyResponse, log_frequencies, sweep, transfer
 from .measure import (
+    MeasurementScope,
     bandwidth,
     center_frequency,
     cutoff_high,
@@ -85,6 +86,7 @@ __all__ = [
     "FactorizedMna",
     "Solution",
     "AcModel",
+    "MeasurementScope",
     "FrequencyResponse",
     "transfer",
     "sweep",

@@ -4,8 +4,8 @@ Every analog performance measurement (:mod:`repro.spice.measure`) is a
 search over frequency of ``|H(f)| = |v(output) / v(source)|``.  Solving
 each frequency with a fresh :class:`MnaSolver` re-walks the netlist,
 re-stamps every component and assembles a new matrix every time.  An
-:class:`AcModel` does that walk once per (circuit, source, output,
-deviation state) and keeps the result as a *stamp program*:
+:class:`AcModel` does that walk once per (circuit, source, output) and
+keeps the result as a *stamp program*:
 
 * the node index and branch rows of the MNA system;
 * the frequency-independent entries (resistors, controlled sources,
@@ -23,6 +23,13 @@ entries), and ``H`` at one frequency is one small dense solve.  Circuits
 large enough for ``resolve_backend("auto")`` to pick the sparse backend
 are evaluated per frequency through that backend instead of a dense
 stack.
+
+Another deviation state is a *stamp delta* (:meth:`AcModel.at_state`):
+only the deviated resistors, capacitors and VCCSs are re-stamped, and
+only the matrix positions they touch are re-summed, in program order, so
+the derived model ``==`` a fresh compile entry for entry.  Any other
+deviated device (one that owns a branch row or is ``s``-nonlinear) and
+non-dense backends compile the state in full.
 
 Results are bit-identical to ``MnaSolver(circuit, source=...).solve(f)``:
 both stamp the same unit-driven component list
@@ -78,8 +85,16 @@ _CONSTANT_TYPES = (
 #: component types whose every stamp entry is ``s`` times a constant.
 _S_LINEAR_TYPES = (Capacitor,)
 
+#: component types a deviation state may re-stamp in place: their stamp
+#: pattern does not depend on the value and they own no branch row.
+_RESTAMPABLE_TYPES = (Resistor, Capacitor, VCCS)
+
 # entry kinds of the stamp program
 _CONSTANT, _S_LINEAR, _DYNAMIC = 0, 1, 2
+
+# where a program entry lives in the dense form: summed into ``_constant``,
+# a coefficient of an ``s`` layer, or one term of a dynamic position's sum
+_SUMMED, _LAYERED, _PER_FREQUENCY = 0, 1, 2
 
 #: any nonzero ``s``: constant-type components stamp their AC form.
 _AC_PROBE = 1j
@@ -111,9 +126,10 @@ class _Recorder(SystemAssembler):
         self.owners.append(self.owner)
 
 
-class _DynamicStamps(StampContext):
-    """Collects the matrix entries of ``s``-nonlinear devices at one
-    frequency, against the compiled node index and branch rows."""
+class _Stamps(StampContext):
+    """Collects matrix entries (flat position, value) against the compiled
+    node index and branch rows: the ``s``-nonlinear devices at one
+    frequency, or the components a deviation state re-stamps."""
 
     def __init__(
         self,
@@ -150,7 +166,8 @@ class AcModel:
     :meth:`AnalogCircuit.with_deviations` — but the circuit is only
     read, never written, so one circuit may be measured from many
     threads at once.  The model captures the element values at
-    construction; compile a new one for another deviation state.
+    construction; :meth:`at_state` derives the model of another
+    deviation state from it.
     """
 
     def __init__(
@@ -163,10 +180,12 @@ class AcModel:
     ):
         self._components = unit_driven(circuit, source)
         self.circuit = circuit
+        self._source = source
         self._state = circuit.deviation_state(deviations)
         self._node_index = {
             node: index for index, node in enumerate(circuit.nodes())
         }
+        self._output_name = output
         if output == GROUND:
             self._output: int | None = None
         elif output in self._node_index:
@@ -230,30 +249,38 @@ class AcModel:
             return
         # Dense form: positions touched by a dynamic entry are summed per
         # frequency in full; every other position is a constant real part
-        # plus layered s-coefficient imaginary parts.
+        # plus layered s-coefficient imaginary parts.  Each entry's slot
+        # in that form is kept for at_state().
         dynamic_positions = sorted(set(self._dynamic_flats))
-        dynamic_set = set(dynamic_positions)
+        dynamic_slot = {flat: k for k, flat in enumerate(dynamic_positions)}
         constant = np.zeros(size * size, dtype=complex)
         layers: list[tuple[list[int], list[float]]] = []
         depth: dict[int, int] = {}
-        per_position: dict[int, list[tuple[int, complex]]] = {
-            flat: [] for flat in dynamic_positions
-        }
+        per_position: list[list[tuple[int, complex]]] = [
+            [] for _ in dynamic_positions
+        ]
+        slots: list[tuple[int, int, int]] = []
+        summed_at: dict[int, list[int]] = {}
         dynamic_index = 0
-        for kind, flat, value in self._program:
+        for index, (kind, flat, value) in enumerate(self._program):
             if kind == _DYNAMIC:
                 # payload becomes the entry's index among dynamic values
                 value = dynamic_index
                 dynamic_index += 1
-            if flat in dynamic_set:
-                per_position[flat].append((kind, value))
+            if flat in dynamic_slot:
+                k = dynamic_slot[flat]
+                slots.append((_PER_FREQUENCY, k, len(per_position[k])))
+                per_position[k].append((kind, value))
             elif kind == _CONSTANT:
+                slots.append((_SUMMED, flat, -1))
+                summed_at.setdefault(flat, []).append(index)
                 constant[flat] += value
             else:
                 layer = depth.get(flat, 0)
                 depth[flat] = layer + 1
                 if layer == len(layers):
                     layers.append(([], []))
+                slots.append((_LAYERED, layer, len(layers[layer][0])))
                 layers[layer][0].append(flat)
                 layers[layer][1].append(value)
         self._constant = constant
@@ -262,16 +289,102 @@ class AcModel:
             for flats, coefs in layers
         ]
         self._dynamic_positions = np.asarray(dynamic_positions, dtype=np.intp)
-        self._dynamic_sums = [per_position[flat] for flat in dynamic_positions]
+        self._dynamic_sums = per_position
+        self._slots = slots
+        self._summed_at = summed_at
+        # The program entries of each component at_state() may re-stamp.
+        emitted: dict[str, list[int]] = {}
+        for index, owner in enumerate(recorder.owners):
+            component = components[owner]
+            if type(component) in _RESTAMPABLE_TYPES:
+                emitted.setdefault(component.name, []).append(index)
+        self._emitted = emitted
+
+    # ------------------------------------------------------------------
+    # Stamp deltas
+    # ------------------------------------------------------------------
+    def at_state(self, deviations: dict[str, float] | None = None) -> "AcModel":
+        """The model of the same (circuit, source, output) at another
+        deviation state, ``==`` ``AcModel(circuit, source, output,
+        deviations)`` entry for entry.
+
+        ``deviations`` is laid over the circuit's *current* deviation
+        state, as in the constructor.  When only resistors, capacitors
+        and VCCSs differ from this model's state (on the dense backend),
+        just those components are re-stamped and just the positions
+        they touch re-summed, in program order; anything else compiles
+        the state in full.  This model is never written.
+        """
+        state = self.circuit.deviation_state(deviations)
+        changed = sorted(
+            name
+            for name in state.keys() | self._state.keys()
+            if state.get(name, 0.0) != self._state.get(name, 0.0)
+        )
+        if not changed:
+            return self
+        if self.backend.name != DenseBackend.name or not all(
+            name in self._emitted for name in changed
+        ):
+            return self._compiled(deviations)
+        model = object.__new__(AcModel)
+        model.__dict__.update(self.__dict__)
+        model._state = state
+        model._patterns = {}
+        model._dc = None
+        program = list(self._program)
+        stamps = _Stamps(self._node_index, self._branch_rows, self._size)
+        for name in changed:
+            component = self.circuit.component(name)
+            stamps.flats, stamps.values = [], []
+            at = 1.0 if _kind(component) == _S_LINEAR else _AC_PROBE
+            component.stamp(stamps, at, model._value(component))
+            entries = self._emitted[name]
+            if stamps.flats != [program[index][1] for index in entries]:
+                # not the pattern it was compiled with: no delta to take
+                return self._compiled(deviations)
+            for index, value in zip(entries, stamps.values):
+                program[index] = program[index][:2] + (value,)
+        model._program = program
+        model._constant = constant = self._constant.copy()
+        model._s_layers = layers = list(self._s_layers)
+        model._dynamic_sums = sums = list(self._dynamic_sums)
+        resummed: set[int] = set()
+        copied: set[tuple[int, int]] = set()
+        for name in changed:
+            for index in self._emitted[name]:
+                where, a, b = self._slots[index]
+                kind, _, value = program[index]
+                if where == _SUMMED:
+                    if a not in resummed:
+                        resummed.add(a)
+                        constant[a] = 0.0
+                        for term in self._summed_at[a]:
+                            constant[a] += program[term][2]
+                elif where == _LAYERED:
+                    if (where, a) not in copied:
+                        copied.add((where, a))
+                        layers[a] = (layers[a][0], layers[a][1].copy())
+                    layers[a][1][b] = value
+                else:
+                    if (where, a) not in copied:
+                        copied.add((where, a))
+                        sums[a] = list(sums[a])
+                    sums[a][b] = (kind, value)
+        return model
+
+    def _compiled(self, deviations: dict[str, float] | None) -> "AcModel":
+        return AcModel(
+            self.circuit, self._source, self._output_name, deviations,
+            self.backend,
+        )
 
     # ------------------------------------------------------------------
     # Per-frequency pieces
     # ------------------------------------------------------------------
     def _dynamic_values(self, s: complex) -> list[complex]:
         """The stamp values of the ``s``-nonlinear devices at ``s``."""
-        stamps = _DynamicStamps(
-            self._node_index, self._branch_rows, self._size
-        )
+        stamps = _Stamps(self._node_index, self._branch_rows, self._size)
         for component, value in self._dynamic_devices:
             component.stamp(stamps, s, value)
         if stamps.flats != self._dynamic_flats:

@@ -6,18 +6,26 @@ among (its Table 2 notation): DC gain ``Adc``, AC gain at a frequency
 ``f0`` of a band-pass), and the −3 dB low/high cut-off frequencies
 ``flcf``/``fhcf``.
 
-Each measurement compiles the circuit once into an
-:class:`~repro.spice.acmodel.AcModel` and evaluates ``|H(f)|`` on it:
-the peak search is a 120-point log-frequency scan solved as one stacked
-system, refined by a bounded golden-section search on the same model;
-the cut-offs add the end-of-window checks and a log-frequency Brent
-root search, again on the same model.
+Measurements run on a :class:`MeasurementScope`: it compiles one
+:class:`~repro.spice.acmodel.AcModel` per (source, output), derives every
+other deviation state from it as a stamp delta
+(:meth:`~repro.spice.acmodel.AcModel.at_state`), and measures each
+distinct state once: the peak search (a 120-point log-frequency scan
+solved as one stacked system, refined by a bounded golden-section
+search) is shared by every parameter kind that needs it, and each
+measured value is kept.  The cut-offs add the end-of-window checks and a
+log-frequency Brent root search on the same model.  A scope is created
+by the call that measures many states (a sensitivity or deviation
+matrix, the generator's stimulus stage) and dies with it; the one-shot
+functions below are a scope of one measurement.
 
 The deviation state is an argument: ``deviations`` (element → relative
 deviation) is laid over the circuit's own deviations for this one
-measurement (:meth:`~repro.spice.AnalogCircuit.deviation_state`).  The
-circuit is never written, so one circuit can be measured at many
-deviation states from many threads at once.
+measurement (:meth:`~repro.spice.AnalogCircuit.deviation_state`).  A
+scope keys what it keeps on that full effective state, so the circuit's
+own deviations may change between measurements.  The circuit is never
+written, so one circuit can be measured at many deviation states from
+many threads at once (one scope per thread).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .acmodel import AcModel
 from .netlist import AnalogCircuit, AnalogError
 
 __all__ = [
+    "MeasurementScope",
     "dc_gain",
     "gain_at",
     "peak_gain",
@@ -43,27 +52,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 Deviations = dict[str, float] | None
-
-
-def dc_gain(
-    circuit: AnalogCircuit,
-    source: str,
-    output: str,
-    deviations: Deviations = None,
-) -> float:
-    """|H(0)| — the DC gain magnitude."""
-    return AcModel(circuit, source, output, deviations).gain(0.0)
-
-
-def gain_at(
-    circuit: AnalogCircuit,
-    source: str,
-    output: str,
-    frequency_hz: float,
-    deviations: Deviations = None,
-) -> float:
-    """|H(f)| — AC gain magnitude at one frequency."""
-    return AcModel(circuit, source, output, deviations).gain(frequency_hz)
 
 
 def _check_window(f_low: float, f_high: float) -> None:
@@ -99,38 +87,6 @@ def _peak(
     return f_peak, model.gain(f_peak)
 
 
-def peak_gain(
-    circuit: AnalogCircuit,
-    source: str,
-    output: str,
-    f_low: float = 1.0,
-    f_high: float = 1.0e7,
-    coarse_points: int = 120,
-    deviations: Deviations = None,
-) -> tuple[float, float]:
-    """``(f_peak, |H|_peak)`` via coarse log scan + golden-section refine."""
-    _check_window(f_low, f_high)
-    if coarse_points < 2:
-        raise AnalogError(f"need coarse_points >= 2, got {coarse_points!r}")
-    model = AcModel(circuit, source, output, deviations)
-    return _peak(model, f_low, f_high, coarse_points)
-
-
-def center_frequency(
-    circuit: AnalogCircuit,
-    source: str,
-    output: str,
-    f_low: float = 1.0,
-    f_high: float = 1.0e7,
-    deviations: Deviations = None,
-) -> float:
-    """Frequency of maximum gain (the band-pass center frequency ``f0``)."""
-    f_peak, _ = peak_gain(
-        circuit, source, output, f_low, f_high, deviations=deviations
-    )
-    return f_peak
-
-
 def _crossing(model: AcModel, target: float, f_a: float, f_b: float) -> float:
     """Root of |H(f)| − target on [f_a, f_b] (log-f Brent)."""
 
@@ -142,23 +98,239 @@ def _crossing(model: AcModel, target: float, f_a: float, f_b: float) -> float:
     )
 
 
-def _cutoff(
-    model: AcModel,
-    high_side: bool,
-    f_low: float,
-    f_high: float,
-    reference: float | None,
+def _exact(*values) -> tuple:
+    """Key form of numeric arguments: equal values of different types
+    (``1`` and ``1.0``, a numpy scalar and a float) stay distinct, since
+    the frequency's own type takes part in forming ``s``."""
+    return tuple((type(value), value) for value in values)
+
+
+class MeasurementScope:
+    """Measures one circuit at many deviation states, each state once.
+
+    The first measurement of a (source, output) pair compiles its
+    :class:`AcModel`; every later state is derived from that model by
+    :meth:`AcModel.at_state`.  Peaks (per state and search window) and
+    measured values are kept as scalars, keyed on the full effective
+    deviation state, so e.g. ``Amax``, ``f0`` and both cut-offs of one
+    state share one peak search.  Only the compiled models and the
+    latest derived one are held.  A scope never writes the circuit; it
+    is meant to live for one call and not to be shared between threads.
+    """
+
+    def __init__(self, circuit: AnalogCircuit):
+        self.circuit = circuit
+        self._compiled: dict[tuple[str, str], AcModel] = {}
+        self._latest: tuple[tuple, AcModel] | None = None
+        self._values: dict[tuple, object] = {}
+
+    # ------------------------------------------------------------------
+    def _state(self, source: str, output: str, deviations: Deviations) -> tuple:
+        """The key of one (source, output, full deviation state)."""
+        state = self.circuit.deviation_state(deviations)
+        return (source, output, tuple(sorted(state.items())))
+
+    def _model(self, state: tuple, deviations: Deviations) -> AcModel:
+        if self._latest is not None and self._latest[0] == state:
+            return self._latest[1]
+        source, output = state[:2]
+        compiled = self._compiled.get((source, output))
+        if compiled is None:
+            model = AcModel(self.circuit, source, output, deviations)
+            self._compiled[(source, output)] = model
+        else:
+            model = compiled.at_state(deviations)
+        self._latest = (state, model)
+        return model
+
+    def _kept(self, key: tuple, compute):
+        try:
+            return self._values[key]
+        except KeyError:
+            value = self._values[key] = compute()
+            return value
+
+    def _peak(
+        self, state: tuple, deviations: Deviations,
+        f_low: float, f_high: float, coarse_points: int = 120,
+    ) -> tuple[float, float]:
+        return self._kept(
+            ("peak", state, _exact(f_low, f_high, coarse_points)),
+            lambda: _peak(
+                self._model(state, deviations), f_low, f_high, coarse_points
+            ),
+        )
+
+    def _cutoff(
+        self, state: tuple, deviations: Deviations, high_side: bool,
+        f_low: float, f_high: float, reference: float | None,
+    ) -> float:
+        """The −3 dB crossing on one side of the response peak."""
+
+        def compute() -> float:
+            f_peak, peak = self._peak(state, deviations, f_low, f_high)
+            model = self._model(state, deviations)
+            target = (reference if reference is not None else peak) / _SQRT2
+            end = f_high if high_side else f_low
+            if model.gain(end) >= target:
+                side = "high" if high_side else "low"
+                raise AnalogError(f"response has no {side}-side -3 dB crossing")
+            if high_side:
+                return _crossing(model, target, f_peak, f_high)
+            return _crossing(model, target, f_low, f_peak)
+
+        return self._kept(
+            ("cutoff", high_side, state, _exact(f_low, f_high, reference)),
+            compute,
+        )
+
+    # ------------------------------------------------------------------
+    def dc_gain(
+        self, source: str, output: str, deviations: Deviations = None
+    ) -> float:
+        """|H(0)| — the DC gain magnitude."""
+        return self.gain_at(source, output, 0.0, deviations)
+
+    def gain_at(
+        self,
+        source: str,
+        output: str,
+        frequency_hz: float,
+        deviations: Deviations = None,
+    ) -> float:
+        """|H(f)| — AC gain magnitude at one frequency."""
+        state = self._state(source, output, deviations)
+        return self._kept(
+            ("gain", state, _exact(frequency_hz)),
+            lambda: self._model(state, deviations).gain(frequency_hz),
+        )
+
+    def peak_gain(
+        self,
+        source: str,
+        output: str,
+        f_low: float = 1.0,
+        f_high: float = 1.0e7,
+        coarse_points: int = 120,
+        deviations: Deviations = None,
+    ) -> tuple[float, float]:
+        """``(f_peak, |H|_peak)`` via coarse log scan + golden-section refine."""
+        _check_window(f_low, f_high)
+        if coarse_points < 2:
+            raise AnalogError(f"need coarse_points >= 2, got {coarse_points!r}")
+        state = self._state(source, output, deviations)
+        return self._peak(state, deviations, f_low, f_high, coarse_points)
+
+    def center_frequency(
+        self,
+        source: str,
+        output: str,
+        f_low: float = 1.0,
+        f_high: float = 1.0e7,
+        deviations: Deviations = None,
+    ) -> float:
+        """Frequency of maximum gain (the band-pass center frequency ``f0``)."""
+        return self.peak_gain(
+            source, output, f_low, f_high, deviations=deviations
+        )[0]
+
+    def cutoff_low(
+        self,
+        source: str,
+        output: str,
+        f_low: float = 1.0,
+        f_high: float = 1.0e7,
+        reference: float | None = None,
+        deviations: Deviations = None,
+    ) -> float:
+        """Low −3 dB cut-off (see :func:`cutoff_low`)."""
+        _check_window(f_low, f_high)
+        state = self._state(source, output, deviations)
+        return self._cutoff(state, deviations, False, f_low, f_high, reference)
+
+    def cutoff_high(
+        self,
+        source: str,
+        output: str,
+        f_low: float = 1.0,
+        f_high: float = 1.0e7,
+        reference: float | None = None,
+        deviations: Deviations = None,
+    ) -> float:
+        """High −3 dB cut-off: the crossing *above* the response peak."""
+        _check_window(f_low, f_high)
+        state = self._state(source, output, deviations)
+        return self._cutoff(state, deviations, True, f_low, f_high, reference)
+
+    def bandwidth(
+        self,
+        source: str,
+        output: str,
+        f_low: float = 1.0,
+        f_high: float = 1.0e7,
+        deviations: Deviations = None,
+    ) -> float:
+        """−3 dB bandwidth ``fhcf − flcf`` of a band-pass response."""
+        _check_window(f_low, f_high)
+        state = self._state(source, output, deviations)
+        return self._cutoff(
+            state, deviations, True, f_low, f_high, None
+        ) - self._cutoff(state, deviations, False, f_low, f_high, None)
+
+
+# ----------------------------------------------------------------------
+# One-shot measurements: a scope of one
+# ----------------------------------------------------------------------
+def dc_gain(
+    circuit: AnalogCircuit,
+    source: str,
+    output: str,
+    deviations: Deviations = None,
 ) -> float:
-    """The −3 dB crossing on one side of the response peak."""
-    f_peak, peak = _peak(model, f_low, f_high)
-    target = (reference if reference is not None else peak) / _SQRT2
-    end = f_high if high_side else f_low
-    if model.gain(end) >= target:
-        side = "high" if high_side else "low"
-        raise AnalogError(f"response has no {side}-side -3 dB crossing")
-    if high_side:
-        return _crossing(model, target, f_peak, f_high)
-    return _crossing(model, target, f_low, f_peak)
+    """|H(0)| — the DC gain magnitude."""
+    return MeasurementScope(circuit).dc_gain(source, output, deviations)
+
+
+def gain_at(
+    circuit: AnalogCircuit,
+    source: str,
+    output: str,
+    frequency_hz: float,
+    deviations: Deviations = None,
+) -> float:
+    """|H(f)| — AC gain magnitude at one frequency."""
+    return MeasurementScope(circuit).gain_at(
+        source, output, frequency_hz, deviations
+    )
+
+
+def peak_gain(
+    circuit: AnalogCircuit,
+    source: str,
+    output: str,
+    f_low: float = 1.0,
+    f_high: float = 1.0e7,
+    coarse_points: int = 120,
+    deviations: Deviations = None,
+) -> tuple[float, float]:
+    """``(f_peak, |H|_peak)`` via coarse log scan + golden-section refine."""
+    return MeasurementScope(circuit).peak_gain(
+        source, output, f_low, f_high, coarse_points, deviations
+    )
+
+
+def center_frequency(
+    circuit: AnalogCircuit,
+    source: str,
+    output: str,
+    f_low: float = 1.0,
+    f_high: float = 1.0e7,
+    deviations: Deviations = None,
+) -> float:
+    """Frequency of maximum gain (the band-pass center frequency ``f0``)."""
+    return MeasurementScope(circuit).center_frequency(
+        source, output, f_low, f_high, deviations
+    )
 
 
 def cutoff_low(
@@ -176,9 +348,9 @@ def cutoff_low(
     raises if the response never falls below reference/√2 on the low side
     (e.g. a low-pass has no low cut-off).
     """
-    _check_window(f_low, f_high)
-    model = AcModel(circuit, source, output, deviations)
-    return _cutoff(model, False, f_low, f_high, reference)
+    return MeasurementScope(circuit).cutoff_low(
+        source, output, f_low, f_high, reference, deviations
+    )
 
 
 def cutoff_high(
@@ -191,9 +363,9 @@ def cutoff_high(
     deviations: Deviations = None,
 ) -> float:
     """High −3 dB cut-off: the crossing *above* the response peak."""
-    _check_window(f_low, f_high)
-    model = AcModel(circuit, source, output, deviations)
-    return _cutoff(model, True, f_low, f_high, reference)
+    return MeasurementScope(circuit).cutoff_high(
+        source, output, f_low, f_high, reference, deviations
+    )
 
 
 def bandwidth(
@@ -205,8 +377,6 @@ def bandwidth(
     deviations: Deviations = None,
 ) -> float:
     """−3 dB bandwidth ``fhcf − flcf`` of a band-pass response."""
-    _check_window(f_low, f_high)
-    model = AcModel(circuit, source, output, deviations)
-    return _cutoff(model, True, f_low, f_high, None) - _cutoff(
-        model, False, f_low, f_high, None
+    return MeasurementScope(circuit).bandwidth(
+        source, output, f_low, f_high, deviations
     )

@@ -4,7 +4,10 @@ The factorized campaign engine, :func:`repro.spice.sweep` and
 ``analyze(AcSweep(source=...))`` drive the measured source at unit
 amplitude by stamping a copy of it (``MnaSolver(circuit, source=...)``).
 The shared :class:`~repro.spice.VoltageSource` is never written, so one
-circuit object can serve concurrent campaigns.
+circuit object can serve concurrent campaigns.  Deviation matrices take
+each deviation state as an argument and measure on a scope of their own,
+so threads sharing one circuit get the serial matrix and leave the
+circuit's deviations as they were.
 """
 
 import sys
@@ -106,3 +109,25 @@ class TestThreadedCampaigns:
         assert not errors
         assert results == expected
         assert (source.ac, source.dc) == levels
+
+
+class TestThreadedDeviationMatrix:
+    def test_four_threads_share_one_fig4_circuit(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.analog import deviation_matrix
+        from repro.circuits import fig4_mixed_circuit
+
+        mixed = fig4_mixed_circuit()
+        circuit, parameters = mixed.analog, mixed.parameters
+        circuit.set_deviation("C2", 0.01)  # the circuit's own state
+        before = circuit.deviations()
+
+        def matrix(_):
+            return deviation_matrix(circuit, parameters).to_cache_document()
+
+        serial = matrix(None)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(matrix, range(4)))
+        assert all(document == serial for document in threaded)
+        assert circuit.deviations() == before

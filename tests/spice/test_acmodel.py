@@ -6,7 +6,9 @@ with ``with_deviations`` and the source driven at 1 V by writing its
 ``ac``/``dc`` levels (:func:`mutating_unit_source`, the scope the library
 used to ship).  Every comparison is ``==`` — the compiled model, and the
 non-mutating ``MnaSolver(circuit, source=...)``, must reproduce it bit
-for bit, not approximately.
+for bit, not approximately.  A model derived for another deviation state
+(:meth:`AcModel.at_state`, a stamp delta) must equal a fresh compile of
+that state the same way, down to its dense-form arrays.
 """
 
 import math
@@ -14,6 +16,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from repro.analog import ParameterKind
@@ -401,3 +405,153 @@ class TestNonDenseBackend:
         assert model.transfer(1.0) == oracle_transfer(circuit, "V1", "out", 1.0)
         with pytest.raises(AnalogError, match="changes with frequency"):
             model.transfer(1.0e6)
+
+
+# ----------------------------------------------------------------------
+# Stamp deltas: AcModel.at_state == a fresh compile, entry for entry
+# ----------------------------------------------------------------------
+DELTA_GRID = [float(f) for f in np.logspace(0, 7, 200)]
+
+
+def dense_form(model):
+    """Every array and list the dense evaluation reads, bit for bit
+    (``repr`` and raw bytes keep the sign of zero)."""
+    return (
+        repr(model._program),
+        model._constant.tobytes(),
+        [(flats.tobytes(), coefs.tobytes()) for flats, coefs in model._s_layers],
+        repr(model._dynamic_sums),
+    )
+
+
+def assert_same_model(derived, fresh, grid=DELTA_GRID):
+    assert derived._state == fresh._state
+    assert derived.transfers(grid) == fresh.transfers(grid)
+    for f in (0.0, 2_512.3, np.float64(1234.5)):
+        assert derived.transfer(f) == fresh.transfer(f)
+    if fresh.backend.name == "dense":
+        assert dense_form(derived) == dense_form(fresh)
+
+
+def registry_block(name):
+    if name == "all-devices":
+        return all_device_circuit(), "V1"
+    return _analog_block(name)
+
+
+def single_element_states(circuit, limit=10):
+    names = circuit.element_names()
+    names = names[:: math.ceil(len(names) / limit)]
+    return [{name: deviation} for name in names for deviation in (0.2, -0.35)]
+
+
+class TestStampDelta:
+    @pytest.mark.parametrize("name", DENSE_CIRCUITS + ["all-devices"])
+    def test_every_dense_circuit(self, name):
+        circuit, source = registry_block(name)
+        nodes = circuit.nodes()
+        outputs = sorted({nodes[-1], nodes[len(nodes) // 2]})
+        states = single_element_states(circuit) + [
+            random_state(circuit, seed) for seed in (11, 12)
+        ]
+        for output in outputs:
+            base = AcModel(circuit, source, output)
+            before = dense_form(base)
+            for state in states:
+                assert_same_model(
+                    base.at_state(state), AcModel(circuit, source, output, state)
+                )
+            assert dense_form(base) == before  # deriving never writes the base
+
+    @pytest.mark.parametrize("name", DENSE_CIRCUITS + ["all-devices"])
+    def test_circuit_carrying_its_own_deviations(self, name):
+        circuit, source = registry_block(name)
+        names = circuit.element_names()
+        circuit.set_deviation(names[0], 0.15)
+        circuit.set_deviation(names[-1], -0.1)
+        output = circuit.nodes()[-1]
+        base = AcModel(circuit, source, output, {names[1]: 0.05})
+        for state in (
+            {},
+            {names[0]: 0.0},  # lifts one of the circuit's own deviations
+            {names[0]: 0.3, names[1]: 0.0},
+            {names[-1]: 0.2, names[len(names) // 2]: -0.4},
+            random_state(circuit, 13),
+        ):
+            assert_same_model(
+                base.at_state(state), AcModel(circuit, source, output, state)
+            )
+        # The circuit's own state moved after the base was compiled.
+        circuit.set_deviation(names[1], 0.25)
+        assert_same_model(base.at_state(), AcModel(circuit, source, output))
+
+    @pytest.mark.parametrize(
+        "name", [n for n in REGISTRY.names("analog") if not _dense(n)]
+    )
+    def test_sparse_circuits_compile_in_full(self, name):
+        circuit, source = registry_block(name)
+        output = circuit.nodes()[-1]
+        state = random_state(circuit, 14, spread=0.05)
+        assert_same_model(
+            AcModel(circuit, source, output).at_state(state),
+            AcModel(circuit, source, output, state),
+        )
+
+    def test_sparse_backend_compiles_in_full(self):
+        circuit = all_device_circuit()
+        base = AcModel(circuit, "V1", "g", backend="sparse")
+        for state in ({"R1": 0.3}, random_state(circuit, 15)):
+            assert_same_model(
+                base.at_state(state),
+                AcModel(circuit, "V1", "g", state, backend="sparse"),
+                grid=FREQUENCIES,
+            )
+
+    @pytest.mark.parametrize(
+        "state,full",
+        [
+            ({}, 0),
+            ({"R1": 0.3, "C2": -0.2, "G1": 0.1}, 0),  # re-stamped in place
+            ({"L1": 0.3}, 1),  # s-nonlinear
+            ({"A1": -0.5}, 1),  # s-nonlinear
+            ({"E1": 0.2}, 1),  # owns a branch row
+            ({"R1": 0.3, "L1": 0.3}, 1),
+        ],
+    )
+    def test_what_compiles_in_full(self, monkeypatch, state, full):
+        circuit = all_device_circuit()
+        base = AcModel(circuit, "V1", "k")
+        compiles = []
+        compile_ac = AcModel._compile_ac
+
+        def counting(model):
+            compiles.append(model)
+            return compile_ac(model)
+
+        monkeypatch.setattr(AcModel, "_compile_ac", counting)
+        derived = base.at_state(state)
+        assert len(compiles) == full
+        assert (derived is base) == (not state)
+        assert_same_model(derived, AcModel(circuit, "V1", "k", state))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_states(self, data):
+        name = data.draw(st.sampled_from(["fig4", "state-variable", "all-devices"]))
+        circuit, source = registry_block(name)
+        names = circuit.element_names()
+        chosen = data.draw(
+            st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)
+        )
+        deviation = st.floats(-0.9, 3.0, allow_nan=False)
+        state = {element: data.draw(deviation) for element in chosen}
+        own = data.draw(st.dictionaries(st.sampled_from(names), deviation, max_size=2))
+        for element, value in own.items():
+            circuit.set_deviation(element, value)
+        output = data.draw(st.sampled_from(circuit.nodes()))
+        base = AcModel(circuit, source, output)
+        assert_same_model(
+            base.at_state(state),
+            AcModel(circuit, source, output, state),
+            grid=DELTA_GRID[::5],
+        )

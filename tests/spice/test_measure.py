@@ -1,13 +1,17 @@
 """Tests for performance-parameter measurements."""
 
 import math
+import types
 
 import pytest
 
-from repro.circuits import bandpass_filter
+from repro.circuits import bandpass_filter, bandpass_parameters
 from repro.spice import (
     AnalogCircuit,
     AnalogError,
+    MeasurementScope,
+    acmodel,
+    measure,
     bandwidth,
     center_frequency,
     cutoff_high,
@@ -85,3 +89,68 @@ class TestPeak:
         c = bandpass_filter()
         with pytest.raises(AnalogError):
             peak_gain(c, "Vin", "V1", 0.0, 1e5)
+
+
+class TestMeasurementScope:
+    def test_parameters_of_one_state_share_one_peak_search(self, monkeypatch):
+        circuit = bandpass_filter()
+        parameters = bandpass_parameters()
+        state = {"Rd": 0.07}
+        expected = [p.measure(circuit, state) for p in parameters]
+        searches = []
+        peak = measure._peak
+
+        def counting(*args):
+            searches.append(args)
+            return peak(*args)
+
+        monkeypatch.setattr(measure, "_peak", counting)
+        scope = MeasurementScope(circuit)
+        shared = [p.measure(circuit, state, scope=scope) for p in parameters]
+        assert shared == expected
+        assert len(searches) == 1  # Amax, f0, fc1 and fc2 share it
+        assert [p.measure(circuit, state, scope=scope) for p in parameters] == shared
+        assert len(searches) == 1
+
+    def test_keys_follow_the_circuits_own_deviations(self):
+        circuit = bandpass_filter()
+        scope = MeasurementScope(circuit)
+        nominal = scope.peak_gain("Vin", "V1", 50.0, 2.0e5)
+        circuit.set_deviation("Rg", 0.2)
+        moved = scope.peak_gain("Vin", "V1", 50.0, 2.0e5)
+        assert moved != nominal
+        assert moved == peak_gain(circuit, "Vin", "V1", 50.0, 2.0e5)
+        circuit.clear_deviations()
+        assert scope.peak_gain("Vin", "V1", 50.0, 2.0e5) == nominal
+
+    def test_scope_of_another_circuit_is_rejected(self):
+        parameter = bandpass_parameters()[0]
+        with pytest.raises(ValueError, match="another circuit"):
+            parameter.measure(
+                bandpass_filter(), scope=MeasurementScope(bandpass_filter())
+            )
+
+    def test_failed_measurement_is_not_kept(self):
+        scope = MeasurementScope(rc_low_pass())
+        for _ in range(2):
+            with pytest.raises(AnalogError, match="low-side"):
+                scope.cutoff_low("V1", "out", 1.0, 1e6)
+
+
+@pytest.mark.parametrize("module", [measure, acmodel], ids=lambda m: m.__name__)
+def test_no_module_level_measurement_cache(module):
+    """Sharing lives in scopes that die with their call: nothing at module
+    (or class) level can hold a measurement, model or peak."""
+    mutable = (dict, list, set, bytearray)
+    owners = [vars(module)] + [
+        vars(value)
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    for namespace in owners:
+        for name, value in namespace.items():
+            if name.startswith("__"):
+                continue
+            assert not isinstance(value, mutable), name
+            assert not hasattr(value, "cache_info"), name  # functools caches
+            assert not isinstance(value, types.MappingProxyType), name
