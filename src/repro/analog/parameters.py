@@ -79,7 +79,7 @@ class PerformanceParameter:
         window = (self.f_low, self.f_high)
         args = (self.source, self.output)
         if self.kind is ParameterKind.DC_GAIN:
-            return scope.dc_gain(*args, deviations)
+            return scope.gain_at(*args, 0.0, deviations)
         if self.kind is ParameterKind.AC_GAIN:
             if self.frequency_hz is None:
                 raise ValueError(f"parameter {self.name}: AC gain needs a frequency")
@@ -87,11 +87,11 @@ class PerformanceParameter:
         if self.kind is ParameterKind.PEAK_GAIN:
             return scope.peak_gain(*args, *window, deviations=deviations)[1]
         if self.kind is ParameterKind.CENTER_FREQUENCY:
-            return scope.center_frequency(*args, *window, deviations=deviations)
+            return scope.peak_gain(*args, *window, deviations=deviations)[0]
         if self.kind is ParameterKind.CUTOFF_LOW:
-            return scope.cutoff_low(*args, *window, deviations=deviations)
+            return scope.cutoff(*args, False, *window, deviations=deviations)
         if self.kind is ParameterKind.CUTOFF_HIGH:
-            return scope.cutoff_high(*args, *window, deviations=deviations)
+            return scope.cutoff(*args, True, *window, deviations=deviations)
         raise ValueError(f"unknown parameter kind {self.kind}")
 
 

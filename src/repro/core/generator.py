@@ -34,8 +34,8 @@ from ..analog import (
     worst_case_deviation,
 )
 from ..api.config import GeneratorConfig
-from ..spice import MeasurementScope
 from ..atpg import CompositeValue, propagate_composite
+from ..spice import MeasurementScope
 from .activation import activate
 from .coverage import AnalogElementTest, AnalogTestStatus
 from .mixed_circuit import MixedSignalCircuit

@@ -124,7 +124,6 @@ class MeasurementScope:
         self._latest: tuple[tuple, AcModel] | None = None
         self._values: dict[tuple, object] = {}
 
-    # ------------------------------------------------------------------
     def _state(self, source: str, output: str, deviations: Deviations) -> tuple:
         """The key of one (source, output, full deviation state)."""
         state = self.circuit.deviation_state(deviations)
@@ -150,47 +149,6 @@ class MeasurementScope:
             value = self._values[key] = compute()
             return value
 
-    def _peak(
-        self, state: tuple, deviations: Deviations,
-        f_low: float, f_high: float, coarse_points: int = 120,
-    ) -> tuple[float, float]:
-        return self._kept(
-            ("peak", state, _exact(f_low, f_high, coarse_points)),
-            lambda: _peak(
-                self._model(state, deviations), f_low, f_high, coarse_points
-            ),
-        )
-
-    def _cutoff(
-        self, state: tuple, deviations: Deviations, high_side: bool,
-        f_low: float, f_high: float, reference: float | None,
-    ) -> float:
-        """The −3 dB crossing on one side of the response peak."""
-
-        def compute() -> float:
-            f_peak, peak = self._peak(state, deviations, f_low, f_high)
-            model = self._model(state, deviations)
-            target = (reference if reference is not None else peak) / _SQRT2
-            end = f_high if high_side else f_low
-            if model.gain(end) >= target:
-                side = "high" if high_side else "low"
-                raise AnalogError(f"response has no {side}-side -3 dB crossing")
-            if high_side:
-                return _crossing(model, target, f_peak, f_high)
-            return _crossing(model, target, f_low, f_peak)
-
-        return self._kept(
-            ("cutoff", high_side, state, _exact(f_low, f_high, reference)),
-            compute,
-        )
-
-    # ------------------------------------------------------------------
-    def dc_gain(
-        self, source: str, output: str, deviations: Deviations = None
-    ) -> float:
-        """|H(0)| — the DC gain magnitude."""
-        return self.gain_at(source, output, 0.0, deviations)
-
     def gain_at(
         self,
         source: str,
@@ -198,7 +156,7 @@ class MeasurementScope:
         frequency_hz: float,
         deviations: Deviations = None,
     ) -> float:
-        """|H(f)| — AC gain magnitude at one frequency."""
+        """|H(f)| — AC gain magnitude at one frequency (DC at ``0.0``)."""
         state = self._state(source, output, deviations)
         return self._kept(
             ("gain", state, _exact(frequency_hz)),
@@ -219,63 +177,45 @@ class MeasurementScope:
         if coarse_points < 2:
             raise AnalogError(f"need coarse_points >= 2, got {coarse_points!r}")
         state = self._state(source, output, deviations)
-        return self._peak(state, deviations, f_low, f_high, coarse_points)
+        return self._kept(
+            ("peak", state, _exact(f_low, f_high, coarse_points)),
+            lambda: _peak(
+                self._model(state, deviations), f_low, f_high, coarse_points
+            ),
+        )
 
-    def center_frequency(
+    def cutoff(
         self,
         source: str,
         output: str,
+        high_side: bool,
         f_low: float = 1.0,
         f_high: float = 1.0e7,
+        reference: float | None = None,
         deviations: Deviations = None,
     ) -> float:
-        """Frequency of maximum gain (the band-pass center frequency ``f0``)."""
-        return self.peak_gain(
+        """The −3 dB crossing above (``high_side``) or below the response
+        peak (see :func:`cutoff_low`)."""
+        f_peak, peak = self.peak_gain(
             source, output, f_low, f_high, deviations=deviations
-        )[0]
-
-    def cutoff_low(
-        self,
-        source: str,
-        output: str,
-        f_low: float = 1.0,
-        f_high: float = 1.0e7,
-        reference: float | None = None,
-        deviations: Deviations = None,
-    ) -> float:
-        """Low −3 dB cut-off (see :func:`cutoff_low`)."""
-        _check_window(f_low, f_high)
+        )
         state = self._state(source, output, deviations)
-        return self._cutoff(state, deviations, False, f_low, f_high, reference)
 
-    def cutoff_high(
-        self,
-        source: str,
-        output: str,
-        f_low: float = 1.0,
-        f_high: float = 1.0e7,
-        reference: float | None = None,
-        deviations: Deviations = None,
-    ) -> float:
-        """High −3 dB cut-off: the crossing *above* the response peak."""
-        _check_window(f_low, f_high)
-        state = self._state(source, output, deviations)
-        return self._cutoff(state, deviations, True, f_low, f_high, reference)
+        def crossing() -> float:
+            model = self._model(state, deviations)
+            target = (reference if reference is not None else peak) / _SQRT2
+            end = f_high if high_side else f_low
+            if model.gain(end) >= target:
+                side = "high" if high_side else "low"
+                raise AnalogError(f"response has no {side}-side -3 dB crossing")
+            if high_side:
+                return _crossing(model, target, f_peak, f_high)
+            return _crossing(model, target, f_low, f_peak)
 
-    def bandwidth(
-        self,
-        source: str,
-        output: str,
-        f_low: float = 1.0,
-        f_high: float = 1.0e7,
-        deviations: Deviations = None,
-    ) -> float:
-        """−3 dB bandwidth ``fhcf − flcf`` of a band-pass response."""
-        _check_window(f_low, f_high)
-        state = self._state(source, output, deviations)
-        return self._cutoff(
-            state, deviations, True, f_low, f_high, None
-        ) - self._cutoff(state, deviations, False, f_low, f_high, None)
+        return self._kept(
+            ("cutoff", high_side, state, _exact(f_low, f_high, reference)),
+            crossing,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +228,7 @@ def dc_gain(
     deviations: Deviations = None,
 ) -> float:
     """|H(0)| — the DC gain magnitude."""
-    return MeasurementScope(circuit).dc_gain(source, output, deviations)
+    return MeasurementScope(circuit).gain_at(source, output, 0.0, deviations)
 
 
 def gain_at(
@@ -328,9 +268,9 @@ def center_frequency(
     deviations: Deviations = None,
 ) -> float:
     """Frequency of maximum gain (the band-pass center frequency ``f0``)."""
-    return MeasurementScope(circuit).center_frequency(
-        source, output, f_low, f_high, deviations
-    )
+    return MeasurementScope(circuit).peak_gain(
+        source, output, f_low, f_high, deviations=deviations
+    )[0]
 
 
 def cutoff_low(
@@ -348,8 +288,8 @@ def cutoff_low(
     raises if the response never falls below reference/√2 on the low side
     (e.g. a low-pass has no low cut-off).
     """
-    return MeasurementScope(circuit).cutoff_low(
-        source, output, f_low, f_high, reference, deviations
+    return MeasurementScope(circuit).cutoff(
+        source, output, False, f_low, f_high, reference, deviations
     )
 
 
@@ -363,8 +303,8 @@ def cutoff_high(
     deviations: Deviations = None,
 ) -> float:
     """High −3 dB cut-off: the crossing *above* the response peak."""
-    return MeasurementScope(circuit).cutoff_high(
-        source, output, f_low, f_high, reference, deviations
+    return MeasurementScope(circuit).cutoff(
+        source, output, True, f_low, f_high, reference, deviations
     )
 
 
@@ -377,6 +317,7 @@ def bandwidth(
     deviations: Deviations = None,
 ) -> float:
     """−3 dB bandwidth ``fhcf − flcf`` of a band-pass response."""
-    return MeasurementScope(circuit).bandwidth(
-        source, output, f_low, f_high, deviations
-    )
+    scope = MeasurementScope(circuit)
+    return scope.cutoff(
+        source, output, True, f_low, f_high, deviations=deviations
+    ) - scope.cutoff(source, output, False, f_low, f_high, deviations=deviations)

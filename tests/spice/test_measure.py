@@ -134,7 +134,7 @@ class TestMeasurementScope:
         scope = MeasurementScope(rc_low_pass())
         for _ in range(2):
             with pytest.raises(AnalogError, match="low-side"):
-                scope.cutoff_low("V1", "out", 1.0, 1e6)
+                scope.cutoff("V1", "out", False, 1.0, 1e6)
 
 
 @pytest.mark.parametrize("module", [measure, acmodel], ids=lambda m: m.__name__)
