@@ -124,22 +124,24 @@ class MeasurementScope:
         self._latest: tuple[tuple, AcModel] | None = None
         self._values: dict[tuple, object] = {}
 
-    def _state(self, source: str, output: str, deviations: Deviations) -> tuple:
-        """The key of one (source, output, full deviation state)."""
+    def _key(self, source: str, output: str, deviations: Deviations) -> tuple:
+        """(source, output, the full effective deviation state, sorted)."""
         state = self.circuit.deviation_state(deviations)
         return (source, output, tuple(sorted(state.items())))
 
-    def _model(self, state: tuple, deviations: Deviations) -> AcModel:
-        if self._latest is not None and self._latest[0] == state:
+    def _model(self, key: tuple, deviations: Deviations) -> AcModel:
+        """The model of ``key``; the latest one is reused, so a cut-off
+        searches its peak and its crossing on one derived model."""
+        if self._latest is not None and self._latest[0] == key:
             return self._latest[1]
-        source, output = state[:2]
+        source, output = key[:2]
         compiled = self._compiled.get((source, output))
         if compiled is None:
             model = AcModel(self.circuit, source, output, deviations)
             self._compiled[(source, output)] = model
         else:
             model = compiled.at_state(deviations)
-        self._latest = (state, model)
+        self._latest = (key, model)
         return model
 
     def _kept(self, key: tuple, compute):
@@ -157,10 +159,10 @@ class MeasurementScope:
         deviations: Deviations = None,
     ) -> float:
         """|H(f)| — AC gain magnitude at one frequency (DC at ``0.0``)."""
-        state = self._state(source, output, deviations)
+        key = self._key(source, output, deviations)
         return self._kept(
-            ("gain", state, _exact(frequency_hz)),
-            lambda: self._model(state, deviations).gain(frequency_hz),
+            ("gain", key, _exact(frequency_hz)),
+            lambda: self._model(key, deviations).gain(frequency_hz),
         )
 
     def peak_gain(
@@ -176,11 +178,11 @@ class MeasurementScope:
         _check_window(f_low, f_high)
         if coarse_points < 2:
             raise AnalogError(f"need coarse_points >= 2, got {coarse_points!r}")
-        state = self._state(source, output, deviations)
+        key = self._key(source, output, deviations)
         return self._kept(
-            ("peak", state, _exact(f_low, f_high, coarse_points)),
+            ("peak", key, _exact(f_low, f_high, coarse_points)),
             lambda: _peak(
-                self._model(state, deviations), f_low, f_high, coarse_points
+                self._model(key, deviations), f_low, f_high, coarse_points
             ),
         )
 
@@ -199,10 +201,10 @@ class MeasurementScope:
         f_peak, peak = self.peak_gain(
             source, output, f_low, f_high, deviations=deviations
         )
-        state = self._state(source, output, deviations)
+        key = self._key(source, output, deviations)
 
         def crossing() -> float:
-            model = self._model(state, deviations)
+            model = self._model(key, deviations)
             target = (reference if reference is not None else peak) / _SQRT2
             end = f_high if high_side else f_low
             if model.gain(end) >= target:
@@ -213,7 +215,7 @@ class MeasurementScope:
             return _crossing(model, target, f_low, f_peak)
 
         return self._kept(
-            ("cutoff", high_side, state, _exact(f_low, f_high, reference)),
+            ("cutoff", high_side, key, _exact(f_low, f_high, reference)),
             crossing,
         )
 
