@@ -30,6 +30,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from ..analog.deviation import json_float
 from .flash_adc import FlashAdc
 
 __all__ = [
@@ -108,6 +109,14 @@ class LadderCoverage:
     def rows(self) -> list[tuple[str, str, float]]:
         """(tap, element, ED%) triplets for table rendering."""
         return list(zip(self.taps, self.elements, self.ed_percent))
+
+    def to_document(self) -> dict:
+        """Taps, elements and E.D. as JSON (dashed cells as ``"inf"``)."""
+        return {
+            "taps": list(self.taps),
+            "elements": list(self.elements),
+            "ed_percent": [json_float(ed) for ed in self.ed_percent],
+        }
 
 
 def _worst_case_ed(

@@ -47,6 +47,27 @@ class ResponsesResult:
             title="Figures 2/7/8: filter responses (headline numbers)",
         )
 
+    def to_document(self) -> dict:
+        """Every sampled ``H(f)`` (real and imaginary parts) and every
+        headline number as JSON, floats exact."""
+        return {
+            "experiment": "responses",
+            "responses": {
+                name: {
+                    "frequencies_hz": [
+                        float(f) for f in response.frequencies_hz
+                    ],
+                    "real": [h.real for h in response.transfer_values],
+                    "imag": [h.imag for h in response.transfer_values],
+                }
+                for name, response in self.responses.items()
+            },
+            "headlines": {
+                name: {metric: float(value) for metric, value in metrics.items()}
+                for name, metrics in self.headlines.items()
+            },
+        }
+
 
 def run(points_per_decade: int = 15) -> ResponsesResult:
     """Sweep all three filters and extract their headline parameters."""

@@ -30,7 +30,8 @@ class Table2Result:
 
     entries: dict[ParameterKind, str]
 
-    def render(self) -> str:
+    def rows(self) -> list[list[str]]:
+        """``[symbol, meaning]`` per row, in the order rendered."""
         rows = [
             [kind.value, description]
             for kind, description in self.entries.items()
@@ -41,10 +42,17 @@ class Table2Result:
         rows.append(
             ["y", "gain deviation seen when the frequency deviates by x%"]
         )
+        return rows
+
+    def render(self) -> str:
         return format_table(
-            ["symbol", "meaning"], rows,
+            ["symbol", "meaning"], self.rows(),
             title="Table 2: notation of the used parameters",
         )
+
+    def to_document(self) -> dict:
+        """The glossary as JSON: one ``[symbol, meaning]`` pair per row."""
+        return {"experiment": "table2", "rows": self.rows()}
 
 
 def run() -> Table2Result:

@@ -33,6 +33,10 @@ class Table6Result:
             ),
         )
 
+    def to_document(self) -> dict:
+        """Every reproduced number as JSON (dashed cells as ``"inf"``)."""
+        return {"experiment": "table6", **self.coverage.to_document()}
+
 
 def run(n_comparators: int = 15, v_top: float = 5.0) -> Table6Result:
     """Compute the Table 6 coverage on a nominal ladder."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..analog.deviation import json_float
 from ..circuits import example3_mixed_circuit
 from ..conversion import LadderCoverage, constrained_ladder_coverage
 from ..core import MixedSignalTestGenerator, format_table
@@ -48,11 +47,7 @@ class Table7Result:
         return {
             "experiment": "table7",
             "coverages": {
-                name: {
-                    "taps": list(coverage.taps),
-                    "elements": list(coverage.elements),
-                    "ed_percent": [json_float(ed) for ed in coverage.ed_percent],
-                }
+                name: coverage.to_document()
                 for name, coverage in self.coverages.items()
             },
         }

@@ -1,4 +1,4 @@
-"""Paper goldens: every number Example 1/2, Tables 1/3/4/5/7/8 and Figure 6 reproduce, pinned.
+"""Paper goldens: every number Example 1/2, Tables 1–8, Figure 6 and the filter responses reproduce, pinned.
 
 Each golden under ``tests/experiments/goldens/`` is the canonical JSON
 (sorted keys, ``repr`` floats, untestable deviations as ``"inf"``) of an
@@ -16,10 +16,14 @@ column excluded); Table 7's holds each digital block's case-2 ladder
 coverage (taps, merged elements, E.D. per tap).  Table 1's holds the
 stimulus ``(A, f)``, comparator values and composite value of every
 (parameter, bound) row; Table 8's holds each board row's CD and MPD and
-its out-of-box and digital-visibility verdicts.  The tests
-regenerate the experiments and require byte-identical files, so a
-refactor of a hot path cannot quietly move a paper number.  Tier-1
-regenerates Example 1/2, Tables 1/3/5/7/8, Figure 6 and the c499/c1908 rows of Table 4;
+its out-of-box and digital-visibility verdicts.  Table 2's holds the
+notation glossary row by row; Table 6's the direct-access ladder
+coverage (taps, elements, E.D. per tap); the responses golden holds
+every sampled transfer value of the Figure 2/7/8 filters (real and
+imaginary parts) and their headline numbers.  The tests regenerate the
+experiments and require byte-identical files, so a refactor of a hot
+path cannot quietly move a paper number.  Tier-1 regenerates every
+golden but the full Table 4, of which it checks the c499/c1908 rows;
 the full five-row Table 4 check is marked ``slow``.
 
 Regenerate (after an *intentional* change of reproduced numbers) with::
@@ -50,8 +54,8 @@ from repro.experiments.runner import EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_EXPERIMENTS = (
-    "example1", "example2", "table1", "table3", "table4", "table5", "table7",
-    "table8", "figure6",
+    "example1", "example2", "table1", "table2", "table3", "table4", "table5",
+    "table6", "table7", "table8", "figure6", "responses",
 )
 #: goldens holding a worst-case-deviation matrix.
 MATRIX_GOLDENS = ("example1", "table3")
@@ -79,10 +83,13 @@ def golden_path(name: str) -> Path:
         *MATRIX_GOLDENS,
         "example2",
         "table1",
+        "table2",
         "table5",
+        "table6",
         "table7",
         "table8",
         "figure6",
+        "responses",
         pytest.param("table4", marks=pytest.mark.slow),
     ],
 )
@@ -185,6 +192,57 @@ def test_table8_golden_holds_the_paper_claims():
         assert row["out_of_box"] and row["mpd_percent"] > 5.0
     digital = [row for row in rows if row["detected_digitally"]]
     assert len(digital) >= int(0.7 * len(rows))
+
+
+def test_table2_golden_holds_the_paper_claims():
+    """The glossary names every parameter kind, then Vref and y."""
+    from repro.analog import ParameterKind
+
+    rows = json.loads(golden_path("table2").read_text())["rows"]
+    symbols = [symbol for symbol, _ in rows]
+    assert sorted(symbols[:-2]) == sorted(kind.value for kind in ParameterKind)
+    assert symbols[-2:] == ["Vref", "y"]
+    assert all(meaning for _, meaning in rows)
+
+
+def test_table6_golden_holds_the_paper_claims():
+    """The tent: tight at the rails, loosest at the merged ``R8,R9`` tap."""
+    document = json.loads(golden_path("table6").read_text())
+    eds = document["ed_percent"]
+    assert len(eds) == len(document["taps"]) == 15
+    assert all(isinstance(ed, float) for ed in eds)  # no dashed cell
+    middle = len(eds) // 2
+    # Tent: rises to the middle, falls after.
+    for i in range(middle):
+        assert eds[i] <= eds[i + 1] + 1e-6
+    for i in range(middle, len(eds) - 1):
+        assert eds[i] >= eds[i + 1] - 1e-6
+    assert eds[middle] == max(eds)
+    assert document["elements"][middle] == "R8,R9"  # the paper's merged cell
+    assert eds[0] < 20.0 and eds[-1] < 20.0  # rail taps are tight
+
+
+def test_responses_golden_holds_the_paper_claims():
+    """Each filter meets its design: Fig. 2 band-pass at 2.5 kHz with
+    gain 2, Fig. 7 Chebyshev knee at 10 kHz, Fig. 8 unit-gain LP."""
+    document = json.loads(golden_path("responses").read_text())
+    for response in document["responses"].values():
+        n = len(response["frequencies_hz"])
+        assert n > 1 and len(response["real"]) == len(response["imag"]) == n
+    headlines = document["headlines"]
+
+    bandpass = headlines["fig2-bandpass"]
+    assert 2300 < bandpass["f0 [Hz]"] < 2700  # designed 2.5 kHz
+    assert 1.8 < bandpass["A1 (peak gain)"] < 2.2  # designed gain 2
+    assert bandpass["fc1 [Hz]"] < bandpass["f0 [Hz]"] < bandpass["fc2 [Hz]"]
+
+    chebyshev = headlines["fig7-chebyshev"]
+    assert 0.8 < chebyshev["Adc"] < 1.2
+    assert 5_000 < chebyshev["fc [Hz]"] < 15_000  # the 10 kHz knee
+
+    state_variable = headlines["fig8-state-variable"]
+    assert 0.5 < state_variable["A3dc (LP)"] < 1.5
+    assert state_variable["fh1 [Hz] (HP)"] > 50_000
 
 
 @pytest.mark.parametrize("name", MATRIX_GOLDENS)
