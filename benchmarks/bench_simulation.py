@@ -17,8 +17,10 @@ Modes:
   a hard gate: the sparse backend must be at least ``--min-speedup``
   (default 2×) faster than dense;
 * ``--smoke``    — same ladder, 6 frequencies, single timing pass, no
-  speed gate (CI runners are noisy); the 1e-9 dense/sparse agreement
-  check still applies.
+  speed gate; the 1e-9 dense/sparse agreement check still applies (the
+  same check is a tier-1 test,
+  ``test_backends.py::TestBackendEquivalence::
+  test_rc_ladder_512_transfer_sweep_agrees``).
 
 Exit status is non-zero when any enabled check fails, so the script
 doubles as a CI gate next to ``bench_campaign.py``.

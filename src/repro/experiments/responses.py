@@ -54,17 +54,14 @@ class ResponsesResult:
             "experiment": "responses",
             "responses": {
                 name: {
-                    "frequencies_hz": [
-                        float(f) for f in response.frequencies_hz
-                    ],
+                    "frequencies_hz": list(response.frequencies_hz),
                     "real": [h.real for h in response.transfer_values],
                     "imag": [h.imag for h in response.transfer_values],
                 }
                 for name, response in self.responses.items()
             },
             "headlines": {
-                name: {metric: float(value) for metric, value in metrics.items()}
-                for name, metrics in self.headlines.items()
+                name: dict(metrics) for name, metrics in self.headlines.items()
             },
         }
 

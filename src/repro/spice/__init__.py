@@ -5,7 +5,10 @@ request (:class:`DcOp`, :class:`AcSweep`, :class:`TransientRun`) and
 pick a linear-system backend (``"auto"``/``"dense"``/``"sparse"``).
 The classic solver classes (:class:`MnaSolver`,
 :class:`TransientSolver`) remain as the underlying engine layer and
-accept the same ``backend`` selector.
+accept the same ``backend`` selector.  Every DC and AC system — a
+measurement's ``H(f)``, an :class:`MnaSolver` solve, a campaign
+:class:`FactorizedMna`, an :func:`analyze` request — is assembled by
+one compiler, :class:`AcModel`.
 """
 
 from .components import (

@@ -1,11 +1,10 @@
-"""Compiled AC model: one transfer function ``H(f)`` as a stamp program.
+"""Compiled AC model: the one place a circuit state becomes an MNA system.
 
-Every analog performance measurement (:mod:`repro.spice.measure`) is a
-search over frequency of ``|H(f)| = |v(output) / v(source)|``.  Solving
-each frequency with a fresh :class:`MnaSolver` re-walks the netlist,
-re-stamps every component and assembles a new matrix every time.  An
-:class:`AcModel` does that walk once per (circuit, source, output) and
-keeps the result as a *stamp program*:
+Every performance measurement (:mod:`repro.spice.measure`) searches
+``|H(f)| = |v(output) / v(source)|`` over frequency, and ``MnaSolver``,
+the campaign's ``FactorizedMna`` and ``analyze()`` solve whole systems.
+All of them compile the circuit into an :class:`AcModel`, which walks
+the netlist once and keeps the result as a *stamp program*:
 
 * the node index and branch rows of the MNA system;
 * the frequency-independent entries (resistors, controlled sources,
@@ -14,10 +13,11 @@ keeps the result as a *stamp program*:
   ``A[i, j] += s·c``;
 * the entries of ``s``-nonlinear devices (``FiniteOpAmp``, ``Inductor``
   and any component type not listed above), re-stamped per frequency;
-* the right-hand side with the measured source at unit amplitude, so the
-  output phasor *is* the transfer value — no source is ever mutated.
+* the right-hand side with the measured source at unit amplitude
+  (:func:`unit_driven`), so the output phasor *is* the transfer value.
 
-``H`` over a whole frequency vector is then one stacked
+:meth:`AcModel.system` is the system at one frequency in triplet form,
+which whole solves and LU factorizations hand to a backend.  ``H`` over a whole frequency vector is then one stacked
 ``np.linalg.solve`` (in chunks of at most :data:`STACK_ENTRIES` matrix
 entries), and ``H`` at one frequency is one small dense solve.  Circuits
 large enough for ``resolve_backend("auto")`` to pick the sparse backend
@@ -31,21 +31,20 @@ the derived model ``==`` a fresh compile entry for entry.  Any other
 deviated device (one that owns a branch row or is ``s``-nonlinear) and
 non-dense backends compile the state in full.
 
-Results are bit-identical to ``MnaSolver(circuit, source=...).solve(f)``:
-both stamp the same unit-driven component list
-(:func:`~repro.spice.mna.unit_driven`), each matrix position
-accumulates its entries in the same order as
-:meth:`~repro.spice.backends.AssembledSystem.to_dense`, and
-``s = 2j·π·f`` is formed exactly as :class:`MnaSolver` forms it.  The
-pre-accumulation is exact because complex addition is componentwise:
-constant entries carry a ``+0.0`` imaginary part and capacitor entries a
-``±0.0`` real part, and adding a signed zero never changes a running
-sum that starts at ``+0.0``.  DC (``f = 0``) takes the scalar assembly
-path verbatim.
+Results are bit-identical to stamping every component into a
+:class:`~repro.spice.backends.SystemAssembler` and solving that system:
+each matrix position accumulates its entries in the same order as
+:meth:`~repro.spice.backends.AssembledSystem.to_dense`, and ``s =
+2j·π·f`` is formed by :func:`laplace` everywhere.  The pre-accumulation
+is exact because complex addition is componentwise: constant entries
+carry a ``+0.0`` imaginary part and capacitor entries a ``±0.0`` real
+part, and adding a signed zero never changes a running sum that starts
+at ``+0.0``.  DC (``f = 0``) stamps the components at ``s = 0``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Sequence
 
@@ -54,6 +53,7 @@ import numpy as np
 from .backends import (
     AssembledSystem,
     DenseBackend,
+    LinearFactorization,
     LinearSystemBackend,
     SingularSystemError,
     SystemAssembler,
@@ -69,10 +69,14 @@ from .components import (
     StampContext,
     VoltageSource,
 )
-from .mna import MnaSolver, unit_driven
 from .netlist import GROUND, AnalogCircuit, AnalogError
 
-__all__ = ["AcModel", "STACK_ENTRIES"]
+__all__ = ["AcModel", "GMIN", "STACK_ENTRIES", "laplace", "unit_driven"]
+
+#: conductance added from every node to ground; keeps matrices
+#: non-singular for nodes isolated at DC (e.g. between two capacitors)
+#: without measurably perturbing kilo-ohm scale circuits.
+GMIN = 1.0e-12
 
 #: upper bound on the complex entries (frequencies × n²) of one stacked
 #: dense solve; longer frequency vectors are solved in chunks.
@@ -98,6 +102,31 @@ _SUMMED, _LAYERED, _PER_FREQUENCY = 0, 1, 2
 
 #: any nonzero ``s``: constant-type components stamp their AC form.
 _AC_PROBE = 1j
+
+
+def laplace(frequency_hz: float) -> complex:
+    """``s = 2j·π·f`` as every MNA system is stamped at — the frequency's
+    own type (a numpy scalar from a scipy search, say) included; ``0.0``
+    selects DC."""
+    return 2j * math.pi * frequency_hz if frequency_hz else 0.0
+
+
+def unit_driven(circuit: AnalogCircuit, source: str | None) -> list:
+    """The circuit's components, with voltage source ``source`` driven at
+    unit amplitude.
+
+    The source is replaced by a copy with ``ac = dc = 1``, so the output
+    phasor of the assembled system *is* the transfer value, for the AC
+    and DC systems alike.  The circuit itself is only read, never
+    written.  ``source=None`` returns the components as built.
+    """
+    if source is None:
+        return circuit.components
+    driven = circuit.component(source)
+    if not isinstance(driven, VoltageSource):
+        raise AnalogError(f"{source!r} is not a voltage source")
+    unit = dataclasses.replace(driven, ac=1.0, dc=1.0)
+    return [unit if c is driven else c for c in circuit.components]
 
 
 def _kind(component) -> int:
@@ -159,22 +188,48 @@ class _Stamps(StampContext):
         pass  # right-hand sides are frequency independent (compiled)
 
 
+class _Delta(_Stamps):
+    """The *difference* of two stampings of one component, summed per
+    matrix position as it is stamped: ``sign = -1`` for the baseline
+    stamp, ``+1`` for the deviated one."""
+
+    def __init__(self, node_index: dict[str, int], branch_rows: dict[str, int]):
+        super().__init__(node_index, branch_rows, 0)
+        self.sign = 1.0
+        self.entries: dict[tuple[int, int], complex] = {}
+        self.rhs_touched = False
+
+    def add(self, row: int | None, col: int | None, value: complex) -> None:
+        if row is None or col is None:
+            return
+        key = (row, col)
+        self.entries[key] = self.entries.get(key, 0.0) + self.sign * value
+
+    def rhs(self, row: int | None, value: complex) -> None:
+        # Value-carrying components never stamp the right-hand side; one
+        # that does cannot be patched with a matrix-only update.
+        if row is not None:
+            self.rhs_touched = True
+
+
 class AcModel:
-    """``H(f) = v(output)/v(source)`` of one circuit state, compiled.
+    """The MNA system of one circuit state, compiled, and its transfer
+    function ``H(f) = v(output)/v(source)``.
 
     ``deviations`` is laid over the circuit's own deviation state, like
     :meth:`AnalogCircuit.with_deviations` — but the circuit is only
     read, never written, so one circuit may be measured from many
     threads at once.  The model captures the element values at
     construction; :meth:`at_state` derives the model of another
-    deviation state from it.
+    deviation state from it.  With ``output=None`` (or ground) ``H``
+    reads ``0``; :meth:`system` serves every unknown either way.
     """
 
     def __init__(
         self,
         circuit: AnalogCircuit,
-        source: str,
-        output: str,
+        source: str | None,
+        output: str | None = None,
         deviations: dict[str, float] | None = None,
         backend: str | LinearSystemBackend = "auto",
     ):
@@ -182,17 +237,17 @@ class AcModel:
         self.circuit = circuit
         self._source = source
         self._state = circuit.deviation_state(deviations)
-        self._node_index = {
+        self.node_index = {
             node: index for index, node in enumerate(circuit.nodes())
         }
         self._output_name = output
-        if output == GROUND:
+        if output is None or output == GROUND:
             self._output: int | None = None
-        elif output in self._node_index:
-            self._output = self._node_index[output]
+        elif output in self.node_index:
+            self._output = self.node_index[output]
         else:
             raise AnalogError(f"no node named {output!r} in solution")
-        self.backend = resolve_backend(backend, n_nodes=len(self._node_index))
+        self.backend = resolve_backend(backend, n_nodes=len(self.node_index))
         self._patterns: dict[bytes, object] = {}
         self._dc: AssembledSystem | None = None
         self._compile_ac()
@@ -208,7 +263,7 @@ class AcModel:
     def _record(self, s: complex, kinds: list[int]) -> _Recorder:
         """Stamp every component once at ``s``; ``_S_LINEAR`` components
         are stamped at ``s = 1``, which records their coefficients."""
-        recorder = _Recorder(self._node_index)
+        recorder = _Recorder(self.node_index)
         for owner, component in enumerate(self._components):
             recorder.owner = owner
             at = 1.0 if kinds[owner] == _S_LINEAR else s
@@ -222,10 +277,16 @@ class AcModel:
         kinds = [_kind(component) for component in components]
         recorder = self._record(_AC_PROBE, kinds)
         size = self._size = recorder.size
-        self._branch_rows = recorder.branch_rows
+        self.branch_rows = recorder.branch_rows
         self._rhs = recorder.finish().rhs
         # (kind, flat position, payload) in stamping order, GMIN last —
-        # the order SystemAssembler.finish() lays the entries out in.
+        # the order SystemAssembler.finish() lays the entries out in;
+        # the rows and columns of the entries are kept beside it.
+        diagonal = range(len(self.node_index))
+        self._rows = [row for row, _, _ in recorder.entries]
+        self._rows.extend(diagonal)
+        self._cols = [col for _, col, _ in recorder.entries]
+        self._cols.extend(diagonal)
         program = [
             (kinds[owner], row * size + col, value)
             for (row, col, value), owner in zip(
@@ -233,8 +294,7 @@ class AcModel:
             )
         ]
         program.extend(
-            (_CONSTANT, index * size + index, MnaSolver.GMIN)
-            for index in range(len(self._node_index))
+            (_CONSTANT, index * size + index, GMIN) for index in diagonal
         )
         self._program = program
         self._dynamic_devices = [
@@ -333,7 +393,7 @@ class AcModel:
         model._patterns = {}
         model._dc = None
         program = list(self._program)
-        stamps = _Stamps(self._node_index, self._branch_rows, self._size)
+        stamps = _Stamps(self.node_index, self.branch_rows, self._size)
         for name in changed:
             component = self.circuit.component(name)
             stamps.flats, stamps.values = [], []
@@ -373,6 +433,20 @@ class AcModel:
                     sums[a][b] = (kind, value)
         return model
 
+    def stamp_delta(
+        self, component, s: complex, base_value: float, new_value: float
+    ) -> tuple[dict[tuple[int, int], complex], bool]:
+        """How re-stamping ``component`` at ``s`` with ``new_value``
+        instead of ``base_value`` changes the system: ``(entries,
+        rhs_touched)``, the entries keyed by ``(row, col)`` of this
+        model's system."""
+        delta = _Delta(self.node_index, self.branch_rows)
+        delta.sign = -1.0
+        component.stamp(delta, s, base_value)
+        delta.sign = +1.0
+        component.stamp(delta, s, new_value)
+        return delta.entries, delta.rhs_touched
+
     def _compiled(self, deviations: dict[str, float] | None) -> "AcModel":
         return AcModel(
             self.circuit, self._source, self._output_name, deviations,
@@ -384,7 +458,7 @@ class AcModel:
     # ------------------------------------------------------------------
     def _dynamic_values(self, s: complex) -> list[complex]:
         """The stamp values of the ``s``-nonlinear devices at ``s``."""
-        stamps = _Stamps(self._node_index, self._branch_rows, self._size)
+        stamps = _Stamps(self.node_index, self.branch_rows, self._size)
         for component, value in self._dynamic_devices:
             component.stamp(stamps, s, value)
         if stamps.flats != self._dynamic_flats:
@@ -411,23 +485,31 @@ class AcModel:
         return row
 
     def _system(self, s: complex) -> AssembledSystem:
-        """The AC system at ``s`` in triplet form (non-dense backends)."""
+        """The AC system at ``s`` in triplet form."""
         dynamic = iter(self._dynamic_values(s))
-        size = self._size
-        entries = []
-        for kind, flat, value in self._program:
-            if kind == _S_LINEAR:
-                value = s * value
-            elif kind == _DYNAMIC:
-                value = next(dynamic)
-            entries.append(divmod(flat, size) + (value,))
-        return AssembledSystem(size=size, entries=entries, rhs=self._rhs)
+        values = [
+            s * value if kind == _S_LINEAR
+            else next(dynamic) if kind == _DYNAMIC
+            else value
+            for kind, _, value in self._program
+        ]
+        return AssembledSystem(
+            size=self._size,
+            entries=list(zip(self._rows, self._cols, values)),
+            rhs=self._rhs,
+        )
 
     def _dc_system(self) -> AssembledSystem:
         if self._dc is None:
             kinds = [_CONSTANT] * len(self._components)
-            self._dc = self._record(0.0, kinds).finish(gmin=MnaSolver.GMIN)
+            self._dc = self._record(0.0, kinds).finish(gmin=GMIN)
         return self._dc
+
+    def system(self, frequency_hz: float) -> AssembledSystem:
+        """The MNA system at one frequency in triplet form; ``0.0``
+        selects the DC system."""
+        s = laplace(frequency_hz)
+        return self._system(s) if s else self._dc_system()
 
     def _singular(self, frequency_hz, exc: Exception) -> AnalogError:
         return AnalogError(
@@ -435,9 +517,26 @@ class AcModel:
             f"{frequency_hz} Hz: {exc}"
         )
 
-    def _solve_once(self, system: AssembledSystem, frequency_hz) -> np.ndarray:
+    def solve(
+        self, frequency_hz: float, pattern_cache: dict | None = None
+    ) -> np.ndarray:
+        """Every unknown at one frequency (node voltages in
+        ``node_index`` order, then branch currents): one backend
+        ``solve_once`` of :meth:`system`."""
         try:
-            return self.backend.solve_once(system, self._patterns)
+            return self.backend.solve_once(
+                self.system(frequency_hz), pattern_cache
+            )
+        except SingularSystemError as exc:
+            raise self._singular(frequency_hz, exc) from exc
+
+    def factorize(
+        self, frequency_hz: float, pattern_cache: dict | None = None
+    ) -> tuple[AssembledSystem, LinearFactorization]:
+        """:meth:`system` at one frequency and its LU factorization."""
+        system = self.system(frequency_hz)
+        try:
+            return system, self.backend.factorize(system, pattern_cache)
         except SingularSystemError as exc:
             raise self._singular(frequency_hz, exc) from exc
 
@@ -448,13 +547,9 @@ class AcModel:
         """``H(f)``; ``0.0`` selects the DC system."""
         if self._output is None:
             return 0.0 + 0.0j
-        # Formed exactly as MnaSolver forms it — the frequency's own
-        # type (a numpy scalar from a scipy search, say) included.
-        s = 2j * math.pi * frequency_hz if frequency_hz else 0.0
-        if not s:
-            vector = self._solve_once(self._dc_system(), frequency_hz)
-        elif self.backend.name != DenseBackend.name:
-            vector = self._solve_once(self._system(s), frequency_hz)
+        s = laplace(frequency_hz)
+        if not s or self.backend.name != DenseBackend.name:
+            vector = self.solve(frequency_hz, self._patterns)
         else:
             matrix = self._constant.copy()
             imag = matrix.imag

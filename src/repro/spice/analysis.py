@@ -1,6 +1,6 @@
 """One typed front door for the simulation layer: ``analyze()``.
 
-Instead of picking among :class:`~repro.spice.MnaSolver`,
+Instead of picking among :class:`~repro.spice.AcModel`,
 :func:`~repro.spice.ac.sweep` and :class:`~repro.spice.TransientSolver`
 (and wiring each to a linear-system backend by hand), callers describe
 *what* they want as a request object and let the front door route it:
@@ -26,9 +26,11 @@ Instead of picking among :class:`~repro.spice.MnaSolver`,
 Every result carries an :class:`AnalysisDiagnostics` describing which
 backend actually ran, the system size and how many systems were
 factored — the observability hook the campaign and pipeline layers
-surface upward.  A transfer sweep drives its source at unit amplitude
-inside the assembly (``MnaSolver(circuit, source=...)``), so analyses
-only read the circuit.
+surface upward.  A DC or AC request compiles the circuit once into an
+:class:`~repro.spice.AcModel` and factors its system at each requested
+frequency.  A transfer sweep drives its source at unit amplitude inside
+that model (``AcModel(circuit, source)``), so analyses only read the
+circuit.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ac import FrequencyResponse, log_frequencies
+from .acmodel import AcModel
 from .backends import LinearSystemBackend
-from .mna import MnaSolver, Solution
+from .mna import Solution
 from .netlist import AnalogCircuit, AnalogError
 from .transient import TransientResult, TransientSolver
 
@@ -218,41 +221,42 @@ class TransientRunResult:
 # ----------------------------------------------------------------------
 # The front door
 # ----------------------------------------------------------------------
-def _solver_diagnostics(
-    solver: MnaSolver, size: int, factorizations: int, elapsed: float
-) -> AnalysisDiagnostics:
-    return AnalysisDiagnostics(
-        backend=solver.backend.name,
-        n_nodes=len(solver._node_index),
+def _solve_each(
+    circuit: AnalogCircuit, source: str | None, frequencies, backend,
+    start: float,
+) -> tuple[list[Solution], AnalysisDiagnostics]:
+    """One compiled model; one factorization and solve per frequency."""
+    model = AcModel(circuit, source, backend=backend)
+    patterns: dict[bytes, object] = {}
+    size = 0
+    solutions = []
+    for frequency in frequencies:
+        system, factorization = model.factorize(frequency, patterns)
+        size = system.size
+        vector = factorization.solve(system.rhs)
+        solutions.append(Solution.of(model, vector, frequency))
+    return solutions, AnalysisDiagnostics(
+        backend=model.backend.name,
+        n_nodes=len(model.node_index),
         n_unknowns=size,
-        factorizations=factorizations,
-        elapsed_s=elapsed,
+        factorizations=len(solutions),
+        elapsed_s=time.perf_counter() - start,
     )
 
 
 def _analyze_dc(
     circuit: AnalogCircuit, request: DcOp, backend, start: float
 ) -> DcResult:
-    solver = MnaSolver(circuit, backend=backend)
-    factorized = solver.factorized(0.0)
-    return DcResult(
-        solution=factorized.solution(),
-        diagnostics=_solver_diagnostics(
-            solver, factorized._size, 1, time.perf_counter() - start
-        ),
-    )
+    solutions, diagnostics = _solve_each(circuit, None, (0.0,), backend, start)
+    return DcResult(solution=solutions[0], diagnostics=diagnostics)
 
 
 def _analyze_ac(
     circuit: AnalogCircuit, request: AcSweep, backend, start: float
 ) -> AcResult:
-    solver = MnaSolver(circuit, backend=backend, source=request.source)
-    size = 0
-    solutions = []
-    for frequency in request.frequencies_hz:
-        factorized = solver.factorized(frequency)
-        size = factorized._size
-        solutions.append(factorized.solution())
+    solutions, diagnostics = _solve_each(
+        circuit, request.source, request.frequencies_hz, backend, start
+    )
     response = None
     if request.source is not None:
         response = FrequencyResponse(
@@ -263,9 +267,7 @@ def _analyze_ac(
         frequencies_hz=list(request.frequencies_hz),
         solutions=solutions,
         response=response,
-        diagnostics=_solver_diagnostics(
-            solver, size, len(solutions), time.perf_counter() - start
-        ),
+        diagnostics=diagnostics,
     )
 
 

@@ -7,9 +7,9 @@ linear system ``A·x = b`` and solve it, usually many times.  This module
 owns that primitive behind a small protocol so the *analysis* code never
 commits to a matrix storage format:
 
-* :class:`SystemAssembler` — the one concrete :class:`~repro.spice.
-  components.StampContext`; components stamp into it and
-  :meth:`SystemAssembler.finish` freezes the triplets into an
+* :class:`SystemAssembler` — a :class:`~repro.spice.components.
+  StampContext` that collects triplets; components stamp into it and
+  :meth:`SystemAssembler.finish` freezes them into an
   :class:`AssembledSystem` (a storage-agnostic COO description).
 * :class:`LinearSystemBackend` — ``factorize(system) ->``
   :class:`LinearFactorization`, with two implementations:
@@ -38,7 +38,7 @@ commits to a matrix storage format:
   fast path while ladder/mesh-scale circuits scale.
 
 Singular systems surface as :class:`SingularSystemError` from the
-backend; callers (``MnaSolver``, ``TransientSolver``) wrap it into an
+backend; callers (``AcModel``, ``TransientSolver``) wrap it into an
 :class:`~repro.spice.netlist.AnalogError` carrying circuit context.
 """
 
@@ -109,11 +109,6 @@ class AssembledSystem:
         self.dtype = dtype
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @property
-    def nnz_entries(self) -> int:
-        """Number of stamp entries (before duplicate collapsing)."""
-        return len(self.entries)
-
     def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._arrays is None:
             count = len(self.entries)
@@ -165,11 +160,12 @@ class AssembledSystem:
 
 
 class SystemAssembler(StampContext):
-    """The one concrete stamp context: collects triplets from components.
+    """A stamp context that collects triplets from components.
 
-    Shared by every analysis (DC/AC assembly in ``MnaSolver``, companion
-    assembly in ``TransientSolver``), so component stamp code exists in
-    exactly one place — :mod:`repro.spice.components`.
+    Shared by the DC/AC compile in ``AcModel`` (whose recorder
+    subclasses it) and the companion assembly in ``TransientSolver``,
+    so component stamp code exists in exactly one place —
+    :mod:`repro.spice.components`.
     """
 
     def __init__(self, node_index: dict[str, int], dtype=complex):
@@ -341,8 +337,8 @@ class LinearFactorization:
         """One-off solve of ``(A + ΔA)·x = rhs``.
 
         ``entries`` maps ``(row, col) -> delta``.  The fallback path for
-        matrix perturbations that are not rank one; not factorization-
-        reusing, by design.
+        matrix perturbations the rank-one update does not take; not
+        factorization-reusing, by design.
         """
         raise NotImplementedError
 
@@ -415,7 +411,7 @@ class DenseBackend(LinearSystemBackend):
     def solve_once(
         self, system: AssembledSystem, pattern_cache: dict | None = None
     ) -> np.ndarray:
-        # One LAPACK gesv call — the historical MnaSolver.solve path,
+        # One LAPACK gesv call — the MnaSolver.solve path,
         # measurably cheaper than lu_factor + lu_solve for the small
         # circuits this backend targets.
         try:

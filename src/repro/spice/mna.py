@@ -1,11 +1,13 @@
-"""Modified nodal analysis assembly and solve.
+"""Modified nodal analysis solves.
 
-One :class:`MnaSolver` instance per circuit; each ``solve`` call assembles
-the complex MNA matrix at the requested frequency using the circuit's
-*effective* element values (nominal × (1+deviation)) and solves it with
-LAPACK via numpy.  Singular systems (floating nodes, contradictory
-sources) raise :class:`repro.spice.netlist.AnalogError` with the node map
-attached to keep debugging sane.
+One :class:`MnaSolver` instance per circuit; each ``solve`` call
+compiles the circuit as it is at that moment — its *effective* element
+values (nominal × (1+deviation)) — into an :class:`~repro.spice.acmodel.
+AcModel`, the one MNA assembler, and hands the system at the requested
+frequency to the selected linear-system backend.  Singular systems
+(floating nodes, contradictory sources) raise
+:class:`repro.spice.netlist.AnalogError` naming the circuit and the
+frequency.
 
 For repeated solves of the *same* system — frequency sweeps, and above
 all fault-injection campaigns that perturb one element at a time —
@@ -21,35 +23,30 @@ LU factorization of the assembled matrix.  The factorization serves
   rank-one patch of the matrix).  Every distinct update direction is
   solved in a single multi-RHS backend call and the update scalars are
   evaluated as vectorized numpy expressions over the batch; a
-  perturbation that is not rank one, or an ill-conditioned update,
-  falls back to a dense solve of the patched matrix.
+  perturbation whose shape is not a recognized rank-one pattern, or an
+  ill-conditioned update, falls back to a dense solve of the patched
+  matrix.
 
 The solver caches no factorization: each :meth:`MnaSolver.factorized`
-call assembles and factors the circuit as it is at that moment, and the
+call compiles and factors the circuit as it is at that moment, and the
 caller owns the result.  With ``MnaSolver(circuit, source=name)`` every
-assembly drives that voltage source at unit amplitude, so the solution
-*is* the transfer function and the circuit is only read.
+system drives that voltage source at unit amplitude
+(:func:`~repro.spice.acmodel.unit_driven`), so the solution *is* the
+transfer function and the circuit is only read.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
 
-from .backends import (
-    AssembledSystem,
-    LinearSystemBackend,
-    SingularSystemError,
-    SystemAssembler,
-    resolve_backend,
-)
-from .components import StampContext, VoltageSource
+from .acmodel import AcModel, laplace, unit_driven
+from .backends import LinearSystemBackend, SingularSystemError, resolve_backend
 from .netlist import GROUND, AnalogCircuit, AnalogError
 
-__all__ = ["MnaSolver", "FactorizedMna", "Solution", "unit_driven"]
+__all__ = ["MnaSolver", "FactorizedMna", "Solution"]
 
 
 class Solution:
@@ -64,6 +61,15 @@ class Solution:
         self._voltages = voltages
         self._branch_currents = branch_currents
         self.frequency_hz = frequency_hz
+
+    @classmethod
+    def of(cls, model: AcModel, vector, frequency_hz: float) -> "Solution":
+        """Name the unknowns of a solved ``model.system(frequency_hz)``."""
+        return cls(
+            {node: complex(vector[i]) for node, i in model.node_index.items()},
+            {tag: complex(vector[i]) for tag, i in model.branch_rows.items()},
+            frequency_hz,
+        )
 
     def voltage(self, node: str) -> complex:
         """Complex node voltage (phasor for AC, real level for DC)."""
@@ -100,41 +106,18 @@ class Solution:
         return list(self._voltages)
 
 
-def unit_driven(circuit: AnalogCircuit, source: str | None) -> list:
-    """The circuit's components, with voltage source ``source`` driven at
-    unit amplitude.
-
-    The source is replaced by a copy with ``ac = dc = 1``, so the output
-    phasor of the assembled system *is* the transfer value, for the AC
-    and DC systems alike.  The circuit itself is only read, never
-    written.  ``source=None`` returns the components as built.
-    """
-    if source is None:
-        return circuit.components
-    driven = circuit.component(source)
-    if not isinstance(driven, VoltageSource):
-        raise AnalogError(f"{source!r} is not a voltage source")
-    unit = dataclasses.replace(driven, ac=1.0, dc=1.0)
-    return [unit if c is driven else c for c in circuit.components]
-
-
 class MnaSolver:
-    """Assemble-and-solve wrapper around one :class:`AnalogCircuit`.
+    """Compile-and-solve wrapper around one :class:`AnalogCircuit`.
 
     ``backend`` selects the linear-system engine — ``"dense"`` (LAPACK
     LU), ``"sparse"`` (CSC + SuperLU with symbolic-pattern reuse), or
     ``"auto"`` (sparse at/above
     :data:`repro.spice.backends.SPARSE_AUTO_THRESHOLD` nodes); a
     ready-made :class:`repro.spice.backends.LinearSystemBackend`
-    instance is accepted too.  With ``source`` set, every assembly
-    drives that voltage source at unit amplitude (:func:`unit_driven`)
-    without touching the circuit.
+    instance is accepted too.  With ``source`` set, every system drives
+    that voltage source at unit amplitude (:func:`~repro.spice.acmodel.
+    unit_driven`) without touching the circuit.
     """
-
-    #: conductance added from every node to ground; keeps matrices
-    #: non-singular for nodes isolated at DC (e.g. between two capacitors)
-    #: without measurably perturbing kilo-ohm scale circuits.
-    GMIN = 1.0e-12
 
     def __init__(
         self,
@@ -145,56 +128,22 @@ class MnaSolver:
         unit_driven(circuit, source)  # validates the source name
         self.circuit = circuit
         self.source = source
-        self._node_index = {
-            node: index for index, node in enumerate(circuit.nodes())
-        }
-        self.backend = resolve_backend(backend, n_nodes=len(self._node_index))
+        self.backend = resolve_backend(backend, n_nodes=len(circuit.nodes()))
         #: caller-owned symbolic-pattern cache the sparse backend reuses
         #: across frequencies and deviation states (same topology ⇒ same
         #: sparsity structure).
         self._patterns: dict[bytes, object] = {}
 
-    def _assemble(
-        self, frequency_hz: float
-    ) -> tuple[AssembledSystem, SystemAssembler, complex]:
-        """Assemble the MNA system at one frequency (COO triplet form)."""
-        s = 2j * math.pi * frequency_hz if frequency_hz else 0.0
-        assembler = SystemAssembler(self._node_index, dtype=complex)
-        for component in unit_driven(self.circuit, self.source):
-            value = (
-                self.circuit.effective_value(component.name)
-                if component.has_value
-                else 0.0
-            )
-            component.stamp(assembler, s, value)
-        if assembler.size == 0:
-            raise AnalogError(f"circuit {self.circuit.name!r} is empty")
-        return assembler.finish(gmin=self.GMIN), assembler, s
-
-    def _solution(
-        self, vector: np.ndarray, branch_rows: dict[str, int], frequency_hz: float
-    ) -> Solution:
-        """Wrap a solved unknown vector into a :class:`Solution`."""
-        voltages = {
-            node: complex(vector[index])
-            for node, index in self._node_index.items()
-        }
-        currents = {
-            tag: complex(vector[row]) for tag, row in branch_rows.items()
-        }
-        return Solution(voltages, currents, frequency_hz)
+    def _model(self) -> AcModel:
+        """The circuit as it is now, compiled.  Never memoized: element
+        values and deviations may change between calls."""
+        return AcModel(self.circuit, self.source, backend=self.backend)
 
     def solve(self, frequency_hz: float) -> Solution:
         """Solve at one frequency; ``0.0`` selects the DC system."""
-        system, assembler, _ = self._assemble(frequency_hz)
-        try:
-            solution = self.backend.solve_once(system, self._patterns)
-        except SingularSystemError as exc:
-            raise AnalogError(
-                f"singular MNA system for {self.circuit.name!r} at "
-                f"{frequency_hz} Hz: {exc}"
-            ) from exc
-        return self._solution(solution, assembler.branch_rows, frequency_hz)
+        model = self._model()
+        vector = model.solve(frequency_hz, self._patterns)
+        return Solution.of(model, vector, frequency_hz)
 
     def solve_dc(self) -> Solution:
         """Convenience alias for ``solve(0.0)``."""
@@ -203,73 +152,22 @@ class MnaSolver:
     def factorized(self, frequency_hz: float) -> "FactorizedMna":
         """A fresh LU factorization of the system at one frequency.
 
-        Assembled from the circuit as it is now (element values and
+        Compiled from the circuit as it is now (element values and
         deviation state).  The solver keeps no factorization: a caller
         that reuses one holds on to it, as the campaign engine does
         with one per stimulus frequency.
         """
-        return FactorizedMna(self, frequency_hz)
-
-
-class _DeltaAssembler(StampContext):
-    """Stamp collector for the *difference* of two component stampings.
-
-    Shares the node map and the branch rows of the original assembly, so
-    the collected entries address the factorized matrix directly.  Used
-    by :meth:`FactorizedMna.deviation_batch` with ``sign = -1`` for the
-    baseline stamp and ``sign = +1`` for the deviated stamp.
-    """
-
-    def __init__(self, node_index: dict[str, int], branch_rows: dict[str, int]):
-        self._node_index = node_index
-        self._branch_rows = branch_rows
-        self.sign = 1.0
-        self.entries: dict[tuple[int, int], complex] = {}
-        self.rhs_touched = False
-
-    def index(self, node: str) -> int | None:
-        if node == GROUND:
-            return None
-        try:
-            return self._node_index[node]
-        except KeyError:
-            raise AnalogError(f"unknown node {node!r}") from None
-
-    def branch(self, tag: str) -> int:
-        try:
-            return self._branch_rows[tag]
-        except KeyError:
-            raise AnalogError(
-                f"component {tag!r} allocated no branch in the factorized "
-                "system; re-factorize instead of patching"
-            ) from None
-
-    def add(self, row: int | None, col: int | None, value: complex) -> None:
-        if row is None or col is None:
-            return
-        key = (row, col)
-        self.entries[key] = self.entries.get(key, 0.0) + self.sign * value
-
-    def rhs(self, row: int | None, value: complex) -> None:
-        if row is None:
-            return
-        # Value-carrying components never stamp the right-hand side; a
-        # component that does cannot be patched with a matrix-only
-        # update, so flag it and let the caller fall back.
-        self.rhs_touched = True
+        return FactorizedMna(self._model(), frequency_hz, self._patterns)
 
 
 class FactorizedMna:
-    """One assembled-and-LU-factored MNA system, reusable across solves.
+    """The LU factorization of ``model.system(frequency_hz)``, reusable
+    across solves.
 
-    Captures the circuit state (frequency, element values, deviations) at
-    construction time; later mutations of the circuit are *not* seen by
-    this object — ask :meth:`MnaSolver.factorized` for a new one instead.
+    Captures the circuit state of ``model``; later mutations of the
+    circuit are *not* seen by this object — ask
+    :meth:`MnaSolver.factorized` for a new one instead.
     """
-
-    #: singular values below ``RANK_TOL · σ₁`` are treated as zero when
-    #: deciding whether a stamp perturbation is rank one.
-    RANK_TOL = 1e-12
 
     #: the Sherman–Morrison denominator ``1 + wᵀy`` is declared
     #: ill-conditioned — and the update routed through the dense patched
@@ -280,32 +178,28 @@ class FactorizedMna:
     #: but perfectly conditioned updates.
     DENOM_RTOL = 1e-12
 
-    def __init__(self, solver: MnaSolver, frequency_hz: float):
-        self.solver = solver
+    def __init__(
+        self,
+        model: AcModel,
+        frequency_hz: float,
+        pattern_cache: dict | None = None,
+    ):
+        self.model = model
+        self.circuit = circuit = model.circuit
         self.frequency_hz = frequency_hz
-        system, assembler, s = solver._assemble(frequency_hz)
-        self._rhs = system.rhs
-        self._s = s
-        self._branch_rows = assembler.branch_rows
-        self._size = system.size
-        try:
-            self._factorization = solver.backend.factorize(
-                system, solver._patterns
-            )
-        except SingularSystemError as exc:
-            raise AnalogError(
-                f"singular MNA system for {solver.circuit.name!r} at "
-                f"{frequency_hz} Hz: {exc}"
-            ) from exc
-        self._base = self._factorization.solve(system.rhs)
-        self._base_solution = solver._solution(
-            self._base, self._branch_rows, frequency_hz
+        system, self._factorization = model.factorize(
+            frequency_hz, pattern_cache
         )
-        # Effective element values the matrix was assembled with; the
+        self._rhs = system.rhs
+        self._s = laplace(frequency_hz)
+        self._size = system.size
+        self._base = self._factorization.solve(system.rhs)
+        self._base_solution = Solution.of(model, self._base, frequency_hz)
+        # Effective element values the matrix was compiled with; the
         # reference point for every rank-one deviation patch.
         self._base_values = {
-            name: solver.circuit.effective_value(name)
-            for name in solver.circuit.element_names()
+            name: circuit.effective_value(name)
+            for name in circuit.element_names()
         }
         # y = A⁻¹·u per value-independent update direction u — computing
         # it is the only triangular solve a rank-one update needs, and
@@ -332,25 +226,22 @@ class FactorizedMna:
         Returns ``(entries, rhs_touched)``, or ``None`` when the deviated
         stamp equals the baseline stamp (e.g. a capacitor at DC).
         """
-        circuit = self.solver.circuit
+        circuit = self.circuit
         component = circuit.component(element)
         if not component.has_value:
             raise AnalogError(
                 f"component {element!r} carries no value to deviate"
             )
-        base_value = self._base_values[element]
-        new_value = circuit.nominal_value(element) * (1.0 + deviation)
-        delta = _DeltaAssembler(self.solver._node_index, self._branch_rows)
-        delta.sign = -1.0
-        component.stamp(delta, self._s, base_value)
-        delta.sign = +1.0
-        component.stamp(delta, self._s, new_value)
-        entries = {
-            key: value for key, value in delta.entries.items() if value != 0.0
-        }
-        if not entries and not delta.rhs_touched:
+        delta, rhs_touched = self.model.stamp_delta(
+            component,
+            self._s,
+            self._base_values[element],
+            circuit.nominal_value(element) * (1.0 + deviation),
+        )
+        entries = {key: value for key, value in delta.items() if value != 0.0}
+        if not entries and not rhs_touched:
             return None
-        return entries, delta.rhs_touched
+        return entries, rhs_touched
 
     def _patched_solve(
         self, entries: dict[tuple[int, int], complex]
@@ -361,7 +252,7 @@ class FactorizedMna:
         except SingularSystemError as exc:
             raise AnalogError(
                 f"singular deviated MNA system for "
-                f"{self.solver.circuit.name!r} at {self.frequency_hz} Hz: "
+                f"{self.circuit.name!r} at {self.frequency_hz} Hz: "
                 f"{exc}"
             ) from exc
 
@@ -374,8 +265,8 @@ class FactorizedMna:
         ``u``/``w`` representations; ``u_key`` is a hashable cache key
         for ``y = A⁻¹·u`` when the direction ``u`` does not depend on
         the deviated value (single-row patches and ±admittance
-        patterns), else ``None``.  Returns ``None`` when the delta is
-        not recognizably rank one (caller decides via SVD).
+        patterns), else ``None``.  Returns ``None`` for any other shape;
+        the caller then solves the patched matrix densely.
         """
         rows = sorted({row for row, _ in entries})
         cols = sorted({col for _, col in entries})
@@ -420,29 +311,6 @@ class FactorizedMna:
                 )
         return None
 
-    def _factor_delta_svd(
-        self, entries: dict[tuple[int, int], complex]
-    ) -> tuple[None, list[int], list[complex], list[int], list[complex]] | None:
-        """SVD fallback of :meth:`_factor_delta` for unrecognized shapes;
-        ``None`` when the delta is genuinely not rank one."""
-        rows = sorted({row for row, _ in entries})
-        cols = sorted({col for _, col in entries})
-        block = np.zeros((len(rows), len(cols)), dtype=complex)
-        row_pos = {row: i for i, row in enumerate(rows)}
-        col_pos = {col: j for j, col in enumerate(cols)}
-        for (row, col), value in entries.items():
-            block[row_pos[row], col_pos[col]] = value
-        u_left, singulars, v_right = np.linalg.svd(block)
-        if singulars.size > 1 and singulars[1] > self.RANK_TOL * singulars[0]:
-            return None
-        return (
-            None,
-            rows,
-            list(u_left[:, 0] * singulars[0]),
-            cols,
-            list(v_right[0, :]),
-        )
-
     def solve_stats(self) -> dict:
         """Solve-counter diagnostics of the underlying factorization.
 
@@ -480,17 +348,17 @@ class FactorizedMna:
 
         A gain can differ in the last ulp with the batch it is computed
         in; the reference against which the kernel is tested is a fresh
-        :class:`MnaSolver` solve of the deviated circuit.  Only
-        genuinely rank-≥2 deltas and updates failing the relative
-        conditioning test (:data:`DENOM_RTOL`) drop out of the batch,
-        through a per-fault dense patched solve.  Deviations whose
+        :class:`MnaSolver` solve of the deviated circuit.  Only deltas
+        in a shape :meth:`_factor_delta` does not recognize and updates
+        failing the relative conditioning test (:data:`DENOM_RTOL`) drop
+        out of the batch, through a per-fault dense patched solve.  Deviations whose
         stamp equals the baseline return the baseline voltage.  The
         circuit is never mutated.
         """
         if node == GROUND:
             return np.zeros(len(faults), dtype=complex)
         try:
-            index = self.solver._node_index[node]
+            index = self.model.node_index[node]
         except KeyError:
             raise AnalogError(f"no node named {node!r} in solution") from None
         voltages = np.empty(len(faults), dtype=complex)
@@ -512,7 +380,7 @@ class FactorizedMna:
         w_slot: list[int] = []
         w_col: list[int] = []
         w_val: list[complex] = []
-        fallback: list[tuple[int, dict]] = []  # genuinely rank ≥ 2
+        fallback: list[tuple[int, dict]] = []  # unrecognized shapes
 
         for i, (element, deviation) in enumerate(faults):
             delta = self._stamp_delta(element, deviation)
@@ -527,10 +395,8 @@ class FactorizedMna:
                 )
             factors = self._factor_delta(entries)
             if factors is None:
-                factors = self._factor_delta_svd(entries)
-                if factors is None:
-                    fallback.append((i, entries))
-                    continue
+                fallback.append((i, entries))
+                continue
             u_key, u_rows, u_vals, w_cols, w_vals = factors
             ident = (
                 u_key
@@ -611,7 +477,7 @@ class FactorizedMna:
                     self._patched_solve(sm_entries[slot])[index]
                 )
 
-        # --- rank-≥2 leftovers: the same dense fallback, per fault ----
+        # --- unrecognized shapes: the same dense fallback, per fault --
         for i, entries in fallback:
             voltages[i] = complex(self._patched_solve(entries)[index])
         return voltages

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acmodel import GMIN
 from .backends import (
     LinearSystemBackend,
     SingularSystemError,
@@ -225,9 +226,6 @@ class TransientSolver:
     once and re-solved per timestep.
     """
 
-    #: conductance from every node to ground (mirrors MnaSolver.GMIN).
-    GMIN = 1.0e-12
-
     def __init__(
         self,
         circuit: AnalogCircuit,
@@ -279,7 +277,7 @@ class TransientSolver:
             component.stamp_companion(assembler, value, dt)
         if assembler.size == 0:
             raise AnalogError(f"circuit {self.circuit.name!r} is empty")
-        system = assembler.finish(gmin=self.GMIN)
+        system = assembler.finish(gmin=GMIN)
         self._last_size = system.size
         try:
             factorization = self.backend.factorize(system, self._patterns)

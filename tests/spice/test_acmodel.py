@@ -1,11 +1,14 @@
-"""Differential tests: the compiled AC model against the scalar MNA path.
+"""Differential tests: the compiled AC model against a plain stamp walk.
 
-The oracle is the historical measurement path, kept here test-local: a
-fresh :class:`MnaSolver` per frequency, the circuit's deviations applied
-with ``with_deviations`` and the source driven at 1 V by writing its
-``ac``/``dc`` levels (:func:`mutating_unit_source`, the scope the library
-used to ship).  Every comparison is ``==`` — the compiled model, and the
-non-mutating ``MnaSolver(circuit, source=...)``, must reproduce it bit
+The oracle is test-local and independent of :mod:`repro.spice.acmodel`:
+the circuit's deviations applied with ``with_deviations``, the source
+driven at 1 V by writing its ``ac``/``dc`` levels
+(:func:`mutating_unit_source`, the scope the library used to ship),
+every component stamped into a fresh
+:class:`~repro.spice.backends.SystemAssembler`, ``finish(gmin=GMIN)``,
+and one backend ``solve_once`` (:func:`oracle_solution`).  Every
+comparison is ``==`` — the compiled model, and ``MnaSolver(circuit,
+source=...)`` which solves through it, must reproduce the oracle bit
 for bit, not approximately.  A model derived for another deviation state
 (:meth:`AcModel.at_state`, a stamp delta) must equal a fresh compile of
 that state the same way, down to its dense-form arrays.
@@ -37,10 +40,16 @@ from repro.spice import (
     AnalogError,
     MnaSolver,
     Resistor,
+    SingularSystemError,
+    Solution,
+    SystemAssembler,
     VoltageSource,
     peak_gain,
     resolve_backend,
 )
+
+#: the oracle's own ``GMIN`` (1e-12 S from every node to ground).
+GMIN = 1.0e-12
 
 REGISTRY = default_registry()
 
@@ -109,11 +118,41 @@ def mutating_unit_source(circuit, source_name):
         source.ac, source.dc = saved
 
 
+def reference_solution(circuit, frequency_hz, backend="auto"):
+    """The circuit as it is now, stamped component by component into a
+    :class:`SystemAssembler` and solved once."""
+    node_index = {node: index for index, node in enumerate(circuit.nodes())}
+    s = 2j * math.pi * frequency_hz if frequency_hz else 0.0
+    assembler = SystemAssembler(node_index, dtype=complex)
+    for component in circuit.components:
+        value = (
+            circuit.effective_value(component.name)
+            if component.has_value
+            else 0.0
+        )
+        component.stamp(assembler, s, value)
+    system = assembler.finish(gmin=GMIN)
+    try:
+        vector = resolve_backend(backend, n_nodes=len(node_index)).solve_once(
+            system
+        )
+    except SingularSystemError as exc:
+        raise AnalogError(
+            f"singular MNA system for {circuit.name!r} at {frequency_hz} Hz: "
+            f"{exc}"
+        ) from exc
+    return Solution(
+        {node: complex(vector[index]) for node, index in node_index.items()},
+        {tag: complex(vector[row]) for tag, row in assembler.branch_rows.items()},
+        frequency_hz,
+    )
+
+
 def oracle_solution(circuit, source, frequency_hz, state=None, backend="auto"):
     with circuit.with_deviations(state or {}), mutating_unit_source(
         circuit, source
     ):
-        return MnaSolver(circuit, backend=backend).solve(frequency_hz)
+        return reference_solution(circuit, frequency_hz, backend)
 
 
 def oracle_transfer(circuit, source, output, frequency_hz, state=None):
@@ -191,9 +230,9 @@ FREQUENCIES = [0.0, 1.0, 37.5, 1_000.0, 2_512.3, 1.0e5, 9.9e6]
 
 
 # ----------------------------------------------------------------------
-# H(f) == MnaSolver, bit for bit
+# H(f) == the reference stamp walk, bit for bit
 # ----------------------------------------------------------------------
-class TestTransferMatchesMnaSolver:
+class TestTransferMatchesReference:
     def test_registry_covers_the_finite_opamp_board(self):
         assert "state-variable" in DENSE_CIRCUITS
         assert "bandpass" in DENSE_CIRCUITS and "fig4" in DENSE_CIRCUITS

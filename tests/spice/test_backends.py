@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.circuits import bandpass_filter, chebyshev_filter, rc_ladder
+from repro.circuits import (
+    LADDER_OUTPUT,
+    LADDER_SOURCE,
+    bandpass_filter,
+    chebyshev_filter,
+    rc_ladder,
+)
 from repro.spice import (
+    AcModel,
+    AcSweep,
     AnalogCircuit,
     AnalogError,
     BACKENDS,
@@ -14,6 +22,7 @@ from repro.spice import (
     SparseBackend,
     SparsityPattern,
     SystemAssembler,
+    analyze,
     resolve_backend,
 )
 
@@ -70,9 +79,7 @@ class TestAssembledSystem:
         circuit.vsource("V1", "in", "0", dc=10.0)
         circuit.resistor("R1", "in", "mid", 1000.0)
         circuit.resistor("R2", "mid", "0", 3000.0)
-        solver = MnaSolver(circuit)
-        system, _, _ = solver._assemble(0.0)
-        return system
+        return AcModel(circuit, None).system(0.0)
 
     def test_dense_and_coo_views_agree(self):
         system = self._system()
@@ -104,6 +111,25 @@ class TestBackendEquivalence:
             assert sparse.voltage(node) == pytest.approx(
                 dense.voltage(node), abs=1e-9
             )
+
+    def test_rc_ladder_512_transfer_sweep_agrees(self):
+        # The 513-node ladder: dense and sparse transfer sweeps through
+        # analyze(AcSweep) agree within 1e-9 at every frequency.
+        circuit = rc_ladder(512)
+        request = AcSweep(
+            tuple(np.logspace(1.0, 6.0, 6)),
+            source=LADDER_SOURCE,
+            output=LADDER_OUTPUT,
+        )
+        dense = analyze(circuit, request, backend="dense")
+        sparse = analyze(circuit, request, backend="sparse")
+        assert (dense.diagnostics.backend, sparse.diagnostics.backend) == (
+            "dense", "sparse",
+        )
+        pairs = zip(
+            dense.response.transfer_values, sparse.response.transfer_values
+        )
+        assert max(abs(a - b) for a, b in pairs) < 1e-9
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_factorized_deviation_agrees_with_fresh_solve(self, backend):
@@ -147,8 +173,7 @@ class TestBackendEquivalence:
 class TestSolveMany:
     def _factorization(self, backend):
         circuit = rc_ladder(12)
-        solver = MnaSolver(circuit, backend=backend)
-        system, _, _ = solver._assemble(1.0e3)
+        system = AcModel(circuit, None, backend=backend).system(1.0e3)
         return resolve_backend(backend).factorize(system), system
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])

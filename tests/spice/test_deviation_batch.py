@@ -5,7 +5,7 @@ Sherman–Morrison kernel: it executes a whole population's rank-one
 updates as one multi-RHS solve plus vectorized numpy expressions.  Its
 oracle is independent of it: a fresh :class:`~repro.spice.MnaSolver`
 solve of the circuit with the element actually deviated.  Both must
-agree to 1e-9 on every circuit — with rank-≥2/dense-fallback faults
+agree to 1e-9 on every circuit — with dense-fallback faults
 deliberately mixed into the batch — because the campaign engine's
 agreement with the ``reference`` engine rests on this equivalence.
 
@@ -24,7 +24,13 @@ from hypothesis import strategies as st
 
 from repro.api import default_registry
 from repro.circuits import bandpass_filter, chebyshev_filter, rc_ladder
-from repro.spice import AnalogCircuit, AnalogError, MnaSolver, VoltageSource
+from repro.spice import (
+    AnalogCircuit,
+    AnalogError,
+    MnaSolver,
+    Resistor,
+    VoltageSource,
+)
 
 #: |batch − fresh solve| bound, the solver-level tolerance of the
 #: engine differential suite.
@@ -171,12 +177,46 @@ class TestBatchSemantics:
             return original_factor(self, entries)
 
         monkeypatch.setattr(factorized, "_factor_delta", flaky_factor.__get__(factorized))
-        monkeypatch.setattr(
-            factorized, "_factor_delta_svd", lambda entries: None
-        )
         voltages = factorized.deviation_batch(faults, node)
         assert calls["n"] >= 2  # the patch actually mixed routes
         _assert_matches_fresh(circuit, faults, voltages, node, 2.5e3)
+
+    def test_unrecognized_rank_one_shape_takes_dense_fallback(self):
+        # A two-terminal element whose stamp Δg·[[1, −1], [−2, 2]] is
+        # rank one, u = (1, −2), but not the ±admittance pattern
+        # _factor_delta recognizes: its faults are solved densely inside
+        # the batch, and still agree with a fresh solve.
+        class Skewed(Resistor):
+            def stamp(self, ctx, s, value):
+                i, j = ctx.index(self.n1), ctx.index(self.n2)
+                g = 1.0 / value
+                ctx.add(i, i, g)
+                ctx.add(i, j, -g)
+                ctx.add(j, i, -2.0 * g)
+                ctx.add(j, j, 2.0 * g)
+
+        circuit = AnalogCircuit("skewed")
+        circuit.vsource("Vin", "in", "0", dc=1.0, ac=1.0)
+        circuit.resistor("R1", "in", "a", 1000.0)
+        circuit.add(Skewed("RX", "a", "b", 2200.0))
+        circuit.resistor("R2", "b", "0", 4700.0)
+        circuit.capacitor("C1", "b", "0", 1e-8)
+        faults = [("RX", -0.5), ("R1", 0.25), ("RX", 0.3), ("C1", 2.0)]
+        for frequency in (0.0, 2.5e3):
+            factorized = MnaSolver(circuit).factorized(frequency)
+            entries, _ = factorized._stamp_delta("RX", 0.3)
+            assert factorized._factor_delta(entries) is None
+            patched = []
+            original = factorized._patched_solve
+
+            def spy(entries, original=original):
+                patched.append(entries)
+                return original(entries)
+
+            factorized._patched_solve = spy
+            voltages = factorized.deviation_batch(faults, "b")
+            assert len(patched) == 2  # the two RX faults, and only those
+            _assert_matches_fresh(circuit, faults, voltages, "b", frequency)
 
     def test_rhs_stamping_component_rejected(self):
         circuit, factorized = self._factorized()
