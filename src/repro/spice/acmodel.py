@@ -434,17 +434,16 @@ class AcModel:
         return model
 
     def stamp_delta(
-        self, component, s: complex, base_value: float, new_value: float
+        self, component, s: complex, value: float
     ) -> tuple[dict[tuple[int, int], complex], bool]:
-        """How re-stamping ``component`` at ``s`` with ``new_value``
-        instead of ``base_value`` changes the system: ``(entries,
-        rhs_touched)``, the entries keyed by ``(row, col)`` of this
-        model's system."""
+        """How stamping ``component`` at ``s`` with ``value`` instead of
+        the value this model was compiled with changes the system:
+        ``(entries keyed by (row, col), rhs_touched)``."""
         delta = _Delta(self.node_index, self.branch_rows)
         delta.sign = -1.0
-        component.stamp(delta, s, base_value)
+        component.stamp(delta, s, self._value(component))
         delta.sign = +1.0
-        component.stamp(delta, s, new_value)
+        component.stamp(delta, s, value)
         return delta.entries, delta.rhs_touched
 
     def _compiled(self, deviations: dict[str, float] | None) -> "AcModel":

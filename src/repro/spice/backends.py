@@ -109,6 +109,11 @@ class AssembledSystem:
         self.dtype = dtype
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
+    @property
+    def nnz_entries(self) -> int:
+        """Number of stamp entries (before duplicate collapsing)."""
+        return len(self.entries)
+
     def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._arrays is None:
             count = len(self.entries)

@@ -185,7 +185,7 @@ class FactorizedMna:
         pattern_cache: dict | None = None,
     ):
         self.model = model
-        self.circuit = circuit = model.circuit
+        self.circuit = model.circuit
         self.frequency_hz = frequency_hz
         system, self._factorization = model.factorize(
             frequency_hz, pattern_cache
@@ -195,12 +195,6 @@ class FactorizedMna:
         self._size = system.size
         self._base = self._factorization.solve(system.rhs)
         self._base_solution = Solution.of(model, self._base, frequency_hz)
-        # Effective element values the matrix was compiled with; the
-        # reference point for every rank-one deviation patch.
-        self._base_values = {
-            name: circuit.effective_value(name)
-            for name in circuit.element_names()
-        }
         # y = A⁻¹·u per value-independent update direction u — computing
         # it is the only triangular solve a rank-one update needs, and
         # every deviation of the same element reuses the same direction.
@@ -235,7 +229,6 @@ class FactorizedMna:
         delta, rhs_touched = self.model.stamp_delta(
             component,
             self._s,
-            self._base_values[element],
             circuit.nominal_value(element) * (1.0 + deviation),
         )
         entries = {key: value for key, value in delta.items() if value != 0.0}
