@@ -140,18 +140,24 @@ def _kind(component) -> int:
 
 
 class _Recorder(SystemAssembler):
-    """A :class:`SystemAssembler` that remembers which component (by
-    position in the netlist) emitted each matrix entry."""
+    """A :class:`SystemAssembler` that keeps each matrix entry's row,
+    column, value and emitting component (by position in the netlist)
+    in parallel lists instead of ``entries``."""
 
     def __init__(self, node_index: dict[str, int]):
         super().__init__(node_index, dtype=complex)
         self.owner = -1
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.values: list[complex] = []
         self.owners: list[int] = []
 
     def add(self, row: int | None, col: int | None, value: complex) -> None:
         if row is None or col is None:
             return
-        self.entries.append((row, col, value))
+        self.rows.append(row)
+        self.cols.append(col)
+        self.values.append(value)
         self.owners.append(self.owner)
 
 
@@ -279,31 +285,28 @@ class AcModel:
         size = self._size = recorder.size
         self.branch_rows = recorder.branch_rows
         self._rhs = recorder.finish().rhs
-        # (kind, flat position, payload) in stamping order, GMIN last —
-        # the order SystemAssembler.finish() lays the entries out in;
-        # the rows and columns of the entries are kept beside it.
-        diagonal = range(len(self.node_index))
-        self._rows = [row for row, _, _ in recorder.entries]
-        self._rows.extend(diagonal)
-        self._cols = [col for _, col, _ in recorder.entries]
-        self._cols.extend(diagonal)
-        program = [
-            (kinds[owner], row * size + col, value)
-            for (row, col, value), owner in zip(
-                recorder.entries, recorder.owners
-            )
-        ]
-        program.extend(
-            (_CONSTANT, index * size + index, GMIN) for index in diagonal
-        )
-        self._program = program
+        # The program: each entry's kind, flat position and payload, in
+        # stamping order with GMIN last — the order SystemAssembler.finish()
+        # lays the entries out in — with its row and column kept beside.
+        # Parallel lists, not a tuple per entry: a model that holds
+        # thousands of container objects makes every later garbage
+        # collection walk them, which costs a forked campaign worker far
+        # more than the compile itself.
+        n_nodes = len(self.node_index)
+        self._rows = recorder.rows + list(range(n_nodes))
+        self._cols = recorder.cols + list(range(n_nodes))
+        entry_kinds = [kinds[owner] for owner in recorder.owners]
+        entry_kinds.extend([_CONSTANT] * n_nodes)
+        flats = [row * size + col for row, col in zip(self._rows, self._cols)]
+        values = recorder.values + [GMIN] * n_nodes
+        self._program = (entry_kinds, flats, values)
         self._dynamic_devices = [
             (component, self._value(component))
             for component, kind in zip(components, kinds)
             if kind == _DYNAMIC
         ]
         self._dynamic_flats = [
-            flat for kind, flat, _ in program if kind == _DYNAMIC
+            flat for kind, flat in zip(entry_kinds, flats) if kind == _DYNAMIC
         ]
         if self.backend.name != DenseBackend.name:
             return
@@ -322,7 +325,7 @@ class AcModel:
         slots: list[tuple[int, int, int]] = []
         summed_at: dict[int, list[int]] = {}
         dynamic_index = 0
-        for index, (kind, flat, value) in enumerate(self._program):
+        for index, (kind, flat, value) in enumerate(zip(*self._program)):
             if kind == _DYNAMIC:
                 # payload becomes the entry's index among dynamic values
                 value = dynamic_index
@@ -392,7 +395,8 @@ class AcModel:
         model._state = state
         model._patterns = {}
         model._dc = None
-        program = list(self._program)
+        entry_kinds, flats, values = self._program
+        values = list(values)
         stamps = _Stamps(self.node_index, self.branch_rows, self._size)
         for name in changed:
             component = self.circuit.component(name)
@@ -400,12 +404,12 @@ class AcModel:
             at = 1.0 if _kind(component) == _S_LINEAR else _AC_PROBE
             component.stamp(stamps, at, model._value(component))
             entries = self._emitted[name]
-            if stamps.flats != [program[index][1] for index in entries]:
+            if stamps.flats != [flats[index] for index in entries]:
                 # not the pattern it was compiled with: no delta to take
                 return self._compiled(deviations)
             for index, value in zip(entries, stamps.values):
-                program[index] = program[index][:2] + (value,)
-        model._program = program
+                values[index] = value
+        model._program = (entry_kinds, flats, values)
         model._constant = constant = self._constant.copy()
         model._s_layers = layers = list(self._s_layers)
         model._dynamic_sums = sums = list(self._dynamic_sums)
@@ -414,13 +418,13 @@ class AcModel:
         for name in changed:
             for index in self._emitted[name]:
                 where, a, b = self._slots[index]
-                kind, _, value = program[index]
+                kind, value = entry_kinds[index], values[index]
                 if where == _SUMMED:
                     if a not in resummed:
                         resummed.add(a)
                         constant[a] = 0.0
                         for term in self._summed_at[a]:
-                            constant[a] += program[term][2]
+                            constant[a] += values[term]
                 elif where == _LAYERED:
                     if (where, a) not in copied:
                         copied.add((where, a))
@@ -486,11 +490,12 @@ class AcModel:
     def _system(self, s: complex) -> AssembledSystem:
         """The AC system at ``s`` in triplet form."""
         dynamic = iter(self._dynamic_values(s))
+        entry_kinds, _, values = self._program
         values = [
             s * value if kind == _S_LINEAR
             else next(dynamic) if kind == _DYNAMIC
             else value
-            for kind, _, value in self._program
+            for kind, value in zip(entry_kinds, values)
         ]
         return AssembledSystem(
             size=self._size,
@@ -500,8 +505,11 @@ class AcModel:
 
     def _dc_system(self) -> AssembledSystem:
         if self._dc is None:
-            kinds = [_CONSTANT] * len(self._components)
-            self._dc = self._record(0.0, kinds).finish(gmin=GMIN)
+            recorder = self._record(0.0, [_CONSTANT] * len(self._components))
+            recorder.entries = list(
+                zip(recorder.rows, recorder.cols, recorder.values)
+            )
+            self._dc = recorder.finish(gmin=GMIN)
         return self._dc
 
     def system(self, frequency_hz: float) -> AssembledSystem:
