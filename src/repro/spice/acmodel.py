@@ -17,12 +17,12 @@ the netlist once and keeps the result as a *stamp program*:
   (:func:`unit_driven`), so the output phasor *is* the transfer value.
 
 :meth:`AcModel.system` is the system at one frequency in triplet form,
-which whole solves and LU factorizations hand to a backend.  ``H`` over a whole frequency vector is then one stacked
-``np.linalg.solve`` (in chunks of at most :data:`STACK_ENTRIES` matrix
-entries), and ``H`` at one frequency is one small dense solve.  Circuits
-large enough for ``resolve_backend("auto")`` to pick the sparse backend
-are evaluated per frequency through that backend instead of a dense
-stack.
+which whole solves and LU factorizations hand to a backend.  ``H`` over
+a whole frequency vector is then one stacked ``np.linalg.solve`` (in
+chunks of at most :data:`STACK_ENTRIES` matrix entries), and ``H`` at
+one frequency is one small dense solve.  Circuits large enough for
+``resolve_backend("auto")`` to pick the sparse backend are evaluated per
+frequency through that backend instead of a dense stack.
 
 Another deviation state is a *stamp delta* (:meth:`AcModel.at_state`):
 only the deviated resistors, capacitors and VCCSs are re-stamped, and
@@ -285,13 +285,11 @@ class AcModel:
         size = self._size = recorder.size
         self.branch_rows = recorder.branch_rows
         self._rhs = recorder.finish().rhs
-        # The program: each entry's kind, flat position and payload, in
-        # stamping order with GMIN last — the order SystemAssembler.finish()
-        # lays the entries out in — with its row and column kept beside.
-        # Parallel lists, not a tuple per entry: a model that holds
-        # thousands of container objects makes every later garbage
-        # collection walk them, which costs a forked campaign worker far
-        # more than the compile itself.
+        # The program: each entry's kind, flat position and payload in
+        # stamping order, GMIN last (the order SystemAssembler.finish()
+        # lays entries out in), rows and columns beside.  Parallel lists,
+        # not a tuple per entry: thousands of long-lived tuples slow every
+        # garbage collection in a forked campaign worker.
         n_nodes = len(self.node_index)
         self._rows = recorder.rows + list(range(n_nodes))
         self._cols = recorder.cols + list(range(n_nodes))
