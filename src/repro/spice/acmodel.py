@@ -106,8 +106,8 @@ _AC_PROBE = 1j
 
 def laplace(frequency_hz: float) -> complex:
     """``s = 2j·π·f`` as every MNA system is stamped at — the frequency's
-    own type (a numpy scalar from a scipy search, say) included; ``0.0``
-    selects DC."""
+    own type (a numpy scalar from the bounded peak search, say)
+    included; ``0.0`` selects DC."""
     return 2j * math.pi * frequency_hz if frequency_hz else 0.0
 
 

@@ -14,10 +14,12 @@ commits to a matrix storage format:
 * :class:`LinearSystemBackend` — ``factorize(system) ->``
   :class:`LinearFactorization`, with two implementations:
 
-  - :class:`DenseBackend` — the historical path: dense matrix, LAPACK
-    ``lu_factor``/``lu_solve``.  Unbeatable below ~100 unknowns, where
+  - :class:`DenseBackend` — the historical path: a dense matrix solved
+    by numpy's LAPACK ``gesv`` (``np.linalg.solve``), its pivots checked
+    once at factorization.  Unbeatable below ~100 unknowns, where
     BLAS-3 density wins over index arithmetic.
-  - :class:`SparseBackend` — ``scipy.sparse`` CSC + SuperLU ``splu``.
+  - :class:`SparseBackend` — ``scipy.sparse`` CSC + SuperLU ``splu``,
+    the only part of the package that imports scipy (on first use).
     The *symbolic* work (sorting the stamp triplets, collapsing
     duplicates, building the CSC index structure) is captured once per
     sparsity pattern in a :class:`SparsityPattern` and reused across
@@ -26,7 +28,7 @@ commits to a matrix storage format:
 
   Both factorizations serve single right-hand sides
   (:meth:`LinearFactorization.solve`) and whole stacked blocks of them
-  (:meth:`LinearFactorization.solve_many` — one LAPACK ``getrs`` /
+  (:meth:`LinearFactorization.solve_many` — one LAPACK ``gesv`` /
   SuperLU ``gstrs`` call per block), with per-factorization solve
   counters (:meth:`LinearFactorization.stats`) so batch-scale callers
   like the campaign engine can report how much work amortized.
@@ -45,9 +47,6 @@ backend; callers (``AcModel``, ``TransientSolver``) wrap it into an
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .components import StampContext
 from .netlist import GROUND, AnalogError
@@ -267,8 +266,10 @@ class SparsityPattern:
             ([0], np.cumsum(counts))
         ).astype(np.int32)
 
-    def csc(self, values: np.ndarray) -> csc_matrix:
+    def csc(self, values: np.ndarray):
         """Scatter a value array into a CSC matrix with this structure."""
+        from scipy.sparse import csc_matrix
+
         data = np.zeros(self.nnz, dtype=values.dtype)
         np.add.at(data, self.scatter, values)
         matrix = csc_matrix(
@@ -311,7 +312,7 @@ class LinearFactorization:
         """Solve ``A·X = B`` for a matrix ``B`` of stacked RHS columns.
 
         One call, however many columns: the dense backend hands the
-        whole block to one LAPACK ``getrs``; the sparse backend hands it
+        whole block to one LAPACK ``gesv``; the sparse backend hands it
         to SuperLU's native multi-RHS triangular solve.  The default
         implementation falls back to column-at-a-time :meth:`_solve`,
         so custom factorizations stay correct without overriding.
@@ -380,18 +381,21 @@ class _DenseFactorization(LinearFactorization):
     def __init__(self, matrix: np.ndarray):
         super().__init__()
         self._matrix = matrix
-        self._lu = lu_factor(matrix, check_finite=False)
-        diagonal = np.abs(np.diagonal(self._lu[0]))
-        if not np.all(np.isfinite(diagonal)) or diagonal.min() == 0.0:
+        # The LU's pivots, checked here so a singular system fails at
+        # factorization: a zero pivot makes the sign 0, a non-finite
+        # entry the log-magnitude.
+        with np.errstate(invalid="ignore"):
+            sign, log_magnitude = np.linalg.slogdet(matrix)
+        if sign == 0 or not np.isfinite(log_magnitude):
             raise SingularSystemError("zero pivot in dense LU factorization")
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self._lu, rhs, check_finite=False)
+        return np.linalg.solve(self._matrix, rhs)
 
     def _solve_many(self, rhs_matrix: np.ndarray) -> np.ndarray:
-        # scipy's lu_solve accepts a (n, k) right-hand side directly:
-        # one getrs call over the whole stacked block.
-        return lu_solve(self._lu, rhs_matrix, check_finite=False)
+        # np.linalg.solve takes an (n, k) right-hand side directly: one
+        # gesv call over the whole stacked block.
+        return np.linalg.solve(self._matrix, rhs_matrix)
 
     def solve_patched(self, entries, rhs: np.ndarray) -> np.ndarray:
         matrix = self._matrix.copy()
@@ -404,7 +408,7 @@ class _DenseFactorization(LinearFactorization):
 
 
 class DenseBackend(LinearSystemBackend):
-    """Dense LAPACK LU — the historical path, best for small circuits."""
+    """Dense LAPACK ``gesv``: the historical path, best for small circuits."""
 
     name = "dense"
 
@@ -416,9 +420,8 @@ class DenseBackend(LinearSystemBackend):
     def solve_once(
         self, system: AssembledSystem, pattern_cache: dict | None = None
     ) -> np.ndarray:
-        # One LAPACK gesv call — the MnaSolver.solve path,
-        # measurably cheaper than lu_factor + lu_solve for the small
-        # circuits this backend targets.
+        # One LAPACK gesv call — the MnaSolver.solve path, with no
+        # pivot check of its own.
         try:
             return np.linalg.solve(system.to_dense(), system.rhs)
         except np.linalg.LinAlgError as exc:
@@ -428,7 +431,9 @@ class DenseBackend(LinearSystemBackend):
 class _SparseFactorization(LinearFactorization):
     backend_name = "sparse"
 
-    def __init__(self, matrix: csc_matrix):
+    def __init__(self, matrix):
+        from scipy.sparse.linalg import splu
+
         super().__init__()
         self._csc = matrix
         try:
@@ -448,6 +453,8 @@ class _SparseFactorization(LinearFactorization):
         return self._splu.solve(rhs_matrix)
 
     def solve_patched(self, entries, rhs: np.ndarray) -> np.ndarray:
+        from scipy.sparse.linalg import splu
+
         patched = self._csc.tolil(copy=True)
         for (row, col), value in entries.items():
             patched[row, col] += value

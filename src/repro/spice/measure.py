@@ -14,7 +14,10 @@ distinct state once: the peak search (a 120-point log-frequency scan
 solved as one stacked system, refined by a bounded golden-section
 search) is shared by every parameter kind that needs it, and each
 measured value is kept.  The cut-offs add the end-of-window checks and a
-log-frequency Brent root search on the same model.  A scope is created
+log-frequency Brent root search on the same model.  Both refiners live
+in :mod:`repro.spice._refine` and return what scipy's
+``minimize_scalar(method="bounded")`` and ``brentq`` return, bit for
+bit, without importing scipy.  A scope is created
 by the call that measures many states (a sensitivity or deviation
 matrix, the generator's stimulus stage) and dies with it; the one-shot
 functions below are a scope of one measurement.
@@ -32,8 +35,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq, minimize_scalar
-
+from ._refine import bounded_minimum, brent_root
 from .acmodel import AcModel
 from .netlist import AnalogCircuit, AnalogError
 
@@ -77,13 +79,10 @@ def _peak(
     step = (log_high - log_low) / (coarse_points - 1)
     bracket_low = max(log_low, best_log_f - 2 * step)
     bracket_high = min(log_high, best_log_f + 2 * step)
-    result = minimize_scalar(
-        lambda lf: -model.gain(10.0**lf),
-        bounds=(bracket_low, bracket_high),
-        method="bounded",
-        options={"xatol": 1e-7},
+    log_f_peak, _, _ = bounded_minimum(
+        lambda lf: -model.gain(10.0**lf), bracket_low, bracket_high, xatol=1e-7
     )
-    f_peak = 10.0**result.x
+    f_peak = 10.0**log_f_peak
     return f_peak, model.gain(f_peak)
 
 
@@ -93,9 +92,10 @@ def _crossing(model: AcModel, target: float, f_a: float, f_b: float) -> float:
     def objective(log_f: float) -> float:
         return model.gain(10.0**log_f) - target
 
-    return 10.0 ** brentq(
+    root, _ = brent_root(
         objective, math.log10(f_a), math.log10(f_b), xtol=1e-9
     )
+    return 10.0**root
 
 
 def _exact(*values) -> tuple:

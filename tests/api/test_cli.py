@@ -46,6 +46,51 @@ class TestList:
         assert completed.returncode == 0, completed.stderr
         assert "fig4" in completed.stdout
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["list"], ["experiment", "figure6"], ["campaign", "fig4"]],
+        ids=["list", "experiment-figure6", "campaign-fig4"],
+    )
+    def test_runs_without_scipy(self, argv):
+        """Only the sparse backend needs scipy: listing, a digital
+        experiment and a dense analog campaign run without it."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import runpy, sys\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.argv = ['repro', *{argv!r}]\n"
+            "runpy.run_module('repro', run_name='__main__')\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+
+    def test_cli_import_loads_no_scipy(self):
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "import repro.api.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
     def test_kind_filter(self, capsys):
         assert main(["list", "--kind", "digital"]) == 0
         out = capsys.readouterr().out

@@ -142,14 +142,36 @@ class TestBackendEquivalence:
             deviated = factorized.deviation_batch([("R1", 0.25)], node)[0]
             assert deviated == pytest.approx(fresh.voltage(node), abs=1e-9)
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_singular_system_raises_analog_error(self, backend):
+    @staticmethod
+    def _conflicting_sources():
         circuit = AnalogCircuit("conflict")
         circuit.vsource("V1", "a", "0", dc=1.0)
         circuit.vsource("V2", "a", "0", dc=2.0)  # contradictory source
         circuit.resistor("R1", "a", "0", 1000.0)
+        return circuit
+
+    @staticmethod
+    def _nan_entry():
+        # No zero pivot, a NaN one: the factorization's pivot check must
+        # still reject it there, not hand NaNs to every later solve.
+        circuit = AnalogCircuit("nan")
+        circuit.vsource("V1", "a", "0", dc=1.0)
+        circuit.resistor("R1", "a", "0", float("nan"))
+        return circuit
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "build, solve",
+        [
+            ("_conflicting_sources", lambda solver: solver.solve_dc()),
+            ("_nan_entry", lambda solver: solver.factorized(0.0)),
+        ],
+        ids=["conflicting-sources", "nan-entry"],
+    )
+    def test_singular_system_raises_analog_error(self, backend, build, solve):
+        solver = MnaSolver(getattr(self, build)(), backend=backend)
         with pytest.raises(AnalogError, match="singular"):
-            MnaSolver(circuit, backend=backend).solve_dc()
+            solve(solver)
 
     def test_transient_backends_agree(self):
         from repro.spice import TransientSolver, sine
