@@ -15,7 +15,6 @@ from .sharding import (
     run_sharded_campaign,
     shard_bounds,
 )
-from .diagnose import Diagnosis, build_dictionary, diagnose
 from .program_io import TestProgram, dumps, loads, program_from_report
 from .report import format_ed, format_seconds, format_table
 
@@ -33,9 +32,6 @@ __all__ = [
     "MixedSignalTestGenerator",
     "StateVariableBoard",
     "Table8Row",
-    "Diagnosis",
-    "build_dictionary",
-    "diagnose",
     "TestProgram",
     "program_from_report",
     "dumps",

@@ -26,7 +26,6 @@ from .compiled import (
 )
 from .iscas import parse_bench, parse_bench_file, write_bench
 from .synth import ISCAS85_SPECS, SynthSpec, iscas85_like, synthesize
-from .equivalence import EquivalenceResult, check_equivalent
 from .library import (
     alu_slice,
     fig3_circuit,
@@ -59,8 +58,6 @@ __all__ = [
     "CompiledCircuit",
     "CompiledFaultSimulator",
     "FaultSimDiagnostics",
-    "EquivalenceResult",
-    "check_equivalent",
     "parse_bench",
     "parse_bench_file",
     "write_bench",

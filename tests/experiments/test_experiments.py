@@ -1,8 +1,8 @@
 """Tests for the experiment regenerators (fast subset).
 
 The heavyweight experiments (table3/table4/table8 at full size) run in the
-benchmark harness; here we exercise the fast ones end-to-end and the heavy
-ones through reduced configurations.
+paper-golden tests; here we exercise the fast ones end-to-end and the
+heavy ones through reduced configurations.
 """
 
 import pytest
@@ -11,6 +11,7 @@ from repro.experiments import (
     example2,
     figure6,
     table1,
+    table2,
     table4,
     table5,
     table6,
@@ -40,6 +41,13 @@ class TestTable1:
         text = table1.run().render()
         assert "Table 1" in text
         assert "Dbar" in text and "D" in text
+
+
+class TestTable2:
+    def test_glossary_renders(self):
+        text = table2.run().render()
+        assert "Table 2" in text
+        assert "Adc" in text and "flcf" in text and "Vref" in text
 
 
 class TestTable4Small:
