@@ -30,9 +30,9 @@ def bounded_minimum(func, lower, upper, xatol, maxfun=500):
     """Minimize ``func`` on ``[lower, upper]``.
 
     Returns ``(x, f(x), evaluations)``.  ``x`` and ``f(x)`` are numpy
-    float64 scalars, as ``scipy.optimize.minimize_scalar(method=
-    "bounded")`` returns them; the search stops after ``maxfun``
-    evaluations whether or not it converged.
+    float64 scalars, as scipy's ``minimize_scalar(method="bounded")``
+    returns them; the search stops after ``maxfun`` evaluations whether
+    or not it converged.
     """
     # numpy's sqrt, as scipy imports it: these constants are float64
     # scalars, and so is every abscissa ``func`` sees.
@@ -126,7 +126,7 @@ def brent_root(func, xa, xb, xtol, maxiter=100):
     """A root of ``func`` on the sign-changing bracket ``[xa, xb]``.
 
     Returns ``(root, evaluations)`` with ``root`` a Python float, the
-    value ``scipy.optimize.brentq(func, xa, xb, xtol=xtol)`` returns.
+    value scipy's ``brentq(func, xa, xb, xtol=xtol)`` returns.
     Like ``brentq`` it raises :class:`ValueError` on a NaN function
     value or a same-sign bracket and :class:`RuntimeError` when
     ``maxiter`` iterations do not converge.
