@@ -420,8 +420,8 @@ class DenseBackend(LinearSystemBackend):
     def solve_once(
         self, system: AssembledSystem, pattern_cache: dict | None = None
     ) -> np.ndarray:
-        # One LAPACK gesv call — the MnaSolver.solve path, with no
-        # pivot check of its own.
+        # One LAPACK gesv call — the MnaSolver.solve path; a single
+        # solve skips the factorization's separate pivot check.
         try:
             return np.linalg.solve(system.to_dense(), system.rhs)
         except np.linalg.LinAlgError as exc:

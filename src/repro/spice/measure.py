@@ -17,10 +17,10 @@ measured value is kept.  The cut-offs add the end-of-window checks and a
 log-frequency Brent root search on the same model.  Both refiners live
 in :mod:`repro.spice._refine` and return what scipy's
 ``minimize_scalar(method="bounded")`` and ``brentq`` return, bit for
-bit, without importing scipy.  A scope is created
-by the call that measures many states (a sensitivity or deviation
-matrix, the generator's stimulus stage) and dies with it; the one-shot
-functions below are a scope of one measurement.
+bit, without importing scipy.  A scope is created by the call that
+measures many states (a sensitivity or deviation matrix, the
+generator's stimulus stage) and dies with it; the one-shot functions
+below are a scope of one measurement.
 
 The deviation state is an argument: ``deviations`` (element → relative
 deviation) is laid over the circuit's own deviations for this one

@@ -16,6 +16,20 @@ from repro.api.cli import main
 LEGACY_REPORT = Path(__file__).parent / "goldens" / "legacy_fig4_report.json"
 
 
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestList:
     def test_lists_circuits_and_experiments(self, capsys):
         assert main(["list"]) == 0
@@ -27,21 +41,11 @@ class TestList:
     def test_runs_without_networkx(self):
         """numpy and scipy are the only runtime dependencies: a clean
         interpreter that cannot import networkx still runs the CLI."""
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parents[1])
-        script = (
+        completed = run_python(
             "import runpy, sys\n"
             "sys.modules['networkx'] = None\n"
             "sys.argv = ['repro', 'list']\n"
             "runpy.run_module('repro', run_name='__main__')\n"
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
         assert "fig4" in completed.stdout
@@ -54,39 +58,19 @@ class TestList:
     def test_runs_without_scipy(self, argv):
         """Only the sparse backend needs scipy: listing, a digital
         experiment and a dense analog campaign run without it."""
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parents[1])
-        script = (
+        completed = run_python(
             "import runpy, sys\n"
             "sys.modules['scipy'] = None\n"
             f"sys.argv = ['repro', *{argv!r}]\n"
             "runpy.run_module('repro', run_name='__main__')\n"
         )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
         assert completed.returncode == 0, completed.stderr
 
     def test_cli_import_loads_no_scipy(self):
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parents[1])
-        script = (
+        completed = run_python(
             "import sys\n"
             "import repro.api.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "[]"

@@ -27,6 +27,23 @@ from repro.spice import (
 )
 
 
+def conflicting_sources() -> AnalogCircuit:
+    circuit = AnalogCircuit("conflict")
+    circuit.vsource("V1", "a", "0", dc=1.0)
+    circuit.vsource("V2", "a", "0", dc=2.0)  # contradictory source
+    circuit.resistor("R1", "a", "0", 1000.0)
+    return circuit
+
+
+def nan_entry() -> AnalogCircuit:
+    """No zero pivot but a NaN one: the factorization's pivot check must
+    still reject it there, not hand NaNs to every later solve."""
+    circuit = AnalogCircuit("nan")
+    circuit.vsource("V1", "a", "0", dc=1.0)
+    circuit.resistor("R1", "a", "0", float("nan"))
+    return circuit
+
+
 class TestResolveBackend:
     def test_names_resolve(self):
         assert resolve_backend("dense").name == "dense"
@@ -142,34 +159,17 @@ class TestBackendEquivalence:
             deviated = factorized.deviation_batch([("R1", 0.25)], node)[0]
             assert deviated == pytest.approx(fresh.voltage(node), abs=1e-9)
 
-    @staticmethod
-    def _conflicting_sources():
-        circuit = AnalogCircuit("conflict")
-        circuit.vsource("V1", "a", "0", dc=1.0)
-        circuit.vsource("V2", "a", "0", dc=2.0)  # contradictory source
-        circuit.resistor("R1", "a", "0", 1000.0)
-        return circuit
-
-    @staticmethod
-    def _nan_entry():
-        # No zero pivot, a NaN one: the factorization's pivot check must
-        # still reject it there, not hand NaNs to every later solve.
-        circuit = AnalogCircuit("nan")
-        circuit.vsource("V1", "a", "0", dc=1.0)
-        circuit.resistor("R1", "a", "0", float("nan"))
-        return circuit
-
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize(
         "build, solve",
         [
-            ("_conflicting_sources", lambda solver: solver.solve_dc()),
-            ("_nan_entry", lambda solver: solver.factorized(0.0)),
+            (conflicting_sources, lambda solver: solver.solve_dc()),
+            (nan_entry, lambda solver: solver.factorized(0.0)),
         ],
         ids=["conflicting-sources", "nan-entry"],
     )
     def test_singular_system_raises_analog_error(self, backend, build, solve):
-        solver = MnaSolver(getattr(self, build)(), backend=backend)
+        solver = MnaSolver(build(), backend=backend)
         with pytest.raises(AnalogError, match="singular"):
             solve(solver)
 
