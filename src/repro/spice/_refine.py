@@ -6,10 +6,9 @@ with parabolic steps), transliterated from scipy 1.17.1's
 :func:`brent_root` is Brent's (1973) zeroin as scipy's C ``brentq``
 implements it.  Both repeat scipy's floating-point operations in scipy's
 order and on scipy's operand types (numpy scalars where scipy's code
-makes them), so a search returns scipy's answer bit for bit: the
-goldens and the campaign payloads are unchanged, and measuring never
-imports scipy.  ``tests/spice/test_refine.py`` holds them against the
-installed scipy.
+makes them), so a search returns scipy's answer bit for bit while
+measuring never imports scipy.  ``tests/spice/test_refine.py`` holds
+them against the installed scipy.
 """
 
 from __future__ import annotations
