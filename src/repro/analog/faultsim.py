@@ -333,8 +333,8 @@ class FactorizedEngine(CampaignEngine):
 
     Cost model: the reference engine pays a full matrix assembly and
     dense solve per (fault, step) pair, twice (good and faulty
-    circuit).  Here the own-step updates' per-direction triangular
-    solves collapse into one multi-RHS call per frequency and the
+    circuit).  Here the own-step updates' per-direction solves
+    collapse into one multi-RHS call per frequency and the
     update scalars vectorize across the whole population, with no
     per-fault Python/solver round trips.
     """

@@ -14,24 +14,29 @@ commits to a matrix storage format:
 * :class:`LinearSystemBackend` — ``factorize(system) ->``
   :class:`LinearFactorization`, with two implementations:
 
-  - :class:`DenseBackend` — the historical path: a dense matrix solved
-    by numpy's LAPACK ``gesv`` (``np.linalg.solve``), its pivots checked
-    once at factorization.  Unbeatable below ~100 unknowns, where
-    BLAS-3 density wins over index arithmetic.
-  - :class:`SparseBackend` — ``scipy.sparse`` CSC + SuperLU ``splu``,
-    the only part of the package that imports scipy (on first use).
+  - :class:`DenseBackend` — the historical path: a dense matrix, its
+    pivots checked once at factorization.  Below
+    :data:`DENSE_LU_THRESHOLD` unknowns (every paper circuit) the
+    factorization keeps the matrix and each solve is a full numpy
+    LAPACK ``gesv`` (``np.linalg.solve``), which needs no scipy; from
+    there up it keeps scipy ``lu_factor`` factors and each solve is one
+    ``getrs``.  Unbeatable below ~100 unknowns, where BLAS-3 density
+    wins over index arithmetic.
+  - :class:`SparseBackend` — ``scipy.sparse`` CSC + SuperLU ``splu``.
     The *symbolic* work (sorting the stamp triplets, collapsing
     duplicates, building the CSC index structure) is captured once per
     sparsity pattern in a :class:`SparsityPattern` and reused across
     frequencies and timesteps, so a 500-node AC sweep pays the pattern
     analysis once and only re-scatters numeric values per frequency.
 
-  Both factorizations serve single right-hand sides
+  scipy is imported on first use only, by the sparse backend and by
+  dense factorizations at or above :data:`DENSE_LU_THRESHOLD` unknowns.
+  Every factorization serves single right-hand sides
   (:meth:`LinearFactorization.solve`) and whole stacked blocks of them
-  (:meth:`LinearFactorization.solve_many` — one LAPACK ``gesv`` /
-  SuperLU ``gstrs`` call per block), with per-factorization solve
-  counters (:meth:`LinearFactorization.stats`) so batch-scale callers
-  like the campaign engine can report how much work amortized.
+  (:meth:`LinearFactorization.solve_many` — one LAPACK ``gesv`` or
+  ``getrs`` / SuperLU ``gstrs`` call per block), with per-factorization
+  solve counters (:meth:`LinearFactorization.stats`) so batch-scale
+  callers like the campaign engine can report how many calls they made.
 
 * :func:`resolve_backend` — maps the user-facing ``"auto" | "dense" |
   "sparse"`` spelling (plus ready-made backend instances) to a backend;
@@ -53,6 +58,7 @@ from .netlist import GROUND, AnalogError
 
 __all__ = [
     "SPARSE_AUTO_THRESHOLD",
+    "DENSE_LU_THRESHOLD",
     "SingularSystemError",
     "AssembledSystem",
     "SystemAssembler",
@@ -70,6 +76,14 @@ __all__ = [
 #: backend.  Dense LAPACK wins comfortably below this (the paper's
 #: circuits are < 40 nodes); SuperLU wins well above it.
 SPARSE_AUTO_THRESHOLD = 128
+
+#: unknowns at or above which a dense factorization keeps scipy LU
+#: factors and re-solves in O(n²), instead of keeping the matrix and
+#: solving it in full with numpy's ``gesv`` on every call.  Below it
+#: call overhead dominates and the two cost the same within noise; by
+#: 48 unknowns the kept factors are 2× faster (2-CPU x86 host).  Every
+#: paper circuit has at most 17 unknowns, so none of them loads scipy.
+DENSE_LU_THRESHOLD = 24
 
 #: user-facing backend spellings accepted everywhere a backend can be
 #: chosen (``analyze()``, solver constructors, configs, the CLI).
@@ -284,12 +298,14 @@ class LinearFactorization:
 
     Subclasses implement :meth:`_solve` (one right-hand side) and, when
     the underlying library has a native multi-RHS path, :meth:`_solve_many`
-    (a whole matrix of right-hand sides in one call).  The public
-    :meth:`solve`/:meth:`solve_many` wrappers maintain diagnostics
-    counters (:meth:`stats`) so campaign-scale callers can report how
-    much work actually amortized into multi-RHS calls.  The counters are
-    plain ints — under thread fan-out they are approximate, which is
-    fine for diagnostics.
+    (a whole matrix of right-hand sides in one call).  What a solve
+    reuses is the subclass's choice: stored LU factors, or (for small
+    dense systems) only the checked matrix, re-factored by every call.
+    The public :meth:`solve`/:meth:`solve_many` wrappers maintain
+    diagnostics counters (:meth:`stats`) so campaign-scale callers can
+    report how many right-hand sides went through multi-RHS calls.  The
+    counters are plain ints — under thread fan-out they are
+    approximate, which is fine for diagnostics.
     """
 
     #: name of the backend that produced this factorization.
@@ -304,7 +320,7 @@ class LinearFactorization:
         self.multi_rhs_columns = 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A·x = rhs`` against the stored factorization."""
+        """Solve ``A·x = rhs`` for the factorized ``A``."""
         self.solve_calls += 1
         return self._solve(rhs)
 
@@ -312,8 +328,9 @@ class LinearFactorization:
         """Solve ``A·X = B`` for a matrix ``B`` of stacked RHS columns.
 
         One call, however many columns: the dense backend hands the
-        whole block to one LAPACK ``gesv``; the sparse backend hands it
-        to SuperLU's native multi-RHS triangular solve.  The default
+        whole block to one LAPACK ``gesv`` (or ``getrs`` on stored LU
+        factors); the sparse backend hands it to SuperLU's native
+        multi-RHS triangular solve.  The default
         implementation falls back to column-at-a-time :meth:`_solve`,
         so custom factorizations stay correct without overriding.
         """
@@ -376,6 +393,15 @@ class LinearSystemBackend:
 
 
 class _DenseFactorization(LinearFactorization):
+    """A dense system below :data:`DENSE_LU_THRESHOLD` unknowns.
+
+    Keeps the matrix, not LU factors: every :meth:`solve` and
+    :meth:`solve_many` is one full numpy LAPACK ``gesv`` (an O(n³) LU
+    plus its triangular solves) of the kept matrix.  At this size a call
+    costs what scipy's factor-once ``getrs`` costs, and it needs no
+    scipy.
+    """
+
     backend_name = "dense"
 
     def __init__(self, matrix: np.ndarray):
@@ -407,14 +433,45 @@ class _DenseFactorization(LinearFactorization):
             raise SingularSystemError(str(exc)) from exc
 
 
+class _DenseLuFactorization(_DenseFactorization):
+    """A dense system of :data:`DENSE_LU_THRESHOLD` unknowns or more.
+
+    LU-factored once by scipy's ``lu_factor`` (imported on first use);
+    every right-hand side, single or stacked, is then one O(n²) LAPACK
+    ``getrs``.  A transient run or a factorized campaign solves the same
+    matrix many times, and at this size the factorization dominates.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        from scipy.linalg import lu_factor, lu_solve
+
+        LinearFactorization.__init__(self)
+        self._matrix = matrix
+        self._lu = lu_factor(matrix, check_finite=False)
+        self._lu_solve = lu_solve
+        diagonal = np.abs(np.diagonal(self._lu[0]))
+        if not np.all(np.isfinite(diagonal)) or diagonal.min() == 0.0:
+            raise SingularSystemError("zero pivot in dense LU factorization")
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._lu_solve(self._lu, rhs, check_finite=False)
+
+    def _solve_many(self, rhs_matrix: np.ndarray) -> np.ndarray:
+        # lu_solve takes an (n, k) right-hand side directly: one getrs
+        # call over the whole stacked block.
+        return self._lu_solve(self._lu, rhs_matrix, check_finite=False)
+
+
 class DenseBackend(LinearSystemBackend):
-    """Dense LAPACK ``gesv``: the historical path, best for small circuits."""
+    """Dense LAPACK: the historical path, best for small circuits."""
 
     name = "dense"
 
     def factorize(
         self, system: AssembledSystem, pattern_cache: dict | None = None
     ) -> LinearFactorization:
+        if system.size >= DENSE_LU_THRESHOLD:
+            return _DenseLuFactorization(system.to_dense())
         return _DenseFactorization(system.to_dense())
 
     def solve_once(

@@ -196,8 +196,9 @@ class FactorizedMna:
         self._base = self._factorization.solve(system.rhs)
         self._base_solution = Solution.of(model, self._base, frequency_hz)
         # y = A⁻¹·u per value-independent update direction u — computing
-        # it is the only triangular solve a rank-one update needs, and
-        # every deviation of the same element reuses the same direction.
+        # it is the only solve against the factorization a rank-one
+        # update needs, and every deviation of the same element reuses
+        # the same direction.
         self._ys: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -207,8 +208,8 @@ class FactorizedMna:
         return self._factorization.backend_name
 
     def solution(self) -> Solution:
-        """The baseline (as-assembled) solution — two triangular solves
-        already paid; this is a constant-time accessor."""
+        """The baseline (as-assembled) solution — solved once at
+        construction; this is a constant-time accessor."""
         return self._base_solution
 
     # ------------------------------------------------------------------
@@ -307,7 +308,7 @@ class FactorizedMna:
     def solve_stats(self) -> dict:
         """Solve-counter diagnostics of the underlying factorization.
 
-        ``solve_calls`` counts single-RHS triangular solves,
+        ``solve_calls`` counts single-RHS solves,
         ``multi_rhs_solves``/``multi_rhs_columns`` the batched
         :meth:`deviation_batch` traffic (one multi-RHS call per batch,
         however many distinct update directions it carries).

@@ -39,8 +39,9 @@ class TestList:
         assert "table1" in out
 
     def test_runs_without_networkx(self):
-        """numpy and scipy are the only runtime dependencies: a clean
-        interpreter that cannot import networkx still runs the CLI."""
+        """networkx is no dependency (numpy is, and scipy for sparse
+        and larger dense systems): a clean interpreter that cannot
+        import networkx still runs the CLI."""
         completed = run_python(
             "import runpy, sys\n"
             "sys.modules['networkx'] = None\n"
@@ -56,8 +57,10 @@ class TestList:
         ids=["list", "experiment-figure6", "campaign-fig4"],
     )
     def test_runs_without_scipy(self, argv):
-        """Only the sparse backend needs scipy: listing, a digital
-        experiment and a dense analog campaign run without it."""
+        """Paper-scale circuits need no scipy (only the sparse backend
+        and dense systems of ``DENSE_LU_THRESHOLD`` unknowns and more
+        do): listing, a digital experiment and a dense analog campaign
+        run without it."""
         completed = run_python(
             "import runpy, sys\n"
             "sys.modules['scipy'] = None\n"

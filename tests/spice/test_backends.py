@@ -25,6 +25,7 @@ from repro.spice import (
     analyze,
     resolve_backend,
 )
+from repro.spice.backends import DENSE_LU_THRESHOLD
 
 
 def conflicting_sources() -> AnalogCircuit:
@@ -242,6 +243,100 @@ class TestSolveMany:
         assert factorization.solve_many(empty).shape == (4, 0)
         assert factorization.stats()["multi_rhs_solves"] == 2
         assert factorization.stats()["multi_rhs_columns"] == 2
+
+
+class TestDenseFactorization:
+    """A dense factorization below ``DENSE_LU_THRESHOLD`` unknowns keeps
+    the matrix and solves it with numpy's ``gesv``; from there up it
+    keeps scipy LU factors.  Both check pivots when they are built."""
+
+    #: ladder sections giving one unknown below / exactly at the
+    #: threshold (``rc_ladder(n)`` has ``n + 1`` nodes and one branch).
+    BELOW = DENSE_LU_THRESHOLD - 3
+    AT = DENSE_LU_THRESHOLD - 2
+
+    @staticmethod
+    def _system(sections):
+        circuit = rc_ladder(sections)
+        return AcModel(circuit, None, backend="dense").system(1.0e3)
+
+    def test_threshold_sits_above_every_paper_circuit(self):
+        from repro.api.registry import default_registry
+
+        registry = default_registry()
+        names = registry.names("mixed") + [
+            "bandpass", "chebyshev", "state-variable",
+        ]
+        for name in names:
+            circuit = registry.build(name)
+            analog = getattr(circuit, "analog", circuit)
+            size = AcModel(analog, None).system(1.0e3).size
+            assert size < DENSE_LU_THRESHOLD, name
+
+    def test_below_threshold_solves_with_numpy_gesv(self):
+        system = self._system(self.BELOW)
+        assert system.size == DENSE_LU_THRESHOLD - 1
+        factorization = DenseBackend().factorize(system)
+        matrix = system.to_dense()
+        block = np.stack([system.rhs, 2.0j * system.rhs], axis=1)
+        assert np.array_equal(
+            factorization.solve(system.rhs),
+            np.linalg.solve(matrix, system.rhs),
+        )
+        assert np.array_equal(
+            factorization.solve_many(block), np.linalg.solve(matrix, block)
+        )
+
+    def test_at_threshold_solves_with_kept_lu_factors(self):
+        from scipy.linalg import lu_factor, lu_solve
+
+        system = self._system(self.AT)
+        assert system.size == DENSE_LU_THRESHOLD
+        factorization = DenseBackend().factorize(system)
+        lu = lu_factor(system.to_dense())
+        block = np.stack([system.rhs, 2.0j * system.rhs], axis=1)
+        assert np.array_equal(
+            factorization.solve(system.rhs), lu_solve(lu, system.rhs)
+        )
+        stacked = factorization.solve_many(block)
+        assert np.array_equal(stacked, lu_solve(lu, block))
+        assert np.allclose(
+            stacked, np.linalg.solve(system.to_dense(), block),
+            rtol=1e-12, atol=1e-12,
+        )
+        assert factorization.stats()["multi_rhs_columns"] == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            lambda c: c.vsource("V2", "in", "0", dc=2.0),
+            lambda c: c.resistor("RNAN", "out", "0", float("nan")),
+        ],
+        ids=["conflicting-sources", "nan-entry"],
+    )
+    def test_singular_system_raises_at_factorization_above_threshold(
+        self, extra
+    ):
+        circuit = rc_ladder(self.AT)
+        extra(circuit)
+        solver = MnaSolver(circuit, backend="dense")
+        with pytest.raises(AnalogError, match="singular"):
+            solver.factorized(0.0)
+
+    def test_transient_above_threshold_agrees_with_sparse(self):
+        from repro.spice import TransientSolver, sine
+
+        circuit = rc_ladder(64)
+        waves = {"Vin": sine(1.0, 2.5e3)}
+        dense = TransientSolver(circuit, backend="dense").run(
+            2e-4, 1e-6, waves
+        )
+        sparse = TransientSolver(circuit, backend="sparse").run(
+            2e-4, 1e-6, waves
+        )
+        assert np.max(
+            np.abs(dense.waveform("out") - sparse.waveform("out"))
+        ) < 1e-9
 
 
 class TestFactorizationCache:
