@@ -48,7 +48,7 @@ from repro.circuits import (
     chebyshev_filter,
     rc_ladder,
 )
-from repro.spice import AcSweep, MnaSolver, analyze, gain_at
+from repro.spice import MnaSolver, gain_at, sweep
 
 
 # ----------------------------------------------------------------------
@@ -84,12 +84,16 @@ def test_ac_gain_chebyshev(benchmark):
 # ----------------------------------------------------------------------
 # dense-vs-sparse backend comparison (script mode)
 # ----------------------------------------------------------------------
-def _time_sweep(circuit, request, backend: str, repeats: int):
+def _sweep(circuit, frequencies, backend: str):
+    return sweep(circuit, LADDER_SOURCE, LADDER_OUTPUT, frequencies, backend)
+
+
+def _time_sweep(circuit, frequencies, backend: str, repeats: int):
     """Best-of-``repeats`` wall clock and the (deterministic) result."""
     best, result = float("inf"), None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = analyze(circuit, request, backend=backend)
+        result = _sweep(circuit, frequencies, backend)
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -116,24 +120,18 @@ def main(argv=None) -> int:
     repeats = 1 if args.smoke else args.repeats
 
     circuit = rc_ladder(args.sections)
-    frequencies = tuple(np.logspace(1.0, 6.0, n_frequencies))
-    request = AcSweep(
-        frequencies, source=LADDER_SOURCE, output=LADDER_OUTPUT
-    )
+    frequencies = list(np.logspace(1.0, 6.0, n_frequencies))
 
     # Warm both paths (imports, BLAS thread pools) before timing.
-    warm = AcSweep(frequencies[:1], source=LADDER_SOURCE, output=LADDER_OUTPUT)
-    analyze(circuit, warm, backend="dense")
-    analyze(circuit, warm, backend="sparse")
+    _sweep(circuit, frequencies[:1], "dense")
+    _sweep(circuit, frequencies[:1], "sparse")
 
-    t_dense, dense = _time_sweep(circuit, request, "dense", repeats)
-    t_sparse, sparse = _time_sweep(circuit, request, "sparse", repeats)
+    t_dense, dense = _time_sweep(circuit, frequencies, "dense", repeats)
+    t_sparse, sparse = _time_sweep(circuit, frequencies, "sparse", repeats)
     speedup = t_dense / t_sparse if t_sparse > 0 else float("inf")
     max_abs_diff = max(
         abs(a - b)
-        for a, b in zip(
-            dense.response.transfer_values, sparse.response.transfer_values
-        )
+        for a, b in zip(dense.transfer_values, sparse.transfer_values)
     )
     agree = max_abs_diff < 1e-9
 

@@ -304,8 +304,8 @@ class PipelineOutcome:
     campaign: CampaignResult | None = None
     deviations: DeviationMatrix | None = None
     timings: list[StageTiming] = field(default_factory=list)
-    #: netlist pre-flight summary (``run(..., preflight=True)`` only),
-    #: in the AnalysisDiagnostics style: a flat JSON-encodable dict.
+    #: netlist pre-flight summary (``run(..., preflight=True)`` only):
+    #: a flat JSON-encodable dict.
     lint_diagnostics: dict | None = None
 
     @property

@@ -14,12 +14,6 @@ from .composite import (
     propagate_composite,
 )
 from .constrained import AtpgRun, constraint_builder_from_terms, run_atpg
-from .random_gen import (
-    acceptance_rate,
-    constrained_random_patterns,
-    random_coverage_curve,
-    random_patterns,
-)
 from .vectors import (
     AnalogStimulus,
     DigitalVector,
@@ -42,10 +36,6 @@ __all__ = [
     "AtpgRun",
     "run_atpg",
     "constraint_builder_from_terms",
-    "random_patterns",
-    "acceptance_rate",
-    "constrained_random_patterns",
-    "random_coverage_curve",
     "AnalogStimulus",
     "DigitalVector",
     "MixedTestStep",

@@ -38,8 +38,7 @@ is the fast path behind the same public signatures:
   list.
 
 Engines report :class:`FaultSimDiagnostics` (batches, cone sizes, event
-skips, fault drops) in the style of
-:class:`repro.spice.AnalysisDiagnostics`.
+skips, fault drops).
 """
 
 from __future__ import annotations
@@ -87,8 +86,7 @@ _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 class FaultSimDiagnostics:
     """What actually ran: batches, cone sizes, event activity.
 
-    The digital analogue of :class:`repro.spice.AnalysisDiagnostics`;
-    surfaced through :attr:`repro.atpg.AtpgRun.diagnostics` and the
+    Surfaced through :attr:`repro.atpg.AtpgRun.diagnostics` and the
     benchmark scripts.
     """
 
@@ -540,42 +538,6 @@ class CompiledFaultSimulator:
         diag.elapsed_s = time.perf_counter() - start_time
         self.last_diagnostics = diag
         return bitmaps
-
-    def first_detection(
-        self,
-        patterns: Sequence[Mapping[str, int]],
-        faults: Iterable[Fault],
-    ) -> dict[Fault, int | None]:
-        """Index of the first detecting pattern per fault (or ``None``).
-
-        Coverage after *any* pattern budget follows directly — the
-        whole random-ATPG saturation curve from one forward pass with
-        fault dropping.
-        """
-        start_time = time.perf_counter()
-        faults = list(faults)
-        first: dict[Fault, int | None] = {f: None for f in faults}
-        diag = self._diagnostics(len(faults), len(patterns))
-        for start, values, mask in self._batches(patterns):
-            diag.n_batches += 1
-            remaining = [f for f in faults if first[f] is None]
-            diag.fault_batch_drops += len(faults) - len(remaining)
-            if not remaining:
-                break
-            for fault in remaining:
-                words, evaluated, skipped, cone = self.compiled.fault_detection(
-                    fault, values, mask
-                )
-                diag.gates_evaluated += evaluated
-                diag.event_skips += skipped
-                diag.cone_gates_total += cone
-                if words is not None:
-                    bitmap = _words_to_int(words)
-                    if bitmap:
-                        first[fault] = start + (bitmap & -bitmap).bit_length() - 1
-        diag.elapsed_s = time.perf_counter() - start_time
-        self.last_diagnostics = diag
-        return first
 
     def compact(
         self,

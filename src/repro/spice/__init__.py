@@ -1,14 +1,14 @@
 """Linear analog circuit simulator (MNA) — the paper's analog substrate.
 
-The front door is :func:`analyze`: describe the analysis as a typed
-request (:class:`DcOp`, :class:`AcSweep`, :class:`TransientRun`) and
-pick a linear-system backend (``"auto"``/``"dense"``/``"sparse"``).
-The classic solver classes (:class:`MnaSolver`,
-:class:`TransientSolver`) remain as the underlying engine layer and
-accept the same ``backend`` selector.  Every DC and AC system — a
+Three engine classes serve every analysis, each with a linear-system
+backend selector (``"auto"``/``"dense"``/``"sparse"``):
+:class:`MnaSolver` for DC and single-frequency AC solves,
+:func:`sweep` (and :func:`transfer`) for the transfer function ``H(f)``
+over a frequency list, and :class:`TransientSolver` for the
+backward-Euler time-domain view.  Every DC and AC system — a
 measurement's ``H(f)``, an :class:`MnaSolver` solve, a campaign
-:class:`FactorizedMna`, an :func:`analyze` request — is assembled by
-one compiler, :class:`AcModel`.
+:class:`FactorizedMna`, a sweep — is assembled by one compiler,
+:class:`AcModel`.
 """
 
 from .components import (
@@ -58,16 +58,6 @@ from .transient import (
     TransientState,
     sine,
     step,
-)
-from .analysis import (
-    AcResult,
-    AcSweep,
-    AnalysisDiagnostics,
-    DcOp,
-    DcResult,
-    TransientRun,
-    TransientRunResult,
-    analyze,
 )
 
 __all__ = [
@@ -119,13 +109,4 @@ __all__ = [
     "SystemAssembler",
     "SparsityPattern",
     "resolve_backend",
-    # analyze() front door
-    "analyze",
-    "DcOp",
-    "AcSweep",
-    "TransientRun",
-    "DcResult",
-    "AcResult",
-    "TransientRunResult",
-    "AnalysisDiagnostics",
 ]

@@ -94,17 +94,17 @@ def sweep(
 ) -> FrequencyResponse:
     """Sample the transfer function over a frequency list.
 
-    Shorthand for the :class:`~repro.spice.analysis.AcSweep` transfer
-    request of :func:`~repro.spice.analysis.analyze`; an empty list
-    raises :class:`AnalogError`.
+    One compiled :class:`~repro.spice.acmodel.AcModel` evaluates every
+    frequency (see :meth:`~repro.spice.acmodel.AcModel.transfers`); an
+    empty list or a negative frequency raises :class:`AnalogError`.
     """
-    # Imported here: repro.spice.analysis builds on this module.
-    from .analysis import AcSweep, analyze
-
-    request = AcSweep(
-        tuple(frequencies_hz), source=source_name, output=output_node
-    )
-    return analyze(circuit, request, backend).response
+    frequencies = list(frequencies_hz)
+    if not frequencies:
+        raise AnalogError("a sweep needs at least one frequency")
+    if any(f < 0 for f in frequencies):
+        raise AnalogError("sweep frequencies must be >= 0")
+    model = AcModel(circuit, source_name, output_node, backend=backend)
+    return FrequencyResponse(frequencies, model.transfers(frequencies))
 
 
 def log_frequencies(

@@ -1,8 +1,8 @@
 """Compiled AC model: the one place a circuit state becomes an MNA system.
 
 Every performance measurement (:mod:`repro.spice.measure`) searches
-``|H(f)| = |v(output) / v(source)|`` over frequency, and ``MnaSolver``,
-the campaign's ``FactorizedMna`` and ``analyze()`` solve whole systems.
+``|H(f)| = |v(output) / v(source)|`` over frequency, and ``MnaSolver``
+and the campaign's ``FactorizedMna`` solve whole systems.
 All of them compile the circuit into an :class:`AcModel`, which walks
 the netlist once and keeps the result as a *stamp program*:
 

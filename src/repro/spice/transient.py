@@ -35,7 +35,7 @@ from .backends import (
     SystemAssembler,
     resolve_backend,
 )
-from .components import StampContext
+from .components import CurrentSource, StampContext, VoltageSource
 from .netlist import GROUND, AnalogCircuit, AnalogError
 
 __all__ = [
@@ -238,7 +238,6 @@ class TransientSolver:
         self._n_nodes = len(self._node_index)
         self.backend = resolve_backend(backend, n_nodes=self._n_nodes)
         self._patterns: dict[bytes, object] = {}
-        self._last_size: int | None = None
 
     # ------------------------------------------------------------------
     def run(
@@ -259,6 +258,23 @@ class TransientSolver:
         if dt <= 0 or t_stop <= dt:
             raise AnalogError("need 0 < dt < t_stop")
         source_waveforms = dict(source_waveforms or {})
+        sources = {
+            component.name
+            for component in self.circuit.components
+            if isinstance(component, (VoltageSource, CurrentSource))
+        }
+        for name in source_waveforms:
+            if name not in sources:
+                raise AnalogError(
+                    f"no independent source named {name!r} in "
+                    f"{self.circuit.name!r} to drive"
+                )
+        for node in initial or {}:
+            if node != GROUND and node not in self._node_index:
+                raise AnalogError(
+                    f"no node named {node!r} in {self.circuit.name!r} "
+                    "to set an initial voltage on"
+                )
         n_steps = int(round(t_stop / dt))
         times = np.arange(1, n_steps + 1) * dt
 
@@ -278,7 +294,6 @@ class TransientSolver:
         if assembler.size == 0:
             raise AnalogError(f"circuit {self.circuit.name!r} is empty")
         system = assembler.finish(gmin=GMIN)
-        self._last_size = system.size
         try:
             factorization = self.backend.factorize(system, self._patterns)
         except SingularSystemError as exc:
@@ -309,11 +324,3 @@ class TransientSolver:
             for name, node_index in self._node_index.items():
                 recorded[name][step_index] = solution[node_index]
         return TransientResult(times, recorded)
-
-    def stats(self) -> dict:
-        """Diagnostics of the most recent :meth:`run`."""
-        return {
-            "backend": self.backend.name,
-            "n_nodes": self._n_nodes,
-            "size": self._last_size,
-        }

@@ -1,8 +1,8 @@
 """Campaigns and sweeps only read the circuit they measure.
 
 The factorized campaign engine, :func:`repro.spice.sweep` and
-``analyze(AcSweep(source=...))`` drive the measured source at unit
-amplitude by stamping a copy of it (``MnaSolver(circuit, source=...)``).
+``MnaSolver(circuit, source=...)`` drive the measured source at unit
+amplitude by stamping a copy of it.
 The shared :class:`~repro.spice.VoltageSource` is never written, so one
 circuit object can serve concurrent campaigns.  Deviation matrices take
 each deviation state as an argument and measure on a scope of their own,
@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import CampaignConfig, Workbench
 from repro.core import run_campaign
-from repro.spice import AcSweep, VoltageSource, analyze, sweep
+from repro.spice import MnaSolver, VoltageSource, sweep
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def _outcomes(result):
 
 
 class TestSourceNeverWritten:
-    def test_no_level_write_during_campaign_sweep_and_analyze(
+    def test_no_level_write_during_campaign_sweep_and_solve(
         self, prepared, monkeypatch
     ):
         mixed, report = prepared
@@ -60,12 +60,9 @@ class TestSourceNeverWritten:
         )
         assert result.n_injected > 0
         sweep(circuit, source.name, mixed.analog_output, [0.0, 1e3, 1e4])
-        analyze(
-            circuit,
-            AcSweep(
-                (0.0, 1e3), source=source.name, output=mixed.analog_output
-            ),
-        )
+        solver = MnaSolver(circuit, source=source.name)
+        for frequency in (0.0, 1e3):
+            solver.solve(frequency)
         assert writes == []
 
 

@@ -10,7 +10,7 @@ from repro.circuits import (
     r2r_mesh,
     rc_ladder,
 )
-from repro.spice import AnalogError, DcOp, analyze, dc_gain
+from repro.spice import AnalogError, MnaSolver, dc_gain
 
 
 class TestRcLadder:
@@ -65,7 +65,8 @@ class TestRegistryEntries:
 
     def test_large_ladder_auto_selects_sparse(self):
         circuit = default_registry().build(f"rc-ladder-{max(LADDER_SIZES)}")
-        result = analyze(circuit, DcOp())
-        assert result.diagnostics.backend == "sparse"
+        solver = MnaSolver(circuit)
+        assert solver.backend.name == "sparse"
+        result = solver.solve_dc()
         # Source dc level is 0: the whole ladder rests at 0 V.
         assert abs(result.voltage(LADDER_OUTPUT)) < 1e-9

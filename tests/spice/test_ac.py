@@ -55,6 +55,16 @@ class TestSweep:
         response = sweep(circuit, "V1", "out", grid)
         assert response.frequencies_hz == grid
         assert len(response.transfer_values) == 3
+        with pytest.raises(AnalogError, match="at least one"):
+            sweep(circuit, "V1", "out", [])
+        with pytest.raises(AnalogError, match=">= 0"):
+            sweep(circuit, "V1", "out", [-1.0, 10.0])
+        # A DC point drives the source at unit amplitude too, on a copy.
+        source = circuit.component("V1")
+        source.ac, source.dc = 0.25, 10.0
+        at_dc = sweep(circuit, "V1", "out", [0.0, 10.0])
+        assert at_dc.magnitudes()[0] == pytest.approx(1.0)
+        assert (source.ac, source.dc) == (0.25, 10.0)
 
     def test_magnitudes_monotone_for_low_pass(self):
         circuit = rc_low_pass()
@@ -71,6 +81,9 @@ class TestSweep:
         f_peak, magnitude = response.peak()
         assert f_peak == 10.0 and magnitude == 2.0
         assert response.at(9.0) == 2.0 + 0j
+        for outside in (0.5, 1.0e3):
+            with pytest.raises(AnalogError, match="outside the swept range"):
+                response.at(outside)
 
     def test_magnitudes_db(self):
         response = FrequencyResponse([1.0], [10.0 + 0j])

@@ -21,11 +21,9 @@ import pytest
 from repro.api import CampaignConfig, Workbench, default_registry
 from repro.core import run_campaign
 from repro.spice import (
-    AcSweep,
-    DcOp,
-    TransientRun,
+    MnaSolver,
+    TransientSolver,
     VoltageSource,
-    analyze,
     log_frequencies,
     sine,
 )
@@ -60,21 +58,19 @@ CIRCUITS = dict(_analog_circuits())
 class TestBackendsAgree:
     def test_dc_operating_point(self, name):
         circuit = CIRCUITS[name]
-        dense = analyze(circuit, DcOp(), backend="dense")
-        sparse = analyze(circuit, DcOp(), backend="sparse")
-        for node in dense.solution.nodes():
+        dense = MnaSolver(circuit, backend="dense").solve_dc()
+        sparse = MnaSolver(circuit, backend="sparse").solve_dc()
+        for node in dense.nodes():
             assert abs(
                 dense.voltage(node) - sparse.voltage(node)
             ) < TOLERANCE, f"{name}: DC mismatch at node {node}"
 
     def test_ac_sweep(self, name):
         circuit = CIRCUITS[name]
-        request = AcSweep(tuple(log_frequencies(10.0, 1.0e6, 3)))
-        dense = analyze(circuit, request, backend="dense")
-        sparse = analyze(circuit, request, backend="sparse")
-        for f, dsol, ssol in zip(
-            request.frequencies_hz, dense.solutions, sparse.solutions
-        ):
+        dense = MnaSolver(circuit, backend="dense")
+        sparse = MnaSolver(circuit, backend="sparse")
+        for f in log_frequencies(10.0, 1.0e6, 3):
+            dsol, ssol = dense.solve(f), sparse.solve(f)
             for node in dsol.nodes():
                 assert abs(
                     dsol.voltage(node) - ssol.voltage(node)
@@ -84,10 +80,11 @@ class TestBackendsAgree:
         circuit = CIRCUITS[name]
         source = _first_vsource(circuit)
         waves = {source: sine(1.0, 2.0e3)} if source else None
-        request = TransientRun(t_stop=2e-4, dt=2e-6, sources=waves)
-        dense = analyze(circuit, request, backend="dense")
-        sparse = analyze(circuit, request, backend="sparse")
-        for node in dense.waveforms.voltages:
+        dense, sparse = (
+            TransientSolver(circuit, backend=backend).run(2e-4, 2e-6, waves)
+            for backend in ("dense", "sparse")
+        )
+        for node in dense.voltages:
             difference = np.max(
                 np.abs(dense.waveform(node) - sparse.waveform(node))
             )

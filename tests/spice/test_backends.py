@@ -12,7 +12,6 @@ from repro.circuits import (
 )
 from repro.spice import (
     AcModel,
-    AcSweep,
     AnalogCircuit,
     AnalogError,
     BACKENDS,
@@ -22,8 +21,8 @@ from repro.spice import (
     SparseBackend,
     SparsityPattern,
     SystemAssembler,
-    analyze,
     resolve_backend,
+    sweep,
 )
 from repro.spice.backends import DENSE_LU_THRESHOLD
 
@@ -131,22 +130,15 @@ class TestBackendEquivalence:
             )
 
     def test_rc_ladder_512_transfer_sweep_agrees(self):
-        # The 513-node ladder: dense and sparse transfer sweeps through
-        # analyze(AcSweep) agree within 1e-9 at every frequency.
+        # The 513-node ladder: dense and sparse transfer sweeps agree
+        # within 1e-9 at every frequency.
         circuit = rc_ladder(512)
-        request = AcSweep(
-            tuple(np.logspace(1.0, 6.0, 6)),
-            source=LADDER_SOURCE,
-            output=LADDER_OUTPUT,
+        frequencies = list(np.logspace(1.0, 6.0, 6))
+        dense, sparse = (
+            sweep(circuit, LADDER_SOURCE, LADDER_OUTPUT, frequencies, backend)
+            for backend in ("dense", "sparse")
         )
-        dense = analyze(circuit, request, backend="dense")
-        sparse = analyze(circuit, request, backend="sparse")
-        assert (dense.diagnostics.backend, sparse.diagnostics.backend) == (
-            "dense", "sparse",
-        )
-        pairs = zip(
-            dense.response.transfer_values, sparse.response.transfer_values
-        )
+        pairs = zip(dense.transfer_values, sparse.transfer_values)
         assert max(abs(a - b) for a, b in pairs) < 1e-9
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])

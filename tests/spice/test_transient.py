@@ -82,9 +82,17 @@ class TestErrors:
     def test_bad_step_rejected(self):
         with pytest.raises(AnalogError):
             TransientSolver(rc_circuit()).run(1e-3, 2e-3)
+        solver = TransientSolver(rc_circuit())
+        with pytest.raises(AnalogError, match="no node named 'ghost'"):
+            solver.run(1e-3, 1e-5, initial={"ghost": 1.0})
+        for name in ("Vghost", "R1"):
+            with pytest.raises(
+                AnalogError, match=f"no independent source named {name!r}"
+            ):
+                solver.run(1e-3, 1e-5, {name: step(1.0)})
 
     def test_unknown_node_in_result(self):
         solver = TransientSolver(rc_circuit())
         result = solver.run(1e-3, 1e-5, {"V1": step(1.0)})
-        with pytest.raises(AnalogError):
+        with pytest.raises(AnalogError, match="available nodes: in, out"):
             result.waveform("ghost")
