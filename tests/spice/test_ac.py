@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import BANDPASS_OUTPUT, BANDPASS_SOURCE, bandpass_filter
 from repro.spice import (
     AnalogCircuit,
     AnalogError,
     FrequencyResponse,
+    MnaSolver,
     log_frequencies,
     sweep,
     transfer,
@@ -55,16 +57,42 @@ class TestSweep:
         response = sweep(circuit, "V1", "out", grid)
         assert response.frequencies_hz == grid
         assert len(response.transfer_values) == 3
+
+    def test_empty_frequency_list_rejected(self):
         with pytest.raises(AnalogError, match="at least one"):
-            sweep(circuit, "V1", "out", [])
+            sweep(rc_low_pass(), "V1", "out", [])
+
+    def test_negative_frequency_rejected(self):
         with pytest.raises(AnalogError, match=">= 0"):
-            sweep(circuit, "V1", "out", [-1.0, 10.0])
+            sweep(rc_low_pass(), "V1", "out", [-1.0, 10.0])
+
+    def test_dc_point_leaves_source_levels_untouched(self):
         # A DC point drives the source at unit amplitude too, on a copy.
+        circuit = rc_low_pass()
         source = circuit.component("V1")
         source.ac, source.dc = 0.25, 10.0
         at_dc = sweep(circuit, "V1", "out", [0.0, 10.0])
         assert at_dc.magnitudes()[0] == pytest.approx(1.0)
         assert (source.ac, source.dc) == (0.25, 10.0)
+
+    def test_repeated_frequencies_give_equal_transfers(self):
+        response = sweep(rc_low_pass(), "V1", "out", [100.0, 100.0, 200.0])
+        first, repeat, other = response.transfer_values
+        assert first == repeat
+        assert other != first
+
+    def test_matches_unit_driven_solves(self):
+        # The bandpass filter's transfer, DC point included, equals the
+        # output voltage of a unit-driven solve at each frequency.
+        circuit = bandpass_filter()
+        frequencies = [0.0, 1.0e3, 2.5e3, 5.0e3]
+        response = sweep(
+            circuit, BANDPASS_SOURCE, BANDPASS_OUTPUT, frequencies
+        )
+        solver = MnaSolver(circuit, source=BANDPASS_SOURCE)
+        for frequency, value in zip(frequencies, response.transfer_values):
+            expected = solver.solve(frequency).voltage(BANDPASS_OUTPUT)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     def test_magnitudes_monotone_for_low_pass(self):
         circuit = rc_low_pass()

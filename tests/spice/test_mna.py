@@ -52,7 +52,41 @@ class TestDc:
         assert abs(solution.branch_current("V1")) == pytest.approx(0.01)
 
 
+def divider() -> AnalogCircuit:
+    c = AnalogCircuit("divider")
+    c.vsource("V1", "in", "0", dc=10.0, ac=1.0)
+    c.resistor("R1", "in", "mid", 1000.0)
+    c.resistor("R2", "mid", "0", 3000.0)
+    return c
+
+
+class TestBackendChoice:
+    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
+    def test_operating_point(self, backend):
+        solver = MnaSolver(divider(), backend=backend)
+        assert solver.solve_dc().voltage("mid").real == pytest.approx(7.5)
+
+    def test_solver_names_its_backend(self):
+        assert MnaSolver(divider(), backend="sparse").backend.name == "sparse"
+        assert MnaSolver(divider()).backend.name == "dense"
+
+
 class TestAc:
+    def test_as_built_levels_without_a_source(self):
+        # No measured source: the circuit's own ac levels drive it.
+        solver = MnaSolver(divider())
+        magnitudes = [solver.solve(f).magnitude("mid") for f in (100.0, 200.0)]
+        assert magnitudes == pytest.approx([0.75, 0.75])
+
+    def test_unit_driven_solve_leaves_source_untouched(self):
+        circuit = divider()
+        source = circuit.component("V1")
+        source.ac = 0.25
+        solver = MnaSolver(circuit, source="V1")
+        magnitudes = [solver.solve(f).magnitude("mid") for f in (0.0, 100.0)]
+        assert magnitudes == pytest.approx([0.75, 0.75])
+        assert (source.ac, source.dc) == (0.25, 10.0)
+
     def test_rc_low_pass_at_corner(self):
         c = AnalogCircuit("rc")
         c.vsource("V1", "in", "0", ac=1.0)

@@ -70,6 +70,14 @@ class TestSineSteadyState:
         result = solver.run(8e-3, 5e-7, {"Vin": sine(1.0, 2500.0)})
         assert result.duty_above("V1", 1.0) == pytest.approx(1 / 3, abs=0.04)
 
+    def test_measurements_on_one_run(self):
+        result = TransientSolver(rc_circuit()).run(
+            4e-3, 1e-5, {"V1": sine(1.0, 500.0)}
+        )
+        assert len(result.times) == 400
+        assert 0.0 < result.amplitude("out") < 1.0
+        assert 0.0 <= result.duty_above("out", 0.0) <= 1.0
+
     def test_comparator_output_bits(self):
         circuit = rc_circuit()
         solver = TransientSolver(circuit)
@@ -82,14 +90,19 @@ class TestErrors:
     def test_bad_step_rejected(self):
         with pytest.raises(AnalogError):
             TransientSolver(rc_circuit()).run(1e-3, 2e-3)
+
+    def test_initial_voltage_on_unknown_node_rejected(self):
         solver = TransientSolver(rc_circuit())
         with pytest.raises(AnalogError, match="no node named 'ghost'"):
             solver.run(1e-3, 1e-5, initial={"ghost": 1.0})
-        for name in ("Vghost", "R1"):
-            with pytest.raises(
-                AnalogError, match=f"no independent source named {name!r}"
-            ):
-                solver.run(1e-3, 1e-5, {name: step(1.0)})
+
+    @pytest.mark.parametrize("name", ["Vghost", "R1"])
+    def test_waveform_for_non_source_rejected(self, name):
+        solver = TransientSolver(rc_circuit())
+        with pytest.raises(
+            AnalogError, match=f"no independent source named {name!r}"
+        ):
+            solver.run(1e-3, 1e-5, {name: step(1.0)})
 
     def test_unknown_node_in_result(self):
         solver = TransientSolver(rc_circuit())
