@@ -206,12 +206,7 @@ class CampaignEngine:
     ``steps`` are the testable :class:`repro.core.AnalogElementTest`
     entries (each carries a stimulus and a digital vector); ``mixed`` is
     the circuit under test.  Returns one :class:`InjectionOutcome` per
-    fault, in fault order.
-
-    ``backend`` names the :mod:`repro.spice.backends` linear-system
-    backend the engine's analog solves go through; ``digital_engine``
-    selects the digital-response evaluator (the compiled levelized
-    circuit or the reference interpreter).  Engines only read ``mixed``.
+    fault, in fault order.  Engines only read ``mixed``.
     After :meth:`run` returns, :attr:`last_diagnostics` describes what
     actually ran (backend name, factorizations built, multi-RHS solve
     counters) — use :func:`get_engine` to obtain a fresh instance per
@@ -225,12 +220,7 @@ class CampaignEngine:
         self.last_diagnostics: dict | None = None
 
     def run(
-        self,
-        mixed,
-        steps: Sequence,
-        faults: Sequence[FaultSpec],
-        backend: str = "auto",
-        digital_engine: str = "compiled",
+        self, mixed, steps: Sequence, faults: Sequence[FaultSpec]
     ) -> list[InjectionOutcome]:
         raise NotImplementedError
 
@@ -246,17 +236,11 @@ class ReferenceEngine(CampaignEngine):
     name = "reference"
 
     def run(
-        self,
-        mixed,
-        steps: Sequence,
-        faults: Sequence[FaultSpec],
-        backend: str = "auto",
-        digital_engine: str = "compiled",
+        self, mixed, steps: Sequence, faults: Sequence[FaultSpec]
     ) -> list[InjectionOutcome]:
-        # The oracle deliberately ignores the backend and digital-engine
-        # selectors: its whole point is the unoptimized
-        # re-solve and re-interpret path the fast engine is checked
-        # against.
+        # The oracle takes no backend or digital-engine choice: its
+        # whole point is the unoptimized re-solve and re-interpret path
+        # the fast engine is checked against.
         self.last_diagnostics = {
             "engine": self.name,
             "backend": "dense",
@@ -337,6 +321,12 @@ class FactorizedEngine(CampaignEngine):
     collapse into one multi-RHS call per frequency and the
     update scalars vectorize across the whole population, with no
     per-fault Python/solver round trips.
+
+    Campaigns run it on the defaults.  ``backend`` (a
+    :mod:`repro.spice.backends` name) and ``digital_engine`` (the
+    compiled levelized circuit or the ``"reference"`` interpreter) are
+    there for ``repro audit`` and the differential tests, which check
+    that every choice yields the same outcomes.
     """
 
     name = "factorized"

@@ -19,8 +19,6 @@ everything else loads on first attribute access.
 
 from .config import (
     CAMPAIGN_ENGINES,
-    DIGITAL_ENGINES,
-    SIM_BACKENDS,
     AtpgConfig,
     CampaignConfig,
     ConfigError,
@@ -32,8 +30,6 @@ from .config import (
 __all__ = [
     "AtpgConfig",
     "CAMPAIGN_ENGINES",
-    "DIGITAL_ENGINES",
-    "SIM_BACKENDS",
     "CampaignConfig",
     "ConfigError",
     "GeneratorConfig",

@@ -12,7 +12,10 @@ equivalent:
   against the dict-walking interpreter;
 
 plus, when the artifact recorded campaign outcomes, recorded vs
-replayed.  Every comparison is on the *canonical campaign document*
+replayed.  Each variant is one direct engine call on the fault
+population the audit draws; the engines keep their ``backend`` and
+``digital_engine`` choices for exactly this, while campaigns always run
+the defaults.  Every comparison is on the *canonical campaign document*
 (the artifact codec's outcome list), compared byte-for-byte after
 canonical JSON serialization — the same bytes the fingerprints hash.
 
@@ -33,7 +36,12 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..analog.faultsim import draw_faults
+from ..analog.faultsim import (
+    CampaignResult,
+    FactorizedEngine,
+    ReferenceEngine,
+    draw_faults,
+)
 from ..core.fingerprint import canonical_json, fingerprint_of, sha256_text
 from .artifact import Artifact
 from .config import AtpgConfig, CampaignConfig, ConfigError, GeneratorConfig
@@ -50,16 +58,13 @@ AUDIT_PAIRS = (
     ("compiled-vs-reference-digital", "factorized", "digital-reference"),
 )
 
-#: config overrides per replay variant (applied to the normalized base).
+#: replay variant -> (engine class, keyword arguments of its ``run``).
 _VARIANTS = {
-    "factorized": {"engine": "factorized"},
-    "reference": {"engine": "reference"},
-    "dense": {"engine": "factorized", "backend": "dense"},
-    "sparse": {"engine": "factorized", "backend": "sparse"},
-    "digital-reference": {
-        "engine": "factorized",
-        "digital_engine": "reference",
-    },
+    "factorized": (FactorizedEngine, {}),
+    "reference": (ReferenceEngine, {}),
+    "dense": (FactorizedEngine, {"backend": "dense"}),
+    "sparse": (FactorizedEngine, {"backend": "sparse"}),
+    "digital-reference": (FactorizedEngine, {"digital_engine": "reference"}),
 }
 
 
@@ -178,26 +183,15 @@ def _configs_from(artifact: Artifact):
     configs = artifact.meta.get("configs") or {}
     try:
         return (
-            GeneratorConfig().replace(**(configs.get("generator") or {})),
+            GeneratorConfig.from_document(configs.get("generator") or {}),
             CampaignConfig.from_document(configs.get("campaign") or {}),
-            AtpgConfig().replace(**(configs.get("atpg") or {})),
+            AtpgConfig.from_document(configs.get("atpg") or {}),
         )
     except TypeError as error:
         raise ConfigError(
             f"report artifact records configs this version cannot load: "
             f"{error}"
         ) from None
-
-
-def _normalize(campaign: CampaignConfig) -> CampaignConfig:
-    """The single-process, side-effect-free base config every variant
-    derives from: parity is about outcomes, not execution strategy."""
-    return campaign.replace(
-        shards=1,
-        shard_workers=None,
-        cache_dir=None,
-        chaos=None,
-    )
 
 
 def run_audit(
@@ -219,7 +213,6 @@ def run_audit(
     if not circuit_name:
         raise ConfigError("report artifact names no circuit to replay")
     generator, campaign, atpg = _configs_from(artifact)
-    base = _normalize(campaign)
 
     # Replay the recorded generation stages (the campaign itself is
     # re-run per variant below): stages like "deviation" shape the
@@ -233,29 +226,31 @@ def run_audit(
         mixed, stages=stages, generator=generator, atpg=atpg
     )
     report = replayed.report
-    rng = random.Random(base.seed)
+    rng = random.Random(campaign.seed)
     testable = [t for t in report.analog_tests if t.testable]
     faults = draw_faults(
-        testable, base.faults_per_element, base.severity_range, rng
+        testable, campaign.faults_per_element, campaign.severity_range, rng
     )
-    fingerprint = campaign_fingerprint(mixed.name, base, faults, testable)
+    fingerprint = campaign_fingerprint(mixed.name, campaign, faults, testable)
 
     audit = AuditResult(
         circuit=mixed.name, fingerprint=fingerprint, n_faults=len(faults)
     )
     documents: dict[str, dict] = {}
     for variant in sorted({v for _, a, b in AUDIT_PAIRS for v in (a, b)}):
-        config = base.replace(**_VARIANTS[variant])
+        engine, options = _VARIANTS[variant]
         document = _cached_replay(
-            cache, fingerprint, variant, mixed, report, config
+            cache, fingerprint, variant, mixed, testable, faults
         )
         documents[variant] = document
         audit.variants[variant] = {
             "sha256": sha256_text(canonical_json(document)),
             "n_outcomes": len(document.get("outcomes", [])),
             "config": {
-                key: getattr(config, key)
-                for key in ("engine", "backend", "digital_engine")
+                "engine": engine.name,
+                "backend": "auto",
+                "digital_engine": "compiled",
+                **options,
             },
         }
     for pair, left, right in AUDIT_PAIRS:
@@ -281,10 +276,8 @@ def run_audit(
     return audit
 
 
-def _cached_replay(cache, fingerprint, variant, mixed, report, config):
+def _cached_replay(cache, fingerprint, variant, mixed, steps, faults):
     """One variant's canonical campaign document, cache-served if known."""
-    from ..core.campaign import run_campaign
-
     key = fingerprint_of(
         {
             "kind": "audit-replay",
@@ -298,8 +291,11 @@ def _cached_replay(cache, fingerprint, variant, mixed, report, config):
             AUDIT_NAMESPACE
         ):
             return entry.payload["document"]
-    result = run_campaign(mixed, report, config=config)
-    document = Artifact.from_campaign(result).payload
+    engine, options = _VARIANTS[variant]
+    outcomes = engine().run(mixed, steps, faults, **options)
+    document = Artifact.from_campaign(
+        CampaignResult(outcomes=outcomes)
+    ).payload
     if cache is not None:
         cache.put_artifact(
             AUDIT_NAMESPACE,

@@ -41,9 +41,6 @@ from collections.abc import Sequence
 
 from .config import (
     CAMPAIGN_ENGINES,
-    DIGITAL_ENGINES,
-    SIM_BACKENDS,
-    AtpgConfig,
     CampaignConfig,
     ConfigError,
     GeneratorConfig,
@@ -144,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--chaos", metavar="PLAN", default=None,
         help="deterministic fault-injection plan (JSON, see "
-        "repro.devtools.chaos; $REPRO_CHAOS is honoured when unset)",
+        "repro.devtools.chaos)",
     )
     p_camp.add_argument("--json", metavar="PATH", default=None)
     _add_generator_options(p_camp)
@@ -243,10 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     p_submit.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None)
-    p_submit.add_argument("--backend", choices=SIM_BACKENDS, default=None)
-    p_submit.add_argument(
-        "--digital-engine", choices=DIGITAL_ENGINES, default=None
-    )
     p_submit.add_argument("--shards", type=int, default=None, metavar="N")
     p_submit.add_argument("--tolerance", type=float, default=None)
     p_submit.add_argument(
@@ -352,16 +345,6 @@ def _add_generator_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--element-tolerance", type=float, default=None)
     parser.add_argument("--comparator-budget", type=int, default=None)
     parser.add_argument(
-        "--backend", choices=SIM_BACKENDS, default=None,
-        help="linear-system backend for analog solves "
-        "(auto picks sparse above the node-count threshold)",
-    )
-    parser.add_argument(
-        "--digital-engine", choices=DIGITAL_ENGINES, default=None,
-        help="digital fault-simulation engine (compiled cone-limited "
-        "fast path or the reference interpreter)",
-    )
-    parser.add_argument(
         "--no-digital", action="store_true",
         help="skip the digital ATPG stage",
     )
@@ -379,12 +362,6 @@ def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
         include_digital=False if args.no_digital else None,
         include_unconstrained=True if args.unconstrained else None,
     )
-
-
-def _atpg_config(args: argparse.Namespace) -> AtpgConfig | None:
-    if args.digital_engine is None:
-        return None  # let session/config defaults apply
-    return AtpgConfig().with_overrides(engine=args.digital_engine)
 
 
 def _stages(args: argparse.Namespace) -> tuple[str, ...] | None:
@@ -408,19 +385,10 @@ def _cmd_list(wb: Workbench, args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(wb: Workbench, args: argparse.Namespace) -> int:
-    campaign = (
-        CampaignConfig().with_overrides(
-            backend=args.backend, digital_engine=args.digital_engine
-        )
-        if args.backend is not None or args.digital_engine is not None
-        else None
-    )
     result = wb.generate(
         args.circuit,
         stages=_stages(args),
         generator=_generator_config(args),
-        campaign=campaign,
-        atpg=_atpg_config(args),
     )
     print(result.summary())
     if args.json:
@@ -448,8 +416,6 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         severity_range=None if args.severity is None else tuple(args.severity),
         seed=args.seed,
         engine=args.engine,
-        backend=args.backend,
-        digital_engine=args.digital_engine,
         shards=args.shards,
         shard_workers=args.shard_workers,
         cache_dir=cache_dir,
@@ -465,7 +431,6 @@ def _cmd_campaign(wb: Workbench, args: argparse.Namespace) -> int:
         args.circuit,
         campaign=_campaign_config(args),
         generator=_generator_config(args),
-        atpg=_atpg_config(args),
     )
     print(result.summary())
     if args.json:
@@ -695,8 +660,6 @@ def _cmd_submit(wb: Workbench, args: argparse.Namespace) -> int:
                 if args.severity is None
                 else list(args.severity),
                 "engine": args.engine,
-                "backend": args.backend,
-                "digital_engine": args.digital_engine,
                 "shards": args.shards,
             }.items()
             if value is not None

@@ -29,21 +29,17 @@ BDD_ORDERINGS = ("fanin", "declaration")
 #: ``repro.analog.faultsim.ENGINES``; the test suite cross-checks).
 CAMPAIGN_ENGINES = ("factorized", "reference")
 
-#: linear-system backends behind the simulation layer (must mirror
-#: ``repro.spice.backends.BACKEND_NAMES``; the test suite cross-checks).
-#: ``"auto"`` picks sparse at/above the node-count threshold.
-SIM_BACKENDS = ("auto", "dense", "sparse")
-
-#: digital fault-simulation engines (must mirror
-#: ``repro.digital.simulate.DIGITAL_ENGINES``; the test suite
-#: cross-checks).  ``"compiled"`` is the levelized cone-limited fast
-#: path; ``"reference"`` the whole-circuit oracle interpreter.
-DIGITAL_ENGINES = ("compiled", "reference")
-
 #: :class:`CampaignConfig` fields earlier releases recorded in job files
 #: and report metadata; :meth:`CampaignConfig.from_document` drops them.
 RETIRED_CAMPAIGN_FIELDS = frozenset(
-    {"batch", "checkpoint_dir", "factor_cache_size", "max_workers"}
+    {
+        "backend",
+        "batch",
+        "checkpoint_dir",
+        "digital_engine",
+        "factor_cache_size",
+        "max_workers",
+    }
 )
 
 
@@ -94,6 +90,25 @@ class _Replaceable:
     def as_dict(self) -> dict:
         """Field values as a plain dict (for artifact metadata)."""
         return dataclasses.asdict(self)
+
+    #: fields earlier releases recorded that :meth:`from_document` drops.
+    _retired = frozenset()
+
+    @classmethod
+    def from_document(cls, document: dict):
+        """Rebuild a config from its :meth:`as_dict` JSON form.
+
+        Retired fields, which job files and report metadata of earlier
+        releases still carry, are dropped; any other unknown field
+        raises :class:`ConfigError`.
+        """
+        return cls().replace(
+            **{
+                name: value
+                for name, value in document.items()
+                if name not in cls._retired
+            }
+        )
 
 
 def _require(condition: bool, message: str) -> None:
@@ -153,14 +168,6 @@ class CampaignConfig(_Replaceable):
             differential tests check the fast engine against).  Both
             produce the same seeded outcome lists, barring a gain that
             lands on a comparator threshold to within rounding.
-        backend: linear-system backend for the campaign's analog solves
-            — ``"auto"`` (sparse at/above the node-count threshold,
-            dense below), ``"dense"`` or ``"sparse"``.
-        digital_engine: digital-response evaluator inside the fast
-            campaign engine — ``"compiled"`` (levelized single-pattern
-            evaluation, the default) or ``"reference"`` (the classic
-            dict-walking interpreter).  The ``"reference"`` *campaign*
-            engine always uses the interpreter: it is the oracle.
         shards: split the seeded fault population into this many
             deterministic, contiguous index slices executed in worker
             *processes* (:mod:`repro.core.sharding`); ``1`` (the
@@ -219,8 +226,6 @@ class CampaignConfig(_Replaceable):
     severity_range: tuple[float, float] = (0.5, 3.0)
     seed: int = 2024
     engine: str = "factorized"
-    backend: str = "auto"
-    digital_engine: str = "compiled"
     shards: int = 1
     shard_workers: int | None = None
     cache_dir: str | None = None
@@ -230,6 +235,8 @@ class CampaignConfig(_Replaceable):
     quarantine: bool = True
     heartbeat_interval: float | None = None
     chaos: str | None = None
+
+    _retired = RETIRED_CAMPAIGN_FIELDS
 
     def __post_init__(self) -> None:
         _require(
@@ -249,15 +256,6 @@ class CampaignConfig(_Replaceable):
         _require(
             self.engine in CAMPAIGN_ENGINES,
             f"engine must be one of {CAMPAIGN_ENGINES}, got {self.engine!r}",
-        )
-        _require(
-            self.backend in SIM_BACKENDS,
-            f"backend must be one of {SIM_BACKENDS}, got {self.backend!r}",
-        )
-        _require(
-            self.digital_engine in DIGITAL_ENGINES,
-            f"digital_engine must be one of {DIGITAL_ENGINES}, got "
-            f"{self.digital_engine!r}",
         )
         _require(
             self.shards >= 1,
@@ -299,21 +297,12 @@ class CampaignConfig(_Replaceable):
 
     @classmethod
     def from_document(cls, document: dict) -> "CampaignConfig":
-        """Rebuild a config from its :meth:`as_dict` JSON form.
-
-        JSON stores ``severity_range`` as a list; it comes back as a
-        tuple.  The :data:`RETIRED_CAMPAIGN_FIELDS`, which job files and
-        report metadata of earlier releases still carry, are dropped;
-        any other unknown field raises :class:`ConfigError`.
-        """
-        changes = {
-            name: value
-            for name, value in document.items()
-            if name not in RETIRED_CAMPAIGN_FIELDS
-        }
-        if isinstance(changes.get("severity_range"), list):
-            changes["severity_range"] = tuple(changes["severity_range"])
-        return cls().replace(**changes)
+        """As :meth:`_Replaceable.from_document`; JSON stores
+        ``severity_range`` as a list, and it comes back as a tuple."""
+        document = dict(document)
+        if isinstance(document.get("severity_range"), list):
+            document["severity_range"] = tuple(document["severity_range"])
+        return super().from_document(document)
 
 
 @dataclass(frozen=True)
@@ -326,30 +315,24 @@ class AtpgConfig(_Replaceable):
         collapse: equivalence-collapse the default fault universe.
         constrained: apply the conversion block's thermometer ``Fc``
             (mixed-circuit case); ``False`` tests the block stand-alone.
-        engine: digital fault-simulation engine behind compaction and
-            vector verification — the compiled cone-limited fast path
-            or the reference interpreter (identical vector lists).
         simulation_check: cross-check every generated vector by
-            fault-simulating it against its target fault (cheap with
-            the compiled engine; raises on disagreement between the
-            BDD algebra and the simulator).
+            fault-simulating it against its target fault (one
+            cone-limited compiled pass per vector; raises on
+            disagreement between the BDD algebra and the simulator).
     """
 
     ordering: str = "fanin"
     compact: bool = True
     collapse: bool = True
     constrained: bool = True
-    engine: str = "compiled"
     simulation_check: bool = False
+
+    _retired = frozenset({"engine"})
 
     def __post_init__(self) -> None:
         _require(
             self.ordering in BDD_ORDERINGS,
             f"ordering must be one of {BDD_ORDERINGS}, got {self.ordering!r}",
-        )
-        _require(
-            self.engine in DIGITAL_ENGINES,
-            f"engine must be one of {DIGITAL_ENGINES}, got {self.engine!r}",
         )
 
 

@@ -19,7 +19,6 @@ from ..bdd.ops import constraint_from_terms
 from ..digital.compiled import CompiledFaultSimulator
 from ..digital.faults import Fault, collapse_faults, fault_universe
 from ..digital.netlist import Circuit
-from ..digital.simulate import compact_vectors
 from .ckt2bdd import CircuitBdd
 from .stuckat import StuckAtGenerator, TestResult, TestStatus
 
@@ -148,8 +147,7 @@ def run_atpg(
             ``config.constrained`` is ``False``.
         config: typed configuration (:class:`repro.api.AtpgConfig`):
             BDD variable ordering, vector compaction, fault collapsing
-            (when ``faults`` is None), the digital engine and the
-            simulation cross-check.
+            (when ``faults`` is None) and the simulation cross-check.
         cbdd: an already-compiled circuit BDD for ``circuit`` to reuse
             (the workbench's shared-manager path); ``config.ordering``
             is then ignored and compilation time is not re-paid.
@@ -173,7 +171,6 @@ def run_atpg(
         cbdd,
         constraint=fc,
         simulation_check=config.simulation_check,
-        engine=config.engine,
     )
     results = [generator.generate(fault) for fault in faults]
     raw_vectors = [r.vector for r in results if r.vector is not None]
@@ -189,17 +186,12 @@ def run_atpg(
     faultsim_stats: dict | None = None
     if config.compact and unique:
         detected = [r.fault for r in results if r.status is TestStatus.DETECTED]
-        if config.engine == "compiled":
-            # The engine object keeps the single-pass compaction
-            # diagnostics the plain function would discard.
-            simulator = CompiledFaultSimulator(circuit)
-            vectors = simulator.compact(unique, detected)
-            if simulator.last_diagnostics is not None:
-                faultsim_stats = simulator.last_diagnostics.as_dict()
-        else:
-            vectors = compact_vectors(
-                circuit, unique, detected, engine=config.engine
-            )
+        # The engine object keeps the single-pass compaction
+        # diagnostics the plain compact_vectors would discard.
+        simulator = CompiledFaultSimulator(circuit)
+        vectors = simulator.compact(unique, detected)
+        if simulator.last_diagnostics is not None:
+            faultsim_stats = simulator.last_diagnostics.as_dict()
     else:
         vectors = unique
     elapsed = time.perf_counter() - start
@@ -213,7 +205,7 @@ def run_atpg(
         vectors=vectors,
         cpu_seconds=elapsed,
         diagnostics={
-            "digital_engine": config.engine,
+            "digital_engine": "compiled",
             "simulation_checks": generator.simulation_checks,
             "compaction": faultsim_stats,
             "bdd": cbdd.mgr.cache_stats(),

@@ -99,11 +99,9 @@ class StuckAtGenerator:
         count_vectors: when true, each result carries ``test_set_size``
             (exponential-free — BDD sat-count).
         simulation_check: replay every generated vector through the
-            fault simulator and raise :class:`SimulationCheckError` if
-            it fails to detect its target fault.  Cheap with the
-            compiled engine — one cone-limited faulty pass per vector.
-        engine: :data:`repro.digital.simulate.DIGITAL_ENGINES` member
-            used for the replay.
+            compiled fault simulator and raise
+            :class:`SimulationCheckError` if it fails to detect its
+            target fault — one cone-limited faulty pass per vector.
     """
 
     def __init__(
@@ -112,14 +110,12 @@ class StuckAtGenerator:
         constraint: int = TRUE,
         count_vectors: bool = False,
         simulation_check: bool = False,
-        engine: str = "compiled",
     ):
         self.cbdd = cbdd
         self.mgr = cbdd.mgr
         self.constraint = constraint
         self.count_vectors = count_vectors
         self.simulation_check = simulation_check
-        self.engine = engine
         #: vectors replayed through the fault simulator so far.
         self.simulation_checks = 0
         self._n_inputs = len(cbdd.circuit.inputs)
@@ -249,14 +245,12 @@ class StuckAtGenerator:
         full_vector = self._complete(vector)
         if self.simulation_check:
             self.simulation_checks += 1
-            replay = fault_simulate(
-                self.cbdd.circuit, [full_vector], [fault], engine=self.engine
-            )
+            replay = fault_simulate(self.cbdd.circuit, [full_vector], [fault])
             if not replay[fault]:
                 raise SimulationCheckError(
                     f"BDD algebra produced vector {full_vector} for fault "
-                    f"{fault}, but the {self.engine!r} fault simulator "
-                    "does not see a detection"
+                    f"{fault}, but the fault simulator does not see a "
+                    "detection"
                 )
         # ``full_vector`` satisfies ``s``, so every local factor of the
         # site's chain is 1 there and ``∂PO_o/∂l`` evaluates like the

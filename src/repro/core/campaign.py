@@ -61,11 +61,7 @@ def run_campaign(
     ``config`` (a :class:`repro.api.CampaignConfig`, default-constructed
     when ``None``) is the one configuration surface.  Its ``engine``
     selects the :mod:`repro.analog.faultsim` implementation
-    (``"factorized"`` fast path or the ``"reference"`` oracle);
-    ``backend`` the :mod:`repro.spice.backends` linear-system backend
-    the engine's analog solves run on; ``digital_engine`` the digital
-    response evaluator inside the fast engine (``"compiled"``
-    levelized circuit or the ``"reference"`` interpreter).  The
+    (``"factorized"`` fast path or the ``"reference"`` oracle).  The
     returned result's ``diagnostics`` records which backend/engines
     actually ran and how many LU factorizations it built.
 
@@ -99,13 +95,7 @@ def run_campaign(
             mixed, testable, faults, config, progress=progress
         )
     engine_instance = get_engine(config.engine)
-    outcomes = engine_instance.run(
-        mixed,
-        testable,
-        faults,
-        backend=config.backend,
-        digital_engine=config.digital_engine,
-    )
+    outcomes = engine_instance.run(mixed, testable, faults)
     return CampaignResult(
         outcomes=outcomes, diagnostics=engine_instance.last_diagnostics
     )

@@ -89,20 +89,14 @@ class MixedTestReport:
             return None
         return getattr(self.digital_run, "diagnostics", None)
 
-    def grade_digital(
-        self,
-        circuit,
-        faults: list | None = None,
-        engine: str = "compiled",
-    ) -> float:
+    def grade_digital(self, circuit, faults: list | None = None) -> float:
         """Independently fault-grade the emitted digital vector set.
 
-        Replays the ATPG stage's (compacted) vectors through the named
-        fault-simulation engine — the compiled cone-limited path by
-        default — against ``faults`` (default: the collapsed universe
-        the ATPG itself targeted).  This measures the paper's ``#vect``
-        claim with a simulator that shares no code with the BDD algebra
-        that produced the vectors.
+        Replays the ATPG stage's (compacted) vectors through the
+        compiled cone-limited fault simulator against ``faults``
+        (default: the collapsed universe the ATPG itself targeted).
+        This measures the paper's ``#vect`` claim with a simulator that
+        shares no code with the BDD algebra that produced the vectors.
         """
         from ..digital.faults import collapse_faults, fault_universe
         from ..digital.simulate import coverage as fault_coverage
@@ -111,9 +105,7 @@ class MixedTestReport:
             raise ValueError("report has no digital ATPG run to grade")
         if faults is None:
             faults = collapse_faults(circuit, fault_universe(circuit))
-        return fault_coverage(
-            circuit, self.digital_run.vectors, faults, engine=engine
-        )
+        return fault_coverage(circuit, self.digital_run.vectors, faults)
 
     @property
     def n_analog_testable(self) -> int:

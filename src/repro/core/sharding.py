@@ -193,7 +193,10 @@ def campaign_fingerprint(
     results) and every config field that can influence an outcome.
     Shard counts, worker counts, the cache directory and the resilience
     knobs are deliberately *excluded*: outcomes are independent of how
-    the work is split, persisted or recovered.
+    the work is split, persisted or recovered.  ``backend`` and
+    ``digital_engine`` are constants naming what every campaign runs on
+    (the ``auto`` backend, the compiled digital engine); they keep the
+    digests of earlier releases, whose configs carried them.
     """
     document = {
         "circuit": circuit_name,
@@ -201,8 +204,8 @@ def campaign_fingerprint(
         "faults_per_element": config.faults_per_element,
         "severity_range": list(config.severity_range),
         "engine": config.engine,
-        "backend": config.backend,
-        "digital_engine": config.digital_engine,
+        "backend": "auto",
+        "digital_engine": "compiled",
         "faults": [[f.element, f.deviation, f.severity] for f in faults],
         "steps": [_step_document(step) for step in steps],
     }
@@ -232,8 +235,8 @@ def shard_fingerprint(
         "kind": "campaign-shard",
         "circuit": circuit_name,
         "engine": config.engine,
-        "backend": config.backend,
-        "digital_engine": config.digital_engine,
+        "backend": "auto",
+        "digital_engine": "compiled",
         "faults": [[f.element, f.deviation, f.severity] for f in faults],
         "steps": [_step_document(step) for step in steps],
     }
@@ -339,7 +342,7 @@ def _active_plan(config: CampaignConfig) -> "ChaosPlan | None":
     Imported lazily and only when a spec is present, so campaigns never
     pay for :mod:`repro.devtools` unless chaos is actually requested.
     """
-    if config.chaos is None and not os.environ.get("REPRO_CHAOS"):
+    if config.chaos is None:
         return None
     from ..devtools.chaos import resolve_plan
 
@@ -349,15 +352,10 @@ def _active_plan(config: CampaignConfig) -> "ChaosPlan | None":
 def _execute_shard(context: _ShardContext, index: int) -> ShardRun:
     """Run one shard's fault slice on a fresh engine instance."""
     start, stop = context.bounds[index]
-    config = context.config
-    engine = get_engine(config.engine)
+    engine = get_engine(context.config.engine)
     begin = time.perf_counter()
     outcomes = engine.run(
-        context.mixed,
-        context.steps,
-        list(context.faults[start:stop]),
-        backend=config.backend,
-        digital_engine=config.digital_engine,
+        context.mixed, context.steps, list(context.faults[start:stop])
     )
     return ShardRun(
         index=index,
@@ -898,10 +896,8 @@ def run_sharded_campaign(
         "shard_workers": workers if use_processes else 1,
         "process_pool": use_processes,
         "fingerprint": fingerprint,
-        "resumed_shards": resumed,
-        # The same indices: every shard this run did not execute was
-        # served by the cache.  Both names have readers.
-        "shards_from_cache": list(resumed),
+        # Every shard this run did not execute was served by the cache.
+        "shards_from_cache": resumed,
         "shards_executed": sum(
             1 for run in runs.values() if not run.resumed
         ),

@@ -23,11 +23,12 @@ Sites and the actions they honour::
     http          "METHOD /path" (or *)   raise
 
 Activation: :func:`resolve_plan` takes an explicit JSON spec
-(``CampaignConfig.chaos``) and falls back to the ``REPRO_CHAOS``
-environment variable.  Chaos is a dev/test harness: the ``chaos`` field
-is excluded from campaign fingerprints (it perturbs *execution*, never
-outcome identity — any run that completes produces the same bytes), and
-an unset plan costs one ``None`` check per hook.
+(``CampaignConfig.chaos`` / ``--chaos``, or the ``chaos=`` argument of
+the service's ``Scheduler`` and ``make_server``).  Chaos is a dev/test
+harness: the ``chaos`` field is excluded from campaign fingerprints (it
+perturbs *execution*, never outcome identity — any run that completes
+produces the same bytes), and an unset plan costs one ``None`` check
+per hook.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 __all__ = [
-    "CHAOS_ENV",
     "CHAOS_SITES",
     "CHAOS_ACTIONS",
     "KILL_EXIT_CODE",
@@ -48,9 +48,6 @@ __all__ = [
     "ChaosPlan",
     "resolve_plan",
 ]
-
-#: environment hook: a JSON plan document activates chaos process-wide.
-CHAOS_ENV = "REPRO_CHAOS"
 
 #: every injection site wired into the stack.
 CHAOS_SITES = ("shard", "checkpoint", "merge", "job", "http")
@@ -242,19 +239,13 @@ class ChaosPlan:
         return cls(events=tuple(events))
 
 
-def resolve_plan(
-    spec: str | None = None,
-    environ: Mapping[str, str] | None = None,
-) -> ChaosPlan | None:
-    """The active plan: explicit ``spec`` first, then ``$REPRO_CHAOS``.
+def resolve_plan(spec: str | None = None) -> ChaosPlan | None:
+    """The plan a JSON ``spec`` describes.
 
-    Returns ``None`` — the production fast path — when neither source
-    is set.  An empty-events plan is returned as ``None`` too: no
-    events means no chaos.
+    Returns ``None`` — the production fast path — when ``spec`` is
+    unset.  An empty-events plan is returned as ``None`` too: no events
+    means no chaos.
     """
-    if spec is None:
-        env = environ if environ is not None else os.environ
-        spec = env.get(CHAOS_ENV)
     if not spec:
         return None
     plan = ChaosPlan.from_json(spec)

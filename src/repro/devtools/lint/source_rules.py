@@ -45,6 +45,8 @@ _ARTIFACT_MODULE = "repro/api/artifact.py"
 _SHARDING_MODULE = "repro/core/sharding.py"
 _JOBS_MODULE = "repro/service/jobs.py"
 _FINGERPRINT_MODULE = "repro/core/fingerprint.py"
+_BACKENDS_MODULE = "repro/spice/backends.py"
+_SIMULATE_MODULE = "repro/digital/simulate.py"
 
 
 # ----------------------------------------------------------------------
@@ -598,18 +600,22 @@ class Eng004UnknownEngineName(Rule):
     title = "engine/backend literal is not a registered name"
     rationale = (
         "Engine and backend names are registries (CAMPAIGN_ENGINES, "
-        "SIM_BACKENDS, DIGITAL_ENGINES) that configs validate at "
-        "runtime — but comparisons and call sites deep in the stack "
-        "are not validated, so a typo ('factorised', 'spare') silently "
-        "selects a dead branch instead of failing.  Every literal must "
-        "be a member of its registry."
+        "BACKEND_NAMES, DIGITAL_ENGINES) that configs and engines "
+        "validate at runtime — but comparisons and call sites deep in "
+        "the stack are not validated, so a typo ('factorised', 'spare') "
+        "silently selects a dead branch instead of failing.  Every "
+        "literal must be a member of its registry."
     )
 
-    #: keyword / attribute name -> registry constants that define it.
+    #: keyword / attribute name -> (module, registry constant) pairs
+    #: that define it; each registry is read where it is defined.
     _SOURCES = {
-        "engine": ("CAMPAIGN_ENGINES", "DIGITAL_ENGINES"),
-        "backend": ("SIM_BACKENDS",),
-        "digital_engine": ("DIGITAL_ENGINES",),
+        "engine": (
+            (_CONFIG_MODULE, "CAMPAIGN_ENGINES"),
+            (_SIMULATE_MODULE, "DIGITAL_ENGINES"),
+        ),
+        "backend": ((_BACKENDS_MODULE, "BACKEND_NAMES"),),
+        "digital_engine": ((_SIMULATE_MODULE, "DIGITAL_ENGINES"),),
     }
 
     def __init__(self, known: Mapping[str, frozenset[str]] | None = None):
@@ -620,10 +626,10 @@ class Eng004UnknownEngineName(Rule):
             self._known = {
                 key: frozenset(
                     name
-                    for constant in constants
-                    for name in project.tuple_constant(_CONFIG_MODULE, constant)
+                    for module, constant in sources
+                    for name in project.tuple_constant(module, constant)
                 )
-                for key, constants in self._SOURCES.items()
+                for key, sources in self._SOURCES.items()
             }
         return self._known
 

@@ -144,14 +144,17 @@ class Circuit:
         return {g.output: g.fanins for g in self.gates.values()}
 
     def topological_order(self) -> list[str]:
-        """Gate outputs in dependency order; raises on cycles/missing drivers."""
-        if self._topo_dirty():
-            self._topo = self._compute_topo()
-            self._topo_count = len(self.gates)
-        return list(self._topo)
+        """Gate outputs in dependency order; raises on cycles/missing drivers.
 
-    def _topo_dirty(self) -> bool:
-        return getattr(self, "_topo_count", -1) != len(self.gates)
+        Memoized on the netlist's content — the inputs and the
+        :class:`Gate` objects, in order — so any edit recomputes it,
+        including one that keeps the gate count.
+        """
+        key = (tuple(self.inputs), tuple(self.gates.values()))
+        if getattr(self, "_topo_key", None) != key:
+            self._topo = self._compute_topo()
+            self._topo_key = key
+        return list(self._topo)
 
     def _compute_topo(self) -> list[str]:
         input_set = self._input_set()

@@ -42,8 +42,9 @@ __all__ = [
     "coverage",
 ]
 
-#: fault-simulation engines behind the digital hot path (mirrored by
-#: ``repro.api.config.DIGITAL_ENGINES``; the test suite cross-checks).
+#: fault-simulation engines behind the digital hot path: ``"compiled"``
+#: is the levelized cone-limited fast path, ``"reference"`` the
+#: whole-circuit oracle interpreter the differential tests compare it to.
 DIGITAL_ENGINES = ("compiled", "reference")
 
 #: patterns per simulation pass — multiple 64-bit words for the

@@ -285,8 +285,8 @@ class ServiceServer(ThreadingHTTPServer):
         self.verbose = verbose
         self.request_timeout = request_timeout
         #: a ChaosPlan whose ``http`` site injects per-route failures;
-        #: defaults to the scheduler's plan so one $REPRO_CHAOS/flag
-        #: covers the whole service process.
+        #: defaults to the scheduler's plan so one plan covers the whole
+        #: service process.
         self.chaos = chaos if chaos is not None else scheduler.chaos
 
     @property
@@ -316,8 +316,8 @@ def make_server(
     immediately); call ``serve_forever()`` on the result to accept
     requests, ``shutdown()`` to stop both the sockets and the workers.
     ``retry`` is the scheduler's job :class:`repro.core.resilience.
-    RetryPolicy`; ``chaos`` (a plan or a JSON plan string; ``None`` also
-    honours ``$REPRO_CHAOS``) injects deterministic failures for tests.
+    RetryPolicy`; ``chaos`` (a plan or a JSON plan string) injects
+    deterministic failures for tests.
     """
     queue = JobQueue(root)
     scheduler = Scheduler(

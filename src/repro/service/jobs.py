@@ -47,7 +47,6 @@ content-addressed store under the spec fingerprint.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -165,9 +164,9 @@ class JobSpec:
         Missing config sections (or fields) take their defaults; unknown
         sections or fields raise :class:`repro.api.ConfigError` — a
         malformed HTTP submission must fail loudly, not half-apply.
-        Campaign fields retired since a document was written are dropped
-        (:meth:`repro.api.CampaignConfig.from_document`), so job files
-        of earlier releases keep loading.
+        Config fields retired since a document was written are dropped
+        (:meth:`repro.api.CampaignConfig.from_document` and its
+        siblings), so job files of earlier releases keep loading.
         """
         if not isinstance(document, dict):
             raise ConfigError(
@@ -195,8 +194,8 @@ class JobSpec:
         return cls(
             circuit=circuit,
             campaign=CampaignConfig.from_document(section("campaign")),
-            generator=GeneratorConfig().replace(**section("generator")),
-            atpg=AtpgConfig().replace(**section("atpg")),
+            generator=GeneratorConfig.from_document(section("generator")),
+            atpg=AtpgConfig.from_document(section("atpg")),
         )
 
     def fingerprint(self) -> str:
@@ -205,7 +204,10 @@ class JobSpec:
         Mirrors :func:`repro.core.sharding.campaign_fingerprint`'s
         exclusion contract: shard/worker/cache knobs change
         how the work is split, never what it produces, so respecting
-        them in the key would defeat deduplication.
+        them in the key would defeat deduplication.  ``backend`` and
+        ``digital_engine`` are constants: every campaign runs on the
+        ``auto`` backend and the compiled digital engine, and keeping
+        the keys keeps stored dedup keys valid.
         """
         campaign = self.campaign
         document = {
@@ -216,8 +218,8 @@ class JobSpec:
                 "faults_per_element": campaign.faults_per_element,
                 "severity_range": list(campaign.severity_range),
                 "engine": campaign.engine,
-                "backend": campaign.backend,
-                "digital_engine": campaign.digital_engine,
+                "backend": "auto",
+                "digital_engine": "compiled",
             },
             "generator": self.generator.as_dict(),
         }
@@ -631,8 +633,8 @@ class Scheduler:
             else RetryPolicy(max_attempts=2, base_delay=0.1)
         )
         #: dev/test fault injection (a ChaosPlan, a JSON plan string, or
-        #: None — which also honours the $REPRO_CHAOS env hook).
-        if chaos is None and not os.environ.get("REPRO_CHAOS"):
+        #: None).
+        if chaos is None:
             self.chaos = None
         else:
             from ..devtools.chaos import ChaosPlan, resolve_plan

@@ -86,7 +86,7 @@ SPARSE_AUTO_THRESHOLD = 128
 DENSE_LU_THRESHOLD = 24
 
 #: user-facing backend spellings accepted everywhere a backend can be
-#: chosen (solver constructors, ``sweep``, configs, the CLI).
+#: chosen (solver constructors, ``sweep``, ``FactorizedEngine.run``).
 BACKEND_NAMES = ("auto", "dense", "sparse")
 
 

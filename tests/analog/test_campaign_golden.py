@@ -55,7 +55,14 @@ def _golden_artifact(result: CampaignResult) -> Artifact:
         circuit="fig4",
         meta={
             "golden": True,
-            "config": CONFIG.as_dict(),
+            # The golden predates the retired ``backend`` and
+            # ``digital_engine`` fields; it records the values every
+            # campaign still runs on.
+            "config": {
+                **CONFIG.as_dict(),
+                "backend": "auto",
+                "digital_engine": "compiled",
+            },
             "regenerate": "PYTHONPATH=src python "
             "tests/analog/test_campaign_golden.py",
         },

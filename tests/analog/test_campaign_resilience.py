@@ -79,6 +79,24 @@ def baseline(prepared):
     return run_campaign(mixed, report, config=_config())
 
 
+class TestChaosSources:
+    def test_environment_variable_injects_nothing(
+        self, prepared, baseline, monkeypatch
+    ):
+        # Chaos comes only from the config (or the service's chaos=
+        # argument): a plan left in the environment of a production
+        # process must not fail its merge.
+        monkeypatch.setenv(
+            "REPRO_CHAOS", _chaos(ChaosEvent(site="merge", key="merge"))
+        )
+        mixed, report = prepared
+        result = run_campaign(
+            mixed, report, config=_config(shards=2, shard_workers=1)
+        )
+        assert not result.partial
+        assert _outcome_key(result) == _outcome_key(baseline)
+
+
 class TestRetryRecovery:
     def test_shard_exception_retried_to_identical_result(
         self, prepared, baseline
@@ -271,7 +289,7 @@ class TestQuarantine:
             mixed, report, config=broken.replace(chaos=None)
         )
         assert not healed.partial
-        assert healed.diagnostics["resumed_shards"] == [0, 2]
+        assert healed.diagnostics["shards_from_cache"] == [0, 2]
         assert _outcome_key(healed) == _outcome_key(baseline)
         # Success clears the quarantine evidence.
         assert not evidence.exists()
@@ -349,7 +367,7 @@ class TestCrashResume:
             mixed, report, config=config.replace(chaos=None)
         )
         # ...but reads as missing: only shard 0 is resumed.
-        assert resumed.diagnostics["resumed_shards"] == [0]
+        assert resumed.diagnostics["shards_from_cache"] == [0]
         assert resumed.diagnostics["shards_executed"] == 2
         assert _outcome_key(resumed) == _outcome_key(baseline)
 
@@ -370,7 +388,7 @@ class TestCrashResume:
         resumed = run_campaign(
             mixed, report, config=config.replace(chaos=None)
         )
-        assert resumed.diagnostics["resumed_shards"] == [0, 1, 2]
+        assert resumed.diagnostics["shards_from_cache"] == [0, 1, 2]
         assert resumed.diagnostics["shards_executed"] == 0
         assert _outcome_key(resumed) == _outcome_key(baseline)
 

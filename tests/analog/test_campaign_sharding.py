@@ -186,7 +186,7 @@ class TestCheckpointResume:
                 mixed, report, config=config, progress=kill_after_first_shard
             )
         resumed = run_campaign(mixed, report, config=config)
-        assert resumed.diagnostics["resumed_shards"] == [0]
+        assert resumed.diagnostics["shards_from_cache"] == [0]
         assert resumed.diagnostics["shards_executed"] == 2
         assert _outcome_key(resumed) == _outcome_key(baseline)
 
@@ -199,7 +199,7 @@ class TestCheckpointResume:
         paths = _shard_paths(prepared, config)
         paths[1].unlink()
         resumed = run_campaign(mixed, report, config=config)
-        assert resumed.diagnostics["resumed_shards"] == [0, 2]
+        assert resumed.diagnostics["shards_from_cache"] == [0, 2]
         assert resumed.diagnostics["shards_executed"] == 1
         assert _outcome_key(resumed) == _outcome_key(baseline)
         assert paths[1].exists()  # re-persisted
@@ -210,7 +210,7 @@ class TestCheckpointResume:
         config = _config(shards=2, cache_dir=str(tmp_path))
         run_campaign(mixed, report, config=config)
         other = run_campaign(mixed, report, config=config.replace(seed=99))
-        assert other.diagnostics["resumed_shards"] == []
+        assert other.diagnostics["shards_from_cache"] == []
         assert other.diagnostics["shards_executed"] == 2
         fresh = run_campaign(
             mixed, report, config=config.replace(seed=99, cache_dir=None)
@@ -228,7 +228,7 @@ class TestCheckpointResume:
         run_campaign(mixed, report, config=config)
         _shard_paths(prepared, config)[0].write_text(content)
         resumed = run_campaign(mixed, report, config=config)
-        assert resumed.diagnostics["resumed_shards"] == [1]
+        assert resumed.diagnostics["shards_from_cache"] == [1]
         assert _outcome_key(resumed) == _outcome_key(baseline)
 
     def test_fully_resumed_run_keeps_engine_diagnostics(
@@ -238,7 +238,7 @@ class TestCheckpointResume:
         config = _config(shards=2, cache_dir=str(tmp_path))
         first = run_campaign(mixed, report, config=config)
         resumed = run_campaign(mixed, report, config=config)
-        assert resumed.diagnostics["resumed_shards"] == [0, 1]
+        assert resumed.diagnostics["shards_from_cache"] == [0, 1]
         assert resumed.diagnostics["shards_executed"] == 0
         # The cache entry carries the engine diagnostics forward.
         assert resumed.diagnostics["backend"] == first.diagnostics["backend"]

@@ -113,6 +113,26 @@ class TestGenerate:
         assert "did you mean" in capsys.readouterr().err
 
 
+class TestRetiredFlags:
+    @pytest.mark.parametrize("verb", ["generate", "campaign", "submit"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--backend", "sparse"),
+            ("--digital-engine", "reference"),
+            ("--factor-cache-size", "8"),
+        ],
+        ids=["backend", "digital-engine", "factor-cache-size"],
+    )
+    def test_flag_is_a_usage_error(self, verb, flag, capsys):
+        # The engines' choices are exercised by ``audit``, not set from
+        # the command line.
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "fig4", *flag])
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_runs_and_persists(self, tmp_path, capsys):
         out_path = tmp_path / "figure6.json"
@@ -268,7 +288,14 @@ class TestAuditVerb:
         assert any(name.startswith("replay-") for name in manifest)
         document = json.loads(summary.read_text())
         assert document["ok"] is True
-        assert len(document["comparisons"]) == 3
+        assert sorted(document["variants"]) == [
+            "dense", "digital-reference", "factorized", "reference", "sparse",
+        ]
+        assert [row["pair"] for row in document["comparisons"]] == [
+            "reference-vs-factorized",
+            "dense-vs-sparse",
+            "compiled-vs-reference-digital",
+        ]
 
     def test_unresolvable_target_is_a_clean_error(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "nope.json")]) == 2

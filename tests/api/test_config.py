@@ -95,6 +95,8 @@ class TestCampaignConfig:
         assert CampaignConfig.from_document(document) == CampaignConfig(seed=9)
         with pytest.raises(ConfigError, match=field):
             CampaignConfig().replace(**{field: 2})
+        with pytest.raises(TypeError, match=field):
+            CampaignConfig(**{field: 2})
 
 
 class TestAtpgConfig:
@@ -102,6 +104,19 @@ class TestAtpgConfig:
         with pytest.raises(ConfigError, match="ordering"):
             AtpgConfig(ordering="alphabetical")
         assert AtpgConfig(ordering="declaration").ordering == "declaration"
+
+    def test_retired_engine_field_is_dropped_from_documents(self):
+        # Report metadata of earlier releases records ``engine``; it
+        # still loads, and new code cannot set it.
+        with pytest.raises(TypeError, match="engine"):
+            AtpgConfig(engine="reference")
+        document = AtpgConfig(compact=False).as_dict()
+        assert "engine" not in document
+        document["engine"] = "reference"
+        assert AtpgConfig.from_document(document) == AtpgConfig(compact=False)
+        document["warp_factor"] = 9
+        with pytest.raises(ConfigError, match="warp_factor"):
+            AtpgConfig.from_document(document)
 
 
 class TestSessionConfig:
@@ -115,28 +130,3 @@ class TestSessionConfig:
         with pytest.raises(ConfigError):
             SessionConfig(max_workers=0)
 
-
-class TestDigitalEngineKnobs:
-    def test_atpg_engine_validated(self):
-        with pytest.raises(ConfigError, match="engine"):
-            AtpgConfig(engine="quantum")
-        assert AtpgConfig().engine == "compiled"
-        assert AtpgConfig(engine="reference").engine == "reference"
-
-    def test_campaign_digital_engine_validated(self):
-        with pytest.raises(ConfigError, match="digital_engine"):
-            CampaignConfig(digital_engine="quantum")
-        assert CampaignConfig().digital_engine == "compiled"
-
-    def test_session_digital_engine_validated(self):
-        # Each stage config owns its engine; the session has no copy.
-        with pytest.raises(TypeError, match="digital_engine"):
-            SessionConfig(digital_engine="reference")
-        with pytest.raises(ConfigError, match="engine"):
-            SessionConfig(atpg=AtpgConfig(engine="quantum"))
-
-    def test_names_mirror_simulate_module(self):
-        from repro.api.config import DIGITAL_ENGINES
-        from repro.digital.simulate import DIGITAL_ENGINES as SIM
-
-        assert tuple(DIGITAL_ENGINES) == tuple(SIM)

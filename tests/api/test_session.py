@@ -98,6 +98,17 @@ class TestSessionRun:
         )
         assert result.configs["generator"]["comparator_budget"] == 1
 
+    def test_default_runs_compiled_everywhere(self, fig4_result):
+        # ATPG compaction and the campaign's digital responses both run
+        # the compiled engine.
+        assert fig4_result.report.digital_run.diagnostics[
+            "digital_engine"
+        ] == "compiled"
+        assert fig4_result.campaign.diagnostics["digital_engine"] == (
+            "compiled"
+        )
+        assert "[compiled]" in fig4_result.outcome.timing_table()
+
     def test_program_artifact(self, fig4_result):
         program = fig4_result.program()
         assert program.n_steps > 0

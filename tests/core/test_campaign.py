@@ -75,6 +75,15 @@ class TestBatchedExecution:
         )
         assert batched.outcomes == oracle.outcomes
 
+    def test_auto_backend_resolves_to_dense_for_fig4(self, prepared):
+        # fig4's analog block is far below the sparse threshold: the
+        # historical dense path keeps serving it.
+        mixed, report = prepared
+        result = run_campaign(
+            mixed, report, config=CampaignConfig(faults_per_element=1, seed=5)
+        )
+        assert result.diagnostics["backend"] == "dense"
+
     def test_diagnostics_report_batch_traffic(self, prepared):
         mixed, report = prepared
         config = CampaignConfig(faults_per_element=4, seed=7)

@@ -68,8 +68,8 @@ class TestCrossImplementationEquality:
                 "faults_per_element": campaign.faults_per_element,
                 "severity_range": list(campaign.severity_range),
                 "engine": campaign.engine,
-                "backend": campaign.backend,
-                "digital_engine": campaign.digital_engine,
+                "backend": "auto",
+                "digital_engine": "compiled",
             },
             "generator": spec.generator.as_dict(),
         }
@@ -90,8 +90,8 @@ class TestCrossImplementationEquality:
             "faults_per_element": config.faults_per_element,
             "severity_range": list(config.severity_range),
             "engine": config.engine,
-            "backend": config.backend,
-            "digital_engine": config.digital_engine,
+            "backend": "auto",
+            "digital_engine": "compiled",
             "faults": [],
             "steps": [],
         }

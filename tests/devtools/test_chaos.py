@@ -3,7 +3,6 @@
 import pytest
 
 from repro.devtools.chaos import (
-    CHAOS_ENV,
     ChaosError,
     ChaosEvent,
     ChaosPlan,
@@ -103,23 +102,8 @@ class TestChaosPlan:
 
 class TestResolvePlan:
     def test_none_when_nothing_set(self):
-        assert resolve_plan(None, environ={}) is None
-
-    def test_explicit_spec_wins_over_environment(self):
-        spec = ChaosPlan(
-            events=(ChaosEvent(site="merge", key="merge"),)
-        ).to_json()
-        env = {CHAOS_ENV: '{"events": []}'}
-        plan = resolve_plan(spec, environ=env)
-        assert plan is not None and plan.events[0].site == "merge"
-
-    def test_environment_fallback(self):
-        spec = ChaosPlan(
-            events=(ChaosEvent(site="http", key="*"),)
-        ).to_json()
-        plan = resolve_plan(None, environ={CHAOS_ENV: spec})
-        assert plan is not None and plan.events[0].site == "http"
+        assert resolve_plan(None) is None
 
     def test_empty_plans_resolve_to_none(self):
-        assert resolve_plan('{"events": []}', environ={}) is None
-        assert resolve_plan("", environ={}) is None
+        assert resolve_plan('{"events": []}') is None
+        assert resolve_plan("") is None

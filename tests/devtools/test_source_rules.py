@@ -309,8 +309,6 @@ class TestEng004:
             files={
                 "repro/api/config.py": (
                     "CAMPAIGN_ENGINES = ('factorized', 'reference')\n"
-                    "SIM_BACKENDS = ('auto', 'dense', 'sparse')\n"
-                    "DIGITAL_ENGINES = ('compiled', 'reference')\n"
                 ),
                 "repro/use.py": "run(engine='factorised')\n",
             }
@@ -318,6 +316,60 @@ class TestEng004:
         report = lint_project(project, [Eng004UnknownEngineName()])
         [finding] = report.unsuppressed
         assert finding.path == "repro/use.py"
+
+    def test_registries_extracted_from_their_owning_modules(self):
+        # Each registry is read where it is defined: the backends from
+        # the solver module, the digital engines from the simulator.
+        project = Project(
+            files={
+                "repro/api/config.py": (
+                    "CAMPAIGN_ENGINES = ('factorized', 'reference')\n"
+                ),
+                "repro/spice/backends.py": (
+                    "BACKEND_NAMES = ('auto', 'dense', 'sparse')\n"
+                ),
+                "repro/digital/simulate.py": (
+                    "DIGITAL_ENGINES = ('compiled', 'reference')\n"
+                ),
+                "repro/use.py": (
+                    "run(backend='spare')\n"
+                    "run(digital_engine='compild')\n"
+                    "run(engine='compiled', backend='sparse')\n"
+                    "run(digital_engine='reference')\n"
+                ),
+            }
+        )
+        report = lint_project(project, [Eng004UnknownEngineName()])
+        assert {(f.path, f.line) for f in report.unsuppressed} == {
+            ("repro/use.py", 1),
+            ("repro/use.py", 2),
+        }
+
+    def test_the_shipped_registries_are_found(self):
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).resolve().parents[1]
+        owners = (
+            "repro/api/config.py",
+            "repro/spice/backends.py",
+            "repro/digital/simulate.py",
+        )
+        files = {path: (src / path).read_text() for path in owners}
+        files["repro/use.py"] = (
+            "run(engine='factorized', backend='auto')\n"
+            "run(digital_engine='compiled', engine='reference')\n"
+            "run(backend='gpu')\n"
+            "run(digital_engine='quantum')\n"
+        )
+        report = lint_project(
+            Project(files=files), [Eng004UnknownEngineName()]
+        )
+        assert {(f.path, f.line) for f in report.unsuppressed} == {
+            ("repro/use.py", 3),
+            ("repro/use.py", 4),
+        }
 
     def test_no_registries_means_no_findings(self):
         # A partial project (corpus snippet) without config.py: silent.

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.api.registry import default_registry
 from repro.digital import (
-    DIGITAL_ENGINES,
     CompiledCircuit,
     compact_vectors,
     coverage,
@@ -57,11 +56,6 @@ def _patterns(circuit, count, seed):
 
 
 class TestEngineNames:
-    def test_config_mirrors_simulate(self):
-        from repro.api.config import DIGITAL_ENGINES as API_ENGINES
-
-        assert tuple(API_ENGINES) == tuple(DIGITAL_ENGINES)
-
     def test_unknown_engine_rejected(self):
         circuit = _build("fig3")
         with pytest.raises(ValueError, match="unknown digital"):

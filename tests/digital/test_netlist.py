@@ -3,6 +3,7 @@
 import pytest
 
 from repro.digital import Circuit, GateType, NetlistError
+from repro.digital.netlist import Gate
 
 
 def small_circuit() -> Circuit:
@@ -116,6 +117,27 @@ class TestStructure:
         second = c.topological_order()
         assert first == second
         assert len(calls) == 1
+
+    def test_topo_cache_invalidated_on_same_count_rewire(self):
+        c = Circuit("rewire")
+        c.add_input("a")
+        c.add_input("b")
+        c.and_("x", "a", "b")
+        c.not_("y", "a")
+        c.add_output("x")
+        assert c.topological_order() == ["x", "y"]
+        c.gates["x"] = Gate("x", GateType.AND, ("y", "b"))
+        assert c.topological_order() == ["y", "x"]
+        assert c.evaluate({"a": 1, "b": 1})["x"] == 0
+
+    def test_topo_cache_invalidated_on_same_count_swap(self):
+        c = small_circuit()
+        assert c.topological_order() == ["g1", "g2"]
+        del c.gates["g2"]
+        c.outputs.remove("g2")
+        c.not_("g3", "g1")
+        c.add_output("g3")
+        assert c.topological_order() == ["g1", "g3"]
 
     def test_topo_cache_invalidated_on_growth(self):
         c = small_circuit()

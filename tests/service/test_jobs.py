@@ -81,6 +81,19 @@ class TestJobSpec:
         with pytest.raises(ConfigError, match="warp_factor"):
             JobSpec.from_document(document)
 
+    def test_from_document_drops_retired_selector_fields(self):
+        # Job files of earlier releases chose the backend and digital
+        # engines; every campaign now runs the defaults, so the spec and
+        # its dedup key are those of the defaults.
+        document = _spec().to_document()
+        document["campaign"].update(
+            backend="sparse", digital_engine="reference"
+        )
+        document["atpg"]["engine"] = "reference"
+        spec = JobSpec.from_document(document)
+        assert spec == _spec()
+        assert spec.fingerprint() == _spec().fingerprint()
+
     def test_fingerprint_excludes_fanout_knobs(self):
         """Shard/worker/cache knobs never change outcomes —
         so they must not defeat deduplication."""

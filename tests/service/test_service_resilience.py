@@ -51,6 +51,15 @@ def _kinds(job) -> list[str]:
     return [event["kind"] for event in job.events]
 
 
+class TestChaosSources:
+    def test_scheduler_ignores_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(
+            "REPRO_CHAOS",
+            ChaosPlan(events=(ChaosEvent(site="job", key="*"),)).to_json(),
+        )
+        assert Scheduler(JobQueue(tmp_path), workers=1).chaos is None
+
+
 class TestJobRetry:
     def test_failed_attempt_retries_to_done(self, tmp_path):
         """Attempt 1 fails (chaos), attempt 2 succeeds: done, attempts=2,

@@ -15,11 +15,17 @@ Marked ``slow``: the grid covers 500-node ladders; it runs in the slow
 CI job next to the engine differential suite.
 """
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.api import CampaignConfig, Workbench, default_registry
-from repro.core import run_campaign
+from repro.analog.faultsim import (
+    FactorizedEngine,
+    ReferenceEngine,
+    draw_faults,
+)
+from repro.api import Workbench, default_registry
 from repro.spice import (
     MnaSolver,
     TransientSolver,
@@ -93,43 +99,31 @@ class TestBackendsAgree:
             )
 
 
+def _fig4_population(faults_per_element: int, seed: int):
+    """fig4, its testable program steps and a seeded fault population,
+    drawn as ``run_campaign`` draws it."""
+    session = Workbench().session()
+    mixed = session.circuit("fig4")
+    report = session.run(mixed, stages=("sensitivity", "stimulus")).report
+    steps = [t for t in report.analog_tests if t.testable]
+    faults = draw_faults(
+        steps, faults_per_element, (0.5, 3.0), random.Random(seed)
+    )
+    return mixed, steps, faults
+
+
 class TestCampaignBackendEquality:
     def test_fig4_sparse_campaign_matches_reference(self):
-        session = Workbench().session()
-        mixed = session.circuit("fig4")
-        report = session.run(mixed, stages=("sensitivity", "stimulus")).report
-
-        def outcomes(engine: str, backend: str):
-            result = run_campaign(
-                mixed,
-                report,
-                config=CampaignConfig(
-                    faults_per_element=4,
-                    seed=99,
-                    engine=engine,
-                    backend=backend,
-                ),
-            )
-            return [
-                (o.element, o.deviation, o.severity, o.detected,
-                 o.detecting_target)
-                for o in result.outcomes
-            ]
-
-        reference = outcomes("reference", "dense")
-        assert outcomes("factorized", "sparse") == reference
-        assert outcomes("factorized", "dense") == reference
+        mixed, steps, faults = _fig4_population(4, 99)
+        reference = ReferenceEngine().run(mixed, steps, faults)
+        for backend in ("sparse", "dense"):
+            assert FactorizedEngine().run(
+                mixed, steps, faults, backend=backend
+            ) == reference
 
     def test_campaign_diagnostics_report_the_backend(self):
-        session = Workbench().session()
-        mixed = session.circuit("fig4")
-        report = session.run(mixed, stages=("sensitivity", "stimulus")).report
-        result = run_campaign(
-            mixed,
-            report,
-            config=CampaignConfig(
-                faults_per_element=2, seed=3, backend="sparse"
-            ),
-        )
-        assert result.diagnostics["backend"] == "sparse"
-        assert result.diagnostics["factorizations"] >= 1
+        mixed, steps, faults = _fig4_population(2, 3)
+        engine = FactorizedEngine()
+        engine.run(mixed, steps, faults, backend="sparse")
+        assert engine.last_diagnostics["backend"] == "sparse"
+        assert engine.last_diagnostics["factorizations"] >= 1

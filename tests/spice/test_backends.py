@@ -14,7 +14,6 @@ from repro.spice import (
     AcModel,
     AnalogCircuit,
     AnalogError,
-    BACKENDS,
     DenseBackend,
     MnaSolver,
     SPARSE_AUTO_THRESHOLD,
@@ -64,11 +63,6 @@ class TestResolveBackend:
     def test_unknown_name_rejected(self):
         with pytest.raises(AnalogError, match="unknown linear-system"):
             resolve_backend("cuda")
-
-    def test_backend_table_matches_config_constant(self):
-        from repro.api.config import SIM_BACKENDS
-
-        assert set(SIM_BACKENDS) == {"auto", *BACKENDS}
 
 
 class TestSparsityPattern:
