@@ -26,13 +26,12 @@ adversary's total masking budget.  Three adversary models are provided
 
 Every bisection step re-measures the parameter at a *deviation state*
 (the faulted element plus, for ``"corners"``, the adversary's corner).
-The state is an argument of :meth:`PerformanceParameter.measure`, laid
-over the circuit's own deviations for that one measurement: the circuit
-is never mutated.  A deviation matrix measures every state on one
-:class:`~repro.spice.MeasurementScope`: the circuit is compiled once,
-each state is a stamp delta on that model, and each distinct state's
-peak search is shared by every parameter that needs it (see
-:mod:`repro.spice.measure`).
+The state is an argument of :meth:`PerformanceParameter.measure` for
+that one measurement: the circuit is never mutated.  A deviation matrix
+measures every state on one :class:`~repro.spice.MeasurementScope`: the
+circuit is compiled once, each state is a stamp delta on that model,
+and each distinct state's peak search is shared by every parameter that
+needs it (see :mod:`repro.spice.measure`).
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ The paper (after [9]) splits analog faults into *catastrophic* — opens and
 shorts, "sudden and large variations in components" — and *parametric* —
 deviations beyond the element's specification tolerance.  Both map onto
 element-value deviations in the MNA model, so a single injection mechanism
-serves the whole flow:
+serves the whole flow — the fault's ``{element: value_deviation}`` state,
+passed as the ``deviations`` argument of the measurement that observes it
+(the circuit itself is never written):
 
 * a parametric fault is a relative deviation (e.g. ``+0.25``),
 * an open resistor multiplies R by 10^6, a shorted one divides it,
@@ -61,16 +63,6 @@ class AnalogFault:
         if grows:
             return _CATASTROPHIC_FACTOR - 1.0
         return 1.0 / _CATASTROPHIC_FACTOR - 1.0
-
-    def apply(self, circuit: AnalogCircuit):
-        """Context manager injecting the fault::
-
-            with fault.apply(circuit):
-                observed = parameter.measure(circuit)
-        """
-        return circuit.with_deviations(
-            {self.element: self.value_deviation(circuit)}
-        )
 
     def __str__(self) -> str:
         if self.kind is AnalogFaultKind.PARAMETRIC:

@@ -7,9 +7,10 @@ fault population and one detection semantics:
 
 * ``reference`` — the straightforward oracle: every faulty converter
   code comes from a full re-assemble-and-solve of the deviated circuit
-  (``with_deviations`` + :meth:`MixedSignalCircuit.converter_code`).
-  Good-circuit codes are hoisted out of the fault loop (they are fault
-  independent), but nothing else is cached.
+  (:meth:`MixedSignalCircuit.converter_code` with the fault's deviation
+  state as its argument; the shared circuit is only read).  Good-circuit
+  codes are hoisted out of the fault loop (they are fault independent),
+  but nothing else is cached.
 * ``factorized`` — the fast path: per-frequency LU factorizations of
   the *good* circuit are built once and kept by the engine
   (:meth:`repro.spice.MnaSolver.factorized`, with the source driven at
@@ -279,8 +280,9 @@ class ReferenceEngine(CampaignEngine):
         """Execute one program step against one injected analog fault."""
         frequency = step.stimulus.frequency_hz
         amplitude = step.stimulus.amplitude
-        with mixed.analog.with_deviations({fault.element: fault.deviation}):
-            faulty_code = mixed.converter_code(frequency, amplitude)
+        faulty_code = mixed.converter_code(
+            frequency, amplitude, {fault.element: fault.deviation}
+        )
         if faulty_code == good_code:
             return False
         assignment_good = dict(step.vector)

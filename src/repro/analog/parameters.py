@@ -64,10 +64,10 @@ class PerformanceParameter:
     ) -> float:
         """Measure the parameter at a deviation state.
 
-        ``deviations`` (element → relative deviation) is laid over the
-        circuit's own deviations for this measurement only; the circuit
-        is read, never written.  ``scope`` (a scope of ``circuit``)
-        shares compiled models, peaks and values with the caller's other
+        ``deviations`` (element → relative deviation, None = nominal)
+        is the state of this measurement only; the circuit is read,
+        never written.  ``scope`` (a scope of ``circuit``) shares
+        compiled models, peaks and values with the caller's other
         measurements.
         """
         if scope is None:

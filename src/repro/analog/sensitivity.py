@@ -36,7 +36,7 @@ def sensitivity(
     """Normalized sensitivity of ``parameter`` to ``element``.
 
     Central difference at ±``rel_step`` relative deviation; ``nominal``
-    (the parameter value at the current state) may be passed to save one
+    (the parameter value at the nominal state) may be passed to save one
     measurement when the caller already has it, and ``scope`` to share
     the caller's measurements.
     """
@@ -46,9 +46,8 @@ def sensitivity(
         nominal = parameter.measure(circuit, scope=scope)
     if nominal == 0:
         return 0.0
-    base = circuit.deviations().get(element, 0.0)
-    upper = parameter.measure(circuit, {element: base + rel_step}, scope=scope)
-    lower = parameter.measure(circuit, {element: base - rel_step}, scope=scope)
+    upper = parameter.measure(circuit, {element: rel_step}, scope=scope)
+    lower = parameter.measure(circuit, {element: -rel_step}, scope=scope)
     return (upper - lower) / (2.0 * rel_step * nominal)
 
 

@@ -259,12 +259,12 @@ class TestSession:
         generator: GeneratorConfig | None = None,
         campaign: CampaignConfig | None = None,
         atpg: AtpgConfig | None = None,
-        max_workers: int | None = None,
     ) -> list[SessionResult]:
         """Fan one pipeline out over many circuits concurrently.
 
-        Results come back in input order; the first failure is re-raised
-        after all workers finish.  Compiled BDDs flow through the pool,
+        ``SessionConfig.max_workers`` sizes the thread pool.  Results
+        come back in input order; the first failure is re-raised after
+        all workers finish.  Compiled BDDs flow through the pool,
         so batches with repeated digital blocks amortize compilation.
         """
         if not circuits:
@@ -279,19 +279,9 @@ class TestSession:
                 "more than once; pass registry names (or distinct "
                 "instances) so each worker drives its own circuit"
             )
-        if max_workers is not None and max_workers < 1:
-            # An explicit 0 (or negative) must fail loudly: the old
-            # `max_workers or ...` chain treated 0 as "unset" and
-            # silently fell through to the defaults.
-            raise ConfigError(
-                f"max_workers must be None or >= 1, got {max_workers!r}"
-            )
-        if max_workers is not None:
-            workers = max_workers
-        elif self.config.max_workers is not None:
-            workers = self.config.max_workers
-        else:
-            workers = min(len(circuits), os.cpu_count() or 4)
+        workers = self.config.max_workers
+        if workers is None:
+            workers = os.cpu_count() or 4
         workers = min(workers, len(circuits))
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-batch"

@@ -23,7 +23,11 @@ __all__ = ["FlashAdc"]
 
 @dataclass
 class FlashAdc:
-    """An N-comparator flash converter with a deviatable reference ladder.
+    """An N-comparator flash converter with a resistor reference ladder.
+
+    A deviated ladder is a copy with deviated ``resistor_values``
+    (``dataclasses.replace``); the converter itself holds no deviation
+    state.
 
     Attributes:
         n_comparators: number of comparators (= taps = resistors − 1).
@@ -34,7 +38,6 @@ class FlashAdc:
     n_comparators: int = 15
     v_top: float = 5.0
     resistor_values: list[float] = field(default_factory=list)
-    _deviations: dict[str, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not self.resistor_values:
@@ -46,45 +49,18 @@ class FlashAdc:
             )
 
     # ------------------------------------------------------------------
-    # Elements and deviations (mirrors AnalogCircuit's interface)
+    # Elements
     # ------------------------------------------------------------------
     def element_names(self) -> list[str]:
         """Ladder resistor names, ``R1`` (bottom) .. ``R{N+1}`` (top)."""
         return [f"R{i + 1}" for i in range(len(self.resistor_values))]
 
-    def effective_resistance(self, index: int) -> float:
-        """Resistor ``index`` (0-based) with its deviation applied."""
-        name = f"R{index + 1}"
-        return self.resistor_values[index] * (
-            1.0 + self._deviations.get(name, 0.0)
-        )
-
-    def set_deviation(self, name: str, deviation: float) -> None:
-        """Set the relative deviation of one ladder resistor."""
-        if name not in self.element_names():
-            raise ValueError(f"no ladder resistor named {name!r}")
-        if deviation == 0.0:
-            self._deviations.pop(name, None)
-        else:
-            self._deviations[name] = deviation
-
-    def clear_deviations(self) -> None:
-        """Reset the ladder to nominal."""
-        self._deviations.clear()
-
-    def with_deviations(self, deviations: dict[str, float]):
-        """Temporary-deviation context manager (see AnalogCircuit)."""
-        return _AdcDeviationScope(self, deviations)
-
     # ------------------------------------------------------------------
     # Conversion behaviour
     # ------------------------------------------------------------------
     def thresholds(self) -> list[float]:
-        """Tap voltages ``Vt1..VtN`` under the current deviations."""
-        values = [
-            self.effective_resistance(i)
-            for i in range(len(self.resistor_values))
-        ]
+        """Tap voltages ``Vt1..VtN`` of the ladder."""
+        values = self.resistor_values
         total = sum(values)
         taps: list[float] = []
         running = 0.0
@@ -126,25 +102,4 @@ class FlashAdc:
             lower = "0" if index == 0 else f"t{index}"
             upper = "top" if index == n - 1 else f"t{index + 1}"
             circuit.resistor(f"R{index + 1}", upper, lower, value)
-        for element, deviation in self._deviations.items():
-            circuit.set_deviation(element, deviation)
         return circuit
-
-
-class _AdcDeviationScope:
-    """Context manager behind :meth:`FlashAdc.with_deviations`."""
-
-    def __init__(self, adc: FlashAdc, deviations: dict[str, float]):
-        self._adc = adc
-        self._incoming = dict(deviations)
-        self._saved: dict[str, float] = {}
-
-    def __enter__(self) -> FlashAdc:
-        for name, deviation in self._incoming.items():
-            self._saved[name] = self._adc._deviations.get(name, 0.0)
-            self._adc.set_deviation(name, deviation)
-        return self._adc
-
-    def __exit__(self, *exc_info) -> None:
-        for name, previous in self._saved.items():
-            self._adc.set_deviation(name, previous)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..analog.deviation import json_float
 from .flash_adc import FlashAdc
@@ -57,9 +57,7 @@ def tap_sensitivity(adc: FlashAdc, tap_index: int, resistor_index: int) -> float
     ``M_i`` is the rail-referenced tap metric of :func:`tap_metric`:
     ``Vt_i`` for bottom-half taps, ``Vtop − Vt_i`` above the middle.
     """
-    values = [
-        adc.effective_resistance(i) for i in range(len(adc.resistor_values))
-    ]
+    values = adc.resistor_values
     total = sum(values)
     below = sum(values[: tap_index + 1])
     above = total - below
@@ -136,11 +134,11 @@ def _worst_case_ed(
         if j != resistor_index
     )
     nominal = tap_metric(adc, tap_index)
-    name = f"R{resistor_index + 1}"
 
     def detectable(deviation: float) -> bool:
-        with adc.with_deviations({name: deviation}):
-            shifted = tap_metric(adc, tap_index)
+        values = list(adc.resistor_values)
+        values[resistor_index] *= 1.0 + deviation
+        shifted = tap_metric(replace(adc, resistor_values=values), tap_index)
         return abs(shifted - nominal) / nominal > tolerance + budget
 
     best = math.inf

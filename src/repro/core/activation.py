@@ -69,8 +69,11 @@ def activate(
     frequency = choice.stimulus.frequency_hz
     amplitude = choice.stimulus.amplitude
     good_code = mixed.converter_code(frequency, amplitude)
-    with fault.apply(mixed.analog):
-        faulty_code = mixed.converter_code(frequency, amplitude)
+    faulty_code = mixed.converter_code(
+        frequency,
+        amplitude,
+        {fault.element: fault.value_deviation(mixed.analog)},
+    )
     pinned: dict[str, CompositeValue] = {}
     for line, good, faulty in zip(
         mixed.converter_lines, good_code, faulty_code

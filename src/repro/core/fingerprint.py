@@ -92,10 +92,9 @@ def analog_fingerprint(circuit) -> str:
 
     Covers every component of a :class:`repro.spice.AnalogCircuit` in
     insertion order — its type and all of its dataclass fields (name,
-    nodes, value and any model parameters) — plus the circuit's
-    currently applied element deviations.  Computed from the content on
-    every call (no memo), so an in-place edit of any value always moves
-    the digest.
+    nodes, value and any model parameters).  Computed from the content
+    on every call (no memo), so an in-place edit of any value always
+    moves the digest.
     """
     return fingerprint_of(
         {
@@ -105,6 +104,5 @@ def analog_fingerprint(circuit) -> str:
                 [type(component).__name__, dataclasses.asdict(component)]
                 for component in circuit.components
             ],
-            "deviations": circuit.deviations(),
         }
     )

@@ -47,6 +47,14 @@ __all__ = ["MixedSignalTestGenerator"]
 #: guaranteed-detectable threshold with margin.
 _FAULT_MARGIN = 1.25
 
+#: failure statuses from the earliest to the furthest stage reached; an
+#: untestable element reports the furthest any of its parameters got.
+_FAILURE_DEPTH = (
+    AnalogTestStatus.UNTESTABLE_MEASUREMENT,
+    AnalogTestStatus.UNTESTABLE_ACTIVATION,
+    AnalogTestStatus.UNTESTABLE_PROPAGATION,
+)
+
 
 class MixedSignalTestGenerator:
     """End-to-end test generation for a :class:`MixedSignalCircuit`.
@@ -152,16 +160,23 @@ class MixedSignalTestGenerator:
             recipe = self._activate_and_propagate(
                 parameter, fault, cbdd, result.deviation, scope
             )
-            if recipe is not None:
+            if recipe.status is AnalogTestStatus.TESTABLE:
                 return recipe
-            best_failure = AnalogTestStatus.UNTESTABLE_PROPAGATION
+            best_failure = max(
+                best_failure, recipe.status, key=_FAILURE_DEPTH.index
+            )
         return AnalogElementTest(element, best_failure)
 
     def _activate_and_propagate(
         self, parameter, fault: AnalogFault, cbdd, ed: float,
         scope: MeasurementScope,
-    ) -> AnalogElementTest | None:
-        """Try every (bound, comparator) case for one parameter."""
+    ) -> AnalogElementTest:
+        """Try every (bound, comparator) case for one parameter.
+
+        Without a test, the recipe carries how far the parameter got:
+        ``UNTESTABLE_PROPAGATION`` when some case flipped a comparator,
+        else ``UNTESTABLE_ACTIVATION``.
+        """
         n = self.mixed.adc.n_comparators
         # Try middle comparators first: their thresholds sit in the
         # response's dynamic range most often.
@@ -195,9 +210,12 @@ class MixedSignalTestGenerator:
                     vector=propagation.vector,
                     observing_output=propagation.observing_output,
                 )
-        if activation_seen:
-            return None  # caller records UNTESTABLE_PROPAGATION
-        return None
+        status = (
+            AnalogTestStatus.UNTESTABLE_PROPAGATION
+            if activation_seen
+            else AnalogTestStatus.UNTESTABLE_ACTIVATION
+        )
+        return AnalogElementTest(fault.element, status)
 
     def analog_tests(self) -> list[AnalogElementTest]:
         """Test recipes for every analog element (the analog-only flow).

@@ -90,28 +90,42 @@ class MixedSignalCircuit:
         return self._cbdd[ordering]
 
     # ------------------------------------------------------------------
-    def analog_amplitude(self, frequency_hz: float, amplitude: float) -> float:
+    def analog_amplitude(
+        self,
+        frequency_hz: float,
+        amplitude: float,
+        deviations: dict[str, float] | None = None,
+    ) -> float:
         """|v(analog_output)| for a sine of the given amplitude/frequency.
 
-        Linear model: output amplitude = |H(f)|·A (DC level for f = 0).
-        Respects the analog block's current deviation state, so the same
-        call serves the good and the faulty circuit.
+        Linear model: output amplitude = |H(f)|·A (DC level for f = 0),
+        with the analog block at the ``deviations`` state (None =
+        nominal), so the same call serves the good and the faulty
+        circuit.
         """
         from ..spice import gain_at  # local import to avoid cycles
 
         return amplitude * gain_at(
-            self.analog, self.analog_source, self.analog_output, frequency_hz
+            self.analog,
+            self.analog_source,
+            self.analog_output,
+            frequency_hz,
+            deviations,
         )
 
     def converter_code(
-        self, frequency_hz: float, amplitude: float
+        self,
+        frequency_hz: float,
+        amplitude: float,
+        deviations: dict[str, float] | None = None,
     ) -> tuple[int, ...]:
-        """Comparator outputs (thermometer code) for a stimulus.
+        """Comparator outputs (thermometer code) for a stimulus, with the
+        analog block at the ``deviations`` state (None = nominal).
 
         The comparator bank samples the sine at its positive peak, so
         comparator *i* reads 1 iff the output amplitude exceeds ``Vti``.
         """
-        peak = self.analog_amplitude(frequency_hz, amplitude)
+        peak = self.analog_amplitude(frequency_hz, amplitude, deviations)
         return self.adc.convert(peak)
 
     def stats(self) -> dict[str, int]:

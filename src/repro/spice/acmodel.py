@@ -222,13 +222,13 @@ class AcModel:
     """The MNA system of one circuit state, compiled, and its transfer
     function ``H(f) = v(output)/v(source)``.
 
-    ``deviations`` is laid over the circuit's own deviation state, like
-    :meth:`AnalogCircuit.with_deviations` — but the circuit is only
-    read, never written, so one circuit may be measured from many
-    threads at once.  The model captures the element values at
-    construction; :meth:`at_state` derives the model of another
-    deviation state from it.  With ``output=None`` (or ground) ``H``
-    reads ``0``; :meth:`system` serves every unknown either way.
+    ``deviations`` (element → relative deviation, None = nominal) is
+    the state to compile; the circuit is only read, never written, so
+    one circuit may be measured from many threads at once.  The model
+    captures the element values at construction; :meth:`at_state`
+    derives the model of another deviation state from it.  With
+    ``output=None`` (or ground) ``H`` reads ``0``; :meth:`system` serves
+    every unknown either way.
     """
 
     def __init__(
@@ -369,12 +369,12 @@ class AcModel:
         deviation state, ``==`` ``AcModel(circuit, source, output,
         deviations)`` entry for entry.
 
-        ``deviations`` is laid over the circuit's *current* deviation
-        state, as in the constructor.  When only resistors, capacitors
-        and VCCSs differ from this model's state (on the dense backend),
-        just those components are re-stamped and just the positions
-        they touch re-summed, in program order; anything else compiles
-        the state in full.  This model is never written.
+        ``deviations`` is a whole state, as in the constructor (None =
+        nominal).  When only resistors, capacitors and VCCSs differ from
+        this model's state (on the dense backend), just those components
+        are re-stamped and just the positions they touch re-summed, in
+        program order; anything else compiles the state in full.  This
+        model is never written.
         """
         state = self.circuit.deviation_state(deviations)
         changed = sorted(

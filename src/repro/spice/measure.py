@@ -23,12 +23,11 @@ generator's stimulus stage) and dies with it; the one-shot functions
 below are a scope of one measurement.
 
 The deviation state is an argument: ``deviations`` (element → relative
-deviation) is laid over the circuit's own deviations for this one
-measurement (:meth:`~repro.spice.AnalogCircuit.deviation_state`).  A
-scope keys what it keeps on that full effective state, so the circuit's
-own deviations may change between measurements.  The circuit is never
-written, so one circuit can be measured at many deviation states from
-many threads at once (one scope per thread).
+deviation, None = nominal) is the whole state of this one measurement,
+validated by :meth:`~repro.spice.AnalogCircuit.deviation_state`.  A
+scope keys what it keeps on that state.  The circuit is never written,
+so one circuit can be measured at many deviation states from many
+threads at once (one scope per thread).
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ class MeasurementScope:
     The first measurement of a (source, output) pair compiles its
     :class:`AcModel`; every later state is derived from that model by
     :meth:`AcModel.at_state`.  Peaks (per state and search window) and
-    measured values are kept as scalars, keyed on the full effective
+    measured values are kept as scalars, keyed on the validated
     deviation state, so e.g. ``Amax``, ``f0`` and both cut-offs of one
     state share one peak search.  Only the compiled models and the
     latest derived one are held.  A scope never writes the circuit; it
@@ -125,7 +124,7 @@ class MeasurementScope:
         self._values: dict[tuple, object] = {}
 
     def _key(self, source: str, output: str, deviations: Deviations) -> tuple:
-        """(source, output, the full effective deviation state, sorted)."""
+        """(source, output, the validated deviation state, sorted)."""
         state = self.circuit.deviation_state(deviations)
         return (source, output, tuple(sorted(state.items())))
 

@@ -1,13 +1,12 @@
 """Modified nodal analysis solves.
 
 One :class:`MnaSolver` instance per circuit; each ``solve`` call
-compiles the circuit as it is at that moment — its *effective* element
-values (nominal × (1+deviation)) — into an :class:`~repro.spice.acmodel.
-AcModel`, the one MNA assembler, and hands the system at the requested
-frequency to the selected linear-system backend.  Singular systems
-(floating nodes, contradictory sources) raise
-:class:`repro.spice.netlist.AnalogError` naming the circuit and the
-frequency.
+compiles the circuit as it is at that moment — its nominal element
+values — into an :class:`~repro.spice.acmodel.AcModel`, the one MNA
+assembler, and hands the system at the requested frequency to the
+selected linear-system backend.  Singular systems (floating nodes,
+contradictory sources) raise :class:`repro.spice.netlist.AnalogError`
+naming the circuit and the frequency.
 
 For repeated solves of the *same* system — frequency sweeps, and above
 all fault-injection campaigns that perturb one element at a time —
@@ -136,7 +135,7 @@ class MnaSolver:
 
     def _model(self) -> AcModel:
         """The circuit as it is now, compiled.  Never memoized: element
-        values and deviations may change between calls."""
+        values may be edited between calls."""
         return AcModel(self.circuit, self.source, backend=self.backend)
 
     def solve(self, frequency_hz: float) -> Solution:
@@ -152,10 +151,10 @@ class MnaSolver:
     def factorized(self, frequency_hz: float) -> "FactorizedMna":
         """A fresh LU factorization of the system at one frequency.
 
-        Compiled from the circuit as it is now (element values and
-        deviation state).  The solver keeps no factorization: a caller
-        that reuses one holds on to it, as the campaign engine does
-        with one per stimulus frequency.
+        Compiled from the circuit's element values as they are now.
+        The solver keeps no factorization: a caller that reuses one
+        holds on to it, as the campaign engine does with one per
+        stimulus frequency.
         """
         return FactorizedMna(self._model(), frequency_hz, self._patterns)
 
@@ -164,8 +163,8 @@ class FactorizedMna:
     """The LU factorization of ``model.system(frequency_hz)``, reusable
     across solves.
 
-    Captures the circuit state of ``model``; later mutations of the
-    circuit are *not* seen by this object — ask
+    Captures the element values of ``model``; a later edit of a
+    component value is *not* seen by this object — ask
     :meth:`MnaSolver.factorized` for a new one instead.
     """
 
@@ -319,8 +318,9 @@ class FactorizedMna:
         """Observed-node voltages for a whole batch of deviations.
 
         ``faults`` is a sequence of ``(element, deviation)`` pairs, each
-        ``deviation`` relative to the element's *nominal* value (the
-        :meth:`repro.spice.AnalogCircuit.set_deviation` convention);
+        ``deviation`` relative to the element's *nominal* value (as in
+        every deviation state, :meth:`repro.spice.AnalogCircuit.
+        deviation_state`);
         entry ``i`` of the returned complex array is ``node``'s voltage
         with element ``i`` alone deviated.  Since ``ΔA = u·wᵀ``,
 

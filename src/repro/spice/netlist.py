@@ -1,4 +1,4 @@
-"""Analog netlist container with live element values and deviations.
+"""Analog netlist container with live element values.
 
 The analog test method works by *deviating* one element at a time (and
 setting the fault-free ones to their tolerance corners) and re-measuring
@@ -7,8 +7,9 @@ value from a multiplicative *deviation*:
 
     effective = nominal · (1 + deviation)
 
-Deviations are held in the circuit, not the component objects, so the same
-immutable component set serves every analysis point.
+A deviation state (element → relative deviation) is always an argument
+of the analysis that uses it, never held by the circuit, so one circuit
+serves every analysis point — from many threads at once.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class AnalogCircuit:
     name: str
     components: list[Component] = field(default_factory=list)
     _by_name: dict[str, Component] = field(default_factory=dict, repr=False)
-    _deviations: dict[str, float] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -142,54 +142,28 @@ class AnalogCircuit:
     def effective_value(
         self, name: str, state: dict[str, float] | None = None
     ) -> float:
-        """Nominal × (1 + deviation), under ``state`` when given (a full
-        deviation state, e.g. from :meth:`deviation_state`) or else under
-        the circuit's own deviations."""
-        deviations = self._deviations if state is None else state
-        return self.nominal_value(name) * (1.0 + deviations.get(name, 0.0))
-
-    def set_deviation(self, name: str, deviation: float) -> None:
-        """Set the relative deviation of one element (0.05 = +5 %)."""
-        self._deviations = self.deviation_state({name: deviation})
-
-    def deviations(self) -> dict[str, float]:
-        """Currently applied deviations (copy)."""
-        return dict(self._deviations)
+        """Nominal × (1 + deviation) under ``state`` (a validated
+        deviation state from :meth:`deviation_state`; None = nominal)."""
+        deviation = state.get(name, 0.0) if state else 0.0
+        return self.nominal_value(name) * (1.0 + deviation)
 
     def deviation_state(
-        self, overrides: dict[str, float] | None = None
+        self, deviations: dict[str, float] | None = None
     ) -> dict[str, float]:
-        """The deviations ``with_deviations(overrides)`` would apply.
-
-        The circuit's own deviations with ``overrides`` laid over them,
-        validated (unknown element, deviation ≤ −100 %) — but returned
-        as a new dict instead of written to the circuit, so measurements
-        can take a deviation state as an argument and stay thread-safe.
+        """``deviations`` validated (unknown element, deviation ≤ −100 %)
+        and returned as a new dict without its zero entries — the form
+        every analysis takes a deviation state in.
         """
-        state = dict(self._deviations)
-        for name, deviation in (overrides or {}).items():
+        state: dict[str, float] = {}
+        for name, deviation in (deviations or {}).items():
             self.component(name)  # validate existence
             if deviation <= -1.0:
                 raise AnalogError(
                     f"deviation {deviation} would make {name!r} non-positive"
                 )
-            if deviation == 0.0:
-                state.pop(name, None)
-            else:
+            if deviation != 0.0:
                 state[name] = deviation
         return state
-
-    def clear_deviations(self) -> None:
-        """Reset every element to nominal."""
-        self._deviations.clear()
-
-    def with_deviations(self, deviations: dict[str, float]) -> "_DeviationScope":
-        """Context manager applying deviations temporarily::
-
-            with circuit.with_deviations({"R1": 0.10}):
-                gain = dc_gain(circuit, "vin", "vout")
-        """
-        return _DeviationScope(self, deviations)
 
     # ------------------------------------------------------------------
     # Topology
@@ -228,31 +202,3 @@ class AnalogCircuit:
 
     def __iter__(self) -> Iterator[Component]:
         return iter(self.components)
-
-
-class _DeviationScope:
-    """Context manager behind :meth:`AnalogCircuit.with_deviations`."""
-
-    def __init__(self, circuit: AnalogCircuit, deviations: dict[str, float]):
-        self._circuit = circuit
-        self._incoming = dict(deviations)
-        self._saved: dict[str, float] = {}
-
-    def __enter__(self) -> AnalogCircuit:
-        try:
-            for name, deviation in self._incoming.items():
-                previous = self._circuit._deviations.get(name, 0.0)
-                self._circuit.set_deviation(name, deviation)
-                # Recorded only after success: a failed application must
-                # not be "restored" (the name may not even exist).
-                self._saved[name] = previous
-        except BaseException:
-            # __exit__ never runs when __enter__ raises, so the already-
-            # applied part must be rolled back here.
-            self.__exit__()
-            raise
-        return self._circuit
-
-    def __exit__(self, *exc_info) -> None:
-        for name, previous in self._saved.items():
-            self._circuit.set_deviation(name, previous)

@@ -285,7 +285,7 @@ class TransientSolver:
         values: list[float] = []
         for component in self.circuit.components:
             value = (
-                self.circuit.effective_value(component.name)
+                self.circuit.nominal_value(component.name)
                 if component.has_value
                 else 0.0
             )

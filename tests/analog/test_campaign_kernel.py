@@ -7,7 +7,7 @@ that survived its own steps) as a batch of one.  These tests pin both
 halves on every mixed registry circuit against the independent oracles:
 
 * every value the engine reads from the kernel equals a fresh
-  :class:`~repro.spice.MnaSolver` solve of the deviated circuit to 1e-9;
+  :class:`~repro.spice.AcModel` compile of the deviated state to 1e-9;
 * the seeded outcomes equal the ``reference`` engine's, also after an
   in-place edit of the digital block.
 """
@@ -18,7 +18,7 @@ from repro.api import CampaignConfig, Workbench, default_registry
 from repro.core import run_campaign
 from repro.digital.gates import GateType
 from repro.digital.netlist import Gate
-from repro.spice import FactorizedMna, MnaSolver
+from repro.spice import AcModel, FactorizedMna
 
 #: |kernel − fresh solve| bound, as in the deviation_batch suite.
 TOLERANCE = 1e-9
@@ -93,12 +93,11 @@ class TestKernelAgainstFreshSolve:
             assert node == mixed.analog_output
             assert set(faults) <= injected
             for (element, deviation), voltage in zip(faults, voltages):
-                with circuit.with_deviations({element: deviation}):
-                    solution = MnaSolver(
-                        circuit, source=mixed.analog_source
-                    ).solve(frequency)
+                fresh = AcModel(
+                    circuit, mixed.analog_source, node, {element: deviation}
+                )
                 assert voltage == pytest.approx(
-                    solution.voltage(node), rel=TOLERANCE, abs=TOLERANCE
+                    fresh.transfer(frequency), rel=TOLERANCE, abs=TOLERANCE
                 )
 
 

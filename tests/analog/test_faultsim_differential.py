@@ -14,7 +14,7 @@ import pytest
 from repro.api import CampaignConfig, Workbench
 from repro.circuits import bandpass_filter, chebyshev_filter
 from repro.core import run_campaign
-from repro.spice import MnaSolver, log_frequencies
+from repro.spice import AcModel, MnaSolver, Solution, log_frequencies
 
 pytestmark = pytest.mark.slow
 
@@ -82,8 +82,10 @@ class TestShermanMorrisonSweep:
             factorized = solver.factorized(frequency)
             full = []
             for element, deviation in faults:
-                with circuit.with_deviations({element: deviation}):
-                    full.append(MnaSolver(circuit).solve(frequency))
+                model = AcModel(circuit, None, deviations={element: deviation})
+                full.append(
+                    Solution.of(model, model.solve(frequency), frequency)
+                )
             for node in full[0].nodes():
                 fast = factorized.deviation_batch(faults, node)
                 for voltage, solution in zip(fast, full):

@@ -6,9 +6,6 @@ load-bearing invariants of the fast campaign engine:
 
 * a Sherman–Morrison rank-one update of the factorized system equals a
   full re-assembled dense solve of the deviated circuit;
-* ``with_deviations`` always restores nominal element values — on clean
-  exits, on solver failures inside the scope, and on failures while the
-  deviations are still being applied;
 * a factorization is built from the circuit as it is when asked for,
   and driving the source at unit amplitude never writes the circuit.
 """
@@ -17,7 +14,13 @@ import random
 
 import pytest
 
-from repro.spice import AnalogCircuit, AnalogError, MnaSolver
+from repro.spice import (
+    AcModel,
+    AnalogCircuit,
+    AnalogError,
+    MnaSolver,
+    Solution,
+)
 
 
 def random_ladder(rng: random.Random, stages: int) -> tuple[AnalogCircuit, str]:
@@ -69,8 +72,8 @@ class TestRankOneUpdateProperty:
                 element = rng.choice(elements)
                 deviation = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.9)
                 factorized = solver.factorized(frequency)
-                with circuit.with_deviations({element: deviation}):
-                    full = MnaSolver(circuit).solve(frequency)
+                model = AcModel(circuit, None, deviations={element: deviation})
+                full = Solution.of(model, model.solve(frequency), frequency)
                 for node in full.nodes():
                     fast = factorized.deviation_batch(
                         [(element, deviation)], node
@@ -93,8 +96,8 @@ class TestRankOneUpdateProperty:
 
     def test_factorized_sees_state_edits(self):
         # A reused solver must never serve an LU of an earlier circuit
-        # state: neither after a nominal value is edited (which a cache
-        # keyed on the deviation state missed) nor after a deviation.
+        # state after a nominal value is edited (which a cache keyed on
+        # the deviation state missed).
         from repro.api import Workbench
 
         circuit = Workbench().session().circuit("fig4").analog
@@ -106,18 +109,6 @@ class TestRankOneUpdateProperty:
         assert edited._voltages == fresh._voltages
         assert edited._voltages != nominal._voltages
 
-        rng = random.Random(3)
-        ladder, output = random_ladder(rng, stages=3)
-        solver = MnaSolver(ladder)
-        before = solver.factorized(1e3).solution().voltage(output)
-        ladder.set_deviation("Rs0", 0.5)
-        deviated = solver.factorized(1e3).solution().voltage(output)
-        fresh = MnaSolver(ladder).solve(1e3).voltage(output)
-        ladder.clear_deviations()
-        assert deviated == pytest.approx(fresh, rel=1e-12)
-        assert deviated != before
-        assert solver.factorized(1e3).solution().voltage(output) == before
-
     def test_zero_deviation_returns_baseline(self):
         rng = random.Random(5)
         circuit, output = random_ladder(rng, stages=2)
@@ -127,60 +118,7 @@ class TestRankOneUpdateProperty:
         )[0] == factorized.solution().voltage(output)
 
 
-class TestDeviationScopeRestoration:
-    def _random_deviations(self, rng, circuit):
-        elements = circuit.element_names()
-        chosen = rng.sample(elements, k=min(3, len(elements)))
-        return {
-            name: rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.9)
-            for name in chosen
-        }
-
-    def test_restores_on_clean_exit(self):
-        rng = random.Random(11)
-        for _ in range(8):
-            circuit, _ = random_ladder(rng, stages=rng.randint(2, 4))
-            before = circuit.deviations()
-            with circuit.with_deviations(self._random_deviations(rng, circuit)):
-                pass
-            assert circuit.deviations() == before
-
-    def test_restores_on_failure_inside_scope(self):
-        # The campaign's failure mode: a solve blows up mid-scope.
-        rng = random.Random(13)
-        for _ in range(8):
-            circuit, _ = random_ladder(rng, stages=rng.randint(2, 4))
-            deviations = self._random_deviations(rng, circuit)
-            with pytest.raises(AnalogError):
-                with circuit.with_deviations(deviations):
-                    assert circuit.deviations() == deviations
-                    raise AnalogError("solver failed")
-            assert circuit.deviations() == {}
-
-    def test_restores_on_partial_application_failure(self):
-        # __enter__ itself fails halfway (unknown element, or a
-        # deviation that would drive a value non-positive): nothing
-        # may leak.
-        rng = random.Random(17)
-        circuit, _ = random_ladder(rng, stages=3)
-        with pytest.raises(AnalogError):
-            with circuit.with_deviations({"Rs0": 0.4, "NOPE": 0.1}):
-                pass  # pragma: no cover - never entered
-        assert circuit.deviations() == {}
-        with pytest.raises(AnalogError):
-            with circuit.with_deviations({"Rs0": 0.4, "Rs1": -1.5}):
-                pass  # pragma: no cover - never entered
-        assert circuit.deviations() == {}
-
-    def test_restores_preexisting_deviation(self):
-        rng = random.Random(19)
-        circuit, _ = random_ladder(rng, stages=3)
-        circuit.set_deviation("Rs0", 0.25)
-        with circuit.with_deviations({"Rs0": -0.5, "Rs1": 0.1}):
-            assert circuit.deviations()["Rs0"] == -0.5
-        assert circuit.deviations() == {"Rs0": 0.25}
-        circuit.clear_deviations()
-
+class TestCircuitIsOnlyRead:
     def test_unit_source_restores_on_failure(self):
         # The factorized engine drives the source at unit amplitude for
         # its whole run.  The drive is a stamped copy of the source, so

@@ -7,6 +7,7 @@ from repro.analog import (
     PerformanceParameter,
     standard_filter_parameters,
 )
+from repro.core.fingerprint import analog_fingerprint
 from repro.spice import AnalogCircuit
 
 
@@ -38,8 +39,7 @@ class TestMeasure:
     def test_measure_respects_deviation_state(self):
         p = PerformanceParameter("Adc", ParameterKind.DC_GAIN, "Vin", "out")
         circuit = inverting_amp()
-        with circuit.with_deviations({"Rf": 0.5}):
-            assert p.measure(circuit) == pytest.approx(6.0)
+        assert p.measure(circuit, {"Rf": 0.5}) == pytest.approx(6.0)
         assert p.measure(circuit) == pytest.approx(4.0)
 
 
@@ -90,7 +90,7 @@ class TestConcurrentMeasurement:
             for state in states
         ]
         source = circuit.component(mixed.analog_source)
-        before = (circuit.deviations(), source.ac, source.dc)
+        before = (analog_fingerprint(circuit), source.ac, source.dc)
 
         results: list = [None] * self.THREADS
         errors: list = []
@@ -117,5 +117,5 @@ class TestConcurrentMeasurement:
             thread.join()
         assert not errors
         assert results == expected
-        assert (circuit.deviations(), source.ac, source.dc) == before
+        assert (analog_fingerprint(circuit), source.ac, source.dc) == before
         assert len({tuple(row) for row in expected}) == self.THREADS

@@ -4,19 +4,24 @@ The factorized campaign engine, :func:`repro.spice.sweep` and
 ``MnaSolver(circuit, source=...)`` drive the measured source at unit
 amplitude by stamping a copy of it.
 The shared :class:`~repro.spice.VoltageSource` is never written, so one
-circuit object can serve concurrent campaigns.  Deviation matrices take
-each deviation state as an argument and measure on a scope of their own,
-so threads sharing one circuit get the serial matrix and leave the
-circuit's deviations as they were.
+circuit object can serve concurrent campaigns.  A deviation state is
+always an argument — of every measurement, of the reference engine's
+faulty solves and of fault activation — and never held by the circuit,
+so threads sharing one circuit get the serial results and leave the
+circuit as it was.
 """
 
+import random
 import sys
 import threading
 
 import pytest
 
+from repro.analog import parametric
+from repro.analog.faultsim import ReferenceEngine, draw_faults
 from repro.api import CampaignConfig, Workbench
-from repro.core import run_campaign
+from repro.core import Bound, activate, choose_stimulus, run_campaign
+from repro.core.fingerprint import analog_fingerprint
 from repro.spice import MnaSolver, VoltageSource, sweep
 
 
@@ -117,8 +122,7 @@ class TestThreadedDeviationMatrix:
 
         mixed = fig4_mixed_circuit()
         circuit, parameters = mixed.analog, mixed.parameters
-        circuit.set_deviation("C2", 0.01)  # the circuit's own state
-        before = circuit.deviations()
+        before = analog_fingerprint(circuit)
 
         def matrix(_):
             return deviation_matrix(circuit, parameters).to_cache_document()
@@ -127,4 +131,57 @@ class TestThreadedDeviationMatrix:
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(matrix, range(4)))
         assert all(document == serial for document in threaded)
-        assert circuit.deviations() == before
+        assert analog_fingerprint(circuit) == before
+
+
+class TestThreadedFaultInjection:
+    def test_reference_engine_and_activation_share_one_circuit(
+        self, prepared
+    ):
+        mixed, report = prepared
+        testable = [test for test in report.analog_tests if test.testable]
+        faults = draw_faults(testable, 3, (0.5, 3.0), random.Random(5))
+        a2 = next(p for p in mixed.parameters if p.name == "A2")
+        choice = choose_stimulus(
+            mixed.analog, a2, Bound.LOWER, mixed.adc.threshold(0)
+        )
+        before = analog_fingerprint(mixed.analog)
+
+        def inject():
+            outcomes = ReferenceEngine().run(mixed, testable, faults)
+            codes = [
+                activate(mixed, parametric(f.element, f.deviation), choice)
+                for f in faults
+            ]
+            return (
+                [(o.element, o.deviation, o.detected) for o in outcomes],
+                [(r.good_code, r.faulty_code) for r in codes],
+            )
+
+        expected = inject()
+        results = [None, None]
+        errors = []
+        barrier = threading.Barrier(2, timeout=60)
+
+        def work(index):
+            try:
+                barrier.wait()
+                results[index] = inject()
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(faults) == 24
+        assert results == [expected, expected]
+        assert analog_fingerprint(mixed.analog) == before

@@ -10,6 +10,7 @@ from repro.api import (
     ConfigError,
     GeneratorConfig,
     SessionConfig,
+    Workbench,
 )
 from repro.api.config import RETIRED_CAMPAIGN_FIELDS
 
@@ -126,7 +127,12 @@ class TestSessionConfig:
         assert config.campaign == CampaignConfig()
         assert config.atpg == AtpgConfig()
 
-    def test_max_workers_validated(self):
-        with pytest.raises(ConfigError):
-            SessionConfig(max_workers=0)
+    @pytest.mark.parametrize("bad", [0, -1, -8])
+    def test_explicit_non_positive_workers_rejected(self, bad):
+        # Regression: `max_workers or ...` used to treat an explicit 0
+        # as "unset" and silently fall through to the defaults.
+        with pytest.raises(ConfigError, match="max_workers"):
+            SessionConfig(max_workers=bad)
+        with pytest.raises(ConfigError, match="max_workers"):
+            Workbench().session(max_workers=bad)
 

@@ -176,15 +176,6 @@ class TestRunBatch:
         with pytest.raises(ConfigError, match="same MixedSignalCircuit"):
             session.run_batch([mixed, mixed], stages=("sensitivity",))
 
-    @pytest.mark.parametrize("bad", [0, -1, -8])
-    def test_explicit_non_positive_workers_rejected(self, bad):
-        # Regression: `max_workers or ...` used to treat an explicit 0
-        # as "unset" and silently fall through to the defaults.
-        with pytest.raises(ConfigError, match="max_workers"):
-            TestSession().run_batch(
-                ["fig4"], stages=("sensitivity",), max_workers=bad
-            )
-
 
 class TestWorkbenchFacade:
     def test_session_keyword_shorthand(self):

@@ -190,12 +190,6 @@ class TestInvalidation:
         self._assert_recomputed(edited, root)
         assert _deviations(edited) != _deviations(cold)
 
-    def test_analog_deviation_edit(self, session, primed):
-        root, _cold = primed
-        mixed = session.circuit("fig4")
-        mixed.analog.set_deviation("C1", 0.02)
-        self._assert_recomputed(self._run(session, mixed, root), root)
-
     def test_same_count_gate_swap(self, session, primed):
         root, _cold = primed
         mixed = session.circuit("fig4")
@@ -301,11 +295,10 @@ class TestSharing:
     ):
         serial = session.run("fig4", stages=DEFAULT_STAGES)
         config = CampaignConfig(cache_dir=str(tmp_path))
-        batch = session.run_batch(
+        batch = Workbench().session(max_workers=3).run_batch(
             ["fig4", "fig4", "fig4-mixed"],
             stages=DEFAULT_STAGES,
             campaign=config,
-            max_workers=3,
         )
         for result in batch:
             assert _outputs(result) == _outputs(serial)

@@ -36,11 +36,13 @@ class TestBandpass:
         # The paper's structural fact behind Example 1's A1 row.
         circuit = bandpass_filter()
         _f0, nominal = peak_gain(circuit, "Vin", "V1", 50.0, 2e5)
-        with circuit.with_deviations({"R1": 0.2, "C2": -0.2}):
-            _f, perturbed = peak_gain(circuit, "Vin", "V1", 50.0, 2e5)
+        _f, perturbed = peak_gain(
+            circuit, "Vin", "V1", 50.0, 2e5, deviations={"R1": 0.2, "C2": -0.2}
+        )
         assert perturbed == pytest.approx(nominal, rel=0.005)
-        with circuit.with_deviations({"Rd": 0.2}):
-            _f, gained = peak_gain(circuit, "Vin", "V1", 50.0, 2e5)
+        _f, gained = peak_gain(
+            circuit, "Vin", "V1", 50.0, 2e5, deviations={"Rd": 0.2}
+        )
         assert gained == pytest.approx(nominal * 1.2, rel=0.01)
 
     def test_all_parameters_measurable(self):

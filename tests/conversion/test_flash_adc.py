@@ -1,9 +1,18 @@
 """Tests for the flash ADC model (cross-validated against MNA)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.conversion import FlashAdc
 from repro.spice import MnaSolver
+
+
+def deviated(adc: FlashAdc, index: int, deviation: float) -> FlashAdc:
+    """A copy of ``adc`` with ladder resistor ``index`` (0-based) deviated."""
+    values = list(adc.resistor_values)
+    values[index] *= 1.0 + deviation
+    return replace(adc, resistor_values=values)
 
 
 class TestThresholds:
@@ -22,8 +31,7 @@ class TestThresholds:
 
     def test_analytic_matches_mna(self):
         # The closed-form taps must agree with a real ladder solve.
-        adc = FlashAdc(n_comparators=7, v_top=5.0)
-        adc.set_deviation("R3", 0.3)
+        adc = deviated(FlashAdc(n_comparators=7, v_top=5.0), 2, 0.3)
         circuit = adc.as_circuit()
         solution = MnaSolver(circuit).solve_dc()
         for index, expected in enumerate(adc.thresholds()):
@@ -53,23 +61,13 @@ class TestDeviations:
     def test_deviation_shifts_taps(self):
         adc = FlashAdc(n_comparators=4, v_top=5.0)
         nominal = adc.thresholds()
-        adc.set_deviation("R1", 1.0)  # bottom resistor doubles
-        shifted = adc.thresholds()
+        shifted = deviated(adc, 0, 1.0).thresholds()  # bottom resistor doubles
         assert all(s > n for s, n in zip(shifted, nominal))
-
-    def test_with_deviations_scope(self):
-        adc = FlashAdc(n_comparators=4)
-        nominal = adc.threshold(0)
-        with adc.with_deviations({"R1": 0.5}):
-            assert adc.threshold(0) != nominal
-        assert adc.threshold(0) == nominal
+        assert adc.thresholds() == nominal  # the original is untouched
 
     def test_unknown_resistor_rejected(self):
-        with pytest.raises(ValueError):
-            FlashAdc(n_comparators=2).set_deviation("R99", 0.1)
-
-    def test_clear_deviations(self):
+        # A deviated copy is validated like a new converter: a fourth
+        # resistor on a two-comparator ladder does not exist.
         adc = FlashAdc(n_comparators=2)
-        adc.set_deviation("R1", 0.5)
-        adc.clear_deviations()
-        assert adc.thresholds() == pytest.approx([5.0 / 3, 10.0 / 3])
+        with pytest.raises(ValueError):
+            replace(adc, resistor_values=adc.resistor_values + [1000.0])

@@ -45,11 +45,10 @@ class TestFlashProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_deviation_preserves_thermometer(self, deviation, resistor):
-        adc = FlashAdc()
-        name = f"R{resistor + 1}"
-        with adc.with_deviations({name: deviation}):
-            code = adc.convert(2.5)
-            assert all(a >= b for a, b in zip(code, code[1:]))
+        values = list(FlashAdc().resistor_values)
+        values[resistor] *= 1.0 + deviation
+        code = FlashAdc(resistor_values=values).convert(2.5)
+        assert all(a >= b for a, b in zip(code, code[1:]))
 
 
 class TestTermProperties:

@@ -1,5 +1,8 @@
 """Integration tests of the full mixed-signal test generator (Fig. 4)."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from repro.api import GeneratorConfig, Pipeline
@@ -8,7 +11,9 @@ from repro.circuits import fig4_mixed_circuit
 from repro.core import (
     AnalogTestStatus,
     MixedSignalTestGenerator,
+    activate,
 )
+from repro.core import generator as generator_module
 from repro.digital import coverage, simulate
 from repro.digital.gates import GateType
 from repro.digital.netlist import Gate
@@ -51,10 +56,9 @@ class TestFullFlow:
             injected = test.ed_percent / 100.0 * 1.25
             detected_any = False
             for sign in (+1, -1):
-                with mixed.analog.with_deviations(
-                    {test.element: sign * injected}
-                ):
-                    faulty_code = mixed.converter_code(frequency, amplitude)
+                faulty_code = mixed.converter_code(
+                    frequency, amplitude, {test.element: sign * injected}
+                )
                 if faulty_code == good_code:
                     continue
                 assignment = dict(test.vector)
@@ -145,6 +149,53 @@ class TestGeneratorOptions:
         first = generator.sensitivities
         second = generator.sensitivities
         assert first is second
+
+
+class TestUntestableStatus:
+    """An untestable element reports the furthest stage any of its
+    parameters reached: propagation > activation > measurement."""
+
+    @staticmethod
+    def _activates_only(parameters):
+        def fake(mixed, fault, choice):
+            result = activate(mixed, fault, choice)
+            if choice.parameter in parameters:
+                return result
+            return dataclasses.replace(result, faulty_code=result.good_code)
+
+        return fake
+
+    @staticmethod
+    def _never_propagates(cbdd, pinned):
+        return SimpleNamespace(vector=None, observing_output=None)
+
+    @staticmethod
+    def _rg_test():
+        generator = MixedSignalTestGenerator(fig4_mixed_circuit())
+        return generator.analog_element_test("Rg")
+
+    def test_no_comparator_ever_flips(self, monkeypatch):
+        monkeypatch.setattr(
+            generator_module, "activate", self._activates_only(())
+        )
+        test = self._rg_test()
+        assert test.status is AnalogTestStatus.UNTESTABLE_ACTIVATION
+        assert not test.testable
+
+    @pytest.mark.parametrize(
+        "activating", [("A2", "A1"), ("A2",), ("A1",)], ids=["both", "A2", "A1"]
+    )
+    def test_flips_that_never_reach_an_output(self, monkeypatch, activating):
+        # Rg tries A2 first and A1 second: the element reports the
+        # propagation failure whichever of them flipped a comparator.
+        monkeypatch.setattr(
+            generator_module, "activate", self._activates_only(activating)
+        )
+        monkeypatch.setattr(
+            generator_module, "propagate_composite", self._never_propagates
+        )
+        test = self._rg_test()
+        assert test.status is AnalogTestStatus.UNTESTABLE_PROPAGATION
 
 
 class TestGradeDigital:

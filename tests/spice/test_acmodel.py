@@ -1,8 +1,8 @@
 """Differential tests: the compiled AC model against a plain stamp walk.
 
 The oracle is test-local and independent of :mod:`repro.spice.acmodel`:
-the circuit's deviations applied with ``with_deviations``, the source
-driven at 1 V by writing its ``ac``/``dc`` levels
+each element's value under the deviation state (``effective_value``),
+the source driven at 1 V by writing its ``ac``/``dc`` levels
 (:func:`mutating_unit_source`, the scope the library used to ship),
 every component stamped into a fresh
 :class:`~repro.spice.backends.SystemAssembler`, ``finish(gmin=GMIN)``,
@@ -25,6 +25,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from repro.analog import ParameterKind
 from repro.api.registry import default_registry
+from repro.core.fingerprint import analog_fingerprint
 from repro.circuits import (
     bandpass_filter,
     bandpass_parameters,
@@ -118,15 +119,16 @@ def mutating_unit_source(circuit, source_name):
         source.ac, source.dc = saved
 
 
-def reference_solution(circuit, frequency_hz, backend="auto"):
-    """The circuit as it is now, stamped component by component into a
-    :class:`SystemAssembler` and solved once."""
+def reference_solution(circuit, frequency_hz, backend="auto", state=None):
+    """The circuit at deviation ``state``, stamped component by component
+    into a :class:`SystemAssembler` and solved once."""
+    state = circuit.deviation_state(state)
     node_index = {node: index for index, node in enumerate(circuit.nodes())}
     s = 2j * math.pi * frequency_hz if frequency_hz else 0.0
     assembler = SystemAssembler(node_index, dtype=complex)
     for component in circuit.components:
         value = (
-            circuit.effective_value(component.name)
+            circuit.effective_value(component.name, state)
             if component.has_value
             else 0.0
         )
@@ -149,10 +151,8 @@ def reference_solution(circuit, frequency_hz, backend="auto"):
 
 
 def oracle_solution(circuit, source, frequency_hz, state=None, backend="auto"):
-    with circuit.with_deviations(state or {}), mutating_unit_source(
-        circuit, source
-    ):
-        return reference_solution(circuit, frequency_hz, backend)
+    with mutating_unit_source(circuit, source):
+        return reference_solution(circuit, frequency_hz, backend, state)
 
 
 def oracle_transfer(circuit, source, output, frequency_hz, state=None):
@@ -300,22 +300,24 @@ class TestTransferMatchesReference:
         levels = (circuit.component(source).ac, circuit.component(source).dc)
         for f in FREQUENCIES:
             expected = oracle_solution(circuit, source, f, state)
-            with circuit.with_deviations(state):
-                ours = MnaSolver(circuit, source=source).solve(f)
-            assert ours._voltages == expected._voltages
-            assert ours._branch_currents == expected._branch_currents
+            model = AcModel(circuit, source, deviations=state)
+            solved = [Solution.of(model, model.solve(f), f)]
+            if not state:
+                solved.append(MnaSolver(circuit, source=source).solve(f))
+            for ours in solved:
+                assert ours._voltages == expected._voltages
+                assert ours._branch_currents == expected._branch_currents
         source_component = circuit.component(source)
         assert (source_component.ac, source_component.dc) == levels
 
     def test_compiling_never_writes_the_circuit(self):
         circuit = state_variable_filter()
-        circuit.set_deviation("R1", 0.2)
         source = circuit.component("Vin")
-        before = (circuit.deviations(), source.ac, source.dc)
+        before = (analog_fingerprint(circuit), source.ac, source.dc)
         AcModel(circuit, "Vin", "V1", {"R1": 0.4, "C1": -0.1}).transfers(
             [0.0, 100.0, 1e4]
         )
-        assert (circuit.deviations(), source.ac, source.dc) == before
+        assert (analog_fingerprint(circuit), source.ac, source.dc) == before
 
 
 # ----------------------------------------------------------------------
@@ -350,13 +352,6 @@ class TestMeasureMatchesScalarLoops:
         }
         assert kinds == set(ParameterKind)
 
-    def test_state_argument_layers_over_circuit_deviations(self):
-        circuit = bandpass_filter()
-        parameter = bandpass_parameters()[0]
-        circuit.set_deviation("Rd", 0.1)
-        layered = parameter.measure(circuit, {"Rg": -0.05})
-        assert layered == oracle_measure(parameter, circuit, {"Rg": -0.05})
-        assert circuit.deviations() == {"Rd": 0.1}
 
 
 # ----------------------------------------------------------------------
@@ -502,28 +497,6 @@ class TestStampDelta:
                 )
             assert dense_form(base) == before  # deriving never writes the base
 
-    @pytest.mark.parametrize("name", DENSE_CIRCUITS + ["all-devices"])
-    def test_circuit_carrying_its_own_deviations(self, name):
-        circuit, source = registry_block(name)
-        names = circuit.element_names()
-        circuit.set_deviation(names[0], 0.15)
-        circuit.set_deviation(names[-1], -0.1)
-        output = circuit.nodes()[-1]
-        base = AcModel(circuit, source, output, {names[1]: 0.05})
-        for state in (
-            {},
-            {names[0]: 0.0},  # lifts one of the circuit's own deviations
-            {names[0]: 0.3, names[1]: 0.0},
-            {names[-1]: 0.2, names[len(names) // 2]: -0.4},
-            random_state(circuit, 13),
-        ):
-            assert_same_model(
-                base.at_state(state), AcModel(circuit, source, output, state)
-            )
-        # The circuit's own state moved after the base was compiled.
-        circuit.set_deviation(names[1], 0.25)
-        assert_same_model(base.at_state(), AcModel(circuit, source, output))
-
     @pytest.mark.parametrize(
         "name", [n for n in REGISTRY.names("analog") if not _dense(n)]
     )
@@ -584,11 +557,10 @@ class TestStampDelta:
         )
         deviation = st.floats(-0.9, 3.0, allow_nan=False)
         state = {element: data.draw(deviation) for element in chosen}
+        # The base's own state, which the derived one must lift.
         own = data.draw(st.dictionaries(st.sampled_from(names), deviation, max_size=2))
-        for element, value in own.items():
-            circuit.set_deviation(element, value)
         output = data.draw(st.sampled_from(circuit.nodes()))
-        base = AcModel(circuit, source, output)
+        base = AcModel(circuit, source, output, own)
         assert_same_model(
             base.at_state(state),
             AcModel(circuit, source, output, state),

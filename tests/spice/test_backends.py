@@ -19,6 +19,7 @@ from repro.spice import (
     SPARSE_AUTO_THRESHOLD,
     SparseBackend,
     SparsityPattern,
+    Solution,
     SystemAssembler,
     resolve_backend,
     sweep,
@@ -140,8 +141,8 @@ class TestBackendEquivalence:
         circuit = bandpass_filter()
         solver = MnaSolver(circuit, backend=backend)
         factorized = solver.factorized(2.5e3)
-        with circuit.with_deviations({"R1": 0.25}):
-            fresh = MnaSolver(circuit, backend=backend).solve(2.5e3)
+        model = AcModel(circuit, None, deviations={"R1": 0.25}, backend=backend)
+        fresh = Solution.of(model, model.solve(2.5e3), 2.5e3)
         for node in fresh.nodes():
             deviated = factorized.deviation_batch([("R1", 0.25)], node)[0]
             assert deviated == pytest.approx(fresh.voltage(node), abs=1e-9)

@@ -3,8 +3,8 @@
 :meth:`repro.spice.FactorizedMna.deviation_batch` is the one
 Sherman–Morrison kernel: it executes a whole population's rank-one
 updates as one multi-RHS solve plus vectorized numpy expressions.  Its
-oracle is independent of it: a fresh :class:`~repro.spice.MnaSolver`
-solve of the circuit with the element actually deviated.  Both must
+oracle is independent of it: a fresh :class:`~repro.spice.AcModel`
+compile and solve of the state with the element deviated.  Both must
 agree to 1e-9 on every circuit — with dense-fallback faults
 deliberately mixed into the batch — because the campaign engine's
 agreement with the ``reference`` engine rests on this equivalence.
@@ -25,10 +25,12 @@ from hypothesis import strategies as st
 from repro.api import default_registry
 from repro.circuits import bandpass_filter, chebyshev_filter, rc_ladder
 from repro.spice import (
+    AcModel,
     AnalogCircuit,
     AnalogError,
     MnaSolver,
     Resistor,
+    Solution,
     VoltageSource,
 )
 
@@ -63,8 +65,10 @@ def _assert_matches_fresh(circuit, faults, voltages, node, frequency,
     circuit with that fault's element deviated."""
     assert voltages.shape == (len(faults),)
     for (element, deviation), voltage in zip(faults, voltages):
-        with circuit.with_deviations({element: deviation}):
-            solution = MnaSolver(circuit, backend=backend).solve(frequency)
+        model = AcModel(
+            circuit, None, deviations={element: deviation}, backend=backend
+        )
+        solution = Solution.of(model, model.solve(frequency), frequency)
         assert voltage == pytest.approx(
             solution.voltage(node), rel=TOLERANCE, abs=TOLERANCE
         )

@@ -112,17 +112,6 @@ class TestMeasurementScope:
         assert [p.measure(circuit, state, scope=scope) for p in parameters] == shared
         assert len(searches) == 1
 
-    def test_keys_follow_the_circuits_own_deviations(self):
-        circuit = bandpass_filter()
-        scope = MeasurementScope(circuit)
-        nominal = scope.peak_gain("Vin", "V1", 50.0, 2.0e5)
-        circuit.set_deviation("Rg", 0.2)
-        moved = scope.peak_gain("Vin", "V1", 50.0, 2.0e5)
-        assert moved != nominal
-        assert moved == peak_gain(circuit, "Vin", "V1", 50.0, 2.0e5)
-        circuit.clear_deviations()
-        assert scope.peak_gain("Vin", "V1", 50.0, 2.0e5) == nominal
-
     def test_scope_of_another_circuit_is_rejected(self):
         parameter = bandpass_parameters()[0]
         with pytest.raises(ValueError, match="another circuit"):

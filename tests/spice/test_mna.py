@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.spice import AnalogCircuit, AnalogError, MnaSolver
+from repro.spice import (
+    AcModel,
+    AnalogCircuit,
+    AnalogError,
+    MnaSolver,
+    Solution,
+)
 
 
 class TestDc:
@@ -161,30 +167,23 @@ class TestDeviations:
         c.resistor("R1", "in", "mid", 1000.0)
         c.resistor("R2", "mid", "0", 1000.0)
         nominal = MnaSolver(c).solve_dc().voltage("mid").real
-        c.set_deviation("R2", 1.0)  # R2 doubles
-        shifted = MnaSolver(c).solve_dc().voltage("mid").real
+        deviated = AcModel(c, None, deviations={"R2": 1.0})  # R2 doubles
+        shifted = Solution.of(deviated, deviated.solve(0.0), 0.0)
         assert nominal == pytest.approx(5.0)
-        assert shifted == pytest.approx(10.0 * 2000 / 3000)
-
-    def test_with_deviations_restores(self):
-        c = AnalogCircuit("divider")
-        c.vsource("V1", "in", "0", dc=10.0)
-        c.resistor("R1", "in", "mid", 1000.0)
-        c.resistor("R2", "mid", "0", 1000.0)
-        with c.with_deviations({"R2": 0.5}):
-            assert c.effective_value("R2") == pytest.approx(1500.0)
-        assert c.effective_value("R2") == pytest.approx(1000.0)
+        assert shifted.voltage("mid").real == pytest.approx(10.0 * 2000 / 3000)
+        assert c.effective_value("R2", {"R2": 0.5}) == pytest.approx(1500.0)
+        assert c.effective_value("R2") == 1000.0
 
     def test_invalid_deviation_rejected(self):
         c = AnalogCircuit("x")
         c.resistor("R1", "a", "0", 1000.0)
         with pytest.raises(AnalogError):
-            c.set_deviation("R1", -1.0)
+            c.deviation_state({"R1": -1.0})
 
     def test_deviation_of_unknown_element(self):
         c = AnalogCircuit("x")
         with pytest.raises(AnalogError):
-            c.set_deviation("Rx", 0.1)
+            c.deviation_state({"Rx": 0.1})
 
     def test_duplicate_component_rejected(self):
         c = AnalogCircuit("x")
@@ -284,7 +283,7 @@ class TestRelativeConditioning:
         batch = factorized.deviation_batch(faults, "out")
         for (element, dev), voltage in zip(faults, batch):
             # The near-singular deviation drives R4 negative, which
-            # ``with_deviations`` refuses, so the oracle solves a copy
+            # ``deviation_state`` refuses, so the oracle solves a copy
             # built with the deviated value.
             deviated = AnalogCircuit(circuit.name)
             for component in circuit.components:
