@@ -7,13 +7,15 @@ load-bearing invariants of the fast campaign engine:
 * a Sherman–Morrison rank-one update of the factorized system equals a
   full re-assembled dense solve of the deviated circuit;
 * a factorization is built from the circuit as it is when asked for,
-  and driving the source at unit amplitude never writes the circuit.
+  and neither a deviation state nor driving the source at unit
+  amplitude ever writes the circuit.
 """
 
 import random
 
 import pytest
 
+from repro.core.fingerprint import analog_fingerprint
 from repro.spice import (
     AcModel,
     AnalogCircuit,
@@ -119,6 +121,80 @@ class TestRankOneUpdateProperty:
 
 
 class TestCircuitIsOnlyRead:
+    """A deviation state is an argument: solving at one, failing at one
+    or being refused one leaves the circuit exactly as it was."""
+
+    def _random_deviations(self, rng, circuit):
+        elements = circuit.element_names()
+        chosen = rng.sample(elements, k=min(3, len(elements)))
+        return {
+            name: rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.9)
+            for name in chosen
+        }
+
+    def _values(self, circuit):
+        return [(n, circuit.nominal_value(n)) for n in circuit.element_names()]
+
+    def test_deviated_solves_leave_the_circuit(self):
+        rng = random.Random(11)
+        for _ in range(8):
+            circuit, output = random_ladder(rng, stages=rng.randint(2, 4))
+            before = (analog_fingerprint(circuit), self._values(circuit))
+            nominal = MnaSolver(circuit).solve(1e3).voltage(output)
+            deviations = self._random_deviations(rng, circuit)
+            model = AcModel(circuit, None, output, deviations)
+            model.solve(1e3)
+            MnaSolver(circuit).factorized(1e3).deviation_batch(
+                list(deviations.items()), output
+            )
+            assert (analog_fingerprint(circuit), self._values(circuit)) == before
+            assert MnaSolver(circuit).solve(1e3).voltage(output) == nominal
+
+    def test_failure_inside_a_deviated_solve_leaves_the_circuit(self):
+        # The campaign's failure mode: a solve at a deviated state
+        # blows up.
+        rng = random.Random(13)
+        for _ in range(8):
+            circuit, _ = random_ladder(rng, stages=rng.randint(2, 4))
+            deviations = self._random_deviations(rng, circuit)
+            circuit.vsource("Vshort", "n1", "n1")  # a singular system
+            before = (analog_fingerprint(circuit), self._values(circuit))
+            with pytest.raises(AnalogError, match="singular"):
+                AcModel(circuit, None, deviations=deviations).solve(1e3)
+            assert (analog_fingerprint(circuit), self._values(circuit)) == before
+
+    def test_refused_state_leaves_the_circuit(self):
+        # A state is validated whole before anything reads it (unknown
+        # element, or a deviation that would drive a value non-positive),
+        # so a valid entry before the bad one cannot leak.
+        rng = random.Random(17)
+        circuit, output = random_ladder(rng, stages=3)
+        before = (analog_fingerprint(circuit), self._values(circuit))
+        nominal = AcModel(circuit, None, output).solve(1e3)
+        for bad in ({"Rs0": 0.4, "NOPE": 0.1}, {"Rs0": 0.4, "Rs1": -1.5}):
+            with pytest.raises(AnalogError):
+                AcModel(circuit, None, output, bad)
+            with pytest.raises(AnalogError):
+                circuit.deviation_state(bad)
+            assert (analog_fingerprint(circuit), self._values(circuit)) == before
+        assert (AcModel(circuit, None, output).solve(1e3) == nominal).all()
+
+    def test_states_do_not_layer(self):
+        # Each state is relative to nominal: a state measured earlier
+        # leaves nothing behind for the next one to sit on.
+        rng = random.Random(19)
+        circuit, output = random_ladder(rng, stages=3)
+        fresh, _ = random_ladder(random.Random(19), stages=3)
+        AcModel(circuit, None, output, {"Rs0": 0.25}).solve(1e3)
+        second = {"Rs0": -0.5, "Rs1": 0.1}
+        assert (
+            AcModel(circuit, None, output, second).solve(1e3)
+            == AcModel(fresh, None, output, second).solve(1e3)
+        ).all()
+        assert circuit.effective_value("Rs0", second) == (
+            circuit.nominal_value("Rs0") * 0.5
+        )
+
     def test_unit_source_restores_on_failure(self):
         # The factorized engine drives the source at unit amplitude for
         # its whole run.  The drive is a stamped copy of the source, so

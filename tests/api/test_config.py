@@ -127,6 +127,15 @@ class TestSessionConfig:
         assert config.campaign == CampaignConfig()
         assert config.atpg == AtpgConfig()
 
+    def test_max_workers_validated(self):
+        assert SessionConfig().max_workers is None
+        assert SessionConfig(max_workers=1).max_workers == 1
+        config = SessionConfig(max_workers=4)
+        assert Workbench().session(max_workers=4).config == config
+        with pytest.raises(ConfigError, match="max_workers"):
+            config.replace(max_workers=0)
+        assert config.max_workers == 4
+
     @pytest.mark.parametrize("bad", [0, -1, -8])
     def test_explicit_non_positive_workers_rejected(self, bad):
         # Regression: `max_workers or ...` used to treat an explicit 0

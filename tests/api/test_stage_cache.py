@@ -190,6 +190,19 @@ class TestInvalidation:
         self._assert_recomputed(edited, root)
         assert _deviations(edited) != _deviations(cold)
 
+    def test_measuring_a_deviated_state_keeps_the_key(self, session, primed):
+        # Measuring at a deviation state (what activation and the
+        # campaign engines do) never writes the circuit, so it moves
+        # nothing the key covers.
+        root, cold = primed
+        mixed = session.circuit("fig4")
+        for parameter in mixed.parameters:
+            parameter.measure(mixed.analog, {"C1": 0.02, "Rg": -0.1})
+        rerun = self._run(session, mixed, root)
+        assert all(_flags(rerun).values())
+        assert _outputs(rerun) == _outputs(cold)
+        assert len(_entries(root)) == 1
+
     def test_same_count_gate_swap(self, session, primed):
         root, _cold = primed
         mixed = session.circuit("fig4")

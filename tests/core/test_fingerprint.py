@@ -19,7 +19,7 @@ from repro.core.fingerprint import (
 )
 from repro.digital.netlist import Circuit
 from repro.digital.gates import GateType
-from repro.spice import AnalogCircuit
+from repro.spice import AnalogCircuit, gain_at
 
 
 class TestCanonicalForm:
@@ -147,3 +147,12 @@ class TestAnalogFingerprint:
         source.component("Vin").ac = 2.0
         digests = {analog_fingerprint(c) for c in (value, node, source)}
         assert base not in digests and len(digests) == 3
+
+    def test_measuring_at_a_state_keeps_the_digest(self):
+        # A deviation state is an argument of the measurement, not part
+        # of the circuit, so measuring at one never moves the digest.
+        circuit = self._circuit()
+        base = analog_fingerprint(circuit)
+        deviated = gain_at(circuit, "Vin", "out", 1e5, {"R1": 0.1, "C1": -0.2})
+        assert deviated != gain_at(circuit, "Vin", "out", 1e5)
+        assert analog_fingerprint(circuit) == base

@@ -14,6 +14,7 @@ for bit, not approximately.  A model derived for another deviation state
 that state the same way, down to its dense-form arrays.
 """
 
+import copy
 import math
 from contextlib import contextmanager
 
@@ -496,6 +497,38 @@ class TestStampDelta:
                     base.at_state(state), AcModel(circuit, source, output, state)
                 )
             assert dense_form(base) == before  # deriving never writes the base
+
+    @pytest.mark.parametrize("name", DENSE_CIRCUITS + ["all-devices"])
+    def test_circuit_carrying_its_own_deviations(self, name):
+        # A copy whose component values hold ``value * (1 + d)`` (how the
+        # ladder bisection measures a deviated converter) is the nominal
+        # circuit at state ``d``: a fresh compile and a derivation from
+        # the nominal model both equal the carrier's model, bit for bit.
+        circuit, source = registry_block(name)
+        output = circuit.nodes()[-1]
+        state = circuit.deviation_state(random_state(circuit, 13))
+        carrier = copy.deepcopy(circuit)
+        for element in state:
+            carrier.component(element).value = circuit.effective_value(
+                element, state
+            )
+        assert analog_fingerprint(carrier) != analog_fingerprint(circuit)
+        carried = AcModel(carrier, source, output)
+        base = AcModel(circuit, source, output)
+        for derived in (
+            AcModel(circuit, source, output, state),
+            base.at_state(state),
+        ):
+            assert derived.transfers(DELTA_GRID) == carried.transfers(DELTA_GRID)
+            if carried.backend.name == "dense":
+                assert dense_form(derived) == dense_form(carried)
+        # The carrier's own values are its nominal: lifting a deviation
+        # off the circuit lands on the carrier's value, not the circuit's.
+        element = next(iter(state))
+        assert carrier.effective_value(element) == circuit.effective_value(
+            element, state
+        )
+        assert AcModel(carrier, source, output, {element: 0.0})._state == {}
 
     @pytest.mark.parametrize(
         "name", [n for n in REGISTRY.names("analog") if not _dense(n)]

@@ -112,6 +112,19 @@ class TestMeasurementScope:
         assert [p.measure(circuit, state, scope=scope) for p in parameters] == shared
         assert len(searches) == 1
 
+    def test_keys_follow_the_state_argument(self):
+        circuit = bandpass_filter()
+        scope = MeasurementScope(circuit)
+        window = ("Vin", "V1", 50.0, 2.0e5, 120)
+        nominal = scope.peak_gain(*window)
+        moved = scope.peak_gain(*window, {"Rg": 0.2})
+        assert moved != nominal
+        assert moved == peak_gain(circuit, *window, {"Rg": 0.2})
+        # A state is relative to nominal, and a zero entry is nominal.
+        assert scope.peak_gain(*window) == nominal
+        assert scope.peak_gain(*window, {"Rg": 0.0}) == nominal
+        assert peak_gain(circuit, *window) == nominal
+
     def test_scope_of_another_circuit_is_rejected(self):
         parameter = bandpass_parameters()[0]
         with pytest.raises(ValueError, match="another circuit"):
