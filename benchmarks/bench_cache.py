@@ -98,11 +98,7 @@ def main(argv=None) -> int:
     )
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        config = base.replace(
-            shards=shards,
-            shard_workers=min(shards, cpus),
-            cache_dir=cache_dir,
-        )
+        config = base.replace(shards=shards, cache_dir=cache_dir)
         t_cold, cold = _timed(mixed, steps, faults, config)
         t_warm, warm = _timed(mixed, steps, faults, config)
 

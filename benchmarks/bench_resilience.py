@@ -1,10 +1,10 @@
 """Resilience overhead benchmark: supervision must be ~free when calm.
 
 Runs the same undisturbed sharded campaign twice on the rc-ladder
-harness from :mod:`bench_campaign` — once with the retry/quarantine/
-heartbeat machinery effectively disabled (``shard_attempts=1``), once
-with the hardened defaults plus heartbeats — and reports the relative
-overhead as a ``BENCH`` JSON point::
+harness from :mod:`bench_campaign` — once with the retry/quarantine
+machinery effectively disabled (``shard_attempts=1``), once with
+retries armed — and reports the relative overhead as a ``BENCH`` JSON
+point::
 
     BENCH {"bench": "resilience-overhead", "circuit": "rc-ladder-512", ...}
 
@@ -88,14 +88,11 @@ def main(argv=None) -> int:
         faults_per_element=args.faults_per_element,
         seed=args.seed,
         shards=args.shards,
-        shard_workers=1,  # serial in-process: timing without pool noise
     )
-    # Supervision off: one attempt per shard, no heartbeat timer.
+    # Supervision off: one attempt per shard.
     plain = base.replace(shard_attempts=1)
-    # Supervision on: retries armed, heartbeats ticking, quarantine live.
-    hardened = base.replace(
-        shard_attempts=3, retry_backoff=0.0, heartbeat_interval=0.2
-    )
+    # Supervision on: retries armed, quarantine live.
+    hardened = base.replace(shard_attempts=3, retry_backoff=0.0)
 
     # Warm both paths (imports, symbolic analysis, LU caches).
     warm = plain.replace(faults_per_element=1)

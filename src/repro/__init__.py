@@ -16,7 +16,7 @@ The package is organized as the paper's system is:
 * :mod:`repro.circuits` — the paper's example circuits,
 * :mod:`repro.experiments` — regenerators for every table and figure,
 * :mod:`repro.api` — the unified workbench: typed configs, a circuit
-  registry, a staged pipeline, batch fan-out, versioned artifacts, and
+  registry, a staged pipeline, batch runs, versioned artifacts, and
   the ``python -m repro`` CLI.
 
 Quickstart (the workbench is the canonical entry point)::
@@ -28,7 +28,7 @@ Quickstart (the workbench is the canonical entry point)::
     print(result.summary())               # report + per-stage timings
     result.to_artifact().save("fig4.json")  # one versioned JSON scheme
 
-Batch mode fans the same pipeline out over many circuits::
+Batch mode runs the same pipeline over many circuits::
 
     results = wb.session().run_batch(["fig4", "example3-c432"])
 

@@ -101,13 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="split the seeded fault population into N deterministic "
-        "shards executed in worker processes (outcomes identical to "
+        "shards, cached and resumed one by one (outcomes identical to "
         "the unsharded run)",
-    )
-    p_camp.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="process fan-out over shards (default: one per pending "
-        "shard, capped by the CPU count)",
     )
     p_camp.add_argument(
         "--resume-from", metavar="DIR", default=None,
@@ -126,11 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-attempts", type=int, default=None, metavar="N",
         help="attempts per shard before it is quarantined (default: 2; "
         "retries use deterministic seeded backoff)",
-    )
-    p_camp.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-shard-attempt deadline; an overrunning worker is "
-        "killed and the attempt counted as failed",
     )
     p_camp.add_argument(
         "--no-quarantine", dest="quarantine", action="store_const",
@@ -417,10 +407,8 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         seed=args.seed,
         engine=args.engine,
         shards=args.shards,
-        shard_workers=args.shard_workers,
         cache_dir=cache_dir,
         shard_attempts=args.shard_attempts,
-        shard_timeout=args.shard_timeout,
         quarantine=args.quarantine,
         chaos=args.chaos,
     )

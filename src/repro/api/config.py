@@ -38,7 +38,10 @@ RETIRED_CAMPAIGN_FIELDS = frozenset(
         "checkpoint_dir",
         "digital_engine",
         "factor_cache_size",
+        "heartbeat_interval",
         "max_workers",
+        "shard_timeout",
+        "shard_workers",
     }
 )
 
@@ -169,13 +172,12 @@ class CampaignConfig(_Replaceable):
             produce the same seeded outcome lists, barring a gain that
             lands on a comparator threshold to within rounding.
         shards: split the seeded fault population into this many
-            deterministic, contiguous index slices executed in worker
-            *processes* (:mod:`repro.core.sharding`); ``1`` (the
-            default) keeps the classic single-process run.  Any shard
-            count yields outcomes byte-identical to the unsharded run.
-        shard_workers: process fan-out over shards (``None`` = one per
-            pending shard, capped by the CPU count).  Each shard's
-            engine runs its faults serially.
+            deterministic, contiguous index slices
+            (:mod:`repro.core.sharding`), the units a campaign is cached
+            and resumed by; they run serially in the caller's process.
+            ``1`` (the default) keeps the classic unsharded run.  Any
+            shard count yields outcomes byte-identical to the unsharded
+            run.
         cache_dir: root of a content-addressed
             :class:`repro.core.cache.ResultCache`, the run's one cache
             root: generation stages and shard results persist here.
@@ -196,10 +198,6 @@ class CampaignConfig(_Replaceable):
             try included) before it is quarantined; ``1`` disables
             retries.  Retry backoff is deterministic (seeded from
             ``seed``), so a re-run retries on the identical schedule.
-        shard_timeout: per-shard deadline in seconds (``None`` = no
-            deadline).  A shard past its deadline has its worker killed
-            and the attempt counts as a failure; completed shards stay
-            cached.
         retry_backoff: base backoff before a shard's second attempt, in
             seconds (exponential growth, deterministic seeded jitter).
         quarantine: after ``shard_attempts`` failures, drop the shard
@@ -207,19 +205,19 @@ class CampaignConfig(_Replaceable):
             set and a failed-shard manifest (the default).  ``False``
             restores the historical abort-on-failure behaviour
             (:class:`repro.core.sharding.ShardExecutionError`).
-        heartbeat_interval: emit a liveness
-            :class:`~repro.core.sharding.ShardHeartbeat` through the
-            ``progress`` callback every this-many seconds while shard
-            workers execute (``None`` = no heartbeats).
         chaos: JSON :class:`repro.devtools.chaos.ChaosPlan` document
             injecting deterministic failures into the executor — a
             dev/test harness, never set in production.  Excluded from
             fingerprints: chaos perturbs execution, not outcomes.
 
-        The six resilience knobs above change how failures are
-        *handled*, never which outcomes a completed campaign produces,
-        so all of them sit in
+        The resilience knobs above change how failures are *handled*,
+        never which outcomes a completed campaign produces, so all of
+        them sit in
         :data:`repro.core.sharding.FINGERPRINT_EXCLUDED_FIELDS`.
+
+        ``shard_workers``, the retired process fan-out, is still
+        accepted as a constructor keyword and discarded; it is not a
+        field.
     """
 
     faults_per_element: int = 6
@@ -227,18 +225,16 @@ class CampaignConfig(_Replaceable):
     seed: int = 2024
     engine: str = "factorized"
     shards: int = 1
-    shard_workers: int | None = None
     cache_dir: str | None = None
     shard_attempts: int = 2
-    shard_timeout: float | None = None
     retry_backoff: float = 0.05
     quarantine: bool = True
-    heartbeat_interval: float | None = None
     chaos: str | None = None
+    shard_workers: dataclasses.InitVar[int | None] = None
 
     _retired = RETIRED_CAMPAIGN_FIELDS
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, shard_workers: int | None) -> None:
         _require(
             self.faults_per_element >= 1,
             "faults_per_element must be >= 1, got "
@@ -262,10 +258,6 @@ class CampaignConfig(_Replaceable):
             f"shards must be >= 1, got {self.shards!r}",
         )
         _require(
-            self.shard_workers is None or self.shard_workers >= 1,
-            f"shard_workers must be None or >= 1, got {self.shard_workers!r}",
-        )
-        _require(
             self.cache_dir is None or isinstance(self.cache_dir, str),
             f"cache_dir must be None or a path string, got {self.cache_dir!r}",
         )
@@ -274,21 +266,12 @@ class CampaignConfig(_Replaceable):
             f"shard_attempts must be >= 1, got {self.shard_attempts!r}",
         )
         _require(
-            self.shard_timeout is None or self.shard_timeout > 0.0,
-            f"shard_timeout must be None or > 0, got {self.shard_timeout!r}",
-        )
-        _require(
             self.retry_backoff >= 0.0,
             f"retry_backoff must be >= 0, got {self.retry_backoff!r}",
         )
         _require(
             isinstance(self.quarantine, bool),
             f"quarantine must be a bool, got {self.quarantine!r}",
-        )
-        _require(
-            self.heartbeat_interval is None or self.heartbeat_interval > 0.0,
-            "heartbeat_interval must be None or > 0, got "
-            f"{self.heartbeat_interval!r}",
         )
         _require(
             self.chaos is None or isinstance(self.chaos, str),
@@ -344,19 +327,10 @@ class SessionConfig(_Replaceable):
         generator: analog/mixed generation settings.
         campaign: fault-injection campaign settings.
         atpg: digital ATPG settings.
-        max_workers: worker threads for ``run_batch`` (``None`` = one
-            per batch entry, capped by the interpreter's CPU count).
-            Each thread drives its own circuit; a campaign inside it
-            runs serially.
     """
 
     generator: GeneratorConfig = GeneratorConfig()
     campaign: CampaignConfig = CampaignConfig()
     atpg: AtpgConfig = AtpgConfig()
-    max_workers: int | None = None
 
-    def __post_init__(self) -> None:
-        _require(
-            self.max_workers is None or self.max_workers >= 1,
-            f"max_workers must be None or >= 1, got {self.max_workers!r}",
-        )
+    _retired = frozenset({"max_workers"})

@@ -1,9 +1,9 @@
-"""The workbench facade: sessions, batch fan-out, shared BDD reuse.
+"""The workbench facade: sessions, batch runs, shared BDD reuse.
 
 :class:`Workbench` is the repository's front door.  It owns a
 :class:`repro.api.CircuitRegistry` and hands out
 :class:`TestSession` objects; a session binds the typed configs, runs
-named circuits through a :class:`repro.api.Pipeline`, fans out over many
+named circuits through a :class:`repro.api.Pipeline`, runs many
 circuits with :meth:`TestSession.run_batch`, and pools compiled circuit
 BDDs so repeated flows over the same digital block never recompile it.
 
@@ -18,11 +18,9 @@ BDDs so repeated flows over the same digital block never recompile it.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..atpg import CircuitBdd
@@ -137,9 +135,10 @@ class TestSession:
     """A configured driver over the registry's circuits.
 
     Sessions are cheap; hold one per configuration.  A session is safe
-    to share across the threads of its own :meth:`run_batch` — compiled
-    digital-block BDDs are pooled with exclusive checkout, so a block
-    compiled by one run is reused by later runs (never concurrently).
+    to share across threads (the service's job workers share one) —
+    compiled digital-block BDDs are pooled with exclusive checkout, so a
+    block compiled by one run is reused by later runs (never
+    concurrently).
     """
 
     __test__ = False  # not a pytest test class
@@ -260,44 +259,21 @@ class TestSession:
         campaign: CampaignConfig | None = None,
         atpg: AtpgConfig | None = None,
     ) -> list[SessionResult]:
-        """Fan one pipeline out over many circuits concurrently.
+        """Run one pipeline over many circuits, in input order.
 
-        ``SessionConfig.max_workers`` sizes the thread pool.  Results
-        come back in input order; the first failure is re-raised after
-        all workers finish.  Compiled BDDs flow through the pool,
-        so batches with repeated digital blocks amortize compilation.
+        Compiled BDDs flow through the session's pool, so batches with
+        repeated digital blocks amortize compilation.
         """
-        if not circuits:
-            return []
-        Pipeline(stages)  # validate stage names before spawning workers
-        instance_ids = [
-            id(c) for c in circuits if isinstance(c, MixedSignalCircuit)
-        ]
-        if len(set(instance_ids)) != len(instance_ids):
-            raise ConfigError(
-                "run_batch received the same MixedSignalCircuit instance "
-                "more than once; pass registry names (or distinct "
-                "instances) so each worker drives its own circuit"
+        return [
+            self.run(
+                circuit,
+                stages=stages,
+                generator=generator,
+                campaign=campaign,
+                atpg=atpg,
             )
-        workers = self.config.max_workers
-        if workers is None:
-            workers = os.cpu_count() or 4
-        workers = min(workers, len(circuits))
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-batch"
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self.run,
-                    circuit,
-                    stages=stages,
-                    generator=generator,
-                    campaign=campaign,
-                    atpg=atpg,
-                )
-                for circuit in circuits
-            ]
-            return [future.result() for future in futures]
+            for circuit in circuits
+        ]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

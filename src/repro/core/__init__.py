@@ -10,7 +10,6 @@ from .campaign import CampaignResult, InjectionOutcome, run_campaign
 from .resilience import FailureRecord, RetryPolicy
 from .sharding import (
     ShardExecutionError,
-    ShardHeartbeat,
     ShardRetry,
     run_sharded_campaign,
     shard_bounds,
@@ -42,7 +41,6 @@ __all__ = [
     "run_sharded_campaign",
     "shard_bounds",
     "ShardExecutionError",
-    "ShardHeartbeat",
     "ShardRetry",
     "FailureRecord",
     "RetryPolicy",

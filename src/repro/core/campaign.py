@@ -21,9 +21,9 @@ gain that lands on a comparator threshold to within rounding.
 With ``config.shards > 1`` (or a ``cache_dir``), execution is
 delegated to :mod:`repro.core.sharding`: the fault population — still
 drawn exactly once from ``random.Random(config.seed)`` — is partitioned
-by index across worker processes, each completed shard may be cached
-for resume, and the merged result is byte-identical to the
-single-process run.
+by index into shards that run in the caller's process, each completed
+shard may be cached for resume, and the merged result is
+byte-identical to the unsharded run.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def run_campaign(
         # so a cached campaign always runs through the sharded driver
         # (a single shard is fine — it still dedups across re-runs).
         or config.cache_dir is not None
-        # Chaos rides the sharded executor: that is where the retry,
-        # quarantine and degradation machinery it exercises lives.
+        # Chaos rides the sharded executor: that is where the retry
+        # and quarantine machinery it exercises lives.
         or config.chaos is not None
     ):
         # Imported lazily so the module table stays cheap for the

@@ -29,6 +29,7 @@ import json
 __all__ = [
     "canonical_json",
     "fingerprint_of",
+    "fingerprint_with_encoded",
     "sha256_bytes",
     "sha256_text",
     "netlist_fingerprint",
@@ -50,6 +51,23 @@ def canonical_json(document) -> str:
 def fingerprint_of(document) -> str:
     """Canonical sha256 fingerprint of a JSON-encodable document."""
     return sha256_text(canonical_json(document))
+
+
+def fingerprint_with_encoded(document: dict, key: str, encoded: str) -> str:
+    """:func:`fingerprint_of` of ``{**document, key: value}``, given
+    ``encoded == canonical_json(value)``.
+
+    Lets a caller key many documents that share one large value while
+    encoding that value once.  ``key`` must sort after every key of
+    ``document``, so its entry closes the canonical text and can be
+    spliced in before the final brace.
+    """
+    if any(name >= key for name in document):
+        raise ValueError(f"{key!r} must sort after every document key")
+    entry = f"{json.dumps(key)}: {encoded}"
+    head = canonical_json(document)[:-1]
+    text = f"{head}, {entry}}}" if document else f"{{{entry}}}"
+    return sha256_text(text)
 
 
 def sha256_bytes(payload: bytes) -> str:

@@ -7,7 +7,7 @@ list of :class:`ChaosEvent` entries, each naming an injection **site**
 (where in the stack), a **key** (which shard / route / circuit) and the
 1-based **attempts** at which it fires.  Because matching is a pure
 function of ``(site, key, attempt)`` — no RNG, no clocks, no counters —
-a plan that kills shard 2's worker on attempt 1 *always* kills exactly
+a plan that fails shard 2 on attempt 1 *always* fails exactly
 that, and the retried attempt 2 always runs clean.  That is what lets
 the differential suites assert recovered runs are **byte-identical** to
 undisturbed runs.
@@ -16,7 +16,7 @@ Sites and the actions they honour::
 
     site          key                     actions
     ----          ---                     -------
-    shard         shard index             raise | kill | delay
+    shard         shard index             raise
     checkpoint    shard index             torn (the shard cache entry)
     merge         "merge"                 raise
     job           circuit name (or *)     raise
@@ -34,15 +34,12 @@ per hook.
 from __future__ import annotations
 
 import json
-import os
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 __all__ = [
     "CHAOS_SITES",
     "CHAOS_ACTIONS",
-    "KILL_EXIT_CODE",
     "ChaosError",
     "ChaosEvent",
     "ChaosPlan",
@@ -53,10 +50,7 @@ __all__ = [
 CHAOS_SITES = ("shard", "checkpoint", "merge", "job", "http")
 
 #: every supported action.
-CHAOS_ACTIONS = ("raise", "kill", "delay", "torn")
-
-#: the exit code a chaos ``kill`` dies with (distinctive in waitpid).
-KILL_EXIT_CODE = 43
+CHAOS_ACTIONS = ("raise", "torn")
 
 
 class ChaosError(RuntimeError):
@@ -78,7 +72,6 @@ class ChaosEvent:
     key: str
     action: str = "raise"
     attempts: tuple[int, ...] = (1,)
-    seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.site not in CHAOS_SITES:
@@ -93,10 +86,6 @@ class ChaosEvent:
         if not self.attempts or any(a < 1 for a in self.attempts):
             raise ChaosError(
                 f"chaos attempts must be 1-based, got {self.attempts!r}"
-            )
-        if self.seconds < 0.0:
-            raise ChaosError(
-                f"chaos seconds must be >= 0, got {self.seconds!r}"
             )
 
     def matches(self, site: str, key: object, attempt: int) -> bool:
@@ -114,13 +103,12 @@ class ChaosEvent:
             "key": self.key,
             "action": self.action,
             "attempts": list(self.attempts),
-            "seconds": self.seconds,
         }
 
     @classmethod
     def from_document(cls, document: Mapping[str, object]) -> "ChaosEvent":
         """Parse one event object (unknown keys rejected loudly)."""
-        known = {"site", "key", "action", "attempts", "seconds"}
+        known = {"site", "key", "action", "attempts"}
         unknown = sorted(set(document) - known)
         if unknown:
             raise ChaosError(
@@ -145,25 +133,18 @@ class ChaosEvent:
         action = document.get("action", "raise")
         if not isinstance(action, str):
             raise ChaosError(f"chaos action must be a string, got {action!r}")
-        seconds = document.get("seconds", 0.0)
-        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
-            raise ChaosError(f"chaos seconds must be a number, got {seconds!r}")
         return cls(
             site=site,
             key=key,
             action=action,
             attempts=tuple(attempts_raw),
-            seconds=float(seconds),
         )
 
 
 @dataclass(frozen=True)
 class ChaosPlan:
-    """An immutable, picklable set of planned injections.
-
-    Frozen + tuple-backed so it crosses the ``fork`` boundary into
-    shard workers unchanged; the first matching event wins.
-    """
+    """An immutable set of planned injections; the first matching
+    event wins."""
 
     events: tuple[ChaosEvent, ...] = ()
 
@@ -176,30 +157,12 @@ class ChaosPlan:
                 return event
         return None
 
-    def fire(
-        self,
-        site: str,
-        key: object,
-        attempt: int = 1,
-        in_process: bool = False,
-    ) -> ChaosEvent | None:
-        """Apply the matching injection, if any.
-
-        ``raise``/``torn`` raise :class:`ChaosError`; ``delay`` sleeps
-        ``seconds`` and returns the event; ``kill`` exits the process
-        with :data:`KILL_EXIT_CODE` — unless ``in_process`` is set
-        (the hook runs in a parent that must survive, e.g. the
-        in-process executor fallback), where it degrades to a raise.
-        Returns ``None`` when nothing matches: the undisturbed path.
-        """
+    def fire(self, site: str, key: object, attempt: int = 1) -> None:
+        """Raise :class:`ChaosError` if an event matches; return
+        quietly otherwise (the undisturbed path)."""
         event = self.event_for(site, key, attempt)
         if event is None:
-            return None
-        if event.action == "delay":
-            time.sleep(event.seconds)
-            return event
-        if event.action == "kill" and not in_process:
-            os._exit(KILL_EXIT_CODE)
+            return
         raise ChaosError(
             f"chaos[{site}:{key}@{attempt}]: injected {event.action}"
         )

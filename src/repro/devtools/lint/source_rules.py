@@ -86,6 +86,17 @@ def _is_self_attr(node: ast.expr) -> str | None:
     return None
 
 
+def _is_initvar(annotation: ast.expr) -> bool:
+    """``InitVar[...]``/``dataclasses.InitVar[...]``: an init-only
+    parameter, not a dataclass field."""
+    if not isinstance(annotation, ast.Subscript):
+        return False
+    base = annotation.value
+    return (isinstance(base, ast.Name) and base.id == "InitVar") or (
+        isinstance(base, ast.Attribute) and base.attr == "InitVar"
+    )
+
+
 def _dataclass_fields(tree: ast.Module, class_name: str) -> dict[str, str]:
     """Field name -> annotation source for a (data)class's AnnAssigns."""
     for node in tree.body:
@@ -96,7 +107,9 @@ def _dataclass_fields(tree: ast.Module, class_name: str) -> dict[str, str]:
                     statement.target, ast.Name
                 ):
                     name = statement.target.id
-                    if name.startswith("_"):
+                    if name.startswith("_") or _is_initvar(
+                        statement.annotation
+                    ):
                         continue
                     fields[name] = ast.unparse(statement.annotation)
             return fields

@@ -118,9 +118,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             if chaos is not None:
                 # Chaos 'raise' here surfaces as the generic 500 below —
                 # exactly the transient server error the client retries.
-                chaos.fire(
-                    "http", f"{method} {url.path}", in_process=True
-                )
+                chaos.fire("http", f"{method} {url.path}")
             handler = self._resolve(method, parts)
             if handler is None:
                 self._send_error(404, f"no route {method} {url.path}")

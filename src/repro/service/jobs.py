@@ -31,8 +31,8 @@ submitter — so a partial outcome counts as a failed attempt.
 
 Deduplication is fingerprint-first: a spec's :meth:`JobSpec.fingerprint`
 covers only the outcome-relevant identity (the same exclusion contract
-as :func:`repro.core.sharding.campaign_fingerprint` — fan-out knobs
-like shard/worker counts don't change results, so they don't change the
+as :func:`repro.core.sharding.campaign_fingerprint` — split knobs
+like the shard count don't change results, so they don't change the
 key).  Submitting work whose fingerprint is already **stored** returns
 the stored result without executing anything; submitting work an
 **active** job already covers returns that job.
@@ -40,7 +40,7 @@ the stored result without executing anything; submitting work an
 :class:`Scheduler` drives execution on a bounded thread pool: each job
 regenerates the circuit's analog test program (``sensitivity`` →
 ``stimulus``), scores it with :func:`repro.core.run_campaign` — the
-PR-5 sharded executor underneath, streaming per-shard progress into the
+sharded executor underneath, streaming per-shard progress into the
 job's event log — and puts the resulting ``campaign`` artifact into the
 content-addressed store under the spec fingerprint.
 """
@@ -202,7 +202,7 @@ class JobSpec:
         """Content key of this spec's *outcome-relevant* identity.
 
         Mirrors :func:`repro.core.sharding.campaign_fingerprint`'s
-        exclusion contract: shard/worker/cache knobs change
+        exclusion contract: shard/cache/retry knobs change
         how the work is split, never what it produces, so respecting
         them in the key would defeat deduplication.  ``backend`` and
         ``digital_engine`` are constants: every campaign runs on the
@@ -796,13 +796,11 @@ class Scheduler:
         """Generate the program, score it, wrap the campaign artifact."""
         from ..api.artifact import Artifact
         from ..core import run_campaign
-        from ..core.sharding import ShardHeartbeat, ShardRetry
+        from ..core.sharding import ShardRetry
 
         queue, spec = self.queue, job.spec
         if self.chaos is not None:
-            self.chaos.fire(
-                "job", spec.circuit, attempt=attempt, in_process=True
-            )
+            self.chaos.fire("job", spec.circuit, attempt=attempt)
         mixed = self._session.circuit(spec.circuit)
         generated = self._session.run(
             mixed,
@@ -821,23 +819,13 @@ class Scheduler:
         def on_shard(event) -> None:
             if queue.get(job.id).cancel_requested:
                 raise _JobCancelled()
-            if isinstance(event, ShardHeartbeat):
-                queue.append_event(
-                    job.id, "heartbeat",
-                    running=list(event.running),
-                    completed=event.completed,
-                    shards=event.shards,
-                    elapsed=round(event.elapsed, 6),
-                )
-                return
             if isinstance(event, ShardRetry):
                 queue.append_event(
                     job.id, "shard-retry",
                     shard=event.index,
                     attempt=event.attempt,
                     # "kind" names the event envelope; the failure's own
-                    # kind (exception/worker-lost/deadline) rides along as
-                    # "reason".
+                    # kind ("exception") rides along as "reason".
                     reason=event.kind,
                     error=event.error,
                     next_attempt=event.next_attempt,

@@ -289,7 +289,7 @@ class AcModel:
         # stamping order, GMIN last (the order SystemAssembler.finish()
         # lays entries out in), rows and columns beside.  Parallel lists,
         # not a tuple per entry: thousands of long-lived tuples slow every
-        # garbage collection in a forked campaign worker.
+        # garbage collection of a long campaign.
         n_nodes = len(self.node_index)
         self._rows = recorder.rows + list(range(n_nodes))
         self._cols = recorder.cols + list(range(n_nodes))

@@ -57,11 +57,15 @@ def _golden_artifact(result: CampaignResult) -> Artifact:
             "golden": True,
             # The golden predates the retired ``backend`` and
             # ``digital_engine`` fields; it records the values every
-            # campaign still runs on.
+            # campaign still runs on.  It also predates the retired
+            # process-pool knobs, recorded at their unset defaults.
             "config": {
                 **CONFIG.as_dict(),
                 "backend": "auto",
                 "digital_engine": "compiled",
+                "heartbeat_interval": None,
+                "shard_timeout": None,
+                "shard_workers": None,
             },
             "regenerate": "PYTHONPATH=src python "
             "tests/analog/test_campaign_golden.py",

@@ -2,9 +2,7 @@
 
 The contract under test (``repro.core.sharding`` + ``repro.devtools.
 chaos``): a campaign disturbed by injected faults — a shard exception,
-a killed worker, a hung shard, a torn shard cache entry, a crash at
-merge —
-either *recovers* to a result byte-identical to the undisturbed run, or
+a torn shard cache entry, a crash at merge — either *recovers* to a result byte-identical to the undisturbed run, or
 *quarantines* the failing shard into an honest partial result whose
 completed shards are still byte-identical to their undisturbed
 counterparts.  Chaos plans are pure functions of (site, key, attempt),
@@ -22,9 +20,7 @@ from repro.core.cache import ResultCache
 from repro.core.sharding import (
     SHARD_NAMESPACE,
     ShardExecutionError,
-    ShardHeartbeat,
     ShardRetry,
-    ShardRun,
     campaign_fingerprint,
     failure_path,
     shard_bounds,
@@ -91,7 +87,7 @@ class TestChaosSources:
         )
         mixed, report = prepared
         result = run_campaign(
-            mixed, report, config=_config(shards=2, shard_workers=1)
+            mixed, report, config=_config(shards=2)
         )
         assert not result.partial
         assert _outcome_key(result) == _outcome_key(baseline)
@@ -106,7 +102,6 @@ class TestRetryRecovery:
         events = []
         config = _config(
             shards=3,
-            shard_workers=1,
             retry_backoff=0.0,
             chaos=_chaos(
                 ChaosEvent(site="shard", key="1", attempts=(1,)),
@@ -137,7 +132,6 @@ class TestRetryRecovery:
         mixed, report = prepared
         config = _config(
             shards=2,
-            shard_workers=1,
             retry_backoff=0.0,
             chaos=_chaos(ChaosEvent(site="shard", key="0", attempts=(1,))),
         )
@@ -145,81 +139,6 @@ class TestRetryRecovery:
         second = run_campaign(mixed, report, config=config)
         assert first.diagnostics["retries"] == second.diagnostics["retries"]
         assert _outcome_key(first) == _outcome_key(second)
-
-
-class TestWorkerLoss:
-    def test_killed_worker_degrades_and_recovers(self, prepared, baseline):
-        """A chaos-killed worker process costs attempts, not outcomes."""
-        mixed, report = prepared
-        config = _config(
-            shards=3,
-            shard_workers=2,
-            retry_backoff=0.0,
-            chaos=_chaos(
-                ChaosEvent(
-                    site="shard", key="0", action="kill", attempts=(1,)
-                ),
-            ),
-        )
-        result = run_campaign(mixed, report, config=config)
-        assert _outcome_key(result) == _outcome_key(baseline)
-        assert not result.partial
-        if result.diagnostics["process_pool"]:
-            assert result.diagnostics["degraded_to_in_process"] is True
-            assert any(
-                row["kind"] == "worker-lost"
-                for row in result.diagnostics["retries"]
-            )
-
-    def test_hung_worker_killed_at_deadline_and_recovered(
-        self, prepared, baseline
-    ):
-        """A shard stuck past shard_timeout is killed, then retried."""
-        mixed, report = prepared
-        config = _config(
-            shards=3,
-            shard_workers=2,
-            shard_timeout=0.75,
-            retry_backoff=0.0,
-            chaos=_chaos(
-                ChaosEvent(
-                    site="shard",
-                    key="1",
-                    action="delay",
-                    attempts=(1,),
-                    seconds=3.0,
-                ),
-            ),
-        )
-        result = run_campaign(mixed, report, config=config)
-        assert _outcome_key(result) == _outcome_key(baseline)
-        assert not result.partial
-        kinds = {row["kind"] for row in result.diagnostics["retries"]}
-        assert "deadline" in kinds
-
-    def test_in_process_deadline_is_checked_after(self, prepared, baseline):
-        """Serial mode can't kill itself mid-shard: overruns are detected
-        on completion, discarded and retried."""
-        mixed, report = prepared
-        config = _config(
-            shards=2,
-            shard_workers=1,
-            shard_timeout=0.75,
-            retry_backoff=0.0,
-            chaos=_chaos(
-                ChaosEvent(
-                    site="shard",
-                    key="0",
-                    action="delay",
-                    attempts=(1,),
-                    seconds=1.0,
-                ),
-            ),
-        )
-        result = run_campaign(mixed, report, config=config)
-        assert _outcome_key(result) == _outcome_key(baseline)
-        retries = result.diagnostics["retries"]
-        assert [r["kind"] for r in retries] == ["deadline"]
 
 
 class TestQuarantine:
@@ -230,7 +149,6 @@ class TestQuarantine:
         mixed, report = prepared
         config = _config(
             shards=3,
-            shard_workers=1,
             retry_backoff=0.0,
             cache_dir=str(tmp_path),
             chaos=_chaos(
@@ -275,7 +193,6 @@ class TestQuarantine:
         mixed, report = prepared
         broken = _config(
             shards=3,
-            shard_workers=1,
             retry_backoff=0.0,
             cache_dir=str(tmp_path),
             chaos=_chaos(
@@ -298,7 +215,6 @@ class TestQuarantine:
         mixed, report = prepared
         config = _config(
             shards=3,
-            shard_workers=1,
             retry_backoff=0.0,
             chaos=_chaos(
                 ChaosEvent(site="shard", key="2", attempts=(1, 2)),
@@ -317,7 +233,7 @@ class TestQuarantine:
         complete campaigns serialize exactly as they always did."""
         mixed, report = prepared
         result = run_campaign(
-            mixed, report, config=_config(shards=2, shard_workers=1)
+            mixed, report, config=_config(shards=2)
         )
         document = Artifact.from_campaign(result, "fig4").payload
         assert "partial" not in document
@@ -327,7 +243,6 @@ class TestQuarantine:
         mixed, report = prepared
         config = _config(
             shards=2,
-            shard_workers=1,
             quarantine=False,
             retry_backoff=0.0,
             chaos=_chaos(
@@ -348,7 +263,6 @@ class TestCrashResume:
         mixed, report = prepared
         config = _config(
             shards=3,
-            shard_workers=1,
             cache_dir=str(tmp_path),
             chaos=_chaos(
                 ChaosEvent(site="checkpoint", key="1", action="torn"),
@@ -379,7 +293,6 @@ class TestCrashResume:
         mixed, report = prepared
         config = _config(
             shards=3,
-            shard_workers=1,
             cache_dir=str(tmp_path),
             chaos=_chaos(ChaosEvent(site="merge", key="merge")),
         )
@@ -393,35 +306,6 @@ class TestCrashResume:
         assert _outcome_key(resumed) == _outcome_key(baseline)
 
 
-class TestHeartbeats:
-    def test_heartbeats_stream_while_shards_run(self, prepared):
-        mixed, report = prepared
-        events = []
-        config = _config(
-            shards=2, shard_workers=1, heartbeat_interval=0.001
-        )
-        run_campaign(mixed, report, config=config, progress=events.append)
-        beats = [e for e in events if isinstance(e, ShardHeartbeat)]
-        assert beats
-        for beat in beats:
-            assert beat.shards == 2
-            assert 0 <= beat.completed <= 2
-            assert beat.elapsed >= 0.0
-        # Heartbeats ride alongside the existing ShardRun stream.
-        assert len([e for e in events if isinstance(e, ShardRun)]) == 2
-
-    def test_no_heartbeats_without_interval(self, prepared):
-        mixed, report = prepared
-        events = []
-        run_campaign(
-            mixed,
-            report,
-            config=_config(shards=2, shard_workers=1),
-            progress=events.append,
-        )
-        assert not any(isinstance(e, ShardHeartbeat) for e in events)
-
-
 class TestFingerprintExclusion:
     def test_resilience_knobs_never_invalidate_checkpoints(self, prepared):
         """Retuning failure handling must not re-key the campaign."""
@@ -431,10 +315,8 @@ class TestFingerprintExclusion:
         base = campaign_fingerprint(mixed.name, _config(), faults)
         for overrides in (
             {"shard_attempts": 5},
-            {"shard_timeout": 9.0},
             {"retry_backoff": 1.0},
             {"quarantine": False},
-            {"heartbeat_interval": 0.5},
             {"chaos": _chaos(ChaosEvent(site="merge", key="merge"))},
         ):
             assert (

@@ -1,11 +1,11 @@
-"""Sharded campaign execution: determinism, cache resume, fan-out.
+"""Sharded campaign execution: determinism and cache resume.
 
 The contract under test (``repro.core.sharding``): for one seed, the
 campaign's ``InjectionOutcome`` list is *identical* — element by
 element, byte by byte once serialized — whatever the shard count
-(``shards``, including counts that do not divide the fault population)
-or the process fan-out (``shard_workers``), and a run resumed from
-cached shards merges to the same result as an uninterrupted one.
+(``shards``, including counts that do not divide the fault
+population), and a run resumed from cached shards merges to the same
+result as an uninterrupted one.
 """
 
 import json
@@ -115,32 +115,6 @@ class TestDeterminism:
                 baseline.outcomes
             )
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_process_pool_identical(self, prepared, baseline, shards):
-        mixed, report = prepared
-        result = run_campaign(
-            mixed, report, config=_config(shards=shards, shard_workers=shards)
-        )
-        assert _outcome_key(result) == _outcome_key(baseline)
-        assert result.diagnostics["process_pool"] is True
-
-    def test_multithreaded_caller_falls_back_in_process(
-        self, prepared, baseline
-    ):
-        """Never fork under a threaded parent — run in-process instead."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        mixed, report = prepared
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            result = pool.submit(
-                run_campaign,
-                mixed,
-                report,
-                config=_config(shards=4, shard_workers=4),
-            ).result()
-        assert result.diagnostics["process_pool"] is False
-        assert _outcome_key(result) == _outcome_key(baseline)
-
     def test_serialized_outcomes_byte_identical(self, prepared, baseline):
         mixed, report = prepared
         sharded = run_campaign(mixed, report, config=_config(shards=3))
@@ -172,7 +146,7 @@ class TestCheckpointResume:
     ):
         """Kill the run after its first shard lands, then re-run."""
         mixed, report = prepared
-        config = _config(shards=3, shard_workers=1, cache_dir=str(tmp_path))
+        config = _config(shards=3, cache_dir=str(tmp_path))
 
         class Killed(Exception):
             pass
@@ -257,7 +231,8 @@ class TestCheckpointResume:
 
 class TestFingerprint:
     def test_fanout_knobs_do_not_invalidate_checkpoints(self, prepared):
-        """Re-running with different worker counts must resume cleanly."""
+        """Re-running with another split, retry budget or cache root
+        must resume cleanly."""
         mixed, report = prepared
         testable = [t for t in report.analog_tests if t.testable]
         faults = draw_faults(
@@ -266,7 +241,7 @@ class TestFingerprint:
         base = campaign_fingerprint(mixed.name, _config(), faults)
         for overrides in (
             {"shards": 7},
-            {"shard_workers": 3},
+            {"shard_attempts": 5},
             {"cache_dir": "/elsewhere"},
         ):
             assert (
@@ -343,7 +318,7 @@ class TestContentCacheResume:
         self, prepared, baseline, tmp_path
     ):
         mixed, report = prepared
-        config = _config(shards=4, shard_workers=1, cache_dir=str(tmp_path))
+        config = _config(shards=4, cache_dir=str(tmp_path))
         cold = run_campaign(mixed, report, config=config)
         assert cold.diagnostics["shards_executed"] == 4
         assert cold.diagnostics["shards_from_cache"] == []
@@ -364,7 +339,7 @@ class TestContentCacheResume:
         from repro.core.sharding import run_sharded_campaign
 
         mixed, testable, faults = self._population(prepared)
-        config = _config(shards=4, shard_workers=1, cache_dir=str(tmp_path))
+        config = _config(shards=4, cache_dir=str(tmp_path))
         cold = run_sharded_campaign(mixed, testable, faults, config)
         assert cold.diagnostics["shards_executed"] == 4
         # Edit one fault's deviation: exactly one slice fingerprint
@@ -397,17 +372,19 @@ class TestContentCacheResume:
         cold = run_campaign(
             mixed,
             report,
-            config=_config(shards=4, shard_workers=1, cache_dir=str(tmp_path)),
+            config=_config(shards=4, cache_dir=str(tmp_path)),
         )
         assert cold.diagnostics["shards_executed"] == 4
-        # Different worker counts are excluded from the shard
-        # fingerprint: full cache service.
+        # The retry knobs are excluded from the shard fingerprint: full
+        # cache service.
         warm = run_campaign(
             mixed,
             report,
             config=_config(
                 shards=4,
-                shard_workers=2,
+                shard_attempts=3,
+                retry_backoff=0.0,
+                quarantine=False,
                 cache_dir=str(tmp_path),
             ),
         )
@@ -455,7 +432,7 @@ class TestContentCacheResume:
             {"seed": 99},
             {"faults_per_element": 7},
             {"severity_range": (0.1, 9.0)},
-            {"shards": 5, "shard_workers": 2},
+            {"shards": 5},
             {"cache_dir": "/elsewhere"},
         ):
             assert (
@@ -481,8 +458,6 @@ class TestConfigSurface:
     def test_invalid_shard_settings_rejected(self):
         with pytest.raises(ConfigError):
             CampaignConfig(shards=0)
-        with pytest.raises(ConfigError):
-            CampaignConfig(shard_workers=0)
 
     def test_session_injects_shards(self, prepared):
         """The session's campaign config carries the shard count."""
@@ -521,14 +496,12 @@ class TestShardEqualitySlow:
     """Sharded == unsharded on fig4 and the Example 3 ladder assembly."""
 
     @pytest.mark.parametrize("shards", [2, 3, 4])
-    def test_fig4_process_pool_equality(self, prepared, shards):
+    def test_fig4_shard_equality(self, prepared, shards):
         mixed, report = prepared
         config = CampaignConfig(faults_per_element=8, seed=2024)
         unsharded = run_campaign(mixed, report, config=config)
         sharded = run_campaign(
-            mixed,
-            report,
-            config=config.replace(shards=shards, shard_workers=shards),
+            mixed, report, config=config.replace(shards=shards)
         )
         assert _outcome_key(sharded) == _outcome_key(unsharded)
 
@@ -539,6 +512,6 @@ class TestShardEqualitySlow:
         config = CampaignConfig(faults_per_element=3, seed=5)
         unsharded = run_campaign(mixed, report, config=config)
         sharded = run_campaign(
-            mixed, report, config=config.replace(shards=4, shard_workers=2)
+            mixed, report, config=config.replace(shards=4)
         )
         assert _outcome_key(sharded) == _outcome_key(unsharded)

@@ -63,8 +63,8 @@ class TestStandardSets:
 
 class TestConcurrentMeasurement:
     """Measurement reads the circuit and never writes it, so threads can
-    share one circuit object (``TestSession.run_batch`` fans out on
-    threads).  The former mutate-and-restore path raced on the source
+    share one circuit object (the service's job threads share one
+    session).  The former mutate-and-restore path raced on the source
     amplitude and the deviation dict."""
 
     THREADS = 8

@@ -91,7 +91,7 @@ class TestReplays:
     def test_sharded_recording_replays_as_one_process(self, recorded):
         # Shard layout is execution strategy, not campaign identity:
         # the replay and its fingerprint match the unsharded recording.
-        sharded = _record(shards=2, shard_workers=1)
+        sharded = _record(shards=2)
         audit = run_audit(sharded)
         assert audit.ok and audit.recorded_match is True
         assert audit.fingerprint == run_audit(recorded).fingerprint

@@ -121,12 +121,18 @@ class TestRetiredFlags:
             ("--backend", "sparse"),
             ("--digital-engine", "reference"),
             ("--factor-cache-size", "8"),
+            ("--shard-workers", "2"),
+            ("--shard-timeout", "1.0"),
         ],
-        ids=["backend", "digital-engine", "factor-cache-size"],
+        ids=[
+            "backend", "digital-engine", "factor-cache-size",
+            "shard-workers", "shard-timeout",
+        ],
     )
     def test_flag_is_a_usage_error(self, verb, flag, capsys):
         # The engines' choices are exercised by ``audit``, not set from
-        # the command line.
+        # the command line; shards run in the caller's process, with no
+        # pool to size and no worker to time out.
         with pytest.raises(SystemExit) as exit_info:
             main([verb, "fig4", *flag])
         assert exit_info.value.code == 2

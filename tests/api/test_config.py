@@ -96,8 +96,19 @@ class TestCampaignConfig:
         assert CampaignConfig.from_document(document) == CampaignConfig(seed=9)
         with pytest.raises(ConfigError, match=field):
             CampaignConfig().replace(**{field: 2})
+        if field == "shard_workers":
+            return  # still a constructor keyword, see below
         with pytest.raises(TypeError, match=field):
             CampaignConfig(**{field: 2})
+
+    def test_shard_workers_keyword_is_accepted_and_discarded(self):
+        # Callers that still pass the retired process fan-out get the
+        # same config; it is no field, so nothing records or reads it.
+        assert CampaignConfig(shard_workers=2) == CampaignConfig()
+        assert CampaignConfig(shards=4, shard_workers=2) == CampaignConfig(
+            shards=4
+        )
+        assert "shard_workers" not in CampaignConfig(shard_workers=2).as_dict()
 
 
 class TestAtpgConfig:
@@ -127,21 +138,13 @@ class TestSessionConfig:
         assert config.campaign == CampaignConfig()
         assert config.atpg == AtpgConfig()
 
-    def test_max_workers_validated(self):
-        assert SessionConfig().max_workers is None
-        assert SessionConfig(max_workers=1).max_workers == 1
-        config = SessionConfig(max_workers=4)
-        assert Workbench().session(max_workers=4).config == config
+    def test_max_workers_is_retired(self):
+        # run_batch is a loop: there is no thread pool to size.
+        with pytest.raises(TypeError, match="max_workers"):
+            SessionConfig(max_workers=2)
         with pytest.raises(ConfigError, match="max_workers"):
-            config.replace(max_workers=0)
-        assert config.max_workers == 4
-
-    @pytest.mark.parametrize("bad", [0, -1, -8])
-    def test_explicit_non_positive_workers_rejected(self, bad):
-        # Regression: `max_workers or ...` used to treat an explicit 0
-        # as "unset" and silently fall through to the defaults.
+            Workbench().session(max_workers=2)
         with pytest.raises(ConfigError, match="max_workers"):
-            SessionConfig(max_workers=bad)
-        with pytest.raises(ConfigError, match="max_workers"):
-            Workbench().session(max_workers=bad)
+            SessionConfig().replace(max_workers=2)
+        assert "max_workers" in SessionConfig._retired
 

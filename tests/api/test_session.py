@@ -170,11 +170,16 @@ class TestRunBatch:
         with pytest.raises(ConfigError):
             TestSession().run_batch(["fig4"], stages=("warp",))
 
-    def test_duplicate_instances_rejected(self):
+    def test_repeated_instance_runs_once_per_entry(self):
+        # The batch is a loop in the caller's thread, so one instance
+        # may appear twice: each entry is a full run of it.
         session = TestSession()
         mixed = session.circuit("fig4")
-        with pytest.raises(ConfigError, match="same MixedSignalCircuit"):
-            session.run_batch([mixed, mixed], stages=("sensitivity",))
+        first, second = session.run_batch(
+            [mixed, mixed], stages=("sensitivity",)
+        )
+        assert first.report.summary() == second.report.summary()
+        assert session.stats()["runs"] == 2
 
 
 class TestWorkbenchFacade:

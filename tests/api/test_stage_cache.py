@@ -308,7 +308,7 @@ class TestSharing:
     ):
         serial = session.run("fig4", stages=DEFAULT_STAGES)
         config = CampaignConfig(cache_dir=str(tmp_path))
-        batch = Workbench().session(max_workers=3).run_batch(
+        batch = Workbench().session().run_batch(
             ["fig4", "fig4", "fig4-mixed"],
             stages=DEFAULT_STAGES,
             campaign=config,

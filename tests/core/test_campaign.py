@@ -96,7 +96,7 @@ class TestBatchedExecution:
         config = CampaignConfig(faults_per_element=3, seed=9)
         unsharded = run_campaign(mixed, report, config=config)
         sharded = run_campaign(
-            mixed, report, config=config.replace(shards=3, shard_workers=1)
+            mixed, report, config=config.replace(shards=3)
         )
         assert sharded.outcomes == unsharded.outcomes
         assert sharded.diagnostics["batched_gains"] > 0

@@ -20,8 +20,17 @@ class TestChaosEvent:
             ChaosEvent(site="shard", key="0", attempts=())
         with pytest.raises(ChaosError):
             ChaosEvent(site="shard", key="0", attempts=(0,))
-        with pytest.raises(ChaosError):
-            ChaosEvent(site="shard", key="0", seconds=-1.0)
+
+    @pytest.mark.parametrize("action", ["kill", "delay"])
+    def test_retired_actions_rejected(self, action):
+        # Shards run in the caller's process: nothing kills or times out
+        # a worker, so plans asking for either fail loudly.
+        with pytest.raises(ChaosError, match="action"):
+            ChaosEvent(site="shard", key="0", action=action)
+        with pytest.raises(ChaosError, match="seconds"):
+            ChaosEvent.from_document(
+                {"site": "shard", "key": "0", "seconds": 1.0}
+            )
 
     def test_matching_is_pure_on_site_key_attempt(self):
         event = ChaosEvent(site="shard", key="2", attempts=(1, 3))
@@ -38,7 +47,7 @@ class TestChaosEvent:
 
     def test_document_round_trip(self):
         event = ChaosEvent(
-            site="shard", key="1", action="delay", attempts=(2,), seconds=0.5
+            site="checkpoint", key="1", action="torn", attempts=(2,)
         )
         assert ChaosEvent.from_document(event.to_document()) == event
 
@@ -51,7 +60,7 @@ class TestChaosPlan:
     def test_json_round_trip(self):
         plan = ChaosPlan(
             events=(
-                ChaosEvent(site="shard", key="0", action="kill"),
+                ChaosEvent(site="checkpoint", key="0", action="torn"),
                 ChaosEvent(site="merge", key="merge"),
             )
         )
@@ -60,39 +69,19 @@ class TestChaosPlan:
     def test_first_matching_event_wins(self):
         plan = ChaosPlan(
             events=(
-                ChaosEvent(site="shard", key="1", action="delay"),
-                ChaosEvent(site="shard", key="*", action="raise"),
+                ChaosEvent(site="checkpoint", key="1", action="torn"),
+                ChaosEvent(site="checkpoint", key="*", action="raise"),
             )
         )
-        assert plan.event_for("shard", 1).action == "delay"
-        assert plan.event_for("shard", 2).action == "raise"
-        assert plan.event_for("shard", 1, attempt=2) is None
+        assert plan.event_for("checkpoint", 1).action == "torn"
+        assert plan.event_for("checkpoint", 2).action == "raise"
+        assert plan.event_for("checkpoint", 1, attempt=2) is None
 
     def test_fire_raise(self):
         plan = ChaosPlan(events=(ChaosEvent(site="job", key="fig4"),))
         with pytest.raises(ChaosError):
             plan.fire("job", "fig4")
         assert plan.fire("job", "other") is None
-
-    def test_fire_delay_sleeps_and_returns_event(self):
-        plan = ChaosPlan(
-            events=(
-                ChaosEvent(
-                    site="shard", key="0", action="delay", seconds=0.0
-                ),
-            )
-        )
-        event = plan.fire("shard", 0)
-        assert event is not None and event.action == "delay"
-
-    def test_fire_kill_degrades_to_raise_in_process(self):
-        plan = ChaosPlan(
-            events=(ChaosEvent(site="shard", key="0", action="kill"),)
-        )
-        with pytest.raises(ChaosError):
-            plan.fire("shard", 0, in_process=True)
-        # (the not-in_process branch would os._exit(43): tested end-to-end
-        # by the executor's worker-kill differential test)
 
     def test_malformed_plans_fail_loudly(self):
         for bad in ("not json", "[1]", '{"events": 3}', '{"events": [4]}'):

@@ -4,6 +4,8 @@ Each test pins the rule id and finding line, so a rule that drifts
 (stops firing, or fires on its clean twin) fails here first.
 """
 
+import pytest
+
 from repro.devtools.lint import Project, lint_source_text
 from repro.devtools.lint.source_rules import (
     Art005ArtifactKind,
@@ -92,10 +94,14 @@ _FPR_CONFIG = (
 )
 
 
-def _fpr_project(fingerprint_body: str, excludes: str = "'max_workers'"):
+def _fpr_project(
+    fingerprint_body: str,
+    excludes: str = "'max_workers'",
+    config: str = _FPR_CONFIG,
+):
     return Project(
         files={
-            "repro/api/config.py": _FPR_CONFIG,
+            "repro/api/config.py": config,
             "repro/core/sharding.py": (
                 f"FINGERPRINT_EXCLUDED_FIELDS = frozenset({{{excludes}}})\n"
                 "def campaign_fingerprint(circuit, config, faults, steps):\n"
@@ -136,6 +142,28 @@ class TestFpr002:
         [finding] = report.unsuppressed
         assert "'max_workers'" in finding.message
         assert "pick one" in finding.message
+
+    @pytest.mark.parametrize(
+        "annotation", ["InitVar[int | None]", "dataclasses.InitVar[int]"]
+    )
+    def test_initvar_is_not_a_field(self, annotation):
+        # An init-only keyword is no dataclass field: it needs neither a
+        # fingerprint read nor an exclude entry, and listing it as
+        # excluded is stale.
+        config = _FPR_CONFIG + f"    shard_workers: {annotation} = None\n"
+        project = _fpr_project("(config.seed, config.engine)", config=config)
+        report = lint_project(project, [Fpr002FingerprintCompleteness()])
+        assert report.unsuppressed == []
+        stale = _fpr_project(
+            "(config.seed, config.engine)",
+            excludes="'max_workers', 'shard_workers'",
+            config=config,
+        )
+        [finding] = lint_project(
+            stale, [Fpr002FingerprintCompleteness()]
+        ).unsuppressed
+        assert "'shard_workers'" in finding.message
+        assert "stale" in finding.message
 
     def _implied_contract(self, implied):
         return FingerprintContract(

@@ -5,6 +5,7 @@ scheduler, no HTTP, no real campaigns — so the state machine's contract
 is tested in isolation (and in milliseconds).
 """
 
+import json
 import shutil
 import threading
 from pathlib import Path
@@ -95,11 +96,11 @@ class TestJobSpec:
         assert spec.fingerprint() == _spec().fingerprint()
 
     def test_fingerprint_excludes_fanout_knobs(self):
-        """Shard/worker/cache knobs never change outcomes —
+        """Shard/retry/cache knobs never change outcomes —
         so they must not defeat deduplication."""
         base = _spec()
         assert base.fingerprint() == _spec(shards=7).fingerprint()
-        assert base.fingerprint() == _spec(shard_workers=2).fingerprint()
+        assert base.fingerprint() == _spec(shard_attempts=5).fingerprint()
         assert (
             base.fingerprint()
             == _spec(cache_dir="/tmp/elsewhere").fingerprint()
@@ -253,8 +254,17 @@ class TestDurability:
         assert kinds[-1] == "recovered"
 
     def test_job_recorded_by_the_earlier_release_reloads(self, tmp_path):
-        """A queued job whose spec still carries ``batch`` and
-        ``checkpoint_dir`` survives a restart as the same job."""
+        """A queued job whose spec still carries retired fields
+        (``batch``, ``checkpoint_dir``, the process fan-out's
+        ``shard_workers``/``shard_timeout``/``heartbeat_interval`` and
+        ``max_workers``) survives a restart as the same job."""
+        recorded = json.loads(
+            (LEGACY_ROOT / "jobs" / "j000001-e2ca0491.json").read_text()
+        )["payload"]["spec"]["campaign"]
+        assert {
+            "batch", "checkpoint_dir", "heartbeat_interval", "max_workers",
+            "shard_timeout", "shard_workers",
+        } <= set(recorded)
         shutil.copytree(LEGACY_ROOT, tmp_path / "root")
         queue = JobQueue(tmp_path / "root")
         job = queue.get("j000001-e2ca0491")

@@ -106,7 +106,8 @@ class TestDeduplication:
         self, client, done_job
     ):
         before = client.health()["scheduler"]
-        # Different fan-out knobs, different alias — same work.
+        # A different shard count, the retired ``shard_workers`` an
+        # older client still sends, a different alias — same work.
         again = client.submit(
             "fig4-mixed",
             campaign={**CAMPAIGN.as_dict(), "shards": 5, "shard_workers": 3},
