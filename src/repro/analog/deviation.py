@@ -26,12 +26,23 @@ adversary's total masking budget.  Three adversary models are provided
 
 Every bisection step re-measures the parameter at a *deviation state*
 (the faulted element plus, for ``"corners"``, the adversary's corner).
-The state is an argument of :meth:`PerformanceParameter.measure` for
-that one measurement: the circuit is never mutated.  A deviation matrix
-measures every state on one :class:`~repro.spice.MeasurementScope`: the
-circuit is compiled once, each state is a stamp delta on that model,
-and each distinct state's peak search is shared by every parameter that
-needs it (see :mod:`repro.spice.measure`).
+The state is an argument of the measurement: the circuit is never
+mutated.  Each (parameter, element, direction) bisection is a
+measurement program (:func:`_search`: the nominal, the masking budget,
+then the bisection; the corner test yields corner by corner), and a
+deviation matrix runs all of its bisections in lockstep
+(:func:`~repro.spice.lockstep`) on one
+:class:`~repro.spice.MeasurementScope`.  Each round derives the states
+the searches ask for next from the one compiled model as stamp deltas,
+runs each new state's peak scan as one stacked solve, and then answers
+every refiner step of every state in flight (and every fixed-frequency
+gain) with one stacked solve over the per-state matrices.  A state two
+searches share is measured once, and each distinct state's peak search
+is shared by every parameter that needs it (see
+:mod:`repro.spice.measure`).  The searches do not depend on each other,
+so the matrix equals running them one after another, cell for cell; an
+error escapes from the cell it would escape from then.
+:func:`worst_case_deviation` is the case of one cell's two directions.
 """
 
 from __future__ import annotations
@@ -41,9 +52,13 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..spice import AnalogCircuit, AnalogError, MeasurementScope
+from ..spice import AnalogCircuit, AnalogError, MeasurementScope, lockstep
 from .parameters import PerformanceParameter
-from .sensitivity import SensitivityMatrix, sensitivity, sensitivity_matrix
+from .sensitivity import (
+    SensitivityMatrix,
+    sensitivity_matrix,
+    sensitivity_steps,
+)
 
 __all__ = [
     "DeviationResult",
@@ -59,6 +74,9 @@ __all__ = [
 UNTESTABLE = math.inf
 
 _ADVERSARIES = {"sensitivity", "corners", "none"}
+
+#: default bisection tolerance on the deviation (0.1 %).
+_RESOLUTION = 1e-3
 
 
 @dataclass
@@ -82,15 +100,16 @@ def _relative_shift(
     nominal: float,
     state: dict[str, float],
     scope: MeasurementScope,
-) -> float | None:
-    """``(T(state) − T_nom)/T_nom``; None when T is unmeasurable (gross).
+):
+    """Program: ``(T(state) − T_nom)/T_nom``; None when T is unmeasurable
+    (gross).
 
     An invalid state (unknown element, deviation ≤ −100 %) raises; only
     a failed measurement means "unmeasurable".
     """
     state = circuit.deviation_state(state)
     try:
-        value = parameter.measure(circuit, state, scope=scope)
+        value = yield from parameter.measure_steps(circuit, state, scope=scope)
     except AnalogError:
         return None
     return (value - nominal) / abs(nominal)
@@ -105,9 +124,10 @@ def _detectable_budget(
     budget: float,
     tolerance: float,
     scope: MeasurementScope,
-) -> bool:
-    """First-order test: fault effect must exceed box + masking budget."""
-    shift = _relative_shift(
+):
+    """Program, first-order test: fault effect must exceed box + masking
+    budget."""
+    shift = yield from _relative_shift(
         circuit, parameter, nominal, {element: deviation}, scope
     )
     if shift is None:
@@ -124,13 +144,16 @@ def _detectable_corners(
     corners: Sequence[dict[str, float]],
     tolerance: float,
     scope: MeasurementScope,
-) -> bool:
-    """Exact-corner test with interior-masking detection."""
+):
+    """Program, exact-corner test with interior-masking detection: one
+    corner measured per step, stopping at the first that masks."""
     saw_positive = saw_negative = False
     for corner in corners:
         state = dict(corner)
         state[element] = deviation
-        shift = _relative_shift(circuit, parameter, nominal, state, scope)
+        shift = yield from _relative_shift(
+            circuit, parameter, nominal, state, scope
+        )
         if shift is None:
             continue  # this corner is grossly detectable
         if abs(shift) <= tolerance:
@@ -146,6 +169,93 @@ def _detectable_corners(
     return saw_positive or saw_negative
 
 
+def _search(
+    circuit: AnalogCircuit,
+    parameter: PerformanceParameter,
+    element: str,
+    direction: int,
+    tolerance: float,
+    element_tolerance: float,
+    adversary: str,
+    sensitivities: SensitivityMatrix | None,
+    max_deviation: float,
+    resolution: float,
+    scope: MeasurementScope,
+):
+    """Program of one (parameter, element, direction) bisection; returns
+    its :class:`DeviationResult`, UNTESTABLE when not even the search
+    ceiling is guaranteed detectable (see :func:`worst_case_deviation`).
+    """
+    if adversary not in _ADVERSARIES:
+        raise ValueError(f"adversary must be one of {_ADVERSARIES}")
+    others = [e for e in circuit.element_names() if e != element]
+    nominal = yield from parameter.measure_steps(circuit, scope=scope)
+    if nominal == 0:
+        raise AnalogError(
+            f"parameter {parameter.name} is zero at nominal; cannot form "
+            "a relative tolerance box"
+        )
+
+    budget = 0.0
+    if adversary == "sensitivity":
+        for other in others:
+            if sensitivities is not None and other in sensitivities.elements:
+                s = sensitivities.of(parameter.name, other)
+            else:
+                # No matrix, or one computed over a subset: measure the
+                # missing fault-free elements on the fly.
+                s = yield from sensitivity_steps(
+                    circuit, parameter, other, nominal=nominal, scope=scope
+                )
+            budget += abs(s) * element_tolerance
+
+    corners: list[dict[str, float]] = []
+    if adversary == "corners":
+        if len(others) > 14:
+            raise AnalogError(
+                f"corner adversary over {len(others)} elements is intractable"
+            )
+        for signs in itertools.product((-1.0, 1.0), repeat=len(others)):
+            corners.append(
+                {
+                    other: sign * element_tolerance
+                    for other, sign in zip(others, signs)
+                }
+            )
+
+    def detectable(deviation: float):
+        if adversary == "corners":
+            return _detectable_corners(
+                circuit, parameter, nominal, element, deviation,
+                corners, tolerance, scope,
+            )
+        return _detectable_budget(
+            circuit, parameter, nominal, element, deviation,
+            budget, tolerance, scope,
+        )
+
+    # The deviation magnitude cannot exceed 100 % downward.
+    ceiling = min(max_deviation, 0.999) if direction < 0 else max_deviation
+    if not (yield from detectable(direction * ceiling)):
+        return DeviationResult(
+            parameter.name, element, UNTESTABLE, direction, budget
+        )
+    low, high = 0.0, ceiling
+    while high - low > resolution:
+        mid = 0.5 * (low + high)
+        if (yield from detectable(direction * mid)):
+            high = mid
+        else:
+            low = mid
+    return DeviationResult(parameter.name, element, high, direction, budget)
+
+
+def _best(plus: DeviationResult, minus: DeviationResult) -> DeviationResult:
+    """The smaller of the two directions' deviations; ``+1`` on a tie
+    (so an untestable pair reports ``+1``)."""
+    return minus if minus.deviation < plus.deviation else plus
+
+
 def worst_case_deviation(
     circuit: AnalogCircuit,
     parameter: PerformanceParameter,
@@ -155,7 +265,7 @@ def worst_case_deviation(
     adversary: str = "sensitivity",
     sensitivities: SensitivityMatrix | None = None,
     max_deviation: float = 8.0,
-    resolution: float = 1e-3,
+    resolution: float = _RESOLUTION,
     scope: MeasurementScope | None = None,
 ) -> DeviationResult:
     """Minimum guaranteed-detectable deviation of ``element`` via ``parameter``.
@@ -178,80 +288,17 @@ def worst_case_deviation(
         deviations are reported as positive magnitudes (the paper's
         convention).
     """
-    if adversary not in _ADVERSARIES:
-        raise ValueError(f"adversary must be one of {_ADVERSARIES}")
     if scope is None:
         scope = MeasurementScope(circuit)
-    others = [e for e in circuit.element_names() if e != element]
-    nominal = parameter.measure(circuit, scope=scope)
-    if nominal == 0:
-        raise AnalogError(
-            f"parameter {parameter.name} is zero at nominal; cannot form "
-            "a relative tolerance box"
+    plus, minus = lockstep(
+        _search(
+            circuit, parameter, element, direction, tolerance,
+            element_tolerance, adversary, sensitivities, max_deviation,
+            resolution, scope,
         )
-
-    if adversary == "sensitivity":
-        if sensitivities is None:
-            sensitivities = sensitivity_matrix(
-                circuit, [parameter], others + [element], scope=scope
-            )
-        budget = 0.0
-        for other in others:
-            if other in sensitivities.elements:
-                s = sensitivities.of(parameter.name, other)
-            else:
-                # The caller's matrix was computed over a subset; fill
-                # the missing fault-free elements on the fly.
-                s = sensitivity(
-                    circuit, parameter, other, nominal=nominal, scope=scope
-                )
-            budget += abs(s) * element_tolerance
-    else:
-        budget = 0.0
-
-    corners: list[dict[str, float]] = []
-    if adversary == "corners":
-        if len(others) > 14:
-            raise AnalogError(
-                f"corner adversary over {len(others)} elements is intractable"
-            )
-        for signs in itertools.product((-1.0, 1.0), repeat=len(others)):
-            corners.append(
-                {
-                    other: sign * element_tolerance
-                    for other, sign in zip(others, signs)
-                }
-            )
-
-    def detectable(deviation: float) -> bool:
-        if adversary == "corners":
-            return _detectable_corners(
-                circuit, parameter, nominal, element, deviation,
-                corners, tolerance, scope,
-            )
-        return _detectable_budget(
-            circuit, parameter, nominal, element, deviation,
-            budget, tolerance, scope,
-        )
-
-    best = DeviationResult(parameter.name, element, UNTESTABLE, +1, budget)
-    for direction in (+1, -1):
-        # The deviation magnitude cannot exceed 100 % downward.
-        ceiling = min(max_deviation, 0.999) if direction < 0 else max_deviation
-        if not detectable(direction * ceiling):
-            continue  # not even the ceiling is guaranteed detectable
-        low, high = 0.0, ceiling
-        while high - low > resolution:
-            mid = 0.5 * (low + high)
-            if detectable(direction * mid):
-                high = mid
-            else:
-                low = mid
-        if high < best.deviation:
-            best = DeviationResult(
-                parameter.name, element, high, direction, budget
-            )
-    return best
+        for direction in (+1, -1)
+    )
+    return _best(plus, minus)
 
 
 @dataclass
@@ -374,7 +421,9 @@ def deviation_matrix(
     An already-computed ``sensitivities`` matrix covering the requested
     parameters and elements can be passed to skip recomputing it.  Every
     measurement of the matrix runs on one
-    :class:`~repro.spice.MeasurementScope`, which dies with the call.
+    :class:`~repro.spice.MeasurementScope`, which dies with the call, and
+    every search runs in lockstep with the others (see the module
+    docstring); the result equals searching the cells one by one.
     """
     if elements is None:
         elements = circuit.element_names()
@@ -385,24 +434,29 @@ def deviation_matrix(
             circuit, parameters, elements, scope=scope
         )
     results: dict[tuple[str, str], DeviationResult] = {}
+    searched = []
     for parameter in parameters:
         for element in elements:
             if abs(sensitivities.of(parameter.name, element)) < insensitive_threshold:
                 results[(parameter.name, element)] = DeviationResult(
                     parameter.name, element, UNTESTABLE, +1, 0.0
                 )
-                continue
-            results[(parameter.name, element)] = worst_case_deviation(
-                circuit,
-                parameter,
-                element,
-                tolerance=tolerance,
-                element_tolerance=element_tolerance,
-                adversary=adversary,
-                sensitivities=sensitivities,
-                max_deviation=max_deviation,
-                scope=scope,
+            else:
+                results[(parameter.name, element)] = None  # keeps cell order
+                searched.append((parameter, element))
+    found = iter(
+        lockstep(
+            _search(
+                circuit, parameter, element, direction, tolerance,
+                element_tolerance, adversary, sensitivities, max_deviation,
+                _RESOLUTION, scope,
             )
+            for parameter, element in searched
+            for direction in (+1, -1)
+        )
+    )
+    for plus, minus in zip(found, found):
+        results[(plus.parameter, plus.element)] = _best(plus, minus)
     return DeviationMatrix(
         [p.name for p in parameters], elements, results
     )

@@ -11,6 +11,8 @@ A parameter is measured on a :class:`~repro.spice.MeasurementScope`:
 the caller that measures many deviation states passes one scope, so
 the circuit is compiled once and every parameter of a state shares that
 state's peak search; without one, each call is a scope of its own.
+:meth:`PerformanceParameter.measure_steps` is the same measurement as a
+program, for callers that measure many states in lockstep.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..spice import AnalogCircuit, MeasurementScope
+from ..spice import AnalogCircuit, MeasurementScope, lockstep
 
 __all__ = ["ParameterKind", "PerformanceParameter", "standard_filter_parameters"]
 
@@ -72,27 +74,48 @@ class PerformanceParameter:
         """
         if scope is None:
             scope = MeasurementScope(circuit)
-        elif scope.circuit is not circuit:
+        program = self.measure_steps(circuit, deviations, scope=scope)
+        return lockstep([program])[0]
+
+    def measure_steps(
+        self,
+        circuit: AnalogCircuit,
+        deviations: dict[str, float] | None = None,
+        *,
+        scope: MeasurementScope,
+    ):
+        """:meth:`measure` as a measurement program for
+        :func:`~repro.spice.lockstep` (see :mod:`repro.spice.measure`)."""
+        if scope.circuit is not circuit:
             raise ValueError(
                 f"parameter {self.name}: the scope measures another circuit"
             )
         window = (self.f_low, self.f_high)
         args = (self.source, self.output)
         if self.kind is ParameterKind.DC_GAIN:
-            return scope.gain_at(*args, 0.0, deviations)
+            return scope.gain_at_steps(*args, 0.0, deviations)
         if self.kind is ParameterKind.AC_GAIN:
             if self.frequency_hz is None:
                 raise ValueError(f"parameter {self.name}: AC gain needs a frequency")
-            return scope.gain_at(*args, self.frequency_hz, deviations)
+            return scope.gain_at_steps(*args, self.frequency_hz, deviations)
         if self.kind is ParameterKind.PEAK_GAIN:
-            return scope.peak_gain(*args, *window, deviations=deviations)[1]
+            return _item(
+                scope.peak_gain_steps(*args, *window, deviations=deviations), 1
+            )
         if self.kind is ParameterKind.CENTER_FREQUENCY:
-            return scope.peak_gain(*args, *window, deviations=deviations)[0]
+            return _item(
+                scope.peak_gain_steps(*args, *window, deviations=deviations), 0
+            )
         if self.kind is ParameterKind.CUTOFF_LOW:
-            return scope.cutoff(*args, False, *window, deviations=deviations)
+            return scope.cutoff_steps(*args, False, *window, deviations=deviations)
         if self.kind is ParameterKind.CUTOFF_HIGH:
-            return scope.cutoff(*args, True, *window, deviations=deviations)
+            return scope.cutoff_steps(*args, True, *window, deviations=deviations)
         raise ValueError(f"unknown parameter kind {self.kind}")
+
+
+def _item(program, index: int):
+    """Program: item ``index`` of what ``program`` returns."""
+    return (yield from program)[index]
 
 
 def standard_filter_parameters(

@@ -9,7 +9,10 @@ test generator (section 2.3's automation procedure).
 A matrix measures every parameter at the nominal state and at ±step per
 element; it runs all of them on one
 :class:`~repro.spice.MeasurementScope`, so the circuit is compiled once
-and each state's peak search is shared by the parameters that need it.
+and each state's peak search is shared by the parameters that need it,
+and runs every entry's measurements in lockstep
+(:func:`~repro.spice.lockstep`), so each refiner step of all entries is
+one stacked solve.
 """
 
 from __future__ import annotations
@@ -19,10 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spice import AnalogCircuit, MeasurementScope
+from ..spice import AnalogCircuit, MeasurementScope, lockstep
 from .parameters import PerformanceParameter
 
-__all__ = ["sensitivity", "SensitivityMatrix", "sensitivity_matrix"]
+__all__ = [
+    "sensitivity",
+    "sensitivity_steps",
+    "SensitivityMatrix",
+    "sensitivity_matrix",
+]
 
 
 def sensitivity(
@@ -42,12 +50,33 @@ def sensitivity(
     """
     if scope is None:
         scope = MeasurementScope(circuit)
+    program = sensitivity_steps(
+        circuit, parameter, element, rel_step, nominal, scope=scope
+    )
+    return lockstep([program])[0]
+
+
+def sensitivity_steps(
+    circuit: AnalogCircuit,
+    parameter: PerformanceParameter,
+    element: str,
+    rel_step: float = 0.01,
+    nominal: float | None = None,
+    *,
+    scope: MeasurementScope,
+):
+    """:func:`sensitivity` as a measurement program (see
+    :func:`~repro.spice.lockstep`)."""
     if nominal is None:
-        nominal = parameter.measure(circuit, scope=scope)
+        nominal = yield from parameter.measure_steps(circuit, scope=scope)
     if nominal == 0:
         return 0.0
-    upper = parameter.measure(circuit, {element: rel_step}, scope=scope)
-    lower = parameter.measure(circuit, {element: -rel_step}, scope=scope)
+    upper = yield from parameter.measure_steps(
+        circuit, {element: rel_step}, scope=scope
+    )
+    lower = yield from parameter.measure_steps(
+        circuit, {element: -rel_step}, scope=scope
+    )
     return (upper - lower) / (2.0 * rel_step * nominal)
 
 
@@ -110,11 +139,18 @@ def sensitivity_matrix(
     elements = list(elements)
     if scope is None:
         scope = MeasurementScope(circuit)
+    # One program per parameter's nominal, then one per element; each
+    # element's program reads the nominal its parameter's program keeps.
+    programs = []
+    for parameter in parameters:
+        programs.append(parameter.measure_steps(circuit, scope=scope))
+        programs.extend(
+            sensitivity_steps(circuit, parameter, element, rel_step, scope=scope)
+            for element in elements
+        )
+    measured = lockstep(programs)
     values = np.zeros((len(parameters), len(elements)))
-    for i, parameter in enumerate(parameters):
-        nominal = parameter.measure(circuit, scope=scope)
-        for j, element in enumerate(elements):
-            values[i, j] = sensitivity(
-                circuit, parameter, element, rel_step, nominal, scope
-            )
+    for i in range(len(parameters)):
+        start = i * (len(elements) + 1) + 1
+        values[i, :] = measured[start:start + len(elements)]
     return SensitivityMatrix(list(parameters), elements, values)

@@ -22,6 +22,10 @@ Sites and the actions they honour::
     job           circuit name (or *)     raise
     http          "METHOD /path" (or *)   raise
 
+An event pairing a site with an action its hook does not honour is
+rejected when the plan is built, rather than never firing or firing as
+something else.
+
 Activation: :func:`resolve_plan` takes an explicit JSON spec
 (``CampaignConfig.chaos`` / ``--chaos``, or the ``chaos=`` argument of
 the service's ``Scheduler`` and ``make_server``).  Chaos is a dev/test
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 __all__ = [
     "CHAOS_SITES",
     "CHAOS_ACTIONS",
+    "SITE_ACTIONS",
     "ChaosError",
     "ChaosEvent",
     "ChaosPlan",
@@ -51,6 +56,16 @@ CHAOS_SITES = ("shard", "checkpoint", "merge", "job", "http")
 
 #: every supported action.
 CHAOS_ACTIONS = ("raise", "torn")
+
+#: the actions each site's hook honours (the table in the module
+#: docstring).
+SITE_ACTIONS: dict[str, tuple[str, ...]] = {
+    "shard": ("raise",),
+    "checkpoint": ("torn",),
+    "merge": ("raise",),
+    "job": ("raise",),
+    "http": ("raise",),
+}
 
 
 class ChaosError(RuntimeError):
@@ -82,6 +97,11 @@ class ChaosEvent:
             raise ChaosError(
                 f"chaos action must be one of {CHAOS_ACTIONS}, "
                 f"got {self.action!r}"
+            )
+        if self.action not in SITE_ACTIONS[self.site]:
+            raise ChaosError(
+                f"chaos site {self.site!r} takes action(s) "
+                f"{SITE_ACTIONS[self.site]}, got {self.action!r}"
             )
         if not self.attempts or any(a < 1 for a in self.attempts):
             raise ChaosError(

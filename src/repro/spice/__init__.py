@@ -50,6 +50,7 @@ from .measure import (
     cutoff_low,
     dc_gain,
     gain_at,
+    lockstep,
     peak_gain,
 )
 from .transient import (
@@ -80,6 +81,7 @@ __all__ = [
     "Solution",
     "AcModel",
     "MeasurementScope",
+    "lockstep",
     "FrequencyResponse",
     "transfer",
     "sweep",

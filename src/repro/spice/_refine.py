@@ -5,10 +5,20 @@ with parabolic steps), transliterated from scipy 1.17.1's
 ``_minimize_scalar_bounded`` and trimmed to what the peak search passes.
 :func:`brent_root` is Brent's (1973) zeroin as scipy's C ``brentq``
 implements it.  Both repeat scipy's floating-point operations in scipy's
-order and on scipy's operand types (numpy scalars where scipy's code
-makes them), so a search returns scipy's answer bit for bit while
-measuring never imports scipy.  ``tests/spice/test_refine.py`` holds
+order, on IEEE doubles: the bounded minimizer computes on Python floats
+where scipy's code has float64 scalars (the same operations give the
+same bits) and hands out and returns float64 scalars where scipy does.
+So a search returns scipy's answer bit for bit while measuring never
+imports scipy.  ``tests/spice/test_refine.py`` holds
 them against the installed scipy.
+
+Each refiner is written once, as a *step generator*
+(:func:`bounded_minimum_steps`, :func:`brent_root_steps`): it yields
+an abscissa and is sent the function value there.  The scalar calls
+drive it with a function (:func:`evaluate`); a lockstep measurement
+(:func:`repro.spice.measure.lockstep`) advances the searches of many
+deviation states together and answers each round of abscissae with one
+stacked solve.
 """
 
 from __future__ import annotations
@@ -18,11 +28,29 @@ import sys
 
 import numpy as np
 
-__all__ = ["bounded_minimum", "brent_root"]
+__all__ = [
+    "bounded_minimum",
+    "bounded_minimum_steps",
+    "brent_root",
+    "brent_root_steps",
+    "evaluate",
+]
 
 #: scipy's ``brentq`` default ``rtol`` (``4·eps``), as a Python float so
 #: that the iterates, and the abscissae the objective sees, stay floats.
 _RTOL = 4 * sys.float_info.epsilon
+
+
+def evaluate(steps, func):
+    """Drive a refiner's step generator with ``func``: each abscissa it
+    yields is answered by ``func`` of it; returns what the search
+    returns."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(func(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def bounded_minimum(func, lower, upper, xatol, maxfun=500):
@@ -33,27 +61,47 @@ def bounded_minimum(func, lower, upper, xatol, maxfun=500):
     returns them; the search stops after ``maxfun`` evaluations whether
     or not it converged.
     """
-    # numpy's sqrt, as scipy imports it: these constants are float64
-    # scalars, and so is every abscissa ``func`` sees.
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = lower, upper
+    return evaluate(bounded_minimum_steps(lower, upper, xatol, maxfun), func)
+
+
+def _sign(v: float) -> float:
+    """scipy's ``np.sign(v) + (v == 0)``: ±1.0, 1.0 at zero, NaN kept."""
+    return -1.0 if v < 0.0 else 1.0 if v >= 0.0 else v
+
+
+def _maximum(u: float, v: float) -> float:
+    """``np.maximum(u, v)``: the larger, or a NaN if either is one."""
+    return u if u >= v or u != u else v
+
+
+def bounded_minimum_steps(lower, upper, xatol, maxfun=500):
+    """:func:`bounded_minimum` as a step generator: it yields each
+    abscissa, is sent ``f`` of it, and returns ``(x, f(x),
+    evaluations)``."""
+    # scipy computes on float64 scalars (its constants come from
+    # np.sqrt); Python floats are the same IEEE doubles, so every
+    # operation below gives scipy's bits at a fraction of a numpy
+    # scalar's cost.  Only what leaves the search carries numpy's type:
+    # each abscissa ``func`` sees and the returned pair are float64.
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lower), float(upper)
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
     x = xf
-    fx = func(x)
+    fx = yield np.float64(x)
     num = 1
 
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
     tol2 = 2.0 * tol1
 
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
         golden = 1
         # Check for parabolic fit
-        if np.abs(e) > tol1:
+        if abs(e) > tol1:
             golden = 0
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
@@ -61,13 +109,13 @@ def bounded_minimum(func, lower, upper, xatol, maxfun=500):
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = np.abs(q)
+            q = abs(q)
             r = e
             e = rat
 
             # Check for acceptability of parabola
             if (
-                (np.abs(p) < np.abs(0.5 * q * r))
+                (abs(p) < abs(0.5 * q * r))
                 and (p > q * (a - xf))
                 and (p < q * (b - xf))
             ):
@@ -75,8 +123,7 @@ def bounded_minimum(func, lower, upper, xatol, maxfun=500):
                 x = xf + rat
 
                 if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
+                    rat = tol1 * _sign(xm - xf)
             else:  # do a golden-section step
                 golden = 1
 
@@ -87,9 +134,8 @@ def bounded_minimum(func, lower, upper, xatol, maxfun=500):
                 e = b - xf
             rat = golden_mean * e
 
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
+        x = xf + _sign(rat) * _maximum(abs(rat), tol1)
+        fu = yield np.float64(x)
         num += 1
 
         if fu <= fx:
@@ -112,7 +158,7 @@ def bounded_minimum(func, lower, upper, xatol, maxfun=500):
                 fulc, ffulc = x, fu
 
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
 
         if num >= maxfun:
@@ -130,22 +176,25 @@ def brent_root(func, xa, xb, xtol, maxiter=100):
     value or a same-sign bracket and :class:`RuntimeError` when
     ``maxiter`` iterations do not converge.
     """
-    calls = 0
+    return evaluate(brent_root_steps(xa, xb, xtol, maxiter), func)
 
-    def f(x: float) -> float:
-        nonlocal calls
-        value = func(x)
-        calls += 1
-        if np.isnan(value):
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue."
-            )
-        return float(value)
 
+def _checked(x: float, value) -> float:
+    if np.isnan(value):
+        raise ValueError(
+            f"The function value at x={x} is NaN; solver cannot continue."
+        )
+    return float(value)
+
+
+def brent_root_steps(xa, xb, xtol, maxiter=100):
+    """:func:`brent_root` as a step generator: it yields each abscissa,
+    is sent ``f`` of it, and returns ``(root, evaluations)``."""
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
+    fpre = _checked(xpre, (yield xpre))
+    fcur = _checked(xcur, (yield xcur))
+    calls = 2
     if fpre == 0:
         return xpre, calls
     if fcur == 0:
@@ -194,5 +243,6 @@ def brent_root(func, xa, xb, xtol, maxiter=100):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
+        fcur = _checked(xcur, (yield xcur))
+        calls += 1
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

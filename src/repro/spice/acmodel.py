@@ -31,6 +31,11 @@ the derived model ``==`` a fresh compile entry for entry.  Any other
 deviated device (one that owns a branch row or is ``s``-nonlinear) and
 non-dense backends compile the state in full.
 
+:func:`batch_gains` evaluates ``|H(f)|`` over many (model, frequency)
+pairs at once, e.g. one step of the peak and cut-off searches of many
+deviation states: the pairs of one compile are one stacked solve over
+per-state matrices, equal to each model's own :meth:`AcModel.gain`.
+
 Results are bit-identical to stamping every component into a
 :class:`~repro.spice.backends.SystemAssembler` and solving that system:
 each matrix position accumulates its entries in the same order as
@@ -71,7 +76,15 @@ from .components import (
 )
 from .netlist import GROUND, AnalogCircuit, AnalogError
 
-__all__ = ["AcModel", "GMIN", "STACK_ENTRIES", "laplace", "unit_driven"]
+__all__ = [
+    "AcModel",
+    "GMIN",
+    "STACK_ENTRIES",
+    "STACK_MIN_PAIRS",
+    "batch_gains",
+    "laplace",
+    "unit_driven",
+]
 
 #: conductance added from every node to ground; keeps matrices
 #: non-singular for nodes isolated at DC (e.g. between two capacitors)
@@ -81,6 +94,12 @@ GMIN = 1.0e-12
 #: upper bound on the complex entries (frequencies × n²) of one stacked
 #: dense solve; longer frequency vectors are solved in chunks.
 STACK_ENTRIES = 1 << 18
+
+#: fewest (model, frequency) pairs :func:`batch_gains` stacks: below it
+#: a stack's fixed cost (building it, numpy's solve wrapper) exceeds
+#: what it saves over one scalar solve per pair (measured: break-even
+#: at 3–4 pairs of an 11×11 system).
+STACK_MIN_PAIRS = 4
 
 #: component types whose stamp does not depend on ``s`` (for ``s ≠ 0``).
 _CONSTANT_TYPES = (
@@ -599,24 +618,126 @@ class AcModel:
         return [abs(h) for h in self.transfers(frequencies_hz)]
 
     def _stacked(self, frequencies: list[float]) -> list[complex]:
-        size = self._size
-        s_values = [2j * math.pi * f for f in frequencies]
-        stack = np.empty((len(frequencies), size * size), dtype=complex)
-        stack[:] = self._constant
-        imag = stack.imag
-        w = np.array([s.imag for s in s_values])[:, None]
-        for flats, coefs in self._s_layers:
-            imag[:, flats] += w * coefs
-        if self._dynamic_devices:
-            stack[:, self._dynamic_positions] = [
-                self._dynamic_row(s) for s in s_values
-            ]
         try:
-            solved = np.linalg.solve(
-                stack.reshape(-1, size, size), self._rhs[:, None]
-            )
+            return _stacked_transfers(self, frequencies)
         except np.linalg.LinAlgError:
             # Some system of the stack is singular: the scalar path names
             # (and raises for) the first one, as a per-frequency scan would.
             return [self.transfer(f) for f in frequencies]
-        return [complex(h) for h in solved[:, self._output, 0]]
+
+
+def _shared_or_stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """One array per model, stacked; the array itself when every model
+    shares it (it then broadcasts over the stack)."""
+    first = arrays[0]
+    if all(array is first for array in arrays):
+        return first
+    return np.array(arrays)
+
+
+def _stacked_transfers(
+    base: AcModel,
+    frequencies: Sequence[float],
+    models: Sequence[AcModel] | None = None,
+) -> list[complex]:
+    """``H`` at each frequency as one stacked solve, of ``models[k]`` at
+    ``frequencies[k]`` (``None``: of ``base`` at every frequency).  The
+    models come from ``base``'s compile (at_state() shares its
+    ``_s_layers`` flats, right-hand side and output) and every frequency
+    is nonzero.  Each system is built as :meth:`AcModel.transfer`
+    builds it, and LAPACK solves each system of a stack on its own, so
+    each value equals ``transfer``'s.  Raises ``LinAlgError`` when a
+    system is singular."""
+    size = base._size
+    stack = np.empty((len(frequencies), size * size), dtype=complex)
+    stack[:] = (
+        base._constant
+        if models is None
+        else _shared_or_stacked([model._constant for model in models])
+    )
+    imag = stack.imag
+    # laplace() of a nonzero frequency
+    s_values = [2j * math.pi * f for f in frequencies]
+    w = np.array([s.imag for s in s_values])[:, None]
+    for layer, (flats, coefs) in enumerate(base._s_layers):
+        if models is not None:
+            coefs = _shared_or_stacked(
+                [model._s_layers[layer][1] for model in models]
+            )
+        imag[:, flats] += w * coefs
+    if base._dynamic_devices:
+        stack[:, base._dynamic_positions] = [
+            model._dynamic_row(s)
+            for model, s in zip(models or [base] * len(s_values), s_values)
+        ]
+    solved = np.linalg.solve(stack.reshape(-1, size, size), base._rhs[:, None])
+    return solved[:, base._output, 0].tolist()
+
+
+def _gain_or_error(model: AcModel, frequency_hz: float) -> float | AnalogError:
+    try:
+        return model.gain(frequency_hz)
+    except AnalogError as exc:
+        return exc
+
+
+def _dc_gains(models: list[AcModel]) -> list[float]:
+    """``|H(0)|`` of each model as one stacked solve of the DC systems
+    its backend would solve one by one (``DenseBackend.solve_once``)."""
+    systems = [model._dc_system() for model in models]
+    solved = np.linalg.solve(
+        np.array([system.to_dense() for system in systems]),
+        np.array([system.rhs for system in systems])[:, :, None],
+    )
+    outputs = [model._output for model in models]
+    return [abs(h) for h in solved[range(len(models)), outputs, 0].tolist()]
+
+
+def batch_gains(
+    pairs: Sequence[tuple[AcModel, float]],
+) -> list[float | AnalogError]:
+    """``|H(f)|`` of every (model, frequency) pair, entry for entry equal
+    to ``model.gain(frequency)``; where that call raises, the entry is
+    the :class:`AnalogError` it raises.
+
+    On the dense backend, the nonzero-frequency pairs of models derived
+    from one compile (:meth:`AcModel.at_state`: they share the
+    ``_s_layers`` flats, the right-hand side and the output) are one
+    stacked solve over their per-state matrices; the DC pairs of one
+    system size are one stacked solve of their DC systems.  When a
+    stack is singular (or a device cannot be stamped) its pairs fall
+    back to their own :meth:`AcModel.gain`, so each state raises its own
+    error.  Any other pair, and a group of fewer than
+    :data:`STACK_MIN_PAIRS`, is evaluated pair by pair.
+    """
+    results: list = [None] * len(pairs)
+    groups: dict[tuple, list[int]] = {}
+    for index, (model, frequency) in enumerate(pairs):
+        if model._output is None or model.backend.name != DenseBackend.name:
+            results[index] = _gain_or_error(model, frequency)
+            continue
+        # laplace(): s = 0 exactly when the frequency is.
+        key = ("ac", id(model._rhs)) if frequency else ("dc", model._size)
+        groups.setdefault(key, []).append(index)
+    for indices in groups.values():
+        group = [pairs[index] for index in indices]
+        if len(group) >= STACK_MIN_PAIRS:
+            models = [model for model, _ in group]
+            frequencies = [frequency for _, frequency in group]
+            try:
+                if frequencies[0]:
+                    values = [
+                        abs(h)
+                        for h in _stacked_transfers(
+                            models[0], frequencies, models
+                        )
+                    ]
+                else:
+                    values = _dc_gains(models)
+            except (np.linalg.LinAlgError, AnalogError):
+                values = [_gain_or_error(*pair) for pair in group]
+        else:
+            values = [_gain_or_error(*pair) for pair in group]
+        for index, value in zip(indices, values):
+            results[index] = value
+    return results

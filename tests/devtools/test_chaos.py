@@ -32,6 +32,25 @@ class TestChaosEvent:
                 {"site": "shard", "key": "0", "seconds": 1.0}
             )
 
+    @pytest.mark.parametrize(
+        "site, action", [("checkpoint", "raise"), ("shard", "torn")]
+    )
+    def test_pairs_no_hook_honours_are_rejected(self, site, action):
+        # The checkpoint hook only tears the shard cache entry, and the
+        # shard hook only raises: either pair would never fire as asked.
+        with pytest.raises(ChaosError, match=f"site {site!r} takes"):
+            ChaosEvent(site=site, key="0", action=action)
+        with pytest.raises(ChaosError, match=f"site {site!r} takes"):
+            ChaosEvent.from_document(
+                {"site": site, "key": "0", "action": action}
+            )
+
+    @pytest.mark.parametrize("site", ["shard", "merge", "job", "http"])
+    def test_every_other_site_takes_raise_only(self, site):
+        assert ChaosEvent(site=site, key="*").action == "raise"
+        with pytest.raises(ChaosError, match="takes"):
+            ChaosEvent(site=site, key="*", action="torn")
+
     def test_matching_is_pure_on_site_key_attempt(self):
         event = ChaosEvent(site="shard", key="2", attempts=(1, 3))
         assert event.matches("shard", 2, 1)  # int keys stringify
@@ -67,15 +86,12 @@ class TestChaosPlan:
         assert ChaosPlan.from_json(plan.to_json()) == plan
 
     def test_first_matching_event_wins(self):
-        plan = ChaosPlan(
-            events=(
-                ChaosEvent(site="checkpoint", key="1", action="torn"),
-                ChaosEvent(site="checkpoint", key="*", action="raise"),
-            )
-        )
-        assert plan.event_for("checkpoint", 1).action == "torn"
-        assert plan.event_for("checkpoint", 2).action == "raise"
-        assert plan.event_for("checkpoint", 1, attempt=2) is None
+        first = ChaosEvent(site="shard", key="1")
+        wildcard = ChaosEvent(site="shard", key="*")
+        plan = ChaosPlan(events=(first, wildcard))
+        assert plan.event_for("shard", 1) is first
+        assert plan.event_for("shard", 2) is wildcard
+        assert plan.event_for("shard", 1, attempt=2) is None
 
     def test_fire_raise(self):
         plan = ChaosPlan(events=(ChaosEvent(site="job", key="fig4"),))

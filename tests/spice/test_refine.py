@@ -11,12 +11,22 @@ the reference here and is imported by this test only.
 
 The objectives are the real ones: every peak search and −3 dB crossing
 :mod:`repro.spice.measure` runs for the fig4 deviation matrix (Example
-1) and for every parameter of the band-pass, Chebyshev and
-state-variable filters at a set of random deviation states.  A
+1, its searches in lockstep) and for every parameter of the band-pass,
+Chebyshev and state-variable filters at a set of random deviation
+states.  Each recorded search is replayed through the scalar wrapper
+and through scipy: the step generators behind both drivers must see the
+same abscissae and return the same answer.  A
 hypothesis sweep adds brackets over smooth functions, and the error
 modes (same-sign bracket, NaN, non-convergence) must raise alike.
+
+A deviation matrix runs its searches in lockstep; run one search after
+another instead, it must hand each state's searches the same abscissae
+in the same order, and the batched gain behind the lockstep rounds must
+equal each model's own gain, singular states included.
 """
 
+import collections
+import importlib
 import math
 
 import numpy as np
@@ -35,8 +45,19 @@ from repro.circuits import (
     state_variable_filter,
     state_variable_parameters,
 )
-from repro.spice import AnalogError, MeasurementScope, measure
+from repro.spice import (
+    VCCS,
+    AcModel,
+    AnalogCircuit,
+    AnalogError,
+    MeasurementScope,
+    lockstep,
+    measure,
+)
 from repro.spice._refine import bounded_minimum, brent_root
+from repro.spice.acmodel import STACK_MIN_PAIRS, batch_gains
+
+deviation_module = importlib.import_module("repro.analog.deviation")
 
 
 def _bits(value):
@@ -84,22 +105,75 @@ def assert_root_matches_scipy(func, xa, xb, xtol, maxiter=100):
     return root, calls
 
 
+def _recorded(steps, replay):
+    """A step generator like ``steps`` that records every (abscissa,
+    value) it hands out and receives, and passes the record, the result
+    and its own arguments to ``replay`` once the search returns."""
+
+    def recording(*args, **kwargs):
+        seen = []
+        search = steps(*args, **kwargs)
+        try:
+            x = next(search)
+            while True:
+                value = yield x
+                seen.append((x, value))
+                x = search.send(value)
+        except StopIteration as stop:
+            result = stop.value
+        replay(seen, result, *args, **kwargs)
+        return result
+
+    return recording
+
+
+def _replayed(seen):
+    """The objective a recorded search saw: the recorded value at each
+    recorded abscissa (matched by type and bits)."""
+    table = {_bits(x): value for x, value in seen}
+    return lambda x: table[_bits(x)]
+
+
 @pytest.fixture
 def differential(monkeypatch):
-    """Route :mod:`repro.spice.measure`'s refiners through the checks
-    above; yields the count of searches checked per refiner."""
+    """Route :mod:`repro.spice.measure`'s refiner step generators
+    through the checks above.  Each search a measurement runs (many in
+    lockstep, or one alone) is recorded; its objective is then replayed
+    through the scalar wrapper, which must hand out the same abscissae
+    in the same order and return the same result, and through scipy.
+    Yields the count of searches checked per refiner."""
     checked = {"peak": 0, "crossing": 0}
 
-    def minimum(func, lower, upper, xatol, maxfun=500):
+    def minimum(seen, result, lower, upper, xatol, maxfun=500):
         checked["peak"] += 1
-        return assert_minimum_matches_scipy(func, lower, upper, xatol, maxfun)
+        func, scalar_seen = _logged(_replayed(seen))
+        x, fun, nfev = bounded_minimum(func, lower, upper, xatol, maxfun)
+        assert scalar_seen == [_bits(x) for x, _ in seen]
+        assert (_bits(x), _bits(fun), nfev) == (
+            _bits(result[0]), _bits(result[1]), result[2]
+        )
+        assert_minimum_matches_scipy(
+            _replayed(seen), lower, upper, xatol, maxfun
+        )
 
-    def root(func, xa, xb, xtol, maxiter=100):
+    def root(seen, result, xa, xb, xtol, maxiter=100):
         checked["crossing"] += 1
-        return assert_root_matches_scipy(func, xa, xb, xtol, maxiter)
+        func, scalar_seen = _logged(_replayed(seen))
+        found, calls = brent_root(func, xa, xb, xtol, maxiter)
+        assert scalar_seen == [_bits(x) for x, _ in seen]
+        assert (_bits(found), calls) == (_bits(result[0]), result[1])
+        assert_root_matches_scipy(_replayed(seen), xa, xb, xtol, maxiter)
 
-    monkeypatch.setattr(measure, "bounded_minimum", minimum)
-    monkeypatch.setattr(measure, "brent_root", root)
+    monkeypatch.setattr(
+        measure,
+        "bounded_minimum_steps",
+        _recorded(measure.bounded_minimum_steps, minimum),
+    )
+    monkeypatch.setattr(
+        measure,
+        "brent_root_steps",
+        _recorded(measure.brent_root_steps, root),
+    )
     return checked
 
 
@@ -231,3 +305,166 @@ class TestErrorModes:
             lambda: brentq(func, 2.0, 3.0, xtol=1e-12, maxiter=3),
         )
         assert kind is RuntimeError
+
+
+def _search_log(monkeypatch):
+    """Patch the step generators of :mod:`repro.spice.measure` to count
+    each finished search as (refiner, arguments, every abscissa), all by
+    type and bits."""
+    searches = collections.Counter()
+
+    def counted(name):
+        def count(seen, result, *args, **kwargs):
+            arguments = tuple(_bits(arg) for arg in args)
+            abscissae = tuple(_bits(x) for x, _ in seen)
+            searches[(name, arguments, abscissae)] += 1
+
+        return count
+
+    monkeypatch.setattr(
+        measure,
+        "bounded_minimum_steps",
+        _recorded(measure.bounded_minimum_steps, counted("minimum")),
+    )
+    monkeypatch.setattr(
+        measure,
+        "brent_root_steps",
+        _recorded(measure.brent_root_steps, counted("root")),
+    )
+    return searches
+
+
+def _one_after_another(programs):
+    """The serial driver: each program runs alone, so every gain it asks
+    for is its model's scalar ``gain``."""
+    return [lockstep([program])[0] for program in programs]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("adversary", ["sensitivity", "none"])
+    def test_searches_see_the_serial_abscissae(self, monkeypatch, adversary):
+        mixed = fig4_mixed_circuit()
+        runs = []
+        for driver in (None, _one_after_another):
+            with monkeypatch.context() as patch:
+                searches = _search_log(patch)
+                if driver is not None:
+                    patch.setattr(deviation_module, "lockstep", driver)
+                matrix = deviation_matrix(
+                    mixed.analog, mixed.parameters, adversary=adversary
+                )
+            runs.append((searches, matrix.results))
+        (lockstep_searches, lockstep_results), (serial_searches, serial_results) = runs
+        assert sum(lockstep_searches.values()) > 200
+        assert lockstep_searches == serial_searches
+        assert lockstep_results == serial_results
+
+    def test_the_first_failing_program_raises(self):
+        model = AcModel(bandpass_filter(), "Vin", "V1")
+
+        def program(index, rounds, fails):
+            for _ in range(rounds):
+                yield model, 1e3
+            if fails:
+                raise ValueError(index)
+            return index
+
+        closed = []
+
+        def watched(index, rounds, fails):
+            try:
+                return (yield from program(index, rounds, fails))
+            except GeneratorExit:
+                closed.append(index)
+                raise
+
+        # Program 2 fails first in time, program 1 later: program 1 is
+        # the error a serial run raises, and programs after 2 are closed.
+        with pytest.raises(ValueError) as raised:
+            lockstep(
+                [
+                    watched(0, 1, False),
+                    watched(1, 5, True),
+                    watched(2, 1, True),
+                    watched(3, 9, False),
+                ]
+            )
+        assert raised.value.args == (1,)
+        assert closed == [3]
+
+    def test_programs_that_only_wait_are_an_error(self):
+        def waiting():
+            while True:
+                yield None
+
+        with pytest.raises(RuntimeError, match="waits on another"):
+            lockstep([waiting()])
+
+
+def _singular_when_deviated() -> AnalogCircuit:
+    """A band-pass plus two cross-coupled transconductances on nodes of
+    their own: regular at nominal, exactly singular once ``Ga`` drops by
+    half (the elimination of ``b`` leaves ``GMIN − ga·gb/GMIN = 0``)."""
+    circuit = bandpass_filter()
+    circuit.add(VCCS("Ga", "a", "0", "b", "0", 2e-12))
+    circuit.add(VCCS("Gb", "b", "0", "a", "0", 1e-12))
+    return circuit
+
+
+class TestBatchGains:
+    @pytest.mark.parametrize(
+        "build, parameters",
+        [
+            (bandpass_filter, bandpass_parameters),
+            (chebyshev_filter, chebyshev_parameters),
+            (state_variable_filter, state_variable_parameters),
+        ],
+        ids=["bandpass", "chebyshev", "state-variable"],
+    )
+    def test_equals_gain(self, build, parameters):
+        circuit = build()
+        parameter = parameters()[0]
+        base = AcModel(circuit, parameter.source, parameter.output)
+        states = _random_states(circuit, count=5, seed=3)
+        models = [base.at_state(state) for state in states]
+        # a full compile of a derived state is a family of its own
+        models.append(
+            AcModel(circuit, parameter.source, parameter.output, states[1])
+        )
+        frequencies = [0.0, 10.0, np.float64(1234.5), 2.5e3, 1e5]
+        pairs = [(model, f) for f in frequencies for model in models]
+        batched = batch_gains(pairs)
+        assert [_bits(gain) for gain in batched] == [
+            _bits(model.gain(f)) for model, f in pairs
+        ]
+
+    def test_a_singular_state_raises_its_own_error(self):
+        circuit = _singular_when_deviated()
+        base = AcModel(circuit, "Vin", "V1")
+        singular = base.at_state({"Ga": -0.5})
+        regular = base.at_state({"R1": 0.1})
+        pairs = [
+            (base, 100.0),
+            (singular, 2e3),
+            (regular, 3e3),
+            (regular, 4e3),
+            (base, 5e3),
+            (singular, 0.0),
+            (regular, 0.0),
+            (base, 0.0),
+            (regular, 0.0),
+        ]
+        # enough pairs at AC and at DC for batch_gains to stack each
+        assert STACK_MIN_PAIRS <= 5
+        batched = batch_gains(pairs)
+        for (model, f), got in zip(pairs, batched):
+            try:
+                expected = model.gain(f)
+            except AnalogError as exc:
+                assert isinstance(got, AnalogError)
+                assert str(got) == str(exc)
+            else:
+                assert _bits(got) == _bits(expected)
+        assert isinstance(batched[1], AnalogError)
+        assert "at 2000.0 Hz" in str(batched[1])
+        assert not any(isinstance(batched[i], AnalogError) for i in (2, 3, 4))
