@@ -14,10 +14,10 @@ The objectives are the real ones: every peak search and −3 dB crossing
 1, its searches in lockstep) and for every parameter of the band-pass,
 Chebyshev and state-variable filters at a set of random deviation
 states.  Each recorded search is replayed through the scalar wrapper
-and through scipy: the step generators behind both drivers must see the
-same abscissae and return the same answer.  A
-hypothesis sweep adds brackets over smooth functions, and the error
-modes (same-sign bracket, NaN, non-convergence) must raise alike.
+and through scipy, which must both ask for the recorded abscissae and
+return the recorded answer.  A hypothesis sweep adds brackets over
+smooth functions, and the error modes (same-sign bracket, NaN,
+non-convergence) must raise alike.
 
 A deviation matrix runs its searches in lockstep; run one search after
 another instead, it must hand each state's searches the same abscissae
@@ -335,7 +335,7 @@ def _search_log(monkeypatch):
 
 
 def _one_after_another(programs):
-    """The serial driver: each program runs alone, so every gain it asks
+    """Serial running: each program runs alone, so every gain it asks
     for is its model's scalar ``gain``."""
     return [lockstep([program])[0] for program in programs]
 
@@ -345,11 +345,11 @@ class TestLockstep:
     def test_searches_see_the_serial_abscissae(self, monkeypatch, adversary):
         mixed = fig4_mixed_circuit()
         runs = []
-        for driver in (None, _one_after_another):
+        for runner in (None, _one_after_another):
             with monkeypatch.context() as patch:
                 searches = _search_log(patch)
-                if driver is not None:
-                    patch.setattr(deviation_module, "lockstep", driver)
+                if runner is not None:
+                    patch.setattr(deviation_module, "lockstep", runner)
                 matrix = deviation_matrix(
                     mixed.analog, mixed.parameters, adversary=adversary
                 )
