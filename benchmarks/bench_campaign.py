@@ -1,8 +1,9 @@
 """Campaign engine benchmark: factorized vs reference, same outcomes.
 
-Runs the fault-injection campaign on a registry circuit with both
-:mod:`repro.analog.faultsim` engines, checks their seeded outcome lists
-are identical, and reports the speedup as a ``BENCH`` JSON point::
+Runs the fault-injection campaign on a registry circuit (the factorized
+engine) and its oracle, ``ReferenceEngine().run`` on the same drawn
+population, checks their seeded outcome lists are identical, and
+reports the speedup as a ``BENCH`` JSON point::
 
     BENCH {"bench": "campaign", "circuit": "fig4", "speedup": ..., ...}
 
@@ -35,8 +36,10 @@ if __name__ == "__main__":  # allow running straight from a checkout
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
+from repro.analog import ReferenceEngine
 from repro.api import CampaignConfig, Workbench
-from repro.core import run_campaign
+from repro.core import CampaignResult, run_campaign
+from repro.core.campaign import draw_population
 
 
 def _outcome_key(result):
@@ -46,12 +49,13 @@ def _outcome_key(result):
     ]
 
 
-def _time_engine(mixed, report, config: CampaignConfig, repeats: int):
-    """Best-of-``repeats`` wall clock and the (deterministic) result."""
+def _time_engine(run, repeats: int):
+    """Best-of-``repeats`` wall clock of ``run()`` and its
+    (deterministic) result."""
     best, result = float("inf"), None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = run_campaign(mixed, report, config=config)
+        result = run()
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -191,23 +195,26 @@ def main(argv=None) -> int:
         mixed, stages=("sensitivity", "stimulus")
     ).report
 
-    def config(engine: str) -> CampaignConfig:
-        return CampaignConfig(
-            faults_per_element=faults_per_element,
-            seed=args.seed,
-            engine=engine,
+    config = CampaignConfig(
+        faults_per_element=faults_per_element, seed=args.seed
+    )
+
+    def factorized_run(config=config):
+        return run_campaign(mixed, report, config=config)
+
+    def reference_run(config=config):
+        outcomes = ReferenceEngine().run(
+            mixed, *draw_population(report, config)
         )
+        return CampaignResult(outcomes=outcomes)
 
     # Warm both paths once so imports and LU caches don't skew run 1.
-    run_campaign(mixed, report, config=config("reference").replace(faults_per_element=1))
-    run_campaign(mixed, report, config=config("factorized").replace(faults_per_element=1))
+    warm = config.replace(faults_per_element=1)
+    reference_run(warm)
+    factorized_run(warm)
 
-    t_reference, reference = _time_engine(
-        mixed, report, config("reference"), repeats
-    )
-    t_factorized, factorized = _time_engine(
-        mixed, report, config("factorized"), repeats
-    )
+    t_reference, reference = _time_engine(reference_run, repeats)
+    t_factorized, factorized = _time_engine(factorized_run, repeats)
     identical = _outcome_key(reference) == _outcome_key(factorized)
     speedup = t_reference / t_factorized if t_factorized > 0 else float("inf")
 

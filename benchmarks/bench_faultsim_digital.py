@@ -14,9 +14,12 @@ It prints a ``BENCH`` JSON point::
 Modes:
 
 * full (default) — the whole uncollapsed fault universe, 256 patterns,
-  best-of-3 timing, and a hard gate: the compiled engine must be at
-  least ``--min-speedup`` (default 3×) faster than the reference for
-  *both* ``fault_simulate`` and ``compact_vectors``;
+  and a hard gate: the compiled engine must be at least
+  ``--min-speedup`` (default 3×) faster than the reference for *both*
+  ``fault_simulate`` and ``compact_vectors``.  Each speedup is the
+  median of ``--pairs`` (default 7) paired ratios: a pair times the
+  two engines back to back, alternating which runs first, so load that
+  drifts across the run hits both sides of a ratio alike;
 * ``--smoke``    — a fault/pattern subsample, single timing pass, no
   speed gate (CI runners are noisy); the engine-agreement checks
   (identical detection maps, identical compacted vectors) still apply.
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -76,14 +80,37 @@ def _patterns(circuit, count: int, seed: int):
     ]
 
 
-def _best_of(fn, repeats: int):
-    """Best-of-``repeats`` wall clock and the (deterministic) result."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
+
+
+def _paired(compiled, reference, pairs: int):
+    """Median reference/compiled ratio over ``pairs`` back-to-back pairs.
+
+    Returns ``(speedup, compiled_s, reference_s, compiled result,
+    reference result)``; the two times are each side's median.  The
+    engine that runs first alternates from pair to pair.
+    """
+    ratios, times_c, times_r = [], [], []
+    for index in range(pairs):
+        if index % 2:
+            t_r, result_r = _timed(reference)
+            t_c, result_c = _timed(compiled)
+        else:
+            t_c, result_c = _timed(compiled)
+            t_r, result_r = _timed(reference)
+        ratios.append(t_r / t_c if t_c > 0 else float("inf"))
+        times_c.append(t_c)
+        times_r.append(t_r)
+    return (
+        statistics.median(ratios),
+        statistics.median(times_c),
+        statistics.median(times_r),
+        result_c,
+        result_r,
+    )
 
 
 def main(argv=None) -> int:
@@ -93,7 +120,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--patterns", type=int, default=256)
     parser.add_argument("--compact-vectors", type=int, default=64)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--pairs", type=int, default=7,
+        help="compiled/reference timing pairs per hot path; the gate "
+        "reads the median of their ratios",
+    )
     parser.add_argument(
         "--min-speedup", type=float, default=3.0,
         help="fail unless the compiled engine is at least this much "
@@ -105,6 +136,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--json", metavar="PATH", default=None)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
 
     circuit = iscas85_like(CIRCUIT)
     universe = fault_universe(circuit)
@@ -113,7 +146,7 @@ def main(argv=None) -> int:
     n_vectors = 24 if args.smoke else args.compact_vectors
     faults = universe[:200] if args.smoke else universe
     compact_faults = collapsed[:200] if args.smoke else collapsed
-    repeats = 1 if args.smoke else args.repeats
+    pairs = 1 if args.smoke else args.pairs
     patterns = _patterns(circuit, n_patterns, seed=7)
     vectors = _patterns(circuit, n_vectors, seed=23)
 
@@ -121,28 +154,20 @@ def main(argv=None) -> int:
     fault_simulate(circuit, patterns[:8], faults[:8], engine="compiled")
     fault_simulate(circuit, patterns[:8], faults[:8], engine="reference")
 
-    t_sim_c, detected_c = _best_of(
+    sim_speedup, t_sim_c, t_sim_r, detected_c, detected_r = _paired(
         lambda: fault_simulate(circuit, patterns, faults, engine="compiled"),
-        repeats,
-    )
-    t_sim_r, detected_r = _best_of(
         lambda: fault_simulate(circuit, patterns, faults, engine="reference"),
-        repeats,
+        pairs,
     )
-    t_cmp_c, kept_c = _best_of(
+    cmp_speedup, t_cmp_c, t_cmp_r, kept_c, kept_r = _paired(
         lambda: compact_vectors(
             circuit, vectors, compact_faults, engine="compiled"
         ),
-        repeats,
-    )
-    t_cmp_r, kept_r = _best_of(
         lambda: compact_vectors(
             circuit, vectors, compact_faults, engine="reference"
         ),
-        repeats,
+        pairs,
     )
-    sim_speedup = t_sim_r / t_sim_c if t_sim_c > 0 else float("inf")
-    cmp_speedup = t_cmp_r / t_cmp_c if t_cmp_c > 0 else float("inf")
     detection_agree = detected_c == detected_r
     compact_agree = kept_c == kept_r
 
@@ -154,6 +179,7 @@ def main(argv=None) -> int:
         "n_faults": len(faults),
         "n_patterns": n_patterns,
         "n_compact_vectors": n_vectors,
+        "pairs": pairs,
         "fault_sim_reference_s": round(t_sim_r, 6),
         "fault_sim_compiled_s": round(t_sim_c, 6),
         "fault_sim_speedup": round(sim_speedup, 2),

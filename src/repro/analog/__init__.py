@@ -29,15 +29,12 @@ from .faults import (
     short_fault,
 )
 from .faultsim import (
-    ENGINES,
-    CampaignEngine,
     CampaignResult,
     FactorizedEngine,
     FaultSpec,
     InjectionOutcome,
     ReferenceEngine,
     draw_faults,
-    get_engine,
     step_order,
 )
 
@@ -69,9 +66,6 @@ __all__ = [
     "FaultSpec",
     "draw_faults",
     "step_order",
-    "CampaignEngine",
     "ReferenceEngine",
     "FactorizedEngine",
-    "ENGINES",
-    "get_engine",
 ]

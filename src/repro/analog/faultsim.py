@@ -28,7 +28,13 @@ fault population and one detection semantics:
   own steps gets its remaining gains from the same kernel, one
   batch-of-one call each.
 
-Both engines walk the program steps in the same order (the faulted
+Both engines share one call, ``run(mixed, steps, faults)``: ``steps``
+are the testable :class:`repro.core.AnalogElementTest` entries (each
+carries a stimulus and a digital vector), the result is one
+:class:`InjectionOutcome` per fault in fault order, and ``mixed`` is
+only read.  After ``run`` returns, the instance's ``last_diagnostics``
+describes what actually ran, so each campaign takes a fresh instance.
+Both walk the program steps in the same order (the faulted
 element's own step first), so — floating-point coincidences at a
 comparator threshold aside — they produce *identical* outcome lists for
 the same seed.  The differential test suite holds them to that.
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 
 from ..digital.compiled import CompiledCircuit
 from ..digital.simulate import simulate
-from ..spice import AnalogError, MnaSolver
+from ..spice import MnaSolver
 
 __all__ = [
     "InjectionOutcome",
@@ -50,11 +56,8 @@ __all__ = [
     "FaultSpec",
     "draw_faults",
     "step_order",
-    "CampaignEngine",
     "ReferenceEngine",
     "FactorizedEngine",
-    "ENGINES",
-    "get_engine",
 ]
 
 
@@ -201,40 +204,20 @@ def _convert(thresholds: tuple[float, ...], v_in: float) -> tuple[int, ...]:
     return tuple(1 if v_in > vt else 0 for vt in thresholds)
 
 
-class CampaignEngine:
-    """Interface: execute a fault population against a test program.
-
-    ``steps`` are the testable :class:`repro.core.AnalogElementTest`
-    entries (each carries a stimulus and a digital vector); ``mixed`` is
-    the circuit under test.  Returns one :class:`InjectionOutcome` per
-    fault, in fault order.  Engines only read ``mixed``.
-    After :meth:`run` returns, :attr:`last_diagnostics` describes what
-    actually ran (backend name, factorizations built, multi-RHS solve
-    counters) — use :func:`get_engine` to obtain a fresh instance per
-    campaign so concurrent campaigns never share it.
-    """
-
-    name = "abstract"
-
-    def __init__(self) -> None:
-        #: diagnostics of the most recent :meth:`run` (or ``None``).
-        self.last_diagnostics: dict | None = None
-
-    def run(
-        self, mixed, steps: Sequence, faults: Sequence[FaultSpec]
-    ) -> list[InjectionOutcome]:
-        raise NotImplementedError
-
-
-class ReferenceEngine(CampaignEngine):
+class ReferenceEngine:
     """The slow, obviously-correct oracle.
 
     Every faulty response is a full re-assemble-and-solve of the
     deviated circuit.  The only lifting out of the fault loop is the
     good-circuit converter codes, which do not depend on the fault.
+    Campaigns never run it; ``repro audit`` and the differential tests
+    call :meth:`run` directly on a population from
+    :func:`repro.core.campaign.draw_population`.
     """
 
     name = "reference"
+    #: diagnostics of the most recent :meth:`run` (or ``None``).
+    last_diagnostics: dict | None = None
 
     def run(
         self, mixed, steps: Sequence, faults: Sequence[FaultSpec]
@@ -300,7 +283,7 @@ class ReferenceEngine(CampaignEngine):
         )
 
 
-class FactorizedEngine(CampaignEngine):
+class FactorizedEngine:
     """LU-factorized fast path: same outcomes, ~an order of magnitude
     less work per fault.
 
@@ -332,6 +315,9 @@ class FactorizedEngine(CampaignEngine):
     """
 
     name = "factorized"
+    #: diagnostics of the most recent :meth:`run` (or ``None``): backend
+    #: name, factorizations built, multi-RHS solve counters.
+    last_diagnostics: dict | None = None
 
     def run(
         self,
@@ -523,28 +509,3 @@ class FactorizedEngine(CampaignEngine):
             )
             for fault, (detected, detecting) in zip(faults, verdicts)
         ]
-
-
-#: engine name → engine instance; names mirror
-#: ``repro.api.config.CAMPAIGN_ENGINES``.
-ENGINES: dict[str, CampaignEngine] = {
-    ReferenceEngine.name: ReferenceEngine(),
-    FactorizedEngine.name: FactorizedEngine(),
-}
-
-
-def get_engine(name: str) -> CampaignEngine:
-    """A *fresh* campaign engine instance by name.
-
-    Fresh per call so the per-run :attr:`CampaignEngine.
-    last_diagnostics` never races between concurrent campaigns; the
-    :data:`ENGINES` table keeps one canonical instance per name for
-    introspection.
-    """
-    try:
-        return type(ENGINES[name])()
-    except KeyError:
-        raise AnalogError(
-            f"unknown fault-simulation engine {name!r}; "
-            f"known: {', '.join(sorted(ENGINES))}"
-        ) from None

@@ -18,7 +18,6 @@ everything else loads on first attribute access.
 """
 
 from .config import (
-    CAMPAIGN_ENGINES,
     AtpgConfig,
     CampaignConfig,
     ConfigError,
@@ -29,7 +28,6 @@ from .config import (
 
 __all__ = [
     "AtpgConfig",
-    "CAMPAIGN_ENGINES",
     "CampaignConfig",
     "ConfigError",
     "GeneratorConfig",

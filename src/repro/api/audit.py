@@ -32,16 +32,10 @@ unchanged campaign replays nothing.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..analog.faultsim import (
-    CampaignResult,
-    FactorizedEngine,
-    ReferenceEngine,
-    draw_faults,
-)
+from ..analog.faultsim import CampaignResult, FactorizedEngine, ReferenceEngine
 from ..core.fingerprint import canonical_json, fingerprint_of, sha256_text
 from .artifact import Artifact
 from .config import AtpgConfig, CampaignConfig, ConfigError, GeneratorConfig
@@ -206,6 +200,7 @@ def run_audit(
     (a :class:`repro.core.cache.ResultCache`) serves unchanged replays
     from the ``audit`` namespace instead of re-executing them.
     """
+    from ..core.campaign import draw_population
     from ..core.sharding import campaign_fingerprint
     from .session import Workbench
 
@@ -226,11 +221,7 @@ def run_audit(
         mixed, stages=stages, generator=generator, atpg=atpg
     )
     report = replayed.report
-    rng = random.Random(campaign.seed)
-    testable = [t for t in report.analog_tests if t.testable]
-    faults = draw_faults(
-        testable, campaign.faults_per_element, campaign.severity_range, rng
-    )
+    testable, faults = draw_population(report, campaign)
     fingerprint = campaign_fingerprint(mixed.name, campaign, faults, testable)
 
     audit = AuditResult(

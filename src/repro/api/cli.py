@@ -39,12 +39,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .config import (
-    CAMPAIGN_ENGINES,
-    CampaignConfig,
-    ConfigError,
-    GeneratorConfig,
-)
+from .config import CampaignConfig, ConfigError, GeneratorConfig
 from .pipeline import FULL_STAGES, STAGE_ORDER
 from .session import Workbench
 
@@ -93,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--severity", nargs=2, type=float, metavar=("LOW", "HIGH"),
         default=None,
-    )
-    p_camp.add_argument(
-        "--engine", choices=CAMPAIGN_ENGINES, default=None,
-        help="fault-simulation engine (default: factorized)",
     )
     p_camp.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -229,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--severity", nargs=2, type=float, metavar=("LOW", "HIGH"),
         default=None,
     )
-    p_submit.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None)
     p_submit.add_argument("--shards", type=int, default=None, metavar="N")
     p_submit.add_argument("--tolerance", type=float, default=None)
     p_submit.add_argument(
@@ -405,7 +395,6 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         faults_per_element=args.faults_per_element,
         severity_range=None if args.severity is None else tuple(args.severity),
         seed=args.seed,
-        engine=args.engine,
         shards=args.shards,
         cache_dir=cache_dir,
         shard_attempts=args.shard_attempts,
@@ -647,7 +636,6 @@ def _cmd_submit(wb: Workbench, args: argparse.Namespace) -> int:
                 "severity_range": None
                 if args.severity is None
                 else list(args.severity),
-                "engine": args.engine,
                 "shards": args.shards,
             }.items()
             if value is not None

@@ -25,10 +25,6 @@ __all__ = [
 #: variable-ordering heuristics understood by the BDD compiler.
 BDD_ORDERINGS = ("fanin", "declaration")
 
-#: fault-simulation engines behind the campaign stage (must mirror
-#: ``repro.analog.faultsim.ENGINES``; the test suite cross-checks).
-CAMPAIGN_ENGINES = ("factorized", "reference")
-
 #: :class:`CampaignConfig` fields earlier releases recorded in job files
 #: and report metadata; :meth:`CampaignConfig.from_document` drops them.
 RETIRED_CAMPAIGN_FIELDS = frozenset(
@@ -37,6 +33,7 @@ RETIRED_CAMPAIGN_FIELDS = frozenset(
         "batch",
         "checkpoint_dir",
         "digital_engine",
+        "engine",
         "factor_cache_size",
         "heartbeat_interval",
         "max_workers",
@@ -160,17 +157,16 @@ class GeneratorConfig(_Replaceable):
 class CampaignConfig(_Replaceable):
     """Configuration of the fault-injection campaign.
 
+    Every campaign runs :class:`repro.analog.faultsim.FactorizedEngine`.
+    Its oracle, :class:`~repro.analog.faultsim.ReferenceEngine`, is not
+    selectable here: ``repro audit`` and the differential tests call it
+    directly on the same population.
+
     Attributes:
         faults_per_element: injected deviations per testable element.
         severity_range: severities (multiples of the computed E.D.)
             drawn uniformly from this ``(low, high)`` interval.
         seed: RNG seed, so campaigns are reproducible artifacts.
-        engine: fault-simulation engine — ``"factorized"`` (per-frequency
-            LU reuse + Sherman–Morrison rank-one updates, the default)
-            or ``"reference"`` (full re-solve per fault, the oracle the
-            differential tests check the fast engine against).  Both
-            produce the same seeded outcome lists, barring a gain that
-            lands on a comparator threshold to within rounding.
         shards: split the seeded fault population into this many
             deterministic, contiguous index slices
             (:mod:`repro.core.sharding`), the units a campaign is cached
@@ -223,7 +219,6 @@ class CampaignConfig(_Replaceable):
     faults_per_element: int = 6
     severity_range: tuple[float, float] = (0.5, 3.0)
     seed: int = 2024
-    engine: str = "factorized"
     shards: int = 1
     cache_dir: str | None = None
     shard_attempts: int = 2
@@ -248,10 +243,6 @@ class CampaignConfig(_Replaceable):
         _require(
             0.0 < low <= high,
             f"severity_range must satisfy 0 < low <= high, got {low!r}, {high!r}",
-        )
-        _require(
-            self.engine in CAMPAIGN_ENGINES,
-            f"engine must be one of {CAMPAIGN_ENGINES}, got {self.engine!r}",
         )
         _require(
             self.shards >= 1,

@@ -21,11 +21,9 @@ Stage semantics:
 * ``atpg``        — digital-block stuck-at ATPG under the thermometer
     constraint (plus the stand-alone run when configured);
 * ``campaign``    — seeded fault injection scoring the emitted program
-    (requires ``stimulus``); executes on the
-    :mod:`repro.analog.faultsim` engine named by
-    :attr:`repro.api.CampaignConfig.engine` — the factorized
-    LU/Sherman–Morrison fast path by default, the full-solve
-    ``reference`` oracle on request.
+    (requires ``stimulus``); executes on
+    :class:`repro.analog.faultsim.FactorizedEngine`, the
+    LU/Sherman–Morrison fast path.
 
 With :attr:`repro.api.CampaignConfig.cache_dir` set, the generation
 stages (all but ``campaign``, which caches its own shards) share one

@@ -10,13 +10,14 @@ program against each faulty circuit, and reports detection rates.
 This is the end-to-end figure of merit for the whole method: a recipe
 is only as good as its behaviour on faults it has never seen.
 
-The execution itself is delegated to a :mod:`repro.analog.faultsim`
-engine.  ``engine="factorized"`` (the default) reuses per-frequency LU
-factorizations and Sherman–Morrison rank-one updates; the
-``"reference"`` engine re-assembles and re-solves every faulty system
-and serves as the oracle the differential test suite checks the fast
-engine against.  Both produce the same seeded outcome lists, barring a
-gain that lands on a comparator threshold to within rounding.
+The execution itself is :class:`repro.analog.faultsim.FactorizedEngine`,
+which reuses per-frequency LU factorizations and Sherman–Morrison
+rank-one updates.  Its oracle, :class:`~repro.analog.faultsim.
+ReferenceEngine`, re-assembles and re-solves every faulty system; it is
+never a campaign option, but ``repro audit`` and the differential tests
+call ``ReferenceEngine().run(mixed, *draw_population(report, config))``
+on the same population.  Both produce the same seeded outcome lists,
+barring a gain that lands on a comparator threshold to within rounding.
 
 With ``config.shards > 1`` (or a ``cache_dir``), execution is
 delegated to :mod:`repro.core.sharding`: the fault population — still
@@ -32,15 +33,43 @@ import random
 
 from ..analog.faultsim import (
     CampaignResult,
+    FactorizedEngine,
+    FaultSpec,
     InjectionOutcome,
     draw_faults,
-    get_engine,
 )
 from ..api.config import CampaignConfig
 from .coverage import MixedTestReport
 from .mixed_circuit import MixedSignalCircuit
 
-__all__ = ["InjectionOutcome", "CampaignResult", "run_campaign"]
+__all__ = [
+    "InjectionOutcome",
+    "CampaignResult",
+    "draw_population",
+    "run_campaign",
+]
+
+
+def draw_population(
+    report: MixedTestReport, config: CampaignConfig
+) -> tuple[list, list[FaultSpec]]:
+    """The testable program steps and the seeded fault population.
+
+    For each analog element with a test recipe,
+    ``config.faults_per_element`` deviations are drawn from
+    ``random.Random(config.seed)`` with severities (multiples of the
+    element's computed E.D.) uniform in ``config.severity_range``, both
+    directions.  Campaigns, ``repro audit`` and the differential tests
+    all draw through here, so they score the same faults.
+    """
+    testable = [t for t in report.analog_tests if t.testable]
+    faults = draw_faults(
+        testable,
+        config.faults_per_element,
+        config.severity_range,
+        random.Random(config.seed),
+    )
+    return testable, faults
 
 
 def run_campaign(
@@ -51,19 +80,14 @@ def run_campaign(
 ) -> CampaignResult:
     """Inject seeded analog faults and execute the emitted program.
 
-    For each analog element with a test recipe,
-    ``config.faults_per_element`` deviations are drawn with severities
-    (multiples of the element's computed E.D.) uniform in
-    ``config.severity_range``, both directions.  Every program step is
-    tried against every fault — any step may catch it — with the step
-    targeting the faulted element tried first.
+    The population comes from :func:`draw_population`.  Every program
+    step is tried against every fault — any step may catch it — with
+    the step targeting the faulted element tried first.
 
     ``config`` (a :class:`repro.api.CampaignConfig`, default-constructed
-    when ``None``) is the one configuration surface.  Its ``engine``
-    selects the :mod:`repro.analog.faultsim` implementation
-    (``"factorized"`` fast path or the ``"reference"`` oracle).  The
-    returned result's ``diagnostics`` records which backend/engines
-    actually ran and how many LU factorizations it built.
+    when ``None``) is the one configuration surface.  The returned
+    result's ``diagnostics`` records which backend/engines actually ran
+    and how many LU factorizations it built.
 
     ``progress`` (sharded runs only) is forwarded to
     :func:`repro.core.sharding.run_sharded_campaign`: it receives each
@@ -72,11 +96,7 @@ def run_campaign(
     """
     if config is None:
         config = CampaignConfig()
-    rng = random.Random(config.seed)
-    testable = [t for t in report.analog_tests if t.testable]
-    faults = draw_faults(
-        testable, config.faults_per_element, config.severity_range, rng
-    )
+    testable, faults = draw_population(report, config)
     if (
         config.shards > 1
         # The result cache publishes and resumes per-shard artifacts,
@@ -94,8 +114,6 @@ def run_campaign(
         return run_sharded_campaign(
             mixed, testable, faults, config, progress=progress
         )
-    engine_instance = get_engine(config.engine)
-    outcomes = engine_instance.run(mixed, testable, faults)
-    return CampaignResult(
-        outcomes=outcomes, diagnostics=engine_instance.last_diagnostics
-    )
+    engine = FactorizedEngine()
+    outcomes = engine.run(mixed, testable, faults)
+    return CampaignResult(outcomes=outcomes, diagnostics=engine.last_diagnostics)

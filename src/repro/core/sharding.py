@@ -21,7 +21,7 @@ count, and concatenating the per-shard outcome lists in shard order
 Execution
 ---------
 Shards run serially in the caller's process, in shard order, each on a
-fresh engine instance.
+fresh :class:`~repro.analog.faultsim.FactorizedEngine`.
 
 Resume
 ------
@@ -61,9 +61,9 @@ from typing import TYPE_CHECKING
 
 from ..analog.faultsim import (
     CampaignResult,
+    FactorizedEngine,
     FaultSpec,
     InjectionOutcome,
-    get_engine,
 )
 from ..api.config import CampaignConfig, ConfigError
 from .fingerprint import canonical_json, fingerprint_with_encoded
@@ -174,10 +174,11 @@ def campaign_fingerprint(
     results) and every config field that can influence an outcome.
     Shard counts, the cache directory and the resilience knobs are
     deliberately *excluded*: outcomes are independent of how the work
-    is split, persisted or recovered.  ``backend`` and
+    is split, persisted or recovered.  ``engine``, ``backend`` and
     ``digital_engine`` are constants naming what every campaign runs on
-    (the ``auto`` backend, the compiled digital engine); they keep the
-    digests of earlier releases, whose configs carried them.
+    (the factorized engine, the ``auto`` backend, the compiled digital
+    engine); they keep the digests of earlier releases, whose configs
+    carried them.
 
     ``steps_json``, when given, is ``steps`` already encoded (see
     :func:`_steps_json`), so a driver keying many documents on one
@@ -188,7 +189,7 @@ def campaign_fingerprint(
         "seed": config.seed,
         "faults_per_element": config.faults_per_element,
         "severity_range": list(config.severity_range),
-        "engine": config.engine,
+        "engine": "factorized",
         "backend": "auto",
         "digital_engine": "compiled",
         "faults": [[f.element, f.deviation, f.severity] for f in faults],
@@ -223,7 +224,7 @@ def shard_fingerprint(
     document = {
         "kind": "campaign-shard",
         "circuit": circuit_name,
-        "engine": config.engine,
+        "engine": "factorized",
         "backend": "auto",
         "digital_engine": "compiled",
         "faults": [[f.element, f.deviation, f.severity] for f in faults],
@@ -286,11 +287,10 @@ def _active_plan(config: CampaignConfig) -> "ChaosPlan | None":
 
 
 def _execute_shard(
-    mixed, steps: Sequence, faults: Sequence[FaultSpec], engine_name: str,
-    index: int,
+    mixed, steps: Sequence, faults: Sequence[FaultSpec], index: int
 ) -> ShardRun:
     """Run one shard's fault slice on a fresh engine instance."""
-    engine = get_engine(engine_name)
+    engine = FactorizedEngine()
     begin = time.perf_counter()
     outcomes = engine.run(mixed, steps, list(faults))
     return ShardRun(
@@ -399,8 +399,8 @@ def run_sharded_campaign(
     """Execute a pre-drawn fault population in deterministic shards.
 
     ``faults`` must be the population drawn once from
-    ``random.Random(config.seed)`` (see :func:`repro.analog.faultsim.
-    draw_faults`); this function never draws.  Shards run serially in
+    ``random.Random(config.seed)`` (see :func:`repro.core.campaign.
+    draw_population`); this function never draws.  Shards run serially in
     the caller's process and their outcomes are merged in fault order,
     so the returned result equals the unsharded run of the same
     population exactly.  With ``config.cache_dir`` set, completed
@@ -521,9 +521,7 @@ def run_sharded_campaign(
             try:
                 if plan is not None:
                     plan.fire("shard", index, attempt=attempt)
-                run = _execute_shard(
-                    mixed, steps, faults[start:stop], config.engine, index
-                )
+                run = _execute_shard(mixed, steps, faults[start:stop], index)
             except Exception as error:
                 failure = f"{type(error).__name__}: {error}"
             else:
@@ -566,7 +564,7 @@ def run_sharded_campaign(
     resumed = sorted(index for index, run in runs.items() if run.resumed)
     diagnostics = {
         **engine_diagnostics,
-        "engine": config.engine,
+        "engine": FactorizedEngine.name,
         "sharded": True,
         "shards": shards,
         "fingerprint": fingerprint,

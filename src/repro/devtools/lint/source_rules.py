@@ -266,7 +266,7 @@ class FingerprintContract:
     """One config-class/fingerprint-function pair under the rule.
 
     ``config_vars`` names the variables the fingerprint function reads
-    config fields from (``config.seed`` / ``campaign.engine``);
+    config fields from (``config.seed`` / ``campaign.shards``);
     ``exclude_constant`` is the module-level collection listing fields
     deliberately outside the fingerprint.  ``implied_fields`` are
     config fields the function covers *through another argument*
@@ -612,9 +612,9 @@ class Eng004UnknownEngineName(Rule):
     id = "ENG004"
     title = "engine/backend literal is not a registered name"
     rationale = (
-        "Engine and backend names are registries (CAMPAIGN_ENGINES, "
-        "BACKEND_NAMES, DIGITAL_ENGINES) that configs and engines "
-        "validate at runtime — but comparisons and call sites deep in "
+        "Engine and backend names are registries (BACKEND_NAMES, "
+        "DIGITAL_ENGINES) that configs and engines validate at "
+        "runtime — but comparisons and call sites deep in "
         "the stack are not validated, so a typo ('factorised', 'spare') "
         "silently selects a dead branch instead of failing.  Every "
         "literal must be a member of its registry."
@@ -623,10 +623,7 @@ class Eng004UnknownEngineName(Rule):
     #: keyword / attribute name -> (module, registry constant) pairs
     #: that define it; each registry is read where it is defined.
     _SOURCES = {
-        "engine": (
-            (_CONFIG_MODULE, "CAMPAIGN_ENGINES"),
-            (_SIMULATE_MODULE, "DIGITAL_ENGINES"),
-        ),
+        "engine": ((_SIMULATE_MODULE, "DIGITAL_ENGINES"),),
         "backend": ((_BACKENDS_MODULE, "BACKEND_NAMES"),),
         "digital_engine": ((_SIMULATE_MODULE, "DIGITAL_ENGINES"),),
     }

@@ -204,10 +204,11 @@ class JobSpec:
         Mirrors :func:`repro.core.sharding.campaign_fingerprint`'s
         exclusion contract: shard/cache/retry knobs change
         how the work is split, never what it produces, so respecting
-        them in the key would defeat deduplication.  ``backend`` and
-        ``digital_engine`` are constants: every campaign runs on the
-        ``auto`` backend and the compiled digital engine, and keeping
-        the keys keeps stored dedup keys valid.
+        them in the key would defeat deduplication.  ``engine``,
+        ``backend`` and ``digital_engine`` are constants: every campaign
+        runs on the factorized engine, the ``auto`` backend and the
+        compiled digital engine, and keeping the keys keeps stored dedup
+        keys valid.
         """
         campaign = self.campaign
         document = {
@@ -217,7 +218,7 @@ class JobSpec:
                 "seed": campaign.seed,
                 "faults_per_element": campaign.faults_per_element,
                 "severity_range": list(campaign.severity_range),
-                "engine": campaign.engine,
+                "engine": "factorized",
                 "backend": "auto",
                 "digital_engine": "compiled",
             },

@@ -2,7 +2,7 @@
 
 A small fig4 campaign (`faults_per_element=3`, `seed=2024`) is frozen as
 a versioned ``campaign`` Artifact under ``tests/analog/goldens/``.  The
-test regenerates the campaign with the default (factorized) engine and
+test regenerates the campaign on the factorized engine and
 asserts the canonical JSON rendering is byte-identical to the golden —
 any drift in fault drawing, step ordering, detection semantics or
 serialization shows up as a diff.
@@ -26,8 +26,10 @@ if __name__ == "__main__":  # allow running straight from a checkout
 
 import pytest
 
+from repro.analog import ReferenceEngine
 from repro.api import Artifact, CampaignConfig, Workbench
 from repro.core import CampaignResult, InjectionOutcome, run_campaign
+from repro.core.campaign import draw_population
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "fig4_campaign.json"
 CONFIG = CampaignConfig(faults_per_element=3, seed=2024)
@@ -55,12 +57,13 @@ def _golden_artifact(result: CampaignResult) -> Artifact:
         circuit="fig4",
         meta={
             "golden": True,
-            # The golden predates the retired ``backend`` and
-            # ``digital_engine`` fields; it records the values every
-            # campaign still runs on.  It also predates the retired
+            # The golden predates the retired ``engine``, ``backend``
+            # and ``digital_engine`` fields; it records the values
+            # every campaign still runs on.  It also predates the retired
             # process-pool knobs, recorded at their unset defaults.
             "config": {
                 **CONFIG.as_dict(),
+                "engine": "factorized",
                 "backend": "auto",
                 "digital_engine": "compiled",
                 "heartbeat_interval": None,
@@ -73,16 +76,20 @@ def _golden_artifact(result: CampaignResult) -> Artifact:
     )
 
 
-def _run_campaign(engine: str) -> CampaignResult:
+def _prepared():
     session = Workbench().session()
     mixed = session.circuit("fig4")
     report = session.run(mixed, stages=("sensitivity", "stimulus")).report
-    return run_campaign(mixed, report, config=CONFIG.replace(engine=engine))
+    return mixed, report
+
+
+def _run_campaign() -> CampaignResult:
+    return run_campaign(*_prepared(), config=CONFIG)
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    return _run_campaign("factorized")
+    return _run_campaign()
 
 
 class TestGoldenCampaign:
@@ -101,7 +108,12 @@ class TestGoldenCampaign:
         )
 
     def test_reference_engine_matches_golden(self, campaign):
-        oracle = _run_campaign("reference")
+        mixed, report = _prepared()
+        oracle = CampaignResult(
+            outcomes=ReferenceEngine().run(
+                mixed, *draw_population(report, CONFIG)
+            )
+        )
         assert (
             _golden_artifact(oracle).to_json()
             == _golden_artifact(campaign).to_json()
@@ -114,5 +126,5 @@ class TestGoldenCampaign:
 
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    _golden_artifact(_run_campaign("factorized")).save(GOLDEN_PATH)
+    _golden_artifact(_run_campaign()).save(GOLDEN_PATH)
     print(f"golden written: {GOLDEN_PATH}")

@@ -14,8 +14,10 @@ halves on every mixed registry circuit against the independent oracles:
 
 import pytest
 
+from repro.analog import ReferenceEngine
 from repro.api import CampaignConfig, Workbench, default_registry
 from repro.core import run_campaign
+from repro.core.campaign import draw_population
 from repro.digital.gates import GateType
 from repro.digital.netlist import Gate
 from repro.spice import AcModel, FactorizedMna
@@ -47,11 +49,15 @@ def prepared(session):
     return prepare
 
 
-def _outcome_key(result):
+def _outcome_key(outcomes):
     return [
         (o.element, o.deviation, o.severity, o.detected, o.detecting_target)
-        for o in result.outcomes
+        for o in outcomes
     ]
+
+
+def _oracle(mixed, report, config):
+    return ReferenceEngine().run(mixed, *draw_population(report, config))
 
 
 class TestKernelAgainstFreshSolve:
@@ -72,9 +78,7 @@ class TestKernelAgainstFreshSolve:
         result = run_campaign(
             mixed,
             report,
-            config=CampaignConfig(
-                faults_per_element=3, seed=11, engine="factorized"
-            ),
+            config=CampaignConfig(faults_per_element=3, seed=11),
         )
         monkeypatch.undo()
         assert result.n_injected > 0
@@ -107,14 +111,10 @@ class TestReferenceParity:
         mixed, report = prepared(name)
         for seed in (3, 8):
             config = CampaignConfig(faults_per_element=2, seed=seed)
-            fast = run_campaign(
-                mixed, report, config=config.replace(engine="factorized")
-            )
-            oracle = run_campaign(
-                mixed, report, config=config.replace(engine="reference")
-            )
+            fast = run_campaign(mixed, report, config=config)
+            oracle = _oracle(mixed, report, config)
             assert fast.n_injected > 0
-            assert _outcome_key(fast) == _outcome_key(oracle)
+            assert _outcome_key(fast.outcomes) == _outcome_key(oracle)
 
     def test_outcomes_follow_same_count_digital_edit(self, session):
         # The engine builds its compiled digital table from the netlist
@@ -123,16 +123,10 @@ class TestReferenceParity:
         mixed = session.circuit("fig4")
         report = session.run(mixed, stages=("sensitivity", "stimulus")).report
         config = CampaignConfig(faults_per_element=2, seed=3)
-        before = run_campaign(
-            mixed, report, config=config.replace(engine="factorized")
-        )
+        before = run_campaign(mixed, report, config=config)
         old = mixed.digital.gates["Vo2"]
         mixed.digital.gates["Vo2"] = Gate("Vo2", GateType.OR, old.fanins)
-        fast = run_campaign(
-            mixed, report, config=config.replace(engine="factorized")
-        )
-        oracle = run_campaign(
-            mixed, report, config=config.replace(engine="reference")
-        )
-        assert _outcome_key(fast) == _outcome_key(oracle)
-        assert _outcome_key(fast) != _outcome_key(before)
+        fast = run_campaign(mixed, report, config=config)
+        oracle = _oracle(mixed, report, config)
+        assert _outcome_key(fast.outcomes) == _outcome_key(oracle)
+        assert _outcome_key(fast.outcomes) != _outcome_key(before.outcomes)

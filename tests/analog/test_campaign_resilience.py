@@ -187,6 +187,20 @@ class TestQuarantine:
         assert record.attempts == 2
         assert record.key == "1"
         assert record.detail["start"], record.detail["stop"] == bounds[1]
+        # With every shard quarantined no engine ran, yet the result
+        # still names the engine every campaign runs on.
+        wiped = run_campaign(
+            mixed,
+            report,
+            config=config.replace(
+                cache_dir=None,
+                chaos=_chaos(
+                    ChaosEvent(site="shard", key="*", attempts=(1, 2)),
+                ),
+            ),
+        )
+        assert wiped.partial and wiped.outcomes == []
+        assert wiped.diagnostics["engine"] == "factorized"
 
     def test_quarantined_shard_heals_on_rerun(self, prepared, baseline, tmp_path):
         """A re-run without the fault re-executes only the failed shard."""

@@ -11,19 +11,25 @@ Marked ``slow``: runs in its own CI job, not in tier-1.
 
 import pytest
 
+from repro.analog import ReferenceEngine
 from repro.api import CampaignConfig, Workbench
 from repro.circuits import bandpass_filter, chebyshev_filter
 from repro.core import run_campaign
+from repro.core.campaign import draw_population
 from repro.spice import AcModel, MnaSolver, Solution, log_frequencies
 
 pytestmark = pytest.mark.slow
 
 
-def _outcome_key(result):
+def _outcome_key(outcomes):
     return [
         (o.element, o.deviation, o.severity, o.detected, o.detecting_target)
-        for o in result.outcomes
+        for o in outcomes
     ]
+
+
+def _oracle(mixed, report, config):
+    return ReferenceEngine().run(mixed, *draw_population(report, config))
 
 
 @pytest.fixture(scope="module")
@@ -42,25 +48,17 @@ class TestEngineEquivalence:
         mixed, report = _prepared(session, "fig4")
         for seed in (11, 2024, 7):
             config = CampaignConfig(faults_per_element=8, seed=seed)
-            fast = run_campaign(
-                mixed, report, config=config.replace(engine="factorized")
-            )
-            oracle = run_campaign(
-                mixed, report, config=config.replace(engine="reference")
-            )
-            assert _outcome_key(fast) == _outcome_key(oracle)
+            fast = run_campaign(mixed, report, config=config)
+            oracle = _oracle(mixed, report, config)
+            assert _outcome_key(fast.outcomes) == _outcome_key(oracle)
 
     def test_example3_outcomes_identical(self, session):
         mixed, report = _prepared(session, "example3-c432")
         config = CampaignConfig(faults_per_element=3, seed=5)
-        fast = run_campaign(
-            mixed, report, config=config.replace(engine="factorized")
-        )
-        oracle = run_campaign(
-            mixed, report, config=config.replace(engine="reference")
-        )
+        fast = run_campaign(mixed, report, config=config)
+        oracle = _oracle(mixed, report, config)
         assert fast.n_injected > 0
-        assert _outcome_key(fast) == _outcome_key(oracle)
+        assert _outcome_key(fast.outcomes) == _outcome_key(oracle)
 
 
 class TestShermanMorrisonSweep:

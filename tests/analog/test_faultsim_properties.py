@@ -51,15 +51,6 @@ def random_ladder(rng: random.Random, stages: int) -> tuple[AnalogCircuit, str]:
     return circuit, previous
 
 
-def test_engine_registry_matches_config():
-    # api.config cannot import the engine registry (configs are plain
-    # data); this pins the two name lists to each other instead.
-    from repro.analog.faultsim import ENGINES
-    from repro.api.config import CAMPAIGN_ENGINES
-
-    assert set(CAMPAIGN_ENGINES) == set(ENGINES)
-
-
 class TestRankOneUpdateProperty:
     def test_rank_one_update_equals_reassembled_solve(self):
         rng = random.Random(20260730)

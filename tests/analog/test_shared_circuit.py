@@ -59,9 +59,7 @@ class TestSourceNeverWritten:
         result = run_campaign(
             mixed,
             report,
-            config=CampaignConfig(
-                faults_per_element=2, seed=7, engine="factorized"
-            ),
+            config=CampaignConfig(faults_per_element=2, seed=7),
         )
         assert result.n_injected > 0
         sweep(circuit, source.name, mixed.analog_output, [0.0, 1e3, 1e4])

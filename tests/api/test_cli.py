@@ -118,6 +118,7 @@ class TestRetiredFlags:
     @pytest.mark.parametrize(
         "flag",
         [
+            ("--engine", "reference"),
             ("--backend", "sparse"),
             ("--digital-engine", "reference"),
             ("--factor-cache-size", "8"),
@@ -125,7 +126,7 @@ class TestRetiredFlags:
             ("--shard-timeout", "1.0"),
         ],
         ids=[
-            "backend", "digital-engine", "factor-cache-size",
+            "engine", "backend", "digital-engine", "factor-cache-size",
             "shard-workers", "shard-timeout",
         ],
     )

@@ -4,7 +4,9 @@ import pytest
 
 from repro.api import CampaignConfig, GeneratorConfig, Pipeline
 from repro.circuits import fig4_mixed_circuit
+from repro.analog import ReferenceEngine
 from repro.core import run_campaign
+from repro.core.campaign import draw_population
 
 
 def _report(mixed):
@@ -70,10 +72,8 @@ class TestBatchedExecution:
         mixed, report = prepared
         config = CampaignConfig(faults_per_element=4, seed=7)
         batched = run_campaign(mixed, report, config=config)
-        oracle = run_campaign(
-            mixed, report, config=config.replace(engine="reference")
-        )
-        assert batched.outcomes == oracle.outcomes
+        oracle = ReferenceEngine().run(mixed, *draw_population(report, config))
+        assert batched.outcomes == oracle
 
     def test_auto_backend_resolves_to_dense_for_fig4(self, prepared):
         # fig4's analog block is far below the sparse threshold: the

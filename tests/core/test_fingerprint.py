@@ -67,7 +67,7 @@ class TestCrossImplementationEquality:
                 "seed": campaign.seed,
                 "faults_per_element": campaign.faults_per_element,
                 "severity_range": list(campaign.severity_range),
-                "engine": campaign.engine,
+                "engine": "factorized",
                 "backend": "auto",
                 "digital_engine": "compiled",
             },
@@ -89,7 +89,7 @@ class TestCrossImplementationEquality:
             "seed": config.seed,
             "faults_per_element": config.faults_per_element,
             "severity_range": list(config.severity_range),
-            "engine": config.engine,
+            "engine": "factorized",
             "backend": "auto",
             "digital_engine": "compiled",
             "faults": [],

@@ -332,13 +332,13 @@ class TestEng004:
         )
         assert report.unsuppressed == []
 
-    def test_registries_extracted_from_config_module(self):
+    def test_engine_registry_extracted_from_simulator_module(self):
         project = Project(
             files={
-                "repro/api/config.py": (
-                    "CAMPAIGN_ENGINES = ('factorized', 'reference')\n"
+                "repro/digital/simulate.py": (
+                    "DIGITAL_ENGINES = ('compiled', 'reference')\n"
                 ),
-                "repro/use.py": "run(engine='factorised')\n",
+                "repro/use.py": "run(engine='compild')\n",
             }
         )
         report = lint_project(project, [Eng004UnknownEngineName()])
@@ -350,9 +350,6 @@ class TestEng004:
         # the solver module, the digital engines from the simulator.
         project = Project(
             files={
-                "repro/api/config.py": (
-                    "CAMPAIGN_ENGINES = ('factorized', 'reference')\n"
-                ),
                 "repro/spice/backends.py": (
                     "BACKEND_NAMES = ('auto', 'dense', 'sparse')\n"
                 ),
@@ -379,14 +376,10 @@ class TestEng004:
         import repro
 
         src = Path(repro.__file__).resolve().parents[1]
-        owners = (
-            "repro/api/config.py",
-            "repro/spice/backends.py",
-            "repro/digital/simulate.py",
-        )
+        owners = ("repro/spice/backends.py", "repro/digital/simulate.py")
         files = {path: (src / path).read_text() for path in owners}
         files["repro/use.py"] = (
-            "run(engine='factorized', backend='auto')\n"
+            "run(engine='compiled', backend='auto')\n"
             "run(digital_engine='compiled', engine='reference')\n"
             "run(backend='gpu')\n"
             "run(digital_engine='quantum')\n"
@@ -400,7 +393,8 @@ class TestEng004:
         }
 
     def test_no_registries_means_no_findings(self):
-        # A partial project (corpus snippet) without config.py: silent.
+        # A partial project (corpus snippet) without the registry
+        # modules: silent.
         report = lint_source_text(
             "run(engine='anything-goes')\n",
             rules=[Eng004UnknownEngineName()],

@@ -61,7 +61,6 @@ class TestJobSpec:
         assert base.fingerprint() == _spec().fingerprint()
         assert base.fingerprint() != _spec(seed=4).fingerprint()
         assert base.fingerprint() != _spec(faults_per_element=3).fingerprint()
-        assert base.fingerprint() != _spec(engine="reference").fingerprint()
 
     def test_fingerprint_matches_the_recorded_release(self):
         """Dedup keys name artifacts already stored in service roots."""
@@ -83,12 +82,12 @@ class TestJobSpec:
             JobSpec.from_document(document)
 
     def test_from_document_drops_retired_selector_fields(self):
-        # Job files of earlier releases chose the backend and digital
-        # engines; every campaign now runs the defaults, so the spec and
-        # its dedup key are those of the defaults.
+        # Job files of earlier releases chose the campaign, backend and
+        # digital engines; every campaign now runs the defaults, so the
+        # spec and its dedup key are those of the defaults.
         document = _spec().to_document()
         document["campaign"].update(
-            backend="sparse", digital_engine="reference"
+            engine="reference", backend="sparse", digital_engine="reference"
         )
         document["atpg"]["engine"] = "reference"
         spec = JobSpec.from_document(document)
@@ -255,15 +254,17 @@ class TestDurability:
 
     def test_job_recorded_by_the_earlier_release_reloads(self, tmp_path):
         """A queued job whose spec still carries retired fields
-        (``batch``, ``checkpoint_dir``, the process fan-out's
+        (``batch``, ``checkpoint_dir``, the engine selector ``engine``,
+        the process fan-out's
         ``shard_workers``/``shard_timeout``/``heartbeat_interval`` and
-        ``max_workers``) survives a restart as the same job."""
+        ``max_workers``) survives a restart as the same job, under its
+        stored fingerprint."""
         recorded = json.loads(
             (LEGACY_ROOT / "jobs" / "j000001-e2ca0491.json").read_text()
         )["payload"]["spec"]["campaign"]
         assert {
-            "batch", "checkpoint_dir", "heartbeat_interval", "max_workers",
-            "shard_timeout", "shard_workers",
+            "batch", "checkpoint_dir", "engine", "heartbeat_interval",
+            "max_workers", "shard_timeout", "shard_workers",
         } <= set(recorded)
         shutil.copytree(LEGACY_ROOT, tmp_path / "root")
         queue = JobQueue(tmp_path / "root")
