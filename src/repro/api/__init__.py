@@ -7,7 +7,7 @@ experiments and serialization:
 * :mod:`repro.api.registry` — every circuit addressable by name,
 * :mod:`repro.api.pipeline` — composable stages with per-stage timing,
 * :mod:`repro.api.session`  — :class:`Workbench` / :class:`TestSession`
-  facade with ``run_batch`` and a shared compiled-BDD pool,
+  facade with ``run_batch``,
 * :mod:`repro.api.artifact` — one versioned JSON scheme for reports,
   programs, campaigns, ATPG runs and experiments,
 * :mod:`repro.api.cli`      — the ``python -m repro`` command line.

@@ -22,9 +22,6 @@ __all__ = [
     "SessionConfig",
 ]
 
-#: variable-ordering heuristics understood by the BDD compiler.
-BDD_ORDERINGS = ("fanin", "declaration")
-
 #: :class:`CampaignConfig` fields earlier releases recorded in job files
 #: and report metadata; :meth:`CampaignConfig.from_document` drops them.
 RETIRED_CAMPAIGN_FIELDS = frozenset(
@@ -284,7 +281,6 @@ class AtpgConfig(_Replaceable):
     """Configuration of the digital stuck-at ATPG stage.
 
     Attributes:
-        ordering: BDD variable-ordering heuristic.
         compact: reverse-order fault-simulation compaction of the vectors.
         collapse: equivalence-collapse the default fault universe.
         constrained: apply the conversion block's thermometer ``Fc``
@@ -295,19 +291,12 @@ class AtpgConfig(_Replaceable):
             disagreement between the BDD algebra and the simulator).
     """
 
-    ordering: str = "fanin"
     compact: bool = True
     collapse: bool = True
     constrained: bool = True
     simulation_check: bool = False
 
-    _retired = frozenset({"engine"})
-
-    def __post_init__(self) -> None:
-        _require(
-            self.ordering in BDD_ORDERINGS,
-            f"ordering must be one of {BDD_ORDERINGS}, got {self.ordering!r}",
-        )
+    _retired = frozenset({"engine", "ordering"})
 
 
 @dataclass(frozen=True)

@@ -112,10 +112,10 @@ class StageTiming:
     campaign stage, the digital fault-simulation engine for the atpg
     stage; ``None`` otherwise.  ``parent`` is ``None`` for top-level
     stages; per-shard campaign rows carry ``parent="campaign"`` and are
-    informational — they are excluded from the summed total (their
-    wall-clock overlaps the parent stage's, and shards run
-    concurrently).  ``cached`` marks a generation stage served from the
-    ``pipeline-stage`` cache instead of computed.
+    informational — they are excluded from the summed total because
+    their time is already inside the campaign row.  ``cached`` marks a
+    generation stage served from the ``pipeline-stage`` cache instead of
+    computed.
     """
 
     stage: str
@@ -183,9 +183,9 @@ def _stage_atpg(ctx: PipelineContext) -> None:
         if ctx.atpg_config.constrained
         else None
     )
-    # Reuse the circuit BDD the earlier stages compiled (and the session
-    # pool checked out) instead of recompiling per ATPG run.
-    cbdd = ctx.mixed.compiled_digital(ctx.atpg_config.ordering)
+    # Reuse the circuit BDD the earlier stages compiled instead of
+    # recompiling per ATPG run.
+    cbdd = ctx.mixed.compiled_digital()
     ctx.report.digital_run = run_atpg(
         ctx.mixed.digital,
         constraint=constraint,

@@ -1,11 +1,12 @@
-"""The workbench facade: sessions, batch runs, shared BDD reuse.
+"""The workbench facade: sessions and batch runs.
 
 :class:`Workbench` is the repository's front door.  It owns a
 :class:`repro.api.CircuitRegistry` and hands out
 :class:`TestSession` objects; a session binds the typed configs, runs
-named circuits through a :class:`repro.api.Pipeline`, runs many
-circuits with :meth:`TestSession.run_batch`, and pools compiled circuit
-BDDs so repeated flows over the same digital block never recompile it.
+named circuits through a :class:`repro.api.Pipeline` and runs many
+circuits with :meth:`TestSession.run_batch`.  A session keeps nothing
+between runs; a circuit compiles its digital block to BDDs once, on
+first use (:meth:`repro.core.MixedSignalCircuit.compiled_digital`).
 
     from repro.api import Workbench
 
@@ -18,14 +19,11 @@ BDDs so repeated flows over the same digital block never recompile it.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from ..atpg import CircuitBdd
 from ..core import MixedSignalCircuit, TestProgram, program_from_report
-from ..core.fingerprint import netlist_fingerprint
 from .artifact import Artifact
 from .config import (
     AtpgConfig,
@@ -134,11 +132,9 @@ class ExperimentRun:
 class TestSession:
     """A configured driver over the registry's circuits.
 
-    Sessions are cheap; hold one per configuration.  A session is safe
-    to share across threads (the service's job workers share one) —
-    compiled digital-block BDDs are pooled with exclusive checkout, so a
-    block compiled by one run is reused by later runs (never
-    concurrently).
+    Sessions are cheap; hold one per configuration.  A session holds
+    only its registry and configs, so it is safe to share across threads
+    (the service's job workers share one).
     """
 
     __test__ = False  # not a pytest test class
@@ -150,11 +146,6 @@ class TestSession:
     ):
         self.registry = registry if registry is not None else default_registry()
         self.config = config or SessionConfig()
-        self._lock = threading.Lock()
-        self._bdd_pool: dict[tuple[str, str], CircuitBdd] = {}
-        self._runs = 0
-        self._bdd_hits = 0
-        self._bdd_misses = 0
 
     # ------------------------------------------------------------------
     def circuit(self, name: str) -> MixedSignalCircuit:
@@ -167,38 +158,6 @@ class TestSession:
                 "analog/digital blocks)"
             )
         return spec.build()
-
-    # -- BDD pool: exclusive checkout / check-in ------------------------
-    def _checkout_bdd(self, mixed: MixedSignalCircuit, ordering: str) -> None:
-        # Keyed by the netlist's content digest, computed now: it pools
-        # across instances of the same netlist, and an edited netlist
-        # never checks out a BDD of its old content.
-        digest = netlist_fingerprint(mixed.digital)
-        # The generator stages compile with the default heuristic while
-        # the ATPG stage may use another; check out both slots.
-        for slot in dict.fromkeys(("fanin", ordering)):
-            key = (digest, slot)
-            with self._lock:
-                cached = self._bdd_pool.pop(key, None)
-                if cached is None:
-                    self._bdd_misses += 1
-                else:
-                    self._bdd_hits += 1
-            if cached is not None:
-                mixed._cbdd[slot] = cached
-
-    def _checkin_bdd(self, mixed: MixedSignalCircuit) -> None:
-        # Pool every ordering the run ended up compiling (or borrowing).
-        # Ownership transfers: the entries are *removed* from the circuit
-        # so a caller-held instance can never share a (non-thread-safe)
-        # BddManager with a future checkout from another thread.  Each
-        # entry is filed under the digest captured when *it* compiled —
-        # if the run mutated the netlist afterwards, the stale BDD is
-        # pooled under the old digest, never served for the new one.
-        with self._lock:
-            while mixed._cbdd:
-                ordering, cbdd = mixed._cbdd.popitem()
-                self._bdd_pool[(cbdd.fingerprint, ordering)] = cbdd
 
     # ------------------------------------------------------------------
     def run(
@@ -214,33 +173,18 @@ class TestSession:
         Per-call configs override the session's; ``stages`` defaults to
         :data:`~repro.api.pipeline.DEFAULT_STAGES` (no deviation matrix,
         no campaign).
-
-        Registry-name runs flow through the session's compiled-BDD pool.
-        A caller-provided instance runs outside the pool: the caller may
-        hold references to its compiled BDDs, and pooling those would
-        let another thread mutate a BDD manager the caller still uses.
         """
         if isinstance(circuit, MixedSignalCircuit):
-            name, mixed, pooled = circuit.name, circuit, False
+            name, mixed = circuit.name, circuit
         else:
             name = self.registry.resolve(circuit)
             mixed = self.circuit(name)
-            pooled = True
         generator = generator or self.config.generator
         campaign = campaign or self.config.campaign
         atpg = atpg or self.config.atpg
-        pipeline = Pipeline(stages)
-        if pooled:
-            self._checkout_bdd(mixed, atpg.ordering)
-        try:
-            outcome = pipeline.run(
-                mixed, generator=generator, campaign=campaign, atpg=atpg
-            )
-        finally:
-            if pooled:
-                self._checkin_bdd(mixed)
-        with self._lock:
-            self._runs += 1
+        outcome = Pipeline(stages).run(
+            mixed, generator=generator, campaign=campaign, atpg=atpg
+        )
         return SessionResult(
             name=name,
             outcome=outcome,
@@ -259,11 +203,7 @@ class TestSession:
         campaign: CampaignConfig | None = None,
         atpg: AtpgConfig | None = None,
     ) -> list[SessionResult]:
-        """Run one pipeline over many circuits, in input order.
-
-        Compiled BDDs flow through the session's pool, so batches with
-        repeated digital blocks amortize compilation.
-        """
+        """Run one pipeline over many circuits, in input order."""
         return [
             self.run(
                 circuit,
@@ -274,17 +214,6 @@ class TestSession:
             )
             for circuit in circuits
         ]
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Session counters (runs, BDD pool hits/misses/size)."""
-        with self._lock:
-            return {
-                "runs": self._runs,
-                "bdd_pool_hits": self._bdd_hits,
-                "bdd_pool_misses": self._bdd_misses,
-                "bdd_pool_size": len(self._bdd_pool),
-            }
 
 
 class Workbench:

@@ -13,15 +13,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..bdd import BddManager, fanin_order, declaration_order
+from ..bdd import BddManager, fanin_order
 from ..bdd.manager import FALSE, TRUE
-from ..core.fingerprint import netlist_fingerprint
 from ..digital.gates import GateType
 from ..digital.netlist import Circuit
 
 __all__ = ["CircuitBdd", "build_gate"]
-
-_ORDERINGS = {"fanin", "declaration"}
 
 
 def build_gate(mgr: BddManager, gate_type: GateType, operands: Sequence[int]) -> int:
@@ -60,44 +57,30 @@ class CircuitBdd:
 
     On construction, every signal's function over the primary inputs is
     built once and cached, and the netlist's topological order and fan-out
-    map are snapshotted with its fingerprint, so fault cones are walked
-    over the netlist *as compiled*.  :meth:`functions_with_line` then produces
-    output functions with a chosen line replaced by any node, reusing the
-    cached functions for everything outside the line's fan-out cone.
+    map are snapshotted, so fault cones are walked over the netlist *as
+    compiled*.  :meth:`functions_with_line` then produces output functions
+    with a chosen line replaced by any node, reusing the cached functions
+    for everything outside the line's fan-out cone.
+
+    The variables follow the fan-in order (:func:`repro.bdd.fanin_order`),
+    the one order the paper's Table 4 vectors are defined under.
 
     Args:
         circuit: the netlist to compile.
-        ordering: ``"fanin"`` (default, DFS cone order) or ``"declaration"``
-            — exposed so the ordering ablation benchmark can compare both.
-        manager: optionally share an existing manager (used by the mixed
-            flow so the constraint function lives in the same BDD space).
+        manager: optionally compile into an existing manager, whose
+            variables keep their order; primary inputs it lacks are
+            appended in fan-in order.  Any other order is reached this
+            way: ``CircuitBdd(c, manager=BddManager(order))``.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        ordering: str = "fanin",
-        manager: BddManager | None = None,
-    ):
-        if ordering not in _ORDERINGS:
-            raise ValueError(f"ordering must be one of {_ORDERINGS}")
+    def __init__(self, circuit: Circuit, manager: BddManager | None = None):
         circuit.validate()
         self.circuit = circuit
-        #: content digest of the netlist *as compiled* — the key BDD
-        #: pools file this object under.  Captured now, not at check-in
-        #: time: if the circuit mutates later, the pool sees the digest
-        #: of what the BDDs actually describe.
-        self.fingerprint = netlist_fingerprint(circuit)
         self._topo = circuit.topological_order()
         self._position = {signal: i for i, signal in enumerate(self._topo)}
         self._fanout = circuit.fanout_map()
         self._outputs = frozenset(circuit.outputs)
-        if ordering == "fanin":
-            order = fanin_order(
-                circuit.outputs, circuit.fanin_view(), circuit.inputs
-            )
-        else:
-            order = declaration_order(circuit.inputs)
+        order = fanin_order(circuit.outputs, circuit.fanin_view(), circuit.inputs)
         if manager is None:
             manager = BddManager(order)
         else:

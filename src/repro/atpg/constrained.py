@@ -146,11 +146,12 @@ def run_atpg(
             manager; ``None`` runs the unconstrained case.  Ignored when
             ``config.constrained`` is ``False``.
         config: typed configuration (:class:`repro.api.AtpgConfig`):
-            BDD variable ordering, vector compaction, fault collapsing
-            (when ``faults`` is None) and the simulation cross-check.
+            vector compaction, fault collapsing (when ``faults`` is
+            None) and the simulation cross-check.
         cbdd: an already-compiled circuit BDD for ``circuit`` to reuse
-            (the workbench's shared-manager path); ``config.ordering``
-            is then ignored and compilation time is not re-paid.
+            (the mixed flow's :meth:`MixedSignalCircuit.compiled_digital`),
+            so compilation time is not re-paid; ``None`` compiles
+            ``circuit`` in fan-in order.
 
     Returns:
         an :class:`AtpgRun` with per-fault results, vectors and CPU time.
@@ -165,7 +166,7 @@ def run_atpg(
         )
     start = time.perf_counter()
     if cbdd is None:
-        cbdd = CircuitBdd(circuit, ordering=config.ordering)
+        cbdd = CircuitBdd(circuit)
     fc = TRUE if constraint is None else constraint(cbdd.mgr)
     generator = StuckAtGenerator(
         cbdd,

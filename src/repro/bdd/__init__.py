@@ -10,7 +10,7 @@ from .ops import (
     minimize_path,
     project,
 )
-from .ordering import declaration_order, fanin_order, interleaved_order
+from .ordering import fanin_order
 from .dumper import to_dot, to_text
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "is_contradiction",
     "equivalent",
     "fanin_order",
-    "interleaved_order",
-    "declaration_order",
     "to_dot",
     "to_text",
 ]

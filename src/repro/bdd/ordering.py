@@ -1,11 +1,11 @@
-"""Variable-ordering heuristics for circuit-derived BDDs.
+"""The variable-ordering heuristic for circuit-derived BDDs.
 
 BDD size is exquisitely sensitive to variable order.  The reproduction uses
 the classic *fan-in* (depth-first cone traversal) heuristic of Malik et al.:
 inputs feeding deeper logic are placed earlier.  For ISCAS85-class circuits
 this keeps output BDDs small enough to build in pure Python.
 
-The heuristics are expressed over an abstract dependency view so that the
+The heuristic is expressed over an abstract dependency view so that the
 ``bdd`` package does not import the ``digital`` package: callers supply, for
 every sink, the ordered list of sources feeding it.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-__all__ = ["fanin_order", "interleaved_order", "declaration_order"]
+__all__ = ["fanin_order"]
 
 
 def fanin_order(
@@ -52,63 +52,3 @@ def fanin_order(
         if name not in emitted:
             order.append(name)
     return order
-
-
-def interleaved_order(
-    outputs: Sequence[object],
-    fanins: Mapping[object, Sequence[object]],
-    inputs: Sequence[object],
-) -> list[object]:
-    """Round-robin interleaving of per-output fan-in orders.
-
-    Useful for circuits like adders where corresponding bits of the two
-    operands should sit next to each other in the order.
-    """
-    per_output = [fanin_order([out], fanins, inputs) for out in outputs]
-    # Strip the padding inputs appended by fanin_order: keep only the cone.
-    cones = []
-    for out, order in zip(outputs, per_output):
-        cone = set(_cone_inputs(out, fanins, set(inputs)))
-        cones.append([name for name in order if name in cone])
-    order: list[object] = []
-    emitted: set[object] = set()
-    index = 0
-    while True:
-        progressed = False
-        for cone in cones:
-            if index < len(cone):
-                progressed = True
-                name = cone[index]
-                if name not in emitted:
-                    emitted.add(name)
-                    order.append(name)
-        if not progressed:
-            break
-        index += 1
-    for name in inputs:
-        if name not in emitted:
-            order.append(name)
-    return order
-
-
-def declaration_order(inputs: Sequence[object]) -> list[object]:
-    """The identity ordering — the baseline for the ordering ablation."""
-    return list(inputs)
-
-
-def _cone_inputs(
-    output: object, fanins: Mapping[object, Sequence[object]], input_set: set
-) -> list[object]:
-    seen: set[object] = set()
-    cone: list[object] = []
-    stack = [output]
-    while stack:
-        signal = stack.pop()
-        if signal in seen:
-            continue
-        seen.add(signal)
-        if signal in input_set:
-            cone.append(signal)
-            continue
-        stack.extend(fanins.get(signal, ()))
-    return cone

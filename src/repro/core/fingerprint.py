@@ -88,8 +88,8 @@ def netlist_fingerprint(circuit) -> str:
     declaration order, and every gate (output line, type, fan-in lines in
     pin order) — so two instances share a digest exactly when they are
     the same netlist.  Computed from the content on every call (no
-    memo), so any in-place edit moves the digest; the session BDD pool
-    and the generation cache key on it.
+    memo), so any in-place edit moves the digest; the generation cache
+    keys on it.
     """
     return fingerprint_of(
         {

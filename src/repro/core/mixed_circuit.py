@@ -49,8 +49,8 @@ class MixedSignalCircuit:
     digital: Circuit
     converter_lines: list[str]
     parameters: list[PerformanceParameter] = field(default_factory=list)
-    #: compiled digital-block BDDs, one slot per ordering heuristic.
-    _cbdd: dict[str, CircuitBdd] = field(default_factory=dict, repr=False)
+    #: the digital block compiled to BDDs, built on first use.
+    _cbdd: CircuitBdd | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         missing = [
@@ -83,11 +83,11 @@ class MixedSignalCircuit:
 
         return build
 
-    def compiled_digital(self, ordering: str = "fanin") -> CircuitBdd:
-        """The digital block's BDDs (built once per ordering, cached)."""
-        if ordering not in self._cbdd:
-            self._cbdd[ordering] = CircuitBdd(self.digital, ordering=ordering)
-        return self._cbdd[ordering]
+    def compiled_digital(self) -> CircuitBdd:
+        """The digital block's BDDs (compiled once, then cached)."""
+        if self._cbdd is None:
+            self._cbdd = CircuitBdd(self.digital)
+        return self._cbdd
 
     # ------------------------------------------------------------------
     def analog_amplitude(

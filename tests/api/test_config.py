@@ -112,19 +112,18 @@ class TestCampaignConfig:
 
 
 class TestAtpgConfig:
-    def test_ordering_validated(self):
-        with pytest.raises(ConfigError, match="ordering"):
-            AtpgConfig(ordering="alphabetical")
-        assert AtpgConfig(ordering="declaration").ordering == "declaration"
-
     def test_retired_engine_field_is_dropped_from_documents(self):
-        # Report metadata of earlier releases records ``engine``; it
-        # still loads, and new code cannot set it.
+        # Report metadata of earlier releases records ``engine`` and
+        # ``ordering``; both still load, and new code cannot set them.
         with pytest.raises(TypeError, match="engine"):
             AtpgConfig(engine="reference")
+        with pytest.raises(TypeError, match="ordering"):
+            AtpgConfig(ordering="fanin")
         document = AtpgConfig(compact=False).as_dict()
         assert "engine" not in document
+        assert "ordering" not in document
         document["engine"] = "reference"
+        document["ordering"] = "declaration"
         assert AtpgConfig.from_document(document) == AtpgConfig(compact=False)
         document["warp_factor"] = 9
         with pytest.raises(ConfigError, match="warp_factor"):

@@ -1,4 +1,4 @@
-"""Workbench/session behaviour: pipelines, pooling, batch fan-out."""
+"""Workbench/session behaviour: pipelines, per-netlist BDDs, batch fan-out."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.api import (
 )
 from repro.api.registry import CircuitRegistry
 from repro.circuits import fig4_mixed_circuit
-from repro.core.fingerprint import netlist_fingerprint
 from repro.digital.gates import GateType
 from repro.digital.netlist import Gate
 
@@ -26,10 +25,9 @@ def _fig4_with_edited_outputs():
 
 
 @pytest.fixture
-def pool_registry():
+def edited_registry():
     registry = CircuitRegistry()
     registry.register("fig4", fig4_mixed_circuit, kind="mixed")
-    registry.register("fig4-twin", fig4_mixed_circuit, kind="mixed")
     registry.register("fig4-edited", _fig4_with_edited_outputs, kind="mixed")
     return registry
 
@@ -117,32 +115,10 @@ class TestSessionRun:
 
 
 class TestBddPool:
-    def test_repeat_runs_hit_the_pool(self):
-        session = TestSession()
-        session.run("fig4", stages=("conversion",))
-        session.run("fig4", stages=("conversion",))
-        stats = session.stats()
-        assert stats["runs"] == 2
-        assert stats["bdd_pool_hits"] == 1
-        assert stats["bdd_pool_misses"] == 1
-        assert stats["bdd_pool_size"] == 1
+    """A session keeps no BDDs: each run compiles the netlist it is given."""
 
-    def test_pool_is_keyed_by_netlist_content(self, pool_registry):
-        # Two registry names with one netlist share a pooled BDD; an
-        # edited netlist with the same counts gets its own.
-        session = TestSession(registry=pool_registry)
-        for name in ("fig4", "fig4-twin", "fig4-edited"):
-            session.run(name, stages=("conversion",))
-        stats = session.stats()
-        assert stats["bdd_pool_hits"] == 1
-        assert stats["bdd_pool_misses"] == 2
-        assert set(session._bdd_pool) == {
-            (netlist_fingerprint(fig4_mixed_circuit().digital), "fanin"),
-            (netlist_fingerprint(_fig4_with_edited_outputs().digital), "fanin"),
-        }
-
-    def test_edited_netlist_is_analysed_with_its_own_bdd(self, pool_registry):
-        session = TestSession(registry=pool_registry)
+    def test_edited_netlist_is_analysed_with_its_own_bdd(self, edited_registry):
+        session = TestSession(registry=edited_registry)
         plain = session.run("fig4", stages=("conversion",)).report
         edited = session.run("fig4-edited", stages=("conversion",)).report
         assert plain.comparator_observability == [True, True]
@@ -161,7 +137,6 @@ class TestRunBatch:
         for result in results:
             assert len(result.report.comparator_observability) > 0
             assert result.report.conversion_coverage is not None
-        assert session.stats()["runs"] == 2
 
     def test_empty_batch(self):
         assert TestSession().run_batch([]) == []
@@ -179,7 +154,6 @@ class TestRunBatch:
             [mixed, mixed], stages=("sensitivity",)
         )
         assert first.report.summary() == second.report.summary()
-        assert session.stats()["runs"] == 2
 
 
 class TestWorkbenchFacade:

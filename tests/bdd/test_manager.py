@@ -325,6 +325,11 @@ class TestOperationCache:
         from repro.atpg import CircuitBdd
         from repro.digital import ripple_adder
 
-        cbdd = CircuitBdd(ripple_adder(8), ordering=ordering)
+        circuit = ripple_adder(8)
+        # The declaration order is reached through a manager built in it.
+        manager = (
+            None if ordering == "fanin" else BddManager(list(circuit.inputs))
+        )
+        cbdd = CircuitBdd(circuit, manager=manager)
         assert cbdd.total_nodes() == expected["nodes"]
         assert cbdd.mgr.cache_stats() == expected

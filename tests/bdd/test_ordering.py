@@ -1,6 +1,6 @@
-"""Tests for the variable-ordering heuristics."""
+"""Tests for the fan-in variable-ordering heuristic."""
 
-from repro.bdd import declaration_order, fanin_order, interleaved_order
+from repro.bdd import fanin_order
 
 
 FANINS = {
@@ -30,22 +30,3 @@ class TestFaninOrder:
 
     def test_no_outputs_yields_declaration(self):
         assert fanin_order([], FANINS, INPUTS) == INPUTS
-
-
-class TestInterleavedOrder:
-    def test_is_permutation(self):
-        order = interleaved_order(["out1", "out2"], FANINS, INPUTS)
-        assert sorted(order) == sorted(INPUTS)
-
-    def test_round_robin_mixes_cones(self):
-        order = interleaved_order(["out1", "out2"], FANINS, INPUTS)
-        # out2's first input (d) appears before out1's last input.
-        assert order.index("d") < order.index("c") or order.index(
-            "d"
-        ) < order.index("e")
-
-
-class TestDeclarationOrder:
-    def test_identity(self):
-        assert declaration_order(INPUTS) == INPUTS
-        assert declaration_order([]) == []

@@ -90,6 +90,7 @@ class TestJobSpec:
             engine="reference", backend="sparse", digital_engine="reference"
         )
         document["atpg"]["engine"] = "reference"
+        document["atpg"]["ordering"] = "declaration"
         spec = JobSpec.from_document(document)
         assert spec == _spec()
         assert spec.fingerprint() == _spec().fingerprint()
