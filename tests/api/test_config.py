@@ -1,5 +1,6 @@
 """Typed config validation: constructors reject out-of-range values."""
 
+import dataclasses
 import json
 
 import pytest
@@ -112,6 +113,13 @@ class TestCampaignConfig:
 
 
 class TestAtpgConfig:
+    def test_four_fields(self):
+        names = [f.name for f in dataclasses.fields(AtpgConfig)]
+        assert names == [
+            "compact", "collapse", "constrained", "simulation_check"
+        ]
+        assert list(AtpgConfig().as_dict()) == names
+
     def test_retired_engine_field_is_dropped_from_documents(self):
         # Report metadata of earlier releases records ``engine`` and
         # ``ordering``; both still load, and new code cannot set them.

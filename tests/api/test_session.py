@@ -124,6 +124,32 @@ class TestBddPool:
         assert plain.comparator_observability == [True, True]
         assert edited.comparator_observability == [True, False]
 
+    def test_session_holds_only_registry_and_configs(self):
+        session = TestSession()
+        session.run("fig4", stages=("conversion",))
+        assert set(vars(session)) == {"registry", "config"}
+
+    def test_repeat_runs_compile_afresh(self, circuit_bdd_builds):
+        session = TestSession()
+        first = session.run("fig4", stages=("conversion",)).report
+        second = session.run("fig4", stages=("conversion",)).report
+        # fig4's digital block is the paper's Figure 3 netlist.
+        assert circuit_bdd_builds == ["fig3", "fig3"]
+        assert first.summary() == second.summary()
+
+    def test_generation_compiles_the_digital_block_once(
+        self, circuit_bdd_builds
+    ):
+        # Conversion, both ATPG runs (constrained and stand-alone) share
+        # the mixed circuit's one compile.
+        result = TestSession().run(
+            "fig4",
+            generator=GeneratorConfig(include_unconstrained=True),
+        )
+        assert result.report.digital_run is not None
+        assert result.report.digital_run_unconstrained is not None
+        assert circuit_bdd_builds == ["fig3"]
+
 
 class TestRunBatch:
     def test_two_circuit_smoke(self):

@@ -3,7 +3,10 @@
 import itertools
 import random
 
+import pytest
+
 from repro.atpg import CircuitBdd
+from repro.bdd import BddManager, fanin_order
 from repro.bdd.manager import TRUE
 from repro.digital import ripple_adder, simulate
 from repro.digital.library import fig3_circuit
@@ -33,6 +36,45 @@ class TestCompilation:
             simulated = simulate(circuit, assignment)
             for out, function in cbdd.output_functions().items():
                 assert cbdd.mgr.evaluate(function, assignment) == simulated[out]
+
+    def test_default_order_is_fanin(self):
+        circuit = ripple_adder(4)
+        expected = fanin_order(
+            circuit.outputs, circuit.fanin_view(), circuit.inputs
+        )
+        assert CircuitBdd(circuit).mgr.variable_order == tuple(expected)
+
+    def test_manager_keeps_its_order(self):
+        # The declaration order is reached through a manager built in it,
+        # and the compiled functions do not depend on the order.
+        circuit = ripple_adder(4)
+        cbdd = CircuitBdd(circuit, manager=BddManager(list(circuit.inputs)))
+        assert cbdd.mgr.variable_order == tuple(circuit.inputs)
+        rng = random.Random(5)
+        for _ in range(16):
+            assignment = {
+                name: rng.randint(0, 1) for name in circuit.inputs
+            }
+            simulated = simulate(circuit, assignment)
+            for out, function in cbdd.output_functions().items():
+                assert cbdd.mgr.evaluate(function, assignment) == simulated[out]
+
+    def test_missing_inputs_appended_in_fanin_order(self):
+        circuit = ripple_adder(2)
+        first = circuit.inputs[-1]
+        cbdd = CircuitBdd(circuit, manager=BddManager([first]))
+        rest = [
+            name
+            for name in fanin_order(
+                circuit.outputs, circuit.fanin_view(), circuit.inputs
+            )
+            if name != first
+        ]
+        assert cbdd.mgr.variable_order == (first, *rest)
+
+    def test_ordering_keyword_is_retired(self):
+        with pytest.raises(TypeError, match="ordering"):
+            CircuitBdd(fig3_circuit(), ordering="declaration")
 
     def test_shared_manager(self):
         from repro.bdd import BddManager

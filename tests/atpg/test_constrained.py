@@ -2,6 +2,7 @@
 
 from repro.api import AtpgConfig
 from repro.atpg import (
+    CircuitBdd,
     TestStatus,
     constraint_builder_from_terms,
     run_atpg,
@@ -38,6 +39,18 @@ class TestRunAtpg:
     def test_cpu_time_recorded(self):
         run = run_atpg(fig3_circuit())
         assert run.cpu_seconds > 0
+
+    def test_given_compile_is_reused(self, circuit_bdd_builds):
+        circuit = ripple_adder(2)
+        cbdd = CircuitBdd(circuit)
+        reused = run_atpg(circuit, cbdd=cbdd)
+        assert circuit_bdd_builds == [circuit.name]
+        fresh = run_atpg(circuit)
+        assert circuit_bdd_builds == [circuit.name, circuit.name]
+        assert reused.vectors == fresh.vectors
+        assert [r.status for r in reused.results] == [
+            r.status for r in fresh.results
+        ]
 
     def test_counters_consistent(self):
         run = run_atpg(fig3_circuit())

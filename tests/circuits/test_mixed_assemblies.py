@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bdd import fanin_order
 from repro.circuits import (
     TABLE4_CIRCUITS,
     benchmark_digital,
@@ -28,6 +29,20 @@ class TestFig4:
         # Thermometer over (l0, l2): 00, 10, 11 allowed; 01 forbidden.
         assert cbdd.mgr.evaluate(fc, {"l0": 0, "l2": 1}) == 0
         assert cbdd.mgr.evaluate(fc, {"l0": 1, "l2": 0}) == 1
+
+    def test_digital_block_compiled_once(self):
+        mixed = fig4_mixed_circuit()
+        cbdd = mixed.compiled_digital()
+        assert cbdd.circuit is mixed.digital
+        assert mixed.compiled_digital() is cbdd
+
+    def test_digital_block_compiled_in_fanin_order(self):
+        mixed = fig4_mixed_circuit()
+        digital = mixed.digital
+        expected = fanin_order(
+            digital.outputs, digital.fanin_view(), digital.inputs
+        )
+        assert mixed.compiled_digital().mgr.variable_order == tuple(expected)
 
     def test_analog_amplitude_linear(self):
         mixed = fig4_mixed_circuit()
