@@ -42,9 +42,9 @@ def build_gate(mgr: BddManager, gate_type: GateType, operands: Sequence[int]) ->
         return acc
     if gate_type is GateType.XNOR:
         acc = operands[0]
-        for op in operands[1:]:
+        for op in operands[1:-1]:
             acc = mgr.xor(acc, op)
-        return mgr.not_(acc)
+        return mgr.xnor(acc, operands[-1])
     if gate_type is GateType.CONST0:
         return FALSE
     if gate_type is GateType.CONST1:

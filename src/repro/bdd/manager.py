@@ -11,8 +11,10 @@ The implementation is a classic hash-consed ROBDD package:
 * nodes are integers; ``0`` and ``1`` are the terminal nodes,
 * every internal node is a triple ``(level, lo, hi)`` interned in a unique
   table, so structural equality is pointer equality,
-* all binary operations are routed through a memoized Shannon-expansion
-  ``ite`` (if-then-else) kernel.
+* the binary connectives (AND, OR, XOR and their complements, and NOT as
+  XOR with 1) go through one memoized Shannon-expansion *apply* kernel,
+  and the three-operand cases (``implies``, ``compose``) through ``ite``
+  (if-then-else); both memoize into one computed table.
 
 No complement edges are used; clarity over micro-optimization, per the
 project style guide.  The package is still fast enough to build output BDDs
@@ -33,6 +35,16 @@ TRUE = 1
 
 #: Level assigned to terminal nodes; larger than any variable level.
 _TERMINAL_LEVEL = 2**31
+
+# Operator codes of the apply kernel.  They are negative, so an apply
+# memo key ``(op, f, g)`` never equals an ``ite`` key ``(f, g, h)``, whose
+# first entry is a node; both share one computed table.
+_AND = -1
+_XOR = -2
+_OR = -3
+_NAND = -4
+_NOR = -5
+_XNOR = -6
 
 
 class BddError(Exception):
@@ -168,8 +180,8 @@ class BddManager:
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: the function ``f·g + f̄·h``.
 
-        All binary connectives reduce to ``ite``; the memo table is shared
-        so common subproblems are solved once.
+        The three-operand kernel; its memo entries share the computed
+        table with :meth:`_apply`'s.
         """
         # Terminal and trivial cases.
         if f == TRUE:
@@ -283,17 +295,153 @@ class BddManager:
         return results[-1]
 
     # ------------------------------------------------------------------
+    # The apply kernel
+    # ------------------------------------------------------------------
+    def _apply(self, op: int, f: int, g: int) -> int:
+        """``f op g`` for one of the six commutative binary connectives.
+
+        Operands are ordered (``f <= g``) before each memo probe, so
+        ``and_(f, g)`` and ``and_(g, f)`` share one entry.  A complement
+        that the terminal rules leave (``nand(1, g)``, ``nor(0, g)``,
+        ``xnor(0, g)``, ``nand(g, g)``, ...) becomes ``xor(1, g)``, the
+        entry :meth:`not_` memoizes.
+        """
+        # Iterative depth-first Shannon expansion with an explicit stack,
+        # on the pattern of _ite_rec: a call frame ``(op, f, g)`` with
+        # ordered operands doubles as its memo key; a combine frame
+        # ``(level, key, 0)``, told apart by its non-negative first entry,
+        # interns the node from the two child results.  The low child is
+        # expanded before the high one, and nodes are created post-order.
+        levels = self._level
+        los = self._lo
+        his = self._hi
+        unique = self._unique
+        cache = self._ite_cache
+        unique_get = unique.get
+        cache_get = cache.get
+        ite_hits = ite_misses = unique_hits = unique_misses = 0
+        stack: list[tuple] = [(op, f, g) if f <= g else (op, g, f)]
+        push = stack.append
+        pop = stack.pop
+        results: list[int] = []
+        emit = results.append
+        take = results.pop
+        try:
+            while stack:
+                frame = pop()
+                cop, cf, cg = frame
+                if cop < 0:
+                    # Terminal rules, with cf <= cg; ``negate`` marks a
+                    # result that is the complement of cg.
+                    negate = False
+                    if cop == _AND:
+                        if cf == FALSE:
+                            emit(FALSE)
+                            continue
+                        if cf == TRUE or cf == cg:
+                            emit(cg)
+                            continue
+                    elif cop == _XOR:
+                        if cf == cg:
+                            emit(FALSE)
+                            continue
+                        if cf == FALSE:
+                            emit(cg)
+                            continue
+                    elif cop == _OR:
+                        if cf == TRUE:
+                            emit(TRUE)
+                            continue
+                        if cf == FALSE or cf == cg:
+                            emit(cg)
+                            continue
+                    elif cop == _NAND:
+                        if cf == FALSE:
+                            emit(TRUE)
+                            continue
+                        negate = cf == TRUE or cf == cg
+                    elif cop == _NOR:
+                        if cf == TRUE:
+                            emit(FALSE)
+                            continue
+                        negate = cf == FALSE or cf == cg
+                    else:  # _XNOR
+                        if cf == cg:
+                            emit(TRUE)
+                            continue
+                        if cf == TRUE:
+                            emit(cg)
+                            continue
+                        negate = cf == FALSE
+                    if negate:
+                        if cg <= TRUE:
+                            emit(TRUE - cg)
+                            continue
+                        cop = _XOR
+                        cf = TRUE
+                        frame = (_XOR, TRUE, cg)
+                    cached = cache_get(frame)
+                    if cached is not None:
+                        ite_hits += 1
+                        emit(cached)
+                        continue
+                    ite_misses += 1
+                    lf = levels[cf]
+                    lg = levels[cg]
+                    if lf <= lg:
+                        top = lf
+                        f0 = los[cf]
+                        f1 = his[cf]
+                    else:
+                        top = lg
+                        f0 = f1 = cf
+                    if lg == top:
+                        g0 = los[cg]
+                        g1 = his[cg]
+                    else:
+                        g0 = g1 = cg
+                    push((top, frame, 0))
+                    push((cop, f1, g1) if f1 <= g1 else (cop, g1, f1))
+                    push((cop, f0, g0) if f0 <= g0 else (cop, g0, f0))
+                else:
+                    top = cop
+                    hi = take()
+                    lo = take()
+                    if lo == hi:  # redundant test
+                        node = lo
+                    else:
+                        ukey = (top, lo, hi)
+                        node = unique_get(ukey)
+                        if node is None:
+                            unique_misses += 1
+                            node = len(levels)
+                            levels.append(top)
+                            los.append(lo)
+                            his.append(hi)
+                            unique[ukey] = node
+                        else:
+                            unique_hits += 1
+                    cache[cf] = node  # cf holds the call frame's key
+                    emit(node)
+        finally:
+            self._ite_hits += ite_hits
+            self._ite_misses += ite_misses
+            self._unique_hits += unique_hits
+            self._unique_misses += unique_misses
+        return results[-1]
+
+    # ------------------------------------------------------------------
     # Boolean connectives
     # ------------------------------------------------------------------
     def not_(self, f: int) -> int:
-        """Complement of ``f``."""
-        return self.ite(f, FALSE, TRUE)
+        """Complement of ``f`` (``f`` XOR 1)."""
+        return self._apply(_XOR, TRUE, f)
 
     def and_(self, *fs: int) -> int:
         """Conjunction of one or more functions (empty product is 1)."""
         acc = TRUE
         for f in fs:
-            acc = self.ite(acc, f, FALSE)
+            acc = self._apply(_AND, acc, f)
             if acc == FALSE:
                 return FALSE
         return acc
@@ -302,26 +450,30 @@ class BddManager:
         """Disjunction of one or more functions (empty sum is 0)."""
         acc = FALSE
         for f in fs:
-            acc = self.ite(acc, TRUE, f)
+            acc = self._apply(_OR, acc, f)
             if acc == TRUE:
                 return TRUE
         return acc
 
     def xor(self, f: int, g: int) -> int:
         """Exclusive-or of two functions."""
-        return self.ite(f, self.not_(g), g)
+        return self._apply(_XOR, f, g)
 
     def xnor(self, f: int, g: int) -> int:
         """Complement of :meth:`xor`."""
-        return self.ite(f, g, self.not_(g))
+        return self._apply(_XNOR, f, g)
 
     def nand(self, *fs: int) -> int:
-        """Complemented conjunction."""
-        return self.not_(self.and_(*fs))
+        """Complemented conjunction (``nand()`` is 0)."""
+        if not fs:
+            return FALSE
+        return self._apply(_NAND, self.and_(*fs[:-1]), fs[-1])
 
     def nor(self, *fs: int) -> int:
-        """Complemented disjunction."""
-        return self.not_(self.or_(*fs))
+        """Complemented disjunction (``nor()`` is 1)."""
+        if not fs:
+            return TRUE
+        return self._apply(_NOR, self.or_(*fs[:-1]), fs[-1])
 
     def implies(self, f: int, g: int) -> int:
         """Material implication ``f → g``."""
@@ -606,14 +758,17 @@ class BddManager:
         return self.from_minterms(names, minterms)
 
     def clear_operation_cache(self) -> None:
-        """Drop the ite memo table (nodes are kept)."""
+        """Drop the computed table that apply and ``ite`` share (nodes are kept)."""
         self._ite_cache.clear()
 
     def cache_stats(self) -> dict:
-        """Unique-table and ite-cache hit/miss counters and sizes.
+        """Unique-table and computed-table hit/miss counters and sizes.
 
-        Surfaced through ATPG diagnostics so regressions in memoization
-        behaviour are observable rather than just slow.
+        The ``ite_size``/``ite_hits``/``ite_misses`` keys keep their names
+        but count the whole computed table: the apply kernel's entries and
+        probes as well as ``ite``'s.  Surfaced through ATPG diagnostics so
+        regressions in memoization behaviour are observable rather than
+        just slow.
         """
         return {
             "nodes": len(self._level),
