@@ -9,7 +9,7 @@ its faults to the constraints.
 Run:  python examples/adc_constraints.py
 """
 
-from repro.atpg import run_atpg
+from repro.atpg import CircuitBdd, run_atpg
 from repro.bdd import BddManager
 from repro.conversion import (
     FlashAdc,
@@ -34,8 +34,11 @@ def main() -> None:
     )
 
     encoder = popcount_encoder(15)
-    free = run_atpg(encoder)
-    constrained = run_atpg(encoder, constraint=constraint_for_lines(lines))
+    cbdd = CircuitBdd(encoder)  # both cases share one compile
+    free = run_atpg(encoder, cbdd=cbdd)
+    constrained = run_atpg(
+        encoder, constraint=constraint_for_lines(lines), cbdd=cbdd
+    )
     print(
         f"\npopcount encoder stand-alone : {free.n_faults} faults, "
         f"{free.n_untestable} untestable, {free.n_vectors} vectors"

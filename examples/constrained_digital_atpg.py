@@ -4,14 +4,16 @@
 Runs the backtrack-free BDD test generator over a benchmark circuit
 twice — stand-alone and with 15 of its inputs bound to a flash
 converter's thermometer code — and prints exactly what changed: which
-faults died, how vector counts moved, what it cost.
+faults died, how vector counts moved, what it cost.  Both runs share one
+compile, so each fault site's Boolean differences are built once; each
+CPU column is that shared propagation plus the case's own phase.
 
 Run:  python examples/constrained_digital_atpg.py [circuit-name]
 """
 
 import sys
 
-from repro.atpg import TestStatus, run_atpg
+from repro.atpg import CircuitBdd, TestStatus, run_atpg
 from repro.circuits import benchmark_digital
 from repro.conversion import constraint_for_lines, random_line_assignment
 from repro.core import format_table
@@ -25,8 +27,11 @@ def main(name: str = "c432") -> None:
     print(f"{name}: {digital.stats()}")
     print(f"converter-driven lines: {', '.join(lines)}")
 
-    free = run_atpg(digital)
-    constrained = run_atpg(digital, constraint=constraint_for_lines(lines))
+    cbdd = CircuitBdd(digital)
+    free = run_atpg(digital, cbdd=cbdd)
+    constrained = run_atpg(
+        digital, constraint=constraint_for_lines(lines), cbdd=cbdd
+    )
 
     print()
     print(

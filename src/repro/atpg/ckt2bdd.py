@@ -6,11 +6,14 @@ variable-ordering heuristic keeping sizes tractable.  For fault insertion
 the compiler re-derives the downstream cone of any line with an arbitrary
 function spliced in at the fault site: a constant (the two cofactors the
 Boolean difference needs) or a fresh *cut variable* ``w`` — the algebraic
-analogue of the D-frontier.
+analogue of the D-frontier.  :meth:`CircuitBdd.propagation` keeps each
+fault site's Boolean differences on the compile, so every ATPG run over
+the block shares them.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 
 from ..bdd import BddManager, fanin_order
@@ -19,6 +22,11 @@ from ..digital.gates import GateType
 from ..digital.netlist import Circuit
 
 __all__ = ["CircuitBdd", "build_gate"]
+
+
+#: A fault site: ``(line, None)`` for a stem, ``(line, (gate, pin))`` for
+#: a fan-out branch — the arguments of the ``CircuitBdd`` cone methods.
+Site = tuple[str, tuple[str, int] | None]
 
 
 def build_gate(mgr: BddManager, gate_type: GateType, operands: Sequence[int]) -> int:
@@ -60,7 +68,8 @@ class CircuitBdd:
     map are snapshotted, so fault cones are walked over the netlist *as
     compiled*.  :meth:`functions_with_line` then produces output functions
     with a chosen line replaced by any node, reusing the cached functions
-    for everything outside the line's fan-out cone.
+    for everything outside the line's fan-out cone, and
+    :meth:`propagation` memoizes each fault site's Boolean differences.
 
     The variables follow the fan-in order (:func:`repro.bdd.fanin_order`),
     the one order the paper's Table 4 vectors are defined under.
@@ -95,6 +104,12 @@ class CircuitBdd:
             gate = circuit.gates[signal]
             operands = [self.functions[src] for src in gate.fanins]
             self.functions[signal] = build_gate(self.mgr, gate.gate_type, operands)
+        # Per fault site: the union ``Σ_o ∂PO_o/∂l`` and the nonzero
+        # per-output differences of the stem that closes its
+        # sole-successor chain (see propagation).
+        self._sites: dict[Site, tuple[int, dict[str, int]]] = {}
+        #: wall-clock seconds spent building :meth:`propagation`'s memo.
+        self.propagation_seconds = 0.0
 
     # ------------------------------------------------------------------
     def output_functions(self) -> dict[str, int]:
@@ -150,6 +165,59 @@ class CircuitBdd:
         operands[pin] = TRUE
         high = build_gate(self.mgr, gate.gate_type, operands)
         return self.mgr.xor(low, high)
+
+    def propagation(
+        self, line: str, pin_site: tuple[str, int] | None = None
+    ) -> tuple[int, dict[str, int]]:
+        """``(Σ_o ∂PO_o/∂l, {o: ∂PO_o/∂stem ≠ 0})`` for one fault site.
+
+        Propagation is polarity- and constraint-independent, so it is
+        built once per site and compile and shared by every ATPG run on
+        the block.  A site whose sole successor is ``(g, p)`` gets
+        ``∂g/∂l · Σ_o ∂PO_o/∂g`` from ``g``'s stem; the chain is walked
+        down to the first site already known or a fan-out stem, which
+        rebuilds its cone.  Every site on the chain shares that stem's
+        per-output differences: on a vector where the chain's local
+        factors are all 1 — any test vector of the site — they are the
+        site's own.
+        """
+        site = (line, pin_site)
+        cache = self._sites
+        known = cache.get(site)
+        if known is not None:
+            return known
+        start = time.perf_counter()
+        chain: list[tuple[Site, tuple[str, int]]] = []
+        current = site
+        while current not in cache:
+            successor = self.sole_successor(*current)
+            if successor is None:
+                cache[current] = self._stem_propagation(current[0])
+                break
+            chain.append((current, successor))
+            current = (successor[0], None)
+        union, differences = cache[current]
+        for link, (gate, pin) in reversed(chain):
+            union = self.mgr.and_(self.local_difference(gate, pin), union)
+            cache[link] = (union, differences)
+        self.propagation_seconds += time.perf_counter() - start
+        return cache[site]
+
+    def _stem_propagation(self, line: str) -> tuple[int, dict[str, int]]:
+        """Rebuild the stem's fan-out cone with each constant spliced in."""
+        mgr = self.mgr
+        low = self.functions_with_line(line, None, FALSE)
+        high = self.functions_with_line(line, None, TRUE)
+        differences: dict[str, int] = {}
+        for out, f0 in low.items():
+            f1 = high[out]
+            # Outside the site's cone both cofactors are the good function.
+            if f0 != f1:
+                differences[out] = mgr.xor(f0, f1)
+        # OR is associative and commutative and the result canonical:
+        # smallest first only keeps the intermediate sums small.
+        union = mgr.or_(*sorted(differences.values(), key=mgr.size))
+        return union, differences
 
     def cut_variable(self, line: str, pin_site: tuple[str, int] | None = None) -> int:
         """The cut variable for a fault site (created on first use, last in order)."""

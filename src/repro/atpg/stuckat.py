@@ -14,7 +14,10 @@ complete set of test vectors as the Boolean product
   cofactoring the paper's cut variable away, without the cut variable.
   Every other site reaches the outputs through one gate input pin
   ``(g, p)`` only, and the chain rule ``∂PO_o/∂l = ∂g/∂l · ∂PO_o/∂g``
-  holds exactly there, so it costs one local difference and one product,
+  holds exactly there, so it costs one local difference and one product.
+  It depends on neither the stuck value nor ``Fc``, so the compiled
+  block memoizes it (:meth:`CircuitBdd.propagation`) for every generator
+  on it,
 * ``Fc`` — the *constraint function*: assignments the analog/conversion
   blocks can actually produce on the converter-driven inputs (``1`` when
   the digital block is tested stand-alone).
@@ -32,7 +35,7 @@ from ..bdd.manager import FALSE, TRUE
 from ..bdd.ops import minimize_path
 from ..digital.faults import Fault
 from ..digital.simulate import fault_simulate
-from .ckt2bdd import CircuitBdd
+from .ckt2bdd import CircuitBdd, Site
 
 __all__ = [
     "TestStatus",
@@ -42,12 +45,8 @@ __all__ = [
 ]
 
 
-#: A fault site: ``(line, None)`` for a stem, ``(line, (gate, pin))`` for
-#: a fan-out branch — the arguments of the ``CircuitBdd`` cone methods.
-_Site = tuple[str, tuple[str, int] | None]
-
-
-def _site(fault: Fault) -> _Site:
+def fault_site(fault: Fault) -> Site:
+    """The ``(line, pin_site)`` a fault sits on (see :data:`Site`)."""
     return (fault.line, None if fault.is_stem else (fault.gate, fault.pin))
 
 
@@ -119,17 +118,8 @@ class StuckAtGenerator:
         #: vectors replayed through the fault simulator so far.
         self.simulation_checks = 0
         self._n_inputs = len(cbdd.circuit.inputs)
-        # Propagation is polarity-independent, so s-a-0/s-a-1 on the same
-        # site share it.  Per site: the union ``Σ_o ∂PO_o/∂l`` and the
-        # nonzero per-output differences of the stem that closes its
-        # sole-successor chain (see _site_propagation).
-        self._sites: dict[_Site, tuple[int, dict[str, int]]] = {}
         #: per site: ``Σ_o ∂PO_o/∂l · Fc``.
-        self._constrained_union: dict[_Site, int] = {}
-        #: per site: :meth:`propagation_function`'s result.
-        self._propagation_cache: dict[
-            _Site, tuple[int, dict[str, int]]
-        ] = {}
+        self._constrained_union: dict[Site, int] = {}
 
     # ------------------------------------------------------------------
     def activation_function(self, fault: Fault) -> int:
@@ -144,13 +134,11 @@ class StuckAtGenerator:
 
         ``∂PO_o/∂l = PO_o|l=0 ⊕ PO_o|l=1`` for every primary output, in
         output order.  :meth:`generate` never needs the per-output
-        products of a chained site, so they are built only here.
+        products of a chained site, so they are built only here, afresh
+        on each call.
         """
-        site = _site(fault)
-        cached = self._propagation_cache.get(site)
-        if cached is not None:
-            return cached
-        union, differences = self._site_propagation(site)
+        site = fault_site(fault)
+        union, differences = self.cbdd.propagation(*site)
         # The chain's local factors, down to the stem owning ``differences``.
         gain = TRUE
         link = site
@@ -161,57 +149,14 @@ class StuckAtGenerator:
             out: self.mgr.and_(gain, differences.get(out, FALSE))
             for out in self.cbdd.circuit.outputs
         }
-        self._propagation_cache[site] = (union, per_output)
-        return self._propagation_cache[site]
-
-    def _site_propagation(self, site: _Site) -> tuple[int, dict[str, int]]:
-        """``(Σ_o ∂PO_o/∂l, {o: ∂PO_o/∂stem ≠ 0})`` for one fault site.
-
-        A site whose sole successor is ``(g, p)`` gets
-        ``∂g/∂l · Σ_o ∂PO_o/∂g`` from ``g``'s stem; the chain is walked
-        down to the first site already known or a fan-out stem, which
-        rebuilds its cone.  Every site on the chain shares that stem's
-        per-output differences: on a vector where the chain's local
-        factors are all 1 — any vector of ``S`` — they are the site's own.
-        """
-        cache = self._sites
-        chain: list[tuple[_Site, tuple[str, int]]] = []
-        current = site
-        while current not in cache:
-            successor = self.cbdd.sole_successor(*current)
-            if successor is None:
-                cache[current] = self._stem_propagation(current[0])
-                break
-            chain.append((current, successor))
-            current = (successor[0], None)
-        union, differences = cache[current]
-        for link, (gate, pin) in reversed(chain):
-            union = self.mgr.and_(self.cbdd.local_difference(gate, pin), union)
-            cache[link] = (union, differences)
-        return cache[site]
-
-    def _stem_propagation(self, line: str) -> tuple[int, dict[str, int]]:
-        """Rebuild the stem's fan-out cone with each constant spliced in."""
-        mgr = self.mgr
-        low = self.cbdd.functions_with_line(line, None, FALSE)
-        high = self.cbdd.functions_with_line(line, None, TRUE)
-        differences: dict[str, int] = {}
-        for out, f0 in low.items():
-            f1 = high[out]
-            # Outside the site's cone both cofactors are the good function.
-            if f0 != f1:
-                differences[out] = mgr.xor(f0, f1)
-        # OR is associative and commutative and the result canonical:
-        # smallest first only keeps the intermediate sums small.
-        union = mgr.or_(*sorted(differences.values(), key=mgr.size))
-        return union, differences
+        return union, per_output
 
     def test_set(self, fault: Fault, constrained: bool = True) -> int:
         """The complete test-vector set ``S`` as a BDD node."""
         activation = self.activation_function(fault)
         if activation == FALSE:
             return FALSE
-        propagation, _ = self._site_propagation(_site(fault))
+        propagation, _ = self.cbdd.propagation(*fault_site(fault))
         s = self.mgr.and_(activation, propagation)
         if constrained:
             s = self.mgr.and_(s, self.constraint)
@@ -228,8 +173,8 @@ class StuckAtGenerator:
         activation = self.activation_function(fault)
         if activation == FALSE:
             return TestResult(fault, TestStatus.UNTESTABLE)
-        site = _site(fault)
-        propagation, differences = self._site_propagation(site)
+        site = fault_site(fault)
+        propagation, differences = self.cbdd.propagation(*site)
         # ``Σ_o ∂PO_o/∂l · Fc`` is shared by both polarities of the site.
         constrained = self._constrained_union.get(site)
         if constrained is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..atpg import AtpgRun, run_atpg
+from ..atpg import AtpgRun, CircuitBdd, run_atpg
 from ..circuits import fig3_circuit
 from ..conversion import pair_exclusion_constraint
 from ..core import format_table
@@ -72,10 +72,12 @@ def run() -> Example2Result:
     """Run both Example 2 cases on the stem-fault universe."""
     circuit = fig3_circuit()
     faults = fault_universe(circuit, include_branches=False)
-    unconstrained = run_atpg(circuit, faults=faults)
+    cbdd = CircuitBdd(circuit)
+    unconstrained = run_atpg(circuit, faults=faults, cbdd=cbdd)
     constrained = run_atpg(
         circuit, faults=faults,
         constraint=pair_exclusion_constraint("l0", "l2"),
+        cbdd=cbdd,
     )
     return Example2Result(unconstrained, constrained, list(circuit.inputs))
 

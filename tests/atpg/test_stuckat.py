@@ -120,11 +120,15 @@ class TestAlgebra:
         assert result.test_set_size > 0
 
     def test_propagation_cache_hit(self):
-        circuit = fig3_circuit()
-        generator = StuckAtGenerator(CircuitBdd(circuit))
-        first = generator.propagation_function(stem_fault("l3", 0))
-        second = generator.propagation_function(stem_fault("l3", 1))
-        assert first is second  # same site, cached
+        # The memo lives on the compile: both polarities of a site, under
+        # any constraint, read the same entry.
+        cbdd = CircuitBdd(fig3_circuit())
+        free = StuckAtGenerator(cbdd)
+        constrained = StuckAtGenerator(cbdd, constraint=cbdd.mgr.var("l0"))
+        first = free.propagation_function(stem_fault("l3", 0))
+        second = constrained.propagation_function(stem_fault("l3", 1))
+        assert first == second
+        assert cbdd.propagation("l3") is cbdd.propagation("l3")  # cached
 
     def test_test_set_unconstrained_flag(self):
         circuit = fig3_circuit()

@@ -21,7 +21,7 @@ import itertools
 
 import pytest
 
-from repro.atpg import TestStatus, run_atpg
+from repro.atpg import CircuitBdd, TestStatus, run_atpg
 from repro.conversion import constraint_for_lines, thermometer_terms
 from repro.conversion.constraints import pair_exclusion_constraint
 from repro.digital import fault_simulate, fault_universe
@@ -73,6 +73,16 @@ def _assert_verdicts_match(circuit, faults, constraint, admissible):
         )
         for f, status in expected.items()
     }
+    # Both cases on one compile share its memoized propagation, in
+    # either order, and reproduce the fresh-compile runs exactly.
+    for constrained_first in (False, True):
+        cbdd = CircuitBdd(circuit)
+        cases = [(free, None), (run, constraint)]
+        if constrained_first:
+            cases.reverse()
+        for fresh, fc in cases:
+            shared = run_atpg(circuit, faults=faults, constraint=fc, cbdd=cbdd)
+            assert shared == fresh
     return expected
 
 

@@ -5,8 +5,11 @@ paper-golden tests; here we exercise the fast ones end-to-end and the
 heavy ones through reduced configurations.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.atpg import CircuitBdd
 from repro.experiments import (
     example2,
     figure6,
@@ -58,6 +61,64 @@ class TestTable4Small:
         assert row.n_inputs == 36
         assert row.with_constraints.n_untestable >= row.without.n_untestable
         assert "Table 4" in result.render()
+
+
+@pytest.fixture
+def cone_rebuilds(monkeypatch):
+    """Lines whose fan-out cone :class:`CircuitBdd` rebuilt, one per call."""
+    lines: list[str] = []
+    rebuild = CircuitBdd.functions_with_line
+
+    def counting_rebuild(self, line, pin_site, node):
+        assert pin_site is None  # only closing stems rebuild their cones
+        lines.append(line)
+        return rebuild(self, line, pin_site, node)
+
+    monkeypatch.setattr(CircuitBdd, "functions_with_line", counting_rebuild)
+    return lines
+
+
+def _closing_stems(circuit, faults):
+    """The stem ending each fault site's sole-successor chain."""
+    fanout = circuit.fanout_map()
+    outputs = set(circuit.outputs)
+    stems = set()
+    for fault in faults:
+        line = fault.line if fault.is_stem else fault.gate
+        while len(fanout.get(line, ())) == 1 and line not in outputs:
+            line = fanout[line][0][0]
+        stems.add(line)
+    return stems
+
+
+class TestOnePropagationPerBlock:
+    """Both cases of a row share one compile and its Boolean differences."""
+
+    def _assert_shared(self, builds, rebuilds, circuit, unconstrained):
+        assert builds == [circuit.name]
+        stems = _closing_stems(
+            circuit, [r.fault for r in unconstrained.results]
+        )
+        # Two constant splices per closing stem across both cases, not four.
+        assert Counter(rebuilds) == {stem: 2 for stem in stems}
+
+    def test_table4_row(self, circuit_bdd_builds, cone_rebuilds):
+        from repro.circuits import benchmark_digital
+
+        row = table4.run(("c499",)).rows[0]
+        self._assert_shared(
+            circuit_bdd_builds, cone_rebuilds,
+            benchmark_digital("c499"), row.without,
+        )
+
+    def test_example2(self, circuit_bdd_builds, cone_rebuilds):
+        from repro.circuits import fig3_circuit
+
+        result = example2.run()
+        self._assert_shared(
+            circuit_bdd_builds, cone_rebuilds,
+            fig3_circuit(), result.unconstrained,
+        )
 
 
 class TestTable5Small:
