@@ -84,17 +84,6 @@ class CampaignResult:
     #: two campaigns with identical outcomes compare equal regardless
     #: of which engine/backend produced them.
     diagnostics: dict | None = field(default=None, compare=False)
-    #: ``True`` when one or more shards were quarantined after
-    #: exhausting their retry budget: ``outcomes`` then covers only the
-    #: shards that completed (byte-identical to their slices of a clean
-    #: run) and ``failed_shards`` names what is missing.  Partial
-    #: results participate in equality — a partial campaign never
-    #: compares equal to a complete one.
-    partial: bool = False
-    #: the failed-shard manifest: one row per quarantined shard with
-    #: ``shard``, ``start``/``stop`` fault bounds, ``attempts``,
-    #: failure ``kind`` and the final ``error`` text.
-    failed_shards: list = field(default_factory=list)
 
     @property
     def n_injected(self) -> int:
@@ -120,21 +109,12 @@ class CampaignResult:
 
     def summary(self) -> str:
         """One-paragraph recap."""
-        text = (
+        return (
             f"{self.n_injected} faults injected; "
             f"{self.detection_rate():.1%} overall detection, "
             f"{self.guaranteed_detection_rate:.1%} beyond the computed "
             f"worst-case deviation"
         )
-        if self.partial:
-            missing = sum(
-                row["stop"] - row["start"] for row in self.failed_shards
-            )
-            text += (
-                f" [PARTIAL: {len(self.failed_shards)} shard(s) "
-                f"quarantined, {missing} fault(s) not executed]"
-            )
-        return text
 
 
 @dataclass(frozen=True)

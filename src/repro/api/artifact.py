@@ -33,6 +33,7 @@ from ..core import (
     TestProgram,
 )
 from ..core import program_io
+from .config import ConfigError
 
 __all__ = ["ARTIFACT_VERSION", "ARTIFACT_KINDS", "Artifact", "AtpgSummary"]
 
@@ -49,8 +50,8 @@ ARTIFACT_KINDS = (
     # job document — spec, state, timestamps, events, result pointer.
     "job",
     # Durable failure evidence (repro.core.resilience.FailureRecord):
-    # what a quarantined shard or a poisoned job leaves behind for
-    # auditors — phase, final error, attempts consumed, fingerprint.
+    # what a failed or poisoned service job leaves behind for auditors
+    # — phase, final error, attempts consumed, fingerprint.
     "failure",
     # A generic result-cache entry (repro.core.cache.ResultCache):
     # namespaced derived data — e.g. the audit pack's replayed engine
@@ -236,7 +237,7 @@ def _report_from_document(doc: dict) -> MixedTestReport:
 
 
 def _campaign_document(result: CampaignResult) -> dict:
-    document = {
+    return {
         "outcomes": [
             {
                 "element": o.element,
@@ -248,16 +249,18 @@ def _campaign_document(result: CampaignResult) -> dict:
             for o in result.outcomes
         ]
     }
-    # Partial keys only appear on partial results, so the document of a
-    # complete campaign is byte-identical to what every earlier version
-    # of this codec wrote (and to a recovered-then-completed run).
-    if result.partial:
-        document["partial"] = True
-        document["failed_shards"] = [dict(row) for row in result.failed_shards]
-    return document
 
 
 def _campaign_from_document(doc: dict) -> CampaignResult:
+    if doc.get("partial"):
+        # Earlier releases wrote campaigns that skipped failed shards,
+        # flagged "partial": their outcomes cover only the shards that
+        # finished, so reading them as complete would overstate coverage.
+        raise ConfigError(
+            "campaign document is partial (some of its shards never "
+            "ran); re-run the campaign with the same cache directory "
+            "for a complete result"
+        )
     return CampaignResult(
         outcomes=[
             InjectionOutcome(
@@ -269,8 +272,6 @@ def _campaign_from_document(doc: dict) -> CampaignResult:
             )
             for o in doc["outcomes"]
         ],
-        partial=bool(doc.get("partial", False)),
-        failed_shards=[dict(row) for row in doc.get("failed_shards", [])],
     )
 
 
@@ -425,7 +426,7 @@ class Artifact:
         meta: dict | None = None,
     ) -> "Artifact":
         """Wrap a :class:`repro.core.resilience.FailureRecord` as durable
-        evidence (a quarantined shard's or poisoned job's post-mortem)."""
+        evidence (a failed or poisoned job's post-mortem)."""
         return cls(
             kind="failure",
             circuit=circuit,

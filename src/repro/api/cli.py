@@ -23,13 +23,13 @@ service verbs default their ``--url`` to ``$REPRO_SERVICE_URL`` (or
 Error contract: unknown circuit/experiment/job names, malformed config
 values and unreachable-service failures exit with code ``2`` and a
 one-line ``error:`` message — never a traceback; ``Ctrl-C`` exits
-``130`` cleanly.  A ``campaign`` that completes with quarantined shards
-(a *partial* result — see :mod:`repro.core.resilience`) exits ``3``:
-the artifact is written (when requested) and the finished shards'
-outcomes are trustworthy, but coverage over the failed shards' faults
-is missing.  ``audit`` exits ``1`` when any engine pair disagrees (the
-evidence bundle is still written), and ``cache verify`` exits ``1``
-when any stored entry no longer reads back.
+``130`` cleanly.  A ``campaign`` whose shard raises stops with a
+:class:`repro.core.sharding.ShardExecutionError` traceback naming the
+shard (exit ``1``): it is a bug, not bad input.  The shards before it
+are cached when ``--cache-dir`` is set, so a re-run with the same
+directory resumes there.  ``audit`` exits ``1`` when any engine pair
+disagrees (the evidence bundle is still written), and ``cache verify``
+exits ``1`` when any stored entry no longer reads back.
 """
 
 from __future__ import annotations
@@ -108,22 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "identical re-run is a lookup and an edited campaign recomputes "
         "only the shards it invalidated",
     )
-    p_camp.add_argument(
-        "--shard-attempts", type=int, default=None, metavar="N",
-        help="attempts per shard before it is quarantined (default: 2; "
-        "retries use deterministic seeded backoff)",
-    )
-    p_camp.add_argument(
-        "--no-quarantine", dest="quarantine", action="store_const",
-        const=False, default=None,
-        help="fail the whole campaign on the first exhausted shard "
-        "instead of quarantining it and returning a partial result",
-    )
-    p_camp.add_argument(
-        "--chaos", metavar="PLAN", default=None,
-        help="deterministic fault-injection plan (JSON, see "
-        "repro.devtools.chaos)",
-    )
     p_camp.add_argument("--json", metavar="PATH", default=None)
     _add_generator_options(p_camp)
 
@@ -194,11 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request logging"
-    )
-    p_serve.add_argument(
-        "--job-attempts", type=int, default=None, metavar="N",
-        help="execution attempts per job before it is marked failed "
-        "(default: 2; retries back off deterministically)",
     )
     p_serve.add_argument(
         "--request-timeout", type=float, default=30.0, metavar="SECONDS",
@@ -397,9 +376,6 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         seed=args.seed,
         shards=args.shards,
         cache_dir=cache_dir,
-        shard_attempts=args.shard_attempts,
-        quarantine=args.quarantine,
-        chaos=args.chaos,
     )
 
 
@@ -413,16 +389,6 @@ def _cmd_campaign(wb: Workbench, args: argparse.Namespace) -> int:
     if args.json:
         path = result.to_artifact().save(args.json)
         print(f"artifact written: {path}")
-    if result.campaign is not None and result.campaign.partial:
-        # Quarantined shards: the result is usable but incomplete.
-        # Exit 3 so scripts can tell "partial" from "clean" (0) and
-        # from usage/transport errors (2).
-        print(
-            f"warning: partial result — "
-            f"{len(result.campaign.failed_shards)} shard(s) quarantined",
-            file=sys.stderr,
-        )
-        return 3
     return 0
 
 
@@ -547,18 +513,10 @@ def _cmd_lint(wb: Workbench, args: argparse.Namespace) -> int:
 # service verbs
 # ----------------------------------------------------------------------
 def _cmd_serve(wb: Workbench, args: argparse.Namespace) -> int:
-    from ..core.resilience import RetryPolicy
     from ..service.http import serve
 
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers!r}")
-    retry = None
-    if args.job_attempts is not None:
-        if args.job_attempts < 1:
-            raise ConfigError(
-                f"--job-attempts must be >= 1, got {args.job_attempts!r}"
-            )
-        retry = RetryPolicy(max_attempts=args.job_attempts, base_delay=0.1)
     return serve(
         args.store,
         host=args.host,
@@ -566,7 +524,6 @@ def _cmd_serve(wb: Workbench, args: argparse.Namespace) -> int:
         workers=args.workers,
         verbose=not args.quiet,
         request_timeout=args.request_timeout or None,
-        retry=retry,
     )
 
 

@@ -28,12 +28,16 @@ RETIRED_CAMPAIGN_FIELDS = frozenset(
     {
         "backend",
         "batch",
+        "chaos",
         "checkpoint_dir",
         "digital_engine",
         "engine",
         "factor_cache_size",
         "heartbeat_interval",
         "max_workers",
+        "quarantine",
+        "retry_backoff",
+        "shard_attempts",
         "shard_timeout",
         "shard_workers",
     }
@@ -186,27 +190,13 @@ class CampaignConfig(_Replaceable):
             different sharding of the same work — is served from the
             cache instead of being re-executed.  Editing one element
             recomputes the generation stages and only the shards whose
-            fault slices changed.
-        shard_attempts: total execution attempts each shard gets (first
-            try included) before it is quarantined; ``1`` disables
-            retries.  Retry backoff is deterministic (seeded from
-            ``seed``), so a re-run retries on the identical schedule.
-        retry_backoff: base backoff before a shard's second attempt, in
-            seconds (exponential growth, deterministic seeded jitter).
-        quarantine: after ``shard_attempts`` failures, drop the shard
-            and complete the campaign with ``CampaignResult.partial``
-            set and a failed-shard manifest (the default).  ``False``
-            restores the historical abort-on-failure behaviour
-            (:class:`repro.core.sharding.ShardExecutionError`).
-        chaos: JSON :class:`repro.devtools.chaos.ChaosPlan` document
-            injecting deterministic failures into the executor — a
-            dev/test harness, never set in production.  Excluded from
-            fingerprints: chaos perturbs execution, not outcomes.
+            fault slices changed.  A shard that raises stops the
+            campaign; a re-run on the same ``cache_dir`` resumes after
+            the shards that finished.
 
-        The resilience knobs above change how failures are *handled*,
-        never which outcomes a completed campaign produces, so all of
-        them sit in
-        :data:`repro.core.sharding.FINGERPRINT_EXCLUDED_FIELDS`.
+        ``shards`` and ``cache_dir`` change how the work is split and
+        where it persists, never which outcomes it produces, so both sit
+        in :data:`repro.core.sharding.FINGERPRINT_EXCLUDED_FIELDS`.
 
         ``shard_workers``, the retired process fan-out, is still
         accepted as a constructor keyword and discarded; it is not a
@@ -218,10 +208,6 @@ class CampaignConfig(_Replaceable):
     seed: int = 2024
     shards: int = 1
     cache_dir: str | None = None
-    shard_attempts: int = 2
-    retry_backoff: float = 0.05
-    quarantine: bool = True
-    chaos: str | None = None
     shard_workers: dataclasses.InitVar[int | None] = None
 
     _retired = RETIRED_CAMPAIGN_FIELDS
@@ -248,22 +234,6 @@ class CampaignConfig(_Replaceable):
         _require(
             self.cache_dir is None or isinstance(self.cache_dir, str),
             f"cache_dir must be None or a path string, got {self.cache_dir!r}",
-        )
-        _require(
-            self.shard_attempts >= 1,
-            f"shard_attempts must be >= 1, got {self.shard_attempts!r}",
-        )
-        _require(
-            self.retry_backoff >= 0.0,
-            f"retry_backoff must be >= 0, got {self.retry_backoff!r}",
-        )
-        _require(
-            isinstance(self.quarantine, bool),
-            f"quarantine must be a bool, got {self.quarantine!r}",
-        )
-        _require(
-            self.chaos is None or isinstance(self.chaos, str),
-            f"chaos must be None or a JSON string, got {self.chaos!r}",
         )
 
     @classmethod

@@ -10,7 +10,6 @@ from .campaign import CampaignResult, InjectionOutcome, run_campaign
 from .resilience import FailureRecord, RetryPolicy
 from .sharding import (
     ShardExecutionError,
-    ShardRetry,
     run_sharded_campaign,
     shard_bounds,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "run_sharded_campaign",
     "shard_bounds",
     "ShardExecutionError",
-    "ShardRetry",
     "FailureRecord",
     "RetryPolicy",
     "format_table",

@@ -103,9 +103,6 @@ def run_campaign(
         # so a cached campaign always runs through the sharded driver
         # (a single shard is fine — it still dedups across re-runs).
         or config.cache_dir is not None
-        # Chaos rides the sharded executor: that is where the retry
-        # and quarantine machinery it exercises lives.
-        or config.chaos is not None
     ):
         # Imported lazily so the module table stays cheap for the
         # overwhelmingly common unsharded path.

@@ -1,22 +1,26 @@
 """Resilience primitives: retry policies and failure records.
 
-The campaign executor (:mod:`repro.core.sharding`) and the service
-layer (:mod:`repro.service.jobs`) share one failure-handling
-vocabulary, defined here:
+Only failures that are not deterministic are retried: a campaign shard
+or a service job that raises would raise again on the same input, so
+it fails once and recovery is resume (:mod:`repro.core.sharding`).
+The service layer shares one vocabulary for what is left:
 
 :class:`RetryPolicy`
     How many attempts a unit of work gets and how long to back off
-    between them.  Backoff is exponential with jitter, and the jitter
-    is **seeded** — ``delay(key, attempt)`` is a pure function of
+    between them: :class:`repro.service.client.ServiceClient`'s
+    transport retries, and the restart budget after which
+    :class:`repro.service.jobs.JobQueue` declares a job poisoned.
+    Backoff is exponential with jitter, and the jitter is **seeded** —
+    ``delay(key, attempt)`` is a pure function of
     ``(seed, key, attempt)``, never of wall-clock or ambient RNG state,
-    so two runs of the same campaign retry on identical schedules
-    (the DET001 determinism contract extends to failure handling).
+    so two runs retry on identical schedules (the DET001 determinism
+    contract extends to failure handling).
 
 :class:`FailureRecord`
     The durable evidence a failure leaves behind: exception text,
-    attempts consumed, the shard/job key and the campaign fingerprint.
+    attempts consumed, the job key and the spec fingerprint.
     Serialized as a ``failure`` :class:`repro.api.Artifact`, it is what
-    a quarantined shard or a poisoned job points auditors at.
+    a failed or poisoned job points auditors at.
 
 This module depends only on the stdlib and :mod:`repro.api.config`'s
 error type (itself dependency-free), so every layer can import it
@@ -80,7 +84,7 @@ class RetryPolicy:
         return attempt < self.max_attempts
 
     def delay(self, key: object, attempt: int) -> float:
-        """Backoff before retrying after the ``attempt``-th failure.
+        """Backoff before the next attempt after the ``attempt``-th failure.
 
         A pure function of ``(seed, key, attempt)``: string-seeding a
         private ``random.Random`` keeps the jitter deterministic across
@@ -107,14 +111,13 @@ class FailureRecord:
     """Durable evidence of one exhausted-or-fatal failure.
 
     Attributes:
-        phase: which layer failed — ``"shard"``, ``"job"`` or
-            ``"recovery"``.
+        phase: which layer failed — ``"job"`` or ``"recovery"``.
         error: ``"ExceptionType: message"`` of the final failure.
         attempts: attempts consumed before giving up.
-        key: the failed unit's identity (shard index / job id).
-        fingerprint: the campaign/spec fingerprint the unit belonged
-            to, when known — ties the record to checkpoints and dedup.
-        detail: free-form extra context (failure kind, bounds, ...).
+        key: the failed unit's identity (the job id).
+        fingerprint: the spec fingerprint the unit belonged to, when
+            known — ties the record to dedup.
+        detail: free-form extra context.
     """
 
     phase: str

@@ -34,21 +34,16 @@ config fields and the shard's own fault slice.  A re-run looks each
 shard up by that key and executes only the misses, so an interrupted
 campaign resumes from its finished shards instead of restarting.
 
-Resilience
-----------
-Each shard gets :attr:`~repro.api.config.CampaignConfig.shard_attempts`
-execution attempts, retried under a deterministic seeded backoff
-(:class:`~repro.core.resilience.RetryPolicy` — re-runs retry on
-identical schedules).  A shard that exhausts its budget is
-**quarantined**: the campaign completes with
-:attr:`~repro.analog.faultsim.CampaignResult.partial` set, a
-failed-shard manifest, and (with a cache) a durable ``failure`` artifact
-under ``<cache_dir>/failures/`` — merged outcomes on the finished shards
-stay byte-identical to a clean run.  Set ``quarantine=False`` to abort
-instead (:class:`ShardExecutionError`).  Retry decisions stream through
-``progress`` as :class:`ShardRetry`.  The chaos harness
-(:mod:`repro.devtools.chaos`) injects these failures deterministically
-so every recovery path above is testable on demand.
+Failure
+-------
+A shard whose execution raises stops the campaign with
+:class:`ShardExecutionError`, which names the shard and its fault
+slice and carries the original exception as ``__cause__``.  Shards are
+deterministic, so running one again in process would fail the same way;
+recovery is resume instead.  Every shard before the failing one is
+already cached, so a re-run with the same ``cache_dir`` executes only
+the shards that did not finish.  A torn cache entry (a crash
+mid-write) reads as a miss and its shard simply re-executes.
 """
 
 from __future__ import annotations
@@ -56,8 +51,6 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from ..analog.faultsim import (
     CampaignResult,
@@ -67,21 +60,15 @@ from ..analog.faultsim import (
 )
 from ..api.config import CampaignConfig, ConfigError
 from .fingerprint import canonical_json, fingerprint_with_encoded
-from .resilience import FailureRecord, RetryPolicy
-
-if TYPE_CHECKING:  # pragma: no cover — typing only, avoids a hard dep
-    from ..devtools.chaos import ChaosPlan
 
 __all__ = [
     "FINGERPRINT_EXCLUDED_FIELDS",
     "SHARD_NAMESPACE",
     "ShardRun",
-    "ShardRetry",
     "ShardExecutionError",
     "shard_bounds",
     "campaign_fingerprint",
     "shard_fingerprint",
-    "failure_path",
     "run_sharded_campaign",
 ]
 
@@ -91,22 +78,17 @@ SHARD_NAMESPACE = "campaign-shard"
 
 #: :class:`~repro.api.config.CampaignConfig` fields deliberately OUTSIDE
 #: campaign fingerprints (and the service layer's dedup key, which
-#: mirrors this contract): each changes how the work is split, cached,
-#: persisted or *recovered* — never which outcomes it produces — so
+#: mirrors this contract): each changes how the work is split or
+#: where it persists — never which outcomes it produces — so
 #: respecting them in the key would invalidate cached shards and defeat
-#: dedup on re-runs that only retune the split or the failure
-#: handling.  Every other field MUST be read by
+#: dedup on re-runs that only retune the split.  Every other field MUST
+#: be read by
 #: :func:`campaign_fingerprint`; the FPR002 lint rule
 #: (:mod:`repro.devtools.lint`) enforces both directions, so a new
 #: config knob cannot silently leak into or out of dedup identity.
 FINGERPRINT_EXCLUDED_FIELDS = frozenset(
     {
         "shards",           # partitioning of the population
-        "shard_attempts",   # how failures are retried, not outcomes
-        "retry_backoff",    # how long retries wait, pure scheduling
-        "quarantine",       # abort vs partial-complete on exhaustion
-        "chaos",            # injected faults perturb execution, not
-                            # the outcomes of any run that completes
         "cache_dir",        # where shard results persist, not what
                             # they are
     }
@@ -114,7 +96,11 @@ FINGERPRINT_EXCLUDED_FIELDS = frozenset(
 
 
 class ShardExecutionError(RuntimeError):
-    """A shard exhausted its attempts and quarantine is disabled."""
+    """A shard's execution raised; ``__cause__`` is the original error.
+
+    The shards before it are cached (with a ``cache_dir``), so a re-run
+    on the same cache resumes from the failing shard.
+    """
 
 
 def shard_bounds(n_faults: int, shards: int) -> list[tuple[int, int]]:
@@ -172,9 +158,8 @@ def campaign_fingerprint(
     the faults run against (stimulus and digital vector per step — a
     regenerated program must never be scored with another program's
     results) and every config field that can influence an outcome.
-    Shard counts, the cache directory and the resilience knobs are
-    deliberately *excluded*: outcomes are independent of how the work
-    is split, persisted or recovered.  ``engine``, ``backend`` and
+    Shard counts and the cache directory are deliberately *excluded*:
+    outcomes are independent of how the work is split or persisted.  ``engine``, ``backend`` and
     ``digital_engine`` are constants naming what every campaign runs on
     (the factorized engine, the ``auto`` backend, the compiled digital
     engine); they keep the digests of earlier releases, whose configs
@@ -234,13 +219,6 @@ def shard_fingerprint(
     return fingerprint_with_encoded(document, "steps", steps_json)
 
 
-def failure_path(cache_dir: str | Path, fingerprint: str) -> Path:
-    """Where a quarantined shard's evidence persists: under the cache
-    root's ``failures/``, named by the shard's :func:`shard_fingerprint`
-    (the service keeps job evidence in the same place under its root)."""
-    return Path(cache_dir) / "failures" / f"{fingerprint}.json"
-
-
 @dataclass
 class ShardRun:
     """One shard's execution record, fresh or served from the cache.
@@ -254,36 +232,6 @@ class ShardRun:
     seconds: float
     resumed: bool = False
     diagnostics: dict | None = None
-
-
-@dataclass(frozen=True)
-class ShardRetry:
-    """One failed shard attempt, streamed through ``progress``.
-
-    ``kind`` is always ``"exception"``: an attempt fails only by
-    raising.  ``next_attempt`` is the attempt about to run, or ``None``
-    when the budget is exhausted and the shard was quarantined (or, with
-    ``quarantine=False``, the campaign is about to abort).
-    """
-
-    index: int
-    attempt: int
-    error: str
-    kind: str
-    next_attempt: int | None
-
-
-def _active_plan(config: CampaignConfig) -> "ChaosPlan | None":
-    """The chaos plan in force, or ``None`` (the production fast path).
-
-    Imported lazily and only when a spec is present, so campaigns never
-    pay for :mod:`repro.devtools` unless chaos is actually requested.
-    """
-    if config.chaos is None:
-        return None
-    from ..devtools.chaos import resolve_plan
-
-    return resolve_plan(config.chaos)
 
 
 def _execute_shard(
@@ -304,18 +252,6 @@ def _execute_shard(
 # ----------------------------------------------------------------------
 # shard persistence: the result cache
 # ----------------------------------------------------------------------
-def _write_failure(
-    cache_dir: str | Path, record: FailureRecord, fingerprint: str
-) -> Path:
-    """Persist a quarantined shard's evidence as a ``failure`` artifact."""
-    from ..api.artifact import Artifact
-    from .atomic_io import write_artifact_atomic
-
-    path = failure_path(cache_dir, fingerprint)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return write_artifact_atomic(path, Artifact.from_failure(record))
-
-
 def _shard_artifact(run: ShardRun, shards: int, fingerprint: str, circuit_name: str):
     """One shard result as a ``campaign-shard`` artifact envelope."""
     from ..api.artifact import Artifact
@@ -334,30 +270,10 @@ def _shard_artifact(run: ShardRun, shards: int, fingerprint: str, circuit_name: 
 
 
 def _cache_shard(
-    cache,
-    fingerprint: str,
-    run: ShardRun,
-    shards: int,
-    circuit_name: str,
-    plan: "ChaosPlan | None" = None,
+    cache, fingerprint: str, run: ShardRun, shards: int, circuit_name: str
 ) -> None:
     """Publish one completed shard into the content-addressed cache."""
     artifact = _shard_artifact(run, shards, fingerprint, circuit_name)
-    if plan is not None:
-        event = plan.event_for("checkpoint", run.index)
-        if event is not None and event.action == "torn":
-            # Simulate dying mid-write to the entry's final path: leave
-            # half the document behind and abort.  Resume must read the
-            # torn entry as a miss and re-execute exactly this shard.
-            from ..devtools.chaos import ChaosError
-
-            text = artifact.to_json()
-            path = cache.path_for(SHARD_NAMESPACE, fingerprint)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text[: len(text) // 2], encoding="utf-8")
-            raise ChaosError(
-                f"chaos[checkpoint:{run.index}]: torn shard cache entry"
-            )
     cache.put_artifact(SHARD_NAMESPACE, fingerprint, artifact)
 
 
@@ -407,18 +323,16 @@ def run_sharded_campaign(
     shards are cached as ``campaign-shard`` artifacts and cached shards
     are served instead of re-executed.
 
-    A shard attempt that raises is retried under the config's
-    deterministic backoff; shards that exhaust ``config.shard_attempts``
-    are quarantined (the result comes back ``partial`` with a
-    failed-shard manifest) unless ``config.quarantine`` is off, in which
-    case the campaign raises :class:`ShardExecutionError`.
+    A shard whose execution raises stops the campaign with
+    :class:`ShardExecutionError`; the shards before it are already
+    cached, so a re-run on the same ``cache_dir`` resumes there.
 
     ``progress``, when given, is called with each completed (or
     cache-served) :class:`ShardRun` the moment it lands — the streaming
-    hook the service layer's job events ride on — and with a
-    :class:`ShardRetry` per failed attempt.  An exception raised by the
-    callback aborts the campaign (completed shards stay cached), which
-    is how a job cancellation interrupts a run between shards.
+    hook the service layer's job events ride on.  An exception raised by
+    the callback propagates unwrapped and aborts the campaign (completed
+    shards stay cached), which is how a job cancellation interrupts a
+    run between shards.
     """
     shards = config.shards
     bounds = shard_bounds(len(faults), shards)
@@ -439,15 +353,7 @@ def run_sharded_campaign(
             )
             for start, stop in bounds
         ]
-    plan = _active_plan(config)
-    policy = RetryPolicy(
-        max_attempts=config.shard_attempts,
-        base_delay=config.retry_backoff,
-        seed=config.seed,
-    )
     runs: dict[int, ShardRun] = {}
-    quarantined: dict[int, FailureRecord] = {}
-    retry_rows: list[dict] = []
 
     if cache is not None:
         for index in range(shards):
@@ -457,111 +363,36 @@ def run_sharded_campaign(
                 if progress is not None:
                     progress(loaded)
 
-    def record(run: ShardRun) -> None:
-        runs[run.index] = run
+    for index, (start, stop) in enumerate(bounds):
+        if index in runs:
+            continue
+        try:
+            run = _execute_shard(mixed, steps, faults[start:stop], index)
+        except Exception as error:
+            raise ShardExecutionError(
+                f"shard {index} (faults [{start}, {stop})) failed: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+        runs[index] = run
         if cache is not None:
-            shard_fp = shard_fps[run.index]
-            _cache_shard(cache, shard_fp, run, shards, mixed.name, plan)
-            # A shard that eventually succeeded clears any quarantine
-            # evidence a previous run of this campaign left behind.
-            failure_path(config.cache_dir, shard_fp).unlink(missing_ok=True)
+            _cache_shard(cache, shard_fps[index], run, shards, mixed.name)
         if progress is not None:
             # Called after the shard is cached: a callback that aborts
             # the campaign never loses the shard it saw land.
             progress(run)
 
-    def register_failure(index: int, attempt: int, error: str) -> float | None:
-        """Log one failed attempt: backoff delay if retrying, else
-        quarantine (returning ``None``)."""
-        retrying = policy.should_retry(attempt)
-        retry_rows.append(
-            {
-                "shard": index,
-                "attempt": attempt,
-                "kind": "exception",
-                "error": error,
-                "retried": retrying,
-            }
-        )
-        if progress is not None:
-            progress(
-                ShardRetry(
-                    index=index,
-                    attempt=attempt,
-                    error=error,
-                    kind="exception",
-                    next_attempt=attempt + 1 if retrying else None,
-                )
-            )
-        if retrying:
-            return policy.delay(index, attempt)
-        start, stop = bounds[index]
-        evidence = FailureRecord(
-            phase="shard",
-            error=error,
-            attempts=attempt,
-            key=str(index),
-            fingerprint=fingerprint,
-            detail={"kind": "exception", "start": start, "stop": stop},
-        )
-        quarantined[index] = evidence
-        if cache is not None:
-            _write_failure(config.cache_dir, evidence, shard_fps[index])
-        if not config.quarantine:
-            raise ShardExecutionError(
-                f"shard {index} failed after {attempt} attempt(s): {error}"
-            )
-        return None
-
-    for index in range(shards):
-        attempt = 0
-        while index not in runs and index not in quarantined:
-            attempt += 1
-            start, stop = bounds[index]
-            try:
-                if plan is not None:
-                    plan.fire("shard", index, attempt=attempt)
-                run = _execute_shard(mixed, steps, faults[start:stop], index)
-            except Exception as error:
-                failure = f"{type(error).__name__}: {error}"
-            else:
-                record(run)
-                continue
-            delay = register_failure(index, attempt, failure)
-            if delay:
-                time.sleep(delay)
-
-    if plan is not None:
-        # The merge chaos site: dying here means every finished shard
-        # is already cached, so a resumed run re-executes nothing.
-        plan.fire("merge", "merge")
-
-    completed = [index for index in range(shards) if index in runs]
+    ordered = [runs[index] for index in range(shards)]
     outcomes: list[InjectionOutcome] = []
-    for index in completed:
-        outcomes.extend(runs[index].outcomes)
-
-    failed_manifest = [
-        {
-            "shard": index,
-            "start": bounds[index][0],
-            "stop": bounds[index][1],
-            "attempts": evidence.attempts,
-            "kind": evidence.detail.get("kind"),
-            "error": evidence.error,
-        }
-        for index, evidence in sorted(quarantined.items())
-    ]
+    for run in ordered:
+        outcomes.extend(run.outcomes)
 
     # Engine diagnostics from the first shard that has any — freshly
     # executed shards first, then cache-carried ones, so even a
     # fully-resumed campaign reports its backend/engines.
-    ordered = [runs[i] for i in completed]
     engine_diagnostics = next(
         (r.diagnostics for r in ordered if not r.resumed and r.diagnostics),
         None,
     ) or next((r.diagnostics for r in ordered if r.diagnostics), {})
-    resumed = sorted(index for index, run in runs.items() if run.resumed)
     diagnostics = {
         **engine_diagnostics,
         "engine": FactorizedEngine.name,
@@ -569,33 +400,16 @@ def run_sharded_campaign(
         "shards": shards,
         "fingerprint": fingerprint,
         # Every shard this run did not execute was served by the cache.
-        "shards_from_cache": resumed,
-        "shards_executed": sum(
-            1 for run in runs.values() if not run.resumed
-        ),
-        "retries": retry_rows,
-        "quarantined_shards": sorted(quarantined),
+        "shards_from_cache": [run.index for run in ordered if run.resumed],
+        "shards_executed": sum(1 for run in ordered if not run.resumed),
         "shard_rows": [
             {
-                "shard": index,
-                "n_faults": bounds[index][1] - bounds[index][0],
-                "seconds": round(runs[index].seconds, 6),
-                "resumed": runs[index].resumed,
+                "shard": run.index,
+                "n_faults": stop - start,
+                "seconds": round(run.seconds, 6),
+                "resumed": run.resumed,
             }
-            if index in runs
-            else {
-                "shard": index,
-                "n_faults": bounds[index][1] - bounds[index][0],
-                "seconds": 0.0,
-                "resumed": False,
-                "failed": True,
-            }
-            for index in range(shards)
+            for run, (start, stop) in zip(ordered, bounds)
         ],
     }
-    return CampaignResult(
-        outcomes=outcomes,
-        diagnostics=diagnostics,
-        partial=bool(quarantined),
-        failed_shards=failed_manifest,
-    )
+    return CampaignResult(outcomes=outcomes, diagnostics=diagnostics)

@@ -3,13 +3,8 @@
 :mod:`repro.devtools.lint` is the two-frontend linter — codebase
 invariant rules over ``src/`` and semantic netlist rules over registry
 circuits — exposed as ``python -m repro lint``.
-
-:mod:`repro.devtools.chaos` is the deterministic fault-injection
-harness the resilience test suites drive the executor and service
-recovery paths with.
 """
 
-from .chaos import ChaosError, ChaosEvent, ChaosPlan, resolve_plan
 from .lint import (
     Finding,
     LintReport,
@@ -23,10 +18,6 @@ from .lint import (
 )
 
 __all__ = [
-    "ChaosError",
-    "ChaosEvent",
-    "ChaosPlan",
-    "resolve_plan",
     "Finding",
     "LintReport",
     "Rule",

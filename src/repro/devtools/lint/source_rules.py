@@ -903,7 +903,7 @@ class Res007SwallowedException(Rule):
     title = "broad except swallows a failure without evidence"
     rationale = (
         "The resilience contract is: every failure leaves evidence — a "
-        "FailureRecord artifact, a retry event, or a re-raise the "
+        "FailureRecord artifact, an event, or a re-raise the "
         "caller can see.  A bare `except Exception: pass` (or one that "
         "only logs a message and drops the exception object) in the "
         "executor or service layers converts a real fault into silent "
@@ -937,8 +937,8 @@ class Res007SwallowedException(Rule):
             yield self.finding(
                 f"`except {caught}` neither re-raises, records a "
                 "FailureRecord, nor uses the caught exception — a "
-                "swallowed failure leaves no evidence for retry/"
-                "quarantine logic (narrow the except, or suppress with "
+                "swallowed failure leaves no evidence for the caller "
+                "or the job log (narrow the except, or suppress with "
                 "a why-silence-is-correct comment)",
                 module.path,
                 node.lineno,

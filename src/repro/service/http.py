@@ -25,10 +25,10 @@ equality guarantee ("fetched over HTTP == computed in-process") depends
 on the server never re-encoding stored payloads.
 
 Resilience: each request socket carries a deadline (a stalled or
-half-dead client cannot pin a handler thread forever), and the server
-accepts a :class:`repro.devtools.chaos.ChaosPlan` whose ``http`` site
-fires per-route injected failures (surfacing as 500s) — how the
-client's retry path is exercised deterministically.
+half-dead client cannot pin a handler thread forever), and any other
+exception a handler raises becomes a 500 with the error text, which
+:class:`repro.service.client.ServiceClient` marks transient and
+retries.
 """
 
 from __future__ import annotations
@@ -114,11 +114,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         query = parse_qs(url.query)
         try:
-            chaos = self.server.chaos
-            if chaos is not None:
-                # Chaos 'raise' here surfaces as the generic 500 below —
-                # exactly the transient server error the client retries.
-                chaos.fire("http", f"{method} {url.path}")
             handler = self._resolve(method, parts)
             if handler is None:
                 self._send_error(404, f"no route {method} {url.path}")
@@ -272,7 +267,6 @@ class ServiceServer(ThreadingHTTPServer):
         scheduler: Scheduler,
         verbose: bool = False,
         request_timeout: float | None = 30.0,
-        chaos=None,
     ):
         if request_timeout is not None and request_timeout <= 0:
             raise ConfigError(
@@ -282,10 +276,6 @@ class ServiceServer(ThreadingHTTPServer):
         self.scheduler = scheduler
         self.verbose = verbose
         self.request_timeout = request_timeout
-        #: a ChaosPlan whose ``http`` site injects per-route failures;
-        #: defaults to the scheduler's plan so one plan covers the whole
-        #: service process.
-        self.chaos = chaos if chaos is not None else scheduler.chaos
 
     @property
     def url(self) -> str:
@@ -305,22 +295,15 @@ def make_server(
     workbench=None,
     verbose: bool = False,
     request_timeout: float | None = 30.0,
-    retry=None,
-    chaos=None,
 ) -> ServiceServer:
     """Build a ready-to-run service: queue + scheduler + HTTP server.
 
     The scheduler is started (recovered ``queued`` jobs begin executing
     immediately); call ``serve_forever()`` on the result to accept
     requests, ``shutdown()`` to stop both the sockets and the workers.
-    ``retry`` is the scheduler's job :class:`repro.core.resilience.
-    RetryPolicy`; ``chaos`` (a plan or a JSON plan string) injects
-    deterministic failures for tests.
     """
     queue = JobQueue(root)
-    scheduler = Scheduler(
-        queue, workbench=workbench, workers=workers, retry=retry, chaos=chaos
-    )
+    scheduler = Scheduler(queue, workbench=workbench, workers=workers)
     scheduler.start()
     return ServiceServer(
         (host, port),
@@ -337,7 +320,6 @@ def serve(
     workers: int = 2,
     verbose: bool = True,
     request_timeout: float | None = 30.0,
-    retry=None,
 ) -> int:
     """Blocking entry point behind ``python -m repro serve``."""
     server = make_server(
@@ -347,7 +329,6 @@ def serve(
         workers=workers,
         verbose=verbose,
         request_timeout=request_timeout,
-        retry=retry,
     )
     print(f"repro service listening on {server.url} (store root: {root})")
     try:

@@ -3,31 +3,23 @@
 A **job** is one submission of campaign work — a :class:`JobSpec`
 (circuit name + the typed configs) — tracked through the state machine
 
-    queued ──→ running ──→ done | failed
-       │          │  ↑└───→ cancelled
-       │          ↓  │
-       │       retrying ──→ cancelled | failed
+    queued ──→ running ──→ done | failed | cancelled
        └──→ cancelled
 
 and persisted as a ``job`` :class:`repro.api.Artifact` after every
 mutation, so a restarted queue resumes exactly where the dead process
-stopped (``running``/``retrying`` jobs re-queue; with a ``cache_dir``
-their cached shards make the re-run cheap).  Recovery is **capped**: a
-job that keeps being
-found mid-flight after restarts — a poison job that crashes the
-process — ends ``failed`` with a durable ``failure`` artifact instead of
-looping through recovery forever.  Illegal transitions raise
+stopped (``running`` jobs re-queue; with a ``cache_dir`` their cached
+shards make the re-run cheap).  Recovery is **capped**: a job that
+keeps being found mid-flight after restarts — a poison job that crashes
+the process — ends ``failed`` with a durable ``failure`` artifact
+instead of looping through recovery forever.  Illegal transitions raise
 :class:`JobStateError`.
 
-Failed executions retry under a deterministic
-:class:`repro.core.resilience.RetryPolicy`: the job moves
-``running → retrying`` (with ``attempt-failed`` / ``retry-scheduled``
-events and a persisted :class:`~repro.core.resilience.FailureRecord`
-per attempt), backs off, and moves back to ``running``.  Exhausted
-budgets end ``failed``.  Partial campaign results (quarantined shards)
-are **never** stored under the spec fingerprint — a partial artifact in
-the content-addressed store would poison dedup for every future
-submitter — so a partial outcome counts as a failed attempt.
+A job runs once.  Its campaign is deterministic, so an execution that
+raises would raise again on a retry: the job moves ``running → failed``
+with the error and one :class:`~repro.core.resilience.FailureRecord`
+under ``<root>/failures/``.  Resubmitting the spec after a fix runs it
+again, resuming from any shards its ``cache_dir`` holds.
 
 Deduplication is fingerprint-first: a spec's :meth:`JobSpec.fingerprint`
 covers only the outcome-relevant identity (the same exclusion contract
@@ -76,7 +68,11 @@ __all__ = [
 ]
 
 #: every state a job can be in, in lifecycle order.
-JOB_STATES = ("queued", "running", "retrying", "done", "failed", "cancelled")
+JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: states earlier releases persisted, and the state each loads as.  A
+#: job parked between retry attempts was mid-flight, like ``running``.
+_LEGACY_STATES = {"retrying": "running"}
 
 #: states a job never leaves.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
@@ -87,14 +83,10 @@ TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 #: :meth:`JobSpec.fingerprint`.
 STORE_NAMESPACE = "objects"
 
-#: state -> states it may legally move to.  ``retrying`` is the backoff
-#: parking state between failed attempts: back to ``running`` when the
-#: delay elapses, ``cancelled`` if the user gets there first, ``failed``
-#: if the queue decides not to continue (e.g. restart recovery cap).
+#: state -> states it may legally move to.
 _LEGAL = {
     "queued": frozenset({"running", "cancelled"}),
-    "running": frozenset({"done", "failed", "cancelled", "retrying"}),
-    "retrying": frozenset({"running", "cancelled", "failed"}),
+    "running": frozenset({"done", "failed", "cancelled"}),
     "done": frozenset(),
     "failed": frozenset(),
     "cancelled": frozenset(),
@@ -122,13 +114,6 @@ class JobStateError(ConfigError):
 
 class _JobCancelled(Exception):
     """Internal: raised between shards to abort a cancelled running job."""
-
-
-class _PartialCampaign(RuntimeError):
-    """Internal: the campaign quarantined shards, so its result must not
-    enter the content-addressed store (a partial artifact under the spec
-    fingerprint would be served to every future submitter as if it were
-    complete).  Treated as a failed, retryable attempt."""
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +187,7 @@ class JobSpec:
         """Content key of this spec's *outcome-relevant* identity.
 
         Mirrors :func:`repro.core.sharding.campaign_fingerprint`'s
-        exclusion contract: shard/cache/retry knobs change
+        exclusion contract: the shard and cache knobs change
         how the work is split, never what it produces, so respecting
         them in the key would defeat deduplication.  ``engine``,
         ``backend`` and ``digital_engine`` are constants: every campaign
@@ -246,7 +231,8 @@ class Job:
     artifact: str | None = None
     #: ``done`` without executing: the store already had the result.
     served_from_store: bool = False
-    #: execution attempts consumed (scheduler retry loop).
+    #: executions run: 1 once a worker ran the job, 0 if it never ran
+    #: or was served from the store.
     attempts: int = 0
     #: times restart recovery re-queued this job after finding it
     #: mid-flight; capped by the queue's recovery policy (poison jobs).
@@ -275,7 +261,7 @@ class Job:
 
     @classmethod
     def from_document(cls, document: dict) -> "Job":
-        state = document["state"]
+        state = _LEGACY_STATES.get(document["state"], document["state"])
         if state not in JOB_STATES:
             raise JobStateError(
                 f"job state must be one of {JOB_STATES}, got {state!r}"
@@ -307,9 +293,10 @@ class JobQueue:
     writes) next to :attr:`store`, a :class:`~repro.core.cache.ResultCache`
     rooted at ``<root>`` whose :data:`STORE_NAMESPACE` holds finished
     artifacts.  Construction reloads every persisted job
-    and **recovers**: jobs found ``running``/``retrying`` (their process
-    died) move back to ``queued`` so a scheduler can re-execute them —
-    up to ``recovery_policy.max_attempts`` times.  A job still
+    and **recovers**: jobs found ``running`` (their process died; an
+    earlier release's ``retrying`` loads as ``running``) move back to
+    ``queued`` so a scheduler can re-execute them — up to
+    ``recovery_policy.max_attempts`` times.  A job still
     mid-flight after that many restarts is a poison job (its execution
     is what keeps killing the process): it ends ``failed`` with a
     ``poisoned`` event and a ``failure`` artifact under
@@ -374,7 +361,7 @@ class JobQueue:
             except (ConfigError, KeyError, TypeError):
                 continue
             self._jobs[job.id] = job
-            if job.state in ("running", "retrying"):
+            if job.state == "running":
                 # The process executing it died; its cached shards (if
                 # any) survive, so re-queueing is cheap.  But only
                 # up to the recovery cap: a job found mid-flight restart
@@ -383,6 +370,7 @@ class JobQueue:
                 if self.recovery_policy.should_retry(job.recoveries):
                     job.state = "queued"
                     job.started = None
+                    job.error = None  # a legacy retrying job's last error
                     self._append_event(
                         job, "recovered",
                         note="re-queued after restart",
@@ -512,11 +500,6 @@ class JobQueue:
             now = _now()
             if state == "running":
                 job.started = now
-            if state == "done":
-                # A recovered job succeeded: the stale last-attempt error
-                # must not outlive it (the history stays in the events
-                # and the per-attempt failure artifacts).
-                job.error = None
             if state in TERMINAL_STATES:
                 job.finished = now
             for name, value in fields.items():
@@ -577,18 +560,11 @@ class JobQueue:
         return job, False
 
     def cancel(self, job_id: str) -> Job:
-        """Cancel a job: immediate when ``queued`` or ``retrying`` (the
-        backoff worker finds the terminal state and stops), best-effort
-        (between shards) when ``running``; an error once terminal."""
+        """Cancel a job: immediate when ``queued``, best-effort (between
+        shards) when ``running``; an error once terminal."""
         with self._lock:
             job = self._get(job_id)
             if job.state == "queued":
-                return self.transition(job_id, "cancelled")
-            if job.state == "retrying":
-                # The worker is asleep in its backoff; the cancelled
-                # state makes its retrying -> running transition fail,
-                # which is how it learns to stop.
-                job.cancel_requested = True
                 return self.transition(job_id, "cancelled")
             if job.state == "running":
                 job.cancel_requested = True
@@ -617,8 +593,6 @@ class Scheduler:
         queue: JobQueue,
         workbench=None,
         workers: int = 2,
-        retry: RetryPolicy | None = None,
-        chaos=None,
     ):
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers!r}")
@@ -627,22 +601,6 @@ class Scheduler:
         self.queue = queue
         self.workbench = workbench if workbench is not None else Workbench()
         self.workers = workers
-        #: attempt budget + backoff for failed job executions.
-        self.retry = (
-            retry
-            if retry is not None
-            else RetryPolicy(max_attempts=2, base_delay=0.1)
-        )
-        #: dev/test fault injection (a ChaosPlan, a JSON plan string, or
-        #: None).
-        if chaos is None:
-            self.chaos = None
-        else:
-            from ..devtools.chaos import ChaosPlan, resolve_plan
-
-            self.chaos = (
-                chaos if isinstance(chaos, ChaosPlan) else resolve_plan(chaos)
-            )
         self._session = self.workbench.session()
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
@@ -731,77 +689,42 @@ class Scheduler:
             queue.transition(job_id, "running")
         except ConfigError:
             return
-        policy = self.retry
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                store = queue.store
-                cached = store.get_artifact(STORE_NAMESPACE, job.fingerprint)
-                if cached is not None:
-                    # Another process filled the store since submission.
-                    with self._lock:
-                        self.store_hits += 1
-                    queue.transition(
-                        job_id, "done",
-                        artifact=job.fingerprint, served_from_store=True,
-                    )
-                    return
+        try:
+            store = queue.store
+            cached = store.get_artifact(STORE_NAMESPACE, job.fingerprint)
+            if cached is not None:
+                # Another process filled the store since submission.
                 with self._lock:
-                    self.executions += 1
-                artifact = self._execute(job, attempt)
-                store.put_artifact(STORE_NAMESPACE, job.fingerprint, artifact)
+                    self.store_hits += 1
                 queue.transition(
                     job_id, "done",
-                    artifact=job.fingerprint, attempts=attempt,
+                    artifact=job.fingerprint, served_from_store=True,
                 )
                 return
-            except _JobCancelled:
-                queue.transition(job_id, "cancelled", attempts=attempt)
-                return
-            except Exception as error:  # noqa: BLE001 — a job must never kill its worker
-                evidence = FailureRecord.from_exception(
-                    "job", error,
-                    attempts=attempt,
-                    key=job_id,
-                    fingerprint=job.fingerprint,
-                )
-                queue._write_failure(job, evidence, f"attempt-{attempt:02d}")
-                queue.append_event(
-                    job_id, "attempt-failed",
-                    attempt=attempt, error=evidence.error,
-                )
-                if (
-                    policy.should_retry(attempt)
-                    and not queue.get(job_id).cancel_requested
-                ):
-                    delay = policy.delay(job_id, attempt)
-                    queue.transition(job_id, "retrying", error=evidence.error)
-                    queue.append_event(
-                        job_id, "retry-scheduled",
-                        attempt=attempt + 1, delay=round(delay, 6),
-                    )
-                    time.sleep(delay)
-                    try:
-                        queue.transition(job_id, "running")
-                    except JobStateError:
-                        return  # cancelled during the backoff
-                    continue
-                queue.transition(
-                    job_id, "failed",
-                    error=evidence.error, attempts=attempt,
-                )
-                return
+            with self._lock:
+                self.executions += 1
+            artifact = self._execute(job)
+            store.put_artifact(STORE_NAMESPACE, job.fingerprint, artifact)
+            queue.transition(
+                job_id, "done", artifact=job.fingerprint, attempts=1
+            )
+        except _JobCancelled:
+            queue.transition(job_id, "cancelled", attempts=1)
+        except Exception as error:  # noqa: BLE001 — a job must never kill its worker
+            evidence = FailureRecord.from_exception(
+                "job", error, key=job_id, fingerprint=job.fingerprint
+            )
+            queue._write_failure(job, evidence, "job")
+            queue.transition(
+                job_id, "failed", error=evidence.error, attempts=1
+            )
 
-    def _execute(self, job: Job, attempt: int = 1):
+    def _execute(self, job: Job):
         """Generate the program, score it, wrap the campaign artifact."""
         from ..api.artifact import Artifact
         from ..core import run_campaign
-        from ..core.sharding import ShardRetry
 
         queue, spec = self.queue, job.spec
-        if self.chaos is not None:
-            self.chaos.fire("job", spec.circuit, attempt=attempt)
         mixed = self._session.circuit(spec.circuit)
         generated = self._session.run(
             mixed,
@@ -820,18 +743,6 @@ class Scheduler:
         def on_shard(event) -> None:
             if queue.get(job.id).cancel_requested:
                 raise _JobCancelled()
-            if isinstance(event, ShardRetry):
-                queue.append_event(
-                    job.id, "shard-retry",
-                    shard=event.index,
-                    attempt=event.attempt,
-                    # "kind" names the event envelope; the failure's own
-                    # kind ("exception") rides along as "reason".
-                    reason=event.kind,
-                    error=event.error,
-                    next_attempt=event.next_attempt,
-                )
-                return
             queue.append_event(
                 job.id, "shard",
                 shard=event.index,
@@ -847,15 +758,6 @@ class Scheduler:
             mixed, generated.report, config=spec.campaign, progress=on_shard
         )
         seconds = time.perf_counter() - start
-        if result.partial:
-            queue.append_event(
-                job.id, "partial",
-                quarantined=[row["shard"] for row in result.failed_shards],
-            )
-            raise _PartialCampaign(
-                f"{len(result.failed_shards)} shard(s) quarantined; "
-                "partial results are not storable under the spec fingerprint"
-            )
         queue.append_event(
             job.id, "campaign",
             n_injected=result.n_injected,

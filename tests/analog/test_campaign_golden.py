@@ -60,7 +60,8 @@ def _golden_artifact(result: CampaignResult) -> Artifact:
             # The golden predates the retired ``engine``, ``backend``
             # and ``digital_engine`` fields; it records the values
             # every campaign still runs on.  It also predates the retired
-            # process-pool knobs, recorded at their unset defaults.
+            # process-pool and retry knobs, recorded at their old
+            # defaults.
             "config": {
                 **CONFIG.as_dict(),
                 "engine": "factorized",
@@ -69,6 +70,10 @@ def _golden_artifact(result: CampaignResult) -> Artifact:
                 "heartbeat_interval": None,
                 "shard_timeout": None,
                 "shard_workers": None,
+                "shard_attempts": 2,
+                "retry_backoff": 0.05,
+                "quarantine": True,
+                "chaos": None,
             },
             "regenerate": "PYTHONPATH=src python "
             "tests/analog/test_campaign_golden.py",

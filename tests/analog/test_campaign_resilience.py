@@ -1,12 +1,11 @@
-"""Resilient campaign execution: chaos-injected failures, differential.
+"""Campaign failure and resume: a failed shard raises, a re-run resumes.
 
-The contract under test (``repro.core.sharding`` + ``repro.devtools.
-chaos``): a campaign disturbed by injected faults — a shard exception,
-a torn shard cache entry, a crash at merge — either *recovers* to a result byte-identical to the undisturbed run, or
-*quarantines* the failing shard into an honest partial result whose
-completed shards are still byte-identical to their undisturbed
-counterparts.  Chaos plans are pure functions of (site, key, attempt),
-so every scenario here is deterministic.
+The contract under test (``repro.core.sharding``): shards are
+deterministic, so a shard that raises stops the campaign with a
+:class:`ShardExecutionError` naming it, and recovery is resume — every
+shard that finished is cached, a re-run on the same ``cache_dir``
+executes only the rest, and its result is byte-identical to an
+undisturbed run.  Failures are injected with ``monkeypatch``.
 """
 
 import random
@@ -14,19 +13,21 @@ import random
 import pytest
 
 from repro.analog.faultsim import draw_faults
-from repro.api import Artifact, CampaignConfig, Workbench
+from repro.api import Artifact, CampaignConfig, ConfigError, Workbench
 from repro.core import run_campaign
+from repro.core import sharding
 from repro.core.cache import ResultCache
 from repro.core.sharding import (
     SHARD_NAMESPACE,
     ShardExecutionError,
-    ShardRetry,
     campaign_fingerprint,
-    failure_path,
     shard_bounds,
     shard_fingerprint,
 )
-from repro.devtools.chaos import ChaosError, ChaosEvent, ChaosPlan
+
+
+class _Crash(Exception):
+    """The injected failure: stands for a process dying mid-step."""
 
 
 def _outcome_key(result):
@@ -56,8 +57,8 @@ def _shard_fps(prepared, config) -> list[str]:
     ]
 
 
-def _chaos(*events) -> str:
-    return ChaosPlan(events=tuple(events)).to_json()
+def _payload_json(result) -> str:
+    return Artifact.from_campaign(result, "fig4").to_json()
 
 
 @pytest.fixture(scope="module")
@@ -70,270 +71,160 @@ def prepared():
 
 @pytest.fixture(scope="module")
 def baseline(prepared):
-    """The undisturbed run every recovered run must match exactly."""
+    """The undisturbed run every resumed run must match exactly."""
     mixed, report = prepared
     return run_campaign(mixed, report, config=_config())
 
 
-class TestChaosSources:
-    def test_environment_variable_injects_nothing(
-        self, prepared, baseline, monkeypatch
+class TestFailedShard:
+    def test_raises_naming_the_shard_and_resumes_byte_identically(
+        self, prepared, baseline, tmp_path, monkeypatch
     ):
-        # Chaos comes only from the config (or the service's chaos=
-        # argument): a plan left in the environment of a production
-        # process must not fail its merge.
-        monkeypatch.setenv(
-            "REPRO_CHAOS", _chaos(ChaosEvent(site="merge", key="merge"))
-        )
+        """Shard 1 of 3 raises: the campaign stops naming it, shard 0 is
+        cached, and a clean re-run executes exactly shards 1 and 2."""
         mixed, report = prepared
-        result = run_campaign(
-            mixed, report, config=_config(shards=2)
-        )
-        assert not result.partial
-        assert _outcome_key(result) == _outcome_key(baseline)
+        config = _config(shards=3, cache_dir=str(tmp_path))
+        execute = sharding._execute_shard
+        original = _Crash("singular system")
 
+        def failing(mixed, steps, faults, index):
+            if index == 1:
+                raise original
+            return execute(mixed, steps, faults, index)
 
-class TestRetryRecovery:
-    def test_shard_exception_retried_to_identical_result(
-        self, prepared, baseline
-    ):
-        """A shard that fails once recovers byte-identically on retry."""
-        mixed, report = prepared
-        events = []
-        config = _config(
-            shards=3,
-            retry_backoff=0.0,
-            chaos=_chaos(
-                ChaosEvent(site="shard", key="1", attempts=(1,)),
-            ),
-        )
-        result = run_campaign(
-            mixed, report, config=config, progress=events.append
-        )
-        assert _outcome_key(result) == _outcome_key(baseline)
-        assert not result.partial
-        retries = result.diagnostics["retries"]
-        assert [r["shard"] for r in retries] == [1]
-        assert retries[0]["kind"] == "exception"
-        assert retries[0]["retried"] is True
-        # The failed attempt streamed as a ShardRetry progress event.
-        shard_retries = [e for e in events if isinstance(e, ShardRetry)]
-        assert len(shard_retries) == 1
-        assert shard_retries[0].index == 1
-        assert shard_retries[0].next_attempt == 2
-        # Serialized, recovered == undisturbed, byte for byte.
-        assert (
-            Artifact.from_campaign(result, "fig4").to_json()
-            == Artifact.from_campaign(baseline, "fig4").to_json()
-        )
-
-    def test_retry_schedule_is_deterministic(self, prepared):
-        """Two disturbed runs retry on identical schedules and agree."""
-        mixed, report = prepared
-        config = _config(
-            shards=2,
-            retry_backoff=0.0,
-            chaos=_chaos(ChaosEvent(site="shard", key="0", attempts=(1,))),
-        )
-        first = run_campaign(mixed, report, config=config)
-        second = run_campaign(mixed, report, config=config)
-        assert first.diagnostics["retries"] == second.diagnostics["retries"]
-        assert _outcome_key(first) == _outcome_key(second)
-
-
-class TestQuarantine:
-    def test_exhausted_shard_quarantined_into_partial_result(
-        self, prepared, baseline, tmp_path
-    ):
-        """Persistent failure yields a partial result, not a crash."""
-        mixed, report = prepared
-        config = _config(
-            shards=3,
-            retry_backoff=0.0,
-            cache_dir=str(tmp_path),
-            chaos=_chaos(
-                ChaosEvent(site="shard", key="1", attempts=(1, 2)),
-            ),
-        )
-        result = run_campaign(mixed, report, config=config)
-        assert result.partial
-        assert [row["shard"] for row in result.failed_shards] == [1]
-        row = result.failed_shards[0]
-        bounds = shard_bounds(len(baseline.outcomes), 3)
-        assert (row["start"], row["stop"]) == bounds[1]
-        assert row["attempts"] == 2
-        assert row["kind"] == "exception"
-        # Completed shards merge byte-identically to their undisturbed
-        # counterparts: shard 1's slice is missing, nothing else moved.
-        expected = (
-            _outcome_key(baseline)[: bounds[1][0]]
-            + _outcome_key(baseline)[bounds[1][1] :]
-        )
-        assert _outcome_key(result) == expected
-        # The summary names the damage.
-        assert "PARTIAL" in result.summary()
-        missing = bounds[1][1] - bounds[1][0]
-        assert f"{missing} fault(s) not executed" in result.summary()
-        # Durable evidence: a failure artifact under the cache root's
-        # failures/, named by the quarantined shard's cache key.
-        shard_fp = _shard_fps(prepared, config)[1]
-        assert list((tmp_path / "failures").iterdir()) == [
-            failure_path(tmp_path, shard_fp)
-        ]
-        evidence = Artifact.load(failure_path(tmp_path, shard_fp))
-        assert evidence.kind == "failure"
-        record = evidence.failure()
-        assert record.phase == "shard"
-        assert record.attempts == 2
-        assert record.key == "1"
-        assert record.detail["start"], record.detail["stop"] == bounds[1]
-        # With every shard quarantined no engine ran, yet the result
-        # still names the engine every campaign runs on.
-        wiped = run_campaign(
-            mixed,
-            report,
-            config=config.replace(
-                cache_dir=None,
-                chaos=_chaos(
-                    ChaosEvent(site="shard", key="*", attempts=(1, 2)),
-                ),
-            ),
-        )
-        assert wiped.partial and wiped.outcomes == []
-        assert wiped.diagnostics["engine"] == "factorized"
-
-    def test_quarantined_shard_heals_on_rerun(self, prepared, baseline, tmp_path):
-        """A re-run without the fault re-executes only the failed shard."""
-        mixed, report = prepared
-        broken = _config(
-            shards=3,
-            retry_backoff=0.0,
-            cache_dir=str(tmp_path),
-            chaos=_chaos(
-                ChaosEvent(site="shard", key="1", attempts=(1, 2)),
-            ),
-        )
-        run_campaign(mixed, report, config=broken)
-        evidence = failure_path(tmp_path, _shard_fps(prepared, broken)[1])
-        assert evidence.exists()
-        healed = run_campaign(
-            mixed, report, config=broken.replace(chaos=None)
-        )
-        assert not healed.partial
-        assert healed.diagnostics["shards_from_cache"] == [0, 2]
-        assert _outcome_key(healed) == _outcome_key(baseline)
-        # Success clears the quarantine evidence.
-        assert not evidence.exists()
-
-    def test_partial_artifact_round_trips(self, prepared):
-        mixed, report = prepared
-        config = _config(
-            shards=3,
-            retry_backoff=0.0,
-            chaos=_chaos(
-                ChaosEvent(site="shard", key="2", attempts=(1, 2)),
-            ),
-        )
-        result = run_campaign(mixed, report, config=config)
-        assert result.partial
-        artifact = Artifact.from_campaign(result, "fig4")
-        reloaded = Artifact.from_json(artifact.to_json()).campaign()
-        assert reloaded.partial
-        assert reloaded.failed_shards == result.failed_shards
-        assert _outcome_key(reloaded) == _outcome_key(result)
-
-    def test_complete_results_keep_the_old_byte_format(self, prepared, baseline):
-        """partial/failed_shards keys only appear on partial results, so
-        complete campaigns serialize exactly as they always did."""
-        mixed, report = prepared
-        result = run_campaign(
-            mixed, report, config=_config(shards=2)
-        )
-        document = Artifact.from_campaign(result, "fig4").payload
-        assert "partial" not in document
-        assert "failed_shards" not in document
-
-    def test_no_quarantine_aborts_instead(self, prepared):
-        mixed, report = prepared
-        config = _config(
-            shards=2,
-            quarantine=False,
-            retry_backoff=0.0,
-            chaos=_chaos(
-                ChaosEvent(site="shard", key="0", attempts=(1, 2)),
-            ),
-        )
-        with pytest.raises(ShardExecutionError):
+        monkeypatch.setattr(sharding, "_execute_shard", failing)
+        with pytest.raises(ShardExecutionError) as excinfo:
             run_campaign(mixed, report, config=config)
+        start, stop = shard_bounds(len(baseline.outcomes), 3)[1]
+        assert f"shard 1 (faults [{start}, {stop}))" in str(excinfo.value)
+        assert "_Crash: singular system" in str(excinfo.value)
+        assert excinfo.value.__cause__ is original
 
-
-class TestCrashResume:
-    def test_torn_checkpoint_write_resumes_cleanly(
-        self, prepared, baseline, tmp_path
-    ):
-        """Dying mid-write of a shard's cache entry leaves a torn file;
-        the resumed run re-executes exactly that shard and matches the
-        baseline."""
-        mixed, report = prepared
-        config = _config(
-            shards=3,
-            cache_dir=str(tmp_path),
-            chaos=_chaos(
-                ChaosEvent(site="checkpoint", key="1", action="torn"),
-            ),
-        )
-        with pytest.raises(ChaosError):
-            run_campaign(mixed, report, config=config)
-        # Shard 0's entry is durable; shard 1's is half a document.
         cache = ResultCache(tmp_path)
         fps = _shard_fps(prepared, config)
         assert cache.has_artifact(SHARD_NAMESPACE, fps[0])
-        torn = cache.path_for(SHARD_NAMESPACE, fps[1]).read_text()
-        assert torn  # the torn write really happened...
         assert not cache.has_artifact(SHARD_NAMESPACE, fps[1])
-        resumed = run_campaign(
-            mixed, report, config=config.replace(chaos=None)
-        )
-        # ...but reads as missing: only shard 0 is resumed.
-        assert resumed.diagnostics["shards_from_cache"] == [0]
-        assert resumed.diagnostics["shards_executed"] == 2
-        assert _outcome_key(resumed) == _outcome_key(baseline)
+        assert not cache.has_artifact(SHARD_NAMESPACE, fps[2])
 
-    def test_crash_at_merge_resumes_everything_from_checkpoints(
+        monkeypatch.undo()
+        resumed = run_campaign(mixed, report, config=config)
+        assert resumed.diagnostics["shards_from_cache"] == [0]
+        assert [
+            row["resumed"] for row in resumed.diagnostics["shard_rows"]
+        ] == [True, False, False]
+        assert _payload_json(resumed) == _payload_json(baseline)
+
+    def test_unsharded_failure_raises_the_original(
+        self, prepared, monkeypatch
+    ):
+        """Without shards or a cache there is nothing to resume: the
+        engine's own exception reaches the caller."""
+        mixed, report = prepared
+
+        def failing(self, *args, **kwargs):
+            raise _Crash("engine failed")
+
+        monkeypatch.setattr(sharding.FactorizedEngine, "run", failing)
+        with pytest.raises(_Crash):
+            run_campaign(mixed, report, config=_config())
+
+
+class TestCrashResume:
+    def test_torn_cache_write_reads_as_a_miss(
+        self, prepared, baseline, tmp_path, monkeypatch
+    ):
+        """Dying mid-write of the last shard's cache entry leaves half a
+        document at its final path; the re-run reads it as a miss and
+        re-executes only that shard."""
+        mixed, report = prepared
+        config = _config(shards=3, cache_dir=str(tmp_path))
+        cache_shard = sharding._cache_shard
+
+        def torn(cache, fingerprint, run, shards, circuit_name):
+            if run.index != 2:
+                return cache_shard(cache, fingerprint, run, shards, circuit_name)
+            text = sharding._shard_artifact(
+                run, shards, fingerprint, circuit_name
+            ).to_json()
+            path = cache.path_for(SHARD_NAMESPACE, fingerprint)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text[: len(text) // 2], encoding="utf-8")
+            raise _Crash("died mid-write")
+
+        monkeypatch.setattr(sharding, "_cache_shard", torn)
+        with pytest.raises(_Crash):
+            run_campaign(mixed, report, config=config)
+        cache = ResultCache(tmp_path)
+        fps = _shard_fps(prepared, config)
+        assert cache.path_for(SHARD_NAMESPACE, fps[2]).read_text()
+        assert not cache.has_artifact(SHARD_NAMESPACE, fps[2])
+
+        monkeypatch.undo()
+        resumed = run_campaign(mixed, report, config=config)
+        assert resumed.diagnostics["shards_from_cache"] == [0, 1]
+        assert resumed.diagnostics["shards_executed"] == 1
+        assert _payload_json(resumed) == _payload_json(baseline)
+
+    def test_crash_after_every_shard_is_cached_resumes_everything(
         self, prepared, baseline, tmp_path
     ):
-        """Dying at merge time loses nothing: every shard is already
-        cached, so the re-run executes zero shards."""
+        """A crash once the last shard landed loses nothing: the re-run
+        executes zero shards.  The progress callback's exception passes
+        through unwrapped — it is how a service job is cancelled."""
         mixed, report = prepared
-        config = _config(
-            shards=3,
-            cache_dir=str(tmp_path),
-            chaos=_chaos(ChaosEvent(site="merge", key="merge")),
-        )
-        with pytest.raises(ChaosError):
-            run_campaign(mixed, report, config=config)
-        resumed = run_campaign(
-            mixed, report, config=config.replace(chaos=None)
-        )
+        config = _config(shards=3, cache_dir=str(tmp_path))
+
+        def crash_on_last(run):
+            if run.index == 2:
+                raise _Crash("died before the merge")
+
+        with pytest.raises(_Crash):
+            run_campaign(mixed, report, config=config, progress=crash_on_last)
+        resumed = run_campaign(mixed, report, config=config)
         assert resumed.diagnostics["shards_from_cache"] == [0, 1, 2]
         assert resumed.diagnostics["shards_executed"] == 0
-        assert _outcome_key(resumed) == _outcome_key(baseline)
+        assert _payload_json(resumed) == _payload_json(baseline)
+
+
+class TestEarlierReleaseDocuments:
+    def test_partial_campaign_document_is_refused(self, baseline):
+        """An earlier release wrote campaigns that skipped failed shards
+        with ``"partial": true``; reading one as complete would
+        overstate its coverage."""
+        document = Artifact.from_campaign(baseline, "fig4").to_document()
+        assert "partial" not in document["payload"]
+        document["payload"]["partial"] = True
+        document["payload"]["failed_shards"] = [
+            {"shard": 1, "start": 11, "stop": 22, "attempts": 2}
+        ]
+        with pytest.raises(ConfigError, match="partial"):
+            Artifact.from_document(document).campaign()
 
 
 class TestFingerprintExclusion:
-    def test_resilience_knobs_never_invalidate_checkpoints(self, prepared):
-        """Retuning failure handling must not re-key the campaign."""
+    def test_retired_fields_never_move_the_keys(self, prepared):
+        """A config loaded from a document that still records the
+        retired retry, quarantine and chaos knobs keys the same campaign
+        and the same shards, as do the split knobs that remain."""
         mixed, report = prepared
         testable = [t for t in report.analog_tests if t.testable]
         faults = draw_faults(testable, 4, (0.5, 3.0), random.Random(11))
-        base = campaign_fingerprint(mixed.name, _config(), faults)
-        for overrides in (
-            {"shard_attempts": 5},
-            {"retry_backoff": 1.0},
-            {"quarantine": False},
-            {"chaos": _chaos(ChaosEvent(site="merge", key="merge"))},
+        base = _config()
+        document = {
+            **base.as_dict(),
+            "shard_attempts": 5,
+            "retry_backoff": 1.0,
+            "quarantine": False,
+            "chaos": '{"events": []}',
+        }
+        for config in (
+            CampaignConfig.from_document(document),
+            _config(shards=7),
+            _config(cache_dir="/elsewhere"),
         ):
-            assert (
-                campaign_fingerprint(mixed.name, _config(**overrides), faults)
-                == base
-            )
+            assert campaign_fingerprint(
+                mixed.name, config, faults, testable
+            ) == campaign_fingerprint(mixed.name, base, faults, testable)
+            assert shard_fingerprint(
+                mixed.name, config, faults, testable
+            ) == shard_fingerprint(mixed.name, base, faults, testable)

@@ -231,8 +231,8 @@ class TestCheckpointResume:
 
 class TestFingerprint:
     def test_fanout_knobs_do_not_invalidate_checkpoints(self, prepared):
-        """Re-running with another split, retry budget or cache root
-        must resume cleanly."""
+        """Re-running with another split or cache root must resume
+        cleanly."""
         mixed, report = prepared
         testable = [t for t in report.analog_tests if t.testable]
         faults = draw_faults(
@@ -241,7 +241,6 @@ class TestFingerprint:
         base = campaign_fingerprint(mixed.name, _config(), faults)
         for overrides in (
             {"shards": 7},
-            {"shard_attempts": 5},
             {"cache_dir": "/elsewhere"},
         ):
             assert (
@@ -375,18 +374,17 @@ class TestContentCacheResume:
             config=_config(shards=4, cache_dir=str(tmp_path)),
         )
         assert cold.diagnostics["shards_executed"] == 4
-        # The retry knobs are excluded from the shard fingerprint: full
-        # cache service.
+        # A config recorded by an earlier release still carries the
+        # retired retry knobs; they load away and the shard keys hold:
+        # full cache service.
+        recorded = {
+            **_config(shards=4, cache_dir=str(tmp_path)).as_dict(),
+            "shard_attempts": 3,
+            "retry_backoff": 0.0,
+            "quarantine": False,
+        }
         warm = run_campaign(
-            mixed,
-            report,
-            config=_config(
-                shards=4,
-                shard_attempts=3,
-                retry_backoff=0.0,
-                quarantine=False,
-                cache_dir=str(tmp_path),
-            ),
+            mixed, report, config=CampaignConfig.from_document(recorded)
         )
         assert warm.diagnostics["shards_executed"] == 0
         assert _outcome_key(warm) == _outcome_key(cold)

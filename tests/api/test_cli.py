@@ -124,20 +124,32 @@ class TestRetiredFlags:
             ("--factor-cache-size", "8"),
             ("--shard-workers", "2"),
             ("--shard-timeout", "1.0"),
+            ("--shard-attempts", "3"),
+            ("--no-quarantine",),
+            ("--chaos", "{}"),
         ],
         ids=[
             "engine", "backend", "digital-engine", "factor-cache-size",
-            "shard-workers", "shard-timeout",
+            "shard-workers", "shard-timeout", "shard-attempts",
+            "no-quarantine", "chaos",
         ],
     )
     def test_flag_is_a_usage_error(self, verb, flag, capsys):
         # The engines' choices are exercised by ``audit``, not set from
         # the command line; shards run in the caller's process, with no
-        # pool to size and no worker to time out.
+        # pool to size and no worker to time out, and a deterministic
+        # shard that raises is resumed, not retried.
         with pytest.raises(SystemExit) as exit_info:
             main([verb, "fig4", *flag])
         assert exit_info.value.code == 2
         assert flag[0] in capsys.readouterr().err
+
+    def test_serve_job_attempts_is_a_usage_error(self, capsys):
+        # A job runs once: its campaign is deterministic.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--job-attempts", "2"])
+        assert exit_info.value.code == 2
+        assert "--job-attempts" in capsys.readouterr().err
 
 
 class TestExperiment:

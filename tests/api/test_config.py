@@ -57,6 +57,14 @@ class TestGeneratorConfig:
 
 
 class TestCampaignConfig:
+    def test_five_fields(self):
+        names = [f.name for f in dataclasses.fields(CampaignConfig)]
+        assert names == [
+            "faults_per_element", "severity_range", "seed", "shards",
+            "cache_dir",
+        ]
+        assert list(CampaignConfig().as_dict()) == names
+
     def test_faults_per_element_must_be_positive(self):
         with pytest.raises(ConfigError):
             CampaignConfig(faults_per_element=0)

@@ -96,11 +96,10 @@ class TestJobSpec:
         assert spec.fingerprint() == _spec().fingerprint()
 
     def test_fingerprint_excludes_fanout_knobs(self):
-        """Shard/retry/cache knobs never change outcomes —
+        """Shard and cache knobs never change outcomes —
         so they must not defeat deduplication."""
         base = _spec()
         assert base.fingerprint() == _spec(shards=7).fingerprint()
-        assert base.fingerprint() == _spec(shard_attempts=5).fingerprint()
         assert (
             base.fingerprint()
             == _spec(cache_dir="/tmp/elsewhere").fingerprint()
@@ -125,9 +124,9 @@ class TestStateMachine:
         [
             ("queued", "done"),          # must pass through running
             ("queued", "failed"),
-            ("queued", "retrying"),      # only a running job can retry
             ("running", "queued"),       # no going back
-            ("retrying", "done"),        # must re-enter running first
+            ("running", "running"),      # a job is claimed once
+            ("running", "retrying"),     # retired: a job runs once
             ("done", "running"),         # terminal states are terminal
             ("done", "cancelled"),
             ("failed", "running"),
@@ -142,7 +141,6 @@ class TestStateMachine:
         legal_walk = {
             "queued": (),
             "running": ("running",),
-            "retrying": ("running", "retrying"),
             "done": ("running", "done"),
             "failed": ("running", "failed"),
             "cancelled": ("cancelled",),

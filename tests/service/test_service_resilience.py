@@ -1,22 +1,22 @@
-"""Service-layer resilience: job retries, poison jobs, client retries.
+"""Service-layer resilience: failed jobs, poison jobs, client retries.
 
-Chaos plans drive every failure deterministically: the scheduler's
-``job`` site fails executions, the campaign config's ``chaos`` field
-quarantines shards, and the HTTP server's ``http`` site turns routes
-into 500s — exercising the retry/evidence paths end to end without a
-single real crash.
+Failures are injected with ``monkeypatch``: a shard that raises fails
+its job once with durable evidence, a route that raises serves a 500
+the client marks transient, and job files written mid-flight (by this
+release or an earlier one) drive restart recovery and its poison cap.
 """
 
+import json
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.api import Artifact, CampaignConfig, ConfigError
+from repro.api import CampaignConfig, ConfigError
+from repro.core import sharding
 from repro.core.atomic_io import read_artifact
 from repro.core.resilience import RetryPolicy
-from repro.devtools.chaos import ChaosEvent, ChaosPlan
 from repro.service import (
     STORE_NAMESPACE,
     JobQueue,
@@ -25,7 +25,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
-from repro.service.http import ServiceServer, make_server
+from repro.service.http import ServiceServer, _ServiceHandler, make_server
 
 
 def _spec(**campaign) -> JobSpec:
@@ -51,103 +51,39 @@ def _kinds(job) -> list[str]:
     return [event["kind"] for event in job.events]
 
 
-class TestChaosSources:
-    def test_scheduler_ignores_the_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_CHAOS",
-            ChaosPlan(events=(ChaosEvent(site="job", key="*"),)).to_json(),
-        )
-        assert Scheduler(JobQueue(tmp_path), workers=1).chaos is None
+class TestJobFailure:
+    def test_failing_job_fails_after_one_attempt(self, tmp_path, monkeypatch):
+        """A job whose shard raises goes running -> failed once, leaves
+        one failure artifact and never enters the store."""
+        executed = []
 
+        def failing(mixed, steps, faults, index):
+            executed.append(index)
+            raise RuntimeError("singular system")
 
-class TestJobRetry:
-    def test_failed_attempt_retries_to_done(self, tmp_path):
-        """Attempt 1 fails (chaos), attempt 2 succeeds: done, attempts=2,
-        with durable evidence of the failed attempt."""
+        monkeypatch.setattr(sharding, "_execute_shard", failing)
         queue = JobQueue(tmp_path)
-        chaos = ChaosPlan(
-            events=(ChaosEvent(site="job", key="fig4", attempts=(1,)),)
-        )
-        scheduler = Scheduler(
-            queue,
-            workers=1,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            chaos=chaos,
-        ).start()
+        scheduler = Scheduler(queue, workers=1).start()
         try:
-            job, _ = scheduler.submit(_spec())
+            job, _ = scheduler.submit(_spec(shards=2))
             finished = _wait_terminal(queue, job.id)
         finally:
             scheduler.stop()
-        assert finished.state == "done"
-        assert finished.attempts == 2
-        # The attempt-1 error must not outlive the successful retry.
-        assert finished.error is None
-        kinds = _kinds(finished)
-        assert "attempt-failed" in kinds
-        assert "retry-scheduled" in kinds
-        assert kinds.index("retry-scheduled") < kinds.index("done")
-        # The retrying state was walked through and persisted.
-        assert "retrying" in kinds
-        # Durable evidence of attempt 1 under <root>/failures/.
-        evidence = read_artifact(
-            tmp_path / "failures" / f"{job.id}-attempt-01.json",
-            kind="failure",
-        )
-        assert evidence is not None
-        record = evidence.failure()
+        assert finished.state == "failed"
+        assert finished.attempts == 1
+        assert executed == [0]
+        assert "ShardExecutionError: shard 0" in finished.error
+        assert "singular system" in finished.error
+        assert _kinds(finished) == [
+            "submitted", "running", "generated", "failed",
+        ]
+        failures = sorted((tmp_path / "failures").iterdir())
+        assert [path.name for path in failures] == [f"{job.id}-job.json"]
+        record = read_artifact(failures[0], kind="failure").failure()
         assert record.phase == "job"
         assert record.key == job.id
-        assert "ChaosError" in record.error
-
-    def test_exhausted_budget_fails_with_attempts(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        chaos = ChaosPlan(
-            events=(ChaosEvent(site="job", key="fig4", attempts=(1, 2)),)
-        )
-        scheduler = Scheduler(
-            queue,
-            workers=1,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            chaos=chaos,
-        ).start()
-        try:
-            job, _ = scheduler.submit(_spec())
-            finished = _wait_terminal(queue, job.id)
-        finally:
-            scheduler.stop()
-        assert finished.state == "failed"
-        assert finished.attempts == 2
-        assert "ChaosError" in finished.error
-        assert _kinds(finished).count("attempt-failed") == 2
-        # One evidence artifact per attempt.
-        for attempt in (1, 2):
-            path = tmp_path / "failures" / f"{job.id}-attempt-{attempt:02d}.json"
-            assert read_artifact(path, kind="failure") is not None
-
-    def test_partial_campaign_is_never_stored(self, tmp_path):
-        """Quarantined shards must not poison the dedup store."""
-        queue = JobQueue(tmp_path)
-        shard_chaos = ChaosPlan(
-            events=(ChaosEvent(site="shard", key="0", attempts=(1, 2)),)
-        ).to_json()
-        spec = _spec(
-            shards=2,
-            retry_backoff=0.0,
-            chaos=shard_chaos,
-        )
-        scheduler = Scheduler(
-            queue, workers=1, retry=RetryPolicy(max_attempts=1)
-        ).start()
-        try:
-            job, _ = scheduler.submit(spec)
-            finished = _wait_terminal(queue, job.id)
-        finally:
-            scheduler.stop()
-        assert finished.state == "failed"
-        assert "partial" in _kinds(finished)
-        assert "quarantined" in finished.error
-        # The store never saw the partial result.
+        assert record.fingerprint == job.fingerprint
+        assert record.error == finished.error
         assert not queue.store.has_artifact(STORE_NAMESPACE, job.fingerprint)
 
 
@@ -194,6 +130,40 @@ class TestPoisonJobRecovery:
         reloaded = JobQueue(tmp_path).get(job.id)
         assert reloaded.state == "queued"
         assert reloaded.recoveries == 1
+
+
+    def test_retrying_job_of_an_earlier_release_is_mid_flight(
+        self, tmp_path
+    ):
+        """An earlier release parked jobs between retry attempts as
+        ``retrying``.  Such a job file loads as mid-flight: it re-queues
+        and counts against the poison budget like ``running``."""
+        policy = RetryPolicy(max_attempts=2)
+        queue = JobQueue(tmp_path, recovery_policy=policy)
+        job, _ = queue.submit(_spec())
+        path = tmp_path / "jobs" / f"{job.id}.json"
+
+        def park_as_retrying():
+            document = json.loads(path.read_text())
+            document["payload"]["state"] = "retrying"
+            document["payload"]["error"] = "RuntimeError: attempt 1"
+            path.write_text(json.dumps(document))
+
+        park_as_retrying()
+        recovered = JobQueue(tmp_path, recovery_policy=policy).get(job.id)
+        assert recovered.state == "queued"
+        assert recovered.recoveries == 1
+        assert recovered.error is None
+        assert _kinds(recovered)[-1] == "recovered"
+
+        park_as_retrying()
+        poisoned = JobQueue(tmp_path, recovery_policy=policy).get(job.id)
+        assert poisoned.state == "failed"
+        assert poisoned.recoveries == 2
+        assert "poison job" in poisoned.error
+        assert read_artifact(
+            tmp_path / "failures" / f"{job.id}-recovery.json", kind="failure"
+        ) is not None
 
 
 class TestClientRetry:
@@ -250,16 +220,10 @@ class TestClientRetry:
         assert a.retry.delays("/jobs") == b.retry.delays("/jobs")
 
 
-class TestHttpChaosAndDeadlines:
+class TestHttpErrorsAndDeadlines:
     @pytest.fixture()
     def server(self, tmp_path):
-        chaos = ChaosPlan(
-            events=(ChaosEvent(site="http", key="GET /circuits"),)
-        )
-        server = make_server(
-            tmp_path, workers=1, request_timeout=1.0, chaos=None
-        )
-        server.chaos = chaos
+        server = make_server(tmp_path, workers=1, request_timeout=1.0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         yield server
@@ -267,15 +231,20 @@ class TestHttpChaosAndDeadlines:
         server.server_close()
         thread.join(timeout=10)
 
-    def test_chaos_route_serves_500_and_client_marks_it_transient(
-        self, server
+    def test_failing_route_serves_500_and_client_marks_it_transient(
+        self, server, monkeypatch
     ):
+        def failing(self, query):
+            raise RuntimeError("registry unavailable")
+
+        monkeypatch.setattr(_ServiceHandler, "_get_circuits", failing)
         client = ServiceClient(server.url, retries=1, retry_backoff=0.0)
         with pytest.raises(ServiceError) as excinfo:
             client.circuits()
         assert excinfo.value.status == 500
         assert excinfo.value.transient
-        # Other routes are untouched by the plan.
+        assert "RuntimeError: registry unavailable" in str(excinfo.value)
+        # Other routes are untouched.
         assert client.health()["ok"] is True
 
     def test_stalled_request_body_gets_408(self, server):
@@ -303,38 +272,3 @@ class TestHttpChaosAndDeadlines:
         scheduler = Scheduler(queue, workers=1)
         with pytest.raises(ConfigError):
             ServiceServer(("127.0.0.1", 0), scheduler, request_timeout=0.0)
-
-
-class TestEventStreamShapes:
-    def test_shard_retry_events_reach_the_job_log(self, tmp_path):
-        """Executor-level retries surface as job events."""
-        queue = JobQueue(tmp_path)
-        shard_chaos = ChaosPlan(
-            events=(ChaosEvent(site="shard", key="1", attempts=(1,)),)
-        ).to_json()
-        spec = _spec(
-            shards=2,
-            retry_backoff=0.0,
-            chaos=shard_chaos,
-        )
-        scheduler = Scheduler(
-            queue, workers=1, retry=RetryPolicy(max_attempts=1)
-        ).start()
-        try:
-            job, _ = scheduler.submit(spec)
-            finished = _wait_terminal(queue, job.id)
-        finally:
-            scheduler.stop()
-        assert finished.state == "done"
-        kinds = _kinds(finished)
-        assert "shard-retry" in kinds
-        retry_event = next(
-            e for e in finished.events if e["kind"] == "shard-retry"
-        )
-        assert retry_event["shard"] == 1
-        assert retry_event["reason"] == "exception"
-        assert retry_event["next_attempt"] == 2
-        # The recovered run stored a complete artifact.
-        assert queue.store.has_artifact(STORE_NAMESPACE, job.fingerprint)
-        artifact = queue.store.get_artifact(STORE_NAMESPACE, job.fingerprint)
-        assert Artifact.from_json(artifact.to_json()).campaign().outcomes

@@ -15,7 +15,7 @@ SCRIPTS = sorted(BENCH_DIR.glob("bench_*.py"))
 
 
 def test_scripts_found():
-    assert len(SCRIPTS) >= 10
+    assert len(SCRIPTS) >= 9
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.stem)
