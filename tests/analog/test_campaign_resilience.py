@@ -114,6 +114,63 @@ class TestFailedShard:
         ] == [True, False, False]
         assert _payload_json(resumed) == _payload_json(baseline)
 
+    @pytest.mark.parametrize("failing", [0, 2], ids=["first", "last"])
+    def test_failure_at_either_end_runs_once_and_resumes_there(
+        self, prepared, baseline, tmp_path, monkeypatch, failing
+    ):
+        """The failing shard executes once and no shard after it runs;
+        the cache holds exactly the shards before it, and the re-run
+        executes exactly the failing shard onwards."""
+        mixed, report = prepared
+        config = _config(shards=3, cache_dir=str(tmp_path))
+        execute = sharding._execute_shard
+        executed = []
+
+        def failing_at(mixed, steps, faults, index):
+            executed.append(index)
+            if index == failing:
+                raise _Crash("singular system")
+            return execute(mixed, steps, faults, index)
+
+        monkeypatch.setattr(sharding, "_execute_shard", failing_at)
+        with pytest.raises(ShardExecutionError, match=f"shard {failing} "):
+            run_campaign(mixed, report, config=config)
+        assert executed == list(range(failing + 1))
+
+        cache = ResultCache(tmp_path)
+        assert [
+            cache.has_artifact(SHARD_NAMESPACE, fp)
+            for fp in _shard_fps(prepared, config)
+        ] == [index < failing for index in range(3)]
+
+        monkeypatch.undo()
+        resumed = run_campaign(mixed, report, config=config)
+        assert resumed.diagnostics["shards_from_cache"] == list(range(failing))
+        assert resumed.diagnostics["shards_executed"] == 3 - failing
+        assert _payload_json(resumed) == _payload_json(baseline)
+
+    def test_sharded_failure_without_a_cache_names_the_shard(
+        self, prepared, monkeypatch
+    ):
+        """Without a ``cache_dir`` the error still names the shard and
+        keeps the original as its cause; nothing is written anywhere."""
+        mixed, report = prepared
+        execute = sharding._execute_shard
+        original = _Crash("singular system")
+        executed = []
+
+        def failing(mixed, steps, faults, index):
+            executed.append(index)
+            if index == 1:
+                raise original
+            return execute(mixed, steps, faults, index)
+
+        monkeypatch.setattr(sharding, "_execute_shard", failing)
+        with pytest.raises(ShardExecutionError, match="shard 1 ") as excinfo:
+            run_campaign(mixed, report, config=_config(shards=3))
+        assert excinfo.value.__cause__ is original
+        assert executed == [0, 1]
+
     def test_unsharded_failure_raises_the_original(
         self, prepared, monkeypatch
     ):
@@ -185,6 +242,46 @@ class TestCrashResume:
         assert resumed.diagnostics["shards_executed"] == 0
         assert _payload_json(resumed) == _payload_json(baseline)
 
+    def test_progress_exception_after_a_fresh_shard_keeps_it_cached(
+        self, prepared, baseline, tmp_path
+    ):
+        """The callback runs once the shard it reports is cached: an
+        abort raised there passes through unwrapped and loses nothing."""
+        mixed, report = prepared
+        config = _config(shards=3, cache_dir=str(tmp_path))
+
+        def crash_on_first(run):
+            if run.index == 0:
+                raise _Crash("cancelled")
+
+        with pytest.raises(_Crash):
+            run_campaign(mixed, report, config=config, progress=crash_on_first)
+        resumed = run_campaign(mixed, report, config=config)
+        assert resumed.diagnostics["shards_from_cache"] == [0]
+        assert resumed.diagnostics["shards_executed"] == 2
+        assert _payload_json(resumed) == _payload_json(baseline)
+
+    def test_progress_exception_on_a_cached_shard_passes_through(
+        self, prepared, tmp_path
+    ):
+        """Cache-served shards are reported too, and an abort raised
+        while reporting one is not dressed up as a shard failure."""
+        mixed, report = prepared
+        config = _config(shards=3, cache_dir=str(tmp_path))
+        run_campaign(mixed, report, config=config)
+        seen = []
+
+        def crash_on_second(run):
+            seen.append((run.index, run.resumed))
+            if run.index == 1:
+                raise _Crash("cancelled")
+
+        with pytest.raises(_Crash):
+            run_campaign(
+                mixed, report, config=config, progress=crash_on_second
+            )
+        assert seen == [(0, True), (1, True)]
+
 
 class TestEarlierReleaseDocuments:
     def test_partial_campaign_document_is_refused(self, baseline):
@@ -199,6 +296,21 @@ class TestEarlierReleaseDocuments:
         ]
         with pytest.raises(ConfigError, match="partial"):
             Artifact.from_document(document).campaign()
+
+    def test_complete_results_keep_the_old_byte_format(
+        self, prepared, baseline
+    ):
+        """A sharded campaign serializes its outcomes and nothing else,
+        exactly as complete campaigns always did, and reads back whole."""
+        mixed, report = prepared
+        result = run_campaign(mixed, report, config=_config(shards=2))
+        artifact = Artifact.from_campaign(result, "fig4")
+        assert list(artifact.payload) == ["outcomes"]
+        assert artifact.payload == Artifact.from_campaign(
+            baseline, "fig4"
+        ).payload
+        reloaded = Artifact.from_json(artifact.to_json()).campaign()
+        assert _outcome_key(reloaded) == _outcome_key(baseline)
 
 
 class TestFingerprintExclusion:

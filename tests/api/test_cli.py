@@ -152,6 +152,51 @@ class TestRetiredFlags:
         assert "--job-attempts" in capsys.readouterr().err
 
 
+class TestCampaignShardFailure:
+    def test_failing_shard_escapes_and_a_rerun_resumes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A shard that raises is a bug, not bad input: its
+        ``ShardExecutionError`` escapes ``main`` (a traceback and exit 1
+        from the interpreter) rather than becoming an exit-2 ``error:``
+        line.  Re-running with the same ``--cache-dir`` serves the shard
+        that finished and writes the undisturbed campaign."""
+        from repro.core import sharding
+
+        execute = sharding._execute_shard
+
+        def failing(mixed, steps, faults, index):
+            if index == 1:
+                raise RuntimeError("singular system")
+            return execute(mixed, steps, faults, index)
+
+        monkeypatch.setattr(sharding, "_execute_shard", failing)
+        argv = [
+            "campaign", "fig4", "--faults-per-element", "2", "--seed", "3",
+        ]
+        sharded = [*argv, "--shards", "3", "--cache-dir", str(tmp_path / "c")]
+        with pytest.raises(sharding.ShardExecutionError, match="shard 1 "):
+            main(sharded)
+        assert "error:" not in capsys.readouterr().err
+
+        monkeypatch.undo()
+        resumed, fresh = tmp_path / "resumed.json", tmp_path / "fresh.json"
+        assert main([*sharded, "--json", str(resumed)]) == 0
+        shard_rows = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if "campaign:shard" in line
+        ]
+        assert ["(resumed)" in row for row in shard_rows] == [
+            True, False, False,
+        ]
+        assert main([*argv, "--json", str(fresh)]) == 0
+        assert (
+            json.loads(resumed.read_text())["payload"]["campaign"]
+            == json.loads(fresh.read_text())["payload"]["campaign"]
+        )
+
+
 class TestExperiment:
     def test_runs_and_persists(self, tmp_path, capsys):
         out_path = tmp_path / "figure6.json"

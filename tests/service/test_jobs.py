@@ -95,6 +95,24 @@ class TestJobSpec:
         assert spec == _spec()
         assert spec.fingerprint() == _spec().fingerprint()
 
+    def test_from_document_drops_retired_resilience_fields(self):
+        # Job files of the releases that retried shards in-process
+        # recorded the retry budget, the quarantine switch and a fault
+        # injection plan; none of them changes what a campaign computes,
+        # so the spec and its recorded dedup key are those without them.
+        document = _spec(faults_per_element=2, seed=5).to_document()
+        document["campaign"].update(
+            shard_attempts=3,
+            retry_backoff=0.5,
+            quarantine=False,
+            chaos='{"events": []}',
+        )
+        spec = JobSpec.from_document(document)
+        assert spec == _spec(faults_per_element=2, seed=5)
+        assert spec.fingerprint() == (
+            "2f86303e7dd930c02d6b71a48d517a16e8572273facaf6f03cb551b4f30dd57f"
+        )
+
     def test_fingerprint_excludes_fanout_knobs(self):
         """Shard and cache knobs never change outcomes —
         so they must not defeat deduplication."""

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.api import CampaignConfig, ConfigError
+from repro.api.cli import main
 from repro.core import sharding
 from repro.core.atomic_io import read_artifact
 from repro.core.resilience import RetryPolicy
@@ -84,6 +85,101 @@ class TestJobFailure:
         assert record.key == job.id
         assert record.fingerprint == job.fingerprint
         assert record.error == finished.error
+        assert not queue.store.has_artifact(STORE_NAMESPACE, job.fingerprint)
+
+
+    def test_worker_survives_a_failed_job(self, tmp_path, monkeypatch):
+        """A failure ends its own job only: the single worker that ran
+        it goes on to run the next job to done."""
+        execute = sharding._execute_shard
+        broken = [True]
+
+        def failing_while_broken(mixed, steps, faults, index):
+            if broken[0]:
+                raise RuntimeError("singular system")
+            return execute(mixed, steps, faults, index)
+
+        monkeypatch.setattr(sharding, "_execute_shard", failing_while_broken)
+        queue = JobQueue(tmp_path)
+        scheduler = Scheduler(queue, workers=1).start()
+        try:
+            first, _ = scheduler.submit(_spec(shards=2))
+            assert _wait_terminal(queue, first.id).state == "failed"
+            broken[0] = False
+            second, deduplicated = scheduler.submit(_spec(shards=2, seed=4))
+            assert not deduplicated
+            assert _wait_terminal(queue, second.id).state == "done"
+        finally:
+            scheduler.stop()
+        assert scheduler.stats()["executions"] == 2
+        assert queue.store.has_artifact(STORE_NAMESPACE, second.fingerprint)
+        assert not queue.store.has_artifact(
+            STORE_NAMESPACE, first.fingerprint
+        )
+
+    def test_resubmission_after_a_fix_resumes_from_cached_shards(
+        self, tmp_path, monkeypatch
+    ):
+        """A failed job does not absorb its resubmission; the new job
+        serves the shards the failed one cached and executes the rest."""
+        execute = sharding._execute_shard
+
+        def failing(mixed, steps, faults, index):
+            if index == 1:
+                raise RuntimeError("singular system")
+            return execute(mixed, steps, faults, index)
+
+        monkeypatch.setattr(sharding, "_execute_shard", failing)
+        spec = _spec(shards=3, cache_dir=str(tmp_path / "shards"))
+        queue = JobQueue(tmp_path / "root")
+        scheduler = Scheduler(queue, workers=1).start()
+        try:
+            failed, _ = scheduler.submit(spec)
+            assert _wait_terminal(queue, failed.id).state == "failed"
+            monkeypatch.undo()
+            job, deduplicated = scheduler.submit(spec)
+            finished = _wait_terminal(queue, job.id)
+        finally:
+            scheduler.stop()
+        assert not deduplicated
+        assert job.id != failed.id
+        assert finished.state == "done"
+        assert [
+            (event["shard"], event["resumed"])
+            for event in finished.events
+            if event["kind"] == "shard"
+        ] == [(0, True), (1, False), (2, False)]
+        assert queue.store.has_artifact(STORE_NAMESPACE, job.fingerprint)
+
+    def test_cancel_between_shards_is_not_a_failure(
+        self, tmp_path, monkeypatch
+    ):
+        """A cancel requested while a shard runs stops the job at the
+        next shard boundary: it ends cancelled, not failed, with no
+        failure evidence and nothing stored."""
+        execute = sharding._execute_shard
+        queue = JobQueue(tmp_path)
+        executed = []
+
+        def cancel_during(mixed, steps, faults, index):
+            executed.append(index)
+            if index == 0:
+                (running,) = queue.jobs(state="running")
+                queue.cancel(running.id)
+            return execute(mixed, steps, faults, index)
+
+        monkeypatch.setattr(sharding, "_execute_shard", cancel_during)
+        scheduler = Scheduler(queue, workers=1).start()
+        try:
+            job, _ = scheduler.submit(_spec(shards=2))
+            finished = _wait_terminal(queue, job.id)
+        finally:
+            scheduler.stop()
+        assert finished.state == "cancelled"
+        assert finished.error is None
+        assert executed == [0]
+        assert _kinds(finished)[-2:] == ["cancel-requested", "cancelled"]
+        assert not (tmp_path / "failures").exists()
         assert not queue.store.has_artifact(STORE_NAMESPACE, job.fingerprint)
 
 
@@ -164,6 +260,28 @@ class TestPoisonJobRecovery:
         assert read_artifact(
             tmp_path / "failures" / f"{job.id}-recovery.json", kind="failure"
         ) is not None
+
+    def test_retrying_job_of_an_earlier_release_runs_to_done(
+        self, tmp_path
+    ):
+        """Once re-queued, such a job is ordinary work: a scheduler on
+        the restarted queue runs it to done and stores its result."""
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(_spec())
+        path = tmp_path / "jobs" / f"{job.id}.json"
+        document = json.loads(path.read_text())
+        document["payload"]["state"] = "retrying"
+        path.write_text(json.dumps(document))
+
+        restarted = JobQueue(tmp_path)
+        scheduler = Scheduler(restarted, workers=1).start()
+        try:
+            finished = _wait_terminal(restarted, job.id)
+        finally:
+            scheduler.stop()
+        assert finished.state == "done"
+        assert finished.recoveries == 1
+        assert restarted.store.has_artifact(STORE_NAMESPACE, job.fingerprint)
 
 
 class TestClientRetry:
@@ -246,6 +364,52 @@ class TestHttpErrorsAndDeadlines:
         assert "RuntimeError: registry unavailable" in str(excinfo.value)
         # Other routes are untouched.
         assert client.health()["ok"] is True
+
+    def test_failed_job_is_reported_over_http(self, server, monkeypatch):
+        """A failed job serves its state, error and events like any
+        other job; it has no artifact, so fetching one is a 404."""
+
+        def failing(mixed, steps, faults, index):
+            raise RuntimeError("singular system")
+
+        monkeypatch.setattr(sharding, "_execute_shard", failing)
+        client = ServiceClient(server.url, retries=0)
+        submitted = client.submit(
+            "fig4", campaign=_spec(shards=2).campaign.as_dict()
+        )
+        job = client.wait(submitted["job_id"], timeout=120.0)
+        assert job["state"] == "failed"
+        assert job["attempts"] == 1
+        assert "ShardExecutionError: shard 0" in job["error"]
+        page = client.events(job["job_id"])
+        assert page["state"] == "failed"
+        assert page["events"][-1]["kind"] == "failed"
+        with pytest.raises(ServiceError) as excinfo:
+            client.artifact_text(job["fingerprint"])
+        assert excinfo.value.status == 404
+        assert not excinfo.value.transient
+
+    def test_cli_waits_on_a_failed_job_with_exit_1(
+        self, server, monkeypatch, capsys
+    ):
+        """``submit --wait`` and ``status`` report a failed job's error
+        and exit 1: the job failed, the command did not."""
+
+        def failing(mixed, steps, faults, index):
+            raise RuntimeError("singular system")
+
+        monkeypatch.setattr(sharding, "_execute_shard", failing)
+        argv = [
+            "--url", server.url,
+            "--faults-per-element", "2", "--seed", "3", "--shards", "2",
+        ]
+        assert main(["submit", "fig4", "--wait", *argv]) == 1
+        out = capsys.readouterr().out
+        assert "failed" in out
+        assert "singular system" in out
+        (job,) = ServiceClient(server.url).jobs()
+        assert main(["status", job["job_id"], "--url", server.url]) == 1
+        assert "singular system" in capsys.readouterr().out
 
     def test_stalled_request_body_gets_408(self, server):
         """A client that sends headers but stalls mid-body is timed out
