@@ -94,9 +94,8 @@ def main(argv=None) -> int:
         server = make_server(root, workers=args.workers)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
+        client = ServiceClient(server.url, timeout=600.0)
         try:
-            client = ServiceClient(server.url, timeout=600.0)
-
             cold_s, cold_job, cold_text = _submit_and_fetch(
                 client, args.circuit, campaign
             )
@@ -129,6 +128,7 @@ def main(argv=None) -> int:
                     f"{args.min_speedup:.1f}x gate"
                 )
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)

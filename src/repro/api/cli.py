@@ -40,7 +40,7 @@ import sys
 from collections.abc import Sequence
 
 from .config import CampaignConfig, ConfigError, GeneratorConfig
-from .pipeline import FULL_STAGES, STAGE_ORDER
+from .pipeline import STAGE_ORDER
 from .session import Workbench
 
 __all__ = ["main", "build_parser"]
@@ -601,44 +601,45 @@ def _cmd_submit(wb: Workbench, args: argparse.Namespace) -> int:
     generator = dict(spec.get("generator") or {})
     if args.tolerance is not None:
         generator["tolerance"] = args.tolerance
-    client = _client(args)
-    job = client.submit(
-        args.circuit,
-        campaign=campaign or None,
-        generator=generator or None,
-        atpg=spec.get("atpg") or None,
-    )
-    dedup = "  (deduplicated: identical work already known)" if job["deduplicated"] else ""
-    print(f"submitted: {_job_line(job)}{dedup}")
-    if args.wait or args.events or args.json:
-        return _finish_job(client, job, args)
+    with _client(args) as client:
+        job = client.submit(
+            args.circuit,
+            campaign=campaign or None,
+            generator=generator or None,
+            atpg=spec.get("atpg") or None,
+        )
+        dedup = "  (deduplicated: identical work already known)" if job["deduplicated"] else ""
+        print(f"submitted: {_job_line(job)}{dedup}")
+        if args.wait or args.events or args.json:
+            return _finish_job(client, job, args)
     return 0
 
 
 def _cmd_status(wb: Workbench, args: argparse.Namespace) -> int:
-    client = _client(args)
-    if args.job is None:
-        jobs = client.jobs()
-        if not jobs:
-            print("no jobs")
+    with _client(args) as client:
+        if args.job is None:
+            jobs = client.jobs()
+            if not jobs:
+                print("no jobs")
+                return 0
+            for job in jobs:
+                print(_job_line(job))
             return 0
-        for job in jobs:
-            print(_job_line(job))
-        return 0
-    if args.wait:
-        job = client.wait(args.job)
-    else:
-        job = client.status(args.job)
-    print(_job_line(job))
-    if job.get("fingerprint"):
-        print(f"  fingerprint: {job['fingerprint']}")
-    if args.events:
-        _print_events(job.get("events") or client.status(args.job)["events"])
-    return 0 if job["state"] not in ("failed", "cancelled") else 1
+        if args.wait:
+            job = client.wait(args.job)
+        else:
+            job = client.status(args.job)
+        print(_job_line(job))
+        if job.get("fingerprint"):
+            print(f"  fingerprint: {job['fingerprint']}")
+        if args.events:
+            _print_events(job.get("events") or client.status(args.job)["events"])
+        return 0 if job["state"] not in ("failed", "cancelled") else 1
 
 
 def _cmd_fetch(wb: Workbench, args: argparse.Namespace) -> int:
-    text = _client(args).artifact_text(args.fingerprint)
+    with _client(args) as client:
+        text = client.artifact_text(args.fingerprint)
     if args.json:
         from pathlib import Path
 

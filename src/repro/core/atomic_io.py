@@ -26,6 +26,7 @@ __all__ = [
     "write_bytes_atomic",
     "write_artifact_atomic",
     "read_artifact",
+    "read_artifact_text",
 ]
 
 
@@ -72,19 +73,34 @@ def read_artifact(path: str | Path, kind: str | None = None):
     is given — an artifact of any other kind.  Callers treat ``None`` as
     "recompute": stale state is never an error, only a cache miss.
     """
+    loaded = _load_artifact(path, kind)
+    return None if loaded is None else loaded[1]
+
+
+def read_artifact_text(path: str | Path, kind: str | None = None) -> str | None:
+    """The file's text, read once, when it holds an artifact
+    :func:`read_artifact` would load — else ``None``.
+
+    For serving stored bytes verbatim: the text returned is the text
+    validated, so a concurrent delete or rewrite cannot slip between a
+    membership check and the read.
+    """
+    loaded = _load_artifact(path, kind)
+    return None if loaded is None else loaded[0]
+
+
+def _load_artifact(path: str | Path, kind: str | None):
     # Imported lazily: repro.api.artifact imports repro.core, so a
     # module-level import here would be a cycle.
     from ..api.artifact import Artifact
 
-    path = Path(path)
-    if not path.exists():
-        return None
     try:
-        artifact = Artifact.load(path)
+        text = Path(path).read_text()
+        artifact = Artifact.from_json(text)
     except (ValueError, KeyError, TypeError, AttributeError, OSError):
-        # Torn, foreign or wrong-shaped file (e.g. a JSON list falls
-        # into the legacy program adapter): a miss, not an error.
+        # Missing, torn, foreign or wrong-shaped file (e.g. a JSON list
+        # falls into the legacy program adapter): a miss, not an error.
         return None
     if kind is not None and artifact.kind != kind:
         return None
-    return artifact
+    return text, artifact

@@ -1,13 +1,19 @@
 """A thin stdlib client for the service API (the CLI verbs' transport).
 
 :class:`ServiceClient` speaks the :mod:`repro.service.http` JSON
-contract over :mod:`urllib.request` — no new dependencies, usable from
-scripts and tests alike::
+contract over persistent HTTP/1.1 :mod:`http.client` connections — no
+new dependencies, usable from scripts and tests alike::
 
-    client = ServiceClient("http://127.0.0.1:8080")
-    job = client.submit("fig4", campaign={"faults_per_element": 3})
-    done = client.wait(job["job_id"])
-    artifact = client.artifact(done["artifact"])
+    with ServiceClient("http://127.0.0.1:8080") as client:
+        job = client.submit("fig4", campaign={"faults_per_element": 3})
+        done = client.wait(job["job_id"])
+        artifact = client.artifact(done["artifact"])
+
+Each call takes an idle connection from the client's pool (or opens
+one) and returns it after a complete response, so a polling loop pays
+one TCP handshake, not one per call.  The pool is a stack shared by
+every thread using the client; :meth:`ServiceClient.close` (or leaving
+the ``with`` block) closes the idle connections.
 
 Failures surface as :class:`ServiceError` — an :class:`OSError`
 subclass carrying the server's one-line JSON error message, so the CLI
@@ -19,16 +25,20 @@ surfacing (``transient`` is set on the final error).  Retrying a
 ``POST /jobs`` is safe by construction: submission deduplicates on the
 spec fingerprint, so a resubmission of work the first (lost) response
 already accepted lands on the same job instead of double-executing.
-4xx responses are the caller's bug and are never retried.
+4xx responses are the caller's bug and are never retried.  A reused
+connection the server has since closed (idle past its
+``request_timeout``, or a restart) fails before any reply arrives; it is
+reopened once on the spot, which is not an attempt under the retry
+budget.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+from urllib.parse import urlsplit
 
 from ..api.artifact import Artifact
 from ..core.resilience import RetryPolicy
@@ -75,49 +85,106 @@ class ServiceClient:
             base_delay=retry_backoff,
             seed=retry_seed,
         )
+        self._scheme, self._netloc, self._prefix = urlsplit(self.base_url)[:3]
+        #: idle keep-alive connections, most recently used on top.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle connections (the client stays usable: the
+        next call opens a fresh one)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport ------------------------------------------------------
+    def _connect(self) -> http.client.HTTPConnection:
+        """A freshly opened connection; opened here, not lazily by the
+        first request, so an unreachable host reads as such."""
+        if self._scheme != "http":  # the service speaks plain HTTP only
+            raise ServiceError(
+                f"cannot reach service at {self.base_url}: "
+                f"unknown url type: {self._scheme or self.base_url!r}"
+            )
+        try:
+            connection = http.client.HTTPConnection(
+                self._netloc, timeout=self.timeout
+            )
+            connection.connect()
+        except (OSError, http.client.HTTPException) as error:
+            raise ServiceError(
+                f"cannot reach service at {self.base_url}: {error}",
+                transient=isinstance(error, (ConnectionError, TimeoutError)),
+            ) from None
+        return connection
+
+    def _exchange(
+        self,
+        connection: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        data: bytes | None,
+    ) -> http.client.HTTPResponse:
+        headers = {} if data is None else {"Content-Type": "application/json"}
+        connection.request(method, self._prefix + path, data, headers)
+        return connection.getresponse()
+
     def _request_once(
         self, method: str, path: str, body: dict | None = None
     ) -> str:
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", method=method
-        )
-        data = None
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            request.add_header("Content-Type", "application/json")
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        if not reused:
+            connection = self._connect()
         try:
-            with urllib.request.urlopen(
-                request, data=data, timeout=self.timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            detail = error.read().decode("utf-8", "replace")
             try:
-                message = json.loads(detail)["error"]
-            except (ValueError, KeyError, TypeError):
-                message = detail.strip() or error.reason
-            raise ServiceError(
-                f"service error ({error.code}): {message}",
-                error.code,
-                # Server-side trouble is worth retrying; 4xx means the
-                # request itself is wrong and will be wrong again.
-                transient=error.code >= 500,
-            ) from None
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: {error.reason}",
-                transient=isinstance(
-                    error.reason, (ConnectionError, TimeoutError)
-                ),
-            ) from None
-        except (ConnectionError, http.client.RemoteDisconnected) as error:
-            # A reset mid-response bypasses urllib's wrapping.
+                response = self._exchange(connection, method, path, data)
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
+                    raise
+                # RemoteDisconnected included: the server closed this
+                # idle connection before any reply.  Reopen it once;
+                # replaying a POST /jobs dedups.
+                connection.close()
+                connection = self._connect()
+                response = self._exchange(connection, method, path, data)
+            text = response.read().decode("utf-8")
+        except ServiceError:
+            raise  # the reopen could not connect
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
             raise ServiceError(
                 f"connection to {self.base_url} lost: {error}",
-                transient=True,
+                # Our own deadline expiring is not worth a second wait.
+                transient=not isinstance(error, TimeoutError),
             ) from None
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        if response.status >= 400:
+            try:
+                message = json.loads(text)["error"]
+            except (ValueError, KeyError, TypeError):
+                message = text.strip() or response.reason
+            raise ServiceError(
+                f"service error ({response.status}): {message}",
+                response.status,
+                # Server-side trouble is worth retrying; 4xx means the
+                # request itself is wrong and will be wrong again.
+                transient=response.status >= 500,
+            )
+        return text
 
     def _request(
         self, method: str, path: str, body: dict | None = None

@@ -2,8 +2,11 @@
 
 Built on :mod:`http.server` (``ThreadingHTTPServer``) — the container's
 constraint is "no new dependencies", and the service's work is
-CPU-bound campaign execution, so a thread-per-request front end over
-the bounded scheduler pool is the honest architecture.
+CPU-bound campaign execution, so a thread-per-connection front end over
+the bounded scheduler pool is the honest architecture.  Connections are
+HTTP/1.1 keep-alive (every reply carries ``Content-Length``): a client
+sends all its calls down one connection, which holds one handler thread
+until the client closes it or it sits idle past ``request_timeout``.
 
 Routes (all JSON)::
 
@@ -28,16 +31,21 @@ Resilience: each request socket carries a deadline (a stalled or
 half-dead client cannot pin a handler thread forever), and any other
 exception a handler raises becomes a 500 with the error text, which
 :class:`repro.service.client.ServiceClient` marks transient and
-retries.
+retries.  A stopped server shuts down every connection still open, so
+no request is answered by a server whose scheduler has stopped.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.config import ConfigError, UnknownNameError
+from ..core.atomic_io import read_artifact_text
 from .jobs import STORE_NAMESPACE, Job, JobQueue, JobSpec, Scheduler
 
 __all__ = ["ServiceServer", "make_server", "serve"]
@@ -66,6 +74,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     server: "ServiceServer"
     protocol_version = "HTTP/1.1"
+    # _send writes headers and body separately: on a kept-alive socket
+    # Nagle's algorithm would hold the body until the client's delayed
+    # ACK (~40 ms per reply).
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature
@@ -77,6 +89,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(encoded)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(encoded)
 
@@ -101,9 +115,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # -- dispatch -------------------------------------------------------
     def setup(self) -> None:
-        # A per-request socket deadline: a stalled client (or a torn
-        # network) raises TimeoutError inside the handler instead of
-        # pinning this thread forever.
+        # A socket deadline: a stalled client (or a torn network) raises
+        # TimeoutError inside the handler instead of pinning this thread
+        # forever, and a kept-alive connection idle this long is closed.
         self.timeout = self.server.request_timeout
         super().setup()
         if self.server.request_timeout is not None:
@@ -128,11 +142,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except TimeoutError as error:
             # The socket deadline fired mid-request: try to tell the
             # client, then let the connection die.
+            self.close_connection = True
             try:
                 self._send_error(408, f"request timed out: {error}")
             except OSError:
                 pass
-            self.close_connection = True
         except Exception as error:  # noqa: BLE001 — a request must not kill the server
             self._send_error(500, f"{type(error).__name__}: {error}")
 
@@ -247,13 +261,15 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _get_artifact(self, fingerprint: str, query) -> None:
         store = self.server.scheduler.queue.store
-        # path_for validates the digest shape.
-        path = store.path_for(STORE_NAMESPACE, fingerprint)
-        if not store.has_artifact(STORE_NAMESPACE, fingerprint):
+        # path_for validates the digest shape.  One read: a concurrent
+        # `cache gc` can delete the entry at any moment, so the bytes
+        # validated are the bytes served.
+        text = read_artifact_text(store.path_for(STORE_NAMESPACE, fingerprint))
+        if text is None:
             raise UnknownNameError(f"no artifact stored for {fingerprint!r}")
         # Serve the stored bytes verbatim: re-encoding could perturb the
         # byte-identity contract between served and computed artifacts.
-        self._send(200, path.read_text())
+        self._send(200, text)
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -276,15 +292,52 @@ class ServiceServer(ThreadingHTTPServer):
         self.scheduler = scheduler
         self.verbose = verbose
         self.request_timeout = request_timeout
+        #: open request sockets; a kept-alive one outlives ``shutdown()``
+        #: unless it is shut down here.
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A peer that resets its connection, or one cut by a stop, is
+        # not a server fault worth a traceback.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def _drop_connections(self) -> None:
+        """Stop answering: shut down every open request socket.  Its
+        handler thread reads end-of-stream and exits; a reply in flight
+        fails with a broken pipe instead of reaching the client."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
+
     def shutdown(self) -> None:  # also stop the workers, not just the sockets
         super().shutdown()
+        self._drop_connections()
         self.scheduler.stop(wait=True)
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._drop_connections()
 
 
 def make_server(
