@@ -77,7 +77,7 @@ def read_artifact(path: str | Path, kind: str | None = None):
     return None if loaded is None else loaded[1]
 
 
-def read_artifact_text(path: str | Path, kind: str | None = None) -> str | None:
+def read_artifact_text(path: str | Path) -> str | None:
     """The file's text, read once, when it holds an artifact
     :func:`read_artifact` would load — else ``None``.
 
@@ -85,7 +85,7 @@ def read_artifact_text(path: str | Path, kind: str | None = None) -> str | None:
     validated, so a concurrent delete or rewrite cannot slip between a
     membership check and the read.
     """
-    loaded = _load_artifact(path, kind)
+    loaded = _load_artifact(path, None)
     return None if loaded is None else loaded[0]
 
 

@@ -22,7 +22,7 @@ from repro.service.http import _ServiceHandler, make_server
 @pytest.fixture()
 def serve(tmp_path):
     """Start servers on demand (``serve(request_timeout=...)``); each is
-    stopped at teardown unless the test already stopped it."""
+    stopped at teardown (stopping a stopped server is harmless)."""
     started = []
 
     def start(request_timeout=30.0):
@@ -115,6 +115,7 @@ class TestStaleConnections:
         with ServiceClient(server.url, retries=0) as client:
             client.health()
             time.sleep(1.0)  # the server drops the idle connection
+            assert _wait_until(lambda: not server._connections)
             campaign = CampaignConfig(faults_per_element=2, seed=5).as_dict()
             job = client.submit("fig4", campaign=campaign)
             assert job["deduplicated"] is False
@@ -157,14 +158,23 @@ class TestStoppedServer:
         server = serve()
         request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
         with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+            reader = sock.makefile("rb")
             sock.sendall(request)
-            assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+            # Headers and body arrive as separate segments: read the
+            # whole first reply so nothing of it is left to read later.
+            assert reader.readline().startswith(b"HTTP/1.1 200")
+            length = 0
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                if line.lower().startswith(b"content-length:"):
+                    length = int(line.split(b":")[1])
+            assert len(reader.read(length)) == length
             server.shutdown()
             try:
                 sock.sendall(request)
-                reply = sock.recv(4096)
+                reply = reader.read1(4096)
             except ConnectionError:
                 reply = b""
+            reader.close()
         assert reply == b""
 
 
