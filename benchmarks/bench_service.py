@@ -17,7 +17,9 @@ Checks (all hard failures):
 * the artifact fetched on the hit path is byte-identical to the cold
   fetch;
 * queue throughput: ``--resubmits`` dedup submissions time the
-  jobs/sec the HTTP + queue layers sustain when no compute is involved.
+  jobs/sec the HTTP + queue layers sustain when no compute is involved;
+  afterwards the service lists exactly two jobs, the executing one and
+  the one served job every resubmission shares.
 
 ``--smoke`` shrinks the fault population for CI; the speedup gate stays
 enforced (a store read beats a campaign by orders of magnitude on any
@@ -110,6 +112,7 @@ def main(argv=None) -> int:
             for _ in range(args.resubmits):
                 client.submit(args.circuit, campaign=campaign)
             jobs_per_s = args.resubmits / (time.perf_counter() - start)
+            listed = [row["job_id"] for row in client.jobs()]
 
             if not hit_job["deduplicated"]:
                 failures.append("resubmission was not deduplicated")
@@ -119,6 +122,11 @@ def main(argv=None) -> int:
                 failures.append(
                     f"expected exactly 1 engine invocation, "
                     f"saw {stats['executions']}"
+                )
+            if listed != [cold_job["job_id"], hit_job["job_id"]]:
+                failures.append(
+                    f"expected the executing job and one served job after "
+                    f"{args.resubmits} resubmissions, listed {listed}"
                 )
             if hit_text != cold_text:
                 failures.append("hit fetch differs from cold fetch")

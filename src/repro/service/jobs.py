@@ -25,9 +25,14 @@ Deduplication is fingerprint-first: a spec's :meth:`JobSpec.fingerprint`
 covers only the outcome-relevant identity (the same exclusion contract
 as :func:`repro.core.sharding.campaign_fingerprint` — split knobs
 like the shard count don't change results, so they don't change the
-key).  Submitting work whose fingerprint is already **stored** returns
-the stored result without executing anything; submitting work an
-**active** job already covers returns that job.
+key).  Submitting work an **active** job already covers returns that
+job.  Submitting work whose fingerprint is already **stored** returns
+the stored result without executing anything: the first such
+resubmission records one ``done`` job *served from the store*, and
+every later one returns that same job, so resubmitting stored work
+writes nothing.  Membership is a validated read of the stored artifact:
+an entry that was evicted (``cache gc``) or is torn is not stored, and
+its resubmission executes again.
 
 :class:`Scheduler` drives execution on a bounded thread pool: each job
 regenerates the circuit's analog test program (``sensitivity`` →
@@ -477,11 +482,28 @@ class JobQueue:
                 if state is None or job.state == state
             ]
 
-    def _active_for(self, fingerprint: str) -> Job | None:
-        for _, job in sorted(self._jobs.items()):
-            if job.fingerprint == fingerprint and job.state not in TERMINAL_STATES:
+    def _covering(self, fingerprint: str) -> Job | None:
+        """The fingerprint's active job, else its lowest-id served job.
+
+        One pass in insertion order, which is id order: the job files
+        load sorted and new ids only grow.  A served job is one marked
+        ``done`` from the store; a root written by an earlier release
+        may hold several per fingerprint.
+        """
+        served = None
+        for job in self._jobs.values():
+            if job.fingerprint != fingerprint:
+                continue
+            if job.state not in TERMINAL_STATES:
                 return job
-        return None
+            if (
+                served is None
+                and job.state == "done"
+                and job.served_from_store
+                and job.artifact == fingerprint
+            ):
+                served = job
+        return served
 
     # -- the state machine ----------------------------------------------
     def transition(self, job_id: str, state: str, **fields) -> Job:
@@ -518,19 +540,29 @@ class JobQueue:
     def submit(self, spec: JobSpec) -> tuple[Job, bool]:
         """Register work; returns ``(job, deduplicated)``.
 
-        Dedup order: an *active* job already covering the fingerprint
-        wins first (one execution, many submitters), then a *stored*
-        result (job is born ``done`` and serves the artifact), then a
-        fresh ``queued`` job.
+        Dedup order:
+
+        1. an *active* job already covering the fingerprint (one
+           execution, many submitters);
+        2. while the store holds a readable artifact for it, the
+           fingerprint's *served* job: the lowest-id ``done`` job
+           served from the store.  Nothing is minted, logged or
+           written; the job's ``created`` is the submission that
+           first recorded it;
+        3. a store hit with no served job yet records one, born
+           ``done``; a miss records a fresh ``queued`` job.
         """
         fingerprint = spec.fingerprint()
         with self._lock:
-            active = self._active_for(fingerprint)
-            if active is not None:
-                return active, True
+            covering = self._covering(fingerprint)
+            if covering is not None and covering.state not in TERMINAL_STATES:
+                return covering, True
+            stored = self.store.has_artifact(STORE_NAMESPACE, fingerprint)
+            if stored and covering is not None:
+                return covering, True
             self._sequence += 1
             job_id = f"j{self._sequence:06d}-{fingerprint[:8]}"
-            if self.store.has_artifact(STORE_NAMESPACE, fingerprint):
+            if stored:
                 job = Job(
                     id=job_id,
                     spec=spec,

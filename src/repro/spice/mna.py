@@ -127,16 +127,34 @@ class MnaSolver:
         unit_driven(circuit, source)  # validates the source name
         self.circuit = circuit
         self.source = source
-        self.backend = resolve_backend(backend, n_nodes=len(circuit.nodes()))
+        # "auto" depends on the node count, which the first compiled
+        # model resolves from its own node index; a named backend (or
+        # an unknown name) resolves, or raises, here.
+        self._backend: LinearSystemBackend | None = (
+            None if backend == "auto" else resolve_backend(backend)
+        )
         #: caller-owned symbolic-pattern cache the sparse backend reuses
         #: across frequencies and deviation states (same topology ⇒ same
         #: sparsity structure).
         self._patterns: dict[bytes, object] = {}
 
+    @property
+    def backend(self) -> LinearSystemBackend:
+        """The linear-system backend every system of this solver uses."""
+        if self._backend is None:
+            self._backend = resolve_backend(
+                "auto", n_nodes=len(self.circuit.nodes())
+            )
+        return self._backend
+
     def _model(self) -> AcModel:
         """The circuit as it is now, compiled.  Never memoized: element
         values may be edited between calls."""
-        return AcModel(self.circuit, self.source, backend=self.backend)
+        model = AcModel(
+            self.circuit, self.source, backend=self._backend or "auto"
+        )
+        self._backend = model.backend
+        return model
 
     def solve(self, frequency_hz: float) -> Solution:
         """Solve at one frequency; ``0.0`` selects the DC system."""

@@ -6,6 +6,7 @@ is tested in isolation (and in milliseconds).
 """
 
 import json
+import os
 import shutil
 import threading
 from pathlib import Path
@@ -34,6 +35,12 @@ def _spec(**campaign) -> JobSpec:
         circuit="fig4",
         campaign=CampaignConfig(faults_per_element=2, seed=3).replace(**campaign),
     )
+
+
+def _store(queue: JobQueue, spec: JobSpec) -> Path:
+    """Put a stand-in result for ``spec`` into the queue's store."""
+    artifact = Artifact(kind="campaign", circuit="fig4", payload={"outcomes": []})
+    return queue.store.put_artifact(STORE_NAMESPACE, spec.fingerprint(), artifact)
 
 
 class TestJobSpec:
@@ -236,6 +243,74 @@ class TestDeduplication:
         assert job.state == "done"
         assert job.served_from_store
         assert job.artifact == spec.fingerprint()
+
+    def test_resubmissions_of_stored_work_reuse_one_served_job(self, tmp_path):
+        """Resubmitting stored work mints no job and writes no file."""
+        queue, spec = JobQueue(tmp_path), _spec()
+        _store(queue, spec)
+        results = [queue.submit(spec) for _ in range(20)]
+        assert all(deduplicated for _, deduplicated in results)
+        assert len({job.id for job, _ in results}) == 1
+        (job, _) = results[0]
+        assert [j.id for j in queue.jobs()] == [job.id]
+        assert sorted(p.name for p in (tmp_path / "jobs").iterdir()) == [
+            f"{job.id}.json"
+        ]
+        assert [e["kind"] for e in job.events] == ["submitted", "done"]
+
+    def test_served_job_is_reused_after_restart(self, tmp_path):
+        spec = _spec()
+        queue = JobQueue(tmp_path)
+        _store(queue, spec)
+        served, _ = queue.submit(spec)
+        again, deduplicated = JobQueue(tmp_path).submit(spec)
+        assert deduplicated
+        assert again.id == served.id
+        assert len(list((tmp_path / "jobs").iterdir())) == 1
+
+    def test_lowest_id_served_job_wins(self, tmp_path):
+        """A root written by an earlier release holds one served job per
+        resubmission; the earliest of them is the one reused."""
+        spec = _spec()
+        queue = JobQueue(tmp_path)
+        _store(queue, spec)
+        served, _ = queue.submit(spec)
+        later = Job.from_document(
+            {**served.to_document(), "job_id": f"j000009-{served.id[8:]}"}
+        )
+        queue._persist(later)
+        again, _ = JobQueue(tmp_path).submit(spec)
+        assert again.id == served.id
+
+    @pytest.mark.parametrize("damage", ["evicted", "torn"])
+    def test_unreadable_store_entry_is_not_served(self, tmp_path, damage):
+        """A ``cache gc``'d or torn entry re-executes instead of handing
+        out a ``done`` job whose artifact would 404."""
+        queue, spec = JobQueue(tmp_path), _spec()
+        path = _store(queue, spec)
+        served, _ = queue.submit(spec)
+        if damage == "evicted":
+            os.utime(path, (0, 0))  # predates the sweep, as gc requires
+            queue.store.gc(keep=[], namespace=STORE_NAMESPACE)
+            assert not path.exists()
+        else:
+            path.write_text(path.read_text()[:40])
+        fresh, deduplicated = queue.submit(spec)
+        assert not deduplicated
+        assert fresh.id != served.id
+        assert fresh.state == "queued"
+        assert not fresh.served_from_store
+
+    def test_active_job_wins_over_served_job(self, tmp_path):
+        queue, spec = JobQueue(tmp_path), _spec()
+        path = _store(queue, spec)
+        served, _ = queue.submit(spec)
+        path.unlink()
+        active, _ = queue.submit(spec)  # the store lost it: executes
+        _store(queue, spec)  # and the store has it again meanwhile
+        again, deduplicated = queue.submit(spec)
+        assert deduplicated
+        assert again.id == active.id != served.id
 
     def test_terminal_jobs_do_not_absorb_resubmissions(self, tmp_path):
         """A failed job must not swallow a retry of the same work."""

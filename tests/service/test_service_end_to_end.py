@@ -11,6 +11,7 @@ here:
 """
 
 import json
+import os
 import threading
 
 import pytest
@@ -119,6 +120,44 @@ class TestDeduplication:
         assert finished["served_from_store"]
         after = client.health()["scheduler"]
         assert after["executions"] == before["executions"]  # nothing ran
+
+    def test_resubmissions_share_one_served_job_until_the_store_loses_it(
+        self, service, client
+    ):
+        """Twenty resubmissions of stored work list one served job and
+        write one job file; once ``cache gc`` evicts the entry, the next
+        resubmission executes again."""
+        campaign = CAMPAIGN.replace(seed=13).as_dict()  # fresh fingerprint
+        first = client.submit("fig4", campaign=campaign)
+        assert client.wait(first["job_id"], timeout=300.0)["state"] == "done"
+        rows = [client.submit("fig4", campaign=campaign) for _ in range(20)]
+        assert all(row["deduplicated"] for row in rows)
+        assert len({row["job_id"] for row in rows}) == 1
+        served = rows[0]
+        assert served["state"] == "done" and served["served_from_store"]
+        mine = [
+            row["job_id"]
+            for row in client.jobs()
+            if row["fingerprint"] == first["fingerprint"]
+        ]
+        assert mine == [first["job_id"], served["job_id"]]
+        job_files = service.scheduler.queue.root / "jobs"
+        assert len(list(job_files.glob(f"*-{first['fingerprint'][:8]}.json"))) == 2
+
+        store = service.scheduler.queue.store
+        path = store.path_for(STORE_NAMESPACE, first["fingerprint"])
+        os.utime(path, (0, 0))  # predates the sweep, as gc requires
+        others = set(store.fingerprints(STORE_NAMESPACE)) - {first["fingerprint"]}
+        store.gc(keep=others, namespace=STORE_NAMESPACE)
+        assert not path.exists()
+        executions = client.health()["scheduler"]["executions"]
+        again = client.submit("fig4", campaign=campaign)
+        assert not again["deduplicated"]
+        assert again["job_id"] not in (first["job_id"], served["job_id"])
+        finished = client.wait(again["job_id"], timeout=300.0)
+        assert finished["state"] == "done"
+        assert not finished["served_from_store"]
+        assert client.health()["scheduler"]["executions"] == executions + 1
 
     def test_concurrent_identical_submissions_execute_once(self, client):
         executions_before = client.health()["scheduler"]["executions"]
