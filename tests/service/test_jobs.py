@@ -8,6 +8,7 @@ is tested in isolation (and in milliseconds).
 import json
 import os
 import shutil
+import sys
 import threading
 from pathlib import Path
 
@@ -41,6 +42,31 @@ def _store(queue: JobQueue, spec: JobSpec) -> Path:
     """Put a stand-in result for ``spec`` into the queue's store."""
     artifact = Artifact(kind="campaign", circuit="fig4", payload={"outcomes": []})
     return queue.store.put_artifact(STORE_NAMESPACE, spec.fingerprint(), artifact)
+
+
+def _submit_concurrently(queue: JobQueue, spec: JobSpec, threads: int) -> list:
+    """Submit ``spec`` from ``threads`` threads released at once, with a
+    short switch interval so the submissions interleave."""
+    results = []
+    barrier = threading.Barrier(threads)
+
+    def submitter():
+        barrier.wait()
+        results.append(queue.submit(spec))
+
+    workers = [threading.Thread(target=submitter) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert len(results) == threads
+    return results
 
 
 class TestJobSpec:
@@ -217,21 +243,20 @@ class TestDeduplication:
 
     def test_concurrent_identical_submissions_create_one_job(self, tmp_path):
         queue = JobQueue(tmp_path)
-        results = []
-        barrier = threading.Barrier(8)
-
-        def submitter():
-            barrier.wait()
-            results.append(queue.submit(_spec()))
-
-        threads = [threading.Thread(target=submitter) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        results = _submit_concurrently(queue, _spec(), 8)
         assert len({job.id for job, _ in results}) == 1
         assert sum(1 for _, deduplicated in results if not deduplicated) == 1
         assert len(queue.jobs()) == 1
+
+    def test_concurrent_resubmissions_of_stored_work_share_one_job(
+        self, tmp_path
+    ):
+        queue = JobQueue(tmp_path)
+        _store(queue, _spec())
+        results = _submit_concurrently(queue, _spec(), 8)
+        assert len({job.id for job, _ in results}) == 1
+        assert all(deduplicated for _, deduplicated in results)
+        assert len(list((tmp_path / "jobs").iterdir())) == 1
 
     def test_stored_result_births_a_done_job(self, tmp_path):
         queue = JobQueue(tmp_path)

@@ -76,6 +76,30 @@ class TestBackendChoice:
         assert MnaSolver(divider(), backend="sparse").backend.name == "sparse"
         assert MnaSolver(divider()).backend.name == "dense"
 
+    def test_factorization_walks_the_netlist_once(self, monkeypatch):
+        """``auto`` resolves from the compiled model's node index: the
+        solver does not walk ``nodes()`` a second time for it."""
+        from repro.circuits.ladders import LADDER_SOURCE, rc_ladder
+
+        circuit = rc_ladder(200)
+        walks = []
+        original = AnalogCircuit.nodes
+
+        def counted(self):
+            walks.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(AnalogCircuit, "nodes", counted)
+        solver = MnaSolver(circuit, source=LADDER_SOURCE)
+        factorized = solver.factorized(1.0e3)
+        assert len(walks) == 1
+        assert solver.backend.name == factorized.backend_name == "sparse"
+        assert len(walks) == 1
+
+    def test_unknown_backend_is_refused_at_construction(self):
+        with pytest.raises(AnalogError, match="unknown linear-system"):
+            MnaSolver(divider(), backend="bogus")
+
 
 class TestAc:
     def test_as_built_levels_without_a_source(self):
