@@ -12,13 +12,13 @@ fault population and one detection semantics:
   codes are hoisted out of the fault loop (they are fault independent),
   but nothing else is cached.
 * ``factorized`` — the fast path: per-frequency LU factorizations of
-  the *good* circuit are built once and kept by the engine
+  the *good* circuit are built once per program
   (:meth:`repro.spice.MnaSolver.factorized`, with the source driven at
   unit amplitude inside the assembly, so the circuit is only read),
   every faulty response is a Sherman–Morrison rank-one update
   against that factorization, faulty gains are memoized per
   ``(element, deviation, frequency)``, digital fault propagation is
-  memoized per ``(step, faulty code)``, and the program step that
+  memoized per ``(step vector, faulty code)``, and the program step that
   targets the faulted element is tried first (early exit).  Execution
   is *batch, then walk*: the whole population's own-step gains are
   precomputed up front (:meth:`repro.spice.FactorizedMna.
@@ -34,7 +34,10 @@ carries a stimulus and a digital vector), the result is one
 :class:`InjectionOutcome` per fault in fault order, and ``mixed`` is
 only read.  After ``run`` returns, the instance's ``last_diagnostics``
 describes what actually ran, so each campaign takes a fresh instance.
-Both walk the program steps in the same order (the faulted
+The factorized engine's ``run`` builds a :class:`PreparedProgram` — the
+fault-independent preparation — and runs the faults on it; a sharded
+campaign keeps one :class:`PreparedProgram` and runs each shard's fault
+slice on it.  Both walk the program steps in the same order (the faulted
 element's own step first), so — floating-point coincidences at a
 comparator threshold aside — they produce *identical* outcome lists for
 the same seed.  The differential test suite holds them to that.
@@ -47,7 +50,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..digital.compiled import CompiledCircuit
-from ..digital.simulate import simulate
+from ..digital.simulate import _check_engine, simulate
 from ..spice import MnaSolver
 
 __all__ = [
@@ -57,6 +60,7 @@ __all__ = [
     "draw_faults",
     "step_order",
     "ReferenceEngine",
+    "PreparedProgram",
     "FactorizedEngine",
 ]
 
@@ -263,84 +267,67 @@ class ReferenceEngine:
         )
 
 
-class FactorizedEngine:
-    """LU-factorized fast path: same outcomes, ~an order of magnitude
-    less work per fault.
+class PreparedProgram:
+    """One test program prepared for factorized fault injection.
 
-    Execution order is **batch, then walk**: after the per-frequency LU
-    factorizations and the good-circuit responses are hoisted, every
-    fault's *own-step* gains — the gains the early exit almost always
-    decides on — are computed up front by
-    :meth:`repro.spice.FactorizedMna.deviation_batch`, one multi-RHS
-    backend solve per distinct stimulus frequency, and published into
-    the gain memo.  The serial detection walk that follows keeps the
-    exact ``step_order`` early-exit semantics, but runs almost entirely
-    on memo hits; only a fault that survives its own steps pays further
-    (lazily computed, memoized) batch-of-one updates on the remaining
-    steps.  Every gain therefore comes from the one Sherman–Morrison
-    kernel, :meth:`~repro.spice.FactorizedMna.deviation_batch`.
+    The fault-independent half of :class:`FactorizedEngine`: the compiled
+    digital circuit, one :class:`~repro.spice.MnaSolver`, one LU
+    factorization per distinct stimulus frequency, the good-circuit
+    gains, codes and digital words per step, and the steps grouped by
+    the element they target.  It is built by the first :meth:`run` that
+    has faults to inject, so a campaign whose shards are all cached (or
+    empty) prepares nothing, and every later :meth:`run` reuses it.  A
+    sharded campaign runs all its shards on one instance.
 
-    Cost model: the reference engine pays a full matrix assembly and
-    dense solve per (fault, step) pair, twice (good and faulty
-    circuit).  Here the own-step updates' per-direction solves
-    collapse into one multi-RHS call per frequency and the
-    update scalars vectorize across the whole population, with no
-    per-fault Python/solver round trips.
+    A :meth:`run` does not depend on the runs before it.  Its gain memo
+    is its own, the factorizations' direction caches are released when
+    it ends (:meth:`repro.spice.FactorizedMna.release_directions`), and
+    its diagnostics count its own solves.  Only the digital-response
+    memo is shared across runs: a response is a pure function of the
+    step's vector and the converter code.
 
-    Campaigns run it on the defaults.  ``backend`` (a
-    :mod:`repro.spice.backends` name) and ``digital_engine`` (the
-    compiled levelized circuit or the ``"reference"`` interpreter) are
-    there for ``repro audit`` and the differential tests, which check
-    that every choice yields the same outcomes.
+    ``digital_engine`` is checked here, up front; ``backend`` when the
+    solver is built.
     """
 
-    name = "factorized"
-    #: diagnostics of the most recent :meth:`run` (or ``None``): backend
-    #: name, factorizations built, multi-RHS solve counters.
-    last_diagnostics: dict | None = None
-
-    def run(
+    def __init__(
         self,
         mixed,
         steps: Sequence,
-        faults: Sequence[FaultSpec],
         backend: str = "auto",
         digital_engine: str = "compiled",
-    ) -> list[InjectionOutcome]:
-        if not faults:
-            # Emit the full diagnostics shape even with nothing to do:
-            # empty shards land in the same artifact/service pipelines
-            # as full ones, and consumers key into these fields.
-            self.last_diagnostics = {
-                "engine": self.name,
-                "digital_engine": digital_engine,
-                "batched_gains": 0,
-                "backend": None,
-                "factorizations": 0,
-                "solve_calls": 0,
-                "multi_rhs_solves": 0,
-                "multi_rhs_columns": 0,
-            }
-            return []
-        circuit = mixed.analog
-        output = mixed.analog_output
-        digital_outputs = tuple(mixed.digital.outputs)
-        converter_lines = tuple(mixed.converter_lines)
-        thresholds = tuple(mixed.adc.thresholds())
-        if digital_engine == "compiled":
+    ):
+        _check_engine(digital_engine)
+        self.mixed = mixed
+        self.steps = steps
+        self.backend = backend
+        self.digital_engine = digital_engine
+        self._factorized: dict | None = None
+
+    def _prepare(self) -> None:
+        mixed, steps = self.mixed, self.steps
+        self._output = mixed.analog_output
+        self._converter_lines = tuple(mixed.converter_lines)
+        self._thresholds = thresholds = tuple(mixed.adc.thresholds())
+        if self.digital_engine == "compiled":
             # Levelized single-pattern evaluation: no per-call
             # topological re-walk or per-signal dict for the (step,
             # faulty code) response memo below.
-            compiled = CompiledCircuit(mixed.digital)
-            respond = compiled.evaluate_outputs
+            self._respond = CompiledCircuit(mixed.digital).evaluate_outputs
         else:
+            digital_outputs = tuple(mixed.digital.outputs)
+
             def respond(assignment: dict) -> tuple[int, ...]:
                 response = simulate(mixed.digital, assignment)
                 return tuple(response[o] for o in digital_outputs)
+
+            self._respond = respond
         # The source is driven at unit amplitude inside the assembly,
         # so the good-circuit output phasor is the transfer value and
         # the shared circuit is only read.
-        solver = MnaSolver(circuit, backend=backend, source=mixed.analog_source)
+        solver = MnaSolver(
+            mixed.analog, backend=self.backend, source=mixed.analog_source
+        )
         # One LU per distinct stimulus frequency, shared by every
         # fault.
         factorized = {}
@@ -350,31 +337,120 @@ class FactorizedEngine:
             if frequency not in factorized:
                 system = solver.factorized(frequency)
                 factorized[frequency] = system
-                good_gain[frequency] = abs(system.solution().voltage(output))
+                good_gain[frequency] = abs(
+                    system.solution().voltage(self._output)
+                )
+        self._backend_name = solver.backend.name
         # Good codes and good digital responses, hoisted per step.
         # The response depends only on (vector, code), so steps that
         # share both share one digital simulation.
-        good_codes: list[tuple[int, ...]] = []
-        good_words: list[tuple[int, ...]] = []
-        word_memo: dict[tuple, tuple[int, ...]] = {}
-        for step in steps:
-            stimulus = step.stimulus
-            code = _convert(
+        self._vectors = [tuple(step.vector.items()) for step in steps]
+        self._words: dict[tuple, tuple[int, ...]] = {}
+        self._good_codes = [
+            _convert(
                 thresholds,
-                stimulus.amplitude * good_gain[stimulus.frequency_hz],
+                step.stimulus.amplitude
+                * good_gain[step.stimulus.frequency_hz],
             )
-            good_codes.append(code)
-            word_key = (tuple(step.vector.items()), code)
-            word = word_memo.get(word_key)
-            if word is None:
-                assignment = dict(step.vector)
-                for line, bit in zip(converter_lines, code):
-                    assignment[line] = bit
-                word = word_memo[word_key] = respond(assignment)
-            good_words.append(word)
-        own_steps: dict[str, list[int]] = {}
+            for step in steps
+        ]
+        self._good_words = [
+            self._word(index, code)
+            for index, code in enumerate(self._good_codes)
+        ]
+        self._own_steps: dict[str, list[int]] = {}
         for index, step in enumerate(steps):
-            own_steps.setdefault(step.element, []).append(index)
+            self._own_steps.setdefault(step.element, []).append(index)
+        # Set last: a preparation that raises is retried by the next run.
+        self._factorized = factorized
+
+    def _word(self, index: int, code: tuple[int, ...]) -> tuple[int, ...]:
+        """Step ``index``'s digital response with ``code`` on the
+        converter lines, memoized on (vector, code)."""
+        key = (self._vectors[index], code)
+        word = self._words.get(key)
+        if word is None:
+            assignment = dict(self.steps[index].vector)
+            for line, bit in zip(self._converter_lines, code):
+                assignment[line] = bit
+            word = self._words[key] = self._respond(assignment)
+        return word
+
+    def _idle_diagnostics(self) -> dict:
+        # The full diagnostics shape even with nothing to do: empty
+        # shards land in the same artifact/service pipelines as full
+        # ones, and consumers key into these fields.
+        return {
+            "engine": FactorizedEngine.name,
+            "digital_engine": self.digital_engine,
+            "batched_gains": 0,
+            "backend": None,
+            "factorizations": 0,
+            "solve_calls": 0,
+            "multi_rhs_solves": 0,
+            "multi_rhs_columns": 0,
+        }
+
+    def run(
+        self, faults: Sequence[FaultSpec]
+    ) -> tuple[list[InjectionOutcome], dict]:
+        """Inject ``faults``: one outcome per fault, in fault order, and
+        this run's diagnostics."""
+        if not faults:
+            return [], self._idle_diagnostics()
+        if self._factorized is None:
+            self._prepare()
+        factorized = self._factorized
+        before = {
+            frequency: system.solve_stats()
+            for frequency, system in factorized.items()
+        }
+        try:
+            verdicts, batched_gains = self._walk(faults)
+        finally:
+            for system in factorized.values():
+                system.release_directions()
+        solve_stats = {
+            "solve_calls": 0,
+            "multi_rhs_solves": 0,
+            "multi_rhs_columns": 0,
+        }
+        for frequency, system in factorized.items():
+            for key, value in system.solve_stats().items():
+                solve_stats[key] += value - before[frequency][key]
+        diagnostics = {
+            "engine": FactorizedEngine.name,
+            "digital_engine": self.digital_engine,
+            "batched_gains": batched_gains,
+            "backend": self._backend_name,
+            "factorizations": len(factorized),
+            **solve_stats,
+        }
+        outcomes = [
+            InjectionOutcome(
+                element=fault.element,
+                deviation=fault.deviation,
+                severity=fault.severity,
+                detected=detected,
+                detecting_target=detecting,
+            )
+            for fault, (detected, detecting) in zip(faults, verdicts)
+        ]
+        return outcomes, diagnostics
+
+    def _walk(
+        self, faults: Sequence[FaultSpec]
+    ) -> tuple[list[tuple[bool, str | None]], int]:
+        """Batch, then walk: every fault's verdict, and the number of
+        gains the up-front batch computed."""
+        steps = self.steps
+        output = self._output
+        thresholds = self._thresholds
+        factorized = self._factorized
+        good_codes = self._good_codes
+        good_words = self._good_words
+        own_steps = self._own_steps
+        word = self._word
 
         def order_of(element):
             # step_order, streamed: the early-exit prefix (the
@@ -387,9 +463,9 @@ class FactorizedEngine:
                 if step.element != element:
                     yield index
 
-        # Memoization across faults and steps.
+        # Gains are memoized per run, never across runs: a gain can
+        # differ in the last ulp with the batch it was computed in.
         gain_memo: dict[tuple[str, float, float], float] = {}
-        detect_memo: dict[tuple, bool] = {}
 
         # Batch-then-walk: precompute every fault's own-step gains
         # — the gains the early exit almost always decides on — as
@@ -423,26 +499,6 @@ class FactorizedEngine:
                 gain = gain_memo[gain_key] = abs(complex(value))
             return gain
 
-        def detect(index: int, code: tuple[int, ...]) -> bool:
-            # Whether a faulty code is told apart from the good word
-            # depends only on (vector, code, good word) — steps that
-            # agree on all three share one digital simulation.
-            step = steps[index]
-            detect_key = (
-                tuple(step.vector.items()),
-                code,
-                good_words[index],
-            )
-            hit = detect_memo.get(detect_key)
-            if hit is None:
-                assignment = dict(step.vector)
-                for line, bit in zip(converter_lines, code):
-                    assignment[line] = bit
-                hit = detect_memo[detect_key] = (
-                    respond(assignment) != good_words[index]
-                )
-            return hit
-
         def evaluate(fault: FaultSpec) -> tuple[bool, str | None]:
             # A fault's converted code depends only on the stimulus,
             # never on the step, so one small per-fault memo
@@ -458,34 +514,59 @@ class FactorizedEngine:
                     codes[code_key] = code
                 if code == good_codes[index]:
                     continue  # conversion masks the fault here
-                if detect(index, code):
+                if word(index, code) != good_words[index]:
                     return True, steps[index].element
             return False, None
 
-        verdicts = [evaluate(fault) for fault in faults]
-        solve_stats = {
-            "solve_calls": 0,
-            "multi_rhs_solves": 0,
-            "multi_rhs_columns": 0,
-        }
-        for system in factorized.values():
-            for key, value in system.solve_stats().items():
-                solve_stats[key] += value
-        self.last_diagnostics = {
-            "engine": self.name,
-            "digital_engine": digital_engine,
-            "batched_gains": batched_gains,
-            "backend": solver.backend.name,
-            "factorizations": len(factorized),
-            **solve_stats,
-        }
-        return [
-            InjectionOutcome(
-                element=fault.element,
-                deviation=fault.deviation,
-                severity=fault.severity,
-                detected=detected,
-                detecting_target=detecting,
-            )
-            for fault, (detected, detecting) in zip(faults, verdicts)
-        ]
+        return [evaluate(fault) for fault in faults], batched_gains
+
+
+class FactorizedEngine:
+    """LU-factorized fast path: same outcomes, ~an order of magnitude
+    less work per fault.
+
+    :meth:`run` prepares the program once (:class:`PreparedProgram`:
+    the per-frequency LU factorizations and the good-circuit
+    responses), then executes it **batch, then walk**: every fault's
+    *own-step* gains — the gains the early exit almost always decides
+    on — are computed up front by
+    :meth:`repro.spice.FactorizedMna.deviation_batch`, one multi-RHS
+    backend solve per distinct stimulus frequency, and published into
+    the gain memo.  The serial detection walk that follows keeps the
+    exact ``step_order`` early-exit semantics, but runs almost entirely
+    on memo hits; only a fault that survives its own steps pays further
+    (lazily computed, memoized) batch-of-one updates on the remaining
+    steps.  Every gain therefore comes from the one Sherman–Morrison
+    kernel, :meth:`~repro.spice.FactorizedMna.deviation_batch`.
+
+    Cost model: the reference engine pays a full matrix assembly and
+    dense solve per (fault, step) pair, twice (good and faulty
+    circuit).  Here the own-step updates' per-direction solves
+    collapse into one multi-RHS call per frequency and the
+    update scalars vectorize across the whole population, with no
+    per-fault Python/solver round trips.
+
+    Campaigns run it on the defaults.  ``backend`` (a
+    :mod:`repro.spice.backends` name) and ``digital_engine`` (the
+    compiled levelized circuit or the ``"reference"`` interpreter) are
+    there for ``repro audit`` and the differential tests, which check
+    that every choice yields the same outcomes; an unknown
+    ``digital_engine`` raises :class:`ValueError` before any work.
+    """
+
+    name = "factorized"
+    #: diagnostics of the most recent :meth:`run` (or ``None``): backend
+    #: name, factorizations built, multi-RHS solve counters.
+    last_diagnostics: dict | None = None
+
+    def run(
+        self,
+        mixed,
+        steps: Sequence,
+        faults: Sequence[FaultSpec],
+        backend: str = "auto",
+        digital_engine: str = "compiled",
+    ) -> list[InjectionOutcome]:
+        program = PreparedProgram(mixed, steps, backend, digital_engine)
+        outcomes, self.last_diagnostics = program.run(faults)
+        return outcomes

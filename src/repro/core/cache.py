@@ -17,9 +17,11 @@ Namespaces in use (see ``docs/caching.md`` for the full map):
 keyed by :func:`repro.core.sharding.shard_fingerprint`),
 ``pipeline-stage`` (generation-stage outputs, see
 :mod:`repro.api.pipeline`) and ``audit`` (replayed engine outcomes of
-the parity pack).  Dense LU
-factorizations are not cached: their owner (the campaign engine keeps
-one per stimulus frequency) refactors faster than a disk read, and
+the parity pack).  LU
+factorizations are not cached: their owner (a campaign keeps one per
+stimulus frequency, shared by its shards, each shard's update
+directions released when the shard ends) refactors faster than a disk
+read, and
 compiled digital forms (:class:`repro.digital.CompiledCircuit`, the
 BDDs) are built from the netlist by whoever uses them.
 """

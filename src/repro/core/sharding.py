@@ -20,8 +20,14 @@ count, and concatenating the per-shard outcome lists in shard order
 
 Execution
 ---------
-Shards run serially in the caller's process, in shard order, each on a
-fresh :class:`~repro.analog.faultsim.FactorizedEngine`.
+Shards run serially in the caller's process, in shard order, all on
+one :class:`~repro.analog.faultsim.PreparedProgram`: the solver, the LU
+factorization per stimulus frequency and the good-circuit responses are
+built once per campaign, by the first shard that executes, so a fully
+cached re-run builds nothing.  Each shard's gain memo and update
+directions are its own and released when it ends, and its diagnostics
+count its own solves, so a shard's result does not depend on which
+shards ran before it.
 
 Resume
 ------
@@ -57,6 +63,7 @@ from ..analog.faultsim import (
     FactorizedEngine,
     FaultSpec,
     InjectionOutcome,
+    PreparedProgram,
 )
 from ..api.config import CampaignConfig, ConfigError
 from .fingerprint import canonical_json, fingerprint_with_encoded
@@ -235,17 +242,20 @@ class ShardRun:
 
 
 def _execute_shard(
-    mixed, steps: Sequence, faults: Sequence[FaultSpec], index: int
+    program: PreparedProgram, faults: Sequence[FaultSpec], index: int
 ) -> ShardRun:
-    """Run one shard's fault slice on a fresh engine instance."""
-    engine = FactorizedEngine()
+    """Run one shard's fault slice on the campaign's shared program.
+
+    The first shard with faults prepares ``program`` (its ``seconds``
+    include that); an empty shard prepares nothing.
+    """
     begin = time.perf_counter()
-    outcomes = engine.run(mixed, steps, list(faults))
+    outcomes, diagnostics = program.run(list(faults))
     return ShardRun(
         index=index,
         outcomes=outcomes,
         seconds=time.perf_counter() - begin,
-        diagnostics=engine.last_diagnostics,
+        diagnostics=diagnostics,
     )
 
 
@@ -363,11 +373,14 @@ def run_sharded_campaign(
                 if progress is not None:
                     progress(loaded)
 
+    # Prepared by the first shard that executes; never, when every
+    # shard is cached.
+    program = PreparedProgram(mixed, steps)
     for index, (start, stop) in enumerate(bounds):
         if index in runs:
             continue
         try:
-            run = _execute_shard(mixed, steps, faults[start:stop], index)
+            run = _execute_shard(program, faults[start:stop], index)
         except Exception as error:
             raise ShardExecutionError(
                 f"shard {index} (faults [{start}, {stop})) failed: "

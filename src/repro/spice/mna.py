@@ -215,7 +215,7 @@ class FactorizedMna:
         # y = A⁻¹·u per value-independent update direction u — computing
         # it is the only solve against the factorization a rank-one
         # update needs, and every deviation of the same element reuses
-        # the same direction.
+        # the same direction.  Held until release_directions().
         self._ys: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -228,6 +228,23 @@ class FactorizedMna:
         """The baseline (as-assembled) solution — solved once at
         construction; this is a constant-time accessor."""
         return self._base_solution
+
+    @property
+    def cached_directions(self) -> int:
+        """How many ``y = A⁻¹·u`` update directions are held now."""
+        return len(self._ys)
+
+    def release_directions(self) -> None:
+        """Drop every cached update direction ``y = A⁻¹·u``.
+
+        :meth:`deviation_batch` keeps each fixed direction it solves, so
+        later batches at this frequency reuse it.  On a large circuit
+        that is one vector of the system's size per element; a caller
+        that keeps the factorization across independent batches of work
+        (the shards of a campaign) releases them between, which also
+        makes each batch's gains independent of the batches before it.
+        """
+        self._ys.clear()
 
     # ------------------------------------------------------------------
     def _stamp_delta(

@@ -87,10 +87,10 @@ class TestFailedShard:
         execute = sharding._execute_shard
         original = _Crash("singular system")
 
-        def failing(mixed, steps, faults, index):
+        def failing(program, faults, index):
             if index == 1:
                 raise original
-            return execute(mixed, steps, faults, index)
+            return execute(program, faults, index)
 
         monkeypatch.setattr(sharding, "_execute_shard", failing)
         with pytest.raises(ShardExecutionError) as excinfo:
@@ -126,11 +126,11 @@ class TestFailedShard:
         execute = sharding._execute_shard
         executed = []
 
-        def failing_at(mixed, steps, faults, index):
+        def failing_at(program, faults, index):
             executed.append(index)
             if index == failing:
                 raise _Crash("singular system")
-            return execute(mixed, steps, faults, index)
+            return execute(program, faults, index)
 
         monkeypatch.setattr(sharding, "_execute_shard", failing_at)
         with pytest.raises(ShardExecutionError, match=f"shard {failing} "):
@@ -159,11 +159,11 @@ class TestFailedShard:
         original = _Crash("singular system")
         executed = []
 
-        def failing(mixed, steps, faults, index):
+        def failing(program, faults, index):
             executed.append(index)
             if index == 1:
                 raise original
-            return execute(mixed, steps, faults, index)
+            return execute(program, faults, index)
 
         monkeypatch.setattr(sharding, "_execute_shard", failing)
         with pytest.raises(ShardExecutionError, match="shard 1 ") as excinfo:

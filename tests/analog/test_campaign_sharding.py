@@ -10,21 +10,25 @@ result as an uninterrupted one.
 
 import json
 import random
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.analog.faultsim import draw_faults
+from repro.analog.faultsim import PreparedProgram, draw_faults
 from repro.api import Artifact, CampaignConfig, ConfigError, Workbench
-from repro.core import run_campaign, shard_bounds
+from repro.core import run_campaign, shard_bounds, sharding
 from repro.core.cache import ResultCache
+from repro.core.campaign import draw_population
 from repro.core.sharding import (
     SHARD_NAMESPACE,
+    ShardExecutionError,
     ShardRun,
     campaign_fingerprint,
     shard_fingerprint,
 )
+from repro.spice import FactorizedMna, MnaSolver
 
 #: shard cache entries written by the release that still carried flat
 #: checkpoint files (fig4, ``faults_per_element=1``, ``seed=3``, two
@@ -444,6 +448,141 @@ class TestContentCacheResume:
             shard_fingerprint(mixed.name, _config(), faults[:7], testable)
             != base
         )
+
+
+class _Crash(Exception):
+    pass
+
+
+def _without_seconds(text: str) -> str:
+    """A shard entry's bytes with its wall-clock ``seconds`` blanked."""
+    return re.sub(r'"seconds": [^,}\n]+', '"seconds": null', text)
+
+
+def _count_factorizations(monkeypatch) -> list[float]:
+    """Record the frequency of every ``MnaSolver.factorized`` call."""
+    calls: list[float] = []
+    factorized = MnaSolver.factorized
+
+    def counting(self, frequency_hz):
+        calls.append(frequency_hz)
+        return factorized(self, frequency_hz)
+
+    monkeypatch.setattr(MnaSolver, "factorized", counting)
+    return calls
+
+
+class TestSharedPreparation:
+    """A campaign prepares the factorized engine once, in its first
+    executing shard, and every shard runs on that preparation without
+    depending on the shards that ran before it."""
+
+    def test_one_preparation_per_campaign(
+        self, prepared, baseline, tmp_path, monkeypatch
+    ):
+        mixed, report = prepared
+        calls = _count_factorizations(monkeypatch)
+        config = _config(shards=4, cache_dir=str(tmp_path))
+        cold = run_campaign(mixed, report, config=config)
+        assert cold.diagnostics["shards_executed"] == 4
+        assert _outcome_key(cold) == _outcome_key(baseline)
+        testable, _ = draw_population(report, config)
+        frequencies = {step.stimulus.frequency_hz for step in testable}
+        assert sorted(calls) == sorted(frequencies)
+
+        calls.clear()
+        warm = run_campaign(mixed, report, config=config)
+        assert warm.diagnostics["shards_from_cache"] == [0, 1, 2, 3]
+        assert calls == []
+
+    def test_preparation_error_names_the_first_executing_shard(
+        self, prepared, tmp_path, monkeypatch
+    ):
+        mixed, report = prepared
+        original = _Crash("singular system")
+
+        def failing(self, frequency_hz):
+            raise original
+
+        monkeypatch.setattr(MnaSolver, "factorized", failing)
+        config = _config(shards=4, cache_dir=str(tmp_path))
+        with pytest.raises(ShardExecutionError, match="shard 0 ") as excinfo:
+            run_campaign(mixed, report, config=config)
+        assert excinfo.value.__cause__ is original
+        assert not any(path.exists() for path in _shard_paths(prepared, config))
+
+    def test_a_shard_does_not_depend_on_the_shards_before_it(
+        self, prepared, tmp_path, monkeypatch
+    ):
+        """Shard 2 executed after shards 0-1 and shard 2 executed first
+        in its process write the same entry, diagnostics included; and
+        no update direction survives from one shard into the next."""
+        mixed, report = prepared
+        execute = sharding._execute_shard
+        executing: list[int] = []
+        first_batch: dict[tuple[int, float], int] = {}
+
+        def tracking(program, faults, index):
+            executing.append(index)
+            return execute(program, faults, index)
+
+        deviation_batch = FactorizedMna.deviation_batch
+
+        def observed(self, faults, node):
+            first_batch.setdefault(
+                (executing[-1], self.frequency_hz), self.cached_directions
+            )
+            return deviation_batch(self, faults, node)
+
+        monkeypatch.setattr(sharding, "_execute_shard", tracking)
+        monkeypatch.setattr(FactorizedMna, "deviation_batch", observed)
+        cold = _config(shards=4, cache_dir=str(tmp_path / "cold"))
+        run_campaign(mixed, report, config=cold)
+        assert executing == [0, 1, 2, 3]
+        assert {shard for shard, _ in first_batch} == {0, 1, 2, 3}
+        assert set(first_batch.values()) == {0}
+
+        seeded = cold.replace(cache_dir=str(tmp_path / "seeded"))
+        cold_paths = _shard_paths(prepared, cold)
+        seeded_paths = _shard_paths(prepared, seeded)
+        for index in (0, 1):
+            seeded_paths[index].parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(cold_paths[index], seeded_paths[index])
+        executing.clear()
+        result = run_campaign(mixed, report, config=seeded)
+        assert result.diagnostics["shards_from_cache"] == [0, 1]
+        assert executing == [2, 3]
+        assert _without_seconds(
+            seeded_paths[2].read_text()
+        ) == _without_seconds(cold_paths[2].read_text())
+
+    def test_a_run_does_not_depend_on_the_runs_before_it(
+        self, prepared, monkeypatch
+    ):
+        """One fault list run twice on one program: the second run asks
+        the kernel for the same gains, batch for batch (no gain or
+        update direction carried over), and reports the same
+        diagnostics."""
+        mixed, report = prepared
+        testable, faults = draw_population(report, _config())
+        requests: list[tuple] = []
+        deviation_batch = FactorizedMna.deviation_batch
+
+        def logged(self, faults, node):
+            requests.append((self.frequency_hz, tuple(faults)))
+            return deviation_batch(self, faults, node)
+
+        monkeypatch.setattr(FactorizedMna, "deviation_batch", logged)
+        program = PreparedProgram(mixed, testable)
+        first = program.run(faults)
+        first_requests = list(requests)
+        # Faults that survive their own steps fetch tail gains, one
+        # batch-of-one request each: the gain memo is exercised.
+        frequencies = {step.stimulus.frequency_hz for step in testable}
+        assert len(first_requests) > len(frequencies)
+        requests.clear()
+        assert program.run(faults) == first
+        assert requests == first_requests
 
 
 class TestConfigSurface:

@@ -243,6 +243,33 @@ class TestDrawFaultsClampedSeverity:
         assert all(f.deviation > -0.95 for f in first)  # no clamps here
 
 
+class TestUnknownDigitalEngine:
+    @pytest.mark.parametrize("n_faults", [0, 4], ids=["empty", "faults"])
+    def test_refused_before_any_work(self, n_faults):
+        """A misspelt engine name is an error, not the reference
+        interpreter under another name, whether or not there are faults
+        to inject."""
+        from repro.analog.faultsim import FactorizedEngine
+        from repro.api import CampaignConfig, Workbench
+        from repro.core.campaign import draw_population
+
+        session = Workbench().session()
+        mixed = session.circuit("fig4")
+        report = session.run(mixed, stages=("sensitivity", "stimulus")).report
+        steps, faults = draw_population(
+            report, CampaignConfig(faults_per_element=1, seed=3)
+        )
+        engine = FactorizedEngine()
+        with pytest.raises(
+            ValueError,
+            match="unknown digital fault-simulation engine 'compild'",
+        ):
+            engine.run(
+                mixed, steps, faults[:n_faults], digital_engine="compild"
+            )
+        assert engine.last_diagnostics is None
+
+
 class TestEmptyPopulationDiagnostics:
     def test_factorized_engine_emits_full_shape(self):
         from repro.analog.faultsim import FactorizedEngine

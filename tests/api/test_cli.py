@@ -165,10 +165,10 @@ class TestCampaignShardFailure:
 
         execute = sharding._execute_shard
 
-        def failing(mixed, steps, faults, index):
+        def failing(program, faults, index):
             if index == 1:
                 raise RuntimeError("singular system")
-            return execute(mixed, steps, faults, index)
+            return execute(program, faults, index)
 
         monkeypatch.setattr(sharding, "_execute_shard", failing)
         argv = [

@@ -58,7 +58,7 @@ class TestJobFailure:
         one failure artifact and never enters the store."""
         executed = []
 
-        def failing(mixed, steps, faults, index):
+        def failing(program, faults, index):
             executed.append(index)
             raise RuntimeError("singular system")
 
@@ -94,10 +94,10 @@ class TestJobFailure:
         execute = sharding._execute_shard
         broken = [True]
 
-        def failing_while_broken(mixed, steps, faults, index):
+        def failing_while_broken(program, faults, index):
             if broken[0]:
                 raise RuntimeError("singular system")
-            return execute(mixed, steps, faults, index)
+            return execute(program, faults, index)
 
         monkeypatch.setattr(sharding, "_execute_shard", failing_while_broken)
         queue = JobQueue(tmp_path)
@@ -124,10 +124,10 @@ class TestJobFailure:
         serves the shards the failed one cached and executes the rest."""
         execute = sharding._execute_shard
 
-        def failing(mixed, steps, faults, index):
+        def failing(program, faults, index):
             if index == 1:
                 raise RuntimeError("singular system")
-            return execute(mixed, steps, faults, index)
+            return execute(program, faults, index)
 
         monkeypatch.setattr(sharding, "_execute_shard", failing)
         spec = _spec(shards=3, cache_dir=str(tmp_path / "shards"))
@@ -161,12 +161,12 @@ class TestJobFailure:
         queue = JobQueue(tmp_path)
         executed = []
 
-        def cancel_during(mixed, steps, faults, index):
+        def cancel_during(program, faults, index):
             executed.append(index)
             if index == 0:
                 (running,) = queue.jobs(state="running")
                 queue.cancel(running.id)
-            return execute(mixed, steps, faults, index)
+            return execute(program, faults, index)
 
         monkeypatch.setattr(sharding, "_execute_shard", cancel_during)
         scheduler = Scheduler(queue, workers=1).start()
@@ -369,7 +369,7 @@ class TestHttpErrorsAndDeadlines:
         """A failed job serves its state, error and events like any
         other job; it has no artifact, so fetching one is a 404."""
 
-        def failing(mixed, steps, faults, index):
+        def failing(program, faults, index):
             raise RuntimeError("singular system")
 
         monkeypatch.setattr(sharding, "_execute_shard", failing)
@@ -395,7 +395,7 @@ class TestHttpErrorsAndDeadlines:
         """``submit --wait`` and ``status`` report a failed job's error
         and exit 1: the job failed, the command did not."""
 
-        def failing(mixed, steps, faults, index):
+        def failing(program, faults, index):
             raise RuntimeError("singular system")
 
         monkeypatch.setattr(sharding, "_execute_shard", failing)
