@@ -28,6 +28,7 @@ BDDs) are built from the netlist by whoever uses them.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import threading
@@ -51,6 +52,15 @@ _FINGERPRINT = re.compile(r"^[0-9a-f]{64}$")
 #: namespaces are short lowercase slugs; the same validation guards
 #: directory traversal through the namespace component.
 _NAMESPACE = re.compile(r"^[a-z][a-z0-9-]*$")
+
+#: namespaces whose artifact entries only this program reads back, and
+#: which a campaign writes many of: they are written compact, which
+#: CPython encodes in C (``indent`` forces its pure-Python encoder).
+#: Every other namespace stores ``Artifact.to_json()``: ``objects``
+#: bytes reach users verbatim (``fetch``, ``GET /artifacts/{fp}``), and
+#: an audit writes a handful of replays.  Readers parse either form, so
+#: entries written before this split still read.
+_COMPACT_NAMESPACES = frozenset({"campaign-shard", "pipeline-stage"})
 
 #: the two entry flavours a namespace can hold; everything else under a
 #: shard directory (e.g. ``*.tmp``) is an in-flight or stray write.
@@ -182,7 +192,15 @@ class ResultCache:
         unlinked between our read and our touch — is (re)written.
         """
         path = self.path_for(namespace, fingerprint)
-        text = artifact.to_json() + "\n"
+        if namespace in _COMPACT_NAMESPACES:
+            text = json.dumps(
+                artifact.to_document(),
+                separators=(",", ":"),
+                sort_keys=True,
+                allow_nan=False,
+            ) + "\n"
+        else:
+            text = artifact.to_json() + "\n"
         with self._lock:
             if read_artifact(path) is None:
                 path.parent.mkdir(parents=True, exist_ok=True)

@@ -53,21 +53,28 @@ def fingerprint_of(document) -> str:
     return sha256_text(canonical_json(document))
 
 
-def fingerprint_with_encoded(document: dict, key: str, encoded: str) -> str:
-    """:func:`fingerprint_of` of ``{**document, key: value}``, given
-    ``encoded == canonical_json(value)``.
+def fingerprint_with_encoded(document: dict, encoded: dict[str, str]) -> str:
+    """:func:`fingerprint_of` of ``{**document, **values}``, given
+    ``encoded[key] == canonical_json(values[key])`` for every key.
 
-    Lets a caller key many documents that share one large value while
-    encoding that value once.  ``key`` must sort after every key of
-    ``document``, so its entry closes the canonical text and can be
-    spliced in before the final brace.
+    Lets a caller key many documents that share large values while
+    encoding each value once.  The pre-encoded keys may sort anywhere
+    among the document's keys: the canonical text is assembled entry by
+    entry in sorted key order, and with the default separators a
+    value's encoding does not depend on where it is nested.  A key may
+    not appear in both ``document`` and ``encoded``.
     """
-    if any(name >= key for name in document):
-        raise ValueError(f"{key!r} must sort after every document key")
-    entry = f"{json.dumps(key)}: {encoded}"
-    head = canonical_json(document)[:-1]
-    text = f"{head}, {entry}}}" if document else f"{{{entry}}}"
-    return sha256_text(text)
+    if encoded.keys() & document.keys():
+        raise ValueError(
+            f"keys {sorted(encoded.keys() & document.keys())!r} are both "
+            "in the document and pre-encoded"
+        )
+    entries = {key: canonical_json(value) for key, value in document.items()}
+    entries.update(encoded)
+    text = ", ".join(
+        f"{json.dumps(key)}: {entries[key]}" for key in sorted(entries)
+    )
+    return sha256_text(f"{{{text}}}")
 
 
 def sha256_bytes(payload: bytes) -> str:

@@ -150,6 +150,23 @@ def _steps_json(steps: Sequence) -> str:
     return canonical_json([_step_document(step) for step in steps])
 
 
+def _faults_json(faults: Sequence[FaultSpec]) -> str:
+    """The canonical encoding of a fault population (or slice): one
+    ``[element, deviation, severity]`` triple per fault, floats
+    verbatim."""
+    return canonical_json([[f.element, f.deviation, f.severity] for f in faults])
+
+
+def _joined_faults_json(slices: Sequence[str]) -> str:
+    """The :func:`_faults_json` of a population, from its slices' texts.
+
+    A list's canonical text is its items' texts joined by ``", "``
+    inside brackets, so the population's text is the non-empty slices'
+    items joined the same way.
+    """
+    return "[" + ", ".join(text[1:-1] for text in slices if text != "[]") + "]"
+
+
 def campaign_fingerprint(
     circuit_name: str,
     config: CampaignConfig,
@@ -157,6 +174,7 @@ def campaign_fingerprint(
     steps: Sequence = (),
     *,
     steps_json: str | None = None,
+    faults_json: str | None = None,
 ) -> str:
     """Digest identifying one campaign's outcome-relevant identity.
 
@@ -172,9 +190,11 @@ def campaign_fingerprint(
     engine); they keep the digests of earlier releases, whose configs
     carried them.
 
-    ``steps_json``, when given, is ``steps`` already encoded (see
-    :func:`_steps_json`), so a driver keying many documents on one
-    program encodes it once.
+    ``steps_json`` and ``faults_json``, when given, are ``steps`` and
+    ``faults`` already encoded (see :func:`_steps_json` and
+    :func:`_faults_json`), so a driver keying many documents on one
+    program and one population encodes each once; ``faults`` is then
+    not read.
     """
     document = {
         "circuit": circuit_name,
@@ -184,11 +204,10 @@ def campaign_fingerprint(
         "engine": "factorized",
         "backend": "auto",
         "digital_engine": "compiled",
-        "faults": [[f.element, f.deviation, f.severity] for f in faults],
     }
-    if steps_json is None:
-        steps_json = _steps_json(steps)
-    return fingerprint_with_encoded(document, "steps", steps_json)
+    return fingerprint_with_encoded(
+        document, _encoded(faults, steps, faults_json, steps_json)
+    )
 
 
 def shard_fingerprint(
@@ -198,6 +217,7 @@ def shard_fingerprint(
     steps: Sequence = (),
     *,
     steps_json: str | None = None,
+    faults_json: str | None = None,
 ) -> str:
     """Content digest of one shard's *own* work: its fault slice.
 
@@ -211,7 +231,8 @@ def shard_fingerprint(
     is exactly what makes a one-element edit recompute only the shards
     whose slices changed: every untouched slice keeps its fingerprint
     and is served from the :class:`repro.core.cache.ResultCache`.
-    ``steps_json`` is as in :func:`campaign_fingerprint`.
+    ``steps_json`` and ``faults_json`` are as in
+    :func:`campaign_fingerprint`.
     """
     document = {
         "kind": "campaign-shard",
@@ -219,11 +240,57 @@ def shard_fingerprint(
         "engine": "factorized",
         "backend": "auto",
         "digital_engine": "compiled",
-        "faults": [[f.element, f.deviation, f.severity] for f in faults],
     }
-    if steps_json is None:
-        steps_json = _steps_json(steps)
-    return fingerprint_with_encoded(document, "steps", steps_json)
+    return fingerprint_with_encoded(
+        document, _encoded(faults, steps, faults_json, steps_json)
+    )
+
+
+def _encoded(
+    faults: Sequence[FaultSpec],
+    steps: Sequence,
+    faults_json: str | None,
+    steps_json: str | None,
+) -> dict[str, str]:
+    """The ``faults`` and ``steps`` entries every campaign key hashes,
+    encoded here unless the caller already did."""
+    return {
+        "faults": _faults_json(faults) if faults_json is None else faults_json,
+        "steps": _steps_json(steps) if steps_json is None else steps_json,
+    }
+
+
+def _campaign_keys(
+    circuit_name: str,
+    config: CampaignConfig,
+    faults: Sequence[FaultSpec],
+    steps: Sequence,
+    bounds: Sequence[tuple[int, int]],
+) -> tuple[str, list[str]]:
+    """The :func:`campaign_fingerprint` and each slice's
+    :func:`shard_fingerprint`, sharing one encoding of the program and
+    of the population: each slice is encoded once, and the population's
+    text is joined from the slices' texts."""
+    steps_json = _steps_json(steps)
+    slices_json = [_faults_json(faults[start:stop]) for start, stop in bounds]
+    campaign = campaign_fingerprint(
+        circuit_name,
+        config,
+        faults,
+        steps_json=steps_json,
+        faults_json=_joined_faults_json(slices_json),
+    )
+    shard_fps = [
+        shard_fingerprint(
+            circuit_name,
+            config,
+            faults[start:stop],
+            steps_json=steps_json,
+            faults_json=slice_json,
+        )
+        for (start, stop), slice_json in zip(bounds, slices_json)
+    ]
+    return campaign, shard_fps
 
 
 @dataclass
@@ -346,23 +413,15 @@ def run_sharded_campaign(
     """
     shards = config.shards
     bounds = shard_bounds(len(faults), shards)
-    steps_json = _steps_json(steps)
-    fingerprint = campaign_fingerprint(
-        mixed.name, config, faults, steps_json=steps_json
+    fingerprint, shard_fps = _campaign_keys(
+        mixed.name, config, faults, steps, bounds
     )
     cache = None
-    shard_fps: list[str] = []
     if config.cache_dir is not None:
         # Imported lazily so campaigns without a cache never touch it.
         from .cache import ResultCache
 
         cache = ResultCache(config.cache_dir)
-        shard_fps = [
-            shard_fingerprint(
-                mixed.name, config, faults[start:stop], steps_json=steps_json
-            )
-            for start, stop in bounds
-        ]
     runs: dict[int, ShardRun] = {}
 
     if cache is not None:

@@ -409,6 +409,51 @@ class TestContentCacheResume:
             Artifact.from_campaign(fresh).to_json()
         )
 
+    def test_legacy_and_compact_entries_share_a_cache_dir(
+        self, prepared, tmp_path
+    ):
+        """New shard and stage entries are written compact into a
+        directory of indented legacy entries; both read back."""
+        mixed, report = prepared
+        root = tmp_path / "cache"
+        shutil.copytree(LEGACY_SHARD_CACHE, root)
+        legacy = {
+            path.name: path.read_text() for path in root.rglob("*.json")
+        }
+        Workbench().session().run(
+            mixed,
+            stages=("sensitivity", "stimulus"),
+            campaign=CampaignConfig(cache_dir=str(root)),
+        )
+        config = CampaignConfig(
+            faults_per_element=1, seed=3, shards=2, cache_dir=str(root)
+        )
+        fresh = run_campaign(mixed, report, config=config.replace(seed=4))
+        assert fresh.diagnostics["shards_executed"] == 2
+
+        verified = ResultCache(root).verify()
+        assert verified["corrupt"] == []
+        assert verified["checked"] == len(legacy) + 3
+        written = [
+            path for path in root.rglob("*.json") if path.name not in legacy
+        ]
+        assert sorted(path.parent.parent.name for path in written) == [
+            "campaign-shard", "campaign-shard", "pipeline-stage",
+        ]
+        for path in written:
+            text = path.read_text()
+            compact = json.dumps(
+                json.loads(text), separators=(",", ":"), sort_keys=True
+            )
+            assert text == compact + "\n"
+        served = run_campaign(mixed, report, config=config)
+        assert served.diagnostics["shards_executed"] == 0
+        assert {
+            path.name: path.read_text()
+            for path in root.rglob("*.json")
+            if path.name in legacy
+        } == legacy
+
     def test_flat_checkpoint_files_are_ignored(self, prepared, tmp_path):
         """Old ``shard-NNNN-of-NNNN.json`` files are neither read nor
         migrated: a directory holding only those runs every shard."""
@@ -455,8 +500,9 @@ class _Crash(Exception):
 
 
 def _without_seconds(text: str) -> str:
-    """A shard entry's bytes with its wall-clock ``seconds`` blanked."""
-    return re.sub(r'"seconds": [^,}\n]+', '"seconds": null', text)
+    """A shard entry's bytes with its wall-clock ``seconds`` blanked,
+    whatever the entry's separators."""
+    return re.sub(r'"seconds": ?[^,}\n]+', '"seconds": null', text)
 
 
 def _count_factorizations(monkeypatch) -> list[float]:

@@ -1,14 +1,19 @@
 """The on-disk result cache."""
 
+import json
 import os
 import time
 
 import pytest
 
 from repro.api.artifact import Artifact
+from repro.api.audit import AUDIT_NAMESPACE
 from repro.api.config import ConfigError
+from repro.api.pipeline import STAGE_NAMESPACE
 from repro.core.cache import ResultCache, check_fingerprint
 from repro.core.fingerprint import fingerprint_of
+from repro.core.sharding import SHARD_NAMESPACE
+from repro.service.jobs import STORE_NAMESPACE
 
 
 def fp(n: int) -> str:
@@ -156,6 +161,57 @@ class TestResultCacheGc:
         cache.gc(keep=[fp(1)], namespace="unit-test")
         assert not stray.exists()
         assert cache.has_artifact("unit-test", fp(1))
+
+
+# ----------------------------------------------------------------------
+class TestEntryEncoding:
+    """The cache picks each namespace's entry encoding; readers take
+    either."""
+
+    @staticmethod
+    def _artifact(namespace):
+        return Artifact.from_cache_entry(
+            namespace, {"values": [0.1, 1e-300, -2.5], "name": "é"},
+            meta={"seconds": 0.25},
+        )
+
+    @pytest.mark.parametrize("namespace", [SHARD_NAMESPACE, STAGE_NAMESPACE])
+    def test_program_only_namespaces_are_compact(self, tmp_path, namespace):
+        cache = ResultCache(tmp_path)
+        artifact = self._artifact(namespace)
+        path = cache.put_artifact(namespace, fp(1), artifact)
+        compact = json.dumps(
+            artifact.to_document(),
+            separators=(",", ":"),
+            sort_keys=True,
+            allow_nan=False,
+        )
+        assert path.read_text() == compact + "\n"
+        assert cache.get_artifact(namespace, fp(1)).to_json() == (
+            artifact.to_json()
+        )
+
+    @pytest.mark.parametrize(
+        "namespace", [STORE_NAMESPACE, AUDIT_NAMESPACE, "unit-test"]
+    )
+    def test_other_namespaces_store_to_json(self, tmp_path, namespace):
+        cache = ResultCache(tmp_path)
+        artifact = self._artifact(namespace)
+        path = cache.put_artifact(namespace, fp(1), artifact)
+        assert path.read_text() == artifact.to_json() + "\n"
+
+    def test_an_indented_entry_still_reads_and_is_kept(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        artifact = self._artifact(SHARD_NAMESPACE)
+        path = cache.path_for(SHARD_NAMESPACE, fp(1))
+        path.parent.mkdir(parents=True)
+        path.write_text(artifact.to_json() + "\n")
+        assert cache.get_artifact(SHARD_NAMESPACE, fp(1)).payload == (
+            artifact.payload
+        )
+        cache.put_artifact(SHARD_NAMESPACE, fp(1), artifact)
+        assert path.read_text() == artifact.to_json() + "\n"
+        assert cache.verify()["corrupt"] == []
 
 
 # ----------------------------------------------------------------------
