@@ -13,7 +13,7 @@ fault population and one detection semantics:
   but nothing else is cached.
 * ``factorized`` — the fast path: per-frequency LU factorizations of
   the *good* circuit are built once per program
-  (:meth:`repro.spice.MnaSolver.factorized`, with the source driven at
+  (:meth:`repro.spice.MnaSolver.factorizations`, from one compile, with the source driven at
   unit amplitude inside the assembly, so the circuit is only read),
   every faulty response is a Sherman–Morrison rank-one update
   against that factorization, faulty gains are memoized per
@@ -329,17 +329,17 @@ class PreparedProgram:
             mixed.analog, backend=self.backend, source=mixed.analog_source
         )
         # One LU per distinct stimulus frequency, shared by every
-        # fault.
-        factorized = {}
-        good_gain = {}
-        for step in steps:
-            frequency = step.stimulus.frequency_hz
-            if frequency not in factorized:
-                system = solver.factorized(frequency)
-                factorized[frequency] = system
-                good_gain[frequency] = abs(
-                    system.solution().voltage(self._output)
-                )
+        # fault; one compile (and one set of update ports) for all.
+        frequencies = list(
+            dict.fromkeys(step.stimulus.frequency_hz for step in steps)
+        )
+        factorized = dict(
+            zip(frequencies, solver.factorizations(frequencies))
+        )
+        good_gain = {
+            frequency: abs(system.solution().voltage(self._output))
+            for frequency, system in factorized.items()
+        }
         self._backend_name = solver.backend.name
         # Good codes and good digital responses, hoisted per step.
         # The response depends only on (vector, code), so steps that

@@ -29,7 +29,12 @@ only the deviated resistors, capacitors and VCCSs are re-stamped, and
 only the matrix positions they touch are re-summed, in program order, so
 the derived model ``==`` a fresh compile entry for entry.  Any other
 deviated device (one that owns a branch row or is ``s``-nonlinear) and
-non-dense backends compile the state in full.
+non-dense backends compile the state in full.  The same components,
+grouped by how they stamp (:meth:`AcModel.stamp_groups`, read off the
+compile's record of each entry's row, column and emitting ``add``
+call), are what the campaign kernel builds its update ports from; one
+:meth:`AcModel.stamp_delta` with arrays of values forms the deltas of a
+whole group.
 
 :func:`batch_gains` evaluates ``|H(f)|`` over many (model, frequency)
 pairs at once, e.g. one step of the peak and cut-off searches of many
@@ -160,24 +165,30 @@ def _kind(component) -> int:
 
 class _Recorder(SystemAssembler):
     """A :class:`SystemAssembler` that keeps each matrix entry's row,
-    column, value and emitting component (by position in the netlist)
-    in parallel lists instead of ``entries``."""
+    column, value, emitting component (by position in the netlist) and
+    emitting call (the index of the ``add`` call within that component's
+    stamp, ground calls counted) in parallel lists instead of
+    ``entries``."""
 
     def __init__(self, node_index: dict[str, int]):
         super().__init__(node_index, dtype=complex)
         self.owner = -1
+        self.call = -1
         self.rows: list[int] = []
         self.cols: list[int] = []
         self.values: list[complex] = []
         self.owners: list[int] = []
+        self.calls: list[int] = []
 
     def add(self, row: int | None, col: int | None, value: complex) -> None:
+        self.call += 1
         if row is None or col is None:
             return
         self.rows.append(row)
         self.cols.append(col)
         self.values.append(value)
         self.owners.append(self.owner)
+        self.calls.append(self.call)
 
 
 class _Stamps(StampContext):
@@ -216,7 +227,8 @@ class _Stamps(StampContext):
 class _Delta(_Stamps):
     """The *difference* of two stampings of one component, summed per
     matrix position as it is stamped: ``sign = -1`` for the baseline
-    stamp, ``+1`` for the deviated one."""
+    stamp, ``+1`` for the deviated one.  Stamped with arrays of values,
+    each entry is the array of the differences, element by element."""
 
     def __init__(self, node_index: dict[str, int], branch_rows: dict[str, int]):
         super().__init__(node_index, branch_rows, 0)
@@ -290,7 +302,7 @@ class AcModel:
         are stamped at ``s = 1``, which records their coefficients."""
         recorder = _Recorder(self.node_index)
         for owner, component in enumerate(self._components):
-            recorder.owner = owner
+            recorder.owner, recorder.call = owner, -1
             at = 1.0 if kinds[owner] == _S_LINEAR else s
             component.stamp(recorder, at, self._value(component))
         if recorder.size == 0:
@@ -325,6 +337,9 @@ class AcModel:
         self._dynamic_flats = [
             flat for kind, flat in zip(entry_kinds, flats) if kind == _DYNAMIC
         ]
+        self._owners = recorder.owners
+        self._calls = recorder.calls
+        self._emitted: dict[str, list[int]] | None = None
         if self.backend.name != DenseBackend.name:
             return
         # Dense form: positions touched by a dynamic entry are summed per
@@ -372,13 +387,17 @@ class AcModel:
         self._dynamic_sums = per_position
         self._slots = slots
         self._summed_at = summed_at
-        # The program entries of each component at_state() may re-stamp.
+        self._emitted = self._emitted_entries()
+
+    def _emitted_entries(self) -> dict[str, list[int]]:
+        """The program entries of each component :meth:`at_state` may
+        re-stamp (and :meth:`stamp_groups` groups), by name."""
         emitted: dict[str, list[int]] = {}
-        for index, owner in enumerate(recorder.owners):
-            component = components[owner]
+        for index, owner in enumerate(self._owners):
+            component = self._components[owner]
             if type(component) in _RESTAMPABLE_TYPES:
                 emitted.setdefault(component.name, []).append(index)
-        self._emitted = emitted
+        return emitted
 
     # ------------------------------------------------------------------
     # Stamp deltas
@@ -454,15 +473,86 @@ class AcModel:
                     sums[a][b] = (kind, value)
         return model
 
+    def element_values(
+        self, names: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The nominal values of elements ``names`` and the values this
+        model stamps them with (:meth:`AnalogCircuit.effective_value` in
+        its deviation state), as arrays."""
+        nominal = np.array(
+            [self.circuit.nominal_value(name) for name in names], dtype=float
+        )
+        state = self._state
+        deviation = np.array([state.get(name, 0.0) for name in names])
+        return nominal, nominal * (1.0 + deviation)
+
+    def stamp_groups(
+        self,
+    ) -> list[tuple[list[str], np.ndarray, np.ndarray, list]]:
+        """The resistors, capacitors and VCCSs (exact types) of this
+        compile, grouped by how they stamp.
+
+        The members of a group are of one type, emit their entries from
+        the same ``add`` calls of their stamp, and the rows and columns
+        of their entries compare (equal, less, greater) alike.  Per
+        group: ``(names, rows, cols, values)``, where ``rows[m, p]`` and
+        ``cols[m, p]`` locate member ``m``'s ``p``-th entry and
+        ``values`` are the first member's entries as compiled (stamped at
+        ``s = 1`` for a capacitor, ``s = 1j`` otherwise).
+        """
+        emitted = self._emitted
+        if emitted is None:  # built on the dense backend only
+            emitted = self._emitted_entries()
+        names = list(emitted)
+        if not names:
+            return []
+        spans = list(emitted.values())
+        starts = np.array([span[0] for span in spans])[:, None]
+        counts = np.array([len(span) for span in spans])[:, None]
+        offsets = np.arange(counts.max())
+        padding = offsets >= counts
+        # A component's entries are contiguous (_record() stamps each
+        # component whole); short ones are padded with -1.
+        at = np.where(padding, starts, starts + offsets)
+        rows, cols, calls = (
+            np.where(padding, -1, np.asarray(entries)[at])
+            for entries in (self._rows, self._cols, self._calls)
+        )
+        # Each row or column replaced by how many of the element's rows
+        # and columns are smaller: equal and ordered alike.
+        nodes = np.concatenate([rows, cols], axis=1)
+        below = (nodes[:, :, None] > nodes[:, None, :]).sum(axis=2)
+        patterns = np.concatenate([calls, below], axis=1).tolist()
+        alike: dict[tuple, list[int]] = {}
+        for member, (name, pattern) in enumerate(zip(names, patterns)):
+            kind = (type(self.circuit.component(name)), *pattern)
+            alike.setdefault(kind, []).append(member)
+        values = self._program[2]
+        groups = []
+        for members in alike.values():
+            span = spans[members[0]]
+            groups.append((
+                [names[m] for m in members],
+                rows[members, : len(span)],
+                cols[members, : len(span)],
+                [values[i] for i in span],
+            ))
+        return groups
+
     def stamp_delta(
-        self, component, s: complex, value: float
+        self, component, s: complex, value, baseline=None
     ) -> tuple[dict[tuple[int, int], complex], bool]:
         """How stamping ``component`` at ``s`` with ``value`` instead of
-        the value this model was compiled with changes the system:
-        ``(entries keyed by (row, col), rhs_touched)``."""
+        ``baseline`` (default: the value this model was compiled with)
+        changes the system: ``(entries keyed by (row, col),
+        rhs_touched)``.  ``value`` and ``baseline`` may be equal-length
+        arrays (one stamp pair for many values): each entry is then the
+        array of the changes."""
         delta = _Delta(self.node_index, self.branch_rows)
         delta.sign = -1.0
-        component.stamp(delta, s, self._value(component))
+        component.stamp(
+            delta, s, self._value(component) if baseline is None else baseline
+        )
         delta.sign = +1.0
         component.stamp(delta, s, value)
         return delta.entries, delta.rhs_touched

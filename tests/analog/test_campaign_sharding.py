@@ -28,7 +28,7 @@ from repro.core.sharding import (
     campaign_fingerprint,
     shard_fingerprint,
 )
-from repro.spice import FactorizedMna, MnaSolver
+from repro.spice import FactorizedMna
 
 #: shard cache entries written by the release that still carried flat
 #: checkpoint files (fig4, ``faults_per_element=1``, ``seed=3``, two
@@ -506,15 +506,16 @@ def _without_seconds(text: str) -> str:
 
 
 def _count_factorizations(monkeypatch) -> list[float]:
-    """Record the frequency of every ``MnaSolver.factorized`` call."""
+    """Record the frequency of every LU factorization built (each
+    ``FactorizedMna``, whichever ``MnaSolver`` method built it)."""
     calls: list[float] = []
-    factorized = MnaSolver.factorized
+    init = FactorizedMna.__init__
 
-    def counting(self, frequency_hz):
+    def counting(self, model, frequency_hz, *args):
         calls.append(frequency_hz)
-        return factorized(self, frequency_hz)
+        init(self, model, frequency_hz, *args)
 
-    monkeypatch.setattr(MnaSolver, "factorized", counting)
+    monkeypatch.setattr(FactorizedMna, "__init__", counting)
     return calls
 
 
@@ -547,10 +548,10 @@ class TestSharedPreparation:
         mixed, report = prepared
         original = _Crash("singular system")
 
-        def failing(self, frequency_hz):
+        def failing(self, *args):
             raise original
 
-        monkeypatch.setattr(MnaSolver, "factorized", failing)
+        monkeypatch.setattr(FactorizedMna, "__init__", failing)
         config = _config(shards=4, cache_dir=str(tmp_path))
         with pytest.raises(ShardExecutionError, match="shard 0 ") as excinfo:
             run_campaign(mixed, report, config=config)

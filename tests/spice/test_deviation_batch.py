@@ -15,6 +15,7 @@ sparse backends) is marked ``slow`` and runs next to the backend
 differential suite.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -25,9 +26,12 @@ from hypothesis import strategies as st
 from repro.api import default_registry
 from repro.circuits import bandpass_filter, chebyshev_filter, rc_ladder
 from repro.spice import (
+    VCCS,
     AcModel,
     AnalogCircuit,
     AnalogError,
+    Component,
+    FiniteOpAmp,
     MnaSolver,
     Resistor,
     Solution,
@@ -223,18 +227,35 @@ class TestBatchSemantics:
             _assert_matches_fresh(circuit, faults, voltages, "b", frequency)
 
     def test_rhs_stamping_component_rejected(self):
-        circuit, factorized = self._factorized()
-        element = circuit.element_names()[0]
+        # A value-carrying element whose stamp also drives the right-hand
+        # side (a leaky current injection scaled by its value) cannot be
+        # patched with a matrix-only update.
+        @dataclasses.dataclass
+        class Leaky(Component):
+            node: str = "0"
+            value: float = 1.0
 
-        def fake_stamp(el, deviation):
-            return {}, True  # pretend the component re-stamped the RHS
+            def stamp(self, ctx, s, value):
+                i = ctx.index(self.node)
+                ctx.add(i, i, 1.0 / value)
+                ctx.rhs(i, 1.0e-3 / value)
 
-        factorized._stamp_delta = fake_stamp
+        circuit, _ = self._factorized()
+        circuit.add(Leaky("X1", _observed_node(circuit), 1.0e4))
+        factorized = MnaSolver(circuit).factorized(1.0e3)
         with pytest.raises(AnalogError, match="right-hand side"):
-            factorized.deviation_batch([(element, 0.5)], _observed_node(circuit))
+            factorized.deviation_batch(
+                [("R1", 0.5), ("X1", 0.5)], _observed_node(circuit)
+            )
 
 
-def _random_ladder(rng: random.Random, stages: int) -> AnalogCircuit:
+def _random_ladder(
+    rng: random.Random, stages: int
+) -> tuple[AnalogCircuit, str]:
+    """A random RC ladder, now and then with a VCCS (in the single-row,
+    2×2 or single-column shape), a shunt inductor or a finite-gain
+    buffer: its faults mix ported and per-fault routes in one batch.
+    Returns the circuit and its last node."""
     circuit = AnalogCircuit(f"hyp-ladder-{stages}")
     circuit.vsource("Vin", "n0", "0", dc=1.0, ac=1.0)
     previous = "n0"
@@ -251,8 +272,24 @@ def _random_ladder(rng: random.Random, stages: int) -> AnalogCircuit:
             circuit.resistor(
                 f"Rp{index}", node, "0", 10.0 ** rng.uniform(3.0, 6.0)
             )
+        extra = rng.random()
+        gm = 10.0 ** rng.uniform(-6.0, -5.0)
+        if extra < 0.08:
+            circuit.add(VCCS(f"Gr{index}", node, "0", previous, "0", gm))
+        elif extra < 0.16:
+            circuit.add(VCCS(f"Gd{index}", node, previous, previous, node, gm))
+        elif extra < 0.24:
+            circuit.add(VCCS(f"Gc{index}", node, previous, previous, "0", gm))
+        elif extra < 0.32:
+            circuit.inductor(
+                f"L{index}", node, "0", 10.0 ** rng.uniform(-3.0, -1.0)
+            )
+        elif extra < 0.40:
+            buffered = f"b{index + 1}"
+            circuit.add(FiniteOpAmp(f"A{index}", node, buffered, buffered))
+            node = buffered
         previous = node
-    return circuit
+    return circuit, previous
 
 
 class TestRandomLadderProperty:
@@ -264,8 +301,7 @@ class TestRandomLadderProperty:
     )
     def test_batch_matches_fresh_solve(self, seed, stages, frequency):
         rng = random.Random(seed)
-        circuit = _random_ladder(rng, stages)
-        node = f"n{stages}"
+        circuit, node = _random_ladder(rng, stages)
         faults = _population(circuit, deviations=(-0.6, 0.3))
         voltages = MnaSolver(circuit).factorized(frequency).deviation_batch(
             faults, node
