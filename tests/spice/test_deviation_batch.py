@@ -249,6 +249,48 @@ class TestBatchSemantics:
             )
 
 
+class TestUpdatePorts:
+    """Faults of resistors, capacitors and VCCSs go through update ports:
+    one array stamp per group of elements that stamp alike."""
+
+    def test_vccs_stamped_by_different_calls_are_grouped_apart(self):
+        # Gp's one entry comes from the first add call of its stamp
+        # (+g), Gn's from the second (−g); both sit below the diagonal.
+        # Grouped together, one array stamp would give Gn Gp's sign.
+        circuit = AnalogCircuit("vccs-calls")
+        circuit.vsource("Vin", "in", "0", dc=1.0, ac=1.0)
+        circuit.resistor("R1", "in", "a", 1000.0)
+        circuit.resistor("Ra", "a", "0", 2200.0)
+        circuit.resistor("Rb", "b", "0", 3300.0)
+        circuit.resistor("Rc", "c", "0", 4700.0)
+        circuit.add(VCCS("Gp", "b", "0", "a", "0", 1.0e-4))
+        circuit.add(VCCS("Gn", "c", "0", "0", "a", 1.0e-4))
+        faults = [("Gp", -0.5), ("Gn", -0.5), ("Gp", 0.25), ("Gn", 0.25)]
+        factorized = MnaSolver(circuit).factorized(1.0e3)
+        for node in ("b", "c"):
+            voltages = factorized.deviation_batch(faults, node)
+            _assert_matches_fresh(circuit, faults, voltages, node, 1.0e3)
+
+    def test_factorizations_share_one_compile(self):
+        circuit = bandpass_filter()
+        _drive(circuit)
+        solver = MnaSolver(circuit)
+        frequencies = [0.0, 1.0e3, 2.5e3]
+        shared = solver.factorizations(frequencies)
+        assert len({id(factorized.model) for factorized in shared}) == 1
+        node = _observed_node(circuit)
+        faults = _population(circuit)
+        for frequency, factorized in zip(frequencies, shared):
+            alone = solver.factorized(frequency)
+            assert factorized.solution().voltage(node) == alone.solution(
+            ).voltage(node)
+            assert (
+                factorized.deviation_batch(faults, node).tolist()
+                == alone.deviation_batch(faults, node).tolist()
+            )
+        assert solver.factorizations([]) == []
+
+
 def _random_ladder(
     rng: random.Random, stages: int
 ) -> tuple[AnalogCircuit, str]:
