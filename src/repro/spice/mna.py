@@ -516,8 +516,22 @@ class FactorizedMna:
         failing the relative conditioning test (:data:`DENOM_RTOL`) drop
         out of the batch, through a per-fault dense patched solve.
         Deviations whose stamp equals the baseline return the baseline
-        voltage.  The circuit is never mutated.
+        voltage.  A deviation of −1 or below raises :class:`AnalogError`
+        naming its element before anything is stamped.  The circuit is
+        never mutated.
         """
+        # --- group the faults by element, ported elements by group ----
+        # A deviation of −100 % or below would stamp a non-positive
+        # element value: refused here, before anything is stamped, as
+        # deviation_state refuses it.
+        by_element: dict[str, list[int]] = {}
+        for i, (element, deviation) in enumerate(faults):
+            if deviation <= -1.0:
+                raise AnalogError(
+                    f"deviation {deviation} would make {element!r} "
+                    "non-positive"
+                )
+            by_element.setdefault(element, []).append(i)
         if node == GROUND:
             return np.zeros(len(faults), dtype=complex)
         try:
@@ -528,10 +542,6 @@ class FactorizedMna:
         base_at_node = complex(self._base[index])
         model, circuit = self.model, self.circuit
 
-        # --- group the faults by element, ported elements by group ----
-        by_element: dict[str, list[int]] = {}
-        for i, (element, _) in enumerate(faults):
-            by_element.setdefault(element, []).append(i)
         port_of = self._port_index()
         groups: dict[int, list[str]] = {}
         one_by_one: list[int] = []

@@ -137,6 +137,33 @@ class TestBatchSemantics:
         with pytest.raises(AnalogError, match="no node named"):
             factorized.deviation_batch([(element, 0.5)], "nope")
 
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            [("R4", -1.0)],  # alone: the per-fault route
+            [("R2", 0.5), ("C3", 0.1), ("R4", -1.0)],  # in a mixed batch
+            [("R2", 0.5), ("R4", -1.0), ("R6", 0.2)],  # in a port group
+            [("R6", 0.2), ("R4", -2.5), ("R2", 0.5)],  # below −1
+        ],
+        ids=["alone", "batch", "port-group", "below"],
+    )
+    def test_non_positive_deviation_refused(self, faults, monkeypatch):
+        # As deviation_state refuses it: an AnalogError naming the
+        # element, raised before anything is stamped.
+        factorized = MnaSolver(rc_ladder(8)).factorized(1.0e3)
+        stamped = []
+        original = AcModel.stamp_delta
+
+        def spy(self, *args, **kwargs):
+            stamped.append(args[0].name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AcModel, "stamp_delta", spy)
+        with pytest.raises(AnalogError, match="'R4' non-positive"):
+            factorized.deviation_batch(faults, "out")
+        assert stamped == []
+        assert factorized.cached_directions == 0
+
     def test_baseline_equal_stamp_returns_base_voltage(self):
         # A capacitor at DC stamps nothing: the batch must return the
         # baseline voltage exactly.

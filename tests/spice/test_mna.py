@@ -1,12 +1,12 @@
 """Tests of the MNA solver against hand-solvable circuits."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from repro.spice import (
+    VCCS,
     AcModel,
     AnalogCircuit,
     AnalogError,
@@ -225,22 +225,31 @@ class TestDeviations:
 class TestRelativeConditioning:
     """The ill-conditioning test on ``1 + wᵀy`` is relative, not absolute.
 
-    For a resistor the Sherman–Morrison denominator is an exactly linear
-    function of the conductance delta, ``denominator(Δg) = 1 + Δg·D``
-    with ``D = wᵀy / Δg`` fixed by the circuit, so a deviation can be
-    constructed that lands the denominator on any target — here
-    ``t = 1e-13``, *above* the historical absolute ``1e-14`` cutoff but
-    below the relative ``DENOM_RTOL`` one.  The old test silently took
-    the catastrophically cancelling fast branch for such updates; the
-    fixed test must route them to the dense fallback.
+    The circuits are the registry ladder plus a node ``m`` with a
+    resistor ``RM`` to ground and a VCCS ``GM`` of negative
+    transconductance ``−1/(2·RM)`` feeding back on ``m`` itself.  Its
+    stamp is the single entry ``A[m, m]``, so the Sherman–Morrison
+    denominator is an exactly linear function of the deviation,
+    ``denominator(d) = 1 + d·D`` with ``D = wᵀy / d`` fixed by the
+    circuit, and a legal (positive) deviation lands it on any target —
+    here ``t = 1e-13``, *above* the historical absolute ``1e-14``
+    cutoff but below the relative ``DENOM_RTOL`` one.  The old test
+    silently took the catastrophically cancelling fast branch for such
+    updates; the fixed test must route them to the dense fallback.
     """
 
     T = 1e-13
 
     @staticmethod
-    def _near_singular_deviation(circuit, element, factorized, t):
+    def _with_feedback(circuit, r_ohms):
+        """``circuit`` plus the node ``m`` and its negative feedback."""
+        circuit.resistor("RM", "m", "0", r_ohms)
+        circuit.add(VCCS("GM", "m", "0", "m", "0", -0.5 / r_ohms))
+        return circuit
+
+    @staticmethod
+    def _near_singular_deviation(factorized, element, t):
         """A deviation placing ``|1 + wᵀy|`` at ``t`` analytically."""
-        nominal = circuit.nominal_value(element)
         probe = 0.5
         entries, _ = factorized._stamp_delta(element, probe)
         _, u_rows, u_vals, w_cols, w_vals = factorized._factor_delta(entries)
@@ -248,16 +257,15 @@ class TestRelativeConditioning:
         u[u_rows] = u_vals
         y = factorized._factorization.solve(u)
         w_dot_y = sum(w * y[c] for c, w in zip(w_cols, w_vals))
-        dg_probe = 1.0 / (nominal * (1.0 + probe)) - 1.0 / nominal
-        slope = (w_dot_y / dg_probe).real  # wᵀy is linear in Δg
-        dg_target = (t - 1.0) / slope
-        return 1.0 / (1.0 + nominal * dg_target) - 1.0
+        slope = (w_dot_y / probe).real  # wᵀy is linear in the deviation
+        return (t - 1.0) / slope
 
     def _assert_falls_back(self, circuit, element):
         factorized = MnaSolver(circuit).factorized(0.0)
         deviation = self._near_singular_deviation(
-            circuit, element, factorized, self.T
+            factorized, element, self.T
         )
+        assert -1.0 < deviation  # a legal deviation
         # Verify the construction: the denominator really sits between
         # the old absolute cutoff and the new relative one.
         entries, _ = factorized._stamp_delta(element, deviation)
@@ -284,7 +292,9 @@ class TestRelativeConditioning:
     def test_near_singular_update_takes_dense_fallback(self):
         from repro.circuits import rc_ladder
 
-        self._assert_falls_back(rc_ladder(8), "R4")
+        self._assert_falls_back(
+            self._with_feedback(rc_ladder(8), 1.0e3), "GM"
+        )
 
     def test_scaled_registry_circuit_takes_same_branch(self):
         # A copy of the registry ladder with impedances scaled by 1e7:
@@ -292,29 +302,22 @@ class TestRelativeConditioning:
         from repro.circuits import rc_ladder
 
         self._assert_falls_back(
-            rc_ladder(8, r_ohms=1.0e10, c_farads=1.0e-16), "R4"
+            self._with_feedback(
+                rc_ladder(8, r_ohms=1.0e10, c_farads=1.0e-16), 1.0e10
+            ),
+            "GM",
         )
 
     def test_fallback_faults_match_fresh_solve(self):
-        from repro.circuits import rc_ladder
+        from repro.circuits import LADDER_SOURCE, rc_ladder
 
-        circuit = rc_ladder(8)
-        factorized = MnaSolver(circuit).factorized(0.0)
-        deviation = self._near_singular_deviation(
-            circuit, "R4", factorized, self.T
-        )
-        faults = [("R4", deviation), ("R2", 0.5)]
+        circuit = self._with_feedback(rc_ladder(8), 1.0e3)
+        factorized = MnaSolver(circuit, source=LADDER_SOURCE).factorized(0.0)
+        deviation = self._near_singular_deviation(factorized, "GM", self.T)
+        faults = [("GM", deviation), ("R2", 0.5)]
         batch = factorized.deviation_batch(faults, "out")
         for (element, dev), voltage in zip(faults, batch):
-            # The near-singular deviation drives R4 negative, which
-            # ``deviation_state`` refuses, so the oracle solves a copy
-            # built with the deviated value.
-            deviated = AnalogCircuit(circuit.name)
-            for component in circuit.components:
-                if component.name == element:
-                    component = dataclasses.replace(
-                        component, value=component.value * (1.0 + dev)
-                    )
-                deviated.add(component)
-            expected = MnaSolver(deviated).solve(0.0).voltage("out")
+            expected = AcModel(
+                circuit, LADDER_SOURCE, "out", {element: dev}
+            ).transfer(0.0)
             assert voltage == pytest.approx(expected, rel=1e-9, abs=1e-9)
