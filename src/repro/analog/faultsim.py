@@ -16,17 +16,16 @@ fault population and one detection semantics:
   (:meth:`repro.spice.MnaSolver.factorizations`, from one compile, with the source driven at
   unit amplitude inside the assembly, so the circuit is only read),
   every faulty response is a Sherman–Morrison rank-one update
-  against that factorization, faulty gains are memoized per
-  ``(element, deviation, frequency)``, digital fault propagation is
-  memoized per ``(step vector, faulty code)``, and the program step that
+  against that factorization, digital fault propagation is memoized
+  per ``(step vector, faulty code)``, and the program step that
   targets the faulted element is tried first (early exit).  Execution
   is *batch, then walk*: the whole population's own-step gains are
   precomputed up front (:meth:`repro.spice.FactorizedMna.
   deviation_batch` — one multi-RHS backend solve per distinct stimulus
-  frequency, vectorized update scalars), and the serial detection walk
-  then runs almost entirely on memo hits.  A fault that survives its
-  own steps gets its remaining gains from the same kernel, one
-  batch-of-one call each.
+  frequency, vectorized update scalars), and the own-step verdicts are
+  then decided over arrays, one pass per own-step position.  A fault
+  that survives its own steps walks the rest one stimulus at a time,
+  and gets each further gain from the same kernel as a batch of one.
 
 Both engines share one call, ``run(mixed, steps, faults)``: ``steps``
 are the testable :class:`repro.core.AnalogElementTest` entries (each
@@ -48,6 +47,8 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..digital.compiled import CompiledCircuit
 from ..digital.simulate import _check_engine, simulate
@@ -170,22 +171,13 @@ def step_order(steps: Sequence, element: str) -> list[int]:
     The step generated *for* the deviated element is overwhelmingly the
     one that detects it, so trying it first makes the early exit fire on
     the first iteration for almost every fault.  The reference engine
-    walks this order and the factorized engine streams the same one,
-    keeping their outcome lists (including ``detecting_target``)
-    identical.
+    walks this order; the factorized engine reaches the same first
+    detecting step over arrays and stimulus groups, keeping their
+    outcome lists (including ``detecting_target``) identical.
     """
     own = [i for i, step in enumerate(steps) if step.element == element]
     rest = [i for i, step in enumerate(steps) if step.element != element]
     return own + rest
-
-
-def _convert(thresholds: tuple[float, ...], v_in: float) -> tuple[int, ...]:
-    """Thermometer code against hoisted ladder thresholds.
-
-    Must mirror :meth:`repro.conversion.FlashAdc.convert` bit for bit —
-    the differential suite compares engine outcome lists exactly.
-    """
-    return tuple(1 if v_in > vt else 0 for vt in thresholds)
 
 
 class ReferenceEngine:
@@ -272,19 +264,21 @@ class PreparedProgram:
 
     The fault-independent half of :class:`FactorizedEngine`: the compiled
     digital circuit, one :class:`~repro.spice.MnaSolver`, one LU
-    factorization per distinct stimulus frequency, the good-circuit
-    gains, codes and digital words per step, and the steps grouped by
-    the element they target.  It is built by the first :meth:`run` that
-    has faults to inject, so a campaign whose shards are all cached (or
-    empty) prepares nothing, and every later :meth:`run` reuses it.  A
-    sharded campaign runs all its shards on one instance.
+    factorization per distinct stimulus frequency, and the program as
+    arrays — per step its frequency, amplitude, good code (a threshold
+    bitmask), digital vector and good digital word, each element's own
+    steps, and the steps grouped by stimulus.  It is built by the first
+    :meth:`run` that has faults to inject, so a campaign whose shards
+    are all cached (or empty) prepares nothing, and every later
+    :meth:`run` reuses it.  A sharded campaign runs all its shards on
+    one instance.
 
-    A :meth:`run` does not depend on the runs before it.  Its gain memo
-    is its own, the factorizations' direction caches are released when
-    it ends (:meth:`repro.spice.FactorizedMna.release_directions`), and
-    its diagnostics count its own solves.  Only the digital-response
-    memo is shared across runs: a response is a pure function of the
-    step's vector and the converter code.
+    A :meth:`run` does not depend on the runs before it.  Its gains are
+    its own, the factorizations' direction caches are released when it
+    ends (:meth:`repro.spice.FactorizedMna.release_directions`), and its
+    diagnostics count its own solves.  Only the digital-response memo is
+    shared across runs: a response is a pure function of the step's
+    vector and the converter code.
 
     ``digital_engine`` is checked here, up front; ``backend`` when the
     solver is built.
@@ -302,16 +296,15 @@ class PreparedProgram:
         self.steps = steps
         self.backend = backend
         self.digital_engine = digital_engine
-        self._factorized: dict | None = None
+        self._factorized: list | None = None
 
     def _prepare(self) -> None:
         mixed, steps = self.mixed, self.steps
         self._output = mixed.analog_output
         self._converter_lines = tuple(mixed.converter_lines)
-        self._thresholds = thresholds = tuple(mixed.adc.thresholds())
         if self.digital_engine == "compiled":
             # Levelized single-pattern evaluation: no per-call
-            # topological re-walk or per-signal dict for the (step,
+            # topological re-walk or per-signal dict for the (vector,
             # faulty code) response memo below.
             self._respond = CompiledCircuit(mixed.digital).evaluate_outputs
         else:
@@ -330,50 +323,140 @@ class PreparedProgram:
         )
         # One LU per distinct stimulus frequency, shared by every
         # fault; one compile (and one set of update ports) for all.
+        # Frequencies are known by their position in this list.
         frequencies = list(
             dict.fromkeys(step.stimulus.frequency_hz for step in steps)
         )
-        factorized = dict(
-            zip(frequencies, solver.factorizations(frequencies))
-        )
-        good_gain = {
-            frequency: abs(system.solution().voltage(self._output))
-            for frequency, system in factorized.items()
-        }
+        factorized = solver.factorizations(frequencies)
+        good_gain = np.array([
+            abs(system.solution().voltage(self._output))
+            for system in factorized
+        ])
         self._backend_name = solver.backend.name
-        # Good codes and good digital responses, hoisted per step.
-        # The response depends only on (vector, code), so steps that
-        # share both share one digital simulation.
-        self._vectors = [tuple(step.vector.items()) for step in steps]
-        self._words: dict[tuple, tuple[int, ...]] = {}
-        self._good_codes = [
-            _convert(
-                thresholds,
-                step.stimulus.amplitude
-                * good_gain[step.stimulus.frequency_hz],
-            )
-            for step in steps
-        ]
-        self._good_words = [
-            self._word(index, code)
-            for index, code in enumerate(self._good_codes)
-        ]
-        self._own_steps: dict[str, list[int]] = {}
+
+        # Per step: frequency, amplitude, digital vector, good code.
+        frequency_of = {f: i for i, f in enumerate(frequencies)}
+        vector_of: dict[tuple, int] = {}
+        for step in steps:
+            vector_of.setdefault(tuple(step.vector.items()), len(vector_of))
+        self._vectors = list(vector_of)
+        self._step_frequency = np.array(
+            [frequency_of[step.stimulus.frequency_hz] for step in steps],
+            dtype=np.intp,
+        )
+        self._step_amplitude = np.array(
+            [step.stimulus.amplitude for step in steps], dtype=float
+        )
+        self._step_vector = np.array(
+            [vector_of[tuple(step.vector.items())] for step in steps],
+            dtype=np.intp,
+        )
+        thresholds = mixed.adc.thresholds()
+        self._thresholds = np.array(thresholds, dtype=float)
+        # Comparator i is bit i of a code's mask.  A mask times the
+        # vector count plus a vector id keys a (vector, code) pair; past
+        # 62 bits the keys are Python integers.
+        wide = len(thresholds) + len(vector_of).bit_length() > 62
+        self._bits = np.array(
+            [1 << bit for bit in range(len(thresholds))],
+            dtype=object if wide else np.int64,
+        )
+        self._threshold_bits = list(zip(thresholds, self._bits.tolist()))
+        self._good_masks = self._masks(
+            self._step_amplitude * good_gain[self._step_frequency]
+        )
+        # Good digital words, hoisted per step.  A response depends only
+        # on (vector, code), so steps that share both share one digital
+        # simulation; words are known by id.
+        self._words: dict[tuple[int, int], int] = {}
+        self._word_ids: dict[tuple[int, ...], int] = {}
+        self._good_words = np.array(
+            [
+                self._word(vector, mask)
+                for vector, mask in zip(
+                    self._step_vector.tolist(), self._good_masks.tolist()
+                )
+            ],
+            dtype=np.intp,
+        )
+
+        # Element → own steps: one row per element, in step order, and a
+        # last, empty row for an element no step targets.
+        own: dict[str, list[int]] = {}
         for index, step in enumerate(steps):
-            self._own_steps.setdefault(step.element, []).append(index)
+            own.setdefault(step.element, []).append(index)
+        self._element_row = {element: row for row, element in enumerate(own)}
+        rows = len(own) + 1
+        self._own_steps = np.full(
+            (rows, max(map(len, own.values()), default=0)), -1, dtype=np.intp
+        )
+        self._own_count = np.zeros(rows, dtype=np.intp)
+        self._own_at = np.zeros((rows, len(frequencies)), dtype=bool)
+        #: each row's own-step frequencies, in first-use order.
+        self._own_frequencies: list[list[int]] = []
+        for row, indices in enumerate(own.values()):
+            self._own_steps[row, : len(indices)] = indices
+            self._own_count[row] = len(indices)
+            self._own_at[row, self._step_frequency[indices]] = True
+            self._own_frequencies.append(
+                list(dict.fromkeys(self._step_frequency[indices].tolist()))
+            )
+        self._own_frequencies.append([])
+
+        # Stimuli: the steps grouped by (frequency, amplitude), in step
+        # order.  A fault's code, and the good code, depend only on the
+        # stimulus.
+        grouped: dict[tuple[float, float], list[int]] = {}
+        for index, step in enumerate(steps):
+            stimulus = step.stimulus
+            grouped.setdefault(
+                (stimulus.frequency_hz, stimulus.amplitude), []
+            ).append(index)
+        vectors = self._step_vector.tolist()
+        good_words = self._good_words.tolist()
+        self._stimuli = [
+            (
+                frequency_of[frequency],
+                amplitude,
+                int(self._good_masks[indices[0]]),
+                [(i, vectors[i], good_words[i]) for i in indices],
+            )
+            for (frequency, amplitude), indices in grouped.items()
+        ]
+        #: per element row, its own steps and the order its tail visits
+        #: the stimuli in; built on first use.
+        self._tails: dict[int, tuple[set[int], list]] = {}
         # Set last: a preparation that raises is retried by the next run.
         self._factorized = factorized
 
-    def _word(self, index: int, code: tuple[int, ...]) -> tuple[int, ...]:
-        """Step ``index``'s digital response with ``code`` on the
-        converter lines, memoized on (vector, code)."""
-        key = (self._vectors[index], code)
+    def _masks(self, peaks: np.ndarray) -> np.ndarray:
+        """The converter code of each peak amplitude, as a bitmask.
+
+        The same ``peak > threshold`` tests as
+        :meth:`repro.conversion.FlashAdc.convert`, bit for bit: the
+        differential suite compares engine outcome lists exactly.
+        """
+        return (peaks[:, None] > self._thresholds) @ self._bits
+
+    def _mask(self, peak: float) -> int:
+        """:meth:`_masks` of one peak, without the array overhead."""
+        return sum(
+            bit for threshold, bit in self._threshold_bits if peak > threshold
+        )
+
+    def _word(self, vector: int, mask: int) -> int:
+        """The id of the digital response to vector ``vector`` with the
+        code ``mask`` on the converter lines, memoized."""
+        key = (vector, mask)
         word = self._words.get(key)
         if word is None:
-            assignment = dict(self.steps[index].vector)
-            for line, bit in zip(self._converter_lines, code):
-                assignment[line] = bit
-            word = self._words[key] = self._respond(assignment)
+            assignment = dict(self._vectors[vector])
+            for bit, line in enumerate(self._converter_lines):
+                assignment[line] = (mask >> bit) & 1
+            response = self._respond(assignment)
+            word = self._words[key] = self._word_ids.setdefault(
+                response, len(self._word_ids)
+            )
         return word
 
     def _idle_diagnostics(self) -> dict:
@@ -401,23 +484,20 @@ class PreparedProgram:
         if self._factorized is None:
             self._prepare()
         factorized = self._factorized
-        before = {
-            frequency: system.solve_stats()
-            for frequency, system in factorized.items()
-        }
+        before = [system.solve_stats() for system in factorized]
         try:
             verdicts, batched_gains = self._walk(faults)
         finally:
-            for system in factorized.values():
+            for system in factorized:
                 system.release_directions()
         solve_stats = {
             "solve_calls": 0,
             "multi_rhs_solves": 0,
             "multi_rhs_columns": 0,
         }
-        for frequency, system in factorized.items():
+        for system, earlier in zip(factorized, before):
             for key, value in system.solve_stats().items():
-                solve_stats[key] += value - before[frequency][key]
+                solve_stats[key] += value - earlier[key]
         diagnostics = {
             "engine": FactorizedEngine.name,
             "digital_engine": self.digital_engine,
@@ -442,83 +522,143 @@ class PreparedProgram:
         self, faults: Sequence[FaultSpec]
     ) -> tuple[list[tuple[bool, str | None]], int]:
         """Batch, then walk: every fault's verdict, and the number of
-        gains the up-front batch computed."""
-        steps = self.steps
-        output = self._output
-        thresholds = self._thresholds
-        factorized = self._factorized
-        good_codes = self._good_codes
-        good_words = self._good_words
-        own_steps = self._own_steps
-        word = self._word
+        gains the up-front batch computed.
 
-        def order_of(element):
-            # step_order, streamed: the early-exit prefix (the
-            # fault's own steps) comes from one grouping pass; the
-            # tail is generated only for faults that survive it.
-            # Materializing step_order per element is quadratic in
-            # the step count and dominates ladder-scale campaigns.
-            yield from own_steps.get(element, ())
-            for index, step in enumerate(steps):
-                if step.element != element:
-                    yield index
+        The walk follows :func:`step_order` — a fault's own steps first,
+        then the rest in step order — and stops at the first detecting
+        step.  A verdict depends only on the fault's element and
+        deviation, so each distinct pair is walked once.
+        """
+        pair_of: dict[tuple[str, float], int] = {}
+        pair_of_fault = [
+            pair_of.setdefault((fault.element, fault.deviation), len(pair_of))
+            for fault in faults
+        ]
+        pairs = list(pair_of)
+        rows = np.array(
+            [
+                self._element_row.get(element, len(self._element_row))
+                for element, _ in pairs
+            ],
+            dtype=np.intp,
+        )
 
-        # Gains are memoized per run, never across runs: a gain can
-        # differ in the last ulp with the batch it was computed in.
-        gain_memo: dict[tuple[str, float, float], float] = {}
-
-        # Batch-then-walk: precompute every fault's own-step gains
-        # — the gains the early exit almost always decides on — as
-        # one deviation_batch per distinct stimulus frequency, so
-        # the walk below starts with the memo already hot.
+        # The own-step gains — the gains the early exit almost always
+        # decides on — as one deviation_batch per frequency, in the
+        # order the faults first use each.  Gains belong to this run
+        # alone: a gain can differ in the last ulp with the batch it
+        # was computed in.
+        gains = np.zeros((len(pairs), len(self._factorized)))
         batched_gains = 0
-        pending: dict[float, dict[tuple[str, float], None]] = {}
-        for fault in faults:
-            for idx in own_steps.get(fault.element, ()):
-                step = steps[idx]
-                pending.setdefault(step.stimulus.frequency_hz, {})[
-                    (fault.element, fault.deviation)
-                ] = None
-        for frequency, keyed in pending.items():
-            pairs = list(keyed)
-            values = factorized[frequency].deviation_batch(pairs, output)
-            for (element, deviation), value in zip(pairs, values):
-                gain_memo[(element, deviation, frequency)] = abs(
-                    complex(value)
-                )
-            batched_gains += len(pairs)
+        first_use = dict.fromkeys(
+            frequency
+            for row in dict.fromkeys(rows.tolist())
+            for frequency in self._own_frequencies[row]
+        )
+        for frequency in first_use:
+            members = np.flatnonzero(self._own_at[rows, frequency])
+            values = self._factorized[frequency].deviation_batch(
+                [pairs[p] for p in members.tolist()], self._output
+            )
+            # libm's hypot, as abs(complex) is; np.abs can differ in the
+            # last ulp.
+            gains[members, frequency] = np.hypot(values.real, values.imag)
+            batched_gains += len(members)
 
-        def fault_gain(fault: FaultSpec, frequency: float) -> float:
-            gain_key = (fault.element, fault.deviation, frequency)
-            gain = gain_memo.get(gain_key)
-            if gain is None:
-                # A tail gain: the fault survived its own steps.
-                value = factorized[frequency].deviation_batch(
-                    [(fault.element, fault.deviation)], output
-                )[0]
-                gain = gain_memo[gain_key] = abs(complex(value))
-            return gain
+        # Own steps over arrays: one pass per own-step position decides,
+        # for every pair still undetected, whether its step masks or
+        # detects it.  ``detected`` holds the detecting step, or −1.
+        detected = np.full(len(pairs), -1, dtype=np.intp)
+        counts = self._own_count[rows]
+        n_vectors = len(self._vectors)
+        for position in range(int(counts.max(initial=0))):
+            at = np.flatnonzero((counts > position) & (detected < 0))
+            own = self._own_steps[rows[at], position]
+            masks = self._masks(
+                self._step_amplitude[own]
+                * gains[at, self._step_frequency[own]]
+            )
+            changed = masks != self._good_masks[own]  # else conversion masks
+            at, own, masks = at[changed], own[changed], masks[changed]
+            if not len(at):
+                continue
+            vectors = self._step_vector[own]
+            _, first, inverse = np.unique(
+                masks * n_vectors + vectors,
+                return_index=True,
+                return_inverse=True,
+            )
+            words = np.array(
+                [
+                    self._word(vector, mask)
+                    for vector, mask in zip(
+                        vectors[first].tolist(), masks[first].tolist()
+                    )
+                ],
+                dtype=np.intp,
+            )
+            hit = words[inverse] != self._good_words[own]
+            detected[at[hit]] = own[hit]
 
-        def evaluate(fault: FaultSpec) -> tuple[bool, str | None]:
-            # A fault's converted code depends only on the stimulus,
-            # never on the step, so one small per-fault memo
-            # collapses the undetected-fault tail walk to lookups.
-            codes: dict[tuple[float, float], tuple[int, ...]] = {}
-            for index in order_of(fault.element):
-                stimulus = steps[index].stimulus
-                code_key = (stimulus.frequency_hz, stimulus.amplitude)
-                code = codes.get(code_key)
-                if code is None:
-                    gain = fault_gain(fault, stimulus.frequency_hz)
-                    code = _convert(thresholds, stimulus.amplitude * gain)
-                    codes[code_key] = code
-                if code == good_codes[index]:
-                    continue  # conversion masks the fault here
-                if word(index, code) != good_words[index]:
-                    return True, steps[index].element
-            return False, None
+        # The tail, for the pairs that survive their own steps.
+        for p in np.flatnonzero(detected < 0).tolist():
+            detected[p] = self._tail(pairs[p], int(rows[p]), gains[p])
 
-        return [evaluate(fault) for fault in faults], batched_gains
+        steps = self.steps
+        verdicts = [
+            (True, steps[index].element) if index >= 0 else (False, None)
+            for index in detected.tolist()
+        ]
+        return [verdicts[p] for p in pair_of_fault], batched_gains
+
+    def _tail(self, pair: tuple[str, float], row: int, own_gains) -> int:
+        """The first step past its own that detects ``pair``, or −1.
+
+        One stimulus at a time, in the order of each stimulus's first
+        step that is not the element's own: the pair's code at a
+        stimulus is computed once, and a code equal to the good code
+        skips every step of the stimulus.  The walk stops once the next
+        stimulus starts past the best detection so far, so it asks for
+        exactly the gains, in the order, that a step-by-step walk would:
+        each a lazy batch-of-one :meth:`repro.spice.FactorizedMna.
+        deviation_batch` call, unless the own-step batch holds it.
+        """
+        tail = self._tails.get(row)
+        if tail is None:
+            own = set(self._own_steps[row, : self._own_count[row]].tolist())
+            visits = []
+            for stimulus in self._stimuli:
+                for index, _, _ in stimulus[3]:
+                    if index not in own:
+                        visits.append((index, stimulus))
+                        break
+            visits.sort(key=lambda visit: visit[0])
+            tail = self._tails[row] = own, visits
+        own, visits = tail
+        best = len(self.steps)
+        tail_gains: dict[int, float] = {}
+        for first, (frequency, amplitude, good_mask, members) in visits:
+            if first > best:
+                break
+            if self._own_at[row, frequency]:
+                gain = own_gains[frequency]
+            else:
+                gain = tail_gains.get(frequency)
+                if gain is None:
+                    value = self._factorized[frequency].deviation_batch(
+                        [pair], self._output
+                    )[0]
+                    gain = tail_gains[frequency] = abs(complex(value))
+            mask = self._mask(amplitude * gain)
+            if mask == good_mask:
+                continue  # conversion masks the fault at this stimulus
+            for index, vector, good_word in members:
+                if index > best:
+                    break
+                if index not in own and self._word(vector, mask) != good_word:
+                    best = index
+                    break
+        return best if best < len(self.steps) else -1
 
 
 class FactorizedEngine:
@@ -526,18 +666,19 @@ class FactorizedEngine:
     less work per fault.
 
     :meth:`run` prepares the program once (:class:`PreparedProgram`:
-    the per-frequency LU factorizations and the good-circuit
-    responses), then executes it **batch, then walk**: every fault's
-    *own-step* gains — the gains the early exit almost always decides
-    on — are computed up front by
+    the per-frequency LU factorizations, the good-circuit responses and
+    the program laid out as arrays), then executes it **batch, then
+    walk**: every fault's *own-step* gains — the gains the early exit
+    almost always decides on — are computed up front by
     :meth:`repro.spice.FactorizedMna.deviation_batch`, one multi-RHS
-    backend solve per distinct stimulus frequency, and published into
-    the gain memo.  The serial detection walk that follows keeps the
-    exact ``step_order`` early-exit semantics, but runs almost entirely
-    on memo hits; only a fault that survives its own steps pays further
-    (lazily computed, memoized) batch-of-one updates on the remaining
-    steps.  Every gain therefore comes from the one Sherman–Morrison
-    kernel, :meth:`~repro.spice.FactorizedMna.deviation_batch`.
+    backend solve per distinct stimulus frequency.  The walk keeps the
+    exact ``step_order`` early-exit semantics: one array pass per
+    own-step position decides which faults their own step masks or
+    detects, and only a fault that survives its own steps walks the
+    rest, one stimulus at a time, paying lazily computed batch-of-one
+    updates for the frequencies its own steps did not cover.  Every
+    gain therefore comes from the one Sherman–Morrison kernel,
+    :meth:`~repro.spice.FactorizedMna.deviation_batch`.
 
     Cost model: the reference engine pays a full matrix assembly and
     dense solve per (fault, step) pair, twice (good and faulty
